@@ -5,13 +5,30 @@
 //!
 //! Both sides simulate the identical eight `(defense, NRH)` cells of
 //! one quick-scale four-core mix, so the printed `speedup` line is the
-//! honest per-sweep win. Measured on the development container it sits
-//! around 1.5×: the shared decode eliminates all redundant trace work
-//! and the batched controller service (verdict carry-over plus the
-//! arrival fast path) absorbs roughly half of all scheduler wakes, but
-//! the remaining full FR-FCFS scans dominate the wall clock, so the
-//! sweep does not approach the 3× that pure decode amortization would
-//! suggest.
+//! honest per-sweep win. Measured on the development container (2
+//! vCPUs, a noisy neighbour; best of three runs per side, minimum of
+//! ten samples):
+//!
+//! | commit | `sequential_8x1_quick` | `lane_batch_8_quick` | speedup |
+//! |---|---|---|---|
+//! | PR 8 – PR 11 (per-entry FR-FCFS scans, per-rank legality memo) | 534 ms | 313 ms | ≈ 1.7× |
+//! | PR 13 (per-bank candidate table, `controller/batch.rs`) | 526 ms | 228 ms | ≈ 2.3× |
+//!
+//! The sequential side is the untouched legacy `service` path, so it
+//! does not move. On the lane side the shared decode removes all
+//! redundant trace work, verdict carry-over issues five commands in
+//! six without re-discovering the winner and skips the non-demand
+//! sections in three scans out of four (counted on the benchmark's
+//! `perf_sweep`, the same traffic), and since PR 13 a scan folds one
+//! representative per active bank (≈ 5 of them) instead of walking
+//! ≈ 12 queued requests with a memo lookup each. What keeps the sweep short of the 3× that pure decode
+//! amortization would suggest is no longer the scan: it is the work
+//! every command still costs on either path — `DramDevice::issue`, the
+//! defense hooks, the sections ahead of the demand stage after each
+//! row command — and the per-lane core/cache model, which lanes do not
+//! share. `BENCH_13.json` at the repo root has the same change measured
+//! by the repo benchmark (`perf_sweep`: −33 % host time per DRAM
+//! command over ten alternating pairs).
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -220,41 +220,43 @@ impl DramDevice {
 
     /// Banks blocked by an RFM of `scope` on `rank`, as flat indices.
     pub fn rfm_banks(&self, rank: u32, scope: RfmScope) -> Vec<usize> {
-        let g = &self.config.geometry;
-        match scope {
-            RfmScope::AllBank => (0..g.banks_per_rank())
-                .map(|i| self.flat(g.bank_from_flat(0, (rank * g.banks_per_rank() + i) as usize)))
-                .collect(),
-            RfmScope::SameBank { bank } => (0..g.bank_groups_per_rank())
-                .map(|bg| self.flat(BankId::new(0, rank, bg, bank)))
-                .collect(),
-            RfmScope::SingleBank { bank_group, bank } => {
-                vec![self.flat(BankId::new(0, rank, bank_group, bank))]
-            }
-        }
+        self.rfm_flats(rank, scope).collect()
     }
 
-    /// The rank-local component of a column command's earliest-issue
-    /// instant on `bank`: everything [`DramDevice::earliest_legal`]
-    /// folds for a legal-state `RD`/`WR` except the channel-global
-    /// terms (`cmd_free`, column-to-column spacing, data-bus occupancy)
-    /// exposed by [`DramDevice::bus_state`]. Only commands issued on
-    /// `bank`'s own rank move this value, so a batched scheduler can
-    /// memoize it per (bank, direction) across issues on other ranks
-    /// *and* across column issues, re-folding the global terms itself.
-    ///
-    /// Meaningful only while `bank` holds an open row (the legal state
-    /// for a column command); callers must re-fold `max(cmd_free,
-    /// last_col + tCCD, data-bus floor, now)` to recover the exact
-    /// [`DramDevice::earliest_legal`] value.
-    pub fn earliest_column_rank_part(&self, bank: BankId, is_read: bool) -> Time {
-        let b = &self.banks[self.flat(bank)];
-        (if is_read {
-            b.earliest_rd()
-        } else {
-            b.earliest_wr()
-        })
-        .max(self.ranks[bank.rank as usize].earliest_any())
+    /// [`DramDevice::rfm_banks`] without the allocation: every scope is
+    /// an arithmetic progression over the rank's flat-index range, in
+    /// ascending order.
+    fn rfm_flats(&self, rank: u32, scope: RfmScope) -> impl Iterator<Item = usize> {
+        let g = &self.config.geometry;
+        let (start, step, count) = match scope {
+            RfmScope::AllBank => (self.flat(BankId::new(0, rank, 0, 0)), 1, g.banks_per_rank()),
+            RfmScope::SameBank { bank } => (
+                self.flat(BankId::new(0, rank, 0, bank)),
+                g.banks_per_group() as usize,
+                g.bank_groups_per_rank(),
+            ),
+            RfmScope::SingleBank { bank_group, bank } => {
+                (self.flat(BankId::new(0, rank, bank_group, bank)), 1, 1)
+            }
+        };
+        (0..count as usize).map(move |i| start + i * step)
+    }
+
+    /// Read-only view of the per-bank state machines, indexed by flat
+    /// bank ([`Geometry::flat_bank`]). Together with
+    /// [`DramDevice::rank_states`] and [`DramDevice::bus_state`] this is
+    /// everything [`DramDevice::earliest_legal`] folds for a state-legal
+    /// `ACT`/`PRE`/`RD`/`WR`, so a batched scheduler can fold the
+    /// bank/rank terms per candidate and the channel-global terms once
+    /// per scan.
+    pub fn bank_states(&self) -> &[Bank] {
+        &self.banks
+    }
+
+    /// Read-only view of the per-rank timing state (tRRD/tFAW window,
+    /// rank-wide blocking), indexed by rank.
+    pub fn rank_states(&self) -> &[RankState] {
+        &self.ranks
     }
 
     /// The channel-global timing state a batched scheduler mirrors:
@@ -419,16 +421,17 @@ impl DramDevice {
         earliest
     }
 
-    /// Flat indices of the banks a REF/RFM on `rank` blocks.
-    fn affected_banks(&self, cmd: &Command) -> Vec<usize> {
+    /// Flat indices of the banks a REF/RFM on `rank` blocks (a REF
+    /// covers the rank like an all-bank RFM).
+    fn affected_banks(&self, cmd: &Command) -> impl Iterator<Item = usize> {
         match *cmd {
-            Command::Refresh { rank, .. } => self.rank_banks(rank).collect(),
-            Command::Rfm { rank, scope, .. } => self.rfm_banks(rank, scope),
+            Command::Refresh { rank, .. } => self.rfm_flats(rank, RfmScope::AllBank),
+            Command::Rfm { rank, scope, .. } => self.rfm_flats(rank, scope),
             _ => unreachable!("affected_banks is only defined for REF/RFM"),
         }
     }
 
-    fn rank_banks(&self, rank: u32) -> impl Iterator<Item = usize> + '_ {
+    fn rank_banks(&self, rank: u32) -> std::ops::Range<usize> {
         let per_rank = self.config.geometry.banks_per_rank() as usize;
         let base = rank as usize * per_rank;
         base..base + per_rank
@@ -507,8 +510,7 @@ impl DramDevice {
             }
             Command::PrechargeAll { rank, .. } => {
                 let mut best: Option<Alert> = None;
-                let banks: Vec<usize> = self.rank_banks(rank).collect();
-                for flat in banks {
+                for flat in self.rank_banks(rank) {
                     if let Some((row, dwell)) = self.banks[flat].apply_pre(now, &t) {
                         self.stats.precharges += 1;
                         let bank = self.config.geometry.bank_from_flat(cmd.channel(), flat);
@@ -537,9 +539,8 @@ impl DramDevice {
             }
             Command::Refresh { rank, .. } => {
                 let until = now + t.t_rfc;
-                let banks: Vec<usize> = self.rank_banks(rank).collect();
                 let start = self.sweep_pos[rank as usize];
-                for &flat in &banks {
+                for flat in self.rank_banks(rank) {
                     self.banks[flat].block_until(until);
                     self.disturb.sweep(flat, start, self.rows_per_ref);
                 }
@@ -551,14 +552,13 @@ impl DramDevice {
             }
             Command::Rfm { rank, scope, .. } => {
                 let until = now + t.t_rfm;
-                let banks = self.rfm_banks(rank, scope);
-                for &flat in &banks {
+                for flat in self.rfm_flats(rank, scope) {
                     self.banks[flat].block_until(until);
                 }
                 if scope == RfmScope::AllBank {
                     self.ranks[rank as usize].block_until(until);
                 }
-                self.preventive_refresh(rank, scope, &banks);
+                self.preventive_refresh(rank, scope);
                 self.stats.rfms += 1;
                 self.stats.rfm_blocked += t.t_rfm;
             }
@@ -614,7 +614,7 @@ impl DramDevice {
 
     /// Refreshes the victims of the highest-counted aggressor rows in the
     /// RFM's scope, resetting their counters.
-    fn preventive_refresh(&mut self, rank: u32, scope: RfmScope, banks: &[usize]) {
+    fn preventive_refresh(&mut self, rank: u32, scope: RfmScope) {
         let aggressors: Vec<(usize, u32)> = match scope {
             RfmScope::AllBank => {
                 let rank_banks: Vec<usize> = self.rank_banks(rank).collect();
@@ -625,9 +625,9 @@ impl DramDevice {
                     .map(|(b, row, _)| (b, row))
                     .collect()
             }
-            RfmScope::SameBank { .. } | RfmScope::SingleBank { .. } => banks
-                .iter()
-                .filter_map(|&b| {
+            RfmScope::SameBank { .. } | RfmScope::SingleBank { .. } => self
+                .rfm_flats(rank, scope)
+                .filter_map(|b| {
                     self.counters
                         .top_row(b)
                         .filter(|&(_, count)| count > 0)

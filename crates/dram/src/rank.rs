@@ -1,7 +1,5 @@
 //! Rank-level constraints: tFAW, tRRD and rank-wide blocking.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::Time;
@@ -12,8 +10,11 @@ use crate::timing::DramTiming;
 /// refresh or all-bank RFM.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RankState {
-    /// Issue times of the most recent activates (at most 4 retained).
-    recent_acts: VecDeque<Time>,
+    /// Issue times of the four most recent activates: a ring whose
+    /// oldest entry sits at `acts % 4` once it is full.
+    recent_acts: [Time; 4],
+    /// Activates recorded so far.
+    acts: u64,
     /// Time and bank group of the most recent activate.
     last_act: Option<(Time, u32)>,
     /// Until when the whole rank is blocked (REF / RFMab).
@@ -35,8 +36,8 @@ impl RankState {
     /// rank-level constraints.
     pub fn earliest_act(&self, bank_group: u32, t: &DramTiming) -> Time {
         let mut earliest = self.blocked_until;
-        if self.recent_acts.len() == 4 {
-            earliest = earliest.max(self.recent_acts[0] + t.t_faw);
+        if self.acts >= 4 {
+            earliest = earliest.max(self.recent_acts[(self.acts % 4) as usize] + t.t_faw);
         }
         if let Some((last, bg)) = self.last_act {
             let rrd = if bg == bank_group {
@@ -56,10 +57,8 @@ impl RankState {
 
     /// Records an `ACT` issued at `now` to `bank_group`.
     pub fn apply_act(&mut self, now: Time, bank_group: u32) {
-        if self.recent_acts.len() == 4 {
-            self.recent_acts.pop_front();
-        }
-        self.recent_acts.push_back(now);
+        self.recent_acts[(self.acts % 4) as usize] = now;
+        self.acts += 1;
         self.last_act = Some((now, bank_group));
     }
 

@@ -1054,8 +1054,9 @@ impl MemoryController {
                         }
                     }
                 }
-                let actions = self.defense.on_activate(bank, row, now).to_vec();
-                for action in actions {
+                // The borrowed action slice lives in `self.defense`; the
+                // loop body touches only the controller's other fields.
+                for &action in self.defense.on_activate(bank, row, now) {
                     match action {
                         DefenseAction::IssueRfm { rank, scope } => {
                             self.rfm_queue.push_back((rank, scope));

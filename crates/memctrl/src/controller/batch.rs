@@ -1,115 +1,182 @@
 //! Batched service path: the same scheduler decisions as
-//! [`MemoryController::service`], computed against cached row state.
+//! [`MemoryController::service`], computed from incrementally maintained
+//! state instead of a per-entry queue walk.
 //!
 //! The lane-batched simulator engine (`lh-sim`'s `LaneBatch`) advances
 //! many controller instances over one shared trace, so the per-wake cost
 //! of `service` dominates sweep wall-clock. This module adds
 //! [`MemoryController::service_batched`]: a decision-identical variant
 //! of the service loop that keeps its bookkeeping in a caller-owned
-//! [`CtrlScratch`] instead of re-deriving it from the device every wake:
+//! [`CtrlScratch`]:
 //!
-//! * a mirror of every bank's open row plus per-rank open counts, so
-//!   `rank_has_open_row` is one array read instead of a bank scan;
-//! * persistent per-bank hit/conflict buffers for the FR-FCFS pre-scan
-//!   (no per-wake allocation);
-//! * per-wake memos for `rank_quiesced` and the per-bank
-//!   `earliest_legal` of each command class — safe because within one
-//!   `next_step` evaluation the device state and `now` are fixed, and
-//!   ACT legality is row-independent while RD/WR legality is
-//!   column-independent;
-//! * an early exit from the candidate scan once an issueable-now row
-//!   hit is found (see the proof at the scan).
+//! * per-rank open-row counts, so `rank_has_open_row` is one array read
+//!   instead of a bank scan;
+//! * a **per-bank candidate table** per demand queue ([`BankTable`]): a
+//!   per-bank FIFO of the queued entries, an active-bank bitset, and per
+//!   bank one cached *representative* — the only entry of that bank that
+//!   can win FR-FCFS. The demand stage is a fold over active,
+//!   non-blocked, non-quiesced banks, never a walk over queue entries;
+//! * a representative is recomputed only when its bank's epoch moves:
+//!   on an arrival for the bank or a command that changes its open row
+//!   or streak (ACT/PRE/RD/WR on it, PREab on its rank);
+//! * no legality memo at all: a candidate's earliest-issue instant is
+//!   folded per scan from the device's own bank and rank timing state
+//!   (`DramDevice::bank_states` / `rank_states`, a handful of `max`es)
+//!   against channel-global floors hoisted once per scan (`cmd_free`,
+//!   column-to-column spacing, data-bus occupancy, `now`), so nothing
+//!   cached can go stale when a command moves device timing;
+//! * verdict carry-over: a Wait verdict stays exact until its recorded
+//!   bound, an issue, or an arrival (the FastPath), and the sections
+//!   that never read the demand queues keep their verdict across
+//!   arrivals, servings and column issues (the section verdict).
 //!
-//! The legacy `service` path is deliberately untouched: it is the
-//! reference implementation the identity tests and the `lane_batch`
-//! bench baseline run against. Every decision point here is a
-//! structural copy of the corresponding `controller.rs` code; the two
-//! must produce byte-identical command streams.
+//! ## Why one representative per bank is exact
+//!
+//! Within one demand queue every entry has the same kind, ACT legality
+//! is row-independent, RD/WR legality column-independent, and arrivals
+//! are non-decreasing in queue order. So all of a bank's candidates
+//! share one command class and one earliest-issue instant, and the
+//! scheduler's comparators (issueable-now: row hits first, then age;
+//! otherwise earliest instant; first in queue order on ties) reduce
+//! within a bank to "oldest first". Which entries are candidates is the
+//! column-cap rule: with a row open, the oldest hit unless the streak is
+//! capped and a conflict waits, else `PRE` on behalf of the oldest
+//! conflict; with the bank closed, `ACT` for the oldest entry. Across
+//! banks the fold takes the minimal `(instant, not-a-hit, queue
+//! order)`, which is the per-entry scan's winner when the instant is
+//! `now` and its wake otherwise.
+//!
+//! The legacy path is the reference: `schedule_demand` is the
+//! `debug_assertions` oracle of every table scan (and the release
+//! fallback while BlockHammer throttles gate individual rows), and
+//! `next_step` shadows every carried-over verdict. The two paths must
+//! produce byte-identical command streams.
 //!
 //! **Caller contract**: requests must be enqueued with non-decreasing
 //! `arrival` stamps (true for `lh-sim`, which stamps `arrival` with the
-//! enqueue instant, including retries). The early exit below relies on
-//! this queue-order monotonicity.
+//! enqueue instant, including retries).
 
 use std::collections::VecDeque;
 
-use lh_dram::{AlertScope, Command, DramDevice, Geometry, RfmScope, Time};
+use lh_dram::{AlertScope, BankId, Command, DramDevice, Geometry, RfmScope, Time};
 
 use super::{AboPhase, MemoryController, QueueSel, RowPolicy, Step};
-use crate::request::{AccessKind, MemRequest};
+use crate::request::MemRequest;
 
-/// Mirror value for "no open row".
-const CLOSED: u32 = u32::MAX;
+/// Command class of a bank's representative. ACT timing is
+/// row-independent and RD/WR timing column-independent
+/// (`DramDevice::earliest_from_state`), so one instant per bank covers
+/// every entry the representative stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Act,
+    Pre,
+    /// `RD` in the read queue's table, `WR` in the write queue's.
+    Col,
+}
 
-/// Command classes whose `earliest_legal` is memoizable per bank within
-/// one `next_step` evaluation: ACT timing is row-independent and RD/WR
-/// timing is column-independent (`DramDevice::earliest_from_state`).
-const CLASS_ACT: usize = 0;
-const CLASS_PRE: usize = 1;
-const CLASS_RD: usize = 2;
-const CLASS_WR: usize = 3;
-const CLASSES: usize = 4;
+/// One queued request as the table sees it.
+#[derive(Debug, Clone, Copy)]
+struct Ent {
+    /// Position in the queue's arrival order (monotone per queue).
+    seq: u64,
+    row: u32,
+    col: u32,
+}
+
+/// A bank's cached FR-FCFS representative.
+#[derive(Debug, Clone, Copy)]
+struct Rep {
+    /// The bank's [`CtrlScratch::bank_epoch`] at computation.
+    stamp: u64,
+    class: Class,
+    cmd: Command,
+    /// `seq` of the entry the command stands for: the cross-bank
+    /// tie-break (queue order refines arrival order).
+    seq: u64,
+}
+
+/// Per-bank candidate table of one demand queue.
+#[derive(Debug, Clone)]
+struct BankTable {
+    /// Queue entries folded in so far. Queues only grow at the back
+    /// between scans (enqueues and retries `push_back`), so catching up
+    /// is a walk of the new tail; the sole removal is a served request,
+    /// mirrored eagerly by [`CtrlScratch::note_issue`].
+    synced: usize,
+    next_seq: u64,
+    /// Per flat bank: its queued entries, oldest first.
+    fifo: Vec<Vec<Ent>>,
+    /// Bitset of banks with a non-empty FIFO.
+    active: Vec<u64>,
+    /// Per flat bank: its cached representative, if ever computed.
+    reps: Vec<Option<Rep>>,
+}
+
+impl BankTable {
+    fn new(banks: usize) -> BankTable {
+        BankTable {
+            synced: 0,
+            next_seq: 0,
+            fifo: vec![Vec::new(); banks],
+            active: vec![0; banks.div_ceil(64)],
+            reps: vec![None; banks],
+        }
+    }
+}
+
+/// Adds `flat` to a bank bitset.
+fn set_bit(mask: &mut [u64], flat: usize) {
+    mask[flat / 64] |= 1 << (flat % 64);
+}
+
+/// Whether `flat` is in a bank bitset.
+fn has_bit(mask: &[u64], flat: usize) -> bool {
+    mask[flat / 64] >> (flat % 64) & 1 != 0
+}
 
 /// Caller-owned scratch state for [`MemoryController::service_batched`].
 ///
-/// Holds the open-row mirror and the per-wake memos. One scratch belongs
-/// to exactly one controller: it is synchronized to the controller's
-/// device state at construction and kept in sync by observing every
-/// issued command. Feeding it to a different controller, or mixing
-/// `service` and `service_batched` calls on the same controller without
-/// re-synchronizing, desynchronizes the mirror (debug builds assert).
+/// Holds the candidate tables, the open-row counts and the carried
+/// verdicts. One scratch belongs to exactly one controller: it is
+/// synchronized to the controller's state at construction and kept in
+/// sync by observing every issued command. Feeding it to a different
+/// controller, or mixing `service` and `service_batched` calls on the
+/// same controller without re-synchronizing, desynchronizes it (debug
+/// builds assert).
 #[derive(Debug, Clone)]
 pub struct CtrlScratch {
-    /// Bumped at every `next_step_b` entry; stamps invalidate the
-    /// per-wake memos (`rank_quiesced` is `now`-dependent).
+    /// Bumped at every scan entry; stamps invalidate the per-wake
+    /// `rank_quiesced` memo (it is `now`-dependent).
     epoch: u64,
-    /// Per rank: bumped at every command issued on that rank — the only
-    /// controller-side events that move the rank-local device timing
-    /// state `earliest_from_state` reads (`recovery_complete` and hidden
-    /// preventive refreshes touch PRAC / disturbance bookkeeping only).
-    /// Stamps the cross-wake legality memo: a command on rank 0 leaves
-    /// rank 1's cached bounds valid.
-    rank_epoch: Vec<u64>,
-    /// Bumped at every issued column command. The legality memo no
-    /// longer needs it (column entries cache only the rank-local
-    /// component); it feeds the section verdict's only-column-issues
-    /// test ([`CtrlScratch::sec_live`]).
-    col_epoch: u64,
-    /// Per flat bank: mirrored open row ([`CLOSED`] when none).
-    open: Vec<u32>,
+    /// Commands issued so far: the state-change stamp of the carried
+    /// verdicts.
+    issued: u64,
+    /// Column commands among them, for the section verdict's
+    /// only-column-issues test ([`CtrlScratch::sec_live`]).
+    col_issued: u64,
+    /// Per flat bank: bumped by everything its representatives depend
+    /// on — an arrival queued for it, and every command that moves its
+    /// open row or streak (ACT/PRE/RD/WR on it, PREab on its rank).
+    bank_epoch: Vec<u64>,
+    /// Per flat bank: its coordinates.
+    banks: Vec<BankId>,
     /// Per rank: number of banks holding an open row.
     rank_open: Vec<u32>,
-    /// Per flat bank: queue pre-scan results for the current wake.
-    bank_has_hit: Vec<bool>,
-    bank_has_conflict: Vec<bool>,
-    /// Blocked flat banks for the current scan (reused allocation).
-    blocked: Vec<usize>,
     /// Per rank: memoized `rank_quiesced` verdict.
     q_stamp: Vec<u64>,
     q_val: Vec<bool>,
-    /// Per (flat bank × class): memoized *unclamped* earliest-issue
-    /// instant (`earliest_legal` at `Time::ZERO`), stamped by the
-    /// owning rank's [`CtrlScratch::rank_epoch`] (plus
-    /// [`CtrlScratch::col_epoch`] for column classes) so it survives
-    /// until a command actually invalidates it. The caller-facing value
-    /// folds the channel-global bus terms back in per query.
-    l_stamp: Vec<u64>,
-    l_at: Vec<Time>,
-    /// Per flat bank: owning rank, for the legality memo's stamps.
-    flat_rank: Vec<u32>,
-    /// Dense per-queue mirrors of each request's flat bank and row,
-    /// parallel to `read_q` / `write_q` (indexed by [`QueueSel`] as 0 /
-    /// 1). Folded lazily at scan time — queues only ever grow at the
-    /// back between scans — and trimmed eagerly when a served request
-    /// leaves mid-queue, so the FR-FCFS pre-scan walks two flat `u32`
-    /// arrays instead of calling `flat_bank` per request per wake.
-    q_flat: [Vec<u32>; 2],
-    q_row: [Vec<u32>; 2],
-    /// Cached [`DramDevice::rfm_banks`] result for the RFM currently at
-    /// the front of the controller's reactive queue, so steady-state
-    /// PRFM scans stop allocating a fresh bank list per wake.
+    /// Candidate tables of `read_q` / `write_q` (indexed by
+    /// [`QueueSel`] as 0 / 1).
+    tables: [BankTable; 2],
+    /// Bitset of banks blocked for new row/column commands in the
+    /// current scan.
+    blocked: Vec<u64>,
+    /// Cached [`DramDevice::rfm_banks`] of the RFM at the front of the
+    /// controller's reactive queue, as a bank bitset shared by section 4
+    /// and the scan's blocked test.
     rfm_key: Option<(u32, RfmScope)>,
-    rfm_flats: Vec<usize>,
+    rfm_mask: Vec<u64>,
     /// FastPath: a Wait-returning scan proves its verdict stays exact —
     /// same branch decisions, same folded wakes — until the earliest
     /// instant any time-triggered condition could flip ([`fp_bound`]),
@@ -124,20 +191,15 @@ pub struct CtrlScratch {
     fp_stamp: u64,
     fp_rq: u32,
     fp_wq: u32,
-    fp_winner: Option<(QueueSel, u32, Command)>,
-    /// The demand queue the arming scan selected — the arrival fast
-    /// path re-derives the selection and bails if it changed.
-    fp_sel: QueueSel,
+    fp_winner: Option<(QueueSel, Command)>,
     /// Per-scan accumulator: min over the flip instants of every
     /// `now`-dependent branch condition the scan evaluated (refresh
     /// commit triggers, FR-RFM stacking guards, quiesce verdicts).
     fp_bound_acc: Time,
-    /// Per-scan demand-winner precompute: the minimal `(at, !is_hit,
-    /// arrival)` candidate — exactly the candidate the scan's comparator
-    /// picks once `now` reaches `at` (first-in-queue-order on ties,
-    /// matching the scan's strict `better` test and its early break,
-    /// because arrivals are non-decreasing in queue order).
-    fp_cand: Option<(Time, bool, Time, u32, Command)>,
+    /// Per-scan demand-winner precompute: the table scan's minimal
+    /// candidate when it lies in the future — exactly the candidate the
+    /// scheduler picks once `now` reaches its instant.
+    fp_cand: Option<(Time, Command)>,
     /// Section verdict: sections 1–5 of `next_step_b` never read the
     /// demand queues, so a full scan's section outcome — the branch
     /// decisions taken and the wakes folded before the demand stage —
@@ -167,22 +229,17 @@ impl CtrlScratch {
         let ranks = g.ranks_per_channel() as usize;
         let mut s = CtrlScratch {
             epoch: 1,
-            rank_epoch: vec![1; ranks],
-            col_epoch: 0,
-            open: vec![CLOSED; banks],
-            rank_open: vec![0; ranks],
-            bank_has_hit: vec![false; banks],
-            bank_has_conflict: vec![false; banks],
-            blocked: Vec::new(),
+            issued: 0,
+            col_issued: 0,
+            bank_epoch: vec![1; banks],
+            banks: g.banks_in_channel(0).collect(),
+            rank_open: CtrlScratch::count_open(&mc.device),
             q_stamp: vec![0; ranks],
             q_val: vec![false; ranks],
-            l_stamp: vec![0; banks * CLASSES],
-            l_at: vec![Time::ZERO; banks * CLASSES],
-            flat_rank: vec![0; banks],
-            q_flat: [Vec::new(), Vec::new()],
-            q_row: [Vec::new(), Vec::new()],
+            tables: [BankTable::new(banks), BankTable::new(banks)],
+            blocked: vec![0; banks.div_ceil(64)],
             rfm_key: None,
-            rfm_flats: Vec::new(),
+            rfm_mask: vec![0; banks.div_ceil(64)],
             fp_valid: false,
             fp_wake: Time::ZERO,
             fp_bound: Time::ZERO,
@@ -190,7 +247,6 @@ impl CtrlScratch {
             fp_rq: 0,
             fp_wq: 0,
             fp_winner: None,
-            fp_sel: QueueSel::Read,
             fp_bound_acc: Time::MAX,
             fp_cand: None,
             sec_valid: false,
@@ -202,71 +258,77 @@ impl CtrlScratch {
         };
         s.sync_queue(QueueSel::Read, &mc.read_q, &g);
         s.sync_queue(QueueSel::Write, &mc.write_q, &g);
-        for b in g.banks_in_channel(0) {
-            s.flat_rank[g.flat_bank(b)] = b.rank;
-            if let Some(row) = mc.device.open_row(b) {
-                s.open[g.flat_bank(b)] = row;
-                s.rank_open[b.rank as usize] += 1;
-            }
-        }
         s
     }
 
-    /// Whether the mirror matches the device's actual row state.
-    fn in_sync(&self, device: &DramDevice) -> bool {
-        let g = device.geometry();
-        g.banks_in_channel(0).all(|b| {
-            let mirrored = self.open[g.flat_bank(b)];
-            device.open_row(b) == (mirrored != CLOSED).then_some(mirrored)
-        })
+    /// Per rank: how many of its banks hold an open row on `device`.
+    fn count_open(device: &DramDevice) -> Vec<u32> {
+        let per_rank = device.geometry().banks_per_rank() as usize;
+        device
+            .bank_states()
+            .chunks(per_rank)
+            .map(|rank| rank.iter().filter(|b| b.open_row().is_some()).count() as u32)
+            .collect()
     }
 
-    /// Folds an issued command into the mirror. Only ACT/PRE/PREab move
-    /// row state; REF/RFM blocking windows and column commands do not
-    /// (`DramDevice::issue`).
-    fn note_issue(&mut self, cmd: &Command, g: &Geometry) {
-        // `DramDevice::issue` mutates per-bank / per-rank timing state
-        // only on the command's own rank; the channel-global movement
-        // (`cmd_free`, `last_col`, `data_free`) is read back from the
-        // device per legality query. Everything else survives.
-        let rank = match *cmd {
-            Command::Activate { bank, .. }
-            | Command::Precharge { bank }
-            | Command::Read { bank, .. }
-            | Command::Write { bank, .. } => bank.rank,
-            Command::PrechargeAll { rank, .. }
-            | Command::Refresh { rank, .. }
-            | Command::Rfm { rank, .. } => rank,
-        };
-        self.rank_epoch[rank as usize] += 1;
-        if cmd.is_column() {
-            self.col_epoch += 1;
-        }
+    /// Whether the open-row counts match the device's actual row state.
+    fn in_sync(&self, device: &DramDevice) -> bool {
+        self.rank_open == CtrlScratch::count_open(device)
+    }
+
+    /// Folds a command about to issue on `device` into the open-row
+    /// counts, the epochs and — for a column command, which serves the
+    /// oldest hit of its bank — the candidate table of the `served`
+    /// queue. Only ACT/PRE/PREab move row state; REF/RFM blocking
+    /// windows and column commands do not (`DramDevice::issue`).
+    fn note_issue(&mut self, cmd: &Command, served: Option<QueueSel>, device: &DramDevice) {
+        let g = device.geometry();
+        let states = device.bank_states();
+        self.issued += 1;
         match *cmd {
-            Command::Activate { bank, row } => {
-                let flat = g.flat_bank(bank);
-                debug_assert_eq!(self.open[flat], CLOSED, "ACT on open bank");
-                self.open[flat] = row;
+            Command::Activate { bank, .. } => {
                 self.rank_open[bank.rank as usize] += 1;
+                self.bank_epoch[g.flat_bank(bank)] += 1;
             }
             Command::Precharge { bank } => {
                 let flat = g.flat_bank(bank);
-                if self.open[flat] != CLOSED {
-                    self.open[flat] = CLOSED;
+                if states[flat].open_row().is_some() {
                     self.rank_open[bank.rank as usize] -= 1;
                 }
+                self.bank_epoch[flat] += 1;
+            }
+            Command::Read { bank, col } | Command::Write { bank, col } => {
+                let flat = g.flat_bank(bank);
+                self.col_issued += 1;
+                self.bank_epoch[flat] += 1;
+                let sel = served.expect("column command must serve a request");
+                let open = states[flat].open_row();
+                let t = &mut self.tables[CtrlScratch::qi(sel)];
+                let fifo = &mut t.fifo[flat];
+                let pos = fifo
+                    .iter()
+                    .position(|e| Some(e.row) == open)
+                    .expect("served request is its bank's oldest hit");
+                debug_assert_eq!(fifo[pos].col, col, "served entry drifted");
+                fifo.remove(pos);
+                if fifo.is_empty() {
+                    t.active[flat / 64] &= !(1 << (flat % 64));
+                }
+                t.synced -= 1;
             }
             Command::PrechargeAll { rank, .. } => {
-                for b in g.banks_in_channel(0).filter(|b| b.rank == rank) {
-                    self.open[g.flat_bank(b)] = CLOSED;
+                let per_rank = g.banks_per_rank() as usize;
+                let base = rank as usize * per_rank;
+                for epoch in &mut self.bank_epoch[base..base + per_rank] {
+                    *epoch += 1;
                 }
                 self.rank_open[rank as usize] = 0;
             }
-            _ => {}
+            Command::Refresh { .. } | Command::Rfm { .. } => {}
         }
     }
 
-    /// Queue index for the per-queue mirrors.
+    /// Queue index for the per-queue tables.
     fn qi(sel: QueueSel) -> usize {
         match sel {
             QueueSel::Read => 0,
@@ -274,60 +336,66 @@ impl CtrlScratch {
         }
     }
 
-    /// Folds queue entries appended since the last scan into the flat /
-    /// row mirror. Queues only grow at the back between scans (enqueues
-    /// and retries `push_back`; the sole removal is a served request,
-    /// mirrored eagerly by [`CtrlScratch::note_served`]), so catching up
-    /// is a walk of the new tail — each request pays `flat_bank` once
-    /// per lifetime instead of once per wake.
+    /// Folds queue entries appended since the last scan into the
+    /// queue's table — each request pays `flat_bank` once per lifetime
+    /// instead of once per wake — and marks their banks' representatives
+    /// stale.
     fn sync_queue(&mut self, sel: QueueSel, q: &VecDeque<MemRequest>, g: &Geometry) {
-        let k = CtrlScratch::qi(sel);
-        let flats = &mut self.q_flat[k];
-        let rows = &mut self.q_row[k];
-        debug_assert!(flats.len() <= q.len(), "queue mirror ahead of queue");
-        if flats.len() < q.len() {
-            for req in q.range(flats.len()..) {
-                flats.push(g.flat_bank(req.addr.bank) as u32);
-                rows.push(req.addr.row);
-            }
+        let t = &mut self.tables[CtrlScratch::qi(sel)];
+        debug_assert!(t.synced <= q.len(), "candidate table ahead of queue");
+        for req in q.range(t.synced..) {
+            let flat = g.flat_bank(req.addr.bank);
+            t.fifo[flat].push(Ent {
+                seq: t.next_seq,
+                row: req.addr.row,
+                col: req.addr.col,
+            });
+            t.next_seq += 1;
+            set_bit(&mut t.active, flat);
+            self.bank_epoch[flat] += 1;
         }
-        debug_assert!(
-            flats
-                .iter()
-                .zip(q.iter())
-                .all(|(&f, r)| f == g.flat_bank(r.addr.bank) as u32),
-            "queue mirror drifted"
-        );
+        t.synced = q.len();
     }
 
-    /// Removes a served request from the queue mirror, matching the
-    /// `q.remove(idx)` the controller performs for column commands.
-    fn note_served(&mut self, sel: QueueSel, idx: usize) {
-        let k = CtrlScratch::qi(sel);
-        self.q_flat[k].remove(idx);
-        self.q_row[k].remove(idx);
-    }
-
-    /// Refreshes the cached flat-bank list for the RFM at the front of
-    /// the reactive queue, if it changed since the last scan.
+    /// Refreshes the cached bank bitset for the RFM at the front of the
+    /// reactive queue, if it changed since the last scan.
     fn sync_rfm(&mut self, device: &DramDevice, rank: u32, scope: RfmScope) {
         if self.rfm_key != Some((rank, scope)) {
             self.rfm_key = Some((rank, scope));
-            self.rfm_flats = device.rfm_banks(rank, scope);
+            self.rfm_mask.fill(0);
+            for flat in device.rfm_banks(rank, scope) {
+                set_bit(&mut self.rfm_mask, flat);
+            }
         }
     }
 
-    /// Total issued-command count, the FastPath's state-change stamp
-    /// (every issue bumps exactly one rank epoch).
-    fn issue_stamp(&self) -> u64 {
-        self.rank_epoch.iter().sum()
+    /// Rebuilds the bitset of banks blocked for new row/column commands
+    /// (`MemoryController::blocked_banks` as a bitset).
+    fn sync_blocked(&mut self, mc: &MemoryController) {
+        self.blocked.fill(0);
+        if let Some(&(rank, scope)) = mc.rfm_queue.front() {
+            self.sync_rfm(&mc.device, rank, scope);
+            self.blocked.copy_from_slice(&self.rfm_mask);
+        }
+        let g = mc.device.geometry();
+        let mut block = |bank: BankId| set_bit(&mut self.blocked, g.flat_bank(bank));
+        if let Some(abo) = &mc.abo {
+            if abo.phase == AboPhase::Recover
+                && mc.device.prac_config().map(|p| p.scope) == Some(AlertScope::Bank)
+            {
+                block(abo.alert.bank);
+            }
+        }
+        if let Some(job) = mc.para_queue.front() {
+            block(job.bank);
+        }
     }
 
     /// Whether the FastPath verdict still binds `mc` at `now`.
     fn fp_live(&self, mc: &MemoryController, now: Time) -> bool {
         self.fp_valid
             && now < self.fp_bound
-            && self.fp_stamp == self.issue_stamp()
+            && self.fp_stamp == self.issued
             && mc.read_q.len() as u32 == self.fp_rq
             && mc.write_q.len() as u32 == self.fp_wq
     }
@@ -350,8 +418,8 @@ impl CtrlScratch {
         {
             return false;
         }
-        let issued = self.issue_stamp() - self.sec_stamp;
-        issued == 0 || (self.sec_pure && issued == self.col_epoch - self.sec_col)
+        let issued = self.issued - self.sec_stamp;
+        issued == 0 || (self.sec_pure && issued == self.col_issued - self.sec_col)
     }
 
     /// Memoized `rank_quiesced` for the current wake. Inlines
@@ -379,71 +447,83 @@ impl CtrlScratch {
         self.q_val[r]
     }
 
-    /// Memoized `earliest_legal` for `cmd` of `class` on `flat`.
-    ///
-    /// Column classes memoize only the rank-local component
-    /// ([`DramDevice::earliest_column_rank_part`]) and re-fold the
-    /// channel-global bus terms per query, so a column issue anywhere
-    /// on the channel leaves every cached RD/WR bound valid — only
-    /// commands on the bank's own rank invalidate. Row classes memoize
-    /// the full unclamped bound; folding the fill-time `cmd_free` is
-    /// sound because `cmd_free` is monotone and re-clamped per query.
-    fn legal(
-        &mut self,
-        device: &DramDevice,
-        flat: usize,
-        class: usize,
-        cmd: &Command,
-        now: Time,
-    ) -> Time {
-        let i = flat * CLASSES + class;
-        let stamp = self.rank_epoch[self.flat_rank[flat] as usize];
-        let (cmd_free, last_col, data_free) = device.bus_state();
-        let at = if class == CLASS_RD || class == CLASS_WR {
-            let bank = match *cmd {
-                Command::Read { bank, .. } | Command::Write { bank, .. } => bank,
-                _ => unreachable!("column class carries a column command"),
-            };
-            if self.l_stamp[i] != stamp {
-                self.l_stamp[i] = stamp;
-                self.l_at[i] = device.earliest_column_rank_part(bank, class == CLASS_RD);
+    /// Arms the FastPath on a Wait verdict at `wake` and restamps the
+    /// section verdict alongside it. The demand winner is cacheable only
+    /// when it strictly precedes every section wake and every flip: on a
+    /// tie the sections act first at the shared instant.
+    fn arm(&mut self, mc: &MemoryController, sel: Option<QueueSel>, wake: Time) {
+        self.fp_valid = true;
+        self.fp_wake = wake;
+        self.fp_bound = self.fp_bound_acc;
+        self.fp_stamp = self.issued;
+        self.fp_rq = mc.read_q.len() as u32;
+        self.fp_wq = mc.write_q.len() as u32;
+        self.fp_winner = match (sel, self.fp_cand) {
+            (Some(sel), Some((at, cmd)))
+                if at == wake && at < self.sec_wake && at < self.fp_bound =>
+            {
+                Some((sel, cmd))
             }
-            let t = device.timing();
-            let mut at = self.l_at[i].max(cmd_free);
-            if let Some((last, bg)) = last_col {
-                let ccd = if bg == bank.bank_group {
-                    t.t_ccd_l
-                } else {
-                    t.t_ccd_s
-                };
-                at = at.max(last + ccd);
-            }
-            let lat = if class == CLASS_RD { t.t_cl } else { t.t_cwl };
-            at = at.max(Time::ZERO + data_free.saturating_since(Time::ZERO + lat));
-            at.max(now)
-        } else {
-            if self.l_stamp[i] != stamp {
-                self.l_stamp[i] = stamp;
-                self.l_at[i] = device.earliest_legal(cmd, Time::ZERO);
-            }
-            self.l_at[i].max(cmd_free).max(now)
+            _ => None,
         };
-        debug_assert_eq!(at, device.earliest_legal(cmd, now), "legality memo drifted");
-        at
+        self.sec_stamp = self.issued;
+        self.sec_col = self.col_issued;
+        self.sec_bound = self.fp_bound;
+    }
+
+    /// The representative of active bank `flat` in queue `k`, recomputed
+    /// if the bank's entries, open row or streak moved since it was
+    /// cached (all behind [`CtrlScratch::bank_epoch`]).
+    fn rep(&mut self, mc: &MemoryController, k: usize, flat: usize) -> Rep {
+        match self.tables[k].reps[flat] {
+            Some(cached) if cached.stamp == self.bank_epoch[flat] => return cached,
+            _ => {}
+        }
+        let bank = self.banks[flat];
+        let fifo = &self.tables[k].fifo[flat];
+        let (class, cmd, seq) = match mc.device.bank_states()[flat].open_row() {
+            None => {
+                let oldest = fifo[0];
+                let row = oldest.row;
+                (Class::Act, Command::Activate { bank, row }, oldest.seq)
+            }
+            Some(open) => {
+                let hit = fifo.iter().find(|e| e.row == open);
+                let conflict = fifo.iter().find(|e| e.row != open);
+                let (srow, scount) = mc.streak[flat];
+                let capped = srow == open && scount >= mc.cfg.col_cap;
+                match (hit, conflict) {
+                    // Column cap: once `col_cap` consecutive hits were
+                    // served while a conflicting request waits, stop
+                    // preferring hits.
+                    (Some(h), c) if c.is_none() || !capped => {
+                        let col = h.col;
+                        let cmd = if k == 0 {
+                            Command::Read { bank, col }
+                        } else {
+                            Command::Write { bank, col }
+                        };
+                        (Class::Col, cmd, h.seq)
+                    }
+                    (_, Some(c)) => (Class::Pre, Command::Precharge { bank }, c.seq),
+                    (_, None) => unreachable!("active bank without queued entries"),
+                }
+            }
+        };
+        let rep = Rep {
+            stamp: self.bank_epoch[flat],
+            class,
+            cmd,
+            seq,
+        };
+        self.tables[k].reps[flat] = Some(rep);
+        rep
     }
 }
 
-/// Outcome of [`MemoryController::arrival_fast`].
-enum ArrivalFast {
-    /// The verdict absorbed the arrival in place; wait until the
-    /// (possibly earlier) cached wake.
-    Wait(Time),
-    /// The newcomer was the unique issueable-now candidate and was
-    /// issued; fall into the normal loop for the post-issue scan.
-    Issued,
-    /// Not a case the fast path can absorb — run the scan.
-    Bail,
-}
+/// What [`MemoryController::demand_verdicts`] reports per scan: the
+/// demand wake and the issued `(command, served queue index)`, if any.
+type DemandVerdict = (Time, Option<(Command, Option<usize>)>);
 
 /// Step equality for the debug shadow checks (`Step` intentionally does
 /// not implement `PartialEq`; the scheduler never compares steps).
@@ -459,13 +539,13 @@ fn step_eq(a: &Step, b: &Step) -> bool {
 
 impl MemoryController {
     /// [`MemoryController::service`], computed against `scratch`'s cached
-    /// row state: identical decisions and identical issued command
-    /// stream, a fraction of the per-wake cost. `scratch` must have been
-    /// built by [`CtrlScratch::for_controller`] on this controller (or
-    /// kept in sync ever since); requests must arrive with
-    /// non-decreasing `arrival` stamps (the `lh-sim` contract).
+    /// state: identical decisions and identical issued command stream, a
+    /// fraction of the per-wake cost. `scratch` must have been built by
+    /// [`CtrlScratch::for_controller`] on this controller (or kept in
+    /// sync ever since); requests must arrive with non-decreasing
+    /// `arrival` stamps (the `lh-sim` contract).
     pub fn service_batched(&mut self, now: Time, scratch: &mut CtrlScratch) -> Time {
-        debug_assert!(scratch.in_sync(&self.device), "open-row mirror drifted");
+        debug_assert!(scratch.in_sync(&self.device), "open-row counts drifted");
         self.stats.service_calls += 1;
         if scratch.fp_live(self, now) {
             if now < scratch.fp_wake {
@@ -473,9 +553,8 @@ impl MemoryController {
                 // full scan would re-derive exactly the cached wake.
                 #[cfg(debug_assertions)]
                 {
-                    let mut shadow = scratch.clone();
                     self.update_modes(now);
-                    match self.next_step_b(now, &mut shadow) {
+                    match self.next_step(now) {
                         Step::Wait(w) if w == scratch.fp_wake => {}
                         other => panic!(
                             "FastPath wait {} diverged from scan {other:?}",
@@ -486,31 +565,21 @@ impl MemoryController {
                 return scratch.fp_wake;
             }
             if now == scratch.fp_wake {
-                if let Some((sel, idx, cmd)) = scratch.fp_winner {
+                if let Some((sel, cmd)) = scratch.fp_winner {
                     // The wake landed on the precomputed demand winner:
                     // issue it without re-discovering it, then fall into
                     // the normal loop for the post-issue scan.
-                    let served = cmd.is_column().then_some((sel, idx as usize));
+                    let served = self.served_by(sel, &cmd);
                     #[cfg(debug_assertions)]
                     {
-                        let mut shadow = scratch.clone();
                         self.update_modes(now);
-                        match self.next_step_b(now, &mut shadow) {
+                        match self.next_step(now) {
                             Step::Issue(c, s) if c == cmd && s == served => {}
                             other => panic!("FastPath winner {cmd:?} diverged from scan {other:?}"),
                         }
                     }
-                    scratch.note_issue(&cmd, self.device.geometry());
-                    if let Some((sel, idx)) = served {
-                        scratch.note_served(sel, idx);
-                    }
-                    self.issue(cmd, now, served);
+                    self.issue_b(cmd, now, served, scratch);
                 }
-            }
-        } else {
-            match self.arrival_fast(now, scratch) {
-                ArrivalFast::Wait(w) => return w,
-                ArrivalFast::Issued | ArrivalFast::Bail => {}
             }
         }
         loop {
@@ -521,13 +590,7 @@ impl MemoryController {
                 self.next_step_b(now, scratch)
             };
             match step {
-                Step::Issue(cmd, served) => {
-                    scratch.note_issue(&cmd, self.device.geometry());
-                    if let Some((sel, idx)) = served {
-                        scratch.note_served(sel, idx);
-                    }
-                    self.issue(cmd, now, served);
-                }
+                Step::Issue(cmd, served) => self.issue_b(cmd, now, served, scratch),
                 Step::Again => {}
                 Step::Wait(t) => {
                     assert!(
@@ -541,189 +604,50 @@ impl MemoryController {
         }
     }
 
-    /// O(1) absorption of a single request arrival into a live FastPath
-    /// verdict, instead of a full (or reduced) rescan.
-    ///
-    /// Soundness: a single arrival changes nothing a Wait-returning scan
-    /// read except the tail of one demand queue — sections 1–5 never
-    /// touch the queues (the carried section verdict), and the demand
-    /// stage is a pure min-fold over candidates, so one new entry either
-    /// leaves the verdict untouched (non-selected queue, or a skipped
-    /// candidate) or folds in as exactly one new candidate. The newcomer
-    /// interacts with existing candidates only through the per-bank
-    /// hit/conflict pre-scan — bailed out when an earlier same-bank
-    /// entry exists — and through the comparator, where `at ≥ fp_wake >
-    /// now` for every cached candidate pins the outcome.
-    fn arrival_fast(&mut self, now: Time, s: &mut CtrlScratch) -> ArrivalFast {
-        if !s.fp_valid
-            || now >= s.fp_bound
-            || now >= s.fp_wake
-            || s.fp_stamp != s.issue_stamp()
-            || !s.sec_live(self, now)
-        {
-            return ArrivalFast::Bail;
-        }
-        let rq = self.read_q.len() as u32;
-        let wq = self.write_q.len() as u32;
-        let arr_sel = if rq == s.fp_rq + 1 && wq == s.fp_wq {
-            QueueSel::Read
-        } else if wq == s.fp_wq + 1 && rq == s.fp_rq {
-            QueueSel::Write
-        } else {
-            // Multi-arrival (shrinks are impossible without an issue).
-            return ArrivalFast::Bail;
-        };
-        // The reference loop runs `update_modes` before every scan; in
-        // the proven window its only live effect is the write-drain
-        // hysteresis, which the selection re-derivation below observes.
-        // Re-running it in the fallback loop after a bail is idempotent.
-        self.update_modes(now);
-        let sel = if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
-            QueueSel::Write
-        } else {
-            QueueSel::Read
-        };
-        if sel != s.fp_sel {
-            return ArrivalFast::Bail;
-        }
-        #[cfg(debug_assertions)]
-        let shadow = s.clone();
-        if arr_sel != sel {
-            // The arrival landed in the queue the verdict never reads:
-            // every branch decision and every fold is untouched.
-            s.fp_rq = rq;
-            s.fp_wq = wq;
-            #[cfg(debug_assertions)]
-            {
-                let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
-                    Step::Wait(w) if w == s.fp_wake => {}
-                    other => panic!(
-                        "arrival fast wait {} diverged from scan {other:?}",
-                        s.fp_wake
-                    ),
-                }
-            }
-            return ArrivalFast::Wait(s.fp_wake);
-        }
-        let g = *self.device.geometry();
-        let q = match sel {
-            QueueSel::Read => &self.read_q,
-            QueueSel::Write => &self.write_q,
-        };
-        let k = CtrlScratch::qi(sel);
-        s.sync_queue(sel, q, &g);
-        let idx = q.len() - 1;
-        let flat32 = s.q_flat[k][idx];
-        if s.q_flat[k][..idx].contains(&flat32) {
-            // An earlier same-bank entry: the newcomer can flip its
-            // hit/conflict pre-scan skips (and vice versa) — rescan.
-            return ArrivalFast::Bail;
-        }
-        let flat = flat32 as usize;
-        let req = &q[idx];
-        let bank = req.addr.bank;
-        let row = req.addr.row;
-        let col = req.addr.col;
-        let kind = req.kind;
-        let arrival = req.arrival;
-        if self.rank_quiesced(bank.rank, now) {
-            // Skipped candidate, verdict unchanged: a quiesced verdict
-            // is monotone under the unchanged issue stamp (see
-            // `CtrlScratch::quiesced`).
-            s.fp_rq = rq;
-            s.fp_wq = wq;
-            #[cfg(debug_assertions)]
-            {
-                let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
-                    Step::Wait(w) if w == s.fp_wake => {}
-                    other => panic!(
-                        "arrival fast wait {} diverged from scan {other:?}",
-                        s.fp_wake
-                    ),
-                }
-            }
-            return ArrivalFast::Wait(s.fp_wake);
-        }
-        if let Some(d) = self.defense.next_deadline(bank.rank, now) {
-            // The scan records every not-quiesced rank's flip instant;
-            // mirror it for the newcomer's rank, which may not have had
-            // a candidate in the arming scan.
-            let flip = d - self.cfg.frrfm_guard;
-            s.fp_bound = s.fp_bound.min(flip);
-            s.sec_bound = s.sec_bound.min(flip);
-        }
-        let open = s.open[flat];
-        let (cmd, is_hit, class) = if open == CLOSED {
-            (Command::Activate { bank, row }, false, CLASS_ACT)
-        } else if open == row {
-            match kind {
-                AccessKind::Read => (Command::Read { bank, col }, true, CLASS_RD),
-                AccessKind::Write => (Command::Write { bank, col }, true, CLASS_WR),
-            }
-        } else {
-            // No same-bank entry ⇒ `bank_has_hit` is false: the scan
-            // would take the conflict arm without skipping.
-            (Command::Precharge { bank }, false, CLASS_PRE)
-        };
-        let at = s.legal(&self.device, flat, class, &cmd, now);
-        if at <= now {
-            // Every cached candidate waits (`at ≥ fp_wake > now`), so
-            // the newcomer is the unique issueable-now candidate and
-            // wins the comparator outright.
-            let served = cmd.is_column().then_some((sel, idx));
-            #[cfg(debug_assertions)]
-            {
-                let mut sh = shadow;
-                match self.next_step_b(now, &mut sh) {
-                    Step::Issue(c, sv) if c == cmd && sv == served => {}
-                    other => panic!("arrival fast issue {cmd:?} diverged from scan {other:?}"),
-                }
-            }
-            s.note_issue(&cmd, &g);
-            if let Some((ssel, sidx)) = served {
-                s.note_served(ssel, sidx);
-            }
-            self.issue(cmd, now, served);
-            return ArrivalFast::Issued;
-        }
-        // Fold the newcomer into the cached verdict: candidate min,
-        // wake, winner. Strict `<` keeps the earlier-in-queue candidate
-        // on ties, matching the scan (the newcomer is last in order).
-        let key = (at, !is_hit, arrival);
-        if match s.fp_cand {
-            None => true,
-            Some((a, h, arr, _, _)) => key < (a, h, arr),
-        } {
-            s.fp_cand = Some((at, !is_hit, arrival, idx as u32, cmd));
-        }
-        s.fp_wake = s.fp_wake.min(at);
-        s.fp_winner = match s.fp_cand {
-            Some((cat, _, _, cidx, ccmd))
-                if cat == s.fp_wake && cat < s.sec_wake && cat < s.fp_bound =>
-            {
-                Some((sel, cidx, ccmd))
-            }
-            _ => None,
-        };
-        s.fp_rq = rq;
-        s.fp_wq = wq;
-        #[cfg(debug_assertions)]
-        {
-            let mut sh = shadow;
-            match self.next_step_b(now, &mut sh) {
-                Step::Wait(w) if w == s.fp_wake => {}
-                other => panic!(
-                    "arrival fast fold {} diverged from scan {other:?}",
-                    s.fp_wake
-                ),
-            }
-        }
-        ArrivalFast::Wait(s.fp_wake)
+    /// [`MemoryController::issue`], observed by the scratch.
+    fn issue_b(
+        &mut self,
+        cmd: Command,
+        now: Time,
+        served: Option<(QueueSel, usize)>,
+        s: &mut CtrlScratch,
+    ) {
+        s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
+        self.issue(cmd, now, served);
     }
 
-    /// `next_step` against the mirror. Structural copy of
+    /// The queue position a column command serves: the oldest queued
+    /// request for the command's bank and open row.
+    fn served_by(&self, sel: QueueSel, cmd: &Command) -> Option<(QueueSel, usize)> {
+        let (Command::Read { bank, .. } | Command::Write { bank, .. }) = *cmd else {
+            return None;
+        };
+        let row = self.device.open_row(bank);
+        let idx = self
+            .queue(sel)
+            .iter()
+            .position(|r| r.addr.bank == bank && Some(r.addr.row) == row)
+            .expect("a column candidate stands for a queued request");
+        Some((sel, idx))
+    }
+
+    fn queue(&self, sel: QueueSel) -> &VecDeque<MemRequest> {
+        match sel {
+            QueueSel::Read => &self.read_q,
+            QueueSel::Write => &self.write_q,
+        }
+    }
+
+    /// The demand queue FR-FCFS serves right now.
+    fn demand_sel(&self) -> QueueSel {
+        if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
+            QueueSel::Write
+        } else {
+            QueueSel::Read
+        }
+    }
+
+    /// `next_step` against the scratch. Structural copy of
     /// `controller.rs`'s `next_step`; every behavioral divergence is a
     /// bug the identity tests exist to catch.
     fn next_step_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
@@ -761,14 +685,15 @@ impl MemoryController {
                         .map(|p| p.scope)
                         .unwrap_or(AlertScope::Channel);
                     let rank = abo.alert.bank.rank;
-                    let alert_flat = self.device.geometry().flat_bank(abo.alert.bank);
                     let close_cmd = match scope {
                         AlertScope::Channel => (s.rank_open[rank as usize] > 0)
                             .then_some(Command::PrechargeAll { channel: 0, rank }),
                         AlertScope::Bank => {
-                            (s.open[alert_flat] != CLOSED).then_some(Command::Precharge {
-                                bank: abo.alert.bank,
-                            })
+                            self.device.open_row(abo.alert.bank).is_some().then_some(
+                                Command::Precharge {
+                                    bank: abo.alert.bank,
+                                },
+                            )
                         }
                     };
                     if let Some(cmd) = close_cmd {
@@ -899,17 +824,16 @@ impl MemoryController {
         // --- 4. Reactive RFMs (PRFM) -------------------------------------
         if let Some(&(rank, scope)) = self.rfm_queue.front() {
             s.sync_rfm(&self.device, rank, scope);
-            let open_flat = s.rfm_flats.iter().copied().find(|&f| s.open[f] != CLOSED);
-            let cmd = if let Some(f) = open_flat {
-                Command::Precharge {
-                    bank: self.device.geometry().bank_from_flat(0, f),
-                }
-            } else {
-                Command::Rfm {
+            let states = self.device.bank_states();
+            let first_open = (0..states.len())
+                .find(|&f| has_bit(&s.rfm_mask, f) && states[f].open_row().is_some());
+            let cmd = match first_open {
+                Some(f) => Command::Precharge { bank: s.banks[f] },
+                None => Command::Rfm {
                     channel: 0,
                     rank,
                     scope,
-                }
+                },
             };
             sec_pure = false;
             if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
@@ -919,8 +843,7 @@ impl MemoryController {
 
         // --- 5. PARA victim refreshes ------------------------------------
         if let Some(job) = self.para_queue.front().copied() {
-            let flat = self.device.geometry().flat_bank(job.bank);
-            let is_open = s.open[flat] != CLOSED;
+            let is_open = self.device.open_row(job.bank).is_some();
             let cmd = match (job.activated, is_open) {
                 (false, true) => Command::Precharge { bank: job.bank },
                 (false, false) => Command::Activate {
@@ -941,13 +864,10 @@ impl MemoryController {
 
         // --- 5b. Strictly closed-page policy ----------------------------
         if self.cfg.row_policy == RowPolicy::Closed && !self.abo_channel_stall() {
-            let g = *self.device.geometry();
-            for bank in g.banks_in_channel(0) {
-                let flat = g.flat_bank(bank);
-                let open_row = s.open[flat];
-                if open_row == CLOSED {
+            for (flat, &bank) in s.banks.iter().enumerate() {
+                let Some(open_row) = self.device.bank_states()[flat].open_row() else {
                     continue;
-                }
+                };
                 let (srow, served) = self.streak[flat];
                 if srow != open_row || served == 0 {
                     continue;
@@ -964,11 +884,7 @@ impl MemoryController {
         let sec_wake = wake;
         let mut demand_sel = None;
         if !self.abo_channel_stall() {
-            let sel = if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
-                QueueSel::Write
-            } else {
-                QueueSel::Read
-            };
+            let sel = self.demand_sel();
             let (step_wake, step) = self.schedule_demand_b(sel, now, s);
             if let Some(step) = step {
                 return step;
@@ -980,32 +896,11 @@ impl MemoryController {
         if fp_ok {
             // This Wait verdict — every branch decision and folded wake —
             // stays exact until `fp_bound_acc`, the next issue, or the
-            // next arrival. The demand winner is cacheable only when it
-            // strictly precedes every section wake and every flip: on a
-            // tie the sections act first at the shared instant.
-            s.fp_valid = true;
-            s.fp_wake = wake;
-            s.fp_bound = s.fp_bound_acc;
-            s.fp_stamp = s.issue_stamp();
-            s.fp_rq = self.read_q.len() as u32;
-            s.fp_wq = self.write_q.len() as u32;
-            s.fp_winner = match (demand_sel, s.fp_cand) {
-                (Some(sel), Some((at, _, _, idx, cmd)))
-                    if at == wake && at < sec_wake && at < s.fp_bound =>
-                {
-                    Some((sel, idx, cmd))
-                }
-                _ => None,
-            };
-            if let Some(sel) = demand_sel {
-                s.fp_sel = sel;
-            }
+            // next arrival.
             s.sec_valid = true;
             s.sec_wake = sec_wake;
             s.sec_pure = sec_pure;
-            s.sec_stamp = s.fp_stamp;
-            s.sec_col = s.col_epoch;
-            s.sec_bound = s.fp_bound;
+            s.arm(self, demand_sel, wake);
         }
         Step::Wait(wake)
     }
@@ -1017,54 +912,27 @@ impl MemoryController {
     /// queue, every branch they took is pinned by `sec_bound` /
     /// `sec_wake` / the stamp rule, and every wake they folded is either
     /// an absolute schedule instant (pure) or additionally protected by
-    /// an unchanged issue stamp. In debug builds the full scan shadows
-    /// every reduced verdict.
+    /// an unchanged issue stamp. In debug builds the legacy full scan
+    /// shadows every reduced verdict.
     fn next_step_demand_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
-        #[cfg(debug_assertions)]
-        let mut shadow = s.clone();
         s.epoch += 1;
         s.fp_valid = false;
         s.fp_bound_acc = s.sec_bound;
         s.fp_cand = None;
-        let mut wake = s.sec_wake;
         // `abo_channel_stall` is false: `sec_live` checked `abo.is_none()`.
-        let sel = if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
-            QueueSel::Write
-        } else {
-            QueueSel::Read
-        };
+        let sel = self.demand_sel();
         let (step_wake, step) = self.schedule_demand_b(sel, now, s);
-        let step = match step {
-            Some(step) => step,
-            None => {
-                wake = wake.min(step_wake);
-                // Re-arm: the section half of the verdict carries over
-                // verbatim (the proof composes transitively), the demand
-                // half is freshly computed.
-                s.fp_valid = true;
-                s.fp_wake = wake;
-                s.fp_bound = s.fp_bound_acc;
-                s.fp_stamp = s.issue_stamp();
-                s.fp_rq = self.read_q.len() as u32;
-                s.fp_wq = self.write_q.len() as u32;
-                s.fp_winner = match s.fp_cand {
-                    Some((at, _, _, idx, cmd))
-                        if at == wake && at < s.sec_wake && at < s.fp_bound =>
-                    {
-                        Some((sel, idx, cmd))
-                    }
-                    _ => None,
-                };
-                s.fp_sel = sel;
-                s.sec_stamp = s.fp_stamp;
-                s.sec_col = s.col_epoch;
-                s.sec_bound = s.fp_bound;
-                Step::Wait(wake)
-            }
-        };
+        let step = step.unwrap_or_else(|| {
+            // Re-arm: the section half of the verdict carries over
+            // verbatim (the proof composes transitively), the demand
+            // half is freshly computed.
+            let wake = s.sec_wake.min(step_wake);
+            s.arm(self, Some(sel), wake);
+            Step::Wait(wake)
+        });
         #[cfg(debug_assertions)]
         {
-            let full = self.next_step_b(now, &mut shadow);
+            let full = self.next_step(now);
             assert!(
                 step_eq(&step, &full),
                 "reduced scan {step:?} diverged from full scan {full:?}"
@@ -1073,175 +941,139 @@ impl MemoryController {
         step
     }
 
-    /// `schedule_demand` against the mirror: same selection, with the
-    /// pre-scan in persistent buffers, memoized quiesce/legality queries,
-    /// and an early exit once the winner is decided.
+    /// Test hook: the demand stage's verdict at `now` — wake, command,
+    /// served queue position — as `service_batched` would compute it and
+    /// as the per-entry reference scan does, for equality checks that
+    /// hold in release builds too.
+    #[doc(hidden)]
+    pub fn demand_verdicts(&self, now: Time, scratch: &mut CtrlScratch) -> [DemandVerdict; 2] {
+        let sel = self.demand_sel();
+        scratch.epoch += 1;
+        [
+            self.schedule_demand_b(sel, now, scratch),
+            self.schedule_demand(sel, now),
+        ]
+        .map(|(wake, step)| match step {
+            Some(Step::Issue(cmd, served)) => (wake, Some((cmd, served.map(|(_, idx)| idx)))),
+            _ => (wake, None),
+        })
+    }
+
+    /// `schedule_demand` from the candidate table. While BlockHammer
+    /// throttles gate individual rows the per-entry reference scan
+    /// decides instead; in debug builds it shadows every table verdict.
     fn schedule_demand_b(
         &self,
         sel: QueueSel,
         now: Time,
         s: &mut CtrlScratch,
     ) -> (Time, Option<Step>) {
-        let q = match sel {
-            QueueSel::Read => &self.read_q,
-            QueueSel::Write => &self.write_q,
-        };
-        let g = self.device.geometry();
-        let k = CtrlScratch::qi(sel);
-        s.sync_queue(sel, q, g);
-        let mut wake = Time::MAX;
-
-        s.blocked.clear();
-        if let Some(&(rank, scope)) = self.rfm_queue.front() {
-            s.sync_rfm(&self.device, rank, scope);
-            let CtrlScratch {
-                blocked, rfm_flats, ..
-            } = s;
-            blocked.extend_from_slice(rfm_flats);
+        s.sync_queue(sel, self.queue(sel), self.device.geometry());
+        if !self.throttled.is_empty() {
+            return self.schedule_demand(sel, now);
         }
-        if let Some(abo) = &self.abo {
-            if abo.phase == AboPhase::Recover
-                && self.device.prac_config().map(|p| p.scope) == Some(AlertScope::Bank)
-            {
-                s.blocked.push(g.flat_bank(abo.alert.bank));
-            }
-        }
-        if let Some(job) = self.para_queue.front() {
-            s.blocked.push(g.flat_bank(job.bank));
-        }
-
+        let verdict = self.scan_table(sel, now, s);
+        #[cfg(debug_assertions)]
         {
-            let CtrlScratch {
-                q_flat,
-                q_row,
-                bank_has_hit,
-                bank_has_conflict,
-                open,
-                ..
-            } = s;
-            bank_has_hit.fill(false);
-            bank_has_conflict.fill(false);
-            for (&flat, &row) in q_flat[k].iter().zip(q_row[k].iter()) {
-                let flat = flat as usize;
-                let o = open[flat];
-                if o != CLOSED {
-                    if o == row {
-                        bank_has_hit[flat] = true;
-                    } else {
-                        bank_has_conflict[flat] = true;
-                    }
-                }
-            }
+            let want = self.schedule_demand(sel, now);
+            let same = match (&verdict.1, &want.1) {
+                (Some(a), Some(b)) => step_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            assert!(
+                same && verdict.0 == want.0,
+                "table verdict {verdict:?} diverged from per-entry scan {want:?}"
+            );
         }
+        verdict
+    }
 
-        let have_throttles = !self.throttled.is_empty();
-        let mut best: Option<(bool, Time, Time, usize, Command)> = None;
-        for (idx, req) in q.iter().enumerate() {
-            let bank = req.addr.bank;
-            let flat = s.q_flat[k][idx] as usize;
-            if s.blocked.contains(&flat) || s.quiesced(self, bank.rank, now) {
-                continue;
-            }
-            let open = s.open[flat];
-            if have_throttles {
-                if let Some(&until) = self.throttled.get(&(flat, req.addr.row)) {
-                    if until > now && open != req.addr.row {
-                        wake = wake.min(until);
-                        continue;
-                    }
-                }
-            }
-            let (cmd, is_hit, class) = if open == CLOSED {
-                (
-                    Command::Activate {
-                        bank,
-                        row: req.addr.row,
-                    },
-                    false,
-                    CLASS_ACT,
-                )
-            } else if open == req.addr.row {
-                match req.kind {
-                    AccessKind::Read => (
-                        Command::Read {
-                            bank,
-                            col: req.addr.col,
-                        },
-                        true,
-                        CLASS_RD,
-                    ),
-                    AccessKind::Write => (
-                        Command::Write {
-                            bank,
-                            col: req.addr.col,
-                        },
-                        true,
-                        CLASS_WR,
-                    ),
-                }
-            } else {
-                let (srow, scount) = self.streak[flat];
-                let capped = srow == open && scount >= self.cfg.col_cap;
-                if s.bank_has_hit[flat] && !capped {
+    /// FR-FCFS selection as a fold over the active banks' cached
+    /// representatives (see the module header for why that is exact).
+    /// Returns (wake, chosen step) like `schedule_demand`.
+    fn scan_table(&self, sel: QueueSel, now: Time, s: &mut CtrlScratch) -> (Time, Option<Step>) {
+        let k = CtrlScratch::qi(sel);
+        s.sync_blocked(self);
+        // Channel-global floors, fixed for the whole scan.
+        let t = self.device.timing();
+        let (cmd_free, last_col, data_free) = self.device.bus_state();
+        let row_floor = cmd_free.max(now);
+        let lat = if sel == QueueSel::Read {
+            t.t_cl
+        } else {
+            t.t_cwl
+        };
+        let col_floor = row_floor.max(Time::ZERO + data_free.saturating_since(Time::ZERO + lat));
+        // Column-to-column spacing: long within the last column
+        // command's bank group, short elsewhere.
+        let (last_bg, col_floor_same, col_floor_other) = match last_col {
+            Some((last, bg)) => (
+                Some(bg),
+                col_floor.max(last + t.t_ccd_l),
+                col_floor.max(last + t.t_ccd_s),
+            ),
+            None => (None, col_floor, col_floor),
+        };
+
+        let states = self.device.bank_states();
+        let ranks = self.device.rank_states();
+
+        // Minimal (instant, not-a-hit, queue order): the issueable-now
+        // winner when the instant is `now`, the demand wake otherwise.
+        let mut best: Option<(Time, bool, u64, Command)> = None;
+        for w in 0..s.blocked.len() {
+            let mut word = s.tables[k].active[w] & !s.blocked[w];
+            while word != 0 {
+                let flat = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let bank = s.banks[flat];
+                if s.quiesced(self, bank.rank, now) {
                     continue;
                 }
-                (Command::Precharge { bank }, false, CLASS_PRE)
-            };
-            if is_hit {
-                let (srow, scount) = self.streak[flat];
-                if srow == req.addr.row && scount >= self.cfg.col_cap && s.bank_has_conflict[flat] {
-                    continue;
-                }
-            }
-            let at = s.legal(&self.device, flat, class, &cmd, now);
-            // FastPath winner precompute: the minimal `(at, !is_hit,
-            // arrival)` candidate is the one the comparator below picks
-            // once `now` reaches `at` (strict `<` keeps the first in
-            // queue order, matching the scan's tie-breaks).
-            let fp_key = (at, !is_hit, req.arrival);
-            if match s.fp_cand {
-                None => true,
-                Some((a, h, arr, _, _)) => fp_key < (a, h, arr),
-            } {
-                s.fp_cand = Some((at, !is_hit, req.arrival, idx as u32, cmd));
-            }
-            let key = (!is_hit, at, req.arrival, idx, cmd);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let key_now = key.1 <= now;
-                    let best_now = b.1 <= now;
-                    match (key_now, best_now) {
-                        (true, false) => true,
-                        (false, true) => false,
-                        (true, true) => (key.0, key.2) < (b.0, b.2),
-                        (false, false) => key.1 < b.1,
+                let rep = s.rep(self, k, flat);
+                let (b, rank) = (&states[flat], &ranks[bank.rank as usize]);
+                let at = match rep.class {
+                    Class::Col => {
+                        let ready = if sel == QueueSel::Read {
+                            b.earliest_rd()
+                        } else {
+                            b.earliest_wr()
+                        };
+                        let ccd_floor = if Some(bank.bank_group) == last_bg {
+                            col_floor_same
+                        } else {
+                            col_floor_other
+                        };
+                        ready.max(rank.earliest_any()).max(ccd_floor)
                     }
+                    Class::Pre => b.earliest_pre().max(rank.earliest_any()).max(row_floor),
+                    Class::Act => b
+                        .earliest_act()
+                        .max(rank.earliest_act(bank.bank_group, t))
+                        .max(row_floor),
+                };
+                debug_assert_eq!(
+                    at,
+                    self.device.earliest_legal(&rep.cmd, now),
+                    "folded legality diverged from the device"
+                );
+                let key = (at, rep.class != Class::Col, rep.seq);
+                if best.is_none_or(|(a, miss, seq, _)| key < (a, miss, seq)) {
+                    best = Some((key.0, key.1, key.2, rep.cmd));
                 }
-            };
-            if better {
-                best = Some(key);
-            }
-            // An issueable-now row hit is final: a later candidate only
-            // wins by being an issueable-now hit with a strictly earlier
-            // arrival, and queue order keeps arrivals non-decreasing (the
-            // caller contract). The wakes later candidates would have
-            // folded are irrelevant — on `Step::Issue` the wake is
-            // discarded and the service loop re-evaluates.
-            if is_hit && at <= now {
-                break;
             }
         }
         match best {
-            Some((_, at, _, idx, cmd)) if at <= now => {
-                let served = cmd.is_column().then_some((sel, idx));
-                (wake, Some(Step::Issue(cmd, served)))
+            Some((at, _, _, cmd)) if at <= now => {
+                let served = self.served_by(sel, &cmd);
+                (Time::MAX, Some(Step::Issue(cmd, served)))
             }
-            Some((_, at, _, _, _)) => {
-                wake = wake.min(at);
-                (wake, None)
+            Some((at, _, _, cmd)) => {
+                s.fp_cand = Some((at, cmd));
+                (at, None)
             }
-            None => (wake, None),
+            None => (Time::MAX, None),
         }
     }
 }

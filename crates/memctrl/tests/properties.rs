@@ -6,6 +6,13 @@
 //! commands), *monotone* in `now`, and *agrees with actual issue
 //! legality* at the returned instant.
 //!
+//! The last section pins `service_batched` to `service`: the per-bank
+//! candidate table's demand verdict must equal the per-entry reference
+//! scan's at every wake, and both paths must issue the same command
+//! stream at the same wakes — asserted by the tests themselves, so the
+//! checks hold under `cargo test --release` too, not only through the
+//! controller's `debug_assertions` shadows.
+//!
 //! [`DramDevice::earliest_legal`]: lh_dram::DramDevice::earliest_legal
 
 use proptest::prelude::*;
@@ -15,7 +22,10 @@ use lh_dram::{
     BankId, Command, DeviceConfig, DramAddr, DramDevice, DramTiming, Geometry, PracConfig,
     RfmScope, Span, Time,
 };
-use lh_memctrl::{AccessKind, CtrlConfig, MemRequest, MemoryController};
+use lh_memctrl::{
+    AccessKind, Completion, CtrlConfig, CtrlScratch, CtrlStats, MemRequest, MemoryController,
+};
+use lh_obs::flight::{self, EventBuffer, FlightEvent};
 
 /// Builds a controller over the tiny geometry with the given defense.
 fn controller(defense: DefenseConfig, seed: u64) -> MemoryController {
@@ -270,4 +280,314 @@ proptest! {
             }
         }
     }
+}
+
+// --- service ≡ service_batched ---------------------------------------------
+
+/// Defenses that exercise every skip rule of the demand stage on the
+/// tiny geometry: channel- and bank-scope ABO stalls, PRFM-blocked
+/// banks, FR-RFM- and refresh-quiesced ranks, PARA-owned banks and
+/// BlockHammer-throttled rows (with a short delay, so throttles come
+/// and go within a run).
+fn twin_defense_of(sel: u8) -> DefenseConfig {
+    let t = DramTiming::ddr5_4800();
+    match sel % 8 {
+        0 => DefenseConfig::none(),
+        1 => DefenseConfig::prac(8),
+        2 => DefenseConfig::prac_bank(8),
+        3 => DefenseConfig::prfm(4),
+        4 => DefenseConfig::fr_rfm(16, t.t_rc),
+        5 => DefenseConfig::para(0.3),
+        6 => DefenseConfig::for_threshold(DefenseKind::FrRfm, 64, &t),
+        _ => {
+            let mut cfg = DefenseConfig::blockhammer(64, &t, 5);
+            let bh = cfg.blockhammer.as_mut().expect("blockhammer configured");
+            bh.blacklist_threshold = 3;
+            bh.delay = Span::from_us(2);
+            cfg
+        }
+    }
+}
+
+/// Asserts the candidate table's demand verdict equals the per-entry
+/// reference scan's at `now`: same wake, same command, same served
+/// queue position.
+fn assert_table_matches_oracle(mc: &MemoryController, scratch: &mut CtrlScratch, now: Time) {
+    let [table, oracle] = mc.demand_verdicts(now, scratch);
+    assert_eq!(
+        table, oracle,
+        "table verdict diverged from per-entry scan at {now}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Twin controllers over one random request stream, one on `service`
+    /// and one on `service_batched`: equal wakes and completions at
+    /// every step, equal final statistics, and the table verdict equal
+    /// to the per-entry oracle before and after every service call.
+    /// Few rows and a small column cap make hits, conflicts and capped
+    /// streaks common; the defenses supply blocked banks, quiesced
+    /// ranks and throttled rows.
+    #[test]
+    fn batched_service_matches_the_reference_step_by_step(
+        specs in proptest::collection::vec(
+            (0u32..2, 0u32..2, 0u32..5, 0u32..16, any::<bool>(), 0u64..30_000),
+            1..160,
+        ),
+        defense_sel in 0u8..8,
+        col_cap in 1u32..4,
+    ) {
+        let mut cfg = CtrlConfig::paper_default();
+        cfg.col_cap = col_cap;
+        let mut dev = DeviceConfig::paper_default();
+        dev.geometry = Geometry::tiny();
+        let build = || {
+            MemoryController::new(cfg, dev.clone(), twin_defense_of(defense_sel), 7).unwrap()
+        };
+        let (mut legacy, mut batched) = (build(), build());
+        let mut scratch = CtrlScratch::for_controller(&batched);
+
+        let mut arrivals: Vec<u64> = specs.iter().map(|s| s.5).collect();
+        arrivals.sort_unstable();
+        let mut pending = specs
+            .iter()
+            .zip(arrivals)
+            .enumerate()
+            .map(|(i, (&(bg, b, row, col, read, _), at)): (usize, (&ReqSpec, u64))| MemRequest {
+                id: i as u64,
+                addr: DramAddr::new(BankId::new(0, 0, bg, b), row, col),
+                kind: if read { AccessKind::Read } else { AccessKind::Write },
+                arrival: Time::ZERO + Span::from_ns(at),
+                source: 0,
+            })
+            .peekable();
+
+        let mut now = Time::ZERO;
+        let mut outstanding = 0usize;
+        while (pending.peek().is_some() || outstanding > 0) && now < Time::from_us(4_000) {
+            while let Some(r) = pending.next_if(|r| r.arrival <= now) {
+                let accepted = legacy.enqueue(r).is_ok();
+                prop_assert_eq!(batched.enqueue(r).is_ok(), accepted);
+                outstanding += usize::from(accepted);
+            }
+            assert_table_matches_oracle(&batched, &mut scratch, now);
+            let wake = legacy.service(now);
+            prop_assert_eq!(batched.service_batched(now, &mut scratch), wake);
+            assert_table_matches_oracle(&batched, &mut scratch, now);
+            let done = legacy.take_completed();
+            prop_assert_eq!(&batched.take_completed(), &done);
+            outstanding -= done.len();
+            now = wake.min(pending.peek().map_or(Time::MAX, |r| r.arrival));
+        }
+        prop_assert_eq!(outstanding, 0, "requests stuck at {}", now);
+        prop_assert_eq!(legacy.stats(), batched.stats());
+        prop_assert_eq!(legacy.device().stats(), batched.device().stats());
+        prop_assert_eq!(legacy.defense_stats(), batched.defense_stats());
+    }
+}
+
+/// Everything observable about one closed-loop run.
+#[derive(Debug, PartialEq)]
+struct Driven {
+    completions: Vec<Completion>,
+    /// The wake returned by every service call, in order.
+    wakes: Vec<Time>,
+    /// The issued command stream (flight `Cmd` / `Maint` events).
+    commands: Vec<FlightEvent>,
+    stats: CtrlStats,
+}
+
+/// Drives `mc` closed-loop — `depth` requests in flight, request `id`
+/// drawn from `request(id)`, `total` completions — on either service
+/// path, recording the command stream through the flight recorder. The
+/// batched path also checks the table verdict against the per-entry
+/// oracle around every service call.
+fn drive_closed_loop(
+    mut mc: MemoryController,
+    depth: usize,
+    total: usize,
+    request: impl Fn(u64) -> (DramAddr, AccessKind),
+    batched: bool,
+) -> Driven {
+    flight::enable();
+    let (out, _log) = flight::capture(|| {
+        let mut scratch = CtrlScratch::for_controller(&mc);
+        let mut sink = EventBuffer::new();
+        let mut out = Driven {
+            completions: Vec::new(),
+            wakes: Vec::new(),
+            commands: Vec::new(),
+            stats: CtrlStats::default(),
+        };
+        let mut held: Option<MemRequest> = None;
+        let (mut issued, mut in_flight) = (0u64, 0usize);
+        let mut now = Time::ZERO;
+        while out.completions.len() < total {
+            while in_flight < depth && (held.is_some() || (issued as usize) < total) {
+                let mut req = held.take().unwrap_or_else(|| {
+                    let (addr, kind) = request(issued);
+                    issued += 1;
+                    MemRequest {
+                        id: issued - 1,
+                        addr,
+                        kind,
+                        arrival: now,
+                        source: 0,
+                    }
+                });
+                req.arrival = now;
+                match mc.enqueue(req) {
+                    Ok(()) => in_flight += 1,
+                    Err(back) => {
+                        // That queue is full: offer the request again
+                        // after the controller made progress.
+                        held = Some(back);
+                        break;
+                    }
+                }
+            }
+            now = if batched {
+                assert_table_matches_oracle(&mc, &mut scratch, now);
+                let wake = mc.service_batched(now, &mut scratch);
+                assert_table_matches_oracle(&mc, &mut scratch, now);
+                wake
+            } else {
+                mc.service(now)
+            };
+            out.wakes.push(now);
+            let done = mc.take_completed();
+            in_flight -= done.len();
+            out.completions.extend(done);
+            mc.drain_flight(&mut sink);
+            out.commands.extend(sink.drain().0);
+        }
+        out.stats = *mc.stats();
+        out
+    });
+    out
+}
+
+/// Both service paths over one closed-loop stream must agree on every
+/// completion, every wake and every issued command.
+fn assert_paths_agree(
+    build: impl Fn() -> MemoryController,
+    depth: usize,
+    total: usize,
+    request: impl Fn(u64) -> (DramAddr, AccessKind),
+) -> Driven {
+    let legacy = drive_closed_loop(build(), depth, total, &request, false);
+    let batched = drive_closed_loop(build(), depth, total, &request, true);
+    assert_eq!(legacy.stats, batched.stats, "controller statistics");
+    assert_eq!(legacy.wakes.len(), batched.wakes.len(), "wake count");
+    assert_eq!(legacy.wakes, batched.wakes, "wake instants");
+    assert_eq!(legacy.commands, batched.commands, "command stream");
+    assert_eq!(legacy.completions, batched.completions, "completions");
+    assert!(
+        !batched.commands.is_empty(),
+        "flight recording captured nothing"
+    );
+    batched
+}
+
+/// A cheap integer mixer for the deterministic request streams.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+fn paper_controller(defense: DefenseConfig) -> MemoryController {
+    MemoryController::new(
+        CtrlConfig::paper_default(),
+        DeviceConfig::paper_default(),
+        defense,
+        9,
+    )
+    .unwrap()
+}
+
+/// Deep: both 64-entry queues held at capacity over every bank of the
+/// paper geometry — the scan at its longest, write drains included.
+#[test]
+fn deep_queues_issue_the_same_command_stream_on_both_paths() {
+    let g = Geometry::paper_default();
+    let run = assert_paths_agree(
+        || paper_controller(DefenseConfig::prac(128)),
+        128,
+        6_000,
+        |id| {
+            // Eight-line row visits over all banks, 30 % writes.
+            let visit = mix64((id / 8).wrapping_mul(0x9e37_79b9));
+            let bank = g.bank_from_flat(0, (visit % u64::from(g.banks_per_channel())) as usize);
+            let addr = DramAddr::new(bank, 1_024 + (visit >> 32) as u32 % 2_048, (id % 8) as u32);
+            let write = mix64(!id) % 100 < 30;
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            (addr, kind)
+        },
+    );
+    assert!(run.stats.rejections > 0, "queues never filled");
+    assert!(run.stats.writes_served > 0 && run.stats.reads_served > 0);
+}
+
+/// Hammer: one bank, three rows, shallow queue — every access a row
+/// conflict, PRAC back-offs included.
+#[test]
+fn one_bank_hammer_issues_the_same_command_stream_on_both_paths() {
+    let run = assert_paths_agree(
+        || paper_controller(DefenseConfig::prac(128)),
+        4,
+        3_000,
+        |id| {
+            let row = 2_000 + 2 * (id % 3) as u32;
+            (
+                DramAddr::new(BankId::new(0, 0, 0, 0), row, 0),
+                AccessKind::Read,
+            )
+        },
+    );
+    assert!(run.stats.backoffs > 0, "the hammer never tripped PRAC");
+}
+
+/// Throttled: a BlockHammer-blacklisted aggressor pair keeps rows
+/// throttled while bystander traffic flows — the shape that routes the
+/// batched path's demand stage to the per-entry scan.
+#[test]
+fn blockhammer_throttled_rows_issue_the_same_command_stream_on_both_paths() {
+    let t = DramTiming::ddr5_4800();
+    let mut defense = DefenseConfig::blockhammer(64, &t, 3);
+    defense
+        .blockhammer
+        .as_mut()
+        .expect("blockhammer configured")
+        .delay = Span::from_us(3);
+    let run = assert_paths_agree(
+        || paper_controller(defense.clone()),
+        6,
+        1_500,
+        |id| {
+            let kind = if id % 5 == 4 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            if id % 3 == 2 {
+                // Bystander: some other bank, few rows.
+                let v = mix64(id);
+                let bank = BankId::new(0, (v % 2) as u32, (v >> 8) as u32 % 8, 1);
+                (DramAddr::new(bank, 500 + (v >> 16) as u32 % 4, 0), kind)
+            } else {
+                let row = 2_000 + 2 * (id % 2) as u32;
+                (DramAddr::new(BankId::new(0, 0, 0, 0), row, 0), kind)
+            }
+        },
+    );
+    assert!(run.stats.throttles > 0, "BlockHammer never throttled");
 }

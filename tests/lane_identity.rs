@@ -83,10 +83,13 @@ fn builder(spec: &LaneSpec) -> SystemBuilder {
 }
 
 fn shared_trace() -> Arc<SharedTrace> {
-    let profiles = vec![
+    trace_of(vec![
         AppProfile::category(Intensity::High),
         AppProfile::category(Intensity::Medium),
-    ];
+    ])
+}
+
+fn trace_of(profiles: Vec<AppProfile>) -> Arc<SharedTrace> {
     let seeds: Vec<u64> = (0..profiles.len())
         .map(|i| SIM_SEED ^ (i as u64 * 31))
         .collect();
@@ -247,4 +250,62 @@ fn twin_lanes_tie_break_deterministically() {
         first, second,
         "twin-lane batch must be run-to-run deterministic"
     );
+}
+
+/// Deep queues: eight memory-bound cores with wide miss parallelism
+/// keep both 64-entry queues at capacity (requests bounce off full
+/// queues), so the batched path's per-bank candidate table runs with
+/// every bank active, multi-entry bank FIFOs and write drains.
+#[test]
+fn deep_queue_lane_matches_solo() {
+    let mut hog = AppProfile::with_rbmpki("hog", 60.0);
+    hog.mlp = 24;
+    let trace = trace_of(vec![hog; 8]);
+    let specs = [
+        LaneSpec {
+            defense: DefenseConfig::for_threshold(DefenseKind::Prfm, 128, &DramTiming::ddr5_4800()),
+            mitigations: vec![],
+        },
+        LaneSpec {
+            defense: DefenseConfig::for_threshold(DefenseKind::FrRfm, 64, &DramTiming::ddr5_4800()),
+            mitigations: vec![],
+        },
+    ];
+    let end = Time::ZERO + Span::from_us(SPAN_US);
+    let horizon = end + Span::from_us(5);
+    let batched = run_batch(&specs, &trace, end, horizon);
+    for (i, (spec, got)) in specs.iter().zip(&batched).enumerate() {
+        assert!(
+            got.ctrl.rejections > 0,
+            "lane {i}: the queues never filled — not a deep-queue lane"
+        );
+        let solo = run_solo(spec, &trace, end, horizon);
+        assert_lane_eq(got, &solo, &format!("deep lane {i}"));
+    }
+}
+
+/// Throttled rows: under BlockHammer the probe's hammered rows get
+/// blacklisted, which routes the batched demand stage to the per-entry
+/// scan for as long as a throttle is live — the lane must still equal
+/// the solo legacy run.
+#[test]
+fn throttled_lane_matches_solo() {
+    let spec = LaneSpec {
+        defense: DefenseConfig::for_threshold(
+            DefenseKind::BlockHammer,
+            64,
+            &DramTiming::ddr5_4800(),
+        ),
+        mitigations: vec![],
+    };
+    let trace = shared_trace();
+    let end = Time::ZERO + Span::from_us(SPAN_US);
+    let horizon = end + Span::from_us(5);
+    let batched = run_batch(std::slice::from_ref(&spec), &trace, end, horizon);
+    assert!(
+        batched[0].ctrl.throttles > 0,
+        "BlockHammer never throttled — not a throttled lane"
+    );
+    let solo = run_solo(&spec, &trace, end, horizon);
+    assert_lane_eq(&batched[0], &solo, "throttled lane");
 }

@@ -8,12 +8,24 @@
 //! tails live NDJSON events stamped with wall-clock `ts_ms`.
 
 use std::io::BufRead;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lh_harness::json::parse;
 use lh_harness::sink;
 use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
 use lh_serve::{client, ServeOptions, Server, ThreadSpawner};
+
+/// The servers under test share this process, and `lh-serve` scopes
+/// flight recording by flipping the process-global switch around each
+/// run, so two servers executing runs at once race on it (a recording
+/// run loses its events when a plain run finishes first). Every test
+/// holds this lock: one server executes at a time.
+static ONE_SERVER: Mutex<()> = Mutex::new(());
+
+fn one_server() -> MutexGuard<'static, ()> {
+    ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Binds a service on an ephemeral loopback port with an in-process
 /// thread fleet and returns its base URL.
@@ -53,6 +65,7 @@ fn wait_done(base: &str, id: u64) -> lh_harness::json::Json {
 
 #[test]
 fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
+    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -110,6 +123,7 @@ fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
 
 #[test]
 fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
+    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -143,6 +157,7 @@ fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
 
 #[test]
 fn stream_tails_ndjson_events_with_wall_clock_stamps() {
+    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -191,6 +206,7 @@ fn stream_tails_ndjson_events_with_wall_clock_stamps() {
 
 #[test]
 fn submission_errors_are_structured() {
+    let _serial = one_server();
     let base = start_server();
 
     let missing = client::post(&format!("{base}/runs"), b"{}").expect("post");
@@ -227,6 +243,7 @@ fn submission_errors_are_structured() {
 
 #[test]
 fn version_reports_the_binary_fingerprint() {
+    let _serial = one_server();
     let base = start_server();
     let version = client::get(&format!("{base}/version")).expect("get");
     assert_eq!(version.status, 200);
@@ -250,6 +267,7 @@ fn version_reports_the_binary_fingerprint() {
 
 #[test]
 fn flight_events_are_served_per_run_when_requested() {
+    let _serial = one_server();
     let base = start_server();
 
     // A run submitted without events: the endpoint 404s rather than
