@@ -1,7 +1,7 @@
 //! Lane-batch bench: an 8-lane fig13-shaped batch (one decoded trace,
-//! one wake heap, batched controller service) against the same eight
-//! cells run the pre-lane way — eight sequential single-lane systems,
-//! each re-decoding its own trace on the legacy service path.
+//! one wake heap) against the same eight cells run the pre-lane way —
+//! eight sequential single-lane systems, each re-decoding its own
+//! trace.
 //!
 //! Both sides simulate the identical eight `(defense, NRH)` cells of
 //! one quick-scale four-core mix, so the printed `speedup` line is the
@@ -13,22 +13,22 @@
 //! |---|---|---|---|
 //! | PR 8 – PR 11 (per-entry FR-FCFS scans, per-rank legality memo) | 534 ms | 313 ms | ≈ 1.7× |
 //! | PR 13 (per-bank candidate table, `controller/batch.rs`) | 526 ms | 228 ms | ≈ 2.3× |
+//! | PR 14 (every `System` on the batched controller service) | 311 ms | 207 ms | ≈ 1.5× |
 //!
-//! The sequential side is the untouched legacy `service` path, so it
-//! does not move. On the lane side the shared decode removes all
-//! redundant trace work, verdict carry-over issues five commands in
-//! six without re-discovering the winner and skips the non-demand
-//! sections in three scans out of four (counted on the benchmark's
-//! `perf_sweep`, the same traffic), and since PR 13 a scan folds one
-//! representative per active bank (≈ 5 of them) instead of walking
-//! ≈ 12 queued requests with a memo lookup each. What keeps the sweep short of the 3× that pure decode
-//! amortization would suggest is no longer the scan: it is the work
-//! every command still costs on either path — `DramDevice::issue`, the
-//! defense hooks, the sections ahead of the demand stage after each
-//! row command — and the per-lane core/cache model, which lanes do not
-//! share. `BENCH_13.json` at the repo root has the same change measured
-//! by the repo benchmark (`perf_sweep`: −33 % host time per DRAM
-//! command over ten alternating pairs).
+//! Up to PR 13 the sequential side took the per-entry reference
+//! `service` path, so most of the ratio was the controller service, not
+//! the lanes. Since PR 14 both sides service the controller the same
+//! way and the ratio is the lane engine's own: one shared decode
+//! instead of eight, and the cells touching the same trace region
+//! while it is cache-warm. The lane side did not move in PR 14 (it was
+//! already batched); the sequential side fell by 40 %, which is the
+//! saving every solo `System` — the figure experiments — now gets.
+//! What bounds both sides is the work every command costs —
+//! `DramDevice::issue`, the defense hooks, the sections ahead of the
+//! demand stage after each row command — and the per-lane core/cache
+//! model, which lanes do not share. `BENCH_13.json` and `BENCH_14.json`
+//! at the repo root have the two controller changes measured by the
+//! repo benchmark over ten alternating pairs each.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,8 +65,8 @@ fn defense_cfg(defense: DefenseKind, nrh: u32) -> DefenseConfig {
     DefenseConfig::for_threshold(defense, nrh, &DramTiming::ddr5_4800())
 }
 
-/// One cell the pre-lane way: its own system on the legacy service
-/// path, its own [`SyntheticApp`] decode. Returns total instructions
+/// One cell the pre-lane way: its own system, its own
+/// [`SyntheticApp`] decode. Returns total instructions
 /// (consumed via `black_box` so nothing is optimized away).
 fn run_sequential_cell(mix: &[AppProfile], defense: DefenseKind, nrh: u32) -> u64 {
     let mut sys = SystemBuilder::new(defense_cfg(defense, nrh))
@@ -163,8 +163,8 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // Advisory speedup line (min-of-3 per side); ~1.5× on the
-    // development container, see the module docs for why.
+    // Advisory speedup line (min-of-3 per side); see the module docs
+    // for what it measures.
     let min_of = |f: &dyn Fn() -> u64| {
         (0..3)
             .map(|_| {

@@ -28,9 +28,11 @@
 //! All trackers are deterministic given their seed, like everything else
 //! in this workspace.
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
-use lh_dram::{Span, Time};
+use lh_dram::{RowMap, Span, Time};
 
 // ---------------------------------------------------------------------------
 // Graphene: Misra-Gries (space-saving) summary
@@ -100,8 +102,15 @@ impl GrapheneConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GrapheneBank {
     cfg: GrapheneConfig,
-    /// `(row, estimated count)`; linear scan is fine at these sizes.
+    /// `(row, estimated count)` slots in insertion order.
     table: Vec<(u32, u32)>,
+    /// Row → its slot in `table` (rows are unique in the table).
+    slot_of: RowMap<usize>,
+    /// `(count, slot)` of every slot, so the first element is the
+    /// replace-min victim: the minimum count, first in table order among
+    /// equals. Only a full table ever needs its minimum, so the set is
+    /// built by the first eviction of an epoch and empty until then.
+    by_count: BTreeSet<(u32, usize)>,
     epoch_end: Time,
     /// Preventive triggers fired (for instrumentation).
     triggers: u64,
@@ -112,6 +121,8 @@ impl GrapheneBank {
     pub fn new(cfg: GrapheneConfig) -> GrapheneBank {
         GrapheneBank {
             table: Vec::with_capacity(cfg.entries),
+            slot_of: RowMap::default(),
+            by_count: BTreeSet::new(),
             cfg,
             epoch_end: Time::ZERO + cfg.epoch,
             triggers: 0,
@@ -130,7 +141,16 @@ impl GrapheneBank {
 
     /// The tracker's current estimate for `row` (`None` when untracked).
     pub fn estimate(&self, row: u32) -> Option<u32> {
-        self.table.iter().find(|&&(r, _)| r == row).map(|&(_, c)| c)
+        self.slot_of.get(&row).map(|&slot| self.table[slot].1)
+    }
+
+    /// Sets `slot`'s count, keeping the ordered view (when built) in step.
+    fn set_count(&mut self, slot: usize, count: u32) {
+        let old = std::mem::replace(&mut self.table[slot].1, count);
+        if !self.by_count.is_empty() {
+            self.by_count.remove(&(old, slot));
+            self.by_count.insert((count, slot));
+        }
     }
 
     /// Records an activation of `row` at `now`; returns the row whose
@@ -139,27 +159,38 @@ impl GrapheneBank {
     pub fn on_activate(&mut self, row: u32, now: Time) -> Option<u32> {
         if now >= self.epoch_end {
             self.table.clear();
+            self.slot_of.clear();
+            self.by_count.clear();
             // Skip whole idle epochs rather than looping one at a time.
             while self.epoch_end <= now {
                 self.epoch_end += self.cfg.epoch;
             }
         }
-        let count = if let Some(e) = self.table.iter_mut().find(|e| e.0 == row) {
-            e.1 += 1;
-            e.1
+        let count = if let Some(&slot) = self.slot_of.get(&row) {
+            let count = self.table[slot].1 + 1;
+            self.set_count(slot, count);
+            count
         } else if self.table.len() < self.cfg.entries {
+            self.slot_of.insert(row, self.table.len());
             self.table.push((row, 1));
             1
         } else {
             // Replace the minimum entry (space-saving): the newcomer
             // inherits min+1, an overestimate of its true count.
-            let min = self
-                .table
-                .iter_mut()
-                .min_by_key(|e| e.1)
-                .expect("table is non-empty");
-            *min = (row, min.1 + 1);
-            min.1
+            if self.by_count.is_empty() {
+                self.by_count = self
+                    .table
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &(_, count))| (count, slot))
+                    .collect();
+            }
+            let (min, slot) = self.by_count.pop_first().expect("table is non-empty");
+            self.by_count.insert((min + 1, slot));
+            self.slot_of.remove(&self.table[slot].0);
+            self.slot_of.insert(row, slot);
+            self.table[slot] = (row, min + 1);
+            min + 1
         };
         if count >= self.cfg.threshold {
             self.reset(row);
@@ -172,8 +203,8 @@ impl GrapheneBank {
 
     /// Resets `row`'s counter after its victims were refreshed.
     pub fn reset(&mut self, row: u32) {
-        if let Some(e) = self.table.iter_mut().find(|e| e.0 == row) {
-            e.1 = 0;
+        if let Some(&slot) = self.slot_of.get(&row) {
+            self.set_count(slot, 0);
         }
     }
 }

@@ -20,6 +20,62 @@ fn epoch() -> Span {
     Span::from_ms(32)
 }
 
+/// The space-saving summary as a plain table scan: the reference the
+/// indexed [`GrapheneBank`] must reproduce trigger for trigger,
+/// including which slot a full table evicts (the first minimum in table
+/// order).
+struct ScanGraphene {
+    cfg: GrapheneConfig,
+    table: Vec<(u32, u32)>,
+    epoch_end: Time,
+}
+
+impl ScanGraphene {
+    fn new(cfg: GrapheneConfig) -> ScanGraphene {
+        ScanGraphene {
+            cfg,
+            table: Vec::new(),
+            epoch_end: Time::ZERO + cfg.epoch,
+        }
+    }
+
+    fn estimate(&self, row: u32) -> Option<u32> {
+        self.table.iter().find(|e| e.0 == row).map(|e| e.1)
+    }
+
+    fn reset(&mut self, row: u32) {
+        if let Some(e) = self.table.iter_mut().find(|e| e.0 == row) {
+            e.1 = 0;
+        }
+    }
+
+    fn on_activate(&mut self, row: u32, now: Time) -> Option<u32> {
+        if now >= self.epoch_end {
+            self.table.clear();
+            while self.epoch_end <= now {
+                self.epoch_end += self.cfg.epoch;
+            }
+        }
+        let count = if let Some(e) = self.table.iter_mut().find(|e| e.0 == row) {
+            e.1 += 1;
+            e.1
+        } else if self.table.len() < self.cfg.entries {
+            self.table.push((row, 1));
+            1
+        } else {
+            let min = self.table.iter_mut().min_by_key(|e| e.1).unwrap();
+            *min = (row, min.1 + 1);
+            min.1
+        };
+        if count >= self.cfg.threshold {
+            self.reset(row);
+            Some(row)
+        } else {
+            None
+        }
+    }
+}
+
 proptest! {
     /// Space-saving (Graphene): tracked estimates never underestimate.
     #[test]
@@ -91,6 +147,47 @@ proptest! {
             if fired == Some(r) {
                 prop_assert_eq!(*c, threshold, "exact tracking fires exactly at threshold");
                 *c = 0;
+            }
+        }
+    }
+
+    /// The indexed Graphene emits the scan's exact trigger stream and
+    /// holds the scan's exact estimates — on uniform streams over more
+    /// rows than entries (constant replace-min with ties everywhere), on
+    /// double-sided pairs hammered through the noise, across external
+    /// resets and across epoch boundaries.
+    #[test]
+    fn graphene_index_matches_the_table_scan(
+        stream in proptest::collection::vec(
+            (0u32..40, 0u8..8, 0u64..600),
+            1..600,
+        ),
+        entries in 1usize..12,
+        threshold in 2u32..24,
+    ) {
+        let cfg = GrapheneConfig { entries, threshold, epoch: Span::from_us(20) };
+        let mut indexed = GrapheneBank::new(cfg);
+        let mut scan = ScanGraphene::new(cfg);
+        let mut now = Time::ZERO;
+        for (i, &(pick, shape, gap_ns)) in stream.iter().enumerate() {
+            // Epochs are 20 µs: most runs cross a few, some gaps skip one.
+            now += Span::from_ns(gap_ns);
+            let row = match shape {
+                // A double-sided pair around row 100.
+                0..=2 => 99 + 2 * (i as u32 % 2),
+                _ => pick,
+            };
+            if shape == 7 {
+                indexed.reset(row);
+                scan.reset(row);
+            }
+            prop_assert_eq!(
+                indexed.on_activate(row, now),
+                scan.on_activate(row, now),
+                "activation {} of row {}", i, row
+            );
+            for r in (0..40).chain([99, 101]) {
+                prop_assert_eq!(indexed.estimate(r), scan.estimate(r), "estimate of row {}", r);
             }
         }
     }

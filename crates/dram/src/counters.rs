@@ -3,16 +3,18 @@
 //! The device always maintains per-row activation counts: PRAC reads them
 //! to decide when to assert ABO, preventive refreshes reset them, and the
 //! security tests use them as ground truth. Counters are stored sparsely
-//! (hash map per bank) because workloads touch a small fraction of the
-//! 4 M+ rows of a channel.
+//! (one [`RowMap`] per bank) because workloads touch a small fraction of
+//! the 4 M+ rows of a channel.
 //!
 //! [`CounterInit`] selects the (re)initialization policy, which is how the
 //! RIAC countermeasure (§11.2 of the paper) is expressed: counters start at
 //! — and reset to — uniformly random values instead of zero.
 
-use std::collections::HashMap;
+use core::cmp::Reverse;
 
 use serde::{Deserialize, Serialize};
+
+use crate::rowmap::RowMap;
 
 /// Counter (re)initialization policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,7 +70,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RowCounters {
-    banks: Vec<HashMap<u32, u32>>,
+    banks: Vec<RowMap<u32>>,
     init: CounterInit,
     seed: u64,
     reset_nonce: u64,
@@ -78,7 +80,7 @@ impl RowCounters {
     /// Creates counters for `num_banks` banks with the given init policy.
     pub fn new(num_banks: usize, init: CounterInit, seed: u64) -> RowCounters {
         RowCounters {
-            banks: vec![HashMap::new(); num_banks],
+            banks: vec![RowMap::default(); num_banks],
             init,
             seed,
             reset_nonce: 0,
@@ -121,24 +123,39 @@ impl RowCounters {
     pub fn top_row(&self, bank: usize) -> Option<(u32, u32)> {
         self.banks[bank]
             .iter()
-            .max_by_key(|&(row, count)| (*count, core::cmp::Reverse(*row)))
+            .max_by_key(|&(row, count)| (*count, Reverse(*row)))
             .map(|(&row, &count)| (row, count))
     }
 
-    /// The `k` highest (bank, row, count) triples across `banks`.
+    /// The `k` highest (bank, row, count) triples across `banks`, highest
+    /// first.
     ///
     /// Ties break towards lower bank / row indices so results are
-    /// deterministic.
-    pub fn top_rows_in(&self, banks: &[usize], k: usize) -> Vec<(usize, u32, u32)> {
-        let mut all: Vec<(usize, u32, u32)> = Vec::new();
-        for &b in banks {
+    /// deterministic. A bounded selection: one pass over the materialized
+    /// counters against the `k` best seen so far, which an all-bank RFM
+    /// pays on every issue with `k` a handful of aggressors.
+    pub fn top_rows_in(
+        &self,
+        banks: impl IntoIterator<Item = usize>,
+        k: usize,
+    ) -> Vec<(usize, u32, u32)> {
+        // Ascending under this key is the documented order.
+        let key = |&(bank, row, count): &(usize, u32, u32)| (Reverse(count), bank, row);
+        let mut top: Vec<(usize, u32, u32)> = Vec::new();
+        for b in banks {
             for (&row, &count) in &self.banks[b] {
-                all.push((b, row, count));
+                let cand = (b, row, count);
+                if top.len() == k {
+                    if top.last().is_none_or(|worst| key(&cand) >= key(worst)) {
+                        continue;
+                    }
+                    top.pop();
+                }
+                let at = top.partition_point(|t| key(t) < key(&cand));
+                top.insert(at, cand);
             }
         }
-        all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        all.truncate(k);
-        all
+        top
     }
 
     /// Number of rows with materialized counters in `bank`.
@@ -217,7 +234,7 @@ mod tests {
         for _ in 0..2 {
             c.increment(0, 30);
         }
-        let top = c.top_rows_in(&[0, 1], 2);
+        let top = c.top_rows_in([0, 1], 2);
         assert_eq!(top, vec![(1, 20, 9), (0, 10, 5)]);
         assert_eq!(c.top_row(0), Some((10, 5)));
         assert_eq!(c.max_value(), 9);

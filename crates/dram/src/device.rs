@@ -616,15 +616,16 @@ impl DramDevice {
     /// RFM's scope, resetting their counters.
     fn preventive_refresh(&mut self, rank: u32, scope: RfmScope) {
         let aggressors: Vec<(usize, u32)> = match scope {
-            RfmScope::AllBank => {
-                let rank_banks: Vec<usize> = self.rank_banks(rank).collect();
-                self.counters
-                    .top_rows_in(&rank_banks, self.config.aggressors_per_rfm as usize)
-                    .into_iter()
-                    .filter(|&(_, _, count)| count > 0)
-                    .map(|(b, row, _)| (b, row))
-                    .collect()
-            }
+            RfmScope::AllBank => self
+                .counters
+                .top_rows_in(
+                    self.rank_banks(rank),
+                    self.config.aggressors_per_rfm as usize,
+                )
+                .into_iter()
+                .filter(|&(_, _, count)| count > 0)
+                .map(|(b, row, _)| (b, row))
+                .collect(),
             RfmScope::SameBank { .. } | RfmScope::SingleBank { .. } => self
                 .rfm_flats(rank, scope)
                 .filter_map(|b| {

@@ -7,10 +7,22 @@
 //! the RowHammer threshold `N_RH` would flip bits on real hardware; the
 //! security tests in this repository assert that secure defenses keep the
 //! maximum pressure below `N_RH` under adversarial access patterns.
-
-use std::collections::HashMap;
+//!
+//! ## The sweep contract
+//!
+//! Every periodic REF sweeps a stripe of rows in every bank of its rank
+//! ([`DisturbTracker::sweep`]), and almost every stripe holds no victim at
+//! all. Pressure is therefore stored sparsely — only rows with non-zero
+//! pressure have an entry — and a sweep costs `min(live victims of the
+//! bank, rows swept)` map operations: nothing on an empty bank, one pass
+//! over the bank's entries when they are fewer than the stripe, one
+//! removal per swept row otherwise. Which of the two walks runs is
+//! unobservable: both annul exactly the rows `(start + i) % rows_per_bank`
+//! for `i < count`.
 
 use serde::{Deserialize, Serialize};
+
+use crate::rowmap::RowMap;
 
 /// Tracks per-victim-row disturbance pressure for one channel.
 ///
@@ -29,7 +41,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DisturbTracker {
-    banks: Vec<HashMap<u32, u64>>,
+    banks: Vec<RowMap<u64>>,
     rows_per_bank: u32,
     blast_radius: u32,
     max_ever: u64,
@@ -41,7 +53,7 @@ impl DisturbTracker {
     /// the given blast radius (1 = immediate neighbors only).
     pub fn new(num_banks: usize, rows_per_bank: u32, blast_radius: u32) -> DisturbTracker {
         DisturbTracker {
-            banks: vec![HashMap::new(); num_banks],
+            banks: vec![RowMap::default(); num_banks],
             rows_per_bank,
             blast_radius,
             max_ever: 0,
@@ -119,14 +131,37 @@ impl DisturbTracker {
     }
 
     /// Records a periodic-refresh sweep of `count` rows starting at
-    /// `start` (wrapping at the end of the bank) in `bank`.
+    /// `start` (wrapping at the end of the bank) in `bank`. The cost is
+    /// proportional to the victims the bank holds, not to `count` (see
+    /// the module docs).
     pub fn sweep(&mut self, bank: usize, start: u32, count: u32) {
         if !self.enabled {
             return;
         }
-        for i in 0..count {
-            let row = (start + i) % self.rows_per_bank;
-            self.banks[bank].remove(&row);
+        let victims = &mut self.banks[bank];
+        if victims.is_empty() {
+            return;
+        }
+        let rows = self.rows_per_bank;
+        let start = start % rows;
+        let count = count.min(rows);
+        if victims.len() < count as usize {
+            // Keep a row unless its offset into the stripe, modulo the
+            // bank size, is inside it. (The other walk never touches a
+            // row index past the bank's end either.)
+            victims.retain(|&row, _| {
+                let offset = if row >= start {
+                    row - start
+                } else {
+                    row + (rows - start)
+                };
+                row >= rows || offset >= count
+            });
+        } else {
+            let until_wrap = count.min(rows - start);
+            for row in (start..start + until_wrap).chain(0..count - until_wrap) {
+                victims.remove(&row);
+            }
         }
     }
 

@@ -12,7 +12,10 @@
 //! * RFM commands at all-bank, same-bank and single-bank scope
 //!   ([`RfmScope`]), and
 //! * ground-truth read-disturb bookkeeping ([`DisturbTracker`]) used by the
-//!   security tests.
+//!   security tests; a periodic REF costs it only the victims it clears.
+//!
+//! The counters and the disturb tracker share one sparse per-bank map,
+//! [`RowMap`].
 //!
 //! The memory controller (crate `lh-memctrl`) drives a [`DramDevice`]
 //! through [`DramDevice::earliest_legal`] / [`DramDevice::issue`]; the
@@ -55,6 +58,7 @@ mod error;
 mod geometry;
 mod prac;
 mod rank;
+mod rowmap;
 mod stats;
 mod time;
 mod timing;
@@ -68,6 +72,7 @@ pub use error::DramError;
 pub use geometry::{BankId, DramAddr, Geometry, LINE_BYTES};
 pub use prac::{Alert, AlertScope, PracConfig, PracState};
 pub use rank::RankState;
+pub use rowmap::{RowHasher, RowMap};
 pub use stats::DeviceStats;
 pub use time::{Span, Time};
 pub use timing::DramTiming;

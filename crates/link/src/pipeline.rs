@@ -212,12 +212,8 @@ pub fn transmit_windows(
     let window = cfg.tuning.window;
     let mut sim = SimConfig::paper_default(cfg.defense.clone());
     sim.mitigations = cfg.mitigations.clone();
-    // Link cells ride the batched service path (mirror-cached row
-    // state, memoized legality) — byte-identical to the legacy
-    // scheduler, pinned by the envelope snapshots and identity tests.
     let mut sys = SystemBuilder::from_config(sim)
         .seed(cfg.seed)
-        .batched_service(true)
         .build()
         .expect("valid link system configuration");
     let layout = ChannelLayout::default_bank(sys.mapping());

@@ -249,7 +249,17 @@ pub struct MemoryController {
     /// ([`MemoryController::drain_flight`]). Empty unless flight
     /// recording is active.
     flight: EventBuffer,
+    /// Per flat bank: `BANK_HAS_HIT` / `BANK_HAS_CONFLICT` flags of the
+    /// queue `schedule_demand` is scanning. Only meaningful inside
+    /// one call; kept here so the scan allocates nothing.
+    demand_marks: Vec<u8>,
 }
+
+/// `demand_marks` flag: a queued request hits the bank's open row.
+const BANK_HAS_HIT: u8 = 1;
+/// `demand_marks` flag: a queued request conflicts with the bank's open
+/// row.
+const BANK_HAS_CONFLICT: u8 = 2;
 
 /// What `next_step` decided.
 #[derive(Debug)]
@@ -335,6 +345,7 @@ impl MemoryController {
             stats: CtrlStats::default(),
             maint_jitter: Vec::new(),
             flight: EventBuffer::new(),
+            demand_marks: vec![0; g.banks_per_channel() as usize],
         })
     }
 
@@ -439,6 +450,12 @@ impl MemoryController {
 
     /// Issues every command legal at `now`; returns the next instant at
     /// which `service` should run again (always strictly after `now`).
+    ///
+    /// This is the reference scheduler: a full per-entry scan on every
+    /// call. The simulator (`lh-sim`) services every controller through
+    /// the decision-identical [`MemoryController::service_batched`];
+    /// `service` stays for direct users of this crate and as the side
+    /// tests and the benchmark's layer driver compare that path against.
     ///
     /// The returned wake is the exact next decision point — the earliest
     /// future instant at which a command becomes issuable, a maintenance
@@ -851,7 +868,16 @@ impl MemoryController {
     }
 
     /// FR-FCFS selection over one queue. Returns (wake, chosen step).
-    fn schedule_demand(&self, sel: QueueSel, now: Time) -> (Time, Option<Step>) {
+    fn schedule_demand(&mut self, sel: QueueSel, now: Time) -> (Time, Option<Step>) {
+        let mut marks = std::mem::take(&mut self.demand_marks);
+        let verdict = self.scan_queue(sel, now, &mut marks);
+        self.demand_marks = marks;
+        verdict
+    }
+
+    /// The per-entry scan behind `schedule_demand`; `marks` is its
+    /// per-bank flag scratch (overwritten).
+    fn scan_queue(&self, sel: QueueSel, now: Time, marks: &mut [u8]) -> (Time, Option<Step>) {
         let q = match sel {
             QueueSel::Read => &self.read_q,
             QueueSel::Write => &self.write_q,
@@ -861,13 +887,12 @@ impl MemoryController {
         let mut wake = Time::MAX;
 
         // Per-bank pending hit/conflict summary for cap & precharge guards.
-        let mut bank_has_hit = vec![false; g.banks_per_channel() as usize];
-        let mut bank_has_conflict = vec![false; g.banks_per_channel() as usize];
+        marks.fill(0);
         for req in q.iter() {
             let flat = g.flat_bank(req.addr.bank);
             match self.device.open_row(req.addr.bank) {
-                Some(r) if r == req.addr.row => bank_has_hit[flat] = true,
-                Some(_) => bank_has_conflict[flat] = true,
+                Some(r) if r == req.addr.row => marks[flat] |= BANK_HAS_HIT,
+                Some(_) => marks[flat] |= BANK_HAS_CONFLICT,
                 None => {}
             }
         }
@@ -909,7 +934,7 @@ impl MemoryController {
                     // Respect open rows that still have uncapped hits.
                     let (srow, scount) = self.streak[flat];
                     let capped = srow == open.unwrap() && scount >= self.cfg.col_cap;
-                    if bank_has_hit[flat] && !capped {
+                    if marks[flat] & BANK_HAS_HIT != 0 && !capped {
                         continue;
                     }
                     (Command::Precharge { bank }, false)
@@ -926,7 +951,10 @@ impl MemoryController {
                 // Column cap: once `col_cap` consecutive hits were served
                 // while a conflicting request waits, stop preferring hits.
                 let (srow, scount) = self.streak[flat];
-                if srow == req.addr.row && scount >= self.cfg.col_cap && bank_has_conflict[flat] {
+                if srow == req.addr.row
+                    && scount >= self.cfg.col_cap
+                    && marks[flat] & BANK_HAS_CONFLICT != 0
+                {
                     continue;
                 }
             }

@@ -2,9 +2,9 @@
 //! [`MemoryController::service`], computed from incrementally maintained
 //! state instead of a per-entry queue walk.
 //!
-//! The lane-batched simulator engine (`lh-sim`'s `LaneBatch`) advances
-//! many controller instances over one shared trace, so the per-wake cost
-//! of `service` dominates sweep wall-clock. This module adds
+//! The per-wake cost of `service` dominates simulation wall-clock, so
+//! every `lh-sim` `System` — lanes, link cells and the figure
+//! experiments alike — services its controller through
 //! [`MemoryController::service_batched`]: a decision-identical variant
 //! of the service loop that keeps its bookkeeping in a caller-owned
 //! [`CtrlScratch`]:
@@ -46,11 +46,12 @@
 //! order)`, which is the per-entry scan's winner when the instant is
 //! `now` and its wake otherwise.
 //!
-//! The legacy path is the reference: `schedule_demand` is the
-//! `debug_assertions` oracle of every table scan (and the release
-//! fallback while BlockHammer throttles gate individual rows), and
-//! `next_step` shadows every carried-over verdict. The two paths must
-//! produce byte-identical command streams.
+//! The per-entry path in `controller.rs` is the reference:
+//! `schedule_demand` is the `debug_assertions` oracle of every table
+//! scan (and the allocation-free release fallback while BlockHammer
+//! throttles gate individual rows), and `next_step` shadows every
+//! carried-over verdict. The two paths must produce byte-identical
+//! command streams.
 //!
 //! **Caller contract**: requests must be enqueued with non-decreasing
 //! `arrival` stamps (true for `lh-sim`, which stamps `arrival` with the
@@ -912,7 +913,7 @@ impl MemoryController {
     /// queue, every branch they took is pinned by `sec_bound` /
     /// `sec_wake` / the stamp rule, and every wake they folded is either
     /// an absolute schedule instant (pure) or additionally protected by
-    /// an unchanged issue stamp. In debug builds the legacy full scan
+    /// an unchanged issue stamp. In debug builds the reference full scan
     /// shadows every reduced verdict.
     fn next_step_demand_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
         s.epoch += 1;
@@ -946,7 +947,7 @@ impl MemoryController {
     /// as the per-entry reference scan does, for equality checks that
     /// hold in release builds too.
     #[doc(hidden)]
-    pub fn demand_verdicts(&self, now: Time, scratch: &mut CtrlScratch) -> [DemandVerdict; 2] {
+    pub fn demand_verdicts(&mut self, now: Time, scratch: &mut CtrlScratch) -> [DemandVerdict; 2] {
         let sel = self.demand_sel();
         scratch.epoch += 1;
         [
@@ -963,7 +964,7 @@ impl MemoryController {
     /// throttles gate individual rows the per-entry reference scan
     /// decides instead; in debug builds it shadows every table verdict.
     fn schedule_demand_b(
-        &self,
+        &mut self,
         sel: QueueSel,
         now: Time,
         s: &mut CtrlScratch,

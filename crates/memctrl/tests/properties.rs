@@ -312,7 +312,7 @@ fn twin_defense_of(sel: u8) -> DefenseConfig {
 /// Asserts the candidate table's demand verdict equals the per-entry
 /// reference scan's at `now`: same wake, same command, same served
 /// queue position.
-fn assert_table_matches_oracle(mc: &MemoryController, scratch: &mut CtrlScratch, now: Time) {
+fn assert_table_matches_oracle(mc: &mut MemoryController, scratch: &mut CtrlScratch, now: Time) {
     let [table, oracle] = mc.demand_verdicts(now, scratch);
     assert_eq!(
         table, oracle,
@@ -372,10 +372,10 @@ proptest! {
                 prop_assert_eq!(batched.enqueue(r).is_ok(), accepted);
                 outstanding += usize::from(accepted);
             }
-            assert_table_matches_oracle(&batched, &mut scratch, now);
+            assert_table_matches_oracle(&mut batched, &mut scratch, now);
             let wake = legacy.service(now);
             prop_assert_eq!(batched.service_batched(now, &mut scratch), wake);
-            assert_table_matches_oracle(&batched, &mut scratch, now);
+            assert_table_matches_oracle(&mut batched, &mut scratch, now);
             let done = legacy.take_completed();
             prop_assert_eq!(&batched.take_completed(), &done);
             outstanding -= done.len();
@@ -449,9 +449,9 @@ fn drive_closed_loop(
                 }
             }
             now = if batched {
-                assert_table_matches_oracle(&mc, &mut scratch, now);
+                assert_table_matches_oracle(&mut mc, &mut scratch, now);
                 let wake = mc.service_batched(now, &mut scratch);
-                assert_table_matches_oracle(&mc, &mut scratch, now);
+                assert_table_matches_oracle(&mut mc, &mut scratch, now);
                 wake
             } else {
                 mc.service(now)

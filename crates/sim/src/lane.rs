@@ -104,15 +104,13 @@ impl LaneBatch {
     }
 
     /// Builds `builder` into a new lane that will run until `until`;
-    /// returns its index. The lane is forced onto the batched service
-    /// path (identical decisions, cached row state) — that is the
-    /// engine's reason to exist.
+    /// returns its index.
     ///
     /// # Errors
     ///
     /// Propagates device/controller construction errors.
     pub fn push_lane(&mut self, builder: SystemBuilder, until: Time) -> Result<usize, DramError> {
-        let sys = builder.batched_service(true).build()?;
+        let sys = builder.build()?;
         self.lanes.push(Lane {
             sys,
             until,

@@ -1,12 +1,15 @@
 //! Lane-batch identity: `LaneBatch` with K lanes over one shared trace
 //! must reproduce, byte for byte, what each lane computes when run
-//! alone on the legacy (unbatched) service path — the command mix, the
-//! per-process and cache statistics, the defense counters, a probe's
-//! latency trace, and the per-lane obs counters.
+//! alone as a plain `System` — the command mix, the per-process and
+//! cache statistics, the defense counters, a probe's latency trace, and
+//! the per-lane obs counters.
 //!
-//! This is the PR's absolute correctness bar: the batch engine and the
-//! batched controller service are *engines*, not approximations, so
-//! equality here is exact structural equality, never tolerance-based.
+//! The batch engine is an *engine*, not an approximation, so equality
+//! here is exact structural equality, never tolerance-based. Both sides
+//! take the controller's one service path (`service_batched`); that path
+//! against the per-entry reference scan is pinned step by step in
+//! `crates/memctrl/tests/properties.rs` and, in this dev-profile suite,
+//! by the `debug_assertions` oracle shadowing every verdict.
 
 use std::sync::Arc;
 
@@ -139,8 +142,8 @@ fn collect(sys: &System, pids: &[ProcId], probe: ProcId, metrics: Metrics) -> La
     }
 }
 
-/// The reference: the lane alone, on the legacy `service` path, with
-/// its obs counters captured at an identical finalization flush.
+/// The reference: the lane alone in a plain `System`, with its obs
+/// counters captured at an identical finalization flush.
 fn run_solo(spec: &LaneSpec, trace: &Arc<SharedTrace>, end: Time, horizon: Time) -> LaneResult {
     let mut sys = builder(spec).build().expect("valid configuration");
     let (pids, probe) = add_processes(&mut sys, trace, end);
@@ -187,7 +190,7 @@ proptest! {
 
     /// lanes=K ≡ lanes=1 over random (defense, NRH, mitigation-stack)
     /// lane sets: every lane of a K-lane batch equals the same cell run
-    /// alone on the legacy service path.
+    /// alone.
     #[test]
     fn lanes_k_equal_lanes_1(
         lanes in proptest::collection::vec((0usize..7, 0usize..5, 0usize..5), 1..4),
@@ -211,7 +214,7 @@ proptest! {
 }
 
 /// The degenerate single-lane batch is not a special case: it must be
-/// byte-identical to the solo legacy run too.
+/// byte-identical to the solo run too.
 #[test]
 fn degenerate_single_lane_batch_matches_solo() {
     let spec = LaneSpec {
@@ -254,7 +257,7 @@ fn twin_lanes_tie_break_deterministically() {
 
 /// Deep queues: eight memory-bound cores with wide miss parallelism
 /// keep both 64-entry queues at capacity (requests bounce off full
-/// queues), so the batched path's per-bank candidate table runs with
+/// queues), so the controller's per-bank candidate table runs with
 /// every bank active, multi-entry bank FIFOs and write drains.
 #[test]
 fn deep_queue_lane_matches_solo() {
@@ -285,9 +288,9 @@ fn deep_queue_lane_matches_solo() {
 }
 
 /// Throttled rows: under BlockHammer the probe's hammered rows get
-/// blacklisted, which routes the batched demand stage to the per-entry
-/// scan for as long as a throttle is live — the lane must still equal
-/// the solo legacy run.
+/// blacklisted, which routes the demand stage to the per-entry scan
+/// for as long as a throttle is live — the lane must still equal the
+/// solo run.
 #[test]
 fn throttled_lane_matches_solo() {
     let spec = LaneSpec {
