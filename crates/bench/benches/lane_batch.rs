@@ -1,13 +1,14 @@
 //! Lane-batch bench: an 8-lane fig13-shaped batch (one decoded trace,
 //! one wake heap) against the same eight cells run the pre-lane way —
 //! eight sequential single-lane systems, each re-decoding its own
-//! trace.
+//! trace. A plain `main` on `std::time::Instant` (`cargo bench -p
+//! lh-bench --bench lane_batch`): it first asserts the two sides
+//! simulated the same thing, then times each and prints the ratio.
 //!
 //! Both sides simulate the identical eight `(defense, NRH)` cells of
 //! one quick-scale four-core mix, so the printed `speedup` line is the
 //! honest per-sweep win. Measured on the development container (2
-//! vCPUs, a noisy neighbour; best of three runs per side, minimum of
-//! ten samples):
+//! vCPUs, a noisy neighbour; minimum of ten samples per side):
 //!
 //! | commit | `sequential_8x1_quick` | `lane_batch_8_quick` | speedup |
 //! |---|---|---|---|
@@ -30,10 +31,10 @@
 //! at the repo root have the two controller changes measured by the
 //! repo benchmark over ten alternating pairs each.
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
 use lh_memctrl::AddressMapping;
@@ -144,44 +145,34 @@ fn run_lane_batch(mix: &[AppProfile]) -> u64 {
         .sum()
 }
 
-fn bench(c: &mut Criterion) {
+/// Wall-clock samples per side; each side reports its minimum.
+const SAMPLES: usize = 10;
+
+fn min_of(side: &str, f: impl Fn() -> u64) -> Duration {
+    let best = (0..SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed()
+        })
+        .min()
+        .expect("at least one sample");
+    println!("lane_batch/{side}: min {best:.3?} of {SAMPLES} samples");
+    best
+}
+
+fn main() {
     let mix = mix();
 
     // The two sides must agree on what they simulated — the batch is an
-    // engine, not an approximation.
+    // engine, not an approximation. (This run doubles as the warm-up.)
     assert_eq!(run_sequential(&mix), run_lane_batch(&mix));
 
-    let mut g = c.benchmark_group("lane_batch");
-    g.sample_size(10);
-    g.warm_up_time(std::time::Duration::from_millis(500));
-    g.measurement_time(std::time::Duration::from_secs(15));
-    g.bench_function("sequential_8x1_quick", |b| {
-        b.iter(|| black_box(run_sequential(&mix)))
-    });
-    g.bench_function("lane_batch_8_quick", |b| {
-        b.iter(|| black_box(run_lane_batch(&mix)))
-    });
-    g.finish();
-
-    // Advisory speedup line (min-of-3 per side); see the module docs
-    // for what it measures.
-    let min_of = |f: &dyn Fn() -> u64| {
-        (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                black_box(f());
-                t.elapsed()
-            })
-            .min()
-            .expect("three samples")
-    };
-    let seq = min_of(&|| run_sequential(&mix));
-    let lane = min_of(&|| run_lane_batch(&mix));
+    let seq = min_of("sequential_8x1_quick", || run_sequential(&mix));
+    let lane = min_of("lane_batch_8_quick", || run_lane_batch(&mix));
+    // Advisory; see the module docs for what the ratio measures.
     println!(
         "lane_batch speedup: {:.2}x (sequential {seq:.3?} vs lane batch {lane:.3?})",
         seq.as_secs_f64() / lane.as_secs_f64()
     );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

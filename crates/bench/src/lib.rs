@@ -1,91 +1,20 @@
-//! # lh-bench — benchmark harness for the LeakyHammer reproduction
+//! # lh-bench — the `lh-experiments` binary of the LeakyHammer reproduction
 //!
-//! Two entry points:
+//! `lh-experiments` regenerates any figure or table of the paper on
+//! demand through the `lh-harness` orchestrator (`lh-experiments fig4
+//! --scale default --jobs 8`), with sweep units sharded across cores
+//! and cached on disk between runs; `lh-experiments list` prints the
+//! catalogue straight from [`leakyhammer::registry()`]. The committed
+//! envelope, counter and event-log snapshots CI diffs against live
+//! under `snapshots/`.
 //!
-//! * the `lh-experiments` binary — regenerates any figure or table of
-//!   the paper on demand through the `lh-harness` orchestrator
-//!   (`lh-experiments fig4 --scale default --jobs 8`), with sweep units
-//!   sharded across cores and cached on disk between runs;
-//! * the Criterion benches under `benches/` — one per table/figure, each
-//!   running a `Scale::Quick` version of the experiment so timing
-//!   regressions in the simulator show up in CI.
+//! Timing is the job of the repository benchmark (`benchmark/` at the
+//! repo root: four workloads with output checks); the one bench kept
+//! here, `benches/lane_batch.rs`, is a plain `main` that asserts the
+//! lane engine's identity and prints an advisory speedup line.
 //!
 //! The experiment logic lives in [`leakyhammer::experiment`] and its
-//! harness adapters in [`leakyhammer::registry`]; this crate only
+//! harness adapters in [`mod@leakyhammer::registry`]; this crate only
 //! orchestrates and prints.
 
-pub use leakyhammer::{experiment, report, Scale};
-
 pub mod flight_view;
-
-/// All experiment identifiers the harness knows, with a one-line
-/// description (figure/table mapping per DESIGN.md §2).
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    (
-        "fig2",
-        "memory-request latencies: conflicts, refreshes, back-offs",
-    ),
-    ("fig3", "PRAC covert channel: 40-bit MICRO transmission"),
-    ("fig4", "PRAC covert channel vs noise intensity"),
-    ("fig5", "PRAC covert channel vs SPEC-like interference"),
-    ("fig6", "RFM covert channel: 40-bit MICRO transmission"),
-    ("fig7", "RFM covert channel vs noise intensity"),
-    ("fig8", "RFM covert channel vs SPEC-like interference"),
-    ("fig9", "website back-off fingerprints"),
-    ("fig10", "classifier accuracy over websites"),
-    ("fig11", "2-RFM / 1-RFM back-offs vs noise"),
-    ("fig12", "capacity vs preventive-action latency"),
-    ("fig13", "weighted speedup of defenses over NRH"),
-    ("table2", "decision-tree F1/precision/recall, 10-fold CV"),
-    ("table3", "leaked information by colocation granularity"),
-    ("multibit", "binary/ternary/quaternary channels (sec. 6.3)"),
-    ("counterleak", "activation-counter value leak (sec. 9.1)"),
-    ("cache", "larger caches + prefetching (sec. 10.3)"),
-    (
-        "mitigation",
-        "countermeasure capacity reduction (sec. 11.4)",
-    ),
-    (
-        "rowpolicy",
-        "closed-row policy vs DRAMA and LeakyHammer (sec. 9)",
-    ),
-    ("taxonomy", "defense taxonomy (sec. 12)"),
-    (
-        "chansweep",
-        "link-layer BER/capacity sweep: every defense x modulation x noise",
-    ),
-    (
-        "mitsweep",
-        "defense x mitigation Pareto sweep: capacity collapse vs scheduling cost",
-    ),
-];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_experiment_has_an_id_and_description() {
-        assert!(EXPERIMENTS.len() >= 19);
-        for (id, desc) in EXPERIMENTS {
-            assert!(!id.is_empty() && !desc.is_empty());
-        }
-        // Every figure and table of the evaluation is covered.
-        for fig in ["fig2", "fig13", "table2", "table3"] {
-            assert!(
-                EXPERIMENTS.iter().any(|(id, _)| id == &fig),
-                "missing {fig}"
-            );
-        }
-    }
-
-    #[test]
-    fn catalog_matches_the_harness_registry() {
-        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-        assert_eq!(
-            leakyhammer::registry().ids(),
-            ids,
-            "EXPERIMENTS and the harness registry must list the same experiments in the same order"
-        );
-    }
-}

@@ -1,7 +1,9 @@
 //! The coordinator: DAG-aware dispatch of experiment units across a
-//! fleet of worker processes (or threads), with the same caching,
-//! determinism and observability contract as the in-process
-//! [`Runner`](lh_harness::Runner).
+//! fleet of worker processes (or threads). It is a scheduling loop over
+//! the same run [`Ledger`] as the in-process
+//! [`Runner`](lh_harness::Runner) — claim, assign, requeue, discard —
+//! so caching, determinism and observability are that ledger's, not a
+//! second copy's.
 //!
 //! ## Scheduling
 //!
@@ -20,27 +22,24 @@
 //! bounded respawn budget; only exhausting that budget fails the run.
 //! A worker that *reports* a unit failure (`failed`) fails the run
 //! immediately: unit failures are deterministic, so requeueing would
-//! just fail elsewhere.
+//! just fail elsewhere. The fleet is retired with the run; relaunching
+//! it for the next one is free — the respawn budget is for deaths.
 //!
 //! Results are merged in unit order and `finish` runs in the
-//! coordinator, so a distributed run's envelope is byte-identical to
-//! `--jobs` execution no matter how units land on workers.
+//! coordinator (inside [`Ledger::close`]), so a distributed run's
+//! envelope is byte-identical to `--jobs` execution no matter how units
+//! land on workers.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 
 use lh_harness::cache::DiskCache;
 use lh_harness::job::{Job, JobContext, Registry};
-use lh_harness::json::Json;
-use lh_harness::metrics::{metrics_block, unwrap_entry_events, wrap_entry_events};
-use lh_harness::pool::{validate_dag, DagSchedule};
-use lh_harness::progress::{Progress, UnitOutcome};
-use lh_harness::runner::{
-    merged_fingerprint, probe_unit_cache, unit_key, ExperimentRun, RunStats, UnitEvent,
-};
+use lh_harness::ledger::{Ledger, Opened, UnitOutput};
+use lh_harness::pool::DagSchedule;
+use lh_harness::runner::ExperimentRun;
 use lh_harness::UnitObserver;
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
@@ -234,6 +233,10 @@ pub struct Coordinator {
     slots: Vec<Slot>,
     events_tx: mpsc::Sender<(usize, WorkerEvent)>,
     events_rx: mpsc::Receiver<(usize, WorkerEvent)>,
+    /// `slots.len()` at the last [`Coordinator::shutdown`]: the fleet
+    /// launched after a deliberate retirement is as free as the first.
+    /// (Slots are never reused — reader threads tag events by index.)
+    retired: usize,
     respawns_left: usize,
     stats: CoordStats,
     telemetry: FleetTelemetry,
@@ -269,6 +272,7 @@ impl Coordinator {
             slots: Vec::new(),
             events_tx,
             events_rx,
+            retired: 0,
             respawns_left,
             stats: CoordStats::default(),
             telemetry: FleetTelemetry::new(),
@@ -342,15 +346,16 @@ impl Coordinator {
     }
 
     /// Brings the fleet up to `options.workers` live workers. The first
-    /// `workers` launches are free; after that each replacement draws
-    /// on the respawn budget.
+    /// `workers` launches (since the last shutdown) are free; after that
+    /// each replacement — of a worker that *died* — draws on the
+    /// respawn budget.
     ///
     /// # Errors
     ///
     /// When no worker is alive and nothing more may be spawned.
     fn ensure_workers(&mut self) -> Result<(), String> {
         while self.live_count() < self.options.workers.max(1) {
-            let respawn = self.slots.len() >= self.options.workers.max(1);
+            let respawn = self.slots.len() >= self.retired + self.options.workers.max(1);
             if respawn {
                 if self.respawns_left == 0 {
                     break;
@@ -402,11 +407,11 @@ impl Coordinator {
             .position(|s| s.alive && s.busy.is_none() && s.tx.is_some())
     }
 
-    /// Runs one experiment end to end across the fleet, mirroring the
-    /// in-process runner's semantics exactly: warm merged-cache path,
-    /// per-unit cache probing with dependency-edge pruning, topological
-    /// dispatch, unit-order merge. The merged result is byte-identical
-    /// to any `--jobs` run of the same `(job, ctx)`.
+    /// Runs one experiment end to end across the fleet: the ledger
+    /// replays what the cache covers (a merged hit skips the fleet
+    /// entirely), this loop dispatches the rest topologically, and the
+    /// ledger merges in unit order. The result is byte-identical to any
+    /// `--jobs` run of the same `(job, ctx)`.
     ///
     /// # Errors
     ///
@@ -414,103 +419,42 @@ impl Coordinator {
     /// (deaths beyond the respawn budget), protocol-version mismatches,
     /// and deterministic unit failures reported by workers.
     pub fn run(&mut self, job: &dyn Job, ctx: &JobContext) -> Result<ExperimentRun, String> {
-        let started = Instant::now();
-        // Sampled once per run (the same contract as the in-process
-        // runner): keys, assignments and assembly all use this value.
-        let events_on = lh_obs::flight::enabled();
-        let units = job.units(ctx);
-        let n = units.len();
-        let merged_key = unit_key(job, &merged_fingerprint(&units), ctx, events_on);
-
-        if let Some(cache) = &self.options.cache {
-            if let Some(entry) = cache.get(&merged_key) {
-                let (metrics, merged, events) = unwrap_entry_events(entry);
-                if self.options.progress {
-                    note(format_args!(
-                        "{}: merged result cached, nothing to do",
-                        job.id()
-                    ));
-                }
-                return Ok(ExperimentRun {
-                    id: job.id(),
-                    merged,
-                    metrics,
-                    events,
-                    stats: RunStats {
-                        units_total: n,
-                        units_cached: n,
-                        units_executed: 0,
-                        merged_cached: true,
-                        wall_ms: started.elapsed().as_millis(),
-                    },
-                });
-            }
-        }
-
-        let deps: Vec<Vec<usize>> = (0..n).map(|i| job.deps(i, ctx)).collect();
-        validate_dag(&deps).map_err(|e| format!("{}: invalid unit DAG: {e}", job.id()))?;
-
-        // Probe the shared cache up front — the warm path. Hits never
-        // reach a worker, and (exactly as in the runner — the probe and
-        // pruning semantics are one shared function) a hit's own
-        // dependency edges are pruned so it neither waits nor re-ships
-        // inputs. (Cloning the handle — a path — sidesteps borrowing
-        // `self` across the mutable fleet operations below.)
-        let cache = self.options.cache.clone();
-        let cache = cache.as_ref();
-        let (mut hits, eff_deps) = probe_unit_cache(job, &units, &deps, cache, ctx, events_on);
-        let units_cached = hits.iter().filter(|h| h.is_some()).count();
-        let mut sched = DagSchedule::new(&eff_deps).expect("validated above, pruning is safe");
+        let o = &self.options;
+        let opened = Ledger::open(job, ctx, o.cache.as_ref(), o.progress, o.observer.as_ref())?;
+        let ledger = match opened {
+            Opened::Cached(run) => return Ok(run),
+            Opened::Live(ledger) => ledger,
+        };
+        let mut sched =
+            DagSchedule::new(ledger.deps()).expect("the ledger validated the DAG; pruning is safe");
 
         // Don't wake the fleet for a run the cache fully covers: with
         // every unit a hit, the dispatch loop completes inline.
-        if units_cached < n {
+        if ledger.units_missed() > 0 {
             self.ensure_workers()?;
         }
-        let progress = Progress::new(job.id(), n, self.options.progress);
-        let mut results: Vec<Option<Json>> = vec![None; n];
-        let mut unit_metrics: Vec<Option<Json>> = vec![None; n];
-        let mut unit_events: Vec<Option<String>> = vec![None; n];
 
         while !sched.is_done() {
             // Dispatch everything ready: cache hits complete on the
             // spot, the rest go to idle workers with their dependency
             // results inlined.
             while let Some(unit) = sched.claim() {
-                if let Some(hit) = hits[unit].take() {
-                    let (metrics, result, events) = unwrap_entry_events(hit);
-                    unit_events[unit] = events;
-                    self.complete_unit(
-                        job,
-                        &units,
-                        unit,
-                        result,
-                        metrics,
-                        true,
-                        0,
-                        &mut results,
-                        &mut unit_metrics,
-                        &mut sched,
-                        &progress,
-                    );
+                if ledger.replay(unit) {
+                    sched.complete(unit);
                     continue;
                 }
                 let Some(w) = self.idle_worker() else {
                     sched.requeue(unit);
                     break;
                 };
-                let payload: Vec<Json> = deps[unit]
-                    .iter()
-                    .map(|&d| results[d].clone().expect("dependency completed before use"))
-                    .collect();
                 let msg = ToWorker::Assign {
                     experiment: job.id().to_owned(),
                     unit,
                     scale: ctx.scale.as_str().to_owned(),
                     seed: ctx.seed,
-                    events: events_on,
+                    events: ledger.events_on(),
                     events_cap: lh_obs::flight::cap() as u64,
-                    deps: payload,
+                    deps: ledger.dep_results(unit),
                 }
                 .to_json();
                 let sent = self.slots[w]
@@ -522,7 +466,7 @@ impl Coordinator {
                     Ok(()) => {
                         self.slots[w].busy = Some(unit);
                         self.telemetry
-                            .worker_assigned(w, format!("{}/{}", job.id(), units[unit]));
+                            .worker_assigned(w, format!("{}/{}", job.id(), ledger.units()[unit]));
                     }
                     Err(e) => {
                         sched.requeue(unit);
@@ -581,20 +525,14 @@ impl Coordinator {
                     }
                     self.slots[w].busy = None;
                     self.telemetry.worker_done(w);
-                    unit_events[unit] = events;
-                    self.complete_unit(
-                        job,
-                        &units,
-                        unit,
+                    let output = UnitOutput {
                         result,
                         metrics,
-                        false,
-                        wall_ms,
-                        &mut results,
-                        &mut unit_metrics,
-                        &mut sched,
-                        &progress,
-                    );
+                        events,
+                        wall_ms: u128::from(wall_ms),
+                    };
+                    ledger.record(unit, output);
+                    sched.complete(unit);
                 }
                 WorkerEvent::Message(FromWorker::Failed {
                     experiment,
@@ -625,102 +563,7 @@ impl Coordinator {
                 }
             }
         }
-
-        let per_unit: Vec<Json> = unit_metrics
-            .into_iter()
-            .map(|m| m.expect("all units completed"))
-            .collect();
-        let metrics = metrics_block(&units, &per_unit);
-        // Assemble the event log in unit order — the same bytes the
-        // in-process runner produces, whatever the completion order or
-        // worker placement was.
-        let events = events_on.then(|| {
-            let mut blob = lh_obs::flight::experiment_header(
-                job.id(),
-                ctx.scale.as_str(),
-                ctx.seed,
-                units.len(),
-            );
-            for e in unit_events.iter().flatten() {
-                blob.push_str(e);
-            }
-            blob
-        });
-        let merged = job.finish(
-            results
-                .into_iter()
-                .map(|r| r.expect("all units completed"))
-                .collect(),
-            ctx,
-        );
-        if let Some(c) = cache {
-            let entry = wrap_entry_events(metrics.clone(), merged.clone(), events.clone());
-            if let Err(e) = c.put(&merged_key, &entry) {
-                note(format_args!(
-                    "warning: cache write failed for {} merge: {e}",
-                    job.id()
-                ));
-            }
-        }
-        progress.finished(units_cached, n - units_cached);
-
-        Ok(ExperimentRun {
-            id: job.id(),
-            merged,
-            metrics,
-            events,
-            stats: RunStats {
-                units_total: n,
-                units_cached,
-                units_executed: n - units_cached,
-                merged_cached: false,
-                wall_ms: started.elapsed().as_millis(),
-            },
-        })
-    }
-
-    /// Records a completed unit: result slot, metrics slot, schedule
-    /// relaxation, progress line, observer event.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_unit(
-        &self,
-        job: &dyn Job,
-        units: &[String],
-        unit: usize,
-        result: Json,
-        metrics: Json,
-        cached: bool,
-        wall_ms: u64,
-        results: &mut [Option<Json>],
-        unit_metrics: &mut [Option<Json>],
-        sched: &mut DagSchedule,
-        progress: &Progress,
-    ) {
-        progress.unit_done(
-            &units[unit],
-            if cached {
-                UnitOutcome::Cached
-            } else {
-                UnitOutcome::Ran(u128::from(wall_ms))
-            },
-        );
-        // Lifetime accounting for dashboards; the deterministic
-        // channel (envelopes, cache entries) never reads the registry.
-        lh_obs::Registry::global().absorb(&lh_harness::metrics::metrics_from_json(&metrics));
-        if let Some(observe) = &self.options.observer {
-            observe(&UnitEvent {
-                experiment: job.id(),
-                unit: units[unit].clone(),
-                index: unit,
-                cached,
-                wall_ms: u128::from(wall_ms),
-                metrics: metrics.clone(),
-                result: result.clone(),
-            });
-        }
-        results[unit] = Some(result);
-        unit_metrics[unit] = Some(metrics);
-        sched.complete(unit);
+        Ok(ledger.close())
     }
 
     /// Shuts the fleet down: polite `shutdown` messages, EOF on every
@@ -745,6 +588,7 @@ impl Coordinator {
             }
             let _ = std::fs::remove_dir_all(shared.dir().join(".workers"));
         }
+        self.retired = self.slots.len();
         self.telemetry.fleet_down();
     }
 }

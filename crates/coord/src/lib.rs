@@ -9,7 +9,16 @@
 //! --worker`) executes assigned units, speaking a tiny NDJSON line
 //! protocol ([`protocol`]) over a pluggable [`transport`].
 //!
-//! The contract mirrors the in-process runner exactly:
+//! This crate owns *scheduling* — which worker runs which missed unit,
+//! and what happens when one dies — and nothing else. What a run
+//! replays, captures, stores, reports and returns is owned by
+//! [`lh_harness::ledger`]: [`Coordinator::run`] opens a ledger, feeds
+//! it every `done` payload and closes it; `worker::run_assignment`
+//! executes through the ledger's `execute_unit`. A new rail (an
+//! observability channel, a cache-entry field) is wired there, never
+//! here — beyond carrying a new field in the [`protocol`] messages.
+//!
+//! The contract is therefore the in-process runner's own:
 //!
 //! * **determinism** — a unit's seed derives from `(experiment id,
 //!   unit index, master seed)` *inside the worker*, dependency results

@@ -4,20 +4,18 @@
 //! A worker is stateless between assignments — every `assign` message
 //! carries the experiment id, unit index, scale, master seed, and the
 //! unit's dependency results, so any worker can run any unit at any
-//! time and placement never influences results. The unit's RNG seed is
-//! derived locally with the same [`derive_seed`] the in-process runner
-//! uses.
+//! time and placement never influences results. The unit runs through
+//! the same [`execute_unit`] as in the in-process runner, which derives
+//! its RNG seed locally.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lh_harness::cache::DiskCache;
 use lh_harness::job::{JobContext, Registry};
-use lh_harness::metrics::{metrics_to_json, wrap_entry_events};
-use lh_harness::runner::unit_key;
-use lh_harness::seed::derive_seed;
+use lh_harness::ledger::{execute_unit, UnitOutput};
 
 use crate::protocol::{FromWorker, ToWorker};
 use crate::transport::{Link, Sender};
@@ -182,15 +180,15 @@ pub fn worker_loop(
             &cache,
             &memo,
         ) {
-            Ok((result, metrics, wall_ms, unit_events)) => {
+            Ok(output) => {
                 units_done.fetch_add(1, Ordering::Relaxed);
                 FromWorker::Done {
                     experiment,
                     unit,
-                    wall_ms,
-                    metrics,
-                    result,
-                    events: unit_events,
+                    wall_ms: u64::try_from(output.wall_ms).unwrap_or(u64::MAX),
+                    metrics: output.metrics,
+                    result: output.result,
+                    events: output.events,
                 }
             }
             Err(error) => FromWorker::Failed {
@@ -210,9 +208,10 @@ pub fn worker_loop(
     Ok(())
 }
 
-/// Executes one assignment, returning the result, its deterministic
-/// metrics, its wall time, and (when the assignment asked for one) its
-/// rendered flight-event log.
+/// Executes one assignment through the harness's one
+/// [`execute_unit`] — capture, derived seed, the unit entry in this
+/// worker's private `cache` under the exact key any executor would use
+/// — turning a panicking unit into an error for the `failed` reply.
 #[allow(clippy::too_many_arguments)]
 fn run_assignment(
     registry: &Registry,
@@ -224,7 +223,7 @@ fn run_assignment(
     deps: &[lh_harness::Json],
     cache: &Option<DiskCache>,
     memo: &lh_harness::Memo,
-) -> Result<(lh_harness::Json, lh_harness::Json, u64, Option<String>), String> {
+) -> Result<UnitOutput, String> {
     let job = registry
         .get(experiment)
         .ok_or_else(|| format!("unknown experiment '{experiment}' in this worker's registry"))?;
@@ -234,22 +233,15 @@ fn run_assignment(
         memo: memo.clone(),
     };
     let units = job.units(&ctx);
-    let label = units
-        .get(unit)
-        .ok_or_else(|| {
-            format!(
-                "unit {unit} out of range for {experiment} ({} units at scale {scale})",
-                units.len()
-            )
-        })?
-        .clone();
+    let label = units.get(unit).ok_or_else(|| {
+        format!(
+            "unit {unit} out of range for {experiment} ({} units at scale {scale})",
+            units.len()
+        )
+    })?;
 
-    let started = Instant::now();
-    let ((result, recorded), flight) = catch_unwind(AssertUnwindSafe(|| {
-        let _span = lh_obs::Span::enter("unit.run", "worker");
-        lh_obs::flight::capture(|| {
-            lh_obs::record(|| job.run_unit(unit, derive_seed(job.id(), unit, ctx.seed), deps, &ctx))
-        })
+    catch_unwind(AssertUnwindSafe(|| {
+        execute_unit(job, &ctx, unit, label, deps, events, cache.as_ref())
     }))
     .map_err(|payload| {
         let cause = payload
@@ -258,25 +250,14 @@ fn run_assignment(
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "unit panicked".to_owned());
         format!("{experiment}/{label} panicked: {cause}")
-    })?;
-    let unit_events = events.then(|| flight.render(&label, unit));
-    let metrics = metrics_to_json(&recorded);
-    let wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-
-    if let Some(c) = cache {
-        let entry = wrap_entry_events(metrics.clone(), result.clone(), unit_events.clone());
-        if let Err(e) = c.put(&unit_key(job, &label, &ctx, events), &entry) {
-            eprintln!("warning: worker cache write failed for {experiment}/{label}: {e}");
-        }
-    }
-    Ok((result, metrics, wall_ms, unit_events))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::memory_pair;
-    use lh_harness::{Job, Json};
+    use lh_harness::{derive_seed, Job, Json};
 
     struct Doubler;
 

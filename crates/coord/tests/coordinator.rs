@@ -263,6 +263,28 @@ fn deterministic_unit_failures_abort_instead_of_requeueing() {
 }
 
 #[test]
+fn unit_failures_do_not_spend_the_respawn_budget() {
+    let options = CoordinatorOptions::default();
+    let failing_runs = options.max_respawns + 1;
+    let mut coordinator = Coordinator::new(Box::new(ThreadSpawner::new(registry)), options);
+    // Each failed run retires the fleet on purpose; relaunching it for
+    // the next run is not a worker *death* and must stay free, or a
+    // resident coordinator dies for good after a few bad submissions.
+    for _ in 0..failing_runs {
+        coordinator
+            .run(registry().get("poisoned").unwrap(), &ctx())
+            .unwrap_err();
+    }
+    let run = coordinator
+        .run(registry().get("layered").unwrap(), &ctx())
+        .expect("a good run after failed ones must still find a fleet");
+    assert_eq!(run.merged, in_process_reference());
+    let stats = coordinator.stats();
+    assert_eq!(stats.respawns_used, 0, "{stats:?}");
+    assert_eq!(stats.workers_lost, 0, "{stats:?}");
+}
+
+#[test]
 fn worker_caches_merge_into_the_shared_cache_the_runner_reads() {
     let cache = temp_cache("interop");
     let job_owner = registry();

@@ -31,6 +31,22 @@
 //! knows nothing about the simulator: jobs communicate through the
 //! hand-rolled [`json::Json`] value type.
 //!
+//! ## Who owns what
+//!
+//! Every byte a run returns or stores is decided by the run
+//! [`ledger`]: cache keys, the merged-entry and per-unit replay rules,
+//! what a unit execution captures ([`execute_unit`]), what each
+//! completion reports, and the unit-order assembly of the metrics
+//! block, the event log and the merged result. A *scheduling loop* only
+//! decides where a missed unit executes: [`Runner::run`] on this
+//! crate's thread pool ([`pool`]), `lh-coord`'s `Coordinator::run` on a
+//! fleet of workers whose `run_assignment` calls the same
+//! [`execute_unit`]. That split is what makes `--jobs`, `--workers` and
+//! the resident service return the same bytes by construction — and a
+//! new rail (an observability channel, a cache-entry field) is wired in
+//! [`execute_unit`], [`Ledger::record`] and [`Ledger::close`], and
+//! nowhere else.
+//!
 //! ## Example
 //!
 //! ```
@@ -70,6 +86,7 @@ pub mod cache;
 pub mod hash;
 pub mod job;
 pub mod json;
+pub mod ledger;
 pub mod memo;
 pub mod metrics;
 pub mod pool;
@@ -81,6 +98,7 @@ pub mod sink;
 pub use cache::{CacheKey, DiskCache};
 pub use job::{Job, JobContext, Registry, ScaleLevel};
 pub use json::Json;
+pub use ledger::{execute_unit, Ledger, Opened, UnitOutput};
 pub use memo::Memo;
 pub use metrics::{
     metrics_block, metrics_from_json, metrics_to_json, unwrap_entry, unwrap_entry_events,
@@ -88,8 +106,8 @@ pub use metrics::{
 };
 pub use pool::DagSchedule;
 pub use runner::{
-    merged_fingerprint, probe_unit_cache, unit_key, ExperimentRun, RunStats, Runner, RunnerOptions,
-    UnitEvent, UnitObserver,
+    merged_fingerprint, unit_key, ExperimentRun, RunStats, Runner, RunnerOptions, UnitEvent,
+    UnitObserver,
 };
 pub use seed::derive_seed;
 pub use sink::OutputFormat;

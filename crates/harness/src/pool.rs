@@ -1,18 +1,18 @@
 //! A work-claiming thread pool that schedules unit DAGs topologically.
 //!
 //! Workers claim *ready* units — units whose dependencies have all
-//! completed — from a shared scheduler and write results into their
-//! unit's slot, so the returned vector is always in unit order
-//! regardless of completion order. Independent units (the common case:
-//! every flat sweep) degenerate to plain work claiming with perfect
-//! load balance for units of unequal cost; the scheduler's per-unit
-//! overhead (one mutex hop and a heap pop) is noise next to any real
-//! simulation unit.
+//! completed — from a shared scheduler. Independent units (the common
+//! case: every flat sweep) degenerate to plain work claiming with
+//! perfect load balance for units of unequal cost; the scheduler's
+//! per-unit overhead (one mutex hop and a heap pop) is noise next to
+//! any real simulation unit.
 //!
-//! Determinism: claim order never influences results — a unit's inputs
-//! are its index, its dependency outputs (fixed by the DAG) and
-//! whatever the caller derives from the index (seeds) — so any worker
-//! count produces bit-identical output.
+//! The pool only orders execution; it carries no results. The run
+//! [`ledger`](crate::ledger) keeps every unit's output in its unit's
+//! slot and hands a dependent its inputs, so claim order never
+//! influences results — a unit's inputs are its index, its dependency
+//! outputs (fixed by the DAG) and whatever the caller derives from the
+//! index (seeds) — and any worker count produces bit-identical output.
 
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
@@ -166,13 +166,13 @@ struct SchedState {
     poisoned: bool,
 }
 
-/// Runs `work(i, dep_results)` for every unit of a dependency DAG, on
-/// up to `jobs` threads, returning results in unit order.
+/// Runs `work(i)` for every unit of a dependency DAG, on up to `jobs`
+/// threads.
 ///
-/// `deps[i]` lists the units whose results unit `i` consumes; `work`
-/// receives clones of those results in declaration order, each edge
-/// delivered exactly once. Units are claimed lowest-index-first among
-/// the ready set, but results never depend on claim order.
+/// `deps[i]` lists the units that must finish before unit `i` starts:
+/// `work(i)` is called only after `work(d)` has returned for every `d`
+/// in it, and sees everything those calls wrote. Units are claimed
+/// lowest-index-first among the ready set.
 ///
 /// # Errors
 ///
@@ -181,41 +181,24 @@ struct SchedState {
 ///
 /// Panics in `work` are propagated: the pool stops claiming new units,
 /// finishes outstanding claims, then re-panics on the caller thread.
-pub fn run_dag<R, F>(jobs: usize, deps: &[Vec<usize>], work: F) -> Result<Vec<R>, String>
+pub fn run_dag<F>(jobs: usize, deps: &[Vec<usize>], work: F) -> Result<(), String>
 where
-    R: Send + Clone,
-    F: Fn(usize, Vec<R>) -> R + Sync,
+    F: Fn(usize) + Sync,
 {
-    let n = validate_dag(deps)?;
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let take_deps = |unit: usize| -> Vec<R> {
-        deps[unit]
-            .iter()
-            .map(|&d| {
-                slots[d]
-                    .lock()
-                    .expect("dep slot poisoned")
-                    .clone()
-                    .expect("dependency scheduled before dependent")
-            })
-            .collect()
-    };
-
-    let jobs = jobs.max(1).min(n.max(1));
+    let mut sched = DagSchedule::new(deps)?;
+    let jobs = jobs.max(1).min(sched.total().max(1));
     if jobs <= 1 {
         // Serial: claim in the same lowest-index-first topological
         // order the parallel scheduler uses.
-        let mut sched = DagSchedule::new(deps).expect("deps validated above");
         while let Some(u) = sched.claim() {
-            let result = work(u, take_deps(u));
-            *slots[u].lock().expect("result slot poisoned") = Some(result);
+            work(u);
             sched.complete(u);
         }
-        return Ok(collect(slots));
+        return Ok(());
     }
 
     let state = Mutex::new(SchedState {
-        sched: DagSchedule::new(deps).expect("deps validated above"),
+        sched,
         poisoned: false,
     });
     let ready_cv = Condvar::new();
@@ -236,12 +219,8 @@ where
                         s = ready_cv.wait(s).expect("scheduler state poisoned");
                     }
                 };
-                let dep_results = take_deps(unit);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    work(unit, dep_results)
-                })) {
-                    Ok(result) => {
-                        *slots[unit].lock().expect("result slot poisoned") = Some(result);
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(unit))) {
+                    Ok(()) => {
                         let mut s = state.lock().expect("scheduler state poisoned");
                         s.sched.complete(unit);
                         ready_cv.notify_all();
@@ -263,18 +242,7 @@ where
     if let Some(payload) = panic_payload.into_inner().expect("panic slot poisoned") {
         std::panic::resume_unwind(payload);
     }
-    Ok(collect(slots))
-}
-
-fn collect<R>(slots: Vec<Mutex<Option<R>>>) -> Vec<R> {
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("all units claimed and completed")
-        })
-        .collect()
+    Ok(())
 }
 
 /// A reasonable default worker count for this machine.
@@ -285,27 +253,39 @@ pub fn default_jobs() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// Runs `deps` on `jobs` threads, checking inside every unit that
+    /// its dependencies have finished; returns per-unit run counts.
+    fn run_checked(jobs: usize, deps: &[Vec<usize>]) -> Vec<usize> {
+        let runs: Vec<AtomicUsize> = deps.iter().map(|_| AtomicUsize::new(0)).collect();
+        let done: Vec<AtomicBool> = deps.iter().map(|_| AtomicBool::new(false)).collect();
+        run_dag(jobs, deps, |i| {
+            for &d in &deps[i] {
+                assert!(
+                    done[d].load(Ordering::SeqCst),
+                    "unit {i} started before its dependency {d} finished (jobs={jobs})"
+                );
+            }
+            runs[i].fetch_add(1, Ordering::SeqCst);
+            done[i].store(true, Ordering::SeqCst);
+        })
+        .unwrap();
+        runs.iter().map(|r| r.load(Ordering::SeqCst)).collect()
+    }
 
     #[test]
-    fn preserves_order_for_any_job_count() {
+    fn runs_every_unit_exactly_once_for_any_job_count() {
         let deps: Vec<Vec<usize>> = (0..97).map(|_| Vec::new()).collect();
-        let serial = run_dag(1, &deps, |i, _: Vec<usize>| i * 1000 + i * i).unwrap();
-        for jobs in [2, 3, 8, 64] {
-            assert_eq!(
-                serial,
-                run_dag(jobs, &deps, |i, _: Vec<usize>| i * 1000 + i * i).unwrap()
-            );
+        for jobs in [1, 2, 3, 8, 64] {
+            assert_eq!(run_checked(jobs, &deps), vec![1; 97], "jobs={jobs}");
         }
     }
 
     #[test]
     fn empty_and_single_items_work() {
-        assert!(run_dag(8, &[], |_, _: Vec<u32>| 0).unwrap().is_empty());
-        assert_eq!(
-            run_dag(8, &[vec![]], |_, _: Vec<u32>| 10).unwrap(),
-            vec![10]
-        );
+        assert!(run_checked(8, &[]).is_empty());
+        assert_eq!(run_checked(8, &[vec![]]), vec![1]);
     }
 
     #[test]
@@ -313,12 +293,11 @@ mod tests {
         let peak = AtomicUsize::new(0);
         let live = AtomicUsize::new(0);
         let deps: Vec<Vec<usize>> = (0..16).map(|_| Vec::new()).collect();
-        run_dag(4, &deps, |_, _: Vec<u32>| {
+        run_dag(4, &deps, |_| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(20));
             live.fetch_sub(1, Ordering::SeqCst);
-            0
         })
         .unwrap();
         assert!(
@@ -331,40 +310,18 @@ mod tests {
     fn panics_propagate() {
         let deps: Vec<Vec<usize>> = (0..8).map(|_| Vec::new()).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_dag(4, &deps, |i, _: Vec<usize>| {
-                if i == 3 {
-                    panic!("unit 3 failed");
-                }
-                i
-            })
+            run_dag(4, &deps, |i| assert!(i != 3, "unit 3 failed"))
         }));
         assert!(result.is_err());
     }
 
-    /// A diamond: 0 → {1, 2} → 3. Checks topological delivery, exactly
-    /// one delivery per edge, and identical results at any worker count.
+    /// A diamond: 0 → {1, 2} → 3. Every unit runs once, and only after
+    /// everything it depends on, at any worker count.
     #[test]
-    fn dag_delivers_each_dependency_exactly_once() {
+    fn dag_units_start_only_after_their_dependencies() {
         let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let serial = run_dag(1, &deps, |i, d: Vec<u64>| {
-            (i as u64 + 1) * 100 + d.iter().sum::<u64>()
-        })
-        .unwrap();
-        assert_eq!(serial, vec![100, 300, 400, 1100]);
-        for jobs in [2, 4, 8] {
-            let deliveries = AtomicUsize::new(0);
-            let parallel = run_dag(jobs, &deps, |i, d: Vec<u64>| {
-                deliveries.fetch_add(d.len(), Ordering::SeqCst);
-                (i as u64 + 1) * 100 + d.iter().sum::<u64>()
-            })
-            .unwrap();
-            assert_eq!(serial, parallel, "jobs={jobs}");
-            let edges: usize = deps.iter().map(Vec::len).sum();
-            assert_eq!(
-                deliveries.load(Ordering::SeqCst),
-                edges,
-                "each dependency edge must deliver exactly once (jobs={jobs})"
-            );
+        for jobs in [1, 2, 4, 8] {
+            assert_eq!(run_checked(jobs, &deps), vec![1; 4], "jobs={jobs}");
         }
     }
 
@@ -375,13 +332,7 @@ mod tests {
         let deps: Vec<Vec<usize>> = (0..32)
             .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
             .collect();
-        let results = run_dag(16, &deps, |i, d: Vec<usize>| {
-            assert_eq!(d.len(), usize::from(i > 0));
-            d.first().copied().unwrap_or(0) + i
-        })
-        .unwrap();
-        assert_eq!(results[31], (0..32).sum::<usize>());
-        assert_eq!(results[1], 1);
+        assert_eq!(run_checked(16, &deps), vec![1; 32]);
     }
 
     /// The standalone schedule honors edges across claim/requeue: a
@@ -415,9 +366,8 @@ mod tests {
     #[test]
     fn cycles_and_bad_edges_are_rejected_before_running() {
         let ran = AtomicUsize::new(0);
-        let work = |_: usize, _: Vec<u32>| {
+        let work = |_: usize| {
             ran.fetch_add(1, Ordering::SeqCst);
-            0u32
         };
         let err = run_dag(4, &[vec![1], vec![0]], work).unwrap_err();
         assert!(err.contains("cycle"), "{err}");

@@ -1,128 +1,17 @@
-//! The orchestrator: cache lookup → topological parallel unit
-//! execution → ordered merge, with per-run statistics and per-unit
-//! completion events.
+//! The in-process scheduling loop: a [`Runner`] pushes the missed units
+//! of a run through the topological thread pool ([`crate::pool`]). What
+//! the run replays, stores, reports and returns is the
+//! [`ledger`](crate::ledger)'s business; the types it speaks are
+//! re-exported here.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use crate::cache::{CacheKey, DiskCache};
+use crate::cache::DiskCache;
 use crate::job::{Job, JobContext};
-use crate::json::Json;
-use crate::metrics::{
-    metrics_block, metrics_from_json, metrics_to_json, unwrap_entry_events, wrap_entry_events,
-};
+use crate::ledger::{Ledger, Opened};
 use crate::pool;
-use crate::progress::{Progress, UnitOutcome};
-use crate::seed::derive_seed;
 
-/// Unit fingerprint of a job's merged (post-`finish`) result. Includes
-/// the unit list digest so a changed decomposition invalidates the
-/// merged entry even at an unchanged job version.
-///
-/// Public because every executor that shares the cache — the in-process
-/// [`Runner`] and the `lh-coord` coordinator — must address merged
-/// entries identically for warm paths to interoperate.
-pub fn merged_fingerprint(units: &[String]) -> String {
-    let mut h = crate::hash::Hasher::new();
-    for u in units {
-        h.field(u);
-    }
-    format!("merged:{}", h.digest())
-}
-
-/// The cache key of one unit (or, with [`merged_fingerprint`] as the
-/// unit, of the merged result) of `job` under `ctx`.
-///
-/// The single source of truth for cache addressing: the [`Runner`], the
-/// `lh-coord` coordinator's warm-path probe, and distributed workers'
-/// private cache writes all construct keys through here, so entries
-/// written by any executor replay under every other.
-///
-/// `events` is whether the entry carries a flight-event log; it is an
-/// explicit parameter — never read from the process-global recording
-/// switch — so an executor whose switch lags its assignment (e.g. a
-/// worker process) cannot write an event-less entry under an
-/// events-expected key. Event-bearing entries live under a distinct
-/// fingerprint, so a plain run never replays (or misses on) a
-/// recording run's entries and vice versa.
-pub fn unit_key(job: &dyn Job, unit: &str, ctx: &JobContext, events: bool) -> CacheKey {
-    let fingerprint = if events {
-        format!("{}+events", job.fingerprint())
-    } else {
-        job.fingerprint()
-    };
-    CacheKey {
-        experiment: job.id().to_owned(),
-        unit: unit.to_owned(),
-        scale: ctx.scale.as_str().to_owned(),
-        seed: ctx.seed,
-        job_version: job.version(),
-        fingerprint,
-    }
-}
-
-/// Probes the cache for every unit up front and prunes the dependency
-/// edges of hits: a replayed unit consumes no inputs, so on a partially
-/// warm cache it neither waits for its dependencies nor re-consumes
-/// their outputs. Returns `(hits, effective deps)`.
-///
-/// Hits are returned as stored — the `{"metrics": ..., "result": ...}`
-/// wrapper of [`crate::metrics::wrap_entry`] — so callers split them
-/// with [`crate::metrics::unwrap_entry`].
-///
-/// The one warm-path semantic, shared by the [`Runner`] and the
-/// `lh-coord` coordinator so the two executors can never drift in what
-/// they replay or how they prune.
-pub fn probe_unit_cache(
-    job: &dyn Job,
-    units: &[String],
-    deps: &[Vec<usize>],
-    cache: Option<&DiskCache>,
-    ctx: &JobContext,
-    events: bool,
-) -> (Vec<Option<Json>>, Vec<Vec<usize>>) {
-    let hits: Vec<Option<Json>> = units
-        .iter()
-        .map(|unit| cache.and_then(|c| c.get(&unit_key(job, unit, ctx, events))))
-        .collect();
-    let eff_deps = deps
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if hits[i].is_some() {
-                Vec::new()
-            } else {
-                d.clone()
-            }
-        })
-        .collect();
-    (hits, eff_deps)
-}
-
-/// One completed unit, reported to a [`UnitObserver`] the moment it
-/// finishes — from a worker thread, in completion (not unit) order.
-#[derive(Debug, Clone)]
-pub struct UnitEvent {
-    /// Experiment id.
-    pub experiment: &'static str,
-    /// The unit's label.
-    pub unit: String,
-    /// The unit's index within the job.
-    pub index: usize,
-    /// Whether the result was replayed from the cache.
-    pub cached: bool,
-    /// Wall-clock milliseconds spent executing (0 for cache hits).
-    pub wall_ms: u128,
-    /// Deterministic counters recorded while the unit ran (replayed
-    /// from the cache entry for hits), as a sorted-key JSON object.
-    pub metrics: Json,
-    /// The unit's JSON result.
-    pub result: Json,
-}
-
-/// Callback invoked as each unit completes. Called concurrently from
-/// worker threads; implementations serialize their own output.
-pub type UnitObserver = Arc<dyn Fn(&UnitEvent) + Send + Sync>;
+pub use crate::ledger::{
+    merged_fingerprint, unit_key, ExperimentRun, RunStats, UnitEvent, UnitObserver,
+};
 
 /// Execution options for a [`Runner`].
 #[derive(Clone, Default)]
@@ -148,44 +37,6 @@ impl std::fmt::Debug for RunnerOptions {
     }
 }
 
-/// Statistics of one experiment run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Units the job decomposed into.
-    pub units_total: usize,
-    /// Units served from the cache.
-    pub units_cached: usize,
-    /// Units executed in this run.
-    pub units_executed: usize,
-    /// Whether the merged result was served from the cache (in which
-    /// case no units were even enumerated for execution).
-    pub merged_cached: bool,
-    /// Wall-clock milliseconds for the whole experiment.
-    pub wall_ms: u128,
-}
-
-/// One experiment's merged result plus run statistics.
-#[derive(Debug, Clone)]
-pub struct ExperimentRun {
-    /// Experiment id.
-    pub id: &'static str,
-    /// The merged (post-`finish`) result.
-    pub merged: Json,
-    /// The deterministic metrics block
-    /// (`{"units": {label: counters}, "totals": counters}`, see
-    /// [`metrics_block`]): per-unit counters in unit order plus their
-    /// counter-wise sum. Byte-stable across `--jobs`, cache states and
-    /// worker counts, unlike [`RunStats`].
-    pub metrics: Json,
-    /// The assembled flight-event log (`Some` only when recording was
-    /// enabled): one experiment header line, then each unit's rendered
-    /// log in unit order. Byte-identical across `--jobs`, worker
-    /// counts and cache replay, like `metrics`.
-    pub events: Option<String>,
-    /// What it took.
-    pub stats: RunStats,
-}
-
 /// Executes jobs according to [`RunnerOptions`].
 #[derive(Debug, Default)]
 pub struct Runner {
@@ -207,10 +58,6 @@ impl Runner {
         }
     }
 
-    fn key(&self, job: &dyn Job, unit: &str, ctx: &JobContext, events: bool) -> CacheKey {
-        unit_key(job, unit, ctx, events)
-    }
-
     /// Runs one experiment end to end.
     ///
     /// Units execute topologically: a unit runs only once every unit
@@ -226,167 +73,30 @@ impl Runner {
     /// dependency). Cache write failures are reported on stderr, not
     /// fatal; a poisoned unit execution panics instead.
     pub fn run(&self, job: &dyn Job, ctx: &JobContext) -> Result<ExperimentRun, String> {
-        let started = Instant::now();
-        // Sampled once per run so keys, capture and assembly agree even
-        // if the process-global switch is toggled concurrently.
-        let events_on = lh_obs::flight::enabled();
-        let units = job.units(ctx);
-        let merged_key = self.key(job, &merged_fingerprint(&units), ctx, events_on);
-
-        if let Some(cache) = &self.options.cache {
-            if let Some(entry) = cache.get(&merged_key) {
-                let (metrics, merged, events) = unwrap_entry_events(entry);
-                let stats = RunStats {
-                    units_total: units.len(),
-                    units_cached: units.len(),
-                    units_executed: 0,
-                    merged_cached: true,
-                    wall_ms: started.elapsed().as_millis(),
-                };
-                if self.options.progress {
-                    crate::progress::note(format_args!(
-                        "{}: merged result cached, nothing to do",
-                        job.id()
-                    ));
-                }
-                return Ok(ExperimentRun {
-                    id: job.id(),
-                    merged,
-                    metrics,
-                    events,
-                    stats,
-                });
+        let o = &self.options;
+        let opened = Ledger::open(job, ctx, o.cache.as_ref(), o.progress, o.observer.as_ref())?;
+        let ledger = match opened {
+            Opened::Cached(run) => return Ok(run),
+            Opened::Live(ledger) => ledger,
+        };
+        pool::run_dag(self.jobs(), ledger.deps(), |unit| {
+            if !ledger.replay(unit) {
+                ledger.execute(unit);
             }
-        }
-
-        let deps: Vec<Vec<usize>> = (0..units.len()).map(|i| job.deps(i, ctx)).collect();
-        pool::validate_dag(&deps).map_err(|e| format!("{}: invalid unit DAG: {e}", job.id()))?;
-        let cache = self.options.cache.as_ref();
-
-        let (hits, eff_deps) = probe_unit_cache(job, &units, &deps, cache, ctx, events_on);
-
-        let progress = Progress::new(job.id(), units.len(), self.options.progress);
-        let observer = self.options.observer.as_ref();
-        let results: Vec<(Json, Json, bool, Option<String>)> =
-            pool::run_dag(self.jobs(), &eff_deps, |i, dep_results| {
-                let unit = &units[i];
-                let unit_started = Instant::now();
-                let (result, metrics, cached, events) = match &hits[i] {
-                    Some(hit) => {
-                        let (metrics, result, events) = unwrap_entry_events(hit.clone());
-                        progress.unit_done(unit, UnitOutcome::Cached);
-                        (result, metrics, true, events)
-                    }
-                    None => {
-                        let dep_outputs: Vec<Json> = dep_results
-                            .into_iter()
-                            .map(|(json, _, _, _)| json)
-                            .collect();
-                        let _span = lh_obs::Span::enter("unit.run", "harness");
-                        let ((result, recorded), flight) = lh_obs::flight::capture(|| {
-                            lh_obs::record(|| {
-                                job.run_unit(
-                                    i,
-                                    derive_seed(job.id(), i, ctx.seed),
-                                    &dep_outputs,
-                                    ctx,
-                                )
-                            })
-                        });
-                        let events = events_on.then(|| flight.render(unit, i));
-                        let metrics = metrics_to_json(&recorded);
-                        if let Some(c) = cache {
-                            let entry =
-                                wrap_entry_events(metrics.clone(), result.clone(), events.clone());
-                            if let Err(e) = c.put(&self.key(job, unit, ctx, events_on), &entry) {
-                                crate::progress::note(format_args!(
-                                    "warning: cache write failed for {}/{unit}: {e}",
-                                    job.id()
-                                ));
-                            }
-                        }
-                        progress
-                            .unit_done(unit, UnitOutcome::Ran(unit_started.elapsed().as_millis()));
-                        (result, metrics, false, events)
-                    }
-                };
-                // Lifetime accounting: the process-global registry sums
-                // every completed unit's counters (cached or fresh) for
-                // dashboards; the deterministic channel never reads it.
-                lh_obs::Registry::global().absorb(&metrics_from_json(&metrics));
-                if let Some(observe) = observer {
-                    observe(&UnitEvent {
-                        experiment: job.id(),
-                        unit: unit.clone(),
-                        index: i,
-                        cached,
-                        wall_ms: if cached {
-                            0
-                        } else {
-                            unit_started.elapsed().as_millis()
-                        },
-                        metrics: metrics.clone(),
-                        result: result.clone(),
-                    });
-                }
-                (result, metrics, cached, events)
-            })
-            .expect("deps validated above; pruning edges cannot introduce a cycle");
-
-        let units_cached = results.iter().filter(|(_, _, cached, _)| *cached).count();
-        let units_executed = results.len() - units_cached;
-        let per_unit: Vec<Json> = results.iter().map(|(_, m, _, _)| m.clone()).collect();
-        let metrics = metrics_block(&units, &per_unit);
-        // Assemble the experiment event log in unit order — the same
-        // order regardless of which units ran, replayed, or on which
-        // thread they completed.
-        let events = events_on.then(|| {
-            let mut blob = lh_obs::flight::experiment_header(
-                job.id(),
-                ctx.scale.as_str(),
-                ctx.seed,
-                units.len(),
-            );
-            for (_, _, _, unit_events) in &results {
-                if let Some(e) = unit_events {
-                    blob.push_str(e);
-                }
-            }
-            blob
-        });
-        let merged = job.finish(results.into_iter().map(|(r, _, _, _)| r).collect(), ctx);
-        if let Some(c) = cache {
-            let entry = wrap_entry_events(metrics.clone(), merged.clone(), events.clone());
-            if let Err(e) = c.put(&merged_key, &entry) {
-                crate::progress::note(format_args!(
-                    "warning: cache write failed for {} merge: {e}",
-                    job.id()
-                ));
-            }
-        }
-        progress.finished(units_cached, units_executed);
-
-        Ok(ExperimentRun {
-            id: job.id(),
-            merged,
-            metrics,
-            events,
-            stats: RunStats {
-                units_total: units.len(),
-                units_cached,
-                units_executed,
-                merged_cached: false,
-                wall_ms: started.elapsed().as_millis(),
-            },
         })
+        .expect("the ledger validated the DAG; pruning edges cannot introduce a cycle");
+        Ok(ledger.close())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use crate::job::ScaleLevel;
+    use crate::json::Json;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A job whose unit results depend only on (index, seed), with an
     /// execution counter to observe cache skips.

@@ -1,9 +1,10 @@
 //! Acceptance for the flight recorder's determinism contract: the
 //! `--events-out` log for a given `(experiment, scale, seed)` is
 //! *byte-identical* across every execution mode — single-threaded,
-//! `--jobs 8`, an `lh-coord` worker fleet, and a warm-cache replay that
-//! never re-executes a unit — and switching recording on never changes
-//! the experiment envelope.
+//! `--jobs 8`, an `lh-coord` worker fleet, a warm-cache replay that
+//! never re-executes a unit, and a partially warm cache through either
+//! executor — and switching recording on never changes the experiment
+//! envelope.
 //!
 //! The flight switch is process-global, so everything that flips it
 //! lives in one `#[test]` (the harness runs test fns concurrently on
@@ -11,7 +12,7 @@
 
 use lh_coord::{Coordinator, CoordinatorOptions};
 use lh_harness::{sink, OutputFormat};
-use lh_harness::{DiskCache, JobContext, Runner, RunnerOptions, ScaleLevel};
+use lh_harness::{unit_key, DiskCache, JobContext, Runner, RunnerOptions, ScaleLevel};
 use lh_serve::ThreadSpawner;
 
 fn ctx() -> JobContext {
@@ -112,6 +113,70 @@ fn event_log_is_byte_identical_across_execution_modes() {
         Some(reference.as_str()),
         "cache replay must not change the log bytes"
     );
+
+    // Mode 5: a *partially* warm cache — the merged entry and every
+    // other unit's entry evicted — through both executors. Replayed and
+    // re-executed units must interleave into the same log, and the two
+    // scheduling loops must agree on what replayed.
+    let units = job.units(&ctx());
+    let kept: Vec<&String> = units.iter().skip(1).step_by(2).collect();
+    assert!(
+        !kept.is_empty() && kept.len() < units.len(),
+        "need a proper, non-empty subset of {} units",
+        units.len()
+    );
+    let partial_copy = |tag: &str| {
+        let copy = DiskCache::new(dir.with_extension(tag));
+        copy.clear().expect("fresh copy dir");
+        std::fs::create_dir_all(copy.dir().join("fig2")).expect("copy dir");
+        for unit in &kept {
+            let entry = format!("fig2/{}.json", unit_key(job, unit, &ctx(), true).digest());
+            std::fs::copy(cache.dir().join(&entry), copy.dir().join(&entry))
+                .expect("the cold run cached every unit under the events-on key");
+        }
+        copy
+    };
+    let runner_cache = partial_copy("runner");
+    let via_runner = runner(8, Some(runner_cache.clone()))
+        .run(job, &ctx())
+        .expect("partially warm jobs=8 run");
+    let fleet_cache = partial_copy("fleet");
+    let mut fleet = Coordinator::new(
+        Box::new(ThreadSpawner::new(leakyhammer::registry)),
+        CoordinatorOptions {
+            workers: 2,
+            cache: Some(fleet_cache.clone()),
+            ..CoordinatorOptions::default()
+        },
+    );
+    let via_fleet = fleet
+        .run(job, &ctx())
+        .expect("partially warm workers=2 run");
+    fleet.shutdown();
+    for (mode, run) in [("--jobs", &via_runner), ("--workers", &via_fleet)] {
+        assert_eq!(
+            run.events.as_deref(),
+            Some(reference.as_str()),
+            "a partially warm {mode} run must not change the log bytes"
+        );
+        assert_eq!(
+            sink::render(job, run, &ctx(), OutputFormat::Json),
+            off_envelope,
+            "a partially warm {mode} run must not change the envelope"
+        );
+        let stats = run.stats;
+        assert_eq!(
+            (
+                stats.units_cached,
+                stats.units_executed,
+                stats.merged_cached
+            ),
+            (kept.len(), units.len() - kept.len(), false),
+            "{mode} replays exactly the entries kept: {stats:?}"
+        );
+    }
+    runner_cache.clear().expect("cleanup");
+    fleet_cache.clear().expect("cleanup");
 
     // Recording never leaks into results: envelopes match the off run.
     let on_envelope = sink::render(job, &replayed, &ctx(), OutputFormat::Json);
