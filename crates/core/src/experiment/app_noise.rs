@@ -10,7 +10,6 @@ use lh_analysis::{ChannelResult, MessagePattern};
 use lh_workloads::{AppProfile, Intensity};
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
 
 /// One interference level's measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -23,27 +22,7 @@ pub struct AppNoisePoint {
     pub capacity_kbps: f64,
 }
 
-/// The Fig. 5 / Fig. 8 series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AppNoiseSeries {
-    /// Which channel.
-    pub kind: ChannelKind,
-    /// One point per L/M/H level.
-    pub points: Vec<AppNoisePoint>,
-}
-
-/// Runs the experiment for `kind` at `scale`.
-pub fn run_app_noise(kind: ChannelKind, scale: Scale, seed: u64) -> AppNoiseSeries {
-    let bits_per_pattern = scale.message_bits() / 4;
-    let points = [Intensity::Low, Intensity::Medium, Intensity::High]
-        .into_iter()
-        .map(|intensity| app_noise_point(kind, intensity, bits_per_pattern, seed))
-        .collect();
-    AppNoiseSeries { kind, points }
-}
-
-/// One interference level of the Fig. 5 / Fig. 8 study; exposed so the
-/// harness can run the three levels in parallel.
+/// One interference level of the Fig. 5 / Fig. 8 study.
 pub fn app_noise_point(
     kind: ChannelKind,
     intensity: Intensity,
@@ -71,9 +50,8 @@ mod tests {
 
     #[test]
     fn app_interference_reduces_but_does_not_kill_the_prac_channel() {
-        let series = run_app_noise(ChannelKind::Prac, Scale::Quick, 3);
-        assert_eq!(series.points.len(), 3);
-        for p in &series.points {
+        for intensity in [Intensity::Low, Intensity::Medium, Intensity::High] {
+            let p = app_noise_point(ChannelKind::Prac, intensity, 12, 3);
             // Fig. 5: even at high intensity the channel keeps most of
             // its capacity (paper: 31.2 of 39 Kbps at H).
             assert!(

@@ -11,7 +11,6 @@ use lh_analysis::{ChannelResult, MessagePattern};
 use lh_sim::{BopConfig, CacheConfig};
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
 
 /// Capacity of one channel under the two hierarchies.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -49,17 +48,7 @@ fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
     ChannelResult::merge(results.iter()).capacity_kbps()
 }
 
-/// Runs the §10.3 study for both channels.
-pub fn run_cache_sensitivity(scale: Scale, seed: u64) -> Vec<CachePoint> {
-    let bits = scale.message_bits() / 4;
-    [ChannelKind::Prac, ChannelKind::Rfm]
-        .into_iter()
-        .map(|kind| cache_point(kind, bits, seed))
-        .collect()
-}
-
-/// One channel's §10.3 measurement (both hierarchies); exposed so the
-/// harness can run the two channels in parallel.
+/// One channel's §10.3 measurement (both hierarchies).
 pub fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CachePoint {
     CachePoint {
         kind,
@@ -74,8 +63,8 @@ mod tests {
 
     #[test]
     fn larger_caches_do_not_prevent_the_channels() {
-        let points = run_cache_sensitivity(Scale::Quick, 8);
-        for p in &points {
+        for kind in [ChannelKind::Prac, ChannelKind::Rfm] {
+            let p = cache_point(kind, 12, 8);
             assert!(
                 p.large_kbps > 0.6 * p.baseline_kbps,
                 "{:?}: large-hierarchy capacity {} vs baseline {}",

@@ -13,12 +13,11 @@
 use serde::{Deserialize, Serialize};
 
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_defenses::{DefenseConfig, DefenseKind};
+use lh_defenses::DefenseConfig;
 use lh_dram::DramTiming;
 use lh_mitigate::{MitigationConfig, MitigationKind};
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
 
 /// One arm of the §11.4 study: a deployed defense plus the
 /// countermeasure wrappers stacked over it (empty = the bare defense).
@@ -55,32 +54,9 @@ impl MitigationArm {
     }
 }
 
-/// Capacity measurement of the PRAC-style attack under one arm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MitigationPoint {
-    /// Which arm the attack ran against.
-    pub label: String,
-    /// The arm's underlying defense kind.
-    pub defense: DefenseKind,
-    /// Error probability.
-    pub error_probability: f64,
-    /// Capacity in Kbps.
-    pub capacity_kbps: f64,
-    /// Capacity reduction vs plain PRAC (percent).
-    pub reduction_pct: f64,
-}
-
-/// The §11.4 capacity-reduction study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MitigationStudy {
-    /// PRAC baseline, then each countermeasure arm.
-    pub points: Vec<MitigationPoint>,
-}
-
 /// Error probability and capacity of the PRAC-style attack against one
-/// arm; exposed so the harness can evaluate the countermeasures in
-/// parallel (the baseline-relative reductions are computed from the
-/// per-arm capacities afterwards).
+/// arm (the baseline-relative reduction is [`reduction_pct`] over the
+/// per-arm capacities).
 pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) -> (f64, f64) {
     let mut results = Vec::new();
     for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
@@ -118,48 +94,15 @@ pub fn mitigation_arms() -> Vec<MitigationArm> {
     ]
 }
 
-/// Runs the study over every arm of [`mitigation_arms`].
-pub fn run_mitigation_study(scale: Scale, seed: u64) -> MitigationStudy {
-    let bits = scale.message_bits() / 4;
-    let mut points = Vec::new();
-    let mut baseline = 0.0;
-    for arm in mitigation_arms() {
-        let (e, cap) = attack_capacity(&arm, bits, seed);
-        if arm.label == "PRAC" {
-            baseline = cap;
-        }
-        let reduction = if baseline > 0.0 {
-            ((baseline - cap) / baseline * 100.0).max(0.0)
-        } else {
-            0.0
-        };
-        points.push(MitigationPoint {
-            label: arm.label,
-            defense: arm.defense.kind,
-            error_probability: e,
-            capacity_kbps: cap,
-            reduction_pct: reduction,
-        });
-    }
-    MitigationStudy { points }
-}
-
-impl MitigationStudy {
-    /// The capacity reduction (percent) of the first arm with the given
-    /// underlying defense (the bare arms precede the wrapped ones).
-    pub fn reduction_of(&self, kind: DefenseKind) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.defense == kind)
-            .map(|p| p.reduction_pct)
-    }
-
-    /// The capacity reduction (percent) of the arm with this label.
-    pub fn reduction_of_arm(&self, label: &str) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.label == label)
-            .map(|p| p.reduction_pct)
+/// Capacity reduction (percent) of an arm measuring `capacity_kbps`
+/// against the plain-PRAC `baseline_kbps`: never negative (a wrapper
+/// that widens the channel reads 0 %), and 0 % when the baseline itself
+/// carries nothing.
+pub fn reduction_pct(baseline_kbps: f64, capacity_kbps: f64) -> f64 {
+    if baseline_kbps > 0.0 {
+        ((baseline_kbps - capacity_kbps) / baseline_kbps * 100.0).max(0.0)
+    } else {
+        0.0
     }
 }
 
@@ -167,21 +110,25 @@ impl MitigationStudy {
 mod tests {
     use super::*;
 
+    /// Capacity of each arm at the quick message budget, every arm on
+    /// seed 13.
+    fn capacities(arms: &[MitigationArm]) -> Vec<f64> {
+        arms.iter().map(|a| attack_capacity(a, 12, 13).1).collect()
+    }
+
     #[test]
     fn fr_rfm_eliminates_and_riac_degrades() {
-        let study = run_mitigation_study(Scale::Quick, 13);
-        let prac = study.points.iter().find(|p| p.label == "PRAC").unwrap();
-        assert!(
-            prac.capacity_kbps > 20.0,
-            "baseline capacity {}",
-            prac.capacity_kbps
-        );
-        let frrfm = study.reduction_of(DefenseKind::FrRfm).unwrap();
+        let arms = mitigation_arms();
+        assert_eq!(arms[1].label, "FR-RFM");
+        assert_eq!(arms[2].label, "PRAC-RIAC");
+        let caps = capacities(&arms[..3]);
+        assert!(caps[0] > 20.0, "baseline capacity {}", caps[0]);
+        let frrfm = reduction_pct(caps[0], caps[1]);
         assert!(
             frrfm > 95.0,
             "FR-RFM must (nearly) eliminate the channel, reduction {frrfm}%"
         );
-        let riac = study.reduction_of(DefenseKind::PracRiac).unwrap();
+        let riac = reduction_pct(caps[0], caps[2]);
         assert!(
             riac > 20.0,
             "RIAC must reduce capacity substantially, reduction {riac}%"
@@ -215,19 +162,23 @@ mod tests {
         // The wrapped arms ride the same run_covert path; the shaper's
         // constant RFM stream must cost the PRAC channel capacity, and
         // no wrapper may make the channel *faster* than bare PRAC.
-        let study = run_mitigation_study(Scale::Quick, 13);
-        let baseline = study.points[0].capacity_kbps;
-        let shaper = study.reduction_of_arm("PRAC+shaper").unwrap();
+        let arms = mitigation_arms();
+        let caps = capacities(&arms);
+        let baseline = caps[0];
+        let shaper = arms
+            .iter()
+            .position(|a| a.label == "PRAC+shaper")
+            .expect("shaper arm");
+        let shaper_cut = reduction_pct(baseline, caps[shaper]);
         assert!(
-            shaper > 20.0,
-            "the shaper must cost the PRAC channel real capacity, got {shaper}%"
+            shaper_cut > 20.0,
+            "the shaper must cost the PRAC channel real capacity, got {shaper_cut}%"
         );
-        for p in &study.points {
+        for (arm, cap) in arms.iter().zip(&caps) {
             assert!(
-                p.capacity_kbps <= baseline + 1e-9,
-                "{} widened the channel ({} > {baseline} Kbps)",
-                p.label,
-                p.capacity_kbps
+                *cap <= baseline + 1e-9,
+                "{} widened the channel ({cap} > {baseline} Kbps)",
+                arm.label
             );
         }
     }

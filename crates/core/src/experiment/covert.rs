@@ -3,6 +3,13 @@
 //! [`run_covert`] wires a sender/receiver pair — plus optional noise
 //! generator and SPEC-like co-runners — into a full system and measures
 //! the channel: decoded bits, error probability and capacity (Eq. 1).
+//!
+//! The attack parameters (window, detection band, `Trecv`,
+//! stop-on-detect) are not stated here: they come from
+//! [`LinkTuning::for_defense`], the one §12 attacker table, looked up
+//! for the channel's defense kind. Experiments that study a *different*
+//! attacker (fig11, fig12, §9, §12) override `window`,
+//! `detection_band` or `trecv` on [`CovertOptions`].
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +20,7 @@ use lh_attacks::{
 };
 use lh_defenses::{DefenseConfig, DefenseStats};
 use lh_dram::{Span, Time};
+use lh_link::LinkTuning;
 use lh_memctrl::AddressMapping;
 use lh_sim::{SimConfig, SystemBuilder};
 use lh_workloads::{AppProfile, SyntheticApp};
@@ -27,40 +35,11 @@ pub enum ChannelKind {
 }
 
 impl ChannelKind {
-    /// The paper's window length for this channel.
-    pub fn window(&self) -> Span {
-        match self {
-            ChannelKind::Prac => Span::from_us(25),
-            ChannelKind::Rfm => Span::from_us(20),
-        }
-    }
-
     /// The paper's defense configuration for this channel.
     pub fn defense(&self) -> DefenseConfig {
         match self {
             ChannelKind::Prac => DefenseConfig::prac(128),
             ChannelKind::Rfm => DefenseConfig::prfm(40),
-        }
-    }
-
-    /// The receiver's `Trecv` threshold.
-    pub fn trecv(&self) -> u32 {
-        match self {
-            ChannelKind::Prac => 1,
-            ChannelKind::Rfm => 3,
-        }
-    }
-
-    /// Whether sender/receiver stop accessing after detecting the event.
-    pub fn sleep_after_detect(&self) -> bool {
-        matches!(self, ChannelKind::Prac)
-    }
-
-    /// The detection band `(lo, hi)` for this channel.
-    pub fn detection_band(&self, cls: &LatencyClassifier) -> (Span, Span) {
-        match self {
-            ChannelKind::Prac => (cls.backoff_threshold(), Span::MAX),
-            ChannelKind::Rfm => (cls.rfm_threshold(), cls.rfm_max),
         }
     }
 }
@@ -75,7 +54,8 @@ pub struct CovertOptions {
     /// Full system configuration (override for countermeasure and
     /// sensitivity studies).
     pub sim: SimConfig,
-    /// Transmission window (defaults to the channel's paper value).
+    /// Transmission window (defaults to the attacker's window against
+    /// the channel's defense).
     pub window: Span,
     /// Noise-generator intensity (1–100 %), if any (§6.3 noise study).
     pub noise_intensity: Option<f64>,
@@ -94,28 +74,38 @@ pub struct CovertOptions {
     pub receiver_think: Option<Span>,
     /// §10.1 cadence-based refresh filter for the receiver.
     pub refresh_filter: Option<lh_attacks::RefreshFilterConfig>,
-    /// Seed.
+    /// Seed of the co-runners' access streams. It does not reach
+    /// `sim.seed` (ROADMAP item 1 records the defect): a transmission
+    /// without co-runners is the same for every value.
     pub seed: u64,
 }
 
 impl CovertOptions {
     /// Paper-default options for `kind` transmitting `bits`.
     pub fn new(kind: ChannelKind, bits: Vec<u8>) -> CovertOptions {
+        let sim = SimConfig::paper_default(kind.defense());
+        let think = Span::from_ns(30);
         CovertOptions {
             kind,
             bits,
-            sim: SimConfig::paper_default(kind.defense()),
-            window: kind.window(),
+            window: attacker_tuning(kind, &sim, think).window,
+            sim,
             noise_intensity: None,
             co_runners: Vec::new(),
             detection_band: None,
             trecv: None,
-            think: Span::from_ns(30),
+            think,
             receiver_think: None,
             refresh_filter: None,
             seed: 1,
         }
     }
+}
+
+/// The §12 attacker's parameters against `kind`'s defense at the given
+/// timing and think time.
+fn attacker_tuning(kind: ChannelKind, sim: &SimConfig, think: Span) -> LinkTuning {
+    LinkTuning::for_defense(kind.defense().kind, &sim.device.timing, think)
 }
 
 /// Result of one covert transmission.
@@ -147,10 +137,13 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         .build()
         .expect("valid system configuration");
     let cls = LatencyClassifier::from_timing(&opts.sim.device.timing, opts.think);
+    // Looked up here, not in `CovertOptions::new`: callers edit the
+    // timing (fig12) and replace `sim` (§12) after construction.
+    let tuning = attacker_tuning(opts.kind, &opts.sim, opts.think);
     let (detect, detect_max) = opts
         .detection_band
-        .unwrap_or_else(|| opts.kind.detection_band(&cls));
-    let trecv = opts.trecv.unwrap_or_else(|| opts.kind.trecv());
+        .unwrap_or((tuning.detect, tuning.detect_max));
+    let trecv = opts.trecv.unwrap_or(tuning.trecv);
     let layout = ChannelLayout::default_bank(sys.mapping());
     let start = Time::ZERO;
     let end = start + opts.window * (opts.bits.len() as u64 + 1);
@@ -161,7 +154,7 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         start,
         opts.think,
         cls.backoff_threshold(),
-        opts.kind.sleep_after_detect(),
+        tuning.sleep_after_detect,
         opts.bits.clone(),
     ));
     let rx = CovertReceiver::new(ReceiverConfig {
@@ -172,7 +165,7 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         think: opts.receiver_think.unwrap_or(opts.think),
         detect,
         detect_max,
-        sleep_after_detect: opts.kind.sleep_after_detect(),
+        sleep_after_detect: tuning.sleep_after_detect,
         refresh_filter: opts.refresh_filter,
         calibrate: if opts.refresh_filter.is_some() {
             // Lock the refresh grid before the first bit (sec. 10.1).
@@ -243,28 +236,6 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
     }
 }
 
-/// Runs the four §6.3 message patterns and merges the results.
-pub fn run_patterns(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CovertOutcome {
-    use lh_analysis::MessagePattern;
-    let mut outcomes = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
-        opts.seed = seed ^ (i as u64) << 8;
-        outcomes.push(run_covert(&opts));
-    }
-    let merged = ChannelResult::merge(outcomes.iter().map(|o| &o.result));
-    let mut all = outcomes.remove(0);
-    for o in outcomes {
-        all.decoded.extend(o.decoded);
-        all.per_window_events.extend(o.per_window_events);
-        all.backoffs += o.backoffs;
-        all.rfms += o.rfms;
-        all.defense_stats.absorb(&o.defense_stats);
-    }
-    all.result = merged;
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,9 +297,13 @@ mod tests {
 
     #[test]
     fn pattern_merge_aggregates_bits() {
-        let out = run_patterns(ChannelKind::Prac, 12, 3);
-        assert_eq!(out.result.bits, 48);
-        assert_eq!(out.decoded.len(), 48);
-        assert!(out.result.error_probability() < 0.2);
+        let outcomes: Vec<CovertOutcome> = lh_analysis::MessagePattern::paper_set()
+            .iter()
+            .map(|p| run_covert(&CovertOptions::new(ChannelKind::Prac, p.bits(12))))
+            .collect();
+        let merged = ChannelResult::merge(outcomes.iter().map(|o| &o.result));
+        assert_eq!(merged.bits, 48);
+        assert_eq!(outcomes.iter().map(|o| o.decoded.len()).sum::<usize>(), 48);
+        assert!(merged.error_probability() < 0.2);
     }
 }

@@ -27,20 +27,7 @@ pub struct LatencyPoint {
 /// (blast radius 1 and 2): 96 ns and 192 ns.
 pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 
-/// Runs the sweep over `latencies_ns` with `bits` per pattern.
-pub fn run_latency_sweep(
-    latencies_ns: &[u64],
-    bits_per_pattern: usize,
-    seed: u64,
-) -> Vec<LatencyPoint> {
-    latencies_ns
-        .iter()
-        .map(|&lat| latency_sweep_point(lat, bits_per_pattern, seed))
-        .collect()
-}
-
-/// One Fig. 12 sweep point; exposed so the harness can shard the grid
-/// across cores.
+/// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
     let mut results = Vec::new();
     for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
@@ -84,9 +71,8 @@ mod tests {
 
     #[test]
     fn long_actions_keep_the_channel_and_tiny_ones_kill_it() {
-        let points = run_latency_sweep(&[5, 150], 10, 4);
-        let tiny = &points[0];
-        let long = &points[1];
+        let tiny = latency_sweep_point(5, 10, 4);
+        let long = latency_sweep_point(150, 10, 4);
         assert!(
             long.capacity_kbps > 15.0,
             "150 ns action must sustain the channel, got {} Kbps",
@@ -104,11 +90,11 @@ mod tests {
     fn even_minimum_refresh_latency_leaks() {
         // Fig. 12's headline: the minimum refresh-based action (96 ns,
         // blast radius 1) still yields an exploitable channel.
-        let points = run_latency_sweep(&[MIN_REFRESH_ACTION_NS[0]], 10, 5);
+        let p = latency_sweep_point(MIN_REFRESH_ACTION_NS[0], 10, 5);
         assert!(
-            points[0].error_probability < 0.2,
+            p.error_probability < 0.2,
             "96 ns action must be detectable, e={}",
-            points[0].error_probability
+            p.error_probability
         );
     }
 

@@ -28,7 +28,7 @@ pub struct LatencyTraceOutcome {
 
 impl LatencyTraceOutcome {
     /// Mean latency of one class, if observed.
-    pub fn class_mean_ns(&self, class: LatencyClass) -> Option<f64> {
+    fn class_mean_ns(&self, class: LatencyClass) -> Option<f64> {
         self.mean_ns
             .iter()
             .find(|(c, _, _)| *c == class)

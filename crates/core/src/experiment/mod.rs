@@ -1,4 +1,17 @@
-//! Experiment runners — one per table/figure of the paper.
+//! Experiment kernels — one module per table/figure of the paper.
+//!
+//! A kernel measures **one unit from one seed** (a transmission, a
+//! sweep point, a defense class, a trace, a mix's cells) and returns a
+//! typed outcome. It holds no grid, no loop over points, no merge
+//! across units and no table: those belong to the experiment's
+//! [`lh_harness::Job`] in [`mod@crate::registry`], the only place they are
+//! stated. Where a merge is arithmetic worth typing
+//! ([`perf::merge_perf_mixes`], [`countermeasures::reduction_pct`])
+//! the function lives here and the job's `finish` calls it.
+//!
+//! The attack parameters per defense (window, detection band, `Trecv`,
+//! stop-on-detect) are [`lh_link::LinkTuning::for_defense`]'s;
+//! [`covert::run_covert`] looks its defaults up there.
 //!
 //! | Module | Reproduces |
 //! |---|---|

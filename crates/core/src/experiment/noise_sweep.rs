@@ -7,7 +7,6 @@ use lh_attacks::LatencyClassifier;
 use lh_dram::Span;
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use crate::Scale;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -20,71 +19,16 @@ pub struct NoisePoint {
     pub capacity_kbps: f64,
 }
 
-/// A full sweep series (one figure line pair).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NoiseSweep {
-    /// Which channel was swept.
-    pub kind: ChannelKind,
-    /// RFMs per back-off used (4 = default, 2/1 for Fig. 11).
-    pub rfms_per_backoff: u32,
-    /// The sweep points, by increasing intensity.
-    pub points: Vec<NoisePoint>,
-}
-
-impl NoiseSweep {
-    /// Capacity at the lowest swept intensity.
-    pub fn base_capacity_kbps(&self) -> f64 {
-        self.points.first().map_or(0.0, |p| p.capacity_kbps)
-    }
-
-    /// The highest intensity at which the error probability stays below
-    /// `e` (the paper tracks the e < 0.1 knee).
-    pub fn knee_intensity(&self, e: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|p| p.error_probability < e)
-            .last()
-            .map(|p| p.intensity)
-    }
-}
-
-/// Runs the Fig. 4 (PRAC) or Fig. 7 (RFM) noise sweep.
-pub fn run_noise_sweep(kind: ChannelKind, scale: Scale, seed: u64) -> NoiseSweep {
-    sweep_with(kind, 4, true, scale, seed)
-}
-
-/// Runs one Fig. 11 panel: `rfms_per_backoff` ∈ {1, 2} on the PRAC
-/// channel with refresh postponing disabled (as §10.1 assumes).
-pub fn run_rfm_count_sweep(rfms_per_backoff: u32, scale: Scale, seed: u64) -> NoiseSweep {
-    sweep_with(ChannelKind::Prac, rfms_per_backoff, false, scale, seed)
-}
-
-/// The §10.1 *modified attack* for 1-RFM back-offs, whose latency overlaps
-/// the periodic-refresh band: the receiver (1) doubles the transmission
-/// window to capture multiple candidate events and (2) — when `filtered`
-/// — removes periodic refreshes by their `tREFI` cadence instead of their
-/// magnitude. With `filtered` off, the same low detection threshold counts
-/// refreshes as events, which is what collapses the naive 1-RFM channel.
+/// One sweep point of the §10.1 *modified attack* for 1-RFM back-offs,
+/// whose latency overlaps the periodic-refresh band: the receiver (1)
+/// doubles the transmission window to capture multiple candidate events
+/// and (2) — when `filtered` — removes periodic refreshes by their
+/// `tREFI` cadence instead of their magnitude. With `filtered` off, the
+/// same low detection threshold counts refreshes as events, which is
+/// what collapses the naive 1-RFM channel.
 ///
 /// The paper reports the filtered attack recovers 21.53 Kbps at the
 /// lowest noise intensity.
-pub fn run_overlap_1rfm_sweep(filtered: bool, scale: Scale, seed: u64) -> NoiseSweep {
-    let bits_per_pattern = scale.message_bits() / 8;
-    let points = scale
-        .noise_points()
-        .into_iter()
-        .map(|intensity| overlap_1rfm_point(filtered, intensity, bits_per_pattern, seed))
-        .collect();
-    NoiseSweep {
-        kind: ChannelKind::Prac,
-        rfms_per_backoff: 1,
-        points,
-    }
-}
-
-/// One §10.1 modified-attack sweep point (see
-/// [`run_overlap_1rfm_sweep`]); exposed so the harness can shard the
-/// sweep across cores.
 pub fn overlap_1rfm_point(
     filtered: bool,
     intensity: f64,
@@ -104,7 +48,7 @@ pub fn overlap_1rfm_point(
         // Double window; detect anything above a conflict. Without
         // the cadence filter, periodic refreshes are miscounted as
         // events — the overlap problem the filter solves.
-        opts.window = kind.window() * 2;
+        opts.window = opts.window * 2;
         let cls = LatencyClassifier::from_timing(&opts.sim.device.timing, opts.think);
         opts.detection_band = Some((cls.conflict_max + Span::from_ns(120), Span::MAX));
         opts.refresh_filter =
@@ -119,39 +63,11 @@ pub fn overlap_1rfm_point(
     }
 }
 
-fn sweep_with(
-    kind: ChannelKind,
-    rfms_per_backoff: u32,
-    postpone_refresh: bool,
-    scale: Scale,
-    seed: u64,
-) -> NoiseSweep {
-    let bits_per_pattern = scale.message_bits() / 4;
-    let points = scale
-        .noise_points()
-        .into_iter()
-        .map(|intensity| {
-            sweep_point(
-                kind,
-                rfms_per_backoff,
-                postpone_refresh,
-                intensity,
-                bits_per_pattern,
-                seed,
-            )
-        })
-        .collect();
-    NoiseSweep {
-        kind,
-        rfms_per_backoff,
-        points,
-    }
-}
-
 /// One noise-sweep point: the four paper message patterns at one
-/// intensity, merged. Exposed so the harness can shard sweeps across
-/// cores; the per-pattern seeds depend only on the arguments, so a
-/// sharded sweep is bit-identical to a serial one.
+/// intensity, merged. Fig. 4 (PRAC) and Fig. 7 (RFM) run it with the
+/// default 4 RFMs per back-off and refresh postponing on; the Fig. 11
+/// panels with `rfms_per_backoff` ∈ {1, 2} on the PRAC channel and
+/// postponing off (as §10.1 assumes).
 pub fn sweep_point(
     kind: ChannelKind,
     rfms_per_backoff: u32,
@@ -170,12 +86,7 @@ pub fn sweep_point(
             prac.rfms_per_backoff = rfms_per_backoff;
         }
         if rfms_per_backoff < 4 || !postpone_refresh {
-            opts.detection_band = Some(short_backoff_band(
-                rfms_per_backoff,
-                postpone_refresh,
-                opts.think,
-                &opts.sim,
-            ));
+            opts.detection_band = Some(short_backoff_band(postpone_refresh, opts.think, &opts.sim));
         }
         results.push(run_covert(&opts).result);
     }
@@ -191,17 +102,11 @@ pub fn sweep_point(
 /// above the highest non-back-off event, which without refresh postponing
 /// is a single REF (and with 1 RFM per back-off the two overlap — the
 /// §10.1 observation that degrades the channel).
-fn short_backoff_band(
-    rfms: u32,
-    postpone: bool,
-    think: Span,
-    sim: &lh_sim::SimConfig,
-) -> (Span, Span) {
+fn short_backoff_band(postpone: bool, think: Span, sim: &lh_sim::SimConfig) -> (Span, Span) {
     let t = &sim.device.timing;
     let cls = LatencyClassifier::from_timing(t, think);
     let refresh_span = if postpone { t.t_rfc * 2 } else { t.t_rfc };
     let floor = cls.conflict_max + refresh_span + Span::from_ns(120);
-    let _ = rfms;
     (floor, Span::MAX)
 }
 
@@ -211,10 +116,8 @@ mod tests {
 
     #[test]
     fn prac_sweep_has_low_error_at_low_noise_and_high_at_max() {
-        let sweep = run_noise_sweep(ChannelKind::Prac, Scale::Quick, 2);
-        assert_eq!(sweep.points.len(), 3);
-        let lo = &sweep.points[0];
-        let hi = sweep.points.last().unwrap();
+        let lo = sweep_point(ChannelKind::Prac, 4, true, 1.0, 12, 2);
+        let hi = sweep_point(ChannelKind::Prac, 4, true, 100.0, 12, 2);
         assert!(
             lo.error_probability < 0.12,
             "e at 1% noise: {}",
@@ -226,20 +129,20 @@ mod tests {
             lo.error_probability,
             hi.error_probability
         );
-        assert!(sweep.base_capacity_kbps() > 20.0);
+        assert!(lo.capacity_kbps > 20.0);
     }
 
     #[test]
     fn fewer_rfms_per_backoff_hurt_reliability() {
-        let four = run_noise_sweep(ChannelKind::Prac, Scale::Quick, 5);
-        let one = run_rfm_count_sweep(1, Scale::Quick, 5);
+        let four = sweep_point(ChannelKind::Prac, 4, true, 1.0, 12, 5);
+        let one = sweep_point(ChannelKind::Prac, 1, false, 1.0, 12, 5);
         // §10.1: the 1-RFM back-off overlaps the refresh latency, so the
         // channel degrades relative to 4-RFM back-offs.
         assert!(
-            one.base_capacity_kbps() < four.base_capacity_kbps(),
+            one.capacity_kbps < four.capacity_kbps,
             "1-RFM capacity {} must trail 4-RFM capacity {}",
-            one.base_capacity_kbps(),
-            four.base_capacity_kbps()
+            one.capacity_kbps,
+            four.capacity_kbps
         );
     }
 
@@ -249,10 +152,8 @@ mod tests {
         // band (magnitude cannot split 1-RFM back-offs from refreshes),
         // the naive receiver miscounts refreshes and the channel
         // collapses; the cadence filter recovers usable capacity.
-        let naive = run_overlap_1rfm_sweep(false, Scale::Quick, 9);
-        let filtered = run_overlap_1rfm_sweep(true, Scale::Quick, 9);
-        let n0 = &naive.points[0];
-        let f0 = &filtered.points[0];
+        let n0 = overlap_1rfm_point(false, 1.0, 6, 9);
+        let f0 = overlap_1rfm_point(true, 1.0, 6, 9);
         assert!(
             f0.capacity_kbps > 2.0 * n0.capacity_kbps,
             "filtered {:.1} Kbps must far exceed naive {:.1} Kbps at low noise",
@@ -264,32 +165,5 @@ mod tests {
             "filtered capacity {:.1}",
             f0.capacity_kbps
         );
-    }
-
-    #[test]
-    fn knee_detection() {
-        let sweep = NoiseSweep {
-            kind: ChannelKind::Prac,
-            rfms_per_backoff: 4,
-            points: vec![
-                NoisePoint {
-                    intensity: 1.0,
-                    error_probability: 0.02,
-                    capacity_kbps: 30.0,
-                },
-                NoisePoint {
-                    intensity: 50.0,
-                    error_probability: 0.08,
-                    capacity_kbps: 25.0,
-                },
-                NoisePoint {
-                    intensity: 100.0,
-                    error_probability: 0.4,
-                    capacity_kbps: 2.0,
-                },
-            ],
-        };
-        assert_eq!(sweep.knee_intensity(0.1), Some(50.0));
-        assert_eq!(sweep.knee_intensity(0.01), None);
     }
 }

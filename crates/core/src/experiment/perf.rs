@@ -39,16 +39,6 @@ pub struct PerfStudy {
     pub mixes: usize,
 }
 
-impl PerfStudy {
-    /// The normalized WS of one cell.
-    pub fn cell(&self, defense: DefenseKind, nrh: u32) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.defense == defense && p.nrh == nrh)
-            .map(|p| p.normalized_ws)
-    }
-}
-
 /// Decodes the shared access trace of one four-core mix: profile `i`
 /// replays on the stream seeded `sim_seed ^ (i * 31)` — the exact
 /// per-app seed derivation every simulation of this mix uses, so one
@@ -222,27 +212,11 @@ pub fn run_perf_cells_on(
         .collect()
 }
 
-/// Runs one mix's baseline simulations, decoding the trace itself.
-///
-/// The mix list is derived from `mixes_seed` (the study's master seed,
-/// identical across shards) while the simulations run on `sim_seed`, so
-/// the harness can give every mix an independently derived seed and
-/// shard the study across cores bit-identically. Callers that hold a
-/// memoized trace use [`run_perf_baseline_on`] directly.
-pub fn run_perf_baseline(
-    mix_index: usize,
-    mixes_seed: u64,
-    sim_seed: u64,
-    scale: Scale,
-) -> MixBaseline {
-    let trace = decode_mix_trace(mix_index, mixes_seed, sim_seed, scale, true);
-    run_perf_baseline_on(&trace, sim_seed, scale)
-}
-
 /// Runs one `(mix, defense, nrh)` cell against a precomputed
-/// [`MixBaseline`], decoding the trace itself. `sim_seed` must equal
-/// the baseline's. Callers that hold a memoized trace use
-/// [`run_perf_cells_on`] directly.
+/// [`MixBaseline`], decoding the trace itself. The mix list is derived
+/// from `mixes_seed` (the study's master seed) while the simulation
+/// runs on `sim_seed`, which must equal the baseline's. Callers that
+/// hold a memoized trace use [`run_perf_cells_on`] directly.
 pub fn run_perf_cell(
     mix_index: usize,
     mixes_seed: u64,
@@ -258,30 +232,8 @@ pub fn run_perf_cell(
         .expect("one cell in, one point out")
 }
 
-/// One mix's contribution to Fig. 13: normalized weighted speedup per
-/// `(defense, nrh)` cell, in `defenses` × `nrh_values` order — the
-/// baseline plus every cell, composed from [`run_perf_baseline_on`] and
-/// [`run_perf_cells_on`] over one decoded trace, so a sharded
-/// (per-cell) run can never drift from the serial study.
-pub fn run_perf_mix(
-    mix_index: usize,
-    mixes_seed: u64,
-    sim_seed: u64,
-    defenses: &[DefenseKind],
-    nrh_values: &[u32],
-    scale: Scale,
-) -> Vec<PerfPoint> {
-    let trace = decode_mix_trace(mix_index, mixes_seed, sim_seed, scale, true);
-    let baseline = run_perf_baseline_on(&trace, sim_seed, scale);
-    let cells: Vec<(DefenseKind, u32)> = defenses
-        .iter()
-        .flat_map(|&d| nrh_values.iter().map(move |&n| (d, n)))
-        .collect();
-    run_perf_cells_on(&trace, sim_seed, &cells, &baseline, scale)
-}
-
-/// Averages per-mix cell values (from [`run_perf_mix`], all with the
-/// same `defenses` × `nrh_values` layout) into the Fig. 13 study.
+/// Averages per-mix cell values (one [`run_perf_cells_on`] result per
+/// mix, all over the same cell list) into the Fig. 13 study.
 pub fn merge_perf_mixes(per_mix: &[Vec<PerfPoint>]) -> PerfStudy {
     let mixes = per_mix.len();
     let cells = per_mix.first().map_or(0, Vec::len);
@@ -297,43 +249,44 @@ pub fn merge_perf_mixes(per_mix: &[Vec<PerfPoint>]) -> PerfStudy {
     PerfStudy { points, mixes }
 }
 
-/// Runs the study over `defenses` × `nrh_values`.
-pub fn run_performance(
-    defenses: &[DefenseKind],
-    nrh_values: &[u32],
-    scale: Scale,
-    seed: u64,
-) -> PerfStudy {
-    let per_mix: Vec<Vec<PerfPoint>> = (0..scale.mixes())
-        .map(|m| {
-            run_perf_mix(
-                m,
-                seed,
-                seed ^ (m as u64) << 16,
-                defenses,
-                nrh_values,
-                scale,
-            )
-        })
-        .collect();
-    merge_perf_mixes(&per_mix)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The quick-scale study over `defenses` × `nrh_values`: every mix
+    /// on its own simulation seed, merged.
+    fn study(defenses: &[DefenseKind], nrh_values: &[u32], seed: u64) -> PerfStudy {
+        let scale = Scale::Quick;
+        let cells: Vec<(DefenseKind, u32)> = defenses
+            .iter()
+            .flat_map(|&d| nrh_values.iter().map(move |&n| (d, n)))
+            .collect();
+        let per_mix: Vec<Vec<PerfPoint>> = (0..scale.mixes())
+            .map(|m| {
+                let sim_seed = seed ^ (m as u64) << 16;
+                let trace = decode_mix_trace(m, seed, sim_seed, scale, true);
+                let baseline = run_perf_baseline_on(&trace, sim_seed, scale);
+                run_perf_cells_on(&trace, sim_seed, &cells, &baseline, scale)
+            })
+            .collect();
+        merge_perf_mixes(&per_mix)
+    }
+
+    fn cell(study: &PerfStudy, defense: DefenseKind, nrh: u32) -> f64 {
+        study
+            .points
+            .iter()
+            .find(|p| p.defense == defense && p.nrh == nrh)
+            .expect("cell measured")
+            .normalized_ws
+    }
+
     #[test]
     fn defenses_cost_little_at_high_nrh_and_a_lot_at_low_nrh() {
-        let study = run_performance(
-            &[DefenseKind::Prac, DefenseKind::FrRfm],
-            &[1024, 64],
-            Scale::Quick,
-            3,
-        );
-        let prac_high = study.cell(DefenseKind::Prac, 1024).unwrap();
-        let frrfm_high = study.cell(DefenseKind::FrRfm, 1024).unwrap();
-        let frrfm_low = study.cell(DefenseKind::FrRfm, 64).unwrap();
+        let study = study(&[DefenseKind::Prac, DefenseKind::FrRfm], &[1024, 64], 3);
+        let prac_high = cell(&study, DefenseKind::Prac, 1024);
+        let frrfm_high = cell(&study, DefenseKind::FrRfm, 1024);
+        let frrfm_low = cell(&study, DefenseKind::FrRfm, 64);
         // At NRH=1024 both defenses are cheap (>80 % of baseline).
         assert!(prac_high > 0.8, "PRAC@1024 {prac_high}");
         assert!(frrfm_high > 0.75, "FR-RFM@1024 {frrfm_high}");
@@ -344,14 +297,9 @@ mod tests {
 
     #[test]
     fn riac_beats_fr_rfm_at_very_low_nrh() {
-        let study = run_performance(
-            &[DefenseKind::PracRiac, DefenseKind::FrRfm],
-            &[64],
-            Scale::Quick,
-            5,
-        );
-        let riac = study.cell(DefenseKind::PracRiac, 64).unwrap();
-        let frrfm = study.cell(DefenseKind::FrRfm, 64).unwrap();
+        let study = study(&[DefenseKind::PracRiac, DefenseKind::FrRfm], &[64], 5);
+        let riac = cell(&study, DefenseKind::PracRiac, 64);
+        let frrfm = cell(&study, DefenseKind::FrRfm, 64);
         assert!(
             riac > frrfm,
             "§11.4: RIAC ({riac}) must outperform FR-RFM ({frrfm}) at NRH=64"
@@ -360,14 +308,9 @@ mod tests {
 
     #[test]
     fn prac_bank_tracks_prac() {
-        let study = run_performance(
-            &[DefenseKind::Prac, DefenseKind::PracBank],
-            &[256],
-            Scale::Quick,
-            7,
-        );
-        let prac = study.cell(DefenseKind::Prac, 256).unwrap();
-        let bank = study.cell(DefenseKind::PracBank, 256).unwrap();
+        let study = study(&[DefenseKind::Prac, DefenseKind::PracBank], &[256], 7);
+        let prac = cell(&study, DefenseKind::Prac, 256);
+        let bank = cell(&study, DefenseKind::PracBank, 256);
         // §11.4: PRAC-Bank performs within a few percent of PRAC.
         assert!(
             (prac - bank).abs() < 0.08,

@@ -7,8 +7,10 @@
 //! and overlapped-latency actions none. This experiment tests those
 //! predictions *experimentally*: the same binary sender/receiver protocol
 //! runs against one defense of each class — with the attack parameters an
-//! adaptive attacker would pick per defense — and the measured capacity is
-//! compared against [`lh_defenses::taxonomy::profile_of`]'s prediction.
+//! adaptive attacker would pick per defense
+//! ([`LinkTuning::for_defense`], the one §12 attacker table) — and the
+//! measured capacity is compared against
+//! [`lh_defenses::taxonomy::profile_of`]'s prediction.
 //!
 //! | Defense | Class (trigger, visibility) | Prediction |
 //! |---|---|---|
@@ -18,14 +20,29 @@
 //! | PARA | random, observable | degraded |
 //! | FR-RFM | time-based, observable | none |
 //! | MINT | random, overlapped | none |
+//!
+//! A *no-defense control* row measures the residual bank-contention
+//! channel through the same detection band: whatever the noisy columns
+//! show beyond the control is defense-induced; the rest is the
+//! footnote-9 contention channel.
+//!
+//! ## Measured refinement of §12
+//!
+//! BlockHammer persistently measures ~0 despite its `Degraded`
+//! prediction: its preventive action is *huge* (a multi-µs ACT delay) but
+//! its decision state spans a 16 ms epoch, so one blacklisting decision
+//! shadows hundreds of transmission windows — the modulation bandwidth is
+//! about one bit per epoch (~0.06 Kbps), which rounds to zero at
+//! covert-channel timescales. The taxonomy's "approximate triggers only
+//! add noise" is right about observability but misses this *temporal*
+//! dimension; the report keeps the disagreement visible on purpose.
 
 use serde::{Deserialize, Serialize};
 
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_attacks::LatencyClassifier;
 use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::{DefenseConfig, DefenseKind};
-use lh_dram::{DramTiming, Span};
+use lh_link::LinkTuning;
 use lh_sim::SimConfig;
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
@@ -59,8 +76,10 @@ pub struct TaxonomyPoint {
 }
 
 impl TaxonomyPoint {
-    /// Whether the measurement agrees with the §12 prediction, using the
-    /// thresholds documented on [`run_taxonomy`]. Only the *quiet*
+    /// Whether the measurement agrees with the §12 prediction: a
+    /// `None`-risk defense must measure under 1 Kbps, a `Full`-risk
+    /// defense at least 10 Kbps, a `Degraded`-risk defense a
+    /// usable-but-noisy channel (≥ 0.1 Kbps). Only the *quiet*
     /// condition counts: under heavy noise the generic detection band
     /// also picks up bank-contention latencies, a channel that exists
     /// without any defense (the control row) and is out of scope
@@ -75,65 +94,25 @@ impl TaxonomyPoint {
     }
 }
 
-/// Attack parameters an adaptive attacker picks for `kind`.
-///
-/// The observable event differs per defense class, so the receiver's
-/// detection band does too:
-///
-/// * PRAC — the multi-RFM back-off (≥ the refresh band);
-/// * victim-refresh trackers (Graphene/Hydra/CoMeT/PARA) — an in-bank
-///   ACT+PRE pair per victim, which lands in the single-RFM band
-///   (above a plain conflict, below a periodic refresh);
-/// * FR-RFM / MINT — the attacker's best guess is the RFM band (there is
-///   nothing defense-triggered to see, which is the point);
-/// * BlockHammer — the throttle delay, orders of magnitude above any
-///   DRAM event, with a correspondingly longer window.
+/// The transmission against `kind`: the paper's sender/receiver pair
+/// on a system defended by `kind` at [`TAXONOMY_NRH`], with the
+/// adaptive attacker's window, detection band and `Trecv` for that
+/// class (the no-defense control row probes through the same band as
+/// the classes with nothing defense-triggered to see).
 fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
-    let timing = DramTiming::ddr5_4800();
-    let defense = DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing);
     let base_kind = if kind == DefenseKind::Prac {
         ChannelKind::Prac
     } else {
         ChannelKind::Rfm
     };
     let mut opts = CovertOptions::new(base_kind, bits);
-    let cls = LatencyClassifier::from_timing(&timing, opts.think);
-    opts.sim = SimConfig::paper_default(defense);
+    let timing = opts.sim.device.timing;
+    opts.sim = SimConfig::paper_default(DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing));
     opts.seed = seed;
-    match kind {
-        DefenseKind::Prac => {
-            // The paper's §6.3 configuration, untouched.
-        }
-        DefenseKind::Graphene | DefenseKind::Hydra | DefenseKind::Comet | DefenseKind::Para => {
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(1);
-        }
-        DefenseKind::FrRfm | DefenseKind::Mint => {
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(3);
-        }
-        DefenseKind::BlockHammer => {
-            // The throttle delay is ~tens of µs: stretch the window so a
-            // stalled probe still completes inside it, and detect by the
-            // stall itself.
-            opts.window = Span::from_us(250);
-            opts.detection_band = Some((Span::from_us(5), Span::MAX));
-            opts.trecv = Some(1);
-        }
-        DefenseKind::None => {
-            // Control row: same attack parameters as the tracker kinds,
-            // measuring the defenseless contention channel through the
-            // same detection band.
-            opts.window = Span::from_us(25);
-            opts.detection_band = Some((cls.conflict_max, cls.rfm_max));
-            opts.trecv = Some(3);
-        }
-        DefenseKind::Prfm | DefenseKind::PracRiac | DefenseKind::PracBank => {
-            unreachable!("not part of the taxonomy set")
-        }
-    }
+    let tuning = LinkTuning::for_defense(kind, &timing, opts.think);
+    opts.window = tuning.window;
+    opts.detection_band = Some((tuning.detect, tuning.detect_max));
+    opts.trecv = Some(tuning.trecv);
     opts
 }
 
@@ -159,34 +138,6 @@ fn measure(
     ChannelResult::merge(results.iter())
 }
 
-/// Runs the taxonomy study: one covert-channel attempt per §12 defense
-/// class, quiet and under 40 % noise, plus a *no-defense control* row
-/// that measures the residual bank-contention channel through the same
-/// detection band (whatever the noisy columns show beyond the control is
-/// defense-induced; the rest is the footnote-9 contention channel).
-///
-/// Agreement thresholds (see [`TaxonomyPoint::agrees`]): a `None`-risk
-/// defense must measure under 1 Kbps quiet; a `Full`-risk defense at
-/// least 10 Kbps quiet; a `Degraded`-risk defense shows a
-/// usable-but-noisy channel (≥ 0.1 Kbps).
-///
-/// ## Measured refinement of §12
-///
-/// BlockHammer persistently measures ~0 despite its `Degraded`
-/// prediction: its preventive action is *huge* (a multi-µs ACT delay) but
-/// its decision state spans a 16 ms epoch, so one blacklisting decision
-/// shadows hundreds of transmission windows — the modulation bandwidth is
-/// about one bit per epoch (~0.06 Kbps), which rounds to zero at
-/// covert-channel timescales. The taxonomy's "approximate triggers only
-/// add noise" is right about observability but misses this *temporal*
-/// dimension; the report keeps the disagreement visible on purpose.
-pub fn run_taxonomy(scale: Scale, seed: u64) -> Vec<TaxonomyPoint> {
-    taxonomy_kinds()
-        .into_iter()
-        .map(|kind| taxonomy_point(kind, taxonomy_bits(kind, scale), seed))
-        .collect()
-}
-
 /// The defense classes the measured taxonomy covers, control row first.
 pub fn taxonomy_kinds() -> Vec<DefenseKind> {
     let mut kinds = vec![DefenseKind::None];
@@ -194,10 +145,9 @@ pub fn taxonomy_kinds() -> Vec<DefenseKind> {
     kinds
 }
 
-/// Measures one defense class (quiet + 40 % noise); exposed so the
-/// harness can run the classes in parallel. `bits_per_pattern` should
-/// come from [`run_taxonomy`]'s per-kind budget (BlockHammer runs a
-/// quarter of the bits because of its 10× window).
+/// Measures one defense class, quiet and under 40 % noise.
+/// `bits_per_pattern` should come from [`taxonomy_bits`] (BlockHammer
+/// runs a quarter of the bits because of its 10× window).
 pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> TaxonomyPoint {
     let quiet = measure(kind, bits_per_pattern, None, seed);
     let noisy = measure(kind, bits_per_pattern, Some(40.0), seed ^ 0xff);
@@ -211,7 +161,7 @@ pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> 
     }
 }
 
-/// The per-kind message budget [`run_taxonomy`] uses at `scale`.
+/// The per-kind message budget at `scale`.
 pub fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
     let b = scale.message_bits() / 4;
     if kind == DefenseKind::BlockHammer {
@@ -264,7 +214,7 @@ mod tests {
         for kind in DefenseKind::taxonomy_set() {
             let opts = options_for(kind, vec![1, 0], 1);
             assert_eq!(opts.sim.defense.kind, kind);
-            assert!(opts.window >= Span::from_us(20));
+            assert!(opts.window >= lh_dram::Span::from_us(20));
         }
     }
 }

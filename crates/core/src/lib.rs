@@ -4,17 +4,37 @@
 //! Channel and Side Channel Vulnerabilities Introduced by RowHammer
 //! Defenses"* (MICRO 2025). This crate is the top of the stack: it wires
 //! the substrate crates (DRAM device, memory controller, defenses,
-//! system simulator, attacks, workloads, ML) into one runner per paper
-//! experiment and formats results in the paper's units.
+//! system simulator, attacks, link layer, workloads, ML) into the
+//! paper's 22 figures and tables.
 //!
-//! * Covert channels over PRAC back-offs and PRFM RFM commands
-//!   ([`experiment::covert`]), with noise and application-interference
-//!   sweeps ([`experiment::noise_sweep`], [`experiment::app_noise`]);
-//! * the website-fingerprinting side channel with eight from-scratch ML
-//!   classifiers ([`experiment::fingerprint`]);
-//! * the three countermeasures — FR-RFM, RIAC, Bank-Level PRAC — with
-//!   capacity ([`experiment::countermeasures`]) and performance
-//!   ([`experiment::perf`]) evaluations.
+//! Who owns what — each fact is stated once:
+//!
+//! * [`experiment`] holds the **kernels**: one function per experiment
+//!   that measures *one unit* (one transmission, one sweep point, one
+//!   defense class, one fingerprint trace, one mix's cells) from the
+//!   seed it is handed, and returns a typed outcome. No grids, no
+//!   loops over points, no tables.
+//! * [`mod@registry`] holds one [`lh_harness::Job`] per figure/table:
+//!   the **grid** (which units exist at a scale), the **seed**
+//!   derivation (one per unit, from the harness), the **merge**
+//!   (`finish`) and the **table** (`render_text`). Everything that
+//!   runs — `lh-experiments`, the coordinator's workers, the resident
+//!   service, `benchmark/` — goes through these jobs.
+//! * [`report`] is the aligned-table helper plus the renderers for the
+//!   single-unit outcomes (Figs. 2/3/6, Table 3, §9.1, the §12
+//!   qualitative table).
+//! * The per-defense **attacker policy** (window, detection band,
+//!   `Trecv`, stop-on-detect) is [`lh_link::LinkTuning::for_defense`]
+//!   and nothing here restates it.
+//!
+//! The kernels cover the covert channels over PRAC back-offs and PRFM
+//! RFM commands ([`experiment::covert`]) with noise and
+//! application-interference points ([`experiment::noise_sweep`],
+//! [`experiment::app_noise`]); the website-fingerprinting side channel
+//! with eight from-scratch ML classifiers ([`experiment::fingerprint`]);
+//! and the three countermeasures — FR-RFM, RIAC, Bank-Level PRAC —
+//! with capacity ([`experiment::countermeasures`]) and performance
+//! ([`experiment::perf`]) evaluations.
 //!
 //! ## Quickstart
 //!

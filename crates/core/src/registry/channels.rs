@@ -381,12 +381,7 @@ impl Job for MitigationJob {
         let points: Vec<Json> = units
             .into_iter()
             .map(|p| {
-                let cap = num(&p, "capacity_kbps");
-                let reduction = if baseline > 0.0 {
-                    ((baseline - cap) / baseline * 100.0).max(0.0)
-                } else {
-                    0.0
-                };
+                let reduction = countermeasures::reduction_pct(baseline, num(&p, "capacity_kbps"));
                 p.with("reduction_pct", reduction)
             })
             .collect();
@@ -563,5 +558,51 @@ impl Job for TaxonomyJob {
             &rows,
         ));
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lh_harness::ScaleLevel;
+
+    fn arm(label: &str, capacity_kbps: f64) -> Json {
+        Json::object()
+            .with("defense", label)
+            .with("error_probability", 0.0)
+            .with("capacity_kbps", capacity_kbps)
+    }
+
+    fn reductions(units: Vec<Json>) -> Vec<f64> {
+        let ctx = JobContext::new(ScaleLevel::Quick, 1);
+        MitigationJob.finish(units, &ctx)["points"]
+            .as_array()
+            .iter()
+            .map(|p| num(p, "reduction_pct"))
+            .collect()
+    }
+
+    #[test]
+    fn mitigation_reductions_are_relative_to_unit_zero() {
+        // The baseline is whatever unit 0 measured, not the largest arm
+        // nor an arm found by label.
+        let units = vec![arm("PRAC", 40.0), arm("x", 10.0), arm("y", 0.0)];
+        assert_eq!(reductions(units), vec![0.0, 75.0, 100.0]);
+        let units = vec![arm("renamed", 20.0), arm("PRAC", 40.0), arm("z", 5.0)];
+        assert_eq!(reductions(units), vec![0.0, 0.0, 75.0]);
+    }
+
+    #[test]
+    fn mitigation_reductions_clamp_at_zero() {
+        // A wrapper that widens the channel reads 0 %, never negative.
+        assert_eq!(
+            reductions(vec![arm("PRAC", 40.0), arm("wider", 50.0)]),
+            vec![0.0, 0.0]
+        );
+        // A dead baseline leaves nothing to reduce: 0 %, not NaN.
+        assert_eq!(
+            reductions(vec![arm("PRAC", 0.0), arm("a", 0.0), arm("b", 3.0)]),
+            vec![0.0, 0.0, 0.0]
+        );
     }
 }

@@ -35,10 +35,7 @@ impl Job for TraceGalleryJob {
     }
 
     fn units(&self, ctx: &JobContext) -> Vec<String> {
-        let opts = gallery_options(ctx);
-        (0..opts.sites)
-            .flat_map(|s| (0..opts.traces_per_site).map(move |t| format!("site:{s}:trace:{t}")))
-            .collect()
+        collection_units(&gallery_options(ctx))
     }
 
     fn run_unit(&self, unit: usize, seed: u64, _deps: &[Json], ctx: &JobContext) -> Json {

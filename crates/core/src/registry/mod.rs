@@ -1,12 +1,16 @@
 //! Harness adapters: every paper experiment as an [`lh_harness::Job`].
 //!
-//! Each adapter decomposes its experiment into independently runnable
-//! *units* (sweep points, fingerprint traces, workload mixes), runs a
-//! unit from a derived seed, and renders the merged JSON result as the
-//! same plain-text report the figure/table runner has always printed.
-//! [`registry`] returns the full catalog in paper order; the
-//! `lh-experiments` binary and the integration tests run everything
-//! through it.
+//! A job is the one definition of its experiment above the kernel: it
+//! owns the **grid** (`units`: sweep points, fingerprint traces,
+//! workload mixes — per scale), the **seeds** (the harness derives one
+//! per unit from `(experiment id, unit index, master seed)` and hands
+//! it to `run_unit`, which passes it to the kernel in
+//! [`crate::experiment`]), the **merge** (`finish`, over the units'
+//! JSON) and the **table** (`render_text`, from the merged JSON — the
+//! only renderer each table has). [`registry`] returns the full
+//! catalog in paper order; the `lh-experiments` binary, the
+//! coordinator's workers, the resident service, the examples that
+//! print a figure and the integration tests all run through it.
 //!
 //! Determinism contract: a unit's result depends only on
 //! `(experiment id, unit index, scale, derived seed)` — never on

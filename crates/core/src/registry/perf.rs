@@ -6,8 +6,8 @@
 //! `mixes × defenses × NRH` workers instead of `mixes`, while the
 //! expensive baseline simulations still run exactly once per mix —
 //! warm from the cache on reruns. `finish` reassembles the per-mix
-//! cell grids and reuses the study's own merge, so the sharded path
-//! can never drift from `run_performance`'s aggregation.
+//! cell grids and hands them to `merge_perf_mixes`, the one typed
+//! aggregation (the `benchmark/` lane workload calls it too).
 
 use lh_harness::{Job, JobContext, Json};
 
@@ -153,9 +153,8 @@ impl Job for PerfJob {
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
         // Reassemble each mix's `figure13_set() × NRH_SWEEP` grid from
-        // the cell units (baseline units carry no cells) and reuse the
-        // study's own merge so the harness path can never drift from
-        // `run_performance`'s aggregation.
+        // the cell units (baseline units carry no cells) for the one
+        // typed merge.
         let defenses = DefenseKind::figure13_set();
         let per_mix_cells = cells_per_mix();
         let mixes = units.len() / (1 + per_mix_cells);

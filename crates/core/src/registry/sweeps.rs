@@ -314,3 +314,72 @@ impl Job for LatencySweepJob {
         report::table(&["action ns", "error prob", "capacity Kbps"], &rows)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lh_harness::ScaleLevel;
+
+    #[test]
+    fn fig11_unit_index_covers_every_panel_and_intensity_once() {
+        // `run_unit` splits the index as (unit / points, unit % points);
+        // `units` must lay the labels out the same way, panel-major,
+        // and name every (panel, intensity) pair exactly once.
+        for level in [ScaleLevel::Quick, ScaleLevel::Default] {
+            let ctx = JobContext::new(level, 1);
+            let points = scale_of(&ctx).noise_points();
+            let units = RfmCountJob.units(&ctx);
+            assert_eq!(units.len(), PANELS.len() * points.len());
+            for (unit, label) in units.iter().enumerate() {
+                let (panel, _) = PANELS[unit / points.len()];
+                let intensity = points[unit % points.len()];
+                assert_eq!(*label, format!("{panel}:noise:{intensity}"));
+            }
+            let mut sorted = units.clone();
+            sorted.sort();
+            sorted.dedup();
+            assert_eq!(sorted.len(), units.len(), "a label repeats");
+        }
+    }
+
+    #[test]
+    fn fig11_renders_each_point_under_its_own_panel() {
+        let ctx = JobContext::new(ScaleLevel::Quick, 1);
+        // Hand-made units: capacity encodes the unit index.
+        let units: Vec<Json> = RfmCountJob
+            .units(&ctx)
+            .iter()
+            .enumerate()
+            .map(|(i, label)| {
+                let (panel, intensity) = label.split_once(":noise:").expect("panel:noise:x");
+                Json::object()
+                    .with("intensity", intensity.parse::<f64>().expect("intensity"))
+                    .with("error_probability", 0.0)
+                    .with("capacity_kbps", i as f64)
+                    .with("panel", panel)
+            })
+            .collect();
+        let n = units.len() / PANELS.len();
+        let text = RfmCountJob.render_text(&RfmCountJob.finish(units, &ctx), &ctx);
+        let sections: Vec<&str> = text.split("--- ").skip(1).collect();
+        assert_eq!(sections.len(), PANELS.len());
+        for (p, section) in sections.iter().enumerate() {
+            for i in 0..PANELS.len() * n {
+                let row = format!("{:.1}\n", i as f64);
+                assert_eq!(
+                    section.contains(&row),
+                    i / n == p,
+                    "unit {i} vs panel {p}:\n{section}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_grids_have_the_quick_shape() {
+        let ctx = JobContext::new(ScaleLevel::Quick, 1);
+        assert_eq!(NoiseSweepJob::PRAC.units(&ctx).len(), 3);
+        assert_eq!(NoiseSweepJob::RFM.units(&ctx).len(), 3);
+        assert_eq!(AppNoiseJob::PRAC.units(&ctx).len(), 3);
+    }
+}

@@ -1,23 +1,16 @@
-//! Plain-text report formatting: each experiment's output rendered as the
-//! rows/series the paper's figures and tables show.
+//! Plain-text report formatting: the aligned [`table`] every
+//! [`mod@crate::registry`] job renders its merged JSON through, plus the
+//! five renderers that format one *typed* outcome — the text a
+//! single-unit job stores in its result, and what the examples print
+//! for one kernel call. Multi-unit tables live beside their `Job`
+//! (`render_text`), rendered from the merged JSON and nowhere else.
 
 use core::fmt::Write as _;
 
-use crate::experiment::app_noise::AppNoiseSeries;
-use crate::experiment::cache_sensitivity::CachePoint;
-use crate::experiment::capability::{capability_matrix, taxonomy_table, Colocation, Leak};
+use crate::experiment::capability::{capability_matrix, leak_of, taxonomy_table, Colocation, Leak};
 use crate::experiment::counter_leak::CounterLeakOutcome;
-use crate::experiment::countermeasures::MitigationStudy;
 use crate::experiment::covert::CovertOutcome;
-use crate::experiment::fingerprint::ClassifierAccuracy;
-use crate::experiment::latency_sweep::LatencyPoint;
 use crate::experiment::latency_trace::LatencyTraceOutcome;
-use crate::experiment::multibit::MultibitOutcome;
-use crate::experiment::noise_sweep::NoiseSweep;
-use crate::experiment::perf::PerfStudy;
-use crate::experiment::row_policy::RowPolicyPoint;
-use crate::experiment::taxonomy::TaxonomyPoint;
-use lh_ml::CvScores;
 
 /// Renders a simple aligned table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -87,79 +80,6 @@ pub fn covert_report(label: &str, out: &CovertOutcome) -> String {
     s
 }
 
-/// Fig. 4 / 7 / 11 report.
-pub fn noise_sweep_report(sweep: &NoiseSweep) -> String {
-    let rows: Vec<Vec<String>> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.intensity),
-                format!("{:.3}", p.error_probability),
-                format!("{:.1}", p.capacity_kbps),
-            ]
-        })
-        .collect();
-    table(&["noise %", "error prob", "capacity Kbps"], &rows)
-}
-
-/// Fig. 5 / 8 report.
-pub fn app_noise_report(series: &AppNoiseSeries) -> String {
-    let rows: Vec<Vec<String>> = series
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.intensity.label().to_owned(),
-                format!("{:.3}", p.error_probability),
-                format!("{:.1}", p.capacity_kbps),
-            ]
-        })
-        .collect();
-    table(&["intensity", "error prob", "capacity Kbps"], &rows)
-}
-
-/// §6.3 multibit report.
-pub fn multibit_report(outs: &[MultibitOutcome]) -> String {
-    let rows: Vec<Vec<String>> = outs
-        .iter()
-        .map(|o| {
-            vec![
-                o.base.to_string(),
-                format!("{:.1}", o.raw_kbps),
-                format!("{:.3}", o.error_probability),
-                format!("{:.1}", o.capacity_kbps),
-            ]
-        })
-        .collect();
-    table(&["base", "raw Kbps", "error prob", "capacity Kbps"], &rows)
-}
-
-/// Fig. 10 report.
-pub fn classifier_report(accs: &[ClassifierAccuracy], n_classes: usize) -> String {
-    let rows: Vec<Vec<String>> = accs
-        .iter()
-        .map(|a| vec![a.model.clone(), format!("{:.2}", a.accuracy)])
-        .collect();
-    let mut s = table(&["model", "accuracy"], &rows);
-    let _ = writeln!(s, "random guess = {:.3}", 1.0 / n_classes as f64);
-    s
-}
-
-/// Table 2 report.
-pub fn table2_report(scores: &CvScores) -> String {
-    let rows = vec![vec![
-        "Decision Tree".to_owned(),
-        format!("{:.1} ({:.1})", scores.f1.0, scores.f1.1),
-        format!("{:.1} ({:.1})", scores.precision.0, scores.precision.1),
-        format!("{:.1} ({:.1})", scores.recall.0, scores.recall.1),
-    ]];
-    table(
-        &["model", "F1 % (std)", "precision % (std)", "recall % (std)"],
-        &rows,
-    )
-}
-
 /// Table 3 report.
 pub fn table3_report() -> String {
     fn leak_str(l: Leak) -> &'static str {
@@ -173,14 +93,8 @@ pub fn table3_report() -> String {
     }
     let rows: Vec<Vec<String>> = capability_matrix()
         .into_iter()
-        .map(|(attack, cells)| {
-            let cell = |c: Colocation| {
-                cells
-                    .iter()
-                    .find(|(cc, _)| *cc == c)
-                    .map(|&(_, l)| leak_str(l).to_owned())
-                    .unwrap_or_default()
-            };
+        .map(|(attack, _)| {
+            let cell = |c: Colocation| leak_str(leak_of(attack, c)).to_owned();
             vec![
                 attack.label().to_owned(),
                 cell(Colocation::ChannelOrBankGroup),
@@ -206,45 +120,6 @@ pub fn taxonomy_report() -> String {
     table(&["defense", "timing-channel risk"], &rows)
 }
 
-/// §12 quantitative taxonomy report (measured capacities per class).
-pub fn taxonomy_measured_report(points: &[TaxonomyPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let profile = lh_defenses::taxonomy::profile_of(p.kind);
-            vec![
-                if p.kind == lh_defenses::DefenseKind::None {
-                    "(control)".to_owned()
-                } else {
-                    p.kind.label().to_owned()
-                },
-                profile.map_or("-".to_owned(), |pr| format!("{:?}", pr.trigger)),
-                profile.map_or("-".to_owned(), |pr| format!("{:?}", pr.visibility)),
-                p.predicted.map_or("-".to_owned(), |r| format!("{r:?}")),
-                format!("{:.1}", p.quiet_kbps),
-                format!("{:.1}", p.noisy_kbps),
-                if p.agrees() {
-                    "yes".to_owned()
-                } else {
-                    "NO".to_owned()
-                },
-            ]
-        })
-        .collect();
-    table(
-        &[
-            "defense",
-            "trigger",
-            "visibility",
-            "predicted",
-            "quiet Kbps",
-            "noisy Kbps",
-            "agrees",
-        ],
-        &rows,
-    )
-}
-
 /// §9.1 report.
 pub fn counter_leak_report(out: &CounterLeakOutcome) -> String {
     let mut s = String::new();
@@ -259,108 +134,6 @@ pub fn counter_leak_report(out: &CounterLeakOutcome) -> String {
         s,
         "mean measurement time {:.1} us -> throughput {:.0} Kbps (paper: 13.6 us, 501 Kbps)",
         out.mean_elapsed_us, out.throughput_kbps
-    );
-    s
-}
-
-/// Fig. 12 report.
-pub fn latency_sweep_report(points: &[LatencyPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.action_latency_ns.to_string(),
-                format!("{:.3}", p.error_probability),
-                format!("{:.1}", p.capacity_kbps),
-            ]
-        })
-        .collect();
-    table(&["action ns", "error prob", "capacity Kbps"], &rows)
-}
-
-/// §10.3 report.
-pub fn cache_report(points: &[CachePoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:?}", p.kind),
-                format!("{:.1}", p.baseline_kbps),
-                format!("{:.1}", p.large_kbps),
-                format!("{:+.1}%", p.change_pct()),
-            ]
-        })
-        .collect();
-    table(
-        &["channel", "Table-1 Kbps", "large+BOP Kbps", "change"],
-        &rows,
-    )
-}
-
-/// §11.4 report.
-pub fn mitigation_report(study: &MitigationStudy) -> String {
-    let rows: Vec<Vec<String>> = study
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.clone(),
-                format!("{:.3}", p.error_probability),
-                format!("{:.1}", p.capacity_kbps),
-                format!("{:.0}%", p.reduction_pct),
-            ]
-        })
-        .collect();
-    table(
-        &["defense", "error prob", "capacity Kbps", "reduction"],
-        &rows,
-    )
-}
-
-/// §9 row-policy report.
-pub fn row_policy_report(points: &[RowPolicyPoint]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:?}", p.policy),
-                format!("{:.1}", p.drama_kbps),
-                format!("{:.1}", p.leakyhammer_kbps),
-            ]
-        })
-        .collect();
-    table(&["row policy", "DRAMA Kbps", "LeakyHammer Kbps"], &rows)
-}
-
-/// Fig. 13 report.
-pub fn perf_report(study: &PerfStudy) -> String {
-    let mut nrhs: Vec<u32> = study.points.iter().map(|p| p.nrh).collect();
-    nrhs.sort_unstable_by(|a, b| b.cmp(a));
-    nrhs.dedup();
-    let mut defenses: Vec<_> = study.points.iter().map(|p| p.defense).collect();
-    defenses.dedup();
-    let mut headers: Vec<String> = vec!["defense".to_owned()];
-    headers.extend(nrhs.iter().map(|n| format!("NRH={n}")));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let rows: Vec<Vec<String>> = defenses
-        .iter()
-        .map(|&d| {
-            let mut row = vec![d.label().to_owned()];
-            for &n in &nrhs {
-                row.push(
-                    study
-                        .cell(d, n)
-                        .map_or("-".to_owned(), |v| format!("{v:.2}")),
-                );
-            }
-            row
-        })
-        .collect();
-    let mut s = table(&header_refs, &rows);
-    let _ = writeln!(
-        s,
-        "(normalized weighted speedup; {} mixes; 1.00 = no defense)",
-        study.mixes
     );
     s
 }

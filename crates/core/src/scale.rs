@@ -1,18 +1,18 @@
 //! Experiment scale knobs.
 //!
-//! Every experiment runner accepts a [`Scale`] so that unit tests and
-//! Criterion benches stay fast while `--full` runs reproduce the paper's
-//! sample sizes.
+//! Every experiment's grid and sample sizes come from a [`Scale`], so
+//! unit tests and CI stay fast while `--scale paper` runs reproduce the
+//! paper's sample sizes. The CLI parses the harness's mirror,
+//! [`lh_harness::ScaleLevel`]; [`crate::registry::scale_of`] converts.
 
 use serde::{Deserialize, Serialize};
 
 /// How much work an experiment performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Scale {
-    /// Seconds-scale smoke runs (CI / Criterion).
+    /// Seconds-scale smoke runs (CI, tests).
     Quick,
     /// Minutes-scale runs with the paper's qualitative shape.
-    #[default]
     Default,
     /// The paper's full sample sizes (hours on one core).
     Paper,
@@ -115,19 +115,6 @@ impl Scale {
     }
 }
 
-impl core::str::FromStr for Scale {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Scale, String> {
-        match s {
-            "quick" => Ok(Scale::Quick),
-            "default" => Ok(Scale::Default),
-            "paper" | "full" => Ok(Scale::Paper),
-            other => Err(format!("unknown scale '{other}' (quick|default|paper)")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +126,5 @@ mod tests {
         assert_eq!(Scale::Paper.message_bits(), 800);
         assert_eq!(Scale::Paper.fingerprint_shape(), (40, 50));
         assert_eq!(Scale::Paper.mixes(), 60);
-    }
-
-    #[test]
-    fn parse_from_str() {
-        assert_eq!("quick".parse::<Scale>().unwrap(), Scale::Quick);
-        assert_eq!("paper".parse::<Scale>().unwrap(), Scale::Paper);
-        assert_eq!("full".parse::<Scale>().unwrap(), Scale::Paper);
-        assert!("bogus".parse::<Scale>().is_err());
     }
 }

@@ -15,6 +15,10 @@
 //! * [`Codec`] — bit-level redundancy: [`Plain`], [`Repetition`],
 //!   [`Hamming74`] and [`CrcFramed`] packets.
 //!
+//! [`LinkTuning::for_defense`] is the single §12 attacker table — the
+//! window, detection band, `Trecv` and stop-on-detect an adaptive
+//! attacker picks per defense class; `leakyhammer`'s figure experiments
+//! read their defaults from it too.
 //! [`pipeline::calibrate`] learns the receiver's decision parameters
 //! against a concrete defense, and [`pipeline::transmit_message`] runs
 //! the full round trip inside the simulator, reporting BER, capacity,

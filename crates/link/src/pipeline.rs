@@ -45,7 +45,10 @@ pub struct LinkTuning {
 
 impl LinkTuning {
     /// The tuning an adaptive attacker uses against `kind`, mirroring
-    /// the §12 per-class analysis:
+    /// the §12 per-class analysis. This is the one per-defense attacker
+    /// table: the link pipeline and `leakyhammer`'s `run_covert` both
+    /// look their window, detection band, `Trecv` and stop-on-detect
+    /// up here.
     ///
     /// * PRAC family — the multi-RFM back-off band, stop-on-detect;
     /// * PRFM — the RFM band with the paper's `Trecv` = 3;

@@ -5,17 +5,27 @@
 //! countermeasures, prints the §11.4 capacity-reduction table, and
 //! shows the §12 qualitative taxonomy of defense classes.
 //!
+//! The table is the `mitigation` job's, run through the harness like
+//! `lh-experiments mitigation --scale quick --no-cache -q` and equal to
+//! it byte for byte.
+//!
 //! Run with: `cargo run --release --example countermeasures`
 
-use leakyhammer::experiment::countermeasures::run_mitigation_study;
 use leakyhammer::report;
-use leakyhammer::Scale;
+use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!("LeakyHammer countermeasures (sec. 11)\n");
     println!("running the PRAC covert attack against each configuration ...\n");
-    let study = run_mitigation_study(Scale::Quick, 9);
-    print!("{}", report::mitigation_report(&study));
+    let registry = leakyhammer::registry();
+    let job = registry.get("mitigation").expect("mitigation registered");
+    let ctx = JobContext::new(ScaleLevel::Quick, 1);
+    let runner = Runner::new(RunnerOptions {
+        jobs: 1,
+        ..RunnerOptions::default()
+    });
+    let run = runner.run(job, &ctx).expect("mitigation run");
+    print!("{}", job.render_text(&run.merged, &ctx));
     println!(
         "\nFR-RFM decouples preventive actions from access patterns (fixed-rate\n\
          RFMs) and eliminates the channel; RIAC randomizes counter phases and\n\

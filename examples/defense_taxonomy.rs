@@ -8,11 +8,14 @@
 //! mitigation (MINT) — and the realized capacity is compared with the
 //! taxonomy's qualitative prediction.
 //!
+//! The tables are the `taxonomy` job's, run through the harness like
+//! `lh-experiments taxonomy --scale quick --no-cache -q` and equal to
+//! it byte for byte.
+//!
 //! Run with: `cargo run --release --example defense_taxonomy`
-//! (takes a few minutes; the BlockHammer windows are long)
 
-use leakyhammer::experiment::taxonomy::{run_taxonomy, TAXONOMY_NRH};
-use leakyhammer::{report, Scale};
+use leakyhammer::experiment::taxonomy::TAXONOMY_NRH;
+use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!(
@@ -21,23 +24,33 @@ fn main() {
          noise microbenchmark at 40% intensity)\n"
     );
 
-    let points = run_taxonomy(Scale::Quick, 1);
-    print!("{}", report::taxonomy_measured_report(&points));
+    let registry = leakyhammer::registry();
+    let job = registry.get("taxonomy").expect("taxonomy registered");
+    let ctx = JobContext::new(ScaleLevel::Quick, 1);
+    let runner = Runner::new(RunnerOptions {
+        jobs: 1,
+        ..RunnerOptions::default()
+    });
+    let run = runner.run(job, &ctx).expect("taxonomy run");
+    print!("{}", job.render_text(&run.merged, &ctx));
 
     println!();
-    for p in &points {
-        if !p.agrees() {
+    for p in run.merged["points"].as_array() {
+        if p["agrees"].as_bool() != Some(false) {
+            continue;
+        }
+        let defense = p["defense"].as_str().unwrap_or_default();
+        println!(
+            "NOTE: {defense} measured {:.1} Kbps, outside its predicted {} envelope.",
+            p["quiet_kbps"].as_f64().unwrap_or(f64::NAN),
+            p["predicted"].as_str().unwrap_or_default(),
+        );
+        if defense == lh_defenses::DefenseKind::BlockHammer.label() {
             println!(
-                "NOTE: {} measured {:.1} Kbps, outside its predicted {:?} envelope.",
-                p.kind, p.quiet_kbps, p.predicted
+                "      (BlockHammer's blacklist spans a 16 ms epoch: one decision\n\
+                 \u{20}     shadows hundreds of windows, capping modulation at ~1\n\
+                 \u{20}     bit/epoch - a measured temporal refinement of sec. 12.)"
             );
-            if p.kind == lh_defenses::DefenseKind::BlockHammer {
-                println!(
-                    "      (BlockHammer's blacklist spans a 16 ms epoch: one decision\n\
-                     \u{20}     shadows hundreds of windows, capping modulation at ~1\n\
-                     \u{20}     bit/epoch - a measured temporal refinement of sec. 12.)"
-                );
-            }
         }
     }
     println!(

@@ -42,7 +42,12 @@ fn main() {
     let data = to_dataset(&traces);
     println!("\ntraining the model zoo (3-fold cross-validation):");
     let accs = run_model_comparison(&data, 3, 7);
-    print!("{}", report::classifier_report(&accs, opts.sites));
+    let rows: Vec<Vec<String>> = accs
+        .iter()
+        .map(|a| vec![a.model.clone(), format!("{:.2}", a.accuracy)])
+        .collect();
+    print!("{}", report::table(&["model", "accuracy"], &rows));
+    println!("random guess = {:.3}", 1.0 / opts.sites as f64);
     println!(
         "\nEach website's load phases trigger PRAC back-offs at characteristic\n\
          times; the probe never causes back-offs itself (it stays below NBO)."
