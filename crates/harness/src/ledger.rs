@@ -215,6 +215,50 @@ pub fn execute_unit(
     }
 }
 
+/// The finished run stored under `key`, the merged entry of `job`'s
+/// `units_total` units, if `cache` holds it — the only decoder of a
+/// merged entry. `started` is when the caller began, for the wall time.
+fn replay_entry(
+    job: &dyn Job,
+    key: &CacheKey,
+    units_total: usize,
+    cache: &DiskCache,
+    started: Instant,
+) -> Option<ExperimentRun> {
+    let (metrics, merged, events) = unwrap_entry_events(cache.get(key)?);
+    Some(ExperimentRun {
+        id: job.id(),
+        merged,
+        metrics,
+        events,
+        stats: RunStats {
+            units_total,
+            units_cached: units_total,
+            units_executed: 0,
+            merged_cached: true,
+            wall_ms: started.elapsed().as_millis(),
+        },
+    })
+}
+
+/// Replays the whole run of `job` under `ctx` from its merged entry in
+/// `cache`, or `None` if the entry is not there: what [`Ledger::open`]
+/// returns as [`Opened::Cached`], for a caller that only wants a
+/// finished run back (`lh-serve` re-serving an envelope it no longer
+/// holds) and must not execute anything. `events` picks the entry
+/// family, as in [`unit_key`].
+pub fn replay_merged(
+    job: &dyn Job,
+    ctx: &JobContext,
+    cache: &DiskCache,
+    events: bool,
+) -> Option<ExperimentRun> {
+    let started = Instant::now();
+    let units = job.units(ctx);
+    let key = unit_key(job, &merged_fingerprint(&units), ctx, events);
+    replay_entry(job, &key, units.len(), cache, started)
+}
+
 /// What [`Ledger::open`] found.
 #[derive(Debug)]
 pub enum Opened<'a> {
@@ -293,27 +337,14 @@ impl<'a> Ledger<'a> {
         let units = job.units(ctx);
         let n = units.len();
         let merged_key = unit_key(job, &merged_fingerprint(&units), ctx, events_on);
-        if let Some(entry) = cache.and_then(|c| c.get(&merged_key)) {
-            let (metrics, merged, events) = unwrap_entry_events(entry);
+        if let Some(run) = cache.and_then(|c| replay_entry(job, &merged_key, n, c, started)) {
             if progress {
                 note(format_args!(
                     "{}: merged result cached, nothing to do",
                     job.id()
                 ));
             }
-            return Ok(Opened::Cached(ExperimentRun {
-                id: job.id(),
-                merged,
-                metrics,
-                events,
-                stats: RunStats {
-                    units_total: n,
-                    units_cached: n,
-                    units_executed: 0,
-                    merged_cached: true,
-                    wall_ms: started.elapsed().as_millis(),
-                },
-            }));
+            return Ok(Opened::Cached(run));
         }
 
         let deps: Vec<Vec<usize>> = (0..n).map(|i| job.deps(i, ctx)).collect();
@@ -534,11 +565,53 @@ mod tests {
         }
     }
 
-    fn open<'a>(ctx: &'a JobContext) -> Ledger<'a> {
-        match Ledger::open_sampled(&Flat, ctx, None, false, None, true).unwrap() {
+    fn open_with<'a>(ctx: &'a JobContext, cache: Option<&DiskCache>) -> Ledger<'a> {
+        match Ledger::open_sampled(&Flat, ctx, cache, false, None, true).unwrap() {
             Opened::Live(ledger) => ledger,
-            Opened::Cached(_) => unreachable!("no cache"),
+            Opened::Cached(_) => unreachable!("nothing is cached yet"),
         }
+    }
+
+    fn open<'a>(ctx: &'a JobContext) -> Ledger<'a> {
+        open_with(ctx, None)
+    }
+
+    /// `replay_merged` hands back what `close` stored — result, metrics
+    /// block and event log — and `open` replays through the same
+    /// decoder; another entry family or an empty cache is `None`.
+    #[test]
+    fn replay_merged_returns_the_closed_run_or_nothing() {
+        let ctx = JobContext::new(ScaleLevel::Quick, 7);
+        let cache = DiskCache::new(
+            std::env::temp_dir().join(format!("lh-harness-ledger-test-{}", std::process::id())),
+        );
+        cache.clear().unwrap();
+        assert!(replay_merged(&Flat, &ctx, &cache, true).is_none());
+
+        let ledger = open_with(&ctx, Some(&cache));
+        for unit in 0..UNITS {
+            ledger.record(unit, output(unit));
+        }
+        let closed = ledger.close();
+
+        let replayed = replay_merged(&Flat, &ctx, &cache, true).expect("close stored the entry");
+        assert_eq!(replayed.merged.to_compact(), closed.merged.to_compact());
+        assert_eq!(replayed.metrics.to_compact(), closed.metrics.to_compact());
+        assert_eq!(replayed.events, closed.events);
+        assert!(replayed.stats.merged_cached);
+        assert_eq!(replayed.stats.units_cached, UNITS);
+        match Ledger::open_sampled(&Flat, &ctx, Some(&cache), false, None, true).unwrap() {
+            Opened::Cached(run) => {
+                assert_eq!(run.merged.to_compact(), replayed.merged.to_compact());
+                assert_eq!(run.events, replayed.events);
+            }
+            Opened::Live(_) => panic!("the merged entry must replay"),
+        }
+        assert!(
+            replay_merged(&Flat, &ctx, &cache, false).is_none(),
+            "event-less runs live under another key"
+        );
+        cache.clear().unwrap();
     }
 
     /// `record` in scrambled order from several threads, then `close`,

@@ -98,7 +98,7 @@ pub mod sink;
 pub use cache::{CacheKey, DiskCache};
 pub use job::{Job, JobContext, Registry, ScaleLevel};
 pub use json::Json;
-pub use ledger::{execute_unit, Ledger, Opened, UnitOutput};
+pub use ledger::{execute_unit, replay_merged, Ledger, Opened, UnitOutput};
 pub use memo::Memo;
 pub use metrics::{
     metrics_block, metrics_from_json, metrics_to_json, unwrap_entry, unwrap_entry_events,

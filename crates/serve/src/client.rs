@@ -141,7 +141,9 @@ pub fn get_stream(url: &str) -> io::Result<(u16, impl BufRead)> {
     let mut reader = request("GET", url, None)?;
     let (status, _, chunked) = read_head(&mut reader)?;
     if !chunked {
-        return Err(bad(format!("{url}: expected a chunked stream response")));
+        return Err(bad(format!(
+            "{url}: answered {status}, not a chunked stream"
+        )));
     }
     Ok((status, BufReader::new(ChunkedReader::new(reader))))
 }

@@ -117,8 +117,11 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
+        410 => "Gone",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Status",
     }
 }

@@ -1,17 +1,19 @@
-//! Prometheus text-format rendering of the process registry and fleet
-//! telemetry.
+//! Prometheus text-format rendering of the process registry, fleet
+//! telemetry and the run store's retention counts.
 //!
 //! `GET /metrics` is the volatile channel's front door: everything on
 //! the page is process-lifetime accounting ([`lh_obs::Registry`]
-//! totals, coordinator fleet telemetry) and may differ between two
-//! servers that produced byte-identical envelopes. Names map `sim.*` /
-//! `coord.*` dotted counters to `lh_`-prefixed underscore families
-//! (`sim.cmd.act` → `lh_sim_cmd_act`); histograms render in the
-//! standard cumulative-`le` form with bucket bounds taken from the
+//! totals, coordinator fleet telemetry, [`StoreStats`]) and may differ
+//! between two servers that produced byte-identical envelopes. Names
+//! map `sim.*` / `coord.*` dotted counters to `lh_`-prefixed underscore
+//! families (`sim.cmd.act` → `lh_sim_cmd_act`); histograms render in
+//! the standard cumulative-`le` form with bucket bounds taken from the
 //! deterministic power-of-two layout ([`lh_obs::Hist::bucket_bound`]).
 
 use lh_coord::FleetSnapshot;
 use lh_obs::{Hist, Metrics};
+
+use crate::store::StoreStats;
 
 /// `sim.cmd.act` → `lh_sim_cmd_act`.
 fn family(name: &str) -> String {
@@ -51,8 +53,14 @@ fn histogram(out: &mut String, name: &str, hist: &Hist) {
 }
 
 /// Renders the whole `/metrics` page: registry counter totals, registry
-/// histograms, the absorbed-unit count, and the fleet snapshot.
-pub fn render(totals: &Metrics, units_absorbed: u64, fleet: &FleetSnapshot) -> String {
+/// histograms, the absorbed-unit count, the run store's retention
+/// counts, and the fleet snapshot.
+pub fn render(
+    totals: &Metrics,
+    units_absorbed: u64,
+    fleet: &FleetSnapshot,
+    store: &StoreStats,
+) -> String {
     let mut out = String::new();
 
     counter(&mut out, "lh_units_absorbed", units_absorbed);
@@ -62,6 +70,15 @@ pub fn render(totals: &Metrics, units_absorbed: u64, fleet: &FleetSnapshot) -> S
     for (name, hist) in totals.hists() {
         histogram(&mut out, &family(name), hist);
     }
+
+    gauge(&mut out, "lh_serve_runs_retained", store.runs_retained);
+    gauge(&mut out, "lh_serve_run_payload_bytes", store.payload_bytes);
+    counter(&mut out, "lh_serve_runs_evicted_total", store.runs_evicted);
+    counter(
+        &mut out,
+        "lh_serve_envelopes_recovered_total",
+        store.envelopes_recovered,
+    );
 
     let alive = fleet.workers.iter().filter(|w| w.alive).count() as u64;
     gauge(&mut out, "lh_fleet_workers_alive", alive);
@@ -142,7 +159,21 @@ mod tests {
             heartbeats: 9,
         };
 
-        let page = render(&totals, 5, &fleet);
+        let store = StoreStats {
+            runs_retained: 3,
+            payload_bytes: 4096,
+            runs_evicted: 2,
+            envelopes_recovered: 1,
+        };
+        let page = render(&totals, 5, &fleet, &store);
+        assert!(page.contains("# TYPE lh_serve_runs_retained gauge\nlh_serve_runs_retained 3\n"));
+        assert!(page.contains(
+            "# TYPE lh_serve_run_payload_bytes gauge\nlh_serve_run_payload_bytes 4096\n"
+        ));
+        assert!(page.contains(
+            "# TYPE lh_serve_runs_evicted_total counter\nlh_serve_runs_evicted_total 2\n"
+        ));
+        assert!(page.contains("lh_serve_envelopes_recovered_total 1\n"));
         assert!(page.contains("# TYPE lh_sim_cmd_act counter\nlh_sim_cmd_act 12\n"));
         assert!(page.contains("lh_units_absorbed 5\n"));
         assert!(page.contains("# TYPE lh_sim_queue_wait histogram\n"));
@@ -170,7 +201,12 @@ mod tests {
         let mut h = Hist::new();
         h.observe(u64::MAX); // exponent 64 — bound would be u64::MAX
         totals.set_hist("sim.queue_wait", h);
-        let page = render(&totals, 0, &FleetSnapshot::default());
+        let page = render(
+            &totals,
+            0,
+            &FleetSnapshot::default(),
+            &StoreStats::default(),
+        );
         assert!(
             !page.contains(&format!("le=\"{}\"", u64::MAX)),
             "the saturated bucket must render as +Inf only: {page}"

@@ -11,9 +11,11 @@
 //! is what keeps the determinism contract trivially intact. HTTP
 //! handler threads never touch the coordinator; they share:
 //!
-//! * the run table (`Arc<RunEntry>` per submission) — status, the
-//!   accumulated NDJSON event lines, and the finished envelope bytes,
-//!   all behind a mutex+condvar so stream followers tail live;
+//! * the run store ([`crate::store`]) — per submission its status, the
+//!   accumulated NDJSON event lines and the finished envelope bytes,
+//!   behind a mutex+condvar so stream followers tail live; finished
+//!   payloads are held under a fixed byte budget, and an evicted run's
+//!   envelope is replayed from the disk cache's merged entry;
 //! * the coordinator's [`FleetTelemetry`] handle — snapshots feed
 //!   `/metrics`, run-status responses, and periodic `fleet` stream
 //!   events while the fleet works.
@@ -30,7 +32,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lh_coord::{Coordinator, CoordinatorOptions, FleetTelemetry, SpawnWorker};
@@ -42,10 +44,16 @@ use lh_harness::{JobContext, OutputFormat, ScaleLevel, UnitEvent, UnitObserver};
 
 use crate::http::{read_request, respond, ChunkedWriter, Request};
 use crate::prom;
+use crate::store::{Finished, Part, Run, RunEntry, RunRecord, RunStore};
 
 /// How often a live `/runs/<id>/stream` follower receives a `fleet`
 /// telemetry event while waiting for unit completions.
 const FLEET_PERIOD: Duration = Duration::from_millis(500);
+
+/// Read and write timeout of every accepted socket: a peer that sends
+/// nothing, or stops taking what it asked for, for this long loses its
+/// connection (and frees its thread) without touching anyone else's.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -65,93 +73,17 @@ impl Default for ServeOptions {
     }
 }
 
-/// Where a submitted run is in its lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RunPhase {
-    Queued,
-    Running,
-    Done,
-    Failed(String),
-}
-
-impl RunPhase {
-    fn as_str(&self) -> &'static str {
-        match self {
-            RunPhase::Queued => "queued",
-            RunPhase::Running => "running",
-            RunPhase::Done => "done",
-            RunPhase::Failed(_) => "failed",
-        }
-    }
-}
-
-struct RunInner {
-    phase: RunPhase,
-    /// NDJSON event lines (`started`/`unit`/`finished`) in emission
-    /// order; stream followers tail this.
-    lines: Vec<String>,
-    /// The finished envelope, pretty-printed plus trailing newline —
-    /// the exact bytes `--format json` would print.
-    envelope: Option<String>,
-    /// The flight-event log, present once a run submitted with
-    /// `"events": true` finishes — the exact bytes `--events-out`
-    /// would write for the same experiment/scale/seed.
-    events: Option<String>,
-}
-
-/// One submitted run: immutable identity plus mutexed progress state.
-struct RunEntry {
-    id: u64,
-    experiment: String,
-    scale: ScaleLevel,
-    seed: u64,
-    /// Whether the submission asked for flight-event recording.
-    events: bool,
-    inner: Mutex<RunInner>,
-    cond: Condvar,
-}
-
-impl RunEntry {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RunInner> {
-        self.inner.lock().expect("run entry poisoned")
-    }
-
-    fn push_line(&self, line: String) {
-        self.lock().lines.push(line);
-        self.cond.notify_all();
-    }
-
-    fn set_phase(&self, phase: RunPhase) {
-        self.lock().phase = phase;
-        self.cond.notify_all();
-    }
-
-    fn status_json(&self) -> Json {
-        let inner = self.lock();
-        let mut obj = Json::object()
-            .with("id", self.id)
-            .with("experiment", self.experiment.as_str())
-            .with("scale", self.scale.as_str())
-            .with("seed", self.seed)
-            .with("status", inner.phase.as_str())
-            .with("events", inner.lines.len())
-            .with("flight", self.events);
-        if let RunPhase::Failed(error) = &inner.phase {
-            obj.set("error", error.as_str());
-        }
-        obj
-    }
-}
-
 struct ServerState {
-    runs: Mutex<Vec<Arc<RunEntry>>>,
+    store: Arc<RunStore>,
     /// Hands queued entries to the executor thread. (`mpsc::Sender` is
     /// not `Sync`, hence the mutex.)
     queue: Mutex<mpsc::Sender<Arc<RunEntry>>>,
     telemetry: FleetTelemetry,
-    /// `(id, description)` pairs for `/experiments` and submit-time
-    /// validation.
-    experiments: Vec<(String, String)>,
+    /// The executor's registry: submit-time validation, `/experiments`,
+    /// and the job an evicted run's envelope is rendered with.
+    registry: Arc<Registry>,
+    /// The coordinator's cache, where evicted envelopes are re-read.
+    cache: Option<DiskCache>,
     /// When the service bound, for `/healthz` uptime.
     started: std::time::Instant,
     /// Combined digest of every registered job's id, version and code
@@ -162,13 +94,23 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn run_by_id(&self, id: u64) -> Option<Arc<RunEntry>> {
-        self.runs
-            .lock()
-            .expect("run table poisoned")
-            .iter()
-            .find(|r| r.id == id)
-            .cloned()
+    fn run_by_id(&self, id: &str) -> Option<Run> {
+        self.store.get(id.parse().ok()?)
+    }
+
+    /// `part` of the evicted run `record` describes, replayed from the
+    /// disk cache's merged entry: the bytes the run served while
+    /// retained. `None` without a cache or once the entry is gone.
+    fn recover(&self, record: &RunRecord, part: Part) -> Option<String> {
+        let job = self.registry.get(&record.experiment)?;
+        let ctx = JobContext::new(record.scale, record.seed);
+        let run = lh_harness::replay_merged(job, &ctx, self.cache.as_ref()?, record.events)?;
+        let body = match part {
+            Part::Envelope => sink::render(job, &run, &ctx, OutputFormat::Json),
+            Part::Events => run.events?,
+        };
+        self.store.note_recovered();
+        Some(body)
     }
 }
 
@@ -217,7 +159,7 @@ impl Server {
             spawner,
             CoordinatorOptions {
                 workers: options.workers.max(1),
-                cache: options.cache,
+                cache: options.cache.clone(),
                 progress: false,
                 observer: Some(observer),
                 ..CoordinatorOptions::default()
@@ -225,11 +167,7 @@ impl Server {
         );
         let telemetry = coordinator.telemetry();
 
-        let registry = make_registry();
-        let experiments = registry
-            .jobs()
-            .map(|j| (j.id().to_owned(), j.description().to_owned()))
-            .collect();
+        let registry = Arc::new(make_registry());
         let mut hasher = lh_harness::hash::Hasher::new();
         for job in registry.jobs() {
             hasher
@@ -239,18 +177,29 @@ impl Server {
         }
         let registry_digest = hasher.digest();
 
+        let store = Arc::new(RunStore::new());
         let (queue_tx, queue_rx) = mpsc::channel::<Arc<RunEntry>>();
+        let (executor_registry, executor_store) = (Arc::clone(&registry), Arc::clone(&store));
         std::thread::Builder::new()
             .name("lh-serve-executor".into())
-            .spawn(move || executor(coordinator, registry, live, queue_rx))?;
+            .spawn(move || {
+                executor(
+                    coordinator,
+                    &executor_registry,
+                    &executor_store,
+                    live,
+                    queue_rx,
+                )
+            })?;
 
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
-                runs: Mutex::new(Vec::new()),
+                store,
                 queue: Mutex::new(queue_tx),
                 telemetry,
-                experiments,
+                registry,
+                cache: options.cache,
                 started: std::time::Instant::now(),
                 registry_digest,
             }),
@@ -275,6 +224,12 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         for stream in self.listener.incoming() {
             let stream = stream?;
+            let timeouts = stream
+                .set_read_timeout(Some(SOCKET_TIMEOUT))
+                .and_then(|()| stream.set_write_timeout(Some(SOCKET_TIMEOUT)));
+            if timeouts.is_err() {
+                continue; // the peer is already gone
+            }
             let state = Arc::clone(&self.state);
             let _ = std::thread::Builder::new()
                 .name("lh-serve-conn".into())
@@ -289,46 +244,39 @@ impl Server {
 }
 
 /// The executor loop: drains the run queue into the resident
-/// coordinator, one run at a time, recording stream lines and the
-/// finished envelope on each entry.
+/// coordinator, one run at a time, recording stream lines on each entry
+/// and handing the finished payload to the store.
 fn executor(
     mut coordinator: Coordinator,
-    registry: Registry,
+    registry: &Registry,
+    store: &RunStore,
     live: Arc<Mutex<Option<Arc<RunEntry>>>>,
     queue: mpsc::Receiver<Arc<RunEntry>>,
 ) {
     while let Ok(entry) = queue.recv() {
-        let ctx = JobContext::new(entry.scale, entry.seed);
-        let Some(job) = registry.get(&entry.experiment) else {
-            entry.set_phase(RunPhase::Failed(format!(
-                "unknown experiment '{}'",
-                entry.experiment
-            )));
+        let record = &entry.record;
+        let ctx = JobContext::new(record.scale, record.seed);
+        let Some(job) = registry.get(&record.experiment) else {
+            let error = format!("unknown experiment '{}'", record.experiment);
+            store.finish(&entry, Err(error));
             continue;
         };
-        entry.set_phase(RunPhase::Running);
+        entry.set_running();
         entry.push_line(sink::stream_started(job, job.units(&ctx).len(), &ctx));
         *live.lock().expect("live slot poisoned") = Some(Arc::clone(&entry));
         // The flight switch is per run: the executor is the only thread
         // driving the coordinator, so flipping the process-global
         // recorder here scopes it to exactly this run's assignments.
-        lh_obs::flight::set_enabled(entry.events);
+        lh_obs::flight::set_enabled(record.events);
         let outcome = coordinator.run(job, &ctx);
         lh_obs::flight::set_enabled(false);
         *live.lock().expect("live slot poisoned") = None;
-        match outcome {
-            Ok(run) => {
-                entry.push_line(sink::stream_finished(job, &run, &ctx));
-                let envelope = sink::render(job, &run, &ctx, OutputFormat::Json);
-                let mut inner = entry.lock();
-                inner.envelope = Some(envelope);
-                inner.events = run.events;
-                inner.phase = RunPhase::Done;
-                drop(inner);
-                entry.cond.notify_all();
-            }
-            Err(error) => entry.set_phase(RunPhase::Failed(error)),
-        }
+        let outcome = outcome.map(|run| Finished {
+            line: sink::stream_finished(job, &run, &ctx).into(),
+            envelope: sink::render(job, &run, &ctx, OutputFormat::Json).into(),
+            events: run.events.map(Arc::from),
+        });
+        store.finish(&entry, outcome);
     }
     // Queue sender gone: the server was dropped. Retire the fleet.
     coordinator.shutdown();
@@ -347,11 +295,76 @@ fn error_response(stream: &mut TcpStream, status: u16, message: &str) -> io::Res
     json_response(stream, status, &Json::object().with("error", message))
 }
 
+/// `410 Gone` for what an evicted run no longer has: the error says
+/// `what` went where and `resubmit` is the `POST /runs` body that
+/// brings it back (on a warm cache, in milliseconds).
+fn gone_response(stream: &mut TcpStream, record: &RunRecord, what: &str) -> io::Result<()> {
+    let error = format!(
+        "run {} finished and was evicted: its {what}; resubmit it",
+        record.id
+    );
+    let resubmit = Json::object()
+        .with("experiment", record.experiment.as_str())
+        .with("scale", record.scale.as_str())
+        .with("seed", record.seed)
+        .with("events", record.events);
+    json_response(
+        stream,
+        410,
+        &Json::object()
+            .with("error", error)
+            .with("resubmit", resubmit),
+    )
+}
+
+/// `GET /runs/<id>/envelope` and `/events`: from memory by refcount
+/// while the run is retained, from the disk cache once it is evicted.
+fn serve_part(stream: &mut TcpStream, state: &ServerState, id: &str, part: Part) -> io::Result<()> {
+    let Some(run) = state.run_by_id(id) else {
+        return error_response(stream, 404, &format!("no run {id}"));
+    };
+    let content_type = match part {
+        Part::Envelope => "application/json",
+        Part::Events if !run.record().events => {
+            return error_response(stream, 404, "run was submitted without \"events\": true");
+        }
+        Part::Events => "application/x-ndjson",
+    };
+    match run {
+        Run::Held(entry) => match entry.part(part) {
+            Ok(bytes) => respond(stream, 200, content_type, bytes.as_bytes()),
+            Err((status, message)) => error_response(stream, status, &message),
+        },
+        Run::Evicted(evicted) => {
+            if let Some(error) = &evicted.error {
+                return error_response(stream, 500, error);
+            }
+            match state.recover(&evicted.record, part) {
+                Some(body) => respond(stream, 200, content_type, body.as_bytes()),
+                None => gone_response(
+                    stream,
+                    &evicted.record,
+                    "document is in neither memory nor the disk cache",
+                ),
+            }
+        }
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
     let request = match read_request(&mut stream) {
         Ok(request) => request,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             return error_response(&mut stream, 400, &e.to_string());
+        }
+        // The socket's read timeout (either spelling, by platform).
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            return error_response(&mut stream, 408, "no complete request within the timeout");
         }
         Err(e) => return Err(e),
     };
@@ -396,6 +409,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<(
                 &registry.totals(),
                 registry.units_absorbed(),
                 &state.telemetry.snapshot(),
+                &state.store.stats(),
             );
             respond(
                 &mut stream,
@@ -406,95 +420,42 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<(
         }
         ("GET", ["experiments"]) => {
             let list = state
-                .experiments
-                .iter()
-                .map(|(id, description)| {
+                .registry
+                .jobs()
+                .map(|job| {
                     Json::object()
-                        .with("id", id.as_str())
-                        .with("description", description.as_str())
+                        .with("id", job.id())
+                        .with("description", job.description())
                 })
                 .collect();
             json_response(&mut stream, 200, &Json::Array(list))
         }
         ("POST", ["runs"]) => submit_run(&mut stream, state, &request),
         ("GET", ["runs"]) => {
-            let list = state
-                .runs
-                .lock()
-                .expect("run table poisoned")
-                .iter()
-                .map(|r| r.status_json())
-                .collect();
+            // Cloned out of the store (refcounts), rendered outside it.
+            let list = state.store.window().iter().map(Run::status_json).collect();
             json_response(&mut stream, 200, &Json::Array(list))
         }
-        ("GET", ["runs", id]) => match id.parse().ok().and_then(|id| state.run_by_id(id)) {
-            Some(entry) => {
-                let status = entry
+        ("GET", ["runs", id]) => match state.run_by_id(id) {
+            Some(run) => {
+                let status = run
                     .status_json()
                     .with("fleet", state.telemetry.snapshot().to_json());
                 json_response(&mut stream, 200, &status)
             }
             None => error_response(&mut stream, 404, &format!("no run {id}")),
         },
-        ("GET", ["runs", id, "envelope"]) => {
-            match id.parse().ok().and_then(|id| state.run_by_id(id)) {
-                Some(entry) => {
-                    let inner = entry.lock();
-                    match (&inner.phase, &inner.envelope) {
-                        (_, Some(envelope)) => {
-                            let bytes = envelope.clone().into_bytes();
-                            drop(inner);
-                            respond(&mut stream, 200, "application/json", &bytes)
-                        }
-                        (RunPhase::Failed(error), None) => {
-                            let message = error.clone();
-                            drop(inner);
-                            error_response(&mut stream, 500, &message)
-                        }
-                        _ => {
-                            drop(inner);
-                            error_response(&mut stream, 409, "run not finished yet")
-                        }
-                    }
-                }
-                None => error_response(&mut stream, 404, &format!("no run {id}")),
-            }
-        }
-        ("GET", ["runs", id, "events"]) => {
-            match id.parse().ok().and_then(|id| state.run_by_id(id)) {
-                Some(entry) if !entry.events => error_response(
-                    &mut stream,
-                    404,
-                    "run was submitted without \"events\": true",
-                ),
-                Some(entry) => {
-                    let inner = entry.lock();
-                    match (&inner.phase, &inner.events) {
-                        (_, Some(events)) => {
-                            let bytes = events.clone().into_bytes();
-                            drop(inner);
-                            respond(&mut stream, 200, "application/x-ndjson", &bytes)
-                        }
-                        (RunPhase::Failed(error), None) => {
-                            let message = error.clone();
-                            drop(inner);
-                            error_response(&mut stream, 500, &message)
-                        }
-                        _ => {
-                            drop(inner);
-                            error_response(&mut stream, 409, "run not finished yet")
-                        }
-                    }
-                }
-                None => error_response(&mut stream, 404, &format!("no run {id}")),
-            }
-        }
-        ("GET", ["runs", id, "stream"]) => {
-            match id.parse().ok().and_then(|id| state.run_by_id(id)) {
-                Some(entry) => stream_run(stream, state, &entry),
-                None => error_response(&mut stream, 404, &format!("no run {id}")),
-            }
-        }
+        ("GET", ["runs", id, "envelope"]) => serve_part(&mut stream, state, id, Part::Envelope),
+        ("GET", ["runs", id, "events"]) => serve_part(&mut stream, state, id, Part::Events),
+        ("GET", ["runs", id, "stream"]) => match state.run_by_id(id) {
+            Some(Run::Held(entry)) => stream_run(stream, state, &entry),
+            Some(Run::Evicted(evicted)) => gone_response(
+                &mut stream,
+                &evicted.record,
+                "stream lines are no longer in memory",
+            ),
+            None => error_response(&mut stream, 404, &format!("no run {id}")),
+        },
         ("GET", _) => error_response(&mut stream, 404, &format!("no route {}", request.path)),
         _ => error_response(
             &mut stream,
@@ -516,7 +477,7 @@ fn submit_run(stream: &mut TcpStream, state: &ServerState, request: &Request) ->
     let Some(experiment) = doc["experiment"].as_str() else {
         return error_response(stream, 400, "missing field 'experiment'");
     };
-    if !state.experiments.iter().any(|(id, _)| id == experiment) {
+    if state.registry.get(experiment).is_none() {
         return error_response(
             stream,
             404,
@@ -543,24 +504,12 @@ fn submit_run(stream: &mut TcpStream, state: &ServerState, request: &Request) ->
         _ => return error_response(stream, 400, "field 'events' must be a boolean"),
     };
 
-    let entry = {
-        let mut runs = state.runs.lock().expect("run table poisoned");
-        let entry = Arc::new(RunEntry {
-            id: runs.len() as u64 + 1,
-            experiment: experiment.to_owned(),
-            scale,
-            seed,
-            events,
-            inner: Mutex::new(RunInner {
-                phase: RunPhase::Queued,
-                lines: Vec::new(),
-                envelope: None,
-                events: None,
-            }),
-            cond: Condvar::new(),
-        });
-        runs.push(Arc::clone(&entry));
-        entry
+    let Some(entry) = state.store.submit(experiment, scale, seed, events) else {
+        return error_response(
+            stream,
+            503,
+            "the run table is full of unfinished runs; retry when some have finished",
+        );
     };
     state
         .queue
@@ -572,7 +521,9 @@ fn submit_run(stream: &mut TcpStream, state: &ServerState, request: &Request) ->
     json_response(
         stream,
         202,
-        &Json::object().with("id", entry.id).with("status", "queued"),
+        &Json::object()
+            .with("id", entry.record.id)
+            .with("status", "queued"),
     )
 }
 
@@ -584,27 +535,10 @@ fn stream_run(stream: TcpStream, state: &ServerState, entry: &RunEntry) -> io::R
     let mut writer = ChunkedWriter::start(stream, "application/x-ndjson")?;
     let mut sent = 0usize;
     loop {
-        // Collect under the lock, write outside it: a slow follower
-        // must not stall the executor's push_line.
-        let (fresh, finished) = {
-            let mut inner = entry.lock();
-            while inner.lines.len() == sent
-                && matches!(inner.phase, RunPhase::Queued | RunPhase::Running)
-            {
-                let (guard, timeout) = entry
-                    .cond
-                    .wait_timeout(inner, FLEET_PERIOD)
-                    .expect("run entry poisoned");
-                inner = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let fresh: Vec<String> = inner.lines[sent..].to_vec();
-            sent = inner.lines.len();
-            let finished = !matches!(inner.phase, RunPhase::Queued | RunPhase::Running);
-            (fresh, finished)
-        };
+        // Refcounts taken under the entry lock, bytes written outside
+        // it: a slow follower must not stall the executor's push_line.
+        let (fresh, finished) = entry.lines_after(sent, FLEET_PERIOD);
+        sent += fresh.len();
         for line in &fresh {
             writer.chunk(line.as_bytes())?;
         }
@@ -616,5 +550,42 @@ fn stream_run(stream: TcpStream, state: &ServerState, entry: &RunEntry) -> io::R
             // fleet snapshot instead of silence.
             writer.chunk(sink::stream_fleet(state.telemetry.snapshot().to_json()).as_bytes())?;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    /// A peer that sends half a request and goes quiet is answered
+    /// `408` when the accepted socket's read timeout fires, and its
+    /// thread returns.
+    #[test]
+    fn a_stalled_request_is_answered_408_when_the_read_times_out() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Box::new(lh_coord::ThreadSpawner::new(Registry::new)),
+            Registry::new,
+            ServeOptions::default(),
+        )
+        .expect("bind loopback");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        // What `Server::run` does, with a timeout a test can wait for.
+        accepted
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+
+        peer.write_all(b"GET /healthz HT").unwrap();
+        handle_connection(accepted, &server.state).expect("the answer is written");
+        let mut answer = String::new();
+        peer.read_to_string(&mut answer).unwrap();
+        assert!(
+            answer.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{answer}"
+        );
+        assert!(answer.contains("\"error\""), "{answer}");
     }
 }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use lh_harness::json::parse;
 use lh_harness::sink;
 use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
-use lh_serve::{client, ServeOptions, Server, ThreadSpawner};
+use lh_serve::{client, DiskCache, ServeOptions, Server, ThreadSpawner, PAYLOAD_BUDGET_BYTES};
 
 /// The servers under test share this process, and `lh-serve` scopes
 /// flight recording by flipping the process-global switch around each
@@ -27,17 +27,18 @@ fn one_server() -> MutexGuard<'static, ()> {
     ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Binds a service on an ephemeral loopback port with an in-process
-/// thread fleet and returns its base URL.
+/// Binds a cache-less service on an ephemeral loopback port with an
+/// in-process thread fleet and returns its base URL.
 fn start_server() -> String {
+    start_server_over(None)
+}
+
+fn start_server_over(cache: Option<DiskCache>) -> String {
     let server = Server::bind(
         "127.0.0.1:0",
         Box::new(ThreadSpawner::new(leakyhammer::registry)),
         leakyhammer::registry,
-        ServeOptions {
-            workers: 2,
-            cache: None,
-        },
+        ServeOptions { workers: 2, cache },
     )
     .expect("bind loopback");
     let addr = server.addr().expect("bound addr");
@@ -321,4 +322,168 @@ fn flight_events_are_served_per_run_when_requested() {
     let with = client::get(&format!("{base}/runs/{id}/envelope")).expect("get");
     let without = client::get(&format!("{base}/runs/{plain_id}/envelope")).expect("get");
     assert_eq!(with.text(), without.text());
+}
+
+/// Submits `body`, waits for the run to finish `done`, returns its id.
+fn run_to_done(base: &str, body: &str) -> u64 {
+    let response = client::post(&format!("{base}/runs"), body.as_bytes()).expect("submit");
+    assert_eq!(response.status, 202, "{}", response.text());
+    let id = parse(&response.text()).expect("submit reply is JSON")["id"]
+        .as_u64()
+        .expect("run id");
+    let status = wait_done(base, id);
+    assert_eq!(status["status"].as_str(), Some("done"), "{status}");
+    id
+}
+
+fn fetch(url: &str) -> (u16, String) {
+    let response = client::get(url).expect("get");
+    (response.status, response.text())
+}
+
+/// The sample of an unlabelled family on the `/metrics` page.
+fn metric(base: &str, family: &str) -> u64 {
+    let (status, page) = fetch(&format!("{base}/metrics"));
+    assert_eq!(status, 200);
+    page.lines()
+        .find_map(|line| line.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample of {family} in:\n{page}"))
+}
+
+fn retained(base: &str, id: u64) -> bool {
+    let (status, text) = fetch(&format!("{base}/runs/{id}"));
+    assert_eq!(status, 200, "{text}");
+    parse(&text).expect("status is JSON")["retained"]
+        .as_bool()
+        .expect("every status document says whether the run is retained")
+}
+
+/// A fig2 run with its flight log: ≈ 280 KB of payload for a few
+/// milliseconds of simulation, so thirty of them turn the budget over
+/// even on a cache-less service.
+const RECORDING_FIG2: &str =
+    r#"{"experiment": "fig2", "scale": "quick", "seed": 1, "events": true}"#;
+
+/// Submits recording fig2 runs until runs 1 and 2 have been evicted,
+/// checking the payload gauge against the budget after every one.
+/// Returns the last run's id.
+fn submit_until_evicted(base: &str) -> u64 {
+    let mut last = 0;
+    while retained(base, 1) || retained(base, 2) {
+        last = run_to_done(base, RECORDING_FIG2);
+        let held = metric(base, "lh_serve_run_payload_bytes");
+        assert!(
+            held <= PAYLOAD_BUDGET_BYTES as u64,
+            "after run {last} the service holds {held} payload bytes"
+        );
+        assert!(last < 300, "300 of these are 10 budgets: eviction is off");
+    }
+    assert!(retained(base, last), "the newest run is in memory");
+    last
+}
+
+#[test]
+fn an_evicted_run_is_re_served_from_the_disk_cache_byte_for_byte() {
+    let _serial = one_server();
+    let cache = DiskCache::new(
+        std::env::temp_dir().join(format!("lh-serve-http-evict-{}", std::process::id())),
+    );
+    cache.clear().expect("scratch cache");
+    let base = start_server_over(Some(cache.clone()));
+
+    // Run 1 fills the cache; run 2 records a flight log. Both are read
+    // while the service still holds them.
+    const MITSWEEP: &str = r#"{"experiment": "mitsweep", "scale": "quick", "seed": 1}"#;
+    let first = run_to_done(&base, MITSWEEP);
+    let recording = run_to_done(&base, RECORDING_FIG2);
+    assert_eq!((first, recording), (1, 2));
+    let (_, held_envelope) = fetch(&format!("{base}/runs/1/envelope"));
+    let (_, held_fig2) = fetch(&format!("{base}/runs/2/envelope"));
+    let (_, held_log) = fetch(&format!("{base}/runs/2/events"));
+    assert!(held_log.contains("\"kind\":\"cmd\""), "a real flight log");
+    assert_eq!(metric(&base, "lh_serve_envelopes_recovered_total"), 0);
+
+    submit_until_evicted(&base);
+    let last = run_to_done(&base, MITSWEEP);
+    assert!(retained(&base, last));
+    assert!(metric(&base, "lh_serve_runs_evicted_total") >= 2);
+    assert!(metric(&base, "lh_serve_runs_retained") > 0);
+
+    // From disk: the bytes the run served from memory, the committed
+    // snapshot's, and what the newest run serves from memory now.
+    let (status, envelope) = fetch(&format!("{base}/runs/1/envelope"));
+    assert_eq!(status, 200, "{envelope}");
+    assert_eq!(envelope, held_envelope);
+    let snapshot = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/bench/snapshots/mitsweep.quick.json"
+    ))
+    .expect("committed snapshot");
+    assert_eq!(envelope, snapshot);
+    assert_eq!(fetch(&format!("{base}/runs/{last}/envelope")).1, envelope);
+    let fig2_snapshot = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/bench/snapshots/fig2.quick.json"
+    ))
+    .expect("committed snapshot");
+    assert_eq!(fetch(&format!("{base}/runs/2/envelope")).1, held_fig2);
+    assert_eq!(
+        fetch(&format!("{base}/runs/{}/envelope", last - 1)).1,
+        held_fig2
+    );
+    assert_eq!(held_fig2, fig2_snapshot);
+    assert_eq!(fetch(&format!("{base}/runs/2/events")), (200, held_log));
+    assert_eq!(metric(&base, "lh_serve_envelopes_recovered_total"), 3);
+
+    // The stream is not kept: 410, and the error is the way back.
+    let (status, text) = fetch(&format!("{base}/runs/1/stream"));
+    assert_eq!(status, 410, "{text}");
+    let gone = parse(&text).expect("the 410 body is JSON");
+    assert!(gone["error"]
+        .as_str()
+        .is_some_and(|e| e.contains("resubmit")));
+    assert_eq!(gone["resubmit"]["experiment"].as_str(), Some("mitsweep"));
+    assert_eq!(gone["resubmit"]["seed"].as_u64(), Some(1));
+
+    // The listing still knows every run, and which it can stream.
+    let (_, listing) = fetch(&format!("{base}/runs"));
+    let listing = parse(&listing).expect("listing is JSON");
+    let runs = listing.as_array();
+    assert_eq!(runs.len() as u64, last);
+    assert_eq!(runs[0]["retained"].as_bool(), Some(false));
+    assert_eq!(runs[0]["status"].as_str(), Some("done"));
+    assert_eq!(runs[last as usize - 1]["retained"].as_bool(), Some(true));
+
+    // A cleared cache leaves nothing to re-serve.
+    cache.clear().expect("scratch cache");
+    let (status, text) = fetch(&format!("{base}/runs/1/envelope"));
+    assert_eq!(status, 410, "{text}");
+    assert_eq!(fetch(&format!("{base}/runs/2/events")).0, 410);
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+#[test]
+fn without_a_cache_an_evicted_envelope_answers_410_with_the_way_back() {
+    let _serial = one_server();
+    let base = start_server();
+    assert_eq!(run_to_done(&base, RECORDING_FIG2), 1);
+    assert_eq!(run_to_done(&base, RECORDING_FIG2), 2);
+    assert_eq!(fetch(&format!("{base}/runs/1/envelope")).0, 200);
+    assert_eq!(fetch(&format!("{base}/runs/1/events")).0, 200);
+
+    let last = submit_until_evicted(&base);
+    let (status, text) = fetch(&format!("{base}/runs/1/envelope"));
+    assert_eq!(status, 410, "{text}");
+    let gone = parse(&text).expect("the 410 body is JSON");
+    assert!(gone["error"]
+        .as_str()
+        .is_some_and(|e| e.contains("resubmit")));
+    assert_eq!(gone["resubmit"]["experiment"].as_str(), Some("fig2"));
+    assert_eq!(gone["resubmit"]["scale"].as_str(), Some("quick"));
+    assert_eq!(gone["resubmit"]["seed"].as_u64(), Some(1));
+    assert_eq!(gone["resubmit"]["events"].as_bool(), Some(true));
+    assert_eq!(fetch(&format!("{base}/runs/1/events")).0, 410);
+    assert_eq!(fetch(&format!("{base}/runs/1/stream")).0, 410);
+    assert_eq!(metric(&base, "lh_serve_envelopes_recovered_total"), 0);
+    assert_eq!(fetch(&format!("{base}/runs/{last}/envelope")).0, 200);
 }
