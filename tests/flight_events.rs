@@ -6,13 +6,23 @@
 //! executor — and switching recording on never changes the experiment
 //! envelope.
 //!
+//! fig2 emits no `link` events, so the same test also pins the
+//! symbol-window events of both emitters — `run_covert` (through fig3
+//! and directly) and `lh_link::transmit_payload` — down to the verdict
+//! of every window.
+//!
 //! The flight switch is process-global, so everything that flips it
 //! lives in one `#[test]` (the harness runs test fns concurrently on
 //! threads; two tests toggling the switch would race).
 
+use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use lh_analysis::message::bits_of_str;
 use lh_coord::{Coordinator, CoordinatorOptions};
+use lh_defenses::DefenseKind;
+use lh_harness::json::{self, Json};
 use lh_harness::{sink, OutputFormat};
 use lh_harness::{unit_key, DiskCache, JobContext, Runner, RunnerOptions, ScaleLevel};
+use lh_link::{Calibration, LinkConfig, OnOffKeying};
 use lh_serve::ThreadSpawner;
 
 fn ctx() -> JobContext {
@@ -26,6 +36,72 @@ fn runner(jobs: usize, cache: Option<DiskCache>) -> Runner {
         progress: false,
         observer: None,
     })
+}
+
+/// Asserts the `link` lines of `log` are one contiguous run of 25 µs
+/// windows from `first_ns` carrying `symbols` in order, each with the
+/// verdict of a receiver that calls a window on iff `on(symbol)`.
+fn assert_link_windows(
+    what: &str,
+    log: &str,
+    first_ns: u64,
+    symbols: &[u8],
+    on: impl Fn(u8) -> bool,
+) {
+    let lines: Vec<Json> = log
+        .lines()
+        .filter(|l| l.starts_with("{\"kind\":\"link\""))
+        .map(|l| json::parse(l).expect("event lines are JSON"))
+        .collect();
+    assert_eq!(lines.len(), symbols.len(), "{what}: one event per window");
+    for (i, (line, &symbol)) in lines.iter().zip(symbols).enumerate() {
+        let t0 = first_ns + 25_000 * i as u64;
+        let verdict = match (symbol != 0, on(symbol)) {
+            (true, true) => "hit",
+            (true, false) => "miss",
+            (false, true) => "false-positive",
+            (false, false) => "idle",
+        };
+        let got = ["window", "t_ns", "t_end_ns", "symbol"].map(|key| line[key].as_u64());
+        let want = [i as u64, t0, t0 + 25_000, u64::from(symbol)].map(Some);
+        assert_eq!(got, want, "{what}: window {i}: {line}");
+        assert_eq!(line["verdict"].as_str(), Some(verdict), "{what}: {line}");
+    }
+}
+
+/// Symbol-window events through both emitters, all four verdicts each.
+/// Runs with recording on.
+fn link_events_carry_the_verdict_of_every_window() {
+    let micro = bits_of_str("MICRO");
+
+    // `run_covert` as the CLI reaches it: fig3's error-free MICRO.
+    let registry = leakyhammer::registry();
+    let fig3 = runner(1, None)
+        .run(registry.get("fig3").expect("fig3 registered"), &ctx())
+        .expect("fig3 run")
+        .events
+        .expect("recording on produces a log");
+    assert_link_windows("fig3", &fig3, 0, &micro, |s| s != 0);
+
+    // The threshold forced either way: `trecv` = `u32::MAX` calls every
+    // window off, 0 calls every one on. `transmit_payload`'s windows
+    // follow the receiver's lead windows and the preamble on the wire.
+    let cfg = LinkConfig::against(DefenseKind::Prac, 256, 1);
+    let first_ns = 25_000 * (cfg.rx_lead_windows + cfg.sync.pattern.len()) as u64;
+    for (trecv, on) in [(u32::MAX, false), (0, true)] {
+        let mut opts = CovertOptions::new(ChannelKind::Prac, micro.clone());
+        opts.trecv = Some(trecv);
+        let (_, log) = lh_obs::flight::capture(|| run_covert(&opts));
+        let what = format!("run_covert trecv={trecv}");
+        assert_link_windows(&what, &log.render("u", 0), 0, &micro, |_| on);
+
+        let cal = Calibration::nominal(trecv);
+        let (_, log) = lh_obs::flight::capture(|| {
+            lh_link::transmit_payload(&cfg, &OnOffKeying, &cal, &micro[..16])
+        });
+        let what = format!("transmit_payload trecv={trecv}");
+        assert_link_windows(&what, &log.render("u", 0), first_ns, &micro[..16], |_| on);
+    }
 }
 
 #[test]
@@ -177,6 +253,8 @@ fn event_log_is_byte_identical_across_execution_modes() {
     }
     runner_cache.clear().expect("cleanup");
     fleet_cache.clear().expect("cleanup");
+
+    link_events_carry_the_verdict_of_every_window();
 
     // Recording never leaks into results: envelopes match the off run.
     let on_envelope = sink::render(job, &replayed, &ctx(), OutputFormat::Json);
