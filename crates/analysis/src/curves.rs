@@ -8,12 +8,10 @@
 //! serializable, and with the summary queries reports keep re-deriving
 //! by hand (usable range, collapse point, peak).
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::ChannelResult;
 
 /// One point of a BER-vs-interference curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerPoint {
     /// Interference coordinate (e.g. noise intensity in percent).
     pub x: f64,
@@ -30,7 +28,7 @@ impl BerPoint {
 
 /// A labeled BER-vs-interference curve, e.g. one (defense, modulation)
 /// series of the channel sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BerCurve {
     /// Series label (`"PRAC/ook+rep3"`, …).
     pub label: String,
@@ -87,7 +85,7 @@ impl BerCurve {
 }
 
 /// One point of a capacity-vs-provisioning curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityPoint {
     /// Provisioning coordinate (e.g. the RowHammer threshold `N_RH`).
     pub nrh: u32,
@@ -97,7 +95,7 @@ pub struct CapacityPoint {
 
 /// A labeled capacity-vs-`N_RH` curve: how a channel's capacity scales
 /// as the defense is provisioned for lower thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CapacityCurve {
     /// Series label (defense or modulation name).
     pub label: String,

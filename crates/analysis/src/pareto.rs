@@ -10,10 +10,8 @@
 //! mitigations are worth their cost — the non-dominated
 //! [`frontier`](ParetoCurve::frontier).
 
-use serde::{Deserialize, Serialize};
-
 /// One mitigation evaluated against one defense.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
     /// Mitigation label (`"jitter"`, `"shaper"`, … or `"none"`).
     pub label: String,
@@ -39,7 +37,7 @@ impl ParetoPoint {
 
 /// A labeled security-vs-cost series: every mitigation evaluated
 /// against one (defense, modulation) cell family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParetoCurve {
     /// Series label (`"PRFM/ook+rep3"`, …).
     pub label: String,

@@ -1,7 +1,5 @@
 //! Summary statistics and histograms for experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean of a sample (0 for an empty slice).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -40,7 +38,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 }
 
 /// A fixed-width histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

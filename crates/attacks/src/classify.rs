@@ -7,12 +7,10 @@
 //! latency against the latency of regular memory accesses and periodic
 //! refreshes" (§6.2).
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{DramTiming, Span};
 
 /// The event classes distinguishable from a measured iteration latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LatencyClass {
     /// Row-buffer hit (plus loop overhead).
     Hit,
@@ -40,7 +38,7 @@ pub enum LatencyClass {
 /// assert_eq!(c.classify(Span::from_ns(1600)), LatencyClass::BackOff);
 /// assert_eq!(c.classify(Span::from_ns(70)), LatencyClass::Hit);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyClassifier {
     /// Upper bound of the row-hit band.
     pub hit_max: Span,

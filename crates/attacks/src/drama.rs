@@ -14,13 +14,11 @@
 
 use core::any::Any;
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, Time};
 use lh_sim::{MemAccess, Process, ProcessStep};
 
 /// DRAMA receiver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramaConfig {
     /// The receiver's probe row address.
     pub row_addr: u64,

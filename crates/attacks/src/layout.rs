@@ -5,8 +5,6 @@
 //! simulator the attacker is its own allocator and simply inverts the
 //! controller's mapping.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{BankId, DramAddr};
 use lh_memctrl::AddressMapping;
 
@@ -14,7 +12,7 @@ use lh_memctrl::AddressMapping;
 /// sender, receiver and noise generator each own private rows of the same
 /// bank (colocation at bank granularity maximizes row-buffer conflicts;
 /// §5.2 notes even this is not strictly required).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelLayout {
     /// The bank everything is placed in.
     pub bank: BankId,

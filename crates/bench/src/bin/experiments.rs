@@ -387,25 +387,23 @@ impl Executor {
     }
 }
 
+/// How often a worker process tells the coordinator it is alive.
+const WORKER_HEARTBEAT: std::time::Duration = std::time::Duration::from_millis(500);
+
 /// Runs as a protocol worker over stdio: the child side of `--workers`.
 /// The chaos hook (worker 0 crashing on its n-th assignment when
 /// `LH_COORD_CHAOS=n` is set) exists so CI can prove requeue-on-death
-/// end to end with a deterministic kill. Workers heartbeat every 500 ms
-/// by default (protocol v3 liveness for the fleet telemetry);
-/// `LH_COORD_HEARTBEAT_MS` overrides the period, `0` disables.
+/// end to end with a deterministic kill. Workers heartbeat every
+/// [`WORKER_HEARTBEAT`] (protocol v3 liveness for the fleet telemetry).
 fn worker_mode(cache: Option<DiskCache>) -> ! {
     let registry = leakyhammer::registry();
     let chaos = std::env::var("LH_COORD_CHAOS")
         .ok()
         .filter(|_| std::env::var("LH_COORD_WORKER").as_deref() == Ok("0"))
         .and_then(|n| n.parse().ok());
-    let heartbeat_ms: u64 = std::env::var("LH_COORD_HEARTBEAT_MS")
-        .ok()
-        .and_then(|ms| ms.parse().ok())
-        .unwrap_or(500);
     let options = lh_coord::WorkerOptions {
         exit_after_assigns: chaos,
-        heartbeat: (heartbeat_ms > 0).then(|| std::time::Duration::from_millis(heartbeat_ms)),
+        heartbeat: Some(WORKER_HEARTBEAT),
     };
     match lh_coord::worker_loop(&registry, lh_coord::stdio_link(), cache, options) {
         Ok(()) => std::process::exit(0),
@@ -477,6 +475,21 @@ fn collect_metrics(
     Ok((found, skipped))
 }
 
+/// Reads one `report` / `events` input — a file, or stdin for `-` —
+/// and returns its content with the name error messages cite.
+fn read_input(file: &str) -> Result<(String, &str), String> {
+    if file == "-" {
+        let mut buf = String::new();
+        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut buf)
+            .map_err(|e| format!("reading stdin failed: {e}"))?;
+        Ok((buf, "<stdin>"))
+    } else {
+        let content =
+            std::fs::read_to_string(file).map_err(|e| format!("reading {file} failed: {e}"))?;
+        Ok((content, file))
+    }
+}
+
 /// `lh-experiments report`: condenses envelopes into one canonical
 /// deterministic-metrics document — experiments sorted by id, each with
 /// its per-unit counters and totals, plus cross-experiment grand
@@ -488,17 +501,7 @@ fn report_mode(files: &[String], format: OutputFormat) -> ! {
     let mut experiments: Vec<(String, Json)> = Vec::new();
     let mut without_metrics = 0;
     for file in files {
-        let content = if file == "-" {
-            let mut buf = String::new();
-            std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut buf)
-                .map(|_| buf)
-                .map_err(|e| format!("reading stdin failed: {e}"))
-        } else {
-            std::fs::read_to_string(file).map_err(|e| format!("reading {file} failed: {e}"))
-        };
-        let origin = if file == "-" { "<stdin>" } else { file };
-        let collected = content.and_then(|c| collect_metrics(&c, origin));
-        match collected {
+        match read_input(file).and_then(|(c, origin)| collect_metrics(&c, origin)) {
             Ok((pairs, skipped)) => {
                 experiments.extend(pairs);
                 without_metrics += skipped;
@@ -650,16 +653,7 @@ fn events_mode(args: &Args) -> ! {
 
     let mut lines: Vec<fv::LogLine> = Vec::new();
     for file in &args.files {
-        let content = if file == "-" {
-            let mut buf = String::new();
-            std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut buf)
-                .map(|_| buf)
-                .map_err(|e| format!("reading stdin failed: {e}"))
-        } else {
-            std::fs::read_to_string(file).map_err(|e| format!("reading {file} failed: {e}"))
-        };
-        let origin = if file == "-" { "<stdin>" } else { file };
-        match content.and_then(|c| fv::parse_log(&c, origin)) {
+        match read_input(file).and_then(|(c, origin)| fv::parse_log(&c, origin)) {
             Ok(mut parsed) => lines.append(&mut parsed),
             Err(e) => {
                 eprintln!("error: events: {e}");

@@ -233,19 +233,9 @@ fn chrome_ts(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1_000, t_ns % 1_000)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// `s` as a quoted JSON string literal.
+fn quoted(s: &str) -> String {
+    Json::from(s).to_compact()
 }
 
 /// The Chrome `trace_event` export, on the simulated clock. Each unit
@@ -275,19 +265,17 @@ pub fn chrome(lines: &[LogLine]) -> String {
                 }
             };
             let t_ns = event["t_ns"].as_u64().unwrap_or(0);
-            let mut args = String::new();
-            let mut sep = "";
-            for (name, value) in event.as_object() {
-                if matches!(name.as_str(), "kind" | "seg" | "t_ns" | "t_end_ns") {
-                    continue;
-                }
-                let rendered = match value {
-                    Json::Str(s) => format!("\"{}\"", json_escape(s)),
-                    other => other.to_compact(),
-                };
-                let _ = write!(args, "{sep}\"{}\":{rendered}", json_escape(name));
-                sep = ",";
-            }
+            let args = Json::Object(
+                event
+                    .as_object()
+                    .iter()
+                    .filter(|(name, _)| {
+                        !matches!(name.as_str(), "kind" | "seg" | "t_ns" | "t_end_ns")
+                    })
+                    .cloned()
+                    .collect(),
+            )
+            .to_compact();
             let name = match kind {
                 "link" => format!("sym {}", event["symbol"].as_u64().unwrap_or(0)),
                 "cmd" => event["cmd"].as_str().unwrap_or("cmd").to_owned(),
@@ -306,17 +294,17 @@ pub fn chrome(lines: &[LogLine]) -> String {
             let record = if kind == "link" {
                 let t_end = event["t_end_ns"].as_u64().unwrap_or(t_ns);
                 format!(
-                    "{{\"name\":\"{}\",\"cat\":\"link\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                    json_escape(&name),
+                    "{{\"name\":{},\"cat\":\"link\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                     \"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
+                    quoted(&name),
                     chrome_ts(t_ns),
                     chrome_ts(t_end.saturating_sub(t_ns)),
                 )
             } else {
                 format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{kind}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                     \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-                    json_escape(&name),
+                    "{{\"name\":{},\"cat\":\"{kind}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
+                     \"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
+                    quoted(&name),
                     chrome_ts(t_ns),
                 )
             };
@@ -326,8 +314,8 @@ pub fn chrome(lines: &[LogLine]) -> String {
         // (segment, kind) pair, so chrome://tracing labels are legible.
         let header = format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&block.label)
+             \"args\":{{\"name\":{}}}}}",
+            quoted(&block.label)
         );
         let mut all = vec![header];
         for (tid, (seg, kind)) in tids.iter().enumerate() {

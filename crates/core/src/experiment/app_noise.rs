@@ -4,15 +4,12 @@
 //! increasing memory intensity (L/M/H RBMPKI) and reports error
 //! probability and capacity per intensity level.
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::{ChannelResult, MessagePattern};
 use lh_workloads::{AppProfile, Intensity};
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// One interference level's measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppNoisePoint {
     /// Interference category.
     pub intensity: Intensity,
@@ -29,14 +26,10 @@ pub fn app_noise_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> AppNoisePoint {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+    let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
         opts.co_runners = vec![AppProfile::category(intensity)];
-        opts.seed = seed ^ ((i as u64) << 4);
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+        opts.seed = seed ^ (i << 4);
+    });
     AppNoisePoint {
         intensity,
         error_probability: merged.error_probability(),

@@ -5,15 +5,12 @@
 //! (5.8 % for PRAC, 2.1 % for RFM) — the attacks bypass the caches with
 //! `clflush`, so only second-order effects remain.
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::{ChannelResult, MessagePattern};
 use lh_sim::{BopConfig, CacheConfig};
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// Capacity of one channel under the two hierarchies.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CachePoint {
     /// Which channel.
     pub kind: ChannelKind,
@@ -35,17 +32,14 @@ impl CachePoint {
 }
 
 fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits));
-        opts.seed = seed ^ ((i as u64) << 6);
+    run_patterns(kind, bits, |i, opts| {
+        opts.seed = seed ^ (i << 6);
         if large {
             opts.sim.caches = CacheConfig::large_hierarchy();
             opts.sim.prefetch = Some(BopConfig::paper_default());
         }
-        results.push(run_covert(&opts).result);
-    }
-    ChannelResult::merge(results.iter()).capacity_kbps()
+    })
+    .capacity_kbps()
 }
 
 /// One channel's §10.3 measurement (both hierarchies).

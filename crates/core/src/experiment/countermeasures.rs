@@ -10,18 +10,15 @@
 //! `mitsweep` Pareto matrix uses — the figure path and the sweep share
 //! one mitigation implementation.
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::{ChannelResult, MessagePattern};
 use lh_defenses::DefenseConfig;
 use lh_dram::DramTiming;
 use lh_mitigate::{MitigationConfig, MitigationKind};
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// One arm of the §11.4 study: a deployed defense plus the
 /// countermeasure wrappers stacked over it (empty = the bare defense).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MitigationArm {
     /// Report label (`"PRAC"`, `"PRAC+shaper"`, …).
     pub label: String,
@@ -58,15 +55,11 @@ impl MitigationArm {
 /// arm (the baseline-relative reduction is [`reduction_pct`] over the
 /// per-arm capacities).
 pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) -> (f64, f64) {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(ChannelKind::Prac, pattern.bits(bits_per_pattern));
+    let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
         opts.sim.defense = arm.defense.clone();
         opts.sim.mitigations = arm.mitigations.clone();
-        opts.seed = seed ^ ((i as u64) << 3);
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+        opts.seed = seed ^ (i << 3);
+    });
     (merged.error_probability(), merged.capacity_kbps())
 }
 

@@ -11,9 +11,7 @@
 //! attacker (fig11, fig12, §9, §12) override `window`,
 //! `detection_band` or `trecv` on [`CovertOptions`].
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::ChannelResult;
+use lh_analysis::{ChannelResult, MessagePattern};
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
     SenderConfig,
@@ -26,7 +24,7 @@ use lh_sim::{SimConfig, SystemBuilder};
 use lh_workloads::{AppProfile, SyntheticApp};
 
 /// Which LeakyHammer covert channel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// PRAC back-off channel (§6.3): 25 µs windows, `NBO` = 128.
     Prac,
@@ -109,7 +107,7 @@ fn attacker_tuning(kind: ChannelKind, sim: &SimConfig, think: Span) -> LinkTunin
 }
 
 /// Result of one covert transmission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CovertOutcome {
     /// Channel metrics (raw rate, error probability, capacity).
     pub result: ChannelResult,
@@ -198,30 +196,14 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         .expect("receiver present");
     let decoded = rx_proc.decode_binary(trecv);
     if let Some(seg) = flight_seg {
-        let link_events = opts
-            .bits
-            .iter()
-            .zip(rx_proc.observations())
-            .enumerate()
-            .map(|(i, (&bit, o))| {
-                let t0 = start + opts.window * i as u64;
-                let verdict = match (bit != 0, o.events >= trecv) {
-                    (true, true) => "hit",
-                    (true, false) => "miss",
-                    (false, true) => "false-positive",
-                    (false, false) => "idle",
-                };
-                lh_obs::FlightEvent::Link {
-                    t_ns: t0.as_ps() / 1_000,
-                    t_end_ns: (t0 + opts.window).as_ps() / 1_000,
-                    window: i as u64,
-                    symbol: u64::from(bit),
-                    events: u64::from(o.events),
-                    verdict,
-                }
-            })
-            .collect();
-        lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
+        lh_link::emit_link_events(
+            seg,
+            opts.window,
+            0,
+            &opts.bits,
+            rx_proc.observations(),
+            trecv,
+        );
     }
     let per_window_events = rx_proc.observations().iter().map(|o| o.events).collect();
     let seconds = (opts.window * opts.bits.len() as u64).as_secs();
@@ -234,6 +216,32 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         rfms: sys.controller().stats().rfms,
         defense_stats: sys.controller().defense_stats(),
     }
+}
+
+/// Transmits the four paper message patterns
+/// ([`MessagePattern::paper_set`], `bits_per_pattern` bits each) over
+/// `kind` and merges the results — the Fig. 4 methodology: a single
+/// short pattern under-samples events whose inter-arrival time spans
+/// several windows. `configure(i, opts)` edits pattern `i`'s
+/// paper-default options; every kernel sets its own `opts.seed` mix
+/// there, so this is the one loop the per-pattern seeds pass through —
+/// and the place ROADMAP item 1's `.seed(opts.seed)` goes once the seed
+/// is to reach `SimConfig::seed`.
+pub fn run_patterns(
+    kind: ChannelKind,
+    bits_per_pattern: usize,
+    mut configure: impl FnMut(u64, &mut CovertOptions),
+) -> ChannelResult {
+    let results: Vec<ChannelResult> = MessagePattern::paper_set()
+        .iter()
+        .zip(0..)
+        .map(|(pattern, i)| {
+            let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+            configure(i, &mut opts);
+            run_covert(&opts).result
+        })
+        .collect();
+    ChannelResult::merge(&results)
 }
 
 #[cfg(test)]
@@ -269,19 +277,12 @@ mod tests {
 
     #[test]
     fn noise_degrades_the_prac_channel_monotonically_at_extremes() {
-        // Aggregate the four paper message patterns (the Fig. 4
-        // methodology): a single short pattern under-samples the
-        // noise-induced spurious back-offs, whose inter-arrival time spans
-        // several transmission windows.
         let run_at = |intensity: f64| {
-            let mut results = Vec::new();
-            for (i, pattern) in lh_analysis::MessagePattern::paper_set().iter().enumerate() {
-                let mut opts = CovertOptions::new(ChannelKind::Prac, pattern.bits(16));
+            run_patterns(ChannelKind::Prac, 16, |i, opts| {
                 opts.noise_intensity = Some(intensity);
-                opts.seed = 2 ^ ((i as u64) << 12) ^ (intensity as u64);
-                results.push(run_covert(&opts).result);
-            }
-            ChannelResult::merge(results.iter()).error_probability()
+                opts.seed = 2 ^ (i << 12) ^ (intensity as u64);
+            })
+            .error_probability()
         };
         let e_quiet = run_at(1.0);
         let e_loud = run_at(100.0);
@@ -297,13 +298,8 @@ mod tests {
 
     #[test]
     fn pattern_merge_aggregates_bits() {
-        let outcomes: Vec<CovertOutcome> = lh_analysis::MessagePattern::paper_set()
-            .iter()
-            .map(|p| run_covert(&CovertOptions::new(ChannelKind::Prac, p.bits(12))))
-            .collect();
-        let merged = ChannelResult::merge(outcomes.iter().map(|o| &o.result));
+        let merged = run_patterns(ChannelKind::Prac, 12, |_, _| {});
         assert_eq!(merged.bits, 48);
-        assert_eq!(outcomes.iter().map(|o| o.decoded.len()).sum::<usize>(), 48);
         assert!(merged.error_probability() < 0.2);
     }
 }

@@ -4,8 +4,6 @@
 //! runs on another core; the probe's back-off trace becomes a
 //! [`Fingerprint`] whose features feed the eight Fig. 10 classifiers.
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::{ChannelLayout, Fingerprint, FingerprintProbe, LatencyClassifier};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
@@ -19,7 +17,7 @@ use crate::Scale;
 pub const FEATURE_WINDOWS: usize = 12;
 
 /// One collected trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CollectedTrace {
     /// Website index (label).
     pub site: usize,
@@ -126,20 +124,29 @@ pub fn collect_dataset(opts: &CollectOptions) -> Vec<CollectedTrace> {
     out
 }
 
-/// Converts collected traces into an ML dataset (standardized features).
-pub fn to_dataset(traces: &[CollectedTrace]) -> Dataset {
-    let features: Vec<Vec<f64>> = traces
-        .iter()
-        .map(|t| t.fingerprint.features(FEATURE_WINDOWS))
-        .collect();
-    let labels: Vec<usize> = traces.iter().map(|t| t.site).collect();
+/// The ML dataset over per-trace `features` labeled by site, with
+/// every feature standardized — the one form the classifiers train on,
+/// whether the traces arrive typed ([`to_dataset`]) or as the registry
+/// jobs' unit JSON.
+pub fn standardized(features: Vec<Vec<f64>>, labels: Vec<usize>) -> Dataset {
     let mut d = Dataset::new(features, labels);
     d.standardize();
     d
 }
 
+/// Converts collected traces into an ML dataset (standardized features).
+pub fn to_dataset(traces: &[CollectedTrace]) -> Dataset {
+    standardized(
+        traces
+            .iter()
+            .map(|t| t.fingerprint.features(FEATURE_WINDOWS))
+            .collect(),
+        traces.iter().map(|t| t.site).collect(),
+    )
+}
+
 /// Fig. 10: per-model test accuracy via k-fold cross-validation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassifierAccuracy {
     /// Model name.
     pub model: String,

@@ -5,15 +5,12 @@
 //! finds the timing channel survives down to ~10 ns — far below the
 //! 96–192 ns a refresh-based preventive action physically needs.
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::{ChannelResult, MessagePattern};
 use lh_dram::Span;
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// One sweep point of Fig. 12.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyPoint {
     /// The preventive-action (back-off) latency in ns.
     pub action_latency_ns: u64,
@@ -29,10 +26,8 @@ pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(ChannelKind::Prac, pattern.bits(bits_per_pattern));
-        opts.seed = seed ^ ((i as u64) << 9) ^ lat;
+    let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
+        opts.seed = seed ^ (i << 9) ^ lat;
         // Single-RFM back-off with tRFM = the swept action latency.
         opts.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
         if let Some(prac) = opts.sim.defense.prac.as_mut() {
@@ -43,16 +38,15 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         // the doubled periodic-refresh latency counts as the
         // preventive action. The ceiling is wider than the paper's
         // ~10 ns resolution because our synthetic loop has queueing
-        // variance; the shape (channel survives down to tens of ns)
-        // is preserved.
+        // variance, and it costs the paper's shape: recorded reading
+        // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
+        // survives to ≈ 10 ns (ROADMAP item 1, open).
         let t = &opts.sim.device.timing;
         let conflict_contended =
             opts.think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
         let refresh_floor = opts.think + t.t_rfc * 2 - Span::from_ns(20);
         opts.detection_band = Some((conflict_contended, refresh_floor));
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+    });
     LatencyPoint {
         action_latency_ns: lat,
         error_probability: merged.error_probability(),

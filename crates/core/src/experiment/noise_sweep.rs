@@ -1,15 +1,12 @@
 //! Noise-intensity sweeps: Figs. 4, 7 and 11.
 
-use serde::{Deserialize, Serialize};
-
-use lh_analysis::{ChannelResult, MessagePattern};
 use lh_attacks::LatencyClassifier;
 use lh_dram::Span;
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NoisePoint {
     /// Noise intensity in percent (Eq. 2).
     pub intensity: f64,
@@ -35,12 +32,9 @@ pub fn overlap_1rfm_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> NoisePoint {
-    let kind = ChannelKind::Prac;
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+    let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
         opts.noise_intensity = Some(intensity);
-        opts.seed = seed ^ ((i as u64) << 12) ^ (intensity as u64);
+        opts.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = false;
         if let Some(prac) = opts.sim.defense.prac.as_mut() {
             prac.rfms_per_backoff = 1;
@@ -53,9 +47,7 @@ pub fn overlap_1rfm_point(
         opts.detection_band = Some((cls.conflict_max + Span::from_ns(120), Span::MAX));
         opts.refresh_filter =
             filtered.then(|| lh_attacks::RefreshFilterConfig::from_timing(&opts.sim.device.timing));
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+    });
     NoisePoint {
         intensity,
         error_probability: merged.error_probability(),
@@ -76,11 +68,9 @@ pub fn sweep_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> NoisePoint {
-    let mut results = Vec::new();
-    for (i, pattern) in MessagePattern::paper_set().iter().enumerate() {
-        let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+    let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
         opts.noise_intensity = Some(intensity);
-        opts.seed = seed ^ ((i as u64) << 12) ^ (intensity as u64);
+        opts.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = postpone_refresh;
         if let Some(prac) = opts.sim.defense.prac.as_mut() {
             prac.rfms_per_backoff = rfms_per_backoff;
@@ -88,9 +78,7 @@ pub fn sweep_point(
         if rfms_per_backoff < 4 || !postpone_refresh {
             opts.detection_band = Some(short_backoff_band(postpone_refresh, opts.think, &opts.sim));
         }
-        results.push(run_covert(&opts).result);
-    }
-    let merged = ChannelResult::merge(results.iter());
+    });
     NoisePoint {
         intensity,
         error_probability: merged.error_probability(),

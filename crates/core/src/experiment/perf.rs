@@ -4,8 +4,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{mean, normalized_ws, weighted_speedup, AppPerf};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{Span, Time};
@@ -19,7 +17,7 @@ use crate::Scale;
 pub const NRH_SWEEP: [u32; 5] = [1024, 512, 256, 128, 64];
 
 /// One (defense, NRH) cell of Fig. 13.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PerfPoint {
     /// The defense.
     pub defense: DefenseKind,
@@ -31,7 +29,7 @@ pub struct PerfPoint {
 }
 
 /// The Fig. 13 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfStudy {
     /// All measured cells.
     pub points: Vec<PerfPoint>,
@@ -137,7 +135,7 @@ fn run_and_collect(
 /// One mix's defense-independent intermediates, shared by every
 /// `(defense, nrh)` cell of that mix: the alone-run baselines and the
 /// no-defense weighted speedup everything is normalized to.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MixBaseline {
     /// Per-app alone (no defense, no co-runners) performance.
     pub alone: Vec<AppPerf>,

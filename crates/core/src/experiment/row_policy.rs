@@ -7,8 +7,6 @@
 //! policy every access is an activation, so the defense's counters climb
 //! even faster and the channel survives.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::ChannelResult;
 use lh_attacks::{ChannelLayout, DramaConfig, DramaReceiver, DramaSender, LatencyClassifier};
 use lh_defenses::DefenseConfig;
@@ -19,7 +17,7 @@ use lh_sim::{SimConfig, SystemBuilder};
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 
 /// Channel capacities under one row policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RowPolicyPoint {
     /// The row policy.
     pub policy: RowPolicy,

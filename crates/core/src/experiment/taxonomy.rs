@@ -37,8 +37,6 @@
 //! add noise" is right about observability but misses this *temporal*
 //! dimension; the report keeps the disagreement visible on purpose.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::{DefenseConfig, DefenseKind};
@@ -56,7 +54,7 @@ use crate::Scale;
 pub const TAXONOMY_NRH: u32 = 256;
 
 /// One taxonomy measurement.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaxonomyPoint {
     /// The defense attacked.
     pub kind: DefenseKind,

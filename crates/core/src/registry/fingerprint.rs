@@ -8,7 +8,7 @@
 use lh_harness::{Job, JobContext, Json};
 
 use crate::experiment::fingerprint::{
-    collect_one, run_model_comparison, run_table2, CollectOptions, FEATURE_WINDOWS,
+    collect_one, run_model_comparison, run_table2, standardized, CollectOptions, FEATURE_WINDOWS,
 };
 use crate::registry::{ml_fingerprint, num, scale_of, sim_fingerprint, text};
 use crate::report;
@@ -107,23 +107,22 @@ fn collect_unit(unit: usize, seed: u64, opts: &CollectOptions) -> Json {
 }
 
 fn dataset_of(units: &[Json]) -> Dataset {
-    let features: Vec<Vec<f64>> = units
-        .iter()
-        .map(|u| {
-            u["features"]
-                .as_array()
-                .iter()
-                .map(|f| f.as_f64().unwrap_or(0.0))
-                .collect()
-        })
-        .collect();
-    let labels: Vec<usize> = units
-        .iter()
-        .map(|u| u["site"].as_u64().unwrap_or(0) as usize)
-        .collect();
-    let mut d = Dataset::new(features, labels);
-    d.standardize();
-    d
+    standardized(
+        units
+            .iter()
+            .map(|u| {
+                u["features"]
+                    .as_array()
+                    .iter()
+                    .map(|f| f.as_f64().unwrap_or(0.0))
+                    .collect()
+            })
+            .collect(),
+        units
+            .iter()
+            .map(|u| u["site"].as_u64().unwrap_or(0) as usize)
+            .collect(),
+    )
 }
 
 /// Fig. 10: accuracy of the eight classifiers over websites.

@@ -5,16 +5,15 @@
 //! paper's sample sizes. The CLI parses the harness's mirror,
 //! [`lh_harness::ScaleLevel`]; [`crate::registry::scale_of`] converts.
 
-use serde::{Deserialize, Serialize};
-
 /// How much work an experiment performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-scale smoke runs (CI, tests).
     Quick,
     /// Minutes-scale runs with the paper's qualitative shape.
     Default,
-    /// The paper's full sample sizes (hours on one core).
+    /// The paper's full sample sizes: the 22 experiments measured ≈ 7 min
+    /// on 2 vCPUs (`--jobs 2`; fig13 4 m 56 s, the other 21 ≈ 2 min).
     Paper,
 }
 

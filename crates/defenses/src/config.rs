@@ -1,7 +1,5 @@
 //! Defense configurations and RowHammer-threshold scaling.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{CounterInit, PracConfig, Span};
 
 use crate::trackers::{BlockHammerConfig, CometConfig, GrapheneConfig, HydraConfig, MintConfig};
@@ -12,7 +10,7 @@ use crate::trackers::{BlockHammerConfig, CometConfig, GrapheneConfig, HydraConfi
 /// instantiate the §12 trigger-algorithm taxonomy so that the taxonomy's
 /// qualitative predictions can be tested quantitatively (see
 /// [`crate::trackers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefenseKind {
     /// No RowHammer mitigation (the Fig. 13 normalization baseline).
     None,
@@ -140,7 +138,7 @@ impl core::fmt::Display for DefenseKind {
 }
 
 /// Periodic-RFM (PRFM) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrfmConfig {
     /// Bank activation threshold `TRFM`: an RFM is issued once a bank
     /// accumulates this many activations. The paper's case study uses 40.
@@ -155,7 +153,7 @@ impl PrfmConfig {
 }
 
 /// Fixed-Rate RFM (FR-RFM) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrRfmConfig {
     /// Fixed period between RFM commands per rank:
     /// `T_FRRFM = TRFM × tRC`, the shortest time in which `TRFM`
@@ -179,7 +177,7 @@ impl FrRfmConfig {
 }
 
 /// PARA parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParaConfig {
     /// Probability of refreshing a neighbor on each activation.
     pub probability: f64,
@@ -198,7 +196,7 @@ pub struct ParaConfig {
 /// assert_eq!(cfg.nrh, 1024);
 /// assert!(cfg.fr_rfm.is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseConfig {
     /// Which defense this is.
     pub kind: DefenseKind,
@@ -356,8 +354,8 @@ impl DefenseConfig {
         }
     }
 
-    /// Provisions `kind` for RowHammer threshold `nrh`, using the scaling
-    /// rules documented in DESIGN.md:
+    /// Provisions `kind` for RowHammer threshold `nrh`, using these
+    /// scaling rules:
     ///
     /// * PRAC-family: `NBO = min(128, max(1, nrh / 2))` — 128 matches the
     ///   paper's fixed assumption for `nrh ≥ 256`, and halving leaves

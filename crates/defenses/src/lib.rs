@@ -24,7 +24,7 @@
 //! defense. Adding a defense touches this crate only.
 //!
 //! [`DefenseConfig::for_threshold`] provisions any of them for a RowHammer
-//! threshold `N_RH`, using the scaling rules documented in `DESIGN.md`.
+//! threshold `N_RH`, using the scaling rules listed on that function.
 //! The [`taxonomy`] module encodes the paper's §12 qualitative analysis of
 //! which defense classes introduce timing channels; the [`trackers`]
 //! module provides concrete per-bank implementations of the §12 trigger

@@ -30,8 +30,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{RowMap, Span, Time};
 
 // ---------------------------------------------------------------------------
@@ -39,7 +37,7 @@ use lh_dram::{RowMap, Span, Time};
 // ---------------------------------------------------------------------------
 
 /// Configuration of a Graphene-style per-bank frequent-item tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrapheneConfig {
     /// Number of counter entries per bank.
     ///
@@ -99,7 +97,7 @@ impl GrapheneConfig {
 /// // Third activation reaches the threshold: row 7 must be mitigated.
 /// assert_eq!(g.on_activate(7, Time::ZERO), Some(7));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GrapheneBank {
     cfg: GrapheneConfig,
     /// `(row, estimated count)` slots in insertion order.
@@ -214,7 +212,7 @@ impl GrapheneBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a Hydra-style two-level tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HydraConfig {
     /// Rows per group counter.
     pub group_size: u32,
@@ -283,7 +281,7 @@ impl HydraConfig {
 /// assert_eq!(h.on_activate(0, Time::ZERO), None);
 /// assert_eq!(h.on_activate(0, Time::ZERO), Some(0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HydraBank {
     cfg: HydraConfig,
     groups: Vec<u32>,
@@ -369,7 +367,7 @@ impl HydraBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a CoMeT-style count-min-sketch tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CometConfig {
     /// Counters per hash row.
     pub width: usize,
@@ -434,7 +432,7 @@ impl CometConfig {
 /// assert_eq!(c.on_activate(3, Time::ZERO), Some(3));
 /// assert_eq!(c.estimate(3), 0); // restarted after the trigger
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CometBank {
     cfg: CometConfig,
     cells: Vec<u32>,
@@ -526,7 +524,7 @@ impl CometBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a MINT-style in-refresh mitigator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MintConfig {
     /// Seed of the reservoir sampler.
     pub seed: u64,
@@ -554,7 +552,7 @@ pub struct MintConfig {
 /// assert!(sampled == 10 || sampled == 20);
 /// assert!(m.take_sample().is_none()); // interval restarts
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MintBank {
     /// xorshift64* state.
     rng: u64,
@@ -604,7 +602,7 @@ impl MintBank {
 // ---------------------------------------------------------------------------
 
 /// Configuration of a BlockHammer-style throttling filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockHammerConfig {
     /// Counters per hash row of each epoch sketch.
     pub width: usize,
@@ -680,7 +678,7 @@ impl BlockHammerConfig {
 /// let until = b.on_activate(5, Time::ZERO).unwrap();
 /// assert_eq!(until, Time::ZERO + Span::from_us(1));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockHammerBank {
     cfg: BlockHammerConfig,
     /// Two epoch sketches, `cells[epoch][depth × width]`.

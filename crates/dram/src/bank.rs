@@ -1,7 +1,5 @@
 //! Per-bank state machine and timing bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{Span, Time};
 use crate::timing::DramTiming;
 
@@ -11,7 +9,7 @@ use crate::timing::DramTiming;
 /// The bank does not validate commands by itself — the
 /// [`DramDevice`](crate::DramDevice) combines bank, rank and channel
 /// constraints and performs protocol checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Bank {
     open_row: Option<u32>,
     /// When the open row was activated (for RowPress dwell accounting).

@@ -12,12 +12,10 @@
 
 use core::cmp::Reverse;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rowmap::RowMap;
 
 /// Counter (re)initialization policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterInit {
     /// Counters start at zero (plain PRAC).
     Zero,
@@ -68,7 +66,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// c.reset(0, 100);
 /// assert_eq!(c.value(0, 100), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowCounters {
     banks: Vec<RowMap<u32>>,
     init: CounterInit,

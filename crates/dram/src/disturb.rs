@@ -20,8 +20,6 @@
 //! unobservable: both annul exactly the rows `(start + i) % rows_per_bank`
 //! for `i < count`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rowmap::RowMap;
 
 /// Tracks per-victim-row disturbance pressure for one channel.
@@ -39,7 +37,7 @@ use crate::rowmap::RowMap;
 /// assert_eq!(d.pressure(0, 99), 0);
 /// assert_eq!(d.max_ever(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DisturbTracker {
     banks: Vec<RowMap<u64>>,
     rows_per_bank: u32,

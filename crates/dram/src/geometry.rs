@@ -6,8 +6,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DramError;
 
 /// Cache-line size in bytes; columns are addressed at this granularity.
@@ -24,7 +22,7 @@ pub const LINE_BYTES: u64 = 64;
 /// assert_eq!(g.banks_per_rank(), 32);
 /// assert_eq!(g.banks_per_channel(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     channels: u32,
     ranks_per_channel: u32,
@@ -194,9 +192,7 @@ impl Default for Geometry {
 }
 
 /// Coordinates of one DRAM bank.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BankId {
     /// Channel index.
     pub channel: u32,
@@ -231,9 +227,7 @@ impl fmt::Display for BankId {
 }
 
 /// A fully decoded DRAM location: bank, row and column.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DramAddr {
     /// The bank holding the row.
     pub bank: BankId,

@@ -10,8 +10,6 @@
 //! highest-counted rows. A cool-down window follows before ABO may be
 //! asserted again.
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::CounterInit;
 use crate::geometry::BankId;
 use crate::time::{Span, Time};
@@ -21,7 +19,7 @@ use crate::time::{Span, Time};
 /// Standard PRAC has a single ALERT_n pin, so a back-off blocks the whole
 /// channel; Bank-Level PRAC (§11.3 of the paper) assumes per-bank alert
 /// signalling so only the offending bank is blocked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlertScope {
     /// The back-off recovery blocks every bank of the channel (standard
     /// PRAC; `RFMab` recovery on the asserting rank).
@@ -32,7 +30,7 @@ pub enum AlertScope {
 }
 
 /// Configuration of the device-side PRAC mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PracConfig {
     /// Back-off threshold `NBO`: the device asserts ABO when a row's
     /// activation count reaches this value. The paper assumes 128.
@@ -91,7 +89,7 @@ impl Default for PracConfig {
 }
 
 /// An asserted ABO (alert back-off) signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Alert {
     /// The bank whose row crossed `NBO` (informational; standard PRAC
     /// blocks the whole channel regardless).
@@ -101,7 +99,7 @@ pub struct Alert {
 }
 
 /// Runtime state of the PRAC mechanism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PracState {
     config: PracConfig,
     cooldown_until: Time,

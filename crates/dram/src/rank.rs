@@ -1,14 +1,12 @@
 //! Rank-level constraints: tFAW, tRRD and rank-wide blocking.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Time;
 use crate::timing::DramTiming;
 
 /// Rank-level timing state: the rolling four-activate window (tFAW),
 /// activate-to-activate spacing (tRRD_L/S) and rank-wide blocking caused by
 /// refresh or all-bank RFM.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankState {
     /// Issue times of the four most recent activates: a ring whose
     /// oldest entry sits at `acts % 4` once it is full.

@@ -51,7 +51,7 @@ pub mod sync;
 pub use codec::{crc8, flip_bits, Codec, CrcFramed, Decoded, Hamming74, Plain, Repetition};
 pub use modem::{Calibration, Modulator, MultiLevelAmplitude, OnOffKeying, PulsePosition};
 pub use pipeline::{
-    calibrate, transmit_message, transmit_payload, transmit_windows, LinkConfig, LinkOutcome,
-    LinkTuning, PayloadOutcome, WireOutcome,
+    calibrate, emit_link_events, transmit_message, transmit_payload, transmit_windows, LinkConfig,
+    LinkOutcome, LinkTuning, PayloadOutcome, WireOutcome,
 };
 pub use sync::{Alignment, PreambleSync};

@@ -7,14 +7,12 @@
 //! [`lh_attacks::CovertSender`] symbol/intensity vocabulary, so every
 //! modulator runs against every defense unchanged.
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::WindowObservation;
 use lh_dram::Span;
 
 /// Receiver-side decision parameters learned from a per-defense
 /// calibration transmission (see `pipeline::calibrate`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Events per window at/above which a window counts as "on".
     pub trecv: u32,

@@ -6,8 +6,6 @@
 //! here knows which mechanism produces the observable maintenance
 //! events — only [`LinkTuning`] does, and it is data.
 
-use serde::{Deserialize, Serialize};
-
 use lh_analysis::ChannelResult;
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
@@ -26,7 +24,7 @@ use crate::sync::{Alignment, PreambleSync};
 /// defense: which latency band the preventive action lands in, how long
 /// a window must be, and whether both sides should stop touching the
 /// bank once the action fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkTuning {
     /// Transmission-window length.
     pub window: Span,
@@ -149,7 +147,7 @@ impl LinkConfig {
 }
 
 /// Everything one transmission produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkOutcome {
     /// The message bits handed to the codec.
     pub sent: Vec<u8>,
@@ -367,6 +365,48 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
     }
 }
 
+/// Annotates flight segment `seg` with one [`lh_obs::FlightEvent::Link`]
+/// per symbol window: the sender's schedule (what was meant) against
+/// the receiver's observation (what the maintenance channel delivered),
+/// classified "on" at `trecv` events. Window `i` starts
+/// `first_window + i` windows into the segment's timeline, so the
+/// events sort alongside its command and maintenance events.
+///
+/// This is the only place a symbol window becomes a flight event:
+/// [`transmit_payload`] and `leakyhammer`'s `run_covert` both call it.
+pub fn emit_link_events(
+    seg: u64,
+    window: Span,
+    first_window: usize,
+    symbols: &[u8],
+    observations: &[WindowObservation],
+    trecv: u32,
+) {
+    let link_events = symbols
+        .iter()
+        .zip(observations)
+        .enumerate()
+        .map(|(i, (&symbol, o))| {
+            let t0 = window * (first_window + i) as u64;
+            let verdict = match (symbol != 0, o.events >= trecv) {
+                (true, true) => "hit",
+                (true, false) => "miss",
+                (false, true) => "false-positive",
+                (false, false) => "idle",
+            };
+            lh_obs::FlightEvent::Link {
+                t_ns: t0.as_ps() / 1_000,
+                t_end_ns: (t0 + window).as_ps() / 1_000,
+                window: i as u64,
+                symbol: u64::from(symbol),
+                events: u64::from(o.events),
+                verdict,
+            }
+        })
+        .collect();
+    lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
+}
+
 /// A synchronized symbol-domain transmission: the preamble+payload
 /// schedule went over the wire, the preamble was searched for, and the
 /// payload observations were extracted under the found alignment.
@@ -422,39 +462,15 @@ pub fn transmit_payload(
     let observations =
         cfg.sync
             .extract_payload(&wire.observations, &alignment, payload_symbols.len());
-    // Annotate the flight log with one event per payload symbol window:
-    // the sender's schedule (what was meant) against the receiver's
-    // aligned observation (what the maintenance channel delivered),
-    // classified with the calibrated threshold. Emitted under the wire
-    // system's segment so the windows sort alongside its command and
-    // maintenance events.
     if let Some(seg) = wire.flight_seg {
-        let window = cfg.tuning.window;
-        let preamble = cfg.sync.pattern.len();
-        let link_events = payload_symbols
-            .iter()
-            .enumerate()
-            .map(|(i, &symbol)| {
-                let t0 = window * (cfg.rx_lead_windows + preamble + i) as u64;
-                let events = observations.get(i).map_or(0, |o| u64::from(o.events));
-                let observed = events >= u64::from(cal.trecv);
-                let verdict = match (symbol != 0, observed) {
-                    (true, true) => "hit",
-                    (true, false) => "miss",
-                    (false, true) => "false-positive",
-                    (false, false) => "idle",
-                };
-                lh_obs::FlightEvent::Link {
-                    t_ns: t0.as_ps() / 1_000,
-                    t_end_ns: (t0 + window).as_ps() / 1_000,
-                    window: i as u64,
-                    symbol: u64::from(symbol),
-                    events,
-                    verdict,
-                }
-            })
-            .collect();
-        lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
+        emit_link_events(
+            seg,
+            cfg.tuning.window,
+            cfg.rx_lead_windows + cfg.sync.pattern.len(),
+            payload_symbols,
+            &observations,
+            cal.trecv,
+        );
     }
     PayloadOutcome {
         observations,

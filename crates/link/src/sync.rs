@@ -8,14 +8,12 @@
 //! alignment that best correlates with the preamble, then maps payload
 //! windows through it.
 
-use serde::{Deserialize, Serialize};
-
 use lh_attacks::WindowObservation;
 
 use crate::modem::Calibration;
 
 /// The alignment a synchronizer recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alignment {
     /// Observation index where the preamble starts.
     pub offset: usize,
@@ -37,7 +35,7 @@ impl Alignment {
 }
 
 /// Preamble-correlating synchronizer with a drift-candidate grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreambleSync {
     /// On/off preamble pattern the sender transmits first (1 = the
     /// modulator's highest-intensity symbol, 0 = idle).

@@ -40,8 +40,6 @@ pub use batch::CtrlScratch;
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use lh_defenses::{build_defense, Defense, DefenseAction, DefenseConfig, DefenseStats};
 use lh_dram::{
     Alert, AlertScope, BankId, Command, DeviceConfig, DramDevice, DramError, RfmScope, Span, Time,
@@ -58,7 +56,7 @@ use crate::request::{AccessKind, Completion, MemRequest};
 /// row-buffer channels. §9 of the paper points out it does **not**
 /// mitigate LeakyHammer: every access becomes an activation, so the
 /// defense's activation counters climb even faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowPolicy {
     /// Open-page: rows stay open until a conflict or maintenance op.
     Open,
@@ -69,7 +67,7 @@ pub enum RowPolicy {
 }
 
 /// Memory-controller configuration (Table 1 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlConfig {
     /// Read queue capacity.
     pub read_queue_cap: usize,
@@ -116,7 +114,7 @@ impl Default for CtrlConfig {
 }
 
 /// Controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlStats {
     /// Read requests accepted.
     pub reads_enqueued: u64,
@@ -151,7 +149,7 @@ pub struct CtrlStats {
 }
 
 /// Phase of an in-flight ABO back-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AboPhase {
     /// Normal traffic window (`tABO_ACT`) running until `recover_at`.
     Window,
@@ -159,7 +157,7 @@ enum AboPhase {
     Recover,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AboState {
     alert: Alert,
     recover_at: Time,
@@ -170,7 +168,7 @@ struct AboState {
 }
 
 /// PARA victim refresh in progress: activate the victim row, then close it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ParaJob {
     bank: BankId,
     victim: u32,

@@ -7,12 +7,10 @@
 //! [`AddressMapping::encode`] to construct addresses that land in chosen
 //! banks and rows — the in-simulation analogue of memory massaging.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{BankId, DramAddr, Geometry, LINE_BYTES};
 
 /// Bit-field address mapping schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingScheme {
     /// `Row : Rank : BankGroup : Bank : Column : LineOffset` (MSB → LSB):
     /// consecutive cache lines walk a row, adjacent rows stay in one bank.
@@ -35,7 +33,7 @@ pub enum MappingScheme {
 /// let addr = m.decode(0x1234_5678);
 /// assert_eq!(m.encode(addr), 0x1234_5640); // line-aligned
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     scheme: MappingScheme,
     geometry: Geometry,

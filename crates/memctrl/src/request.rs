@@ -1,11 +1,9 @@
 //! Memory requests and completions.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{DramAddr, Time};
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A demand load (the requester waits for the data).
     Read,
@@ -14,7 +12,7 @@ pub enum AccessKind {
 }
 
 /// A request entering the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Unique id assigned by the issuer.
     pub id: u64,
@@ -29,7 +27,7 @@ pub struct MemRequest {
 }
 
 /// A finished request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request id.
     pub id: u64,

@@ -1,7 +1,5 @@
 //! Mitigation configurations and threshold-derived provisioning.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{DramTiming, Span};
 
 use lh_defenses::{scaled_nbo, DefenseConfig, DefenseKind};
@@ -13,7 +11,7 @@ use lh_defenses::{scaled_nbo, DefenseConfig, DefenseKind};
 /// maintenance happens (jitter, batching), *how much* maintenance
 /// happens (shaping) or *whether the attacker may generate the trigger
 /// pressure at all* (quota).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MitigationKind {
     /// No mitigation: pure delegation. The control arm of every sweep —
     /// a pass-through stack must be byte-identical to the bare defense.
@@ -84,7 +82,7 @@ impl std::fmt::Display for MitigationKind {
 }
 
 /// [`MaintenanceJitter`](MitigationKind::MaintenanceJitter) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitterConfig {
     /// Largest forward slip added to a deadline. Clamped at wrap time
     /// to the defense's maintenance period so the jittered schedule
@@ -93,7 +91,7 @@ pub struct JitterConfig {
 }
 
 /// [`DeferredBatch`](MitigationKind::DeferredBatch) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Release-instant quantum: every deadline is deferred to the next
     /// multiple of this span.
@@ -101,14 +99,14 @@ pub struct BatchConfig {
 }
 
 /// [`ConstantRateShaper`](MitigationKind::ConstantRateShaper) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShaperConfig {
     /// Fixed period of the dummy-maintenance stream (per rank).
     pub period: Span,
 }
 
 /// [`IsolationQuota`](MitigationKind::IsolationQuota) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuotaConfig {
     /// Activations one (bank, row) may issue per epoch before being
     /// throttled to the epoch boundary.
@@ -120,7 +118,7 @@ pub struct QuotaConfig {
 /// One mitigation layer: a kind plus its parameters, mirroring
 /// [`lh_defenses::DefenseConfig`]'s kind-plus-options shape. A *stack*
 /// is a `Vec<MitigationConfig>` applied innermost-first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
     /// Which wrapper this layer is.
     pub kind: MitigationKind,

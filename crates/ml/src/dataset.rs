@@ -3,10 +3,9 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled dataset: dense feature rows and class labels `0..n_classes`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// Feature rows.
     pub features: Vec<Vec<f64>>,
@@ -67,7 +66,7 @@ impl Dataset {
 }
 
 /// Per-feature standardization (zero mean, unit variance).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scaler {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -1,8 +1,6 @@
 //! Classification metrics: accuracy, confusion matrix, macro-averaged
 //! precision / recall / F1 (the Table 2 metrics).
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of correct predictions.
 pub fn accuracy(truth: &[usize], pred: &[usize]) -> f64 {
     assert_eq!(truth.len(), pred.len());
@@ -14,7 +12,7 @@ pub fn accuracy(truth: &[usize], pred: &[usize]) -> f64 {
 
 /// A confusion matrix: `m[t][p]` counts samples of true class `t`
 /// predicted as `p`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<u64>>,
 }

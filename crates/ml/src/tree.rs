@@ -5,11 +5,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::Classifier;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         /// Class index (classification) or mean value (regression, stored
@@ -26,7 +25,7 @@ enum Node {
 }
 
 /// Shared tree-growing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum depth (1 = a stump).
     pub max_depth: usize,
@@ -51,7 +50,7 @@ impl Default for TreeConfig {
 }
 
 /// A weighted CART classification tree (gini impurity).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     config: TreeConfig,
     nodes: Vec<Node>,
@@ -193,7 +192,7 @@ impl Classifier for DecisionTree {
 }
 
 /// A regression tree (mean-squared-error splits) for gradient boosting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     config: TreeConfig,
     nodes: Vec<Node>,

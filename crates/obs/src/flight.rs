@@ -342,11 +342,11 @@ impl FlightLog {
         use std::fmt::Write as _;
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
         order.sort_by_key(|&i| (self.entries[i].0, self.entries[i].1.t_ns()));
-        let mut out = String::new();
+        let mut out = String::from("{\"kind\":\"unit\",\"unit\":\"");
+        crate::escape_json(unit, &mut out);
         let _ = write!(
             out,
-            "{{\"kind\":\"unit\",\"unit\":\"{}\",\"index\":{index},\"events\":{},\"dropped\":{{",
-            escape(unit),
+            "\",\"index\":{index},\"events\":{},\"dropped\":{{",
             self.entries.len()
         );
         for (i, (kind, n)) in self.dropped.iter().enumerate() {
@@ -368,29 +368,11 @@ impl FlightLog {
 /// The experiment-level header line an assembled event log starts with;
 /// per-unit logs ([`FlightLog::render`]) follow in unit order.
 pub fn experiment_header(experiment: &str, scale: &str, seed: u64, units: usize) -> String {
-    format!(
-        "{{\"kind\":\"experiment\",\"experiment\":\"{}\",\"scale\":\"{}\",\"seed\":{seed},\
-         \"units\":{units}}}\n",
-        escape(experiment),
-        escape(scale)
-    )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::from("{\"kind\":\"experiment\",\"experiment\":\"");
+    crate::escape_json(experiment, &mut out);
+    out.push_str("\",\"scale\":\"");
+    crate::escape_json(scale, &mut out);
+    out.push_str(&format!("\",\"seed\":{seed},\"units\":{units}}}\n"));
     out
 }
 

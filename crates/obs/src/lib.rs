@@ -60,3 +60,22 @@ pub use flight::{FlightEvent, FlightLog};
 pub use metrics::{emit, record, scoped, Counter, Hist, Histogram, Metrics};
 pub use registry::Registry;
 pub use trace::{chrome_trace_json, export_chrome_trace, Span, TraceEvent};
+
+/// Escapes `s` for embedding in a JSON string literal, appending to
+/// `out` — the one escaper behind the flight log's and the Chrome
+/// trace's hand-written lines.
+fn escape_json(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}

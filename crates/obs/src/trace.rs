@@ -101,23 +101,6 @@ impl Drop for Span {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders spans as a Chrome trace-event JSON document
 /// (`{"traceEvents":[...]}` with `"ph":"X"` complete events), loadable
 /// in `chrome://tracing` and Perfetto.
@@ -130,9 +113,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             out.push(',');
         }
         out.push_str("\n{\"name\":\"");
-        escape_json(&e.name, &mut out);
+        crate::escape_json(&e.name, &mut out);
         out.push_str("\",\"cat\":\"");
-        escape_json(e.cat, &mut out);
+        crate::escape_json(e.cat, &mut out);
         let _ = write!(
             out,
             "\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}}}",
@@ -202,7 +185,7 @@ mod tests {
     #[test]
     fn escape_handles_control_characters() {
         let mut out = String::new();
-        escape_json("a\"b\\c\nd\te\u{1}", &mut out);
+        crate::escape_json("a\"b\\c\nd\te\u{1}", &mut out);
         assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 }

@@ -7,12 +7,10 @@
 //! and emits a writeback if it was dirty — exactly what the attack loops
 //! rely on to force every access to DRAM.
 
-use serde::{Deserialize, Serialize};
-
 use lh_dram::{Span, LINE_BYTES};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevelConfig {
     /// Total capacity in bytes.
     pub capacity: u64,
@@ -30,7 +28,7 @@ impl CacheLevelConfig {
 }
 
 /// Hierarchy configuration for one core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// L1 data cache.
     pub l1: CacheLevelConfig,
@@ -171,7 +169,7 @@ impl Level {
 }
 
 /// Hit/miss counts per level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// L1 hits.
     pub l1_hits: u64,

@@ -1,9 +1,10 @@
 //! # lh-sim — discrete-event full-system simulator
 //!
-//! The gem5-substitute of the LeakyHammer reproduction (see DESIGN.md §1
-//! for the substitution argument): simple cores stepping [`Process`] state
-//! machines, private per-core cache hierarchies with `clflush`
-//! ([`CacheHierarchy`]), an optional Best-Offset prefetcher
+//! The gem5-substitute of the LeakyHammer reproduction (this crate's
+//! README describes the engine; `lh-workloads`' crate docs say what
+//! stands in for the paper's workloads): simple cores stepping
+//! [`Process`] state machines, private per-core cache hierarchies with
+//! `clflush` ([`CacheHierarchy`]), an optional Best-Offset prefetcher
 //! ([`BestOffsetPrefetcher`], §10.3), and one DDR5 channel behind an
 //! FR-FCFS memory controller.
 //!

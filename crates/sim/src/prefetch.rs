@@ -6,10 +6,8 @@
 //! prefetch for `X + D` on every (miss or prefetched-hit) access to `X`
 //! while the learned score is above the activation threshold.
 
-use serde::{Deserialize, Serialize};
-
 /// Best-Offset prefetcher configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BopConfig {
     /// Candidate offsets to score (in cache lines).
     pub max_offset: i64,

@@ -2,8 +2,8 @@
 //!
 //! The paper's workloads come from two places we cannot ship: SPEC
 //! CPU2017/2006 binaries and Intel-Pin browser traces of 40 websites.
-//! This crate substitutes both (see DESIGN.md §1 for the substitution
-//! argument):
+//! This crate substitutes both (`tests/properties.rs` checks the
+//! properties the substitution rests on):
 //!
 //! * [`SyntheticApp`] — RBMPKI-parameterized row-streaming applications
 //!   used for interference (Figs. 5/8) and the Fig. 13 weighted-speedup

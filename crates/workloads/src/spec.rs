@@ -12,7 +12,6 @@ use core::any::Any;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use lh_dram::{BankId, DramAddr, Span, Time};
 use lh_memctrl::AddressMapping;
@@ -22,7 +21,7 @@ use lh_sim::{MemAccess, Process, ProcessStep};
 pub const INSTR_TIME: Span = Span::from_ps(333);
 
 /// Memory-intensity category (§6.3 / Fig. 5 grouping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intensity {
     /// Low RBMPKI (≈1).
     Low,
@@ -44,7 +43,7 @@ impl Intensity {
 }
 
 /// Static description of a synthetic application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Workload name (reports).
     pub name: String,

@@ -1,7 +1,8 @@
 //! Property-based tests on the synthetic workload generators: the
-//! substitution argument in DESIGN.md rests on these generators having
-//! the properties the paper's real workloads supply (distinct per-site
-//! profiles, RBMPKI-ordered memory intensity, deterministic replay).
+//! substitution stated in the crate docs (`src/lib.rs`) rests on these
+//! generators having the properties the paper's real workloads supply
+//! (distinct per-site profiles, RBMPKI-ordered memory intensity,
+//! deterministic replay).
 
 use proptest::prelude::*;
 
