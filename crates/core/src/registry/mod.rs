@@ -25,6 +25,8 @@ mod mitigate;
 mod perf;
 mod sweeps;
 
+use std::sync::OnceLock;
+
 use lh_harness::{JobContext, Json, Registry, ScaleLevel};
 
 use crate::Scale;
@@ -77,24 +79,31 @@ const SIM_CRATES: &[&str] = &[
 /// Fingerprint for jobs whose results flow through the simulator stack
 /// but not the ML crate (every experiment except fig10/table2).
 pub(crate) fn sim_fingerprint() -> String {
-    code_fingerprint(SIM_CRATES)
+    static FP: OnceLock<String> = OnceLock::new();
+    FP.get_or_init(|| code_fingerprint(SIM_CRATES)).clone()
 }
 
 /// Fingerprint for jobs that additionally train classifiers
 /// (fig10/table2): editing `lh-ml` invalidates these and only these.
 pub(crate) fn ml_fingerprint() -> String {
-    let mut crates: Vec<&str> = SIM_CRATES.to_vec();
-    crates.push("lh-ml");
-    crates.sort_unstable();
-    code_fingerprint(&crates)
+    static FP: OnceLock<String> = OnceLock::new();
+    FP.get_or_init(|| sim_crates_plus("lh-ml")).clone()
 }
 
 /// Fingerprint for jobs whose results flow through the `lh-link` link
 /// layer (the channel sweep and the refactored §6.3 multibit rows):
 /// editing `lh-link` invalidates these and only these.
 pub(crate) fn link_fingerprint() -> String {
+    static FP: OnceLock<String> = OnceLock::new();
+    FP.get_or_init(|| sim_crates_plus("lh-link")).clone()
+}
+
+/// The fingerprint of [`SIM_CRATES`] plus one more crate, in name order.
+/// The manifest is fixed at build time, so the three fingerprints above
+/// are computed once per process.
+fn sim_crates_plus(extra: &str) -> String {
     let mut crates: Vec<&str> = SIM_CRATES.to_vec();
-    crates.push("lh-link");
+    crates.push(extra);
     crates.sort_unstable();
     code_fingerprint(&crates)
 }

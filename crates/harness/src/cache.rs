@@ -250,6 +250,9 @@ mod tests {
             .join(format!("{}.json", k.digest()));
         std::fs::write(&path, "{not json").unwrap();
         assert!(cache.get(&k).is_none());
+        // Nesting past the parser's depth cap is corrupt too, not fatal.
+        std::fs::write(&path, "[".repeat(20_000)).unwrap();
+        assert!(cache.get(&k).is_none());
         cache.clear().unwrap();
     }
 }

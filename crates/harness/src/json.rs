@@ -4,9 +4,27 @@
 //! The repository intentionally has no external dependencies, so this
 //! module is the serialization substrate for the harness: experiment
 //! results are built as [`Json`] values, cached to disk as JSON text,
-//! and read back bit-identically. `f64` values are written with Rust's
-//! shortest-round-trip formatting (plus a trailing `.0` when the value
-//! is integral), so `parse(write(x)) == x` for every finite float.
+//! and read back bit-identically. Every envelope, cache entry, stream
+//! line, coordinator wire message and service response is written here,
+//! so the output bytes are a contract:
+//!
+//! * floats are written with Rust's shortest-round-trip formatting,
+//!   plus a trailing `.0` when that text has no `.` or exponent, so
+//!   `parse(write(x)) == x` bit for bit for every finite float;
+//! * integers are `i128`, written in plain decimal, so the full `u64`
+//!   range (derived seeds) round-trips;
+//! * strings escape exactly `"`, `\` and the bytes below 0x20 (`\n`,
+//!   `\r`, `\t` by name, the rest as lowercase `\u00xx`); everything
+//!   else, non-ASCII included, is copied through;
+//! * objects keep insertion order; pretty output indents two spaces
+//!   and writes `": "` between key and value;
+//! * [`parse`] refuses documents nesting deeper than [`MAX_DEPTH`]
+//!   with a [`ParseError`], instead of exhausting the stack.
+//!
+//! `crates/harness/tests/json_oracle.rs` pins these bytes against a
+//! frozen copy of the previous, slower writer and parser over generated
+//! trees: output, round trip and parse errors (offsets included) must
+//! all agree.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -144,100 +162,217 @@ impl Json {
     /// Serializes compactly (no whitespace).
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.render(&mut out, false, 0);
         out
     }
 
     /// Serializes with two-space indentation.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.render(&mut out, true, 0);
+        out
+    }
+}
+
+/// A borrowed object for rendering: each value is a borrowed tree, an
+/// owned leaf, or a nested borrowed object. It renders byte for byte
+/// like the [`Json::Object`] that [`JsonRef::into_json`] builds, without
+/// cloning what it borrows.
+#[derive(Debug)]
+pub enum JsonRef<'a> {
+    /// A value that lives elsewhere.
+    Borrowed(&'a Json),
+    /// A value built on the spot.
+    Owned(Json),
+    /// An object with insertion-ordered keys.
+    Object(Vec<(&'a str, JsonRef<'a>)>),
+}
+
+impl JsonRef<'_> {
+    /// Serializes compactly, like [`Json::to_compact`].
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, false, 0);
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Serializes with two-space indentation, like [`Json::to_pretty`].
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, true, 0);
+        out
+    }
+
+    /// The owned value this view describes (clones what it borrows).
+    pub fn into_json(self) -> Json {
+        match self {
+            JsonRef::Borrowed(v) => v.clone(),
+            JsonRef::Owned(v) => v,
+            JsonRef::Object(fields) => Json::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_owned(), v.into_json()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// What the writer can serialize: [`Json`] and [`JsonRef`].
+trait Render {
+    /// Appends the value at nesting `depth`; `pretty` selects two-space
+    /// indentation.
+    fn render(&self, out: &mut String, pretty: bool, depth: usize);
+}
+
+impl Render for Json {
+    fn render(&self, out: &mut String, pretty: bool, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
-            }
-            Json::Float(f) => out.push_str(&format_f64(*f)),
+            Json::Int(i) => write_int(out, *i),
+            Json::Float(f) => write_f64(out, *f),
             Json::Str(s) => write_escaped(out, s),
-            Json::Array(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1)
-            }),
-            Json::Object(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    let (k, v) = &fields[i];
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1)
-                })
-            }
+            Json::Array(items) => write_array(out, items, pretty, depth),
+            Json::Object(fields) => write_object(out, fields, pretty, depth),
         }
     }
 }
 
-/// Formats a finite f64 so it parses back bit-identically and always
-/// reads as a float (`40` becomes `40.0`).
-fn format_f64(f: f64) -> String {
-    assert!(f.is_finite(), "non-finite float in Json::Float");
-    let s = format!("{f}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+impl Render for JsonRef<'_> {
+    fn render(&self, out: &mut String, pretty: bool, depth: usize) {
+        match self {
+            JsonRef::Borrowed(v) => v.render(out, pretty, depth),
+            JsonRef::Owned(v) => v.render(out, pretty, depth),
+            JsonRef::Object(fields) => write_object(out, fields, pretty, depth),
+        }
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    for i in 0..len {
+/// Indentation source: pretty output slices it instead of allocating.
+const SPACES: &str = "                                                                ";
+
+/// A newline plus the indentation of nesting `depth` (two spaces each).
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    let mut n = 2 * depth;
+    while n > SPACES.len() {
+        out.push_str(SPACES);
+        n -= SPACES.len();
+    }
+    out.push_str(&SPACES[..n]);
+}
+
+fn write_array<V: Render>(out: &mut String, items: &[V], pretty: bool, depth: usize) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+        if pretty {
+            newline_indent(out, depth + 1);
         }
-        item(out, i);
+        item.render(out, pretty, depth + 1);
     }
-    if len > 0 {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * depth));
-        }
+    if pretty && !items.is_empty() {
+        newline_indent(out, depth);
     }
-    out.push(close);
+    out.push(']');
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+fn write_object<K: AsRef<str>, V: Render>(
+    out: &mut String,
+    fields: &[(K, V)],
+    pretty: bool,
+    depth: usize,
+) {
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if pretty {
+            newline_indent(out, depth + 1);
+        }
+        write_escaped(out, key.as_ref());
+        out.push_str(if pretty { ": " } else { ":" });
+        value.render(out, pretty, depth + 1);
+    }
+    if pretty && !fields.is_empty() {
+        newline_indent(out, depth);
+    }
+    out.push('}');
+}
+
+/// Writes an integer in decimal: a digit loop over the `i64` range,
+/// `i128` formatting beyond it.
+fn write_int(out: &mut String, i: i128) {
+    let Ok(small) = i64::try_from(i) else {
+        let _ = fmt::Write::write_fmt(out, format_args!("{i}"));
+        return;
+    };
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    let mut n = small.unsigned_abs();
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if small < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[pos..]).expect("ASCII digits"));
+}
+
+/// Writes a finite f64 so it parses back bit-identically and always
+/// reads as a float (`40` becomes `40.0`).
+fn write_f64(out: &mut String, f: f64) {
+    assert!(f.is_finite(), "non-finite float in Json::Float");
+    let start = out.len();
+    let _ = fmt::Write::write_fmt(out, format_args!("{f}"));
+    if !out.as_bytes()[start..]
+        .iter()
+        .any(|b| matches!(b, b'.' | b'e' | b'E'))
+    {
+        out.push_str(".0");
+    }
+}
+
+/// Writes `s` as a JSON string, escaping `"`, `\` and every byte below
+/// 0x20 (`\n`, `\r`, `\t` by name, the rest as `\u00xx`) and copying
+/// the runs between them whole.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` sits on char
+        // boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(named);
+        }
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -345,11 +480,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest in a parsed document. Deeper
+/// input is refused with a [`ParseError`] at the opening bracket that
+/// crosses the line, so no input can exhaust the parsing thread's stack.
+/// The harness's own envelopes and cache entries nest at most 8 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -361,11 +504,14 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_owned(),
@@ -407,11 +553,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -465,18 +626,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Advances to the next `"` or `\` (or the end) and returns the text
+    /// passed over. Both stop bytes are ASCII, so the slice sits on char
+    /// boundaries of the input.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
+            self.pos += 1;
+        }
+        &self.src[start..self.pos]
+    }
+
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = self.plain_run().to_owned();
         loop {
-            let start = self.pos;
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -515,12 +679,15 @@ impl Parser<'_> {
                 }
                 _ => return Err(self.err("unterminated string")),
             }
+            let run = self.plain_run();
+            out.push_str(run);
         }
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let mut is_float = false;
@@ -534,17 +701,28 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if is_float {
-            text.parse::<f64>()
+            return text
+                .parse::<f64>()
                 .map(Json::Float)
-                .map_err(|_| self.err("invalid float"))
-        } else {
-            text.parse::<i128>()
-                .map(Json::Int)
-                .map_err(|_| self.err("invalid integer"))
+                .map_err(|_| self.err("invalid float"));
         }
+        // Up to 18 digits always fit an i64: fold them directly.
+        let digits = &self.bytes[start + usize::from(negative)..self.pos];
+        if (1..=18).contains(&digits.len()) {
+            let magnitude = digits
+                .iter()
+                .fold(0i64, |n, d| n * 10 + i64::from(d - b'0'));
+            return Ok(Json::Int(i128::from(if negative {
+                -magnitude
+            } else {
+                magnitude
+            })));
+        }
+        text.parse::<i128>()
+            .map(Json::Int)
+            .map_err(|_| self.err("invalid integer"))
     }
 }
 
@@ -607,6 +785,33 @@ mod tests {
         assert_eq!(err.offset, 6);
         assert!(parse("[1, 2").is_err());
         assert!(parse("01x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        // Deep enough to overflow a thread's stack without the cap.
+        let deep = "[".repeat(20_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let deep_objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = parse(&deep_objects).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH, "{err}");
+    }
+
+    #[test]
+    fn borrowed_objects_render_like_owned_ones() {
+        let inner = Json::object().with("xs", Json::Array(vec![Json::Int(-3), Json::Float(0.5)]));
+        let view = JsonRef::Object(vec![
+            ("a", JsonRef::Owned(Json::from("q\"\u{1}"))),
+            ("b", JsonRef::Borrowed(&inner)),
+            ("c", JsonRef::Object(vec![("d", JsonRef::Borrowed(&inner))])),
+            ("e", JsonRef::Object(Vec::new())),
+        ]);
+        let text = (view.to_pretty(), view.to_compact());
+        let owned = view.into_json();
+        assert_eq!(text, (owned.to_pretty(), owned.to_compact()));
     }
 
     #[test]

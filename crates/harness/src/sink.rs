@@ -4,7 +4,7 @@
 use core::str::FromStr;
 
 use crate::job::{Job, JobContext};
-use crate::json::Json;
+use crate::json::{Json, JsonRef};
 use crate::runner::{ExperimentRun, UnitEvent};
 
 /// Output format of the CLI.
@@ -48,7 +48,7 @@ pub fn render(
                 job.render_text(&run.merged, ctx)
             )
         }
-        OutputFormat::Json => envelope(job, run, ctx).to_pretty() + "\n",
+        OutputFormat::Json => envelope_ref(job, run, ctx).to_pretty() + "\n",
         OutputFormat::Csv => {
             let body = job
                 .render_csv(&run.merged, ctx)
@@ -75,13 +75,22 @@ pub fn render(
 /// workers. Wall-clock span timings never appear here — they export
 /// separately as Chrome `trace_event` JSON.
 pub fn envelope(job: &dyn Job, run: &ExperimentRun, ctx: &JobContext) -> Json {
-    Json::object()
-        .with("experiment", job.id())
-        .with("description", job.description())
-        .with("scale", ctx.scale.as_str())
-        .with("seed", ctx.seed)
-        .with("result", run.merged.clone())
-        .with("metrics", run.metrics.clone())
+    envelope_ref(job, run, ctx).into_json()
+}
+
+/// The one definition of the envelope's fields and their order, over
+/// the run's borrowed `merged` and `metrics` trees: [`envelope`],
+/// [`render`] and [`stream_finished`] all go through it, and the last
+/// two write it without cloning the trees.
+fn envelope_ref<'a>(job: &dyn Job, run: &'a ExperimentRun, ctx: &JobContext) -> JsonRef<'a> {
+    JsonRef::Object(vec![
+        ("experiment", JsonRef::Owned(job.id().into())),
+        ("description", JsonRef::Owned(job.description().into())),
+        ("scale", JsonRef::Owned(ctx.scale.as_str().into())),
+        ("seed", JsonRef::Owned(ctx.seed.into())),
+        ("result", JsonRef::Borrowed(&run.merged)),
+        ("metrics", JsonRef::Borrowed(&run.metrics)),
+    ])
 }
 
 /// Wall-clock milliseconds since the Unix epoch, for the `ts_ms` field
@@ -116,33 +125,39 @@ pub fn stream_started(job: &dyn Job, units: usize, ctx: &JobContext) -> String {
 /// [`UnitObserver`](crate::runner::UnitObserver) that emits this as
 /// each unit finishes, in completion order.
 pub fn stream_unit(event: &UnitEvent) -> String {
-    Json::object()
-        .with("event", "unit")
-        .with("ts_ms", wall_clock_ms())
-        .with("experiment", event.experiment)
-        .with("unit", event.unit.as_str())
-        .with("index", event.index)
-        .with("cached", event.cached)
-        .with("ms", event.wall_ms as u64)
-        .with("metrics", event.metrics.clone())
-        .with("result", event.result.clone())
-        .to_compact()
+    JsonRef::Object(vec![
+        ("event", JsonRef::Owned("unit".into())),
+        ("ts_ms", JsonRef::Owned(wall_clock_ms().into())),
+        ("experiment", JsonRef::Owned(event.experiment.into())),
+        ("unit", JsonRef::Owned(event.unit.as_str().into())),
+        ("index", JsonRef::Owned(event.index.into())),
+        ("cached", JsonRef::Owned(event.cached.into())),
+        ("ms", JsonRef::Owned((event.wall_ms as u64).into())),
+        ("metrics", JsonRef::Borrowed(&event.metrics)),
+        ("result", JsonRef::Borrowed(&event.result)),
+    ])
+    .to_compact()
         + "\n"
 }
 
 /// One NDJSON line carrying the finished experiment's envelope plus run
 /// statistics: emit after `finish` when streaming.
 pub fn stream_finished(job: &dyn Job, run: &ExperimentRun, ctx: &JobContext) -> String {
-    Json::object()
-        .with("event", "finished")
-        .with("ts_ms", wall_clock_ms())
-        .with("experiment", job.id())
-        .with("units", run.stats.units_total)
-        .with("cached_units", run.stats.units_cached)
-        .with("executed_units", run.stats.units_executed)
-        .with("wall_ms", run.stats.wall_ms as u64)
-        .with("envelope", envelope(job, run, ctx))
-        .to_compact()
+    let stats = &run.stats;
+    JsonRef::Object(vec![
+        ("event", JsonRef::Owned("finished".into())),
+        ("ts_ms", JsonRef::Owned(wall_clock_ms().into())),
+        ("experiment", JsonRef::Owned(job.id().into())),
+        ("units", JsonRef::Owned(stats.units_total.into())),
+        ("cached_units", JsonRef::Owned(stats.units_cached.into())),
+        (
+            "executed_units",
+            JsonRef::Owned(stats.units_executed.into()),
+        ),
+        ("wall_ms", JsonRef::Owned((stats.wall_ms as u64).into())),
+        ("envelope", envelope_ref(job, run, ctx)),
+    ])
+    .to_compact()
         + "\n"
 }
 

@@ -228,6 +228,11 @@ fn submission_errors_are_structured() {
     let gone = client::get(&format!("{base}/runs/999")).expect("get");
     assert_eq!(gone.status, 404, "{}", gone.text());
 
+    // Nesting deep enough to overflow a parser's stack is refused with
+    // a parse error, and the service stays up (checked below).
+    let deep = client::post(&format!("{base}/runs"), "[".repeat(20_000).as_bytes()).expect("post");
+    assert_eq!(deep.status, 400, "{}", deep.text());
+
     let health = client::get(&format!("{base}/healthz")).expect("get");
     assert_eq!(health.status, 200);
     let health_doc = parse(&health.text()).expect("healthz is JSON");
