@@ -161,16 +161,12 @@ impl Json {
 
     /// Serializes compactly (no whitespace).
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, false, 0);
-        out
+        self.rendered(false)
     }
 
     /// Serializes with two-space indentation.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, true, 0);
-        out
+        self.rendered(true)
     }
 }
 
@@ -191,16 +187,12 @@ pub enum JsonRef<'a> {
 impl JsonRef<'_> {
     /// Serializes compactly, like [`Json::to_compact`].
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, false, 0);
-        out
+        self.rendered(false)
     }
 
     /// Serializes with two-space indentation, like [`Json::to_pretty`].
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, true, 0);
-        out
+        self.rendered(true)
     }
 
     /// The owned value this view describes (clones what it borrows).
@@ -223,6 +215,13 @@ trait Render {
     /// Appends the value at nesting `depth`; `pretty` selects two-space
     /// indentation.
     fn render(&self, out: &mut String, pretty: bool, depth: usize);
+
+    /// The whole value as a fresh string.
+    fn rendered(&self, pretty: bool) -> String {
+        let mut out = String::new();
+        self.render(&mut out, pretty, 0);
+        out
+    }
 }
 
 impl Render for Json {
@@ -679,8 +678,7 @@ impl<'a> Parser<'a> {
                 }
                 _ => return Err(self.err("unterminated string")),
             }
-            let run = self.plain_run();
-            out.push_str(run);
+            out.push_str(self.plain_run());
         }
     }
 
