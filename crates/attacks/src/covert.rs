@@ -132,12 +132,6 @@ pub struct ReceiverConfig {
     /// §10.1 cadence-based refresh filtering (used when back-off and
     /// refresh latencies overlap and magnitude cannot separate them).
     pub refresh_filter: Option<RefreshFilterConfig>,
-    /// Calibration lead-in: the receiver starts probing this long before
-    /// `start`, feeding the refresh filter's phase predictor without
-    /// recording observations — so the grid is locked before the first
-    /// transmitted bit and a genuine event in window 0 is not mistaken
-    /// for the anchor refresh.
-    pub calibrate: Span,
 }
 
 /// The covert-channel receiver process.
@@ -197,19 +191,11 @@ impl CovertReceiver {
 
 impl Process for CovertReceiver {
     fn step(&mut self, now: Time) -> ProcessStep {
-        let probe_from = if self.cfg.start - Time::ZERO >= self.cfg.calibrate {
-            self.cfg.start - self.cfg.calibrate
-        } else {
-            Time::ZERO
-        };
-        if now < probe_from {
-            self.last = None;
-            return ProcessStep::SleepUntil(probe_from);
+        if now < self.cfg.start {
+            return ProcessStep::SleepUntil(self.cfg.start);
         }
         // Attribute the just-finished access to the window it *started*
-        // in. The refresh filter sees every in-band candidate — including
-        // calibration samples taken before the first window — so its grid
-        // is locked by the time transmission begins.
+        // in. The refresh filter sees every in-band candidate.
         if let Some(last) = self.last.take() {
             let latency = now - last;
             let mut in_band = latency >= self.cfg.detect && latency < self.cfg.detect_max;
@@ -236,11 +222,6 @@ impl Process for CovertReceiver {
                     o.accesses_before_event = o.accesses;
                 }
             }
-        }
-        if now < self.cfg.start {
-            // Calibration probing continues at full rate.
-            self.last = Some(now);
-            return ProcessStep::Access(MemAccess::flushed_load(self.cfg.row_addr, self.cfg.think));
         }
         let Some(w) = self.window_of(now) else {
             return ProcessStep::Halt;
@@ -409,7 +390,6 @@ mod tests {
             detect_max: Span::MAX,
             sleep_after_detect: true,
             refresh_filter: None,
-            calibrate: Span::ZERO,
         }
     }
 

@@ -38,7 +38,7 @@
 //! let rx = CovertReceiver::new(ReceiverConfig {
 //!     row_addr: layout.receiver_row, window, start: Time::ZERO, n_windows: bits.len(),
 //!     think: Span::from_ns(30), detect: cls.backoff_threshold(), detect_max: Span::MAX,
-//!     sleep_after_detect: true, refresh_filter: None, calibrate: Span::ZERO,
+//!     sleep_after_detect: true, refresh_filter: None,
 //! });
 //! sys.add_process(Box::new(tx), 1, Time::ZERO);
 //! let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
@@ -115,7 +115,6 @@ mod tests {
             detect_max,
             sleep_after_detect,
             refresh_filter: None,
-            calibrate: Span::ZERO,
         });
         sys.add_process(Box::new(tx), 1, Time::ZERO);
         let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);

@@ -303,7 +303,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     {
         return Err(
             "--events-out only applies to experiment runs (serve clients request events per \
-             run; workers inherit the switch from their coordinator)"
+             run; workers get the request with each assignment)"
                 .to_owned(),
         );
     }
@@ -794,17 +794,6 @@ fn main() {
     if args.trace_out.is_some() {
         lh_obs::trace::enable();
     }
-    // Flight events, by contrast, are deterministic simulated-time
-    // records: the switch must be up before any unit runs so cache keys
-    // land on the events-aware side, and worker child processes get the
-    // switch per assignment over the coordinator protocol.
-    if let Some(cap) = args.events_cap {
-        lh_obs::flight::set_cap(cap);
-    }
-    if args.events_out.is_some() {
-        lh_obs::flight::enable();
-    }
-
     let registry = leakyhammer::registry();
     if args.id == "list" {
         emit("available experiments:\n");
@@ -865,7 +854,17 @@ fn main() {
             observer,
         }))
     };
-    let ctx = JobContext::new(args.scale, args.seed);
+    // Flight events, by contrast, are deterministic simulated-time
+    // records requested per run: the context carries the request (and
+    // the ring capacity) into cache keys, every unit's capture scope and
+    // — over the coordinator protocol — every worker assignment.
+    let ctx = JobContext {
+        flight: args
+            .events_out
+            .is_some()
+            .then(|| args.events_cap.unwrap_or(lh_obs::flight::DEFAULT_CAP)),
+        ..JobContext::new(args.scale, args.seed)
+    };
 
     let mut event_logs = String::new();
     for id in ids {

@@ -452,8 +452,8 @@ impl Coordinator {
                     unit,
                     scale: ctx.scale.as_str().to_owned(),
                     seed: ctx.seed,
-                    events: ledger.events_on(),
-                    events_cap: lh_obs::flight::cap() as u64,
+                    events: ctx.flight.is_some(),
+                    events_cap: ctx.flight.unwrap_or(lh_obs::flight::DEFAULT_CAP) as u64,
                     deps: ledger.dep_results(unit),
                 }
                 .to_json();

@@ -27,8 +27,8 @@ use lh_harness::json::{parse, Json};
 /// worker. Heartbeats are volatile liveness data — they never touch
 /// unit results or metrics.
 ///
-/// v4: [`ToWorker::Assign`] carries the flight-recorder switches
-/// (`events`, `events_cap`) and [`FromWorker::Done`] returns the unit's
+/// v4: [`ToWorker::Assign`] carries the run's flight request
+/// (`events`, `events_cap`: its `JobContext::flight`) and [`FromWorker::Done`] returns the unit's
 /// rendered event log, so `--events-out` logs stay byte-identical
 /// between in-process and distributed execution.
 pub const PROTOCOL_VERSION: u64 = 4;

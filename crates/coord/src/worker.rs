@@ -163,19 +163,18 @@ pub fn worker_loop(
             return Ok(());
         }
 
-        // The recorder switches are assignment state, not worker state:
-        // set them from the message so a worker serving a mixed stream
+        // The flight request is assignment state, not worker state: it
+        // rides the unit's context, so a worker serving a mixed stream
         // (events on, then off) captures exactly what each unit's cache
         // key promises.
-        lh_obs::flight::set_cap(usize::try_from(events_cap).unwrap_or(usize::MAX));
-        lh_obs::flight::set_enabled(events);
+        let flight = events.then(|| usize::try_from(events_cap).unwrap_or(usize::MAX));
         let reply = match run_assignment(
             registry,
             &experiment,
             unit,
             &scale,
             seed,
-            events,
+            flight,
             &deps,
             &cache,
             &memo,
@@ -219,7 +218,7 @@ fn run_assignment(
     unit: usize,
     scale: &str,
     seed: u64,
-    events: bool,
+    flight: Option<usize>,
     deps: &[lh_harness::Json],
     cache: &Option<DiskCache>,
     memo: &lh_harness::Memo,
@@ -230,6 +229,7 @@ fn run_assignment(
     let ctx = JobContext {
         scale: scale.parse()?,
         seed,
+        flight,
         memo: memo.clone(),
     };
     let units = job.units(&ctx);
@@ -241,7 +241,7 @@ fn run_assignment(
     })?;
 
     catch_unwind(AssertUnwindSafe(|| {
-        execute_unit(job, &ctx, unit, label, deps, events, cache.as_ref())
+        execute_unit(job, &ctx, unit, label, deps, cache.as_ref())
     }))
     .map_err(|payload| {
         let cause = payload

@@ -320,7 +320,7 @@ fn worker_caches_merge_into_the_shared_cache_the_runner_reads() {
     // ...and after evicting it, the per-unit entries the *workers*
     // wrote replay too: proof the worker-side keys match the runner's.
     let units = job.units(&ctx());
-    let merged_key = unit_key(job, &merged_fingerprint(&units), &ctx(), false);
+    let merged_key = unit_key(job, &merged_fingerprint(&units), &ctx());
     std::fs::remove_file(
         cache
             .dir()

@@ -165,12 +165,6 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
         detect_max,
         sleep_after_detect: tuning.sleep_after_detect,
         refresh_filter: opts.refresh_filter,
-        calibrate: if opts.refresh_filter.is_some() {
-            // Lock the refresh grid before the first bit (sec. 10.1).
-            Span::from_us(20)
-        } else {
-            Span::ZERO
-        },
     });
     sys.add_process(Box::new(tx), 1, start);
     let rx_id = sys.add_process(Box::new(rx), 1, start);

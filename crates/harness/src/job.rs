@@ -55,27 +55,36 @@ pub struct JobContext {
     pub scale: ScaleLevel,
     /// Master seed; per-unit seeds are derived from it.
     pub seed: u64,
+    /// Whether the run records flight events, and into rings of how
+    /// many events per unit: `None` records nothing, `Some(cap)` gives
+    /// every unit a capture scope of `cap` events. It never changes a
+    /// result; it decides whether the run returns an event log, and it
+    /// is part of cache addressing (see
+    /// [`unit_key`](crate::ledger::unit_key)).
+    pub flight: Option<usize>,
     /// Build-once intermediates shared across this run's units
     /// (process-local; never part of cache addressing).
     pub memo: crate::Memo,
 }
 
 impl JobContext {
-    /// A context with a fresh, empty memo.
+    /// A context that records no flight events, with a fresh, empty
+    /// memo.
     pub fn new(scale: ScaleLevel, seed: u64) -> JobContext {
         JobContext {
             scale,
             seed,
+            flight: None,
             memo: crate::Memo::new(),
         }
     }
 }
 
 impl PartialEq for JobContext {
-    /// Contexts compare by the result-determining fields alone — the
-    /// memo is an accelerator, not an input.
+    /// Contexts compare by what decides a run's output — the memo is an
+    /// accelerator, not an input.
     fn eq(&self, other: &JobContext) -> bool {
-        self.scale == other.scale && self.seed == other.seed
+        self.scale == other.scale && self.seed == other.seed && self.flight == other.flight
     }
 }
 

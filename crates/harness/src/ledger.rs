@@ -3,8 +3,8 @@
 //! captures and stores, what each completion reports, and how unit
 //! outputs assemble into the envelope — in one place.
 //!
-//! A run has three moments. [`Ledger::open`] samples the flight switch
-//! once, replays the merged entry if it is cached, validates the unit
+//! A run has three moments. [`Ledger::open`] replays the merged entry
+//! if it is cached, validates the unit
 //! DAG, probes the cache per unit and prunes the dependency edges of
 //! hits. [`Ledger::record`] (and [`Ledger::replay`], its cache-hit
 //! twin) takes one unit's output: progress line, lifetime-registry
@@ -51,18 +51,15 @@ pub fn merged_fingerprint(units: &[String]) -> String {
 /// unit, of the merged result) of `job` under `ctx` — the single source
 /// of truth for cache addressing.
 ///
-/// `events` is whether the entry carries a flight-event log; it is an
-/// explicit parameter — never read from the process-global recording
-/// switch — so an executor whose switch lags its assignment (e.g. a
-/// worker process) cannot write an event-less entry under an
-/// events-expected key. Event-bearing entries live under a distinct
-/// fingerprint, so a plain run never replays (or misses on) a
-/// recording run's entries and vice versa.
-pub fn unit_key(job: &dyn Job, unit: &str, ctx: &JobContext, events: bool) -> CacheKey {
-    let fingerprint = if events {
-        format!("{}+events", job.fingerprint())
-    } else {
-        job.fingerprint()
+/// A recording run's entries carry a flight-event log, so they live
+/// under a distinct fingerprint that names the ring capacity
+/// (`ctx.flight`): a plain run never replays (or misses on) a recording
+/// run's entries, a recording run never replays another capacity's
+/// truncated logs, and vice versa.
+pub fn unit_key(job: &dyn Job, unit: &str, ctx: &JobContext) -> CacheKey {
+    let fingerprint = match ctx.flight {
+        Some(cap) => format!("{}+events:{cap}", job.fingerprint()),
+        None => job.fingerprint(),
     };
     CacheKey {
         experiment: job.id().to_owned(),
@@ -84,11 +81,10 @@ fn probe_unit_cache(
     deps: Vec<Vec<usize>>,
     cache: Option<&DiskCache>,
     ctx: &JobContext,
-    events: bool,
 ) -> (Vec<Option<Json>>, Vec<Vec<usize>>) {
     let hits: Vec<Option<Json>> = units
         .iter()
-        .map(|unit| cache.and_then(|c| c.get(&unit_key(job, unit, ctx, events))))
+        .map(|unit| cache.and_then(|c| c.get(&unit_key(job, unit, ctx))))
         .collect();
     let eff_deps = deps
         .into_iter()
@@ -152,8 +148,8 @@ pub struct ExperimentRun {
     /// counter-wise sum. Byte-stable across `--jobs`, cache states and
     /// worker counts, unlike [`RunStats`].
     pub metrics: Json,
-    /// The assembled flight-event log (`Some` only when recording was
-    /// enabled): one experiment header line, then each unit's rendered
+    /// The assembled flight-event log (`Some` only when the run recorded,
+    /// i.e. `ctx.flight` was set): one experiment header line, then each unit's rendered
     /// log in unit order. Byte-identical across `--jobs`, worker
     /// counts and cache replay, like `metrics`.
     pub events: Option<String>,
@@ -176,31 +172,36 @@ pub struct UnitOutput {
 }
 
 /// Executes unit `index` (labelled `label`) of `job` on this thread:
-/// a `unit.run` span around a flight capture around a metric scope
-/// around [`Job::run_unit`] with the unit's derived seed and `deps`,
-/// then — with a `cache` — the unit entry written under [`unit_key`].
-/// `events` is the run's sampled recording switch (the worker's arrives
-/// in its assignment). Cache write failures are reported on stderr, not
-/// fatal; a panicking unit unwinds through here untouched.
+/// a `unit.run` span around a flight capture (when `ctx.flight` asks
+/// for one) around a metric scope around [`Job::run_unit`] with the
+/// unit's derived seed and `deps`, then — with a `cache` — the unit
+/// entry written under [`unit_key`]. Cache write failures are reported
+/// on stderr, not fatal; a panicking unit unwinds through here
+/// untouched.
 pub fn execute_unit(
     job: &dyn Job,
     ctx: &JobContext,
     index: usize,
     label: &str,
     deps: &[Json],
-    events: bool,
     cache: Option<&DiskCache>,
 ) -> UnitOutput {
     let started = Instant::now();
     let _span = lh_obs::Span::enter("unit.run", "harness");
-    let ((result, recorded), flight) = lh_obs::flight::capture(|| {
+    let run = || {
         lh_obs::record(|| job.run_unit(index, derive_seed(job.id(), index, ctx.seed), deps, ctx))
-    });
+    };
+    let ((result, recorded), log) = match ctx.flight {
+        Some(cap) => {
+            let (out, flight) = lh_obs::flight::capture_capped(cap, run);
+            (out, Some(flight.render(label, index)))
+        }
+        None => (run(), None),
+    };
     let metrics = metrics_to_json(&recorded);
-    let log = events.then(|| flight.render(label, index));
     if let Some(c) = cache {
         let entry = wrap_entry_events(metrics.clone(), result.clone(), log.clone());
-        if let Err(e) = c.put(&unit_key(job, label, ctx, events), &entry) {
+        if let Err(e) = c.put(&unit_key(job, label, ctx), &entry) {
             note(format_args!(
                 "warning: cache write failed for {}/{label}: {e}",
                 job.id()
@@ -245,17 +246,12 @@ fn replay_entry(
 /// `cache`, or `None` if the entry is not there: what [`Ledger::open`]
 /// returns as [`Opened::Cached`], for a caller that only wants a
 /// finished run back (`lh-serve` re-serving an envelope it no longer
-/// holds) and must not execute anything. `events` picks the entry
+/// holds) and must not execute anything. `ctx.flight` picks the entry
 /// family, as in [`unit_key`].
-pub fn replay_merged(
-    job: &dyn Job,
-    ctx: &JobContext,
-    cache: &DiskCache,
-    events: bool,
-) -> Option<ExperimentRun> {
+pub fn replay_merged(job: &dyn Job, ctx: &JobContext, cache: &DiskCache) -> Option<ExperimentRun> {
     let started = Instant::now();
     let units = job.units(ctx);
-    let key = unit_key(job, &merged_fingerprint(&units), ctx, events);
+    let key = unit_key(job, &merged_fingerprint(&units), ctx);
     replay_entry(job, &key, units.len(), cache, started)
 }
 
@@ -274,10 +270,6 @@ pub struct Ledger<'a> {
     ctx: &'a JobContext,
     cache: Option<DiskCache>,
     observer: Option<UnitObserver>,
-    /// The flight switch as sampled at `open`: keys, capture and
-    /// assembly all use this value even if the process-global switch is
-    /// toggled mid-run.
-    events_on: bool,
     units: Vec<String>,
     /// Dependency edges with those of cache hits pruned.
     deps: Vec<Vec<usize>>,
@@ -297,7 +289,7 @@ impl std::fmt::Debug for Ledger<'_> {
             .field("job", &self.job.id())
             .field("units", &self.units.len())
             .field("units_cached", &self.units_cached)
-            .field("events_on", &self.events_on)
+            .field("flight", &self.ctx.flight)
             .finish()
     }
 }
@@ -305,8 +297,9 @@ impl std::fmt::Debug for Ledger<'_> {
 impl<'a> Ledger<'a> {
     /// Opens the run of `job` under `ctx`: a cached merged entry is the
     /// whole run; otherwise the unit DAG is validated and the cache
-    /// probed per unit. `cache`, `progress` and `observer` are the
-    /// executor's options of the same names.
+    /// probed per unit — all under `ctx`, flight request included.
+    /// `cache`, `progress` and `observer` are the executor's options of
+    /// the same names.
     ///
     /// # Errors
     ///
@@ -319,24 +312,10 @@ impl<'a> Ledger<'a> {
         progress: bool,
         observer: Option<&UnitObserver>,
     ) -> Result<Opened<'a>, String> {
-        let events_on = lh_obs::flight::enabled();
-        Ledger::open_sampled(job, ctx, cache, progress, observer, events_on)
-    }
-
-    /// [`Ledger::open`] with the flight switch already sampled (tests
-    /// pass it in rather than flip the process-global one).
-    fn open_sampled(
-        job: &'a dyn Job,
-        ctx: &'a JobContext,
-        cache: Option<&DiskCache>,
-        progress: bool,
-        observer: Option<&UnitObserver>,
-        events_on: bool,
-    ) -> Result<Opened<'a>, String> {
         let started = Instant::now();
         let units = job.units(ctx);
         let n = units.len();
-        let merged_key = unit_key(job, &merged_fingerprint(&units), ctx, events_on);
+        let merged_key = unit_key(job, &merged_fingerprint(&units), ctx);
         if let Some(run) = cache.and_then(|c| replay_entry(job, &merged_key, n, c, started)) {
             if progress {
                 note(format_args!(
@@ -349,13 +328,12 @@ impl<'a> Ledger<'a> {
 
         let deps: Vec<Vec<usize>> = (0..n).map(|i| job.deps(i, ctx)).collect();
         pool::validate_dag(&deps).map_err(|e| format!("{}: invalid unit DAG: {e}", job.id()))?;
-        let (hits, deps) = probe_unit_cache(job, &units, deps, cache, ctx, events_on);
+        let (hits, deps) = probe_unit_cache(job, &units, deps, cache, ctx);
         Ok(Opened::Live(Ledger {
             job,
             ctx,
             cache: cache.cloned(),
             observer: observer.cloned(),
-            events_on,
             deps,
             merged_key,
             units_cached: hits.iter().flatten().count(),
@@ -376,11 +354,6 @@ impl<'a> Ledger<'a> {
     /// edges of cache hits pruned (pruning cannot introduce a cycle).
     pub fn deps(&self) -> &[Vec<usize>] {
         &self.deps
-    }
-
-    /// Whether this run records flight events.
-    pub fn events_on(&self) -> bool {
-        self.events_on
     }
 
     /// Units no cache entry covers — the ones that must execute.
@@ -427,7 +400,6 @@ impl<'a> Ledger<'a> {
             unit,
             &self.units[unit],
             &self.dep_results(unit),
-            self.events_on,
             self.cache.as_ref(),
         );
         self.record(unit, output);
@@ -480,7 +452,7 @@ impl<'a> Ledger<'a> {
         let n = self.units.len();
         let mut results = Vec::with_capacity(n);
         let mut per_unit = Vec::with_capacity(n);
-        let mut events = self.events_on.then(|| {
+        let mut events = self.ctx.flight.is_some().then(|| {
             lh_obs::flight::experiment_header(
                 self.job.id(),
                 self.ctx.scale.as_str(),
@@ -556,6 +528,14 @@ mod tests {
         }
     }
 
+    /// A context whose run records flight events.
+    fn recording(seed: u64) -> JobContext {
+        JobContext {
+            flight: Some(lh_obs::flight::DEFAULT_CAP),
+            ..JobContext::new(ScaleLevel::Quick, seed)
+        }
+    }
+
     fn output(unit: usize) -> UnitOutput {
         UnitOutput {
             result: Json::object().with("v", unit * 7),
@@ -566,7 +546,7 @@ mod tests {
     }
 
     fn open_with<'a>(ctx: &'a JobContext, cache: Option<&DiskCache>) -> Ledger<'a> {
-        match Ledger::open_sampled(&Flat, ctx, cache, false, None, true).unwrap() {
+        match Ledger::open(&Flat, ctx, cache, false, None).unwrap() {
             Opened::Live(ledger) => ledger,
             Opened::Cached(_) => unreachable!("nothing is cached yet"),
         }
@@ -578,15 +558,16 @@ mod tests {
 
     /// `replay_merged` hands back what `close` stored — result, metrics
     /// block and event log — and `open` replays through the same
-    /// decoder; another entry family or an empty cache is `None`.
+    /// decoder; another entry family (no events, another ring capacity)
+    /// or an empty cache is `None`.
     #[test]
     fn replay_merged_returns_the_closed_run_or_nothing() {
-        let ctx = JobContext::new(ScaleLevel::Quick, 7);
+        let ctx = recording(7);
         let cache = DiskCache::new(
             std::env::temp_dir().join(format!("lh-harness-ledger-test-{}", std::process::id())),
         );
         cache.clear().unwrap();
-        assert!(replay_merged(&Flat, &ctx, &cache, true).is_none());
+        assert!(replay_merged(&Flat, &ctx, &cache).is_none());
 
         let ledger = open_with(&ctx, Some(&cache));
         for unit in 0..UNITS {
@@ -594,22 +575,31 @@ mod tests {
         }
         let closed = ledger.close();
 
-        let replayed = replay_merged(&Flat, &ctx, &cache, true).expect("close stored the entry");
+        let replayed = replay_merged(&Flat, &ctx, &cache).expect("close stored the entry");
         assert_eq!(replayed.merged.to_compact(), closed.merged.to_compact());
         assert_eq!(replayed.metrics.to_compact(), closed.metrics.to_compact());
         assert_eq!(replayed.events, closed.events);
         assert!(replayed.stats.merged_cached);
         assert_eq!(replayed.stats.units_cached, UNITS);
-        match Ledger::open_sampled(&Flat, &ctx, Some(&cache), false, None, true).unwrap() {
+        match Ledger::open(&Flat, &ctx, Some(&cache), false, None).unwrap() {
             Opened::Cached(run) => {
                 assert_eq!(run.merged.to_compact(), replayed.merged.to_compact());
                 assert_eq!(run.events, replayed.events);
             }
             Opened::Live(_) => panic!("the merged entry must replay"),
         }
+        let plain = JobContext::new(ScaleLevel::Quick, 7);
         assert!(
-            replay_merged(&Flat, &ctx, &cache, false).is_none(),
+            replay_merged(&Flat, &plain, &cache).is_none(),
             "event-less runs live under another key"
+        );
+        let capped = JobContext {
+            flight: Some(10),
+            ..recording(7)
+        };
+        assert!(
+            replay_merged(&Flat, &capped, &cache).is_none(),
+            "another ring capacity lives under another key"
         );
         cache.clear().unwrap();
     }
@@ -618,7 +608,7 @@ mod tests {
     /// returns the bytes of in-order single-threaded use.
     #[test]
     fn record_order_and_thread_never_reach_the_bytes() {
-        let ctx = JobContext::new(ScaleLevel::Quick, 7);
+        let ctx = recording(7);
         let in_order = open(&ctx);
         for unit in 0..UNITS {
             in_order.record(unit, output(unit));
@@ -646,7 +636,7 @@ mod tests {
         assert_eq!(run.merged.to_compact(), reference.merged.to_compact());
         assert_eq!(run.metrics.to_compact(), reference.metrics.to_compact());
         assert_eq!(run.events, reference.events);
-        let log = run.events.expect("recording was sampled on");
+        let log = run.events.expect("the context records");
         assert_eq!(log.lines().count(), 1 + UNITS, "header + one line per unit");
         assert_eq!(
             run.metrics["totals"]["test.count"].as_u64(),

@@ -240,7 +240,6 @@ pub fn transmit_windows(
         detect_max: cfg.tuning.detect_max,
         sleep_after_detect: cfg.tuning.sleep_after_detect,
         refresh_filter: None,
-        calibrate: Span::ZERO,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);

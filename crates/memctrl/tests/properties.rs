@@ -411,7 +411,6 @@ fn drive_closed_loop(
     request: impl Fn(u64) -> (DramAddr, AccessKind),
     batched: bool,
 ) -> Driven {
-    flight::enable();
     let (out, _log) = flight::capture(|| {
         let mut scratch = CtrlScratch::for_controller(&mc);
         let mut sink = EventBuffer::new();

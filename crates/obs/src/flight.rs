@@ -12,21 +12,19 @@
 //!
 //! ## Capture model
 //!
-//! Recording is off by default and gated twice:
+//! Recording is off by default and gated once, by a thread-local capture
+//! scope ([`capture`] / [`capture_capped`]). The harness installs one
+//! around each experiment unit of a run that asks for events (its
+//! `JobContext` carries the request and the ring capacity), mirroring
+//! the metric-scope idiom: events attribute to exactly one unit no
+//! matter how many worker threads — or how many concurrent runs — share
+//! the process.
 //!
-//! * a process-global switch ([`enable`] / [`set_enabled`]), flipped by
-//!   `--events-out` before any experiment runs, and
-//! * a thread-local capture scope ([`capture`]), installed by the
-//!   harness around each experiment unit — mirroring the metric-scope
-//!   idiom, so events attribute to exactly one unit no matter how many
-//!   worker threads run units concurrently.
-//!
-//! With either gate open-circuit, emission is a relaxed atomic load or
-//! a thread-local check — cheap enough for permanently-instrumented
-//! simulator paths. Producers that run hot loops (the memory
-//! controller, mitigation wrappers) accumulate into a local
-//! [`EventBuffer`] and are drained at obs-flush time by the simulator,
-//! which tags the batch with its *segment* id.
+//! Outside a scope, emission is one thread-local check — cheap enough
+//! for permanently-instrumented simulator paths. Producers that run hot
+//! loops (the memory controller, mitigation wrappers) accumulate into a
+//! local [`EventBuffer`] and are drained at obs-flush time by the
+//! simulator, which tags the batch with its *segment* id.
 //!
 //! ## Segments
 //!
@@ -38,18 +36,16 @@
 //!
 //! ## Bounds
 //!
-//! The capture scope is a ring: past [`cap`] events, the oldest event
-//! is evicted and counted in a per-kind drop map that rides the
-//! rendered log header — truncation is always visible, never silent.
+//! The capture scope is a ring: past its capacity ([`DEFAULT_CAP`]
+//! unless [`capture_capped`] says otherwise), the oldest event is
+//! evicted and counted in a per-kind drop map that rides the rendered
+//! log header — truncation is always visible, never silent.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Default capture-scope capacity (events per experiment unit).
 pub const DEFAULT_CAP: usize = 65_536;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAP: AtomicUsize = AtomicUsize::new(DEFAULT_CAP);
 
 /// One recorded event on the simulated-ns timebase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,30 +211,19 @@ impl FlightEvent {
     }
 }
 
-/// Turns flight recording on for the whole process.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
+/// Does nothing: recording is requested per run (the harness's
+/// `JobContext`) and scoped per thread by [`capture`], so there is no
+/// process-wide switch left to turn on. Kept for callers that predate
+/// the per-run request.
+pub fn enable() {}
 
-/// Sets the process-global recording switch (the serve executor toggles
-/// it per queued run).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
+/// Does nothing, like [`enable`].
+pub fn set_enabled(_on: bool) {}
 
-/// Whether flight recording is enabled process-wide.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Sets the capture-scope event capacity (`0` is treated as `1`).
-pub fn set_cap(cap: usize) {
-    CAP.store(cap.max(1), Ordering::Relaxed);
-}
-
-/// The capture-scope event capacity.
-pub fn cap() -> usize {
-    CAP.load(Ordering::Relaxed)
+/// The ring capacity of the capture scope on this thread
+/// ([`DEFAULT_CAP`] outside one).
+fn cap() -> usize {
+    SCOPE.with(|s| s.borrow().as_ref().map_or(DEFAULT_CAP, |log| log.cap))
 }
 
 /// A bounded ring of events with per-kind drop accounting — the local
@@ -252,13 +237,14 @@ pub struct EventBuffer {
 }
 
 impl EventBuffer {
-    /// An empty buffer (capacity is read from the global [`cap`] at
-    /// each push, so buffers need no configuration).
+    /// An empty buffer (capacity is read from this thread's capture
+    /// scope at each push, so buffers need no configuration).
     pub fn new() -> EventBuffer {
         EventBuffer::default()
     }
 
-    /// Appends one event, evicting and counting the oldest past [`cap`].
+    /// Appends one event, evicting and counting the oldest past the
+    /// capture scope's capacity.
     pub fn push(&mut self, event: FlightEvent) {
         if self.events.len() >= cap() {
             if let Some(old) = self.events.pop_front() {
@@ -297,14 +283,25 @@ impl EventBuffer {
 
 /// The events one capture scope collected, with segment tags and drop
 /// accounting — what [`capture`] returns.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlightLog {
     entries: Vec<(u64, FlightEvent)>,
     dropped: BTreeMap<&'static str, u64>,
     next_seg: u64,
+    /// Ring capacity, at least 1.
+    cap: usize,
 }
 
 impl FlightLog {
+    fn with_cap(cap: usize) -> FlightLog {
+        FlightLog {
+            entries: Vec::new(),
+            dropped: BTreeMap::new(),
+            next_seg: 0,
+            cap: cap.max(1),
+        }
+    }
+
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -327,7 +324,7 @@ impl FlightLog {
     }
 
     fn push(&mut self, seg: u64, event: FlightEvent) {
-        if self.entries.len() >= cap() {
+        if self.entries.len() >= self.cap {
             let (_, old) = self.entries.remove(0);
             *self.dropped.entry(old.kind()).or_insert(0) += 1;
         }
@@ -377,17 +374,17 @@ pub fn experiment_header(experiment: &str, scale: &str, seed: u64, units: usize)
 }
 
 thread_local! {
-    /// The capture scope installed on this thread, if any. Unlike
-    /// metric scopes these do not nest: one scope per experiment unit.
-    static SCOPE: std::cell::RefCell<Option<FlightLog>> =
-        const { std::cell::RefCell::new(None) };
+    /// The capture scope installed on this thread, if any — the one
+    /// recording gate. Unlike metric scopes these do not nest: one scope
+    /// per experiment unit.
+    static SCOPE: RefCell<Option<FlightLog>> = const { RefCell::new(None) };
 }
 
 /// Whether events emitted on this thread right now would be retained:
-/// recording is enabled *and* a capture scope is installed. Producers
-/// check this before building events.
+/// a capture scope is installed. Producers check this before building
+/// events.
 pub fn active() -> bool {
-    enabled() && SCOPE.with(|s| s.borrow().is_some())
+    SCOPE.with(|s| s.borrow().is_some())
 }
 
 /// Allocates the next segment id in the current capture scope (zero
@@ -410,9 +407,6 @@ pub fn new_segment() -> u64 {
 /// Emits one event tagged with `seg` into the current capture scope; a
 /// no-op without one.
 pub fn emit(seg: u64, event: FlightEvent) {
-    if !enabled() {
-        return;
-    }
     SCOPE.with(|s| {
         if let Some(log) = s.borrow_mut().as_mut() {
             log.push(seg, event);
@@ -421,11 +415,9 @@ pub fn emit(seg: u64, event: FlightEvent) {
 }
 
 /// Emits a drained producer batch tagged with `seg`, folding the
-/// producer's drop counts into the scope's accounting.
+/// producer's drop counts into the scope's accounting; a no-op without
+/// a capture scope.
 pub fn emit_batch(seg: u64, events: Vec<FlightEvent>, dropped: BTreeMap<&'static str, u64>) {
-    if !enabled() {
-        return;
-    }
     SCOPE.with(|s| {
         if let Some(log) = s.borrow_mut().as_mut() {
             for event in events {
@@ -438,14 +430,18 @@ pub fn emit_batch(seg: u64, events: Vec<FlightEvent>, dropped: BTreeMap<&'static
     });
 }
 
-/// Runs `f` under a fresh capture scope on this thread and returns its
-/// result together with every event recorded while it ran. The scope is
-/// removed even if `f` panics (its events are discarded with it).
-///
-/// With recording disabled the scope still installs — it is one
-/// `Option` swap — but producers see [`active`] false and emit nothing,
-/// so the returned log is empty.
+/// Runs `f` under a fresh capture scope of [`DEFAULT_CAP`] events on
+/// this thread and returns its result together with every event
+/// recorded while it ran; see [`capture_capped`].
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, FlightLog) {
+    capture_capped(DEFAULT_CAP, f)
+}
+
+/// Runs `f` under a fresh capture scope whose ring keeps the latest
+/// `cap` events (`0` is treated as `1`) and returns its result together
+/// with the log. The scope is removed even if `f` panics (its events are
+/// discarded with it).
+pub fn capture_capped<T>(cap: usize, f: impl FnOnce() -> T) -> (T, FlightLog) {
     struct Guard;
     impl Drop for Guard {
         fn drop(&mut self) {
@@ -456,11 +452,13 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, FlightLog) {
     }
 
     SCOPE.with(|s| {
-        *s.borrow_mut() = Some(FlightLog::default());
+        *s.borrow_mut() = Some(FlightLog::with_cap(cap));
     });
     let guard = Guard;
     let value = f();
-    let log = SCOPE.with(|s| s.borrow_mut().take().unwrap_or_default());
+    let log = SCOPE
+        .with(|s| s.borrow_mut().take())
+        .unwrap_or_else(|| FlightLog::with_cap(cap));
     drop(guard);
     (value, log)
 }
@@ -468,10 +466,6 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, FlightLog) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // The enable switch and cap are process-global; serialize tests.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn cmd(t_ns: u64) -> FlightEvent {
         FlightEvent::Cmd {
@@ -485,27 +479,53 @@ mod tests {
     }
 
     #[test]
-    fn disabled_or_unscoped_emission_is_dropped() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        set_enabled(false);
-        assert!(!active());
-        emit(0, cmd(5)); // no scope, disabled: silently dropped
-        let ((), log) = capture(|| {
-            assert!(!active(), "disabled: capture scope stays cold");
-            emit(0, cmd(6));
-        });
-        assert!(log.is_empty(), "disabled emission must not record");
+    fn unscoped_emission_is_dropped() {
+        // The shims switch nothing on.
+        enable();
         set_enabled(true);
-        emit(0, cmd(7)); // enabled but unscoped: dropped
+        assert!(!active());
+        emit(0, cmd(5)); // no scope: silently dropped
         let ((), log) = capture(|| {});
-        assert!(log.is_empty());
-        set_enabled(false);
+        assert!(
+            log.is_empty(),
+            "an earlier unscoped emission must not leak in"
+        );
+        assert!(!active(), "the scope is gone after capture");
+    }
+
+    /// Scopes are per thread: a capture on one thread neither sees nor
+    /// disturbs another thread's scope, whatever their capacities.
+    #[test]
+    fn scopes_on_two_threads_are_independent() {
+        let barrier = std::sync::Barrier::new(2);
+        let logs: Vec<FlightLog> = std::thread::scope(|scope| {
+            let handles: Vec<_> = [1usize, 3]
+                .into_iter()
+                .map(|cap| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        capture_capped(cap, || {
+                            barrier.wait();
+                            for t in 0..5 {
+                                emit(0, cmd(t));
+                            }
+                            barrier.wait();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(logs[0].len(), 1);
+        assert_eq!(logs[0].dropped().get("cmd"), Some(&4));
+        assert_eq!(logs[1].len(), 3);
+        assert_eq!(logs[1].dropped().get("cmd"), Some(&2));
+        assert!(!active(), "no scope leaked onto the test thread");
     }
 
     #[test]
     fn capture_records_segments_and_sorts_renderings() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        set_enabled(true);
         let ((), log) = capture(|| {
             assert!(active());
             let a = new_segment();
@@ -526,7 +546,6 @@ mod tests {
                 },
             );
         });
-        set_enabled(false);
         assert_eq!(log.len(), 3);
         let text = log.render("mitigated defense=prac", 4);
         let lines: Vec<&str> = text.lines().collect();
@@ -544,17 +563,11 @@ mod tests {
 
     #[test]
     fn ring_bound_drops_oldest_with_accounting() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        set_enabled(true);
-        let was = cap();
-        set_cap(2);
-        let ((), log) = capture(|| {
+        let ((), log) = capture_capped(2, || {
             for t in 0..5 {
                 emit(0, cmd(t));
             }
         });
-        set_cap(was);
-        set_enabled(false);
         assert_eq!(log.len(), 2, "ring keeps the latest");
         assert_eq!(log.dropped().get("cmd"), Some(&3));
         let text = log.render("u", 0);
@@ -565,15 +578,14 @@ mod tests {
 
     #[test]
     fn event_buffer_drains_events_and_drops() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let was = cap();
-        set_cap(2);
         let mut buf = EventBuffer::new();
         assert!(buf.is_empty());
-        for t in 0..3 {
-            buf.push(cmd(t));
-        }
-        set_cap(was);
+        // The buffer takes its capacity from the scope it fills in.
+        capture_capped(2, || {
+            for t in 0..3 {
+                buf.push(cmd(t));
+            }
+        });
         let (events, dropped) = buf.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].t_ns(), 1);
@@ -621,12 +633,9 @@ mod tests {
 
     #[test]
     fn panics_unwind_the_scope() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        set_enabled(true);
         let caught = std::panic::catch_unwind(|| {
             capture(|| -> () { panic!("boom") });
         });
-        set_enabled(false);
         assert!(caught.is_err());
         assert!(
             SCOPE.with(|s| s.borrow().is_none()),

@@ -40,7 +40,7 @@ use lh_harness::cache::DiskCache;
 use lh_harness::job::Registry;
 use lh_harness::json::{parse, Json};
 use lh_harness::sink;
-use lh_harness::{JobContext, OutputFormat, ScaleLevel, UnitEvent, UnitObserver};
+use lh_harness::{OutputFormat, ScaleLevel, UnitEvent, UnitObserver};
 
 use crate::http::{read_request, respond, ChunkedWriter, Request};
 use crate::prom;
@@ -103,8 +103,8 @@ impl ServerState {
     /// retained. `None` without a cache or once the entry is gone.
     fn recover(&self, record: &RunRecord, part: Part) -> Option<String> {
         let job = self.registry.get(&record.experiment)?;
-        let ctx = JobContext::new(record.scale, record.seed);
-        let run = lh_harness::replay_merged(job, &ctx, self.cache.as_ref()?, record.events)?;
+        let ctx = record.context();
+        let run = lh_harness::replay_merged(job, &ctx, self.cache.as_ref()?)?;
         let body = match part {
             Part::Envelope => sink::render(job, &run, &ctx, OutputFormat::Json),
             Part::Events => run.events?,
@@ -255,7 +255,7 @@ fn executor(
 ) {
     while let Ok(entry) = queue.recv() {
         let record = &entry.record;
-        let ctx = JobContext::new(record.scale, record.seed);
+        let ctx = record.context();
         let Some(job) = registry.get(&record.experiment) else {
             let error = format!("unknown experiment '{}'", record.experiment);
             store.finish(&entry, Err(error));
@@ -264,12 +264,7 @@ fn executor(
         entry.set_running();
         entry.push_line(sink::stream_started(job, job.units(&ctx).len(), &ctx));
         *live.lock().expect("live slot poisoned") = Some(Arc::clone(&entry));
-        // The flight switch is per run: the executor is the only thread
-        // driving the coordinator, so flipping the process-global
-        // recorder here scopes it to exactly this run's assignments.
-        lh_obs::flight::set_enabled(record.events);
         let outcome = coordinator.run(job, &ctx);
-        lh_obs::flight::set_enabled(false);
         *live.lock().expect("live slot poisoned") = None;
         let outcome = outcome.map(|run| Finished {
             line: sink::stream_finished(job, &run, &ctx).into(),

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lh_harness::json::Json;
-use lh_harness::ScaleLevel;
+use lh_harness::{JobContext, ScaleLevel};
 
 /// Bytes of finished-run payload the store retains at most: about
 /// thirty chansweep-sized quick runs, or a thousand fig2-sized ones.
@@ -73,6 +73,18 @@ pub(crate) struct RunRecord {
     pub seed: u64,
     /// Whether the submission asked for flight-event recording.
     pub events: bool,
+}
+
+impl RunRecord {
+    /// The context the run executes, and is re-served, under: a
+    /// recording submission records into rings of the default capacity.
+    /// Runs share nothing else, so any number may execute at once.
+    pub fn context(&self) -> JobContext {
+        JobContext {
+            flight: self.events.then_some(lh_obs::flight::DEFAULT_CAP),
+            ..JobContext::new(self.scale, self.seed)
+        }
+    }
 }
 
 /// The two finished documents of a run.

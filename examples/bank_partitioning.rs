@@ -52,7 +52,6 @@ fn cross_bank_prac(defense: DefenseConfig, filter: bool, bits: &[u8]) -> Vec<u8>
         refresh_filter: filter.then(|| {
             lh_attacks::RefreshFilterConfig::from_timing(sys.controller().device().timing())
         }),
-        calibrate: Span::ZERO,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);

@@ -62,7 +62,6 @@ fn cross_bank_leakyhammer(defense: DefenseConfig, filter: bool, bits: &[u8]) -> 
         refresh_filter: filter.then(|| {
             lh_attacks::RefreshFilterConfig::from_timing(&lh_dram::DramTiming::ddr5_4800())
         }),
-        calibrate: Span::ZERO,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);

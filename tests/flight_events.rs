@@ -11,9 +11,9 @@
 //! and directly) and `lh_link::transmit_payload` — down to the verdict
 //! of every window.
 //!
-//! The flight switch is process-global, so everything that flips it
-//! lives in one `#[test]` (the harness runs test fns concurrently on
-//! threads; two tests toggling the switch would race).
+//! Recording is a property of the run (`JobContext::flight`), not of
+//! the process, so these tests run concurrently with each other and
+//! with plain runs.
 
 use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 use lh_analysis::message::bits_of_str;
@@ -27,6 +27,14 @@ use lh_serve::ThreadSpawner;
 
 fn ctx() -> JobContext {
     JobContext::new(ScaleLevel::Quick, 1)
+}
+
+/// [`ctx`] recording flight events into default-capacity rings.
+fn recording() -> JobContext {
+    JobContext {
+        flight: Some(lh_obs::flight::DEFAULT_CAP),
+        ..ctx()
+    }
 }
 
 fn runner(jobs: usize, cache: Option<DiskCache>) -> Runner {
@@ -70,14 +78,14 @@ fn assert_link_windows(
 }
 
 /// Symbol-window events through both emitters, all four verdicts each.
-/// Runs with recording on.
+#[test]
 fn link_events_carry_the_verdict_of_every_window() {
     let micro = bits_of_str("MICRO");
 
     // `run_covert` as the CLI reaches it: fig3's error-free MICRO.
     let registry = leakyhammer::registry();
     let fig3 = runner(1, None)
-        .run(registry.get("fig3").expect("fig3 registered"), &ctx())
+        .run(registry.get("fig3").expect("fig3 registered"), &recording())
         .expect("fig3 run")
         .events
         .expect("recording on produces a log");
@@ -111,7 +119,6 @@ fn event_log_is_byte_identical_across_execution_modes() {
 
     // Recording off: no log rides the run, and the envelope is the
     // reference for the recording runs below.
-    lh_obs::flight::set_enabled(false);
     let off = runner(1, None).run(job, &ctx()).expect("baseline run");
     assert!(
         off.events.is_none(),
@@ -119,11 +126,9 @@ fn event_log_is_byte_identical_across_execution_modes() {
     );
     let off_envelope = sink::render(job, &off, &ctx(), OutputFormat::Json);
 
-    lh_obs::flight::set_enabled(true);
-
     // Mode 1: single worker thread — the reference bytes.
     let reference = runner(1, None)
-        .run(job, &ctx())
+        .run(job, &recording())
         .expect("jobs=1 run")
         .events
         .expect("recording on produces a log");
@@ -143,14 +148,14 @@ fn event_log_is_byte_identical_across_execution_modes() {
 
     // Mode 2: eight worker threads, completion order scrambled.
     let threaded = runner(8, None)
-        .run(job, &ctx())
+        .run(job, &recording())
         .expect("jobs=8 run")
         .events
         .expect("log present");
     assert_eq!(threaded, reference, "--jobs must not change the log bytes");
 
     // Mode 3: a two-worker coordinator fleet (protocol v4 carries the
-    // flight switch per assignment and the rendered log per Done).
+    // flight request per assignment and the rendered log per Done).
     let dir = std::env::temp_dir().join(format!(
         "lh-flight-integration-{}-events",
         std::process::id()
@@ -167,7 +172,7 @@ fn event_log_is_byte_identical_across_execution_modes() {
             ..CoordinatorOptions::default()
         },
     );
-    let distributed = coordinator.run(job, &ctx()).expect("workers=2 run");
+    let distributed = coordinator.run(job, &recording()).expect("workers=2 run");
     coordinator.shutdown();
     assert_eq!(
         distributed.events.as_deref(),
@@ -178,7 +183,7 @@ fn event_log_is_byte_identical_across_execution_modes() {
     // Mode 4: warm-cache replay — every unit is a hit, the log is
     // reassembled from cache entries alone.
     let replayed = runner(8, Some(cache.clone()))
-        .run(job, &ctx())
+        .run(job, &recording())
         .expect("replay run");
     assert_eq!(
         replayed.stats.units_cached, replayed.stats.units_total,
@@ -206,7 +211,7 @@ fn event_log_is_byte_identical_across_execution_modes() {
         copy.clear().expect("fresh copy dir");
         std::fs::create_dir_all(copy.dir().join("fig2")).expect("copy dir");
         for unit in &kept {
-            let entry = format!("fig2/{}.json", unit_key(job, unit, &ctx(), true).digest());
+            let entry = format!("fig2/{}.json", unit_key(job, unit, &recording()).digest());
             std::fs::copy(cache.dir().join(&entry), copy.dir().join(&entry))
                 .expect("the cold run cached every unit under the events-on key");
         }
@@ -214,7 +219,7 @@ fn event_log_is_byte_identical_across_execution_modes() {
     };
     let runner_cache = partial_copy("runner");
     let via_runner = runner(8, Some(runner_cache.clone()))
-        .run(job, &ctx())
+        .run(job, &recording())
         .expect("partially warm jobs=8 run");
     let fleet_cache = partial_copy("fleet");
     let mut fleet = Coordinator::new(
@@ -226,7 +231,7 @@ fn event_log_is_byte_identical_across_execution_modes() {
         },
     );
     let via_fleet = fleet
-        .run(job, &ctx())
+        .run(job, &recording())
         .expect("partially warm workers=2 run");
     fleet.shutdown();
     for (mode, run) in [("--jobs", &via_runner), ("--workers", &via_fleet)] {
@@ -254,11 +259,8 @@ fn event_log_is_byte_identical_across_execution_modes() {
     runner_cache.clear().expect("cleanup");
     fleet_cache.clear().expect("cleanup");
 
-    link_events_carry_the_verdict_of_every_window();
-
     // Recording never leaks into results: envelopes match the off run.
     let on_envelope = sink::render(job, &replayed, &ctx(), OutputFormat::Json);
-    lh_obs::flight::set_enabled(false);
     assert_eq!(
         on_envelope, off_envelope,
         "flight recording must not perturb the envelope"

@@ -6,26 +6,18 @@
 //! and seed — plus the volatile side: `/metrics` exposes registry
 //! totals, histogram families, and fleet telemetry, and the run stream
 //! tails live NDJSON events stamped with wall-clock `ts_ms`.
+//!
+//! Every test binds servers of its own, and the tests run concurrently:
+//! a run's flight recording is part of its context, so servers in one
+//! process share nothing that decides a byte.
 
 use std::io::BufRead;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lh_harness::json::parse;
 use lh_harness::sink;
 use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
 use lh_serve::{client, DiskCache, ServeOptions, Server, ThreadSpawner, PAYLOAD_BUDGET_BYTES};
-
-/// The servers under test share this process, and `lh-serve` scopes
-/// flight recording by flipping the process-global switch around each
-/// run, so two servers executing runs at once race on it (a recording
-/// run loses its events when a plain run finishes first). Every test
-/// holds this lock: one server executes at a time.
-static ONE_SERVER: Mutex<()> = Mutex::new(());
-
-fn one_server() -> MutexGuard<'static, ()> {
-    ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Binds a cache-less service on an ephemeral loopback port with an
 /// in-process thread fleet and returns its base URL.
@@ -66,7 +58,6 @@ fn wait_done(base: &str, id: u64) -> lh_harness::json::Json {
 
 #[test]
 fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
-    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -124,7 +115,6 @@ fn http_submitted_envelope_is_byte_identical_to_the_cli_path() {
 
 #[test]
 fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
-    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -158,7 +148,6 @@ fn metrics_page_exposes_totals_histograms_and_fleet_telemetry() {
 
 #[test]
 fn stream_tails_ndjson_events_with_wall_clock_stamps() {
-    let _serial = one_server();
     let base = start_server();
 
     let response = client::post(
@@ -207,7 +196,6 @@ fn stream_tails_ndjson_events_with_wall_clock_stamps() {
 
 #[test]
 fn submission_errors_are_structured() {
-    let _serial = one_server();
     let base = start_server();
 
     let missing = client::post(&format!("{base}/runs"), b"{}").expect("post");
@@ -249,7 +237,6 @@ fn submission_errors_are_structured() {
 
 #[test]
 fn version_reports_the_binary_fingerprint() {
-    let _serial = one_server();
     let base = start_server();
     let version = client::get(&format!("{base}/version")).expect("get");
     assert_eq!(version.status, 200);
@@ -273,7 +260,6 @@ fn version_reports_the_binary_fingerprint() {
 
 #[test]
 fn flight_events_are_served_per_run_when_requested() {
-    let _serial = one_server();
     let base = start_server();
 
     // A run submitted without events: the endpoint 404s rather than
@@ -389,7 +375,6 @@ fn submit_until_evicted(base: &str) -> u64 {
 
 #[test]
 fn an_evicted_run_is_re_served_from_the_disk_cache_byte_for_byte() {
-    let _serial = one_server();
     let cache = DiskCache::new(
         std::env::temp_dir().join(format!("lh-serve-http-evict-{}", std::process::id())),
     );
@@ -469,7 +454,6 @@ fn an_evicted_run_is_re_served_from_the_disk_cache_byte_for_byte() {
 
 #[test]
 fn without_a_cache_an_evicted_envelope_answers_410_with_the_way_back() {
-    let _serial = one_server();
     let base = start_server();
     assert_eq!(run_to_done(&base, RECORDING_FIG2), 1);
     assert_eq!(run_to_done(&base, RECORDING_FIG2), 2);
@@ -491,4 +475,75 @@ fn without_a_cache_an_evicted_envelope_answers_410_with_the_way_back() {
     assert_eq!(fetch(&format!("{base}/runs/1/stream")).0, 410);
     assert_eq!(metric(&base, "lh_serve_envelopes_recovered_total"), 0);
     assert_eq!(fetch(&format!("{base}/runs/{last}/envelope")).0, 200);
+}
+
+/// Two services in one process, one recording while the other runs
+/// plain: the recording run's log is the CLI's `--events-out` bytes, and
+/// no plain run carries a log.
+#[test]
+fn concurrent_servers_keep_flight_recording_to_their_own_runs() {
+    // A recording mitsweep (≈ 54 MB of events) is over the payload
+    // budget on its own, so A serves its log back from the disk cache.
+    let cache = DiskCache::new(
+        std::env::temp_dir().join(format!("lh-serve-http-concurrent-{}", std::process::id())),
+    );
+    cache.clear().expect("scratch cache");
+    let a = start_server_over(Some(cache.clone()));
+    let b = start_server();
+
+    let response = client::post(
+        &format!("{a}/runs"),
+        br#"{"experiment": "mitsweep", "scale": "quick", "seed": 1, "events": true}"#,
+    )
+    .expect("submit");
+    assert_eq!(response.status, 202, "{}", response.text());
+    let recording = parse(&response.text()).expect("submit reply is JSON")["id"]
+        .as_u64()
+        .expect("run id");
+
+    // Plain fig2 runs on B for as long as A's run is executing.
+    let mut plain = Vec::new();
+    loop {
+        plain.push(run_to_done(
+            &b,
+            r#"{"experiment": "fig2", "scale": "quick", "seed": 1}"#,
+        ));
+        let (_, status) = fetch(&format!("{a}/runs/{recording}"));
+        let status = parse(&status).expect("status is JSON");
+        if !matches!(status["status"].as_str(), Some("queued" | "running")) {
+            break;
+        }
+    }
+    let status = wait_done(&a, recording);
+    assert_eq!(status["status"].as_str(), Some("done"), "{status}");
+    for id in plain {
+        let (_, status) = fetch(&format!("{b}/runs/{id}"));
+        let status = parse(&status).expect("status is JSON");
+        assert_eq!(status["flight"].as_bool(), Some(false), "{status}");
+        assert_eq!(fetch(&format!("{b}/runs/{id}/events")).0, 404);
+    }
+
+    // The reference bytes: what `mitsweep --events-out` writes.
+    let registry = leakyhammer::registry();
+    let job = registry.get("mitsweep").expect("mitsweep registered");
+    let ctx = JobContext {
+        flight: Some(lh_obs::flight::DEFAULT_CAP),
+        ..JobContext::new(ScaleLevel::Quick, 1)
+    };
+    let reference = Runner::new(RunnerOptions::default())
+        .run(job, &ctx)
+        .expect("reference run")
+        .events
+        .expect("a recording context produces a log");
+    let (status, served) = fetch(&format!("{a}/runs/{recording}/events"));
+    assert_eq!(status, 200);
+    assert!(
+        served == reference,
+        "the served log ({} bytes, {} lines) differs from the CLI's ({} bytes, {} lines)",
+        served.len(),
+        served.lines().count(),
+        reference.len(),
+        reference.lines().count()
+    );
+    let _ = std::fs::remove_dir_all(cache.dir());
 }
