@@ -854,10 +854,10 @@ fn main() {
             observer,
         }))
     };
-    // Flight events, by contrast, are deterministic simulated-time
-    // records requested per run: the context carries the request (and
-    // the ring capacity) into cache keys, every unit's capture scope and
-    // — over the coordinator protocol — every worker assignment.
+    // Flight events are deterministic simulated-time records requested
+    // per run: the context carries the request (and the ring capacity)
+    // into cache keys, every unit's capture scope and — over the
+    // coordinator protocol — every worker assignment.
     let ctx = JobContext {
         flight: args
             .events_out

@@ -4,12 +4,11 @@
 //! outputs assemble into the envelope — in one place.
 //!
 //! A run has three moments. [`Ledger::open`] replays the merged entry
-//! if it is cached, validates the unit
-//! DAG, probes the cache per unit and prunes the dependency edges of
-//! hits. [`Ledger::record`] (and [`Ledger::replay`], its cache-hit
-//! twin) takes one unit's output: progress line, lifetime-registry
-//! absorb, observer event, the unit's slot — in any order, from any
-//! thread. [`Ledger::close`] assembles the unit-order metrics block and
+//! if it is cached, validates the unit DAG, probes the cache per unit
+//! and prunes the dependency edges of hits. [`Ledger::record`] (and
+//! [`Ledger::replay`], its cache-hit twin) takes one unit's output:
+//! progress line, lifetime-registry absorb, observer event, the unit's
+//! slot — in any order, from any thread. [`Ledger::close`] assembles the unit-order metrics block and
 //! event log, runs [`Job::finish`], writes the merged entry and counts
 //! the [`RunStats`]. [`execute_unit`] is the one way a missed unit
 //! runs, wherever it runs.
@@ -148,9 +147,9 @@ pub struct ExperimentRun {
     /// counter-wise sum. Byte-stable across `--jobs`, cache states and
     /// worker counts, unlike [`RunStats`].
     pub metrics: Json,
-    /// The assembled flight-event log (`Some` only when the run recorded,
-    /// i.e. `ctx.flight` was set): one experiment header line, then each unit's rendered
-    /// log in unit order. Byte-identical across `--jobs`, worker
+    /// The assembled flight-event log (`Some` only when `ctx.flight`
+    /// asked for one): one experiment header line, then each unit's
+    /// rendered log in unit order. Byte-identical across `--jobs`, worker
     /// counts and cache replay, like `metrics`.
     pub events: Option<String>,
     /// What it took.
