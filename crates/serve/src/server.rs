@@ -29,11 +29,11 @@
 //! `/metrics`) is volatile wall-clock telemetry and is never folded
 //! into envelopes or cache entries.
 
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lh_coord::{Coordinator, CoordinatorOptions, FleetTelemetry, SpawnWorker};
 use lh_harness::cache::DiskCache;
@@ -346,8 +346,36 @@ fn serve_part(stream: &mut TcpStream, state: &ServerState, id: &str, part: Part)
     }
 }
 
+/// The accepted socket, read under one deadline for the whole request:
+/// before each read the socket's read timeout is cut to the time left,
+/// so a peer that trickles bytes cannot hold the thread past the
+/// timeout the socket was accepted with.
+struct WholeRequest<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for WholeRequest<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
-    let request = match read_request(&mut stream) {
+    let deadline = stream.read_timeout()?.map(|t| Instant::now() + t);
+    let whole = WholeRequest {
+        stream: &stream,
+        deadline,
+    };
+    let request = match read_request(whole) {
         Ok(request) => request,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             return error_response(&mut stream, 400, &e.to_string());
@@ -582,5 +610,65 @@ mod tests {
             "{answer}"
         );
         assert!(answer.contains("\"error\""), "{answer}");
+    }
+
+    /// A peer that trickles one byte every 40 ms never lets a per-read
+    /// timeout fire; the whole request is held to the socket's timeout
+    /// instead, so it is answered `408` long before it stops sending.
+    #[test]
+    fn a_trickling_request_is_answered_408_when_the_whole_request_times_out() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Box::new(lh_coord::ThreadSpawner::new(Registry::new)),
+            Registry::new,
+            ServeOptions::default(),
+        )
+        .expect("bind loopback");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        accepted
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let mut out = peer.try_clone().expect("clone peer");
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let request = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\nX-Pad: trickle\r\n\r\n";
+                let start = Instant::now();
+                for byte in request {
+                    if stop.load(Ordering::Relaxed)
+                        || start.elapsed() >= Duration::from_millis(1500)
+                        || out.write_all(&[*byte]).is_err()
+                    {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(40));
+                }
+            })
+        };
+
+        let start = Instant::now();
+        handle_connection(accepted, &server.state).expect("the answer is written");
+        let elapsed = start.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        // A byte the trickler sends after the close may reset the
+        // connection; the answer read before that is what counts.
+        let mut answer = Vec::new();
+        let _ = peer.read_to_end(&mut answer);
+        trickle.join().unwrap();
+        let answer = String::from_utf8_lossy(&answer);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "answered after {elapsed:?}"
+        );
+        assert!(
+            answer.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{answer}"
+        );
     }
 }
