@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn counter_leak_recovers_victim_activation_count() {
         let mut cfg = SimConfig::paper_default(DefenseConfig::prac(128));
-        cfg.defense.prac.as_mut().unwrap().nbo = 128;
+        cfg.defense.prac_mut().unwrap().nbo = 128;
         let mut sys = SystemBuilder::from_config(cfg).build().unwrap();
         let layout = ChannelLayout::default_bank(sys.mapping());
         let secret = 60u32;

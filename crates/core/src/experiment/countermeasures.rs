@@ -32,7 +32,7 @@ impl MitigationArm {
     /// A bare-defense arm, labeled with the defense's paper name.
     pub fn bare(defense: DefenseConfig) -> MitigationArm {
         MitigationArm {
-            label: defense.kind.label().to_owned(),
+            label: defense.kind().label().to_owned(),
             defense,
             mitigations: Vec::new(),
         }
@@ -44,7 +44,7 @@ impl MitigationArm {
         let t = DramTiming::ddr5_4800();
         let cfg = MitigationConfig::for_threshold(kind, nrh, &t);
         MitigationArm {
-            label: format!("{}+{}", defense.kind.label(), cfg.label()),
+            label: format!("{}+{}", defense.kind().label(), cfg.label()),
             defense,
             mitigations: vec![cfg],
         }

@@ -73,8 +73,9 @@ pub struct CovertOptions {
     /// §10.1 cadence-based refresh filter for the receiver.
     pub refresh_filter: Option<lh_attacks::RefreshFilterConfig>,
     /// Seed of the co-runners' access streams. It does not reach
-    /// `sim.seed` (ROADMAP item 1 records the defect): a transmission
-    /// without co-runners is the same for every value.
+    /// `sim.seed` (the ROADMAP's paper-fidelity ledger item records the
+    /// defect): a transmission without co-runners is the same for every
+    /// value.
     pub seed: u64,
 }
 
@@ -103,7 +104,7 @@ impl CovertOptions {
 /// The §12 attacker's parameters against `kind`'s defense at the given
 /// timing and think time.
 fn attacker_tuning(kind: ChannelKind, sim: &SimConfig, think: Span) -> LinkTuning {
-    LinkTuning::for_defense(kind.defense().kind, &sim.device.timing, think)
+    LinkTuning::for_defense(kind.defense().kind(), &sim.device.timing, think)
 }
 
 /// Result of one covert transmission.
@@ -219,8 +220,8 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
 /// several windows. `configure(i, opts)` edits pattern `i`'s
 /// paper-default options; every kernel sets its own `opts.seed` mix
 /// there, so this is the one loop the per-pattern seeds pass through —
-/// and the place ROADMAP item 1's `.seed(opts.seed)` goes once the seed
-/// is to reach `SimConfig::seed`.
+/// and the place the `.seed(opts.seed)` of the ROADMAP's paper-fidelity
+/// ledger item goes once the seed is to reach `SimConfig::seed`.
 pub fn run_patterns(
     kind: ChannelKind,
     bits_per_pattern: usize,

@@ -65,7 +65,7 @@ pub fn collect_one(site: usize, trace_seed: u64, opts: &CollectOptions) -> Finge
     // §8 evaluates at NRH = 64.
     let defense = DefenseConfig::for_threshold(DefenseKind::Prac, 64, &DramTiming::ddr5_4800());
     let think = Span::from_ns(30);
-    let nbo = defense.prac.expect("PRAC enabled").nbo;
+    let nbo = defense.device_prac().expect("PRAC enabled").nbo;
     let sim = SimConfig::paper_default(defense);
     let cls = LatencyClassifier::from_timing(&sim.device.timing, think);
     let mut sys = SystemBuilder::from_config(sim)

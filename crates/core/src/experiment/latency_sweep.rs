@@ -30,7 +30,7 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         opts.seed = seed ^ (i << 9) ^ lat;
         // Single-RFM back-off with tRFM = the swept action latency.
         opts.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
-        if let Some(prac) = opts.sim.defense.prac.as_mut() {
+        if let Some(prac) = opts.sim.defense.prac_mut() {
             prac.rfms_per_backoff = 1;
         }
         // Detection: anything above the contended-conflict ceiling
@@ -40,7 +40,8 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         // ~10 ns resolution because our synthetic loop has queueing
         // variance, and it costs the paper's shape: recorded reading
         // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
-        // survives to ≈ 10 ns (ROADMAP item 1, open).
+        // survives to ≈ 10 ns (open in the ROADMAP's paper-fidelity
+        // ledger).
         let t = &opts.sim.device.timing;
         let conflict_contended =
             opts.think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);

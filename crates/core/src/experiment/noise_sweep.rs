@@ -36,7 +36,7 @@ pub fn overlap_1rfm_point(
         opts.noise_intensity = Some(intensity);
         opts.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = false;
-        if let Some(prac) = opts.sim.defense.prac.as_mut() {
+        if let Some(prac) = opts.sim.defense.prac_mut() {
             prac.rfms_per_backoff = 1;
         }
         // Double window; detect anything above a conflict. Without
@@ -72,7 +72,7 @@ pub fn sweep_point(
         opts.noise_intensity = Some(intensity);
         opts.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = postpone_refresh;
-        if let Some(prac) = opts.sim.defense.prac.as_mut() {
+        if let Some(prac) = opts.sim.defense.prac_mut() {
             prac.rfms_per_backoff = rfms_per_backoff;
         }
         if rfms_per_backoff < 4 || !postpone_refresh {

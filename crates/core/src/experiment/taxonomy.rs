@@ -211,7 +211,7 @@ mod tests {
     fn options_cover_every_taxonomy_kind() {
         for kind in DefenseKind::taxonomy_set() {
             let opts = options_for(kind, vec![1, 0], 1);
-            assert_eq!(opts.sim.defense.kind, kind);
+            assert_eq!(opts.sim.defense.kind(), kind);
             assert!(opts.window >= lh_dram::Span::from_us(20));
         }
     }

@@ -137,53 +137,8 @@ impl core::fmt::Display for DefenseKind {
     }
 }
 
-/// Periodic-RFM (PRFM) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrfmConfig {
-    /// Bank activation threshold `TRFM`: an RFM is issued once a bank
-    /// accumulates this many activations. The paper's case study uses 40.
-    pub trfm: u32,
-}
-
-impl PrfmConfig {
-    /// The paper's covert-channel configuration (`TRFM` = 40).
-    pub fn paper_default() -> PrfmConfig {
-        PrfmConfig { trfm: 40 }
-    }
-}
-
-/// Fixed-Rate RFM (FR-RFM) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrRfmConfig {
-    /// Fixed period between RFM commands per rank:
-    /// `T_FRRFM = TRFM × tRC`, the shortest time in which `TRFM`
-    /// activations can target one bank (§11.1).
-    pub period: Span,
-}
-
-impl FrRfmConfig {
-    /// Derives the period from a `TRFM` threshold and `tRC`.
-    ///
-    /// The period is floored at `tRFM + 300 ns`: a fixed-rate RFM stream
-    /// denser than the RFM latency itself is unschedulable. At very low
-    /// `N_RH` this floor is what drives FR-RFM's extreme performance
-    /// overheads (§11.4: 18.2× at `N_RH` = 64) — the schedule consumes
-    /// nearly all DRAM time.
-    pub fn from_trfm(trfm: u32, t_rc: Span) -> FrRfmConfig {
-        let t_rfm = lh_dram::DramTiming::ddr5_4800().t_rfm;
-        let period = (t_rc * trfm.max(1) as u64).max(t_rfm + Span::from_ns(300));
-        FrRfmConfig { period }
-    }
-}
-
-/// PARA parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParaConfig {
-    /// Probability of refreshing a neighbor on each activation.
-    pub probability: f64,
-}
-
-/// A fully parameterized defense configuration.
+/// A fully parameterized defense configuration: one variant per
+/// [`DefenseKind`], carrying exactly that kind's parameters.
 ///
 /// # Examples
 ///
@@ -193,141 +148,113 @@ pub struct ParaConfig {
 ///
 /// let t = DramTiming::ddr5_4800();
 /// let cfg = DefenseConfig::for_threshold(DefenseKind::FrRfm, 1024, &t);
-/// assert_eq!(cfg.nrh, 1024);
-/// assert!(cfg.fr_rfm.is_some());
+/// assert_eq!(cfg.kind(), DefenseKind::FrRfm);
+/// assert_eq!(cfg, DefenseConfig::FrRfm { period: t.t_rc * 64 });
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct DefenseConfig {
-    /// Which defense this is.
-    pub kind: DefenseKind,
-    /// The RowHammer threshold the configuration is provisioned for.
-    pub nrh: u32,
-    /// Device-side PRAC configuration (PRAC / RIAC / PRAC-Bank).
-    pub prac: Option<PracConfig>,
-    /// Controller-side PRFM configuration.
-    pub prfm: Option<PrfmConfig>,
-    /// Controller-side FR-RFM configuration.
-    pub fr_rfm: Option<FrRfmConfig>,
-    /// PARA configuration.
-    pub para: Option<ParaConfig>,
-    /// Graphene tracker configuration (§12 taxonomy).
-    pub graphene: Option<GrapheneConfig>,
-    /// Hydra tracker configuration (§12 taxonomy).
-    pub hydra: Option<HydraConfig>,
-    /// CoMeT sketch configuration (§12 taxonomy).
-    pub comet: Option<CometConfig>,
-    /// MINT in-REF mitigation configuration (§12 taxonomy).
-    pub mint: Option<MintConfig>,
-    /// BlockHammer throttling configuration (§12 taxonomy).
-    pub blockhammer: Option<BlockHammerConfig>,
+pub enum DefenseConfig {
+    /// No mitigation.
+    None,
+    /// PRAC with the device-side configuration to build the DRAM with.
+    Prac(PracConfig),
+    /// Periodic RFM.
+    Prfm {
+        /// Bank activation threshold `TRFM`: an RFM is issued once a
+        /// bank accumulates this many activations. The paper's case
+        /// study uses 40.
+        trfm: u32,
+    },
+    /// Fixed-Rate RFM.
+    FrRfm {
+        /// Fixed period between RFM commands per rank.
+        period: Span,
+    },
+    /// PRAC with randomly initialized activation counters.
+    PracRiac(PracConfig),
+    /// Bank-level PRAC.
+    PracBank(PracConfig),
+    /// PARA.
+    Para {
+        /// Probability of refreshing a neighbor on each activation.
+        probability: f64,
+    },
+    /// Graphene tracker (§12 taxonomy).
+    Graphene(GrapheneConfig),
+    /// Hydra tracker (§12 taxonomy).
+    Hydra(HydraConfig),
+    /// CoMeT sketch (§12 taxonomy).
+    Comet(CometConfig),
+    /// MINT in-REF mitigation (§12 taxonomy).
+    Mint(MintConfig),
+    /// BlockHammer throttling (§12 taxonomy).
+    BlockHammer(BlockHammerConfig),
 }
 
 impl DefenseConfig {
-    /// A configuration with every mechanism disabled.
-    fn base(kind: DefenseKind, nrh: u32) -> DefenseConfig {
-        DefenseConfig {
-            kind,
-            nrh,
-            prac: None,
-            prfm: None,
-            fr_rfm: None,
-            para: None,
-            graphene: None,
-            hydra: None,
-            comet: None,
-            mint: None,
-            blockhammer: None,
-        }
-    }
-
     /// No mitigation.
     pub fn none() -> DefenseConfig {
-        DefenseConfig::base(DefenseKind::None, u32::MAX)
+        DefenseConfig::None
     }
 
     /// PRAC with an explicit back-off threshold (the paper's case studies
     /// use `nbo` = 128).
     pub fn prac(nbo: u32) -> DefenseConfig {
-        DefenseConfig {
-            prac: Some(PracConfig {
-                nbo,
-                ..PracConfig::paper_default()
-            }),
-            ..DefenseConfig::base(DefenseKind::Prac, nbo * 2)
-        }
+        DefenseConfig::Prac(PracConfig {
+            nbo,
+            ..PracConfig::paper_default()
+        })
     }
 
     /// PRFM with an explicit bank activation threshold.
     pub fn prfm(trfm: u32) -> DefenseConfig {
-        DefenseConfig {
-            prfm: Some(PrfmConfig { trfm }),
-            ..DefenseConfig::base(DefenseKind::Prfm, trfm * 16)
-        }
+        DefenseConfig::Prfm { trfm }
     }
 
-    /// FR-RFM derived from a `TRFM` threshold.
+    /// FR-RFM derived from a `TRFM` threshold and `tRC` (see
+    /// [`fr_rfm_period`]).
     pub fn fr_rfm(trfm: u32, t_rc: Span) -> DefenseConfig {
-        DefenseConfig {
-            fr_rfm: Some(FrRfmConfig::from_trfm(trfm, t_rc)),
-            ..DefenseConfig::base(DefenseKind::FrRfm, trfm * 16)
+        DefenseConfig::FrRfm {
+            period: fr_rfm_period(trfm, t_rc),
         }
     }
 
     /// PRAC-RIAC with an explicit back-off threshold.
     pub fn riac(nbo: u32) -> DefenseConfig {
-        DefenseConfig {
-            prac: Some(PracConfig::riac(nbo)),
-            ..DefenseConfig::base(DefenseKind::PracRiac, nbo * 2)
-        }
+        DefenseConfig::PracRiac(PracConfig::riac(nbo))
     }
 
     /// Bank-Level PRAC with an explicit back-off threshold.
     pub fn prac_bank(nbo: u32) -> DefenseConfig {
-        DefenseConfig {
-            prac: Some(PracConfig::bank_level(nbo)),
-            ..DefenseConfig::base(DefenseKind::PracBank, nbo * 2)
-        }
+        DefenseConfig::PracBank(PracConfig::bank_level(nbo))
     }
 
     /// PARA with refresh probability `p`.
     pub fn para(probability: f64) -> DefenseConfig {
-        DefenseConfig {
-            para: Some(ParaConfig { probability }),
-            ..DefenseConfig::base(DefenseKind::Para, u32::MAX)
-        }
+        DefenseConfig::Para { probability }
     }
 
     /// Graphene-style tracker provisioned for `nrh` (§12 taxonomy).
     pub fn graphene(nrh: u32, timing: &lh_dram::DramTiming) -> DefenseConfig {
-        DefenseConfig {
-            graphene: Some(GrapheneConfig::for_threshold(
-                nrh,
-                timing.t_rc,
-                timing.t_refw,
-            )),
-            ..DefenseConfig::base(DefenseKind::Graphene, nrh)
-        }
+        DefenseConfig::Graphene(GrapheneConfig::for_threshold(
+            nrh,
+            timing.t_rc,
+            timing.t_refw,
+        ))
     }
 
     /// Hydra-style tracker provisioned for `nrh` (§12 taxonomy).
     pub fn hydra(nrh: u32, timing: &lh_dram::DramTiming) -> DefenseConfig {
-        DefenseConfig {
-            hydra: Some(HydraConfig::for_threshold(nrh, timing.t_refw)),
-            ..DefenseConfig::base(DefenseKind::Hydra, nrh)
-        }
+        DefenseConfig::Hydra(HydraConfig::for_threshold(nrh, timing.t_refw))
     }
 
     /// CoMeT-style sketch provisioned for `nrh` (§12 taxonomy).
     pub fn comet(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
-        DefenseConfig {
-            comet: Some(CometConfig::for_threshold(
-                nrh,
-                timing.t_rc,
-                timing.t_refw,
-                seed,
-            )),
-            ..DefenseConfig::base(DefenseKind::Comet, nrh)
-        }
+        DefenseConfig::Comet(CometConfig::for_threshold(
+            nrh,
+            timing.t_rc,
+            timing.t_refw,
+            seed,
+        ))
     }
 
     /// MINT-style in-REF mitigation (§12 taxonomy). Secure only for high
@@ -335,23 +262,17 @@ impl DefenseConfig {
     /// at face value here because the taxonomy experiment studies its
     /// *timing channel*, not its protection envelope.
     pub fn mint(seed: u64) -> DefenseConfig {
-        DefenseConfig {
-            mint: Some(MintConfig { seed }),
-            ..DefenseConfig::base(DefenseKind::Mint, 4096)
-        }
+        DefenseConfig::Mint(MintConfig { seed })
     }
 
     /// BlockHammer-style throttling provisioned for `nrh` (§12 taxonomy).
     pub fn blockhammer(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
-        DefenseConfig {
-            blockhammer: Some(BlockHammerConfig::for_threshold(
-                nrh,
-                timing.t_rc,
-                timing.t_refw,
-                seed,
-            )),
-            ..DefenseConfig::base(DefenseKind::BlockHammer, nrh)
-        }
+        DefenseConfig::BlockHammer(BlockHammerConfig::for_threshold(
+            nrh,
+            timing.t_rc,
+            timing.t_refw,
+            seed,
+        ))
     }
 
     /// Provisions `kind` for RowHammer threshold `nrh`, using these
@@ -370,7 +291,7 @@ impl DefenseConfig {
     ) -> DefenseConfig {
         let nbo = scaled_nbo(nrh);
         let trfm = scaled_trfm(nrh);
-        let mut cfg = match kind {
+        match kind {
             DefenseKind::None => DefenseConfig::none(),
             DefenseKind::Prac => DefenseConfig::prac(nbo),
             DefenseKind::Prfm => DefenseConfig::prfm(trfm),
@@ -383,21 +304,54 @@ impl DefenseConfig {
             DefenseKind::Comet => DefenseConfig::comet(nrh, timing, 0xc0fe),
             DefenseKind::Mint => DefenseConfig::mint(0x317),
             DefenseKind::BlockHammer => DefenseConfig::blockhammer(nrh, timing, 0xb10c),
-        };
-        cfg.nrh = nrh;
-        cfg
+        }
     }
 
-    /// The device-side PRAC configuration to build the DRAM device with.
+    /// Which defense this is.
+    pub fn kind(&self) -> DefenseKind {
+        match self {
+            DefenseConfig::None => DefenseKind::None,
+            DefenseConfig::Prac(_) => DefenseKind::Prac,
+            DefenseConfig::Prfm { .. } => DefenseKind::Prfm,
+            DefenseConfig::FrRfm { .. } => DefenseKind::FrRfm,
+            DefenseConfig::PracRiac(_) => DefenseKind::PracRiac,
+            DefenseConfig::PracBank(_) => DefenseKind::PracBank,
+            DefenseConfig::Para { .. } => DefenseKind::Para,
+            DefenseConfig::Graphene(_) => DefenseKind::Graphene,
+            DefenseConfig::Hydra(_) => DefenseKind::Hydra,
+            DefenseConfig::Comet(_) => DefenseKind::Comet,
+            DefenseConfig::Mint(_) => DefenseKind::Mint,
+            DefenseConfig::BlockHammer(_) => DefenseKind::BlockHammer,
+        }
+    }
+
+    /// The device-side PRAC configuration to build the DRAM device with
+    /// (`None` outside the PRAC family).
     pub fn device_prac(&self) -> Option<PracConfig> {
-        self.prac
+        match self {
+            DefenseConfig::Prac(p) | DefenseConfig::PracRiac(p) | DefenseConfig::PracBank(p) => {
+                Some(*p)
+            }
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the PRAC-family device configuration, for
+    /// experiments that tune it after provisioning.
+    pub fn prac_mut(&mut self) -> Option<&mut PracConfig> {
+        match self {
+            DefenseConfig::Prac(p) | DefenseConfig::PracRiac(p) | DefenseConfig::PracBank(p) => {
+                Some(p)
+            }
+            _ => None,
+        }
     }
 
     /// Whether this defense keeps per-row counters randomly initialized
     /// (the RIAC countermeasure).
     pub fn is_randomized(&self) -> bool {
         matches!(
-            self.prac.map(|p| p.counter_init),
+            self.device_prac().map(|p| p.counter_init),
             Some(CounterInit::Uniform { .. })
         )
     }
@@ -424,6 +378,19 @@ pub fn scaled_trfm(nrh: u32) -> u32 {
     (nrh / 16).max(2)
 }
 
+/// FR-RFM period rule: `T_FRRFM = TRFM × tRC`, the shortest time in
+/// which `TRFM` activations can target one bank (§11.1).
+///
+/// The period is floored at `tRFM + 300 ns`: a fixed-rate RFM stream
+/// denser than the RFM latency itself is unschedulable. At very low
+/// `N_RH` this floor is what drives FR-RFM's extreme performance
+/// overheads (§11.4: 18.2× at `N_RH` = 64) — the schedule consumes
+/// nearly all DRAM time.
+pub fn fr_rfm_period(trfm: u32, t_rc: Span) -> Span {
+    let t_rfm = lh_dram::DramTiming::ddr5_4800().t_rfm;
+    (t_rc * trfm.max(1) as u64).max(t_rfm + Span::from_ns(300))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,15 +411,19 @@ mod tests {
     fn fr_rfm_period_is_trfm_times_trc() {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::for_threshold(DefenseKind::FrRfm, 1024, &t);
-        let period = cfg.fr_rfm.unwrap().period;
-        assert_eq!(period, t.t_rc * 64);
+        assert_eq!(
+            cfg,
+            DefenseConfig::FrRfm {
+                period: t.t_rc * 64
+            }
+        );
     }
 
     #[test]
     fn prac_bank_scopes_to_bank() {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::for_threshold(DefenseKind::PracBank, 512, &t);
-        assert_eq!(cfg.prac.unwrap().scope, AlertScope::Bank);
+        assert_eq!(cfg.device_prac().unwrap().scope, AlertScope::Bank);
     }
 
     #[test]
@@ -468,8 +439,7 @@ mod tests {
     fn para_probability_scales_inversely() {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::for_threshold(DefenseKind::Para, 64, &t);
-        let p = cfg.para.unwrap().probability;
-        assert!((p - 0.125).abs() < 1e-12);
+        assert_eq!(cfg, DefenseConfig::Para { probability: 0.125 });
     }
 
     #[test]

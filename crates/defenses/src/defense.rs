@@ -8,9 +8,9 @@
 //! * [`Defense::on_activate`] — notify the defense of an `ACT`; it
 //!   answers with the preventive [`DefenseAction`]s the controller must
 //!   schedule (reactive half of the contract);
-//! * [`Defense::next_maintenance`] / [`Defense::next_deadline`] — peek
-//!   the next *scheduled* maintenance operation on a rank (proactive
-//!   half; only time-driven defenses such as FR-RFM have one);
+//! * [`Defense::next_maintenance`] — peek the next *scheduled*
+//!   maintenance operation on a rank (proactive half; only time-driven
+//!   defenses such as FR-RFM have one);
 //! * [`Defense::take_maintenance`] — consume a due maintenance operation
 //!   once the controller is about to issue it;
 //! * [`Defense::on_periodic_refresh`] — piggyback preventive refreshes
@@ -22,7 +22,6 @@
 //! `crates/defenses/README.md` for the full contract (deadline
 //! stability, `take_maintenance` idempotency rules).
 
-use std::any::Any;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -30,7 +29,7 @@ use rand::{Rng, SeedableRng};
 
 use lh_dram::{BankId, Geometry, RfmScope, Span, Time};
 
-use crate::config::{DefenseConfig, DefenseKind};
+use crate::config::DefenseConfig;
 use crate::trackers::{BlockHammerBank, CometBank, GrapheneBank, HydraBank, MintBank, MintConfig};
 
 /// A preventive action the controller must perform.
@@ -109,21 +108,6 @@ pub struct DefenseStats {
     pub maintenance_deferred: u64,
 }
 
-impl DefenseStats {
-    /// Accumulates another run's counters into this one (experiment
-    /// adapters merging per-pattern outcomes).
-    pub fn absorb(&mut self, other: &DefenseStats) {
-        self.prfm_rfms += other.prfm_rfms;
-        self.fr_rfm_rfms += other.fr_rfm_rfms;
-        self.para_refreshes += other.para_refreshes;
-        self.tracker_refreshes += other.tracker_refreshes;
-        self.throttles += other.throttles;
-        self.mint_refreshes += other.mint_refreshes;
-        self.maintenance_on_time += other.maintenance_on_time;
-        self.maintenance_deferred += other.maintenance_deferred;
-    }
-}
-
 /// The uniform controller↔defense scheduling contract.
 ///
 /// # Contract
@@ -143,33 +127,28 @@ impl DefenseStats {
 ///   in simulation-time order; the returned slice is only valid until
 ///   the next call.
 pub trait Defense: fmt::Debug {
-    /// Which defense this is.
-    fn kind(&self) -> DefenseKind;
-
     /// Notifies the defense of an `ACT` to `(bank, row)` at `now`;
     /// returns the preventive actions the controller must schedule
     /// (possibly none). The slice is valid until the next call.
     fn on_activate(&mut self, bank: BankId, row: u32, now: Time) -> &[DefenseAction];
 
     /// Peeks the next scheduled maintenance operation on `rank`, or
-    /// `None` when this defense schedules none. Pure; see the trait
-    /// contract for deadline-stability rules.
-    fn next_maintenance(&self, rank: u32) -> Option<Maintenance>;
-
-    /// The next maintenance deadline on `rank`: the instant the
-    /// controller must have the rank quiesced by. `now` is advisory (a
-    /// defense whose deadline depends on elapsed time may use it);
-    /// to-date implementations ignore it.
-    fn next_deadline(&self, rank: u32, now: Time) -> Option<Time> {
-        let _ = now;
-        self.next_maintenance(rank).map(|m| m.due)
+    /// `None` when this defense schedules none (the default). Pure; its
+    /// `due` is the instant the controller must have the rank quiesced
+    /// by. See the trait contract for deadline-stability rules.
+    fn next_maintenance(&self, rank: u32) -> Option<Maintenance> {
+        let _ = rank;
+        None
     }
 
     /// Consumes the maintenance operation due on `rank` (`now >= due`),
     /// advancing the schedule by one period; `None` when nothing is due
-    /// yet. Classifies the take as on-time or deferred in
-    /// [`DefenseStats`].
-    fn take_maintenance(&mut self, rank: u32, now: Time) -> Option<Maintenance>;
+    /// yet (always, by default). Classifies the take as on-time or
+    /// deferred in [`DefenseStats`].
+    fn take_maintenance(&mut self, rank: u32, now: Time) -> Option<Maintenance> {
+        let _ = (rank, now);
+        None
+    }
 
     /// Minimum spacing between two scheduled maintenance operations on
     /// one rank, or `None` when the defense schedules none. The
@@ -190,7 +169,7 @@ pub trait Defense: fmt::Debug {
     }
 
     /// Counters.
-    fn stats(&self) -> &DefenseStats;
+    fn stats(&self) -> DefenseStats;
 
     /// Drains any flight-recorder events this defense (or a wrapper
     /// around it) buffered since the last drain into `sink`, drop
@@ -202,9 +181,6 @@ pub trait Defense: fmt::Debug {
     fn drain_flight(&mut self, sink: &mut lh_obs::flight::EventBuffer) {
         let _ = sink;
     }
-
-    /// Downcast support for tests and instrumentation.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Builds the defense for a channel of shape `geometry`.
@@ -214,54 +190,29 @@ pub trait Defense: fmt::Debug {
 /// and needs no controller-side trigger state, so it maps to
 /// [`DeviceSideDefense`].
 pub fn build_defense(config: &DefenseConfig, geometry: &Geometry, seed: u64) -> Box<dyn Defense> {
-    match config.kind {
-        DefenseKind::None | DefenseKind::Prac | DefenseKind::PracRiac | DefenseKind::PracBank => {
-            Box::new(DeviceSideDefense::new(config.kind))
+    match *config {
+        DefenseConfig::None
+        | DefenseConfig::Prac(_)
+        | DefenseConfig::PracRiac(_)
+        | DefenseConfig::PracBank(_) => Box::new(DeviceSideDefense),
+        DefenseConfig::Prfm { trfm } => Box::new(PrfmDefense::new(trfm, geometry)),
+        DefenseConfig::FrRfm { period } => Box::new(FrRfmDefense::new(period, geometry)),
+        DefenseConfig::Para { probability } => Box::new(ParaDefense::new(probability, seed)),
+        DefenseConfig::Graphene(g) => {
+            Box::new(TrackerDefense::new(geometry, |_bank| GrapheneBank::new(g)))
         }
-        DefenseKind::Prfm => Box::new(PrfmDefense::new(
-            config.prfm.expect("PRFM kind implies config").trfm,
-            geometry,
-        )),
-        DefenseKind::FrRfm => Box::new(FrRfmDefense::new(
-            config.fr_rfm.expect("FR-RFM kind implies config").period,
-            geometry,
-        )),
-        DefenseKind::Para => Box::new(ParaDefense::new(
-            config.para.expect("PARA kind implies config").probability,
-            seed,
-        )),
-        DefenseKind::Graphene => {
-            let g = config.graphene.expect("Graphene kind implies config");
-            Box::new(TrackerDefense::new(
-                DefenseKind::Graphene,
-                geometry,
-                |_bank| GrapheneBank::new(g),
-            ))
+        DefenseConfig::Hydra(h) => {
+            Box::new(TrackerDefense::new(geometry, |_bank| HydraBank::new(h)))
         }
-        DefenseKind::Hydra => {
-            let h = config.hydra.expect("Hydra kind implies config");
-            Box::new(TrackerDefense::new(DefenseKind::Hydra, geometry, |_bank| {
-                HydraBank::new(h)
-            }))
-        }
-        DefenseKind::Comet => {
-            let c = config.comet.expect("CoMeT kind implies config");
-            Box::new(TrackerDefense::new(DefenseKind::Comet, geometry, |bank| {
-                // Per-bank hash families: a row index must not collide
-                // identically in every bank.
-                let mut cfg = c;
-                cfg.seed = c.seed ^ ((bank as u64) << 48);
-                CometBank::new(cfg)
-            }))
-        }
-        DefenseKind::Mint => Box::new(MintDefense::new(
-            config.mint.expect("MINT kind implies config").seed,
-            geometry,
-        )),
-        DefenseKind::BlockHammer => {
-            let bh = config.blockhammer.expect("BlockHammer kind implies config");
-            Box::new(BlockHammerDefense::new(bh, geometry))
-        }
+        DefenseConfig::Comet(c) => Box::new(TrackerDefense::new(geometry, |bank| {
+            // Per-bank hash families: a row index must not collide
+            // identically in every bank.
+            let mut cfg = c;
+            cfg.seed = c.seed ^ ((bank as u64) << 48);
+            CometBank::new(cfg)
+        })),
+        DefenseConfig::Mint(m) => Box::new(MintDefense::new(m.seed, geometry)),
+        DefenseConfig::BlockHammer(bh) => Box::new(BlockHammerDefense::new(bh, geometry)),
     }
 }
 
@@ -269,46 +220,16 @@ pub fn build_defense(config: &DefenseConfig, geometry: &Geometry, seed: u64) -> 
 /// family): the DRAM chip asserts ABO on its own and the controller only
 /// runs the recovery protocol, so there is no controller-side trigger
 /// state at all.
-#[derive(Debug, Clone)]
-pub struct DeviceSideDefense {
-    kind: DefenseKind,
-    stats: DefenseStats,
-}
-
-impl DeviceSideDefense {
-    /// Creates the (stateless) controller-side half of a device-side
-    /// defense.
-    pub fn new(kind: DefenseKind) -> DeviceSideDefense {
-        DeviceSideDefense {
-            kind,
-            stats: DefenseStats::default(),
-        }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceSideDefense;
 
 impl Defense for DeviceSideDefense {
-    fn kind(&self) -> DefenseKind {
-        self.kind
-    }
-
     fn on_activate(&mut self, _bank: BankId, _row: u32, _now: Time) -> &[DefenseAction] {
         &[]
     }
 
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
-    }
-
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        DefenseStats::default()
     }
 }
 
@@ -342,10 +263,6 @@ impl PrfmDefense {
 }
 
 impl Defense for PrfmDefense {
-    fn kind(&self) -> DefenseKind {
-        DefenseKind::Prfm
-    }
-
     fn on_activate(&mut self, bank: BankId, _row: u32, _now: Time) -> &[DefenseAction] {
         self.actions.clear();
         let flat = self.geometry.flat_bank(bank);
@@ -361,20 +278,8 @@ impl Defense for PrfmDefense {
         &self.actions
     }
 
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
-    }
-
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
@@ -399,10 +304,6 @@ impl FrRfmDefense {
 }
 
 impl Defense for FrRfmDefense {
-    fn kind(&self) -> DefenseKind {
-        DefenseKind::FrRfm
-    }
-
     fn on_activate(&mut self, _bank: BankId, _row: u32, _now: Time) -> &[DefenseAction] {
         &[]
     }
@@ -438,12 +339,8 @@ impl Defense for FrRfmDefense {
         Some(self.period)
     }
 
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
@@ -470,10 +367,6 @@ impl ParaDefense {
 }
 
 impl Defense for ParaDefense {
-    fn kind(&self) -> DefenseKind {
-        DefenseKind::Para
-    }
-
     fn on_activate(&mut self, bank: BankId, row: u32, _now: Time) -> &[DefenseAction] {
         self.actions.clear();
         if self.rng.gen_bool(self.probability.clamp(0.0, 1.0)) {
@@ -484,20 +377,8 @@ impl Defense for ParaDefense {
         &self.actions
     }
 
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
-    }
-
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
@@ -532,7 +413,6 @@ impl AggressorTracker for CometBank {
 /// (§12).
 #[derive(Debug, Clone)]
 pub struct TrackerDefense<T: AggressorTracker> {
-    kind: DefenseKind,
     geometry: Geometry,
     banks: Vec<T>,
     actions: Vec<DefenseAction>,
@@ -549,16 +429,11 @@ pub type CometDefense = TrackerDefense<CometBank>;
 impl<T: AggressorTracker> TrackerDefense<T> {
     /// Creates one tracker per bank via `make` (passed the flat bank
     /// index so sketch hash families can differ per bank).
-    pub fn new(
-        kind: DefenseKind,
-        geometry: &Geometry,
-        make: impl FnMut(usize) -> T,
-    ) -> TrackerDefense<T> {
+    pub fn new(geometry: &Geometry, make: impl FnMut(usize) -> T) -> TrackerDefense<T> {
         let banks = (0..geometry.banks_per_channel() as usize)
             .map(make)
             .collect();
         TrackerDefense {
-            kind,
             geometry: *geometry,
             banks,
             actions: Vec::new(),
@@ -572,11 +447,7 @@ impl<T: AggressorTracker> TrackerDefense<T> {
     }
 }
 
-impl<T: AggressorTracker + 'static> Defense for TrackerDefense<T> {
-    fn kind(&self) -> DefenseKind {
-        self.kind
-    }
-
+impl<T: AggressorTracker> Defense for TrackerDefense<T> {
     fn on_activate(&mut self, bank: BankId, row: u32, now: Time) -> &[DefenseAction] {
         self.actions.clear();
         let flat = self.geometry.flat_bank(bank);
@@ -590,20 +461,8 @@ impl<T: AggressorTracker + 'static> Defense for TrackerDefense<T> {
         &self.actions
     }
 
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
-    }
-
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
@@ -636,22 +495,10 @@ impl MintDefense {
 }
 
 impl Defense for MintDefense {
-    fn kind(&self) -> DefenseKind {
-        DefenseKind::Mint
-    }
-
     fn on_activate(&mut self, bank: BankId, row: u32, _now: Time) -> &[DefenseAction] {
         let flat = self.geometry.flat_bank(bank);
         self.banks[flat].on_activate(row);
         &[]
-    }
-
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
     }
 
     fn on_periodic_refresh(&mut self, rank: u32) -> Vec<(BankId, u32)> {
@@ -669,12 +516,8 @@ impl Defense for MintDefense {
         refreshed
     }
 
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
@@ -714,10 +557,6 @@ impl BlockHammerDefense {
 }
 
 impl Defense for BlockHammerDefense {
-    fn kind(&self) -> DefenseKind {
-        DefenseKind::BlockHammer
-    }
-
     fn on_activate(&mut self, bank: BankId, row: u32, now: Time) -> &[DefenseAction] {
         self.actions.clear();
         let flat = self.geometry.flat_bank(bank);
@@ -729,26 +568,16 @@ impl Defense for BlockHammerDefense {
         &self.actions
     }
 
-    fn next_maintenance(&self, _rank: u32) -> Option<Maintenance> {
-        None
-    }
-
-    fn take_maintenance(&mut self, _rank: u32, _now: Time) -> Option<Maintenance> {
-        None
-    }
-
-    fn stats(&self) -> &DefenseStats {
-        &self.stats
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn stats(&self) -> DefenseStats {
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DefenseKind;
+    use crate::trackers::GrapheneConfig;
     use lh_dram::DramTiming;
 
     fn bank(bg: u32, b: u32) -> BankId {
@@ -761,7 +590,7 @@ mod tests {
 
     #[test]
     fn prfm_counts_per_bank_independently() {
-        let mut eng = build(&DefenseConfig::prfm(3), 0);
+        let mut eng = PrfmDefense::new(3, &Geometry::tiny());
         // Two different banks interleaved: no single bank reaches 3.
         for _ in 0..2 {
             assert!(eng.on_activate(bank(0, 0), 1, Time::ZERO).is_empty());
@@ -776,9 +605,8 @@ mod tests {
                 scope: RfmScope::SameBank { bank: 0 }
             }]
         );
-        let prfm = eng.as_any().downcast_ref::<PrfmDefense>().unwrap();
-        assert_eq!(prfm.counter(bank(0, 0)), 0);
-        assert_eq!(prfm.counter(bank(1, 1)), 2);
+        assert_eq!(eng.counter(bank(0, 0)), 0);
+        assert_eq!(eng.counter(bank(1, 1)), 2);
         assert_eq!(eng.stats().prfm_rfms, 1);
     }
 
@@ -795,22 +623,25 @@ mod tests {
     fn fr_rfm_deadline_advances_independently_of_traffic() {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::fr_rfm(4, t.t_rc);
-        let period = cfg.fr_rfm.unwrap().period;
+        let DefenseConfig::FrRfm { period } = cfg else {
+            unreachable!("fr_rfm builds an FR-RFM config")
+        };
         let mut eng = build(&cfg, 0);
-        let d0 = eng.next_deadline(0, Time::ZERO).unwrap();
+        let deadline = |eng: &dyn Defense| eng.next_maintenance(0).unwrap().due;
+        let d0 = deadline(eng.as_ref());
         assert_eq!(d0, Time::ZERO + period);
         // Activations do not move the deadline.
         for _ in 0..100 {
             assert!(eng.on_activate(bank(0, 0), 1, Time::ZERO).is_empty());
         }
-        assert_eq!(eng.next_deadline(0, Time::ZERO).unwrap(), d0);
+        assert_eq!(deadline(eng.as_ref()), d0);
         // Not due yet: take refuses to surrender the operation.
         assert_eq!(eng.take_maintenance(0, d0 - Span::from_ps(1)), None);
         // Due: take returns it and advances the schedule by one period.
         let m = eng.take_maintenance(0, d0).unwrap();
         assert_eq!(m.due, d0);
         assert_eq!(m.scope, RfmScope::AllBank);
-        assert_eq!(eng.next_deadline(0, d0).unwrap(), d0 + period);
+        assert_eq!(deadline(eng.as_ref()), d0 + period);
         assert_eq!(eng.stats().fr_rfm_rfms, 1);
         assert_eq!(eng.stats().maintenance_on_time, 1);
         assert_eq!(eng.stats().maintenance_deferred, 0);
@@ -828,7 +659,12 @@ mod tests {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::fr_rfm(4, t.t_rc);
         let eng = build(&cfg, 0);
-        assert_eq!(eng.maintenance_period(), Some(cfg.fr_rfm.unwrap().period));
+        assert_eq!(
+            cfg,
+            DefenseConfig::FrRfm {
+                period: eng.maintenance_period().unwrap()
+            }
+        );
         assert_eq!(
             build(&DefenseConfig::prac(128), 0).maintenance_period(),
             None
@@ -854,7 +690,7 @@ mod tests {
             for _ in 0..500 {
                 assert!(eng.on_activate(bank(0, 0), 1, Time::ZERO).is_empty());
             }
-            assert!(eng.next_deadline(0, Time::ZERO).is_none());
+            assert!(eng.next_maintenance(0).is_none());
             assert!(eng.take_maintenance(0, Time::from_ms(100)).is_none());
         }
     }
@@ -862,10 +698,12 @@ mod tests {
     #[test]
     fn graphene_requests_neighbor_refresh_at_threshold() {
         let t = DramTiming::ddr5_4800();
-        let mut cfg = DefenseConfig::graphene(64, &t);
-        let threshold = cfg.graphene.unwrap().threshold;
-        cfg.graphene.as_mut().unwrap().entries = 8;
-        let mut eng = build(&cfg, 0);
+        let g = GrapheneConfig {
+            entries: 8,
+            ..GrapheneConfig::for_threshold(64, t.t_rc, t.t_refw)
+        };
+        let threshold = g.threshold;
+        let mut eng = build(&DefenseConfig::Graphene(g), 0);
         let mut fired = Vec::new();
         for _ in 0..threshold {
             fired.extend(eng.on_activate(bank(0, 0), 42, Time::ZERO).iter().copied());
@@ -883,10 +721,12 @@ mod tests {
     #[test]
     fn tracker_state_is_per_bank() {
         let t = DramTiming::ddr5_4800();
-        let mut cfg = DefenseConfig::graphene(64, &t);
-        let threshold = cfg.graphene.unwrap().threshold;
-        cfg.graphene.as_mut().unwrap().entries = 8;
-        let mut eng = build(&cfg, 0);
+        let g = GrapheneConfig {
+            entries: 8,
+            ..GrapheneConfig::for_threshold(64, t.t_rc, t.t_refw)
+        };
+        let threshold = g.threshold;
+        let mut eng = build(&DefenseConfig::Graphene(g), 0);
         // Alternate banks: neither bank's tracker reaches the threshold
         // even after `threshold` total activations of row 42.
         let mut fired = 0;
@@ -903,7 +743,7 @@ mod tests {
             DefenseConfig::hydra(64, &t),
             DefenseConfig::comet(64, &t, 9),
         ] {
-            let kind = cfg.kind;
+            let kind = cfg.kind();
             let mut eng = build(&cfg, 0);
             let mut fired = 0;
             for _ in 0..256 {
@@ -965,10 +805,28 @@ mod tests {
     #[test]
     fn every_kind_builds_its_own_type() {
         let t = DramTiming::ddr5_4800();
-        for kind in DefenseKind::taxonomy_set() {
+        for kind in DefenseKind::all() {
             let cfg = DefenseConfig::for_threshold(kind, 256, &t);
-            let def = build(&cfg, 1);
-            assert_eq!(def.kind(), kind, "factory must preserve the kind");
+            assert_eq!(cfg.kind(), kind, "provisioning must preserve the kind");
+            let (outer, inner) = match kind {
+                DefenseKind::None
+                | DefenseKind::Prac
+                | DefenseKind::PracRiac
+                | DefenseKind::PracBank => ("DeviceSideDefense", ""),
+                DefenseKind::Prfm => ("PrfmDefense", ""),
+                DefenseKind::FrRfm => ("FrRfmDefense", ""),
+                DefenseKind::Para => ("ParaDefense", ""),
+                DefenseKind::Graphene => ("TrackerDefense", "GrapheneBank"),
+                DefenseKind::Hydra => ("TrackerDefense", "HydraBank"),
+                DefenseKind::Comet => ("TrackerDefense", "CometBank"),
+                DefenseKind::Mint => ("MintDefense", ""),
+                DefenseKind::BlockHammer => ("BlockHammerDefense", ""),
+            };
+            let debug = format!("{:?}", build(&cfg, 1));
+            assert!(
+                debug.starts_with(outer) && debug.contains(inner),
+                "{kind} built {debug:.60}"
+            );
         }
     }
 }

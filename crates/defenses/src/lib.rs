@@ -38,7 +38,7 @@
 //!
 //! let timing = DramTiming::ddr5_4800();
 //! let frrfm = DefenseConfig::for_threshold(DefenseKind::FrRfm, 1024, &timing);
-//! let risk = taxonomy::profile_of(frrfm.kind).unwrap().channel_risk();
+//! let risk = taxonomy::profile_of(frrfm.kind()).unwrap().channel_risk();
 //! assert_eq!(risk, taxonomy::ChannelRisk::None);
 //! ```
 
@@ -50,9 +50,7 @@ mod defense;
 pub mod taxonomy;
 pub mod trackers;
 
-pub use config::{
-    scaled_nbo, scaled_trfm, DefenseConfig, DefenseKind, FrRfmConfig, ParaConfig, PrfmConfig,
-};
+pub use config::{fr_rfm_period, scaled_nbo, scaled_trfm, DefenseConfig, DefenseKind};
 pub use defense::{
     build_defense, AggressorTracker, BlockHammerDefense, CometDefense, Defense, DefenseAction,
     DefenseStats, DeviceSideDefense, FrRfmDefense, GrapheneDefense, HydraDefense, Maintenance,

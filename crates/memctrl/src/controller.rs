@@ -31,7 +31,7 @@
 //! [`MemoryController::service`] is the *exact* future time at which a
 //! scheduling decision can change: command legality comes from the total
 //! [`DramDevice::earliest_legal`] query, maintenance timing from
-//! [`Defense::next_deadline`]. There is no 1-ps re-arm anywhere; a wake
+//! [`Defense::next_maintenance`]. There is no 1-ps re-arm anywhere; a wake
 //! at or before `now` is a bug and asserts.
 
 mod batch;
@@ -364,7 +364,7 @@ impl MemoryController {
 
     /// The defense's counters (scheduling pressure, preventive actions).
     pub fn defense_stats(&self) -> DefenseStats {
-        *self.defense.stats()
+        self.defense.stats()
     }
 
     /// Controller statistics.
@@ -520,7 +520,8 @@ impl MemoryController {
                     // nothing.
                     let t = self.device.timing();
                     let settle = self.cfg.frrfm_guard * 2;
-                    let clear_of_rfm = match self.defense.next_deadline(r as u32, now) {
+                    let clear_of_rfm = match self.defense.next_maintenance(r as u32).map(|m| m.due)
+                    {
                         Some(d) => {
                             d > now + t.t_rfc * 2 + t.t_rfm + t.t_rp
                                 && now >= self.rfm_end[r] + settle
@@ -591,7 +592,7 @@ impl MemoryController {
         if self.ref_pending[rank as usize] > 0 {
             return true;
         }
-        if let Some(deadline) = self.defense.next_deadline(rank, now) {
+        if let Some(deadline) = self.defense.next_maintenance(rank).map(|m| m.due) {
             if now + self.cfg.frrfm_guard >= deadline {
                 return true;
             }
@@ -720,9 +721,10 @@ impl MemoryController {
             // FR-RFM's security property). Dense schedules where a REF
             // can never fit between two RFMs forgo the rule — refresh
             // must still happen, and the stacking is deterministic.
-            if let (Some(deadline), Some(period)) =
-                (self.defense.next_deadline(rank, now), self.maint_period)
-            {
+            if let (Some(deadline), Some(period)) = (
+                self.defense.next_maintenance(rank).map(|m| m.due),
+                self.maint_period,
+            ) {
                 let fits_between_rfms = t.t_rfm + t.t_rfc + t.t_cmd * 2 <= period;
                 if fits_between_rfms && now + t.t_rfc + t.t_cmd > deadline {
                     // Wait out the maintenance window; once its RFM

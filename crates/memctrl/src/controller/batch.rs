@@ -434,7 +434,7 @@ impl CtrlScratch {
             self.q_stamp[r] = self.epoch;
             let mut v = mc.ref_pending[r] > 0;
             if !v {
-                if let Some(d) = mc.defense.next_deadline(rank, now) {
+                if let Some(d) = mc.defense.next_maintenance(rank).map(|m| m.due) {
                     if now + mc.cfg.frrfm_guard >= d {
                         v = true;
                     } else {
@@ -761,9 +761,9 @@ impl MemoryController {
                 }
                 continue;
             }
-            let next_deadline = self.defense.next_deadline(rank, now);
+            let next_deadline = self.defense.next_maintenance(rank).map(|m| m.due);
             if let Some(d) = next_deadline {
-                // `next_deadline` itself advances when `now` crosses it.
+                // The peeked deadline advances when `now` crosses it.
                 s.fp_bound_acc = s.fp_bound_acc.min(d);
             }
             if let (Some(deadline), Some(period)) = (next_deadline, self.maint_period) {

@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn prac_backoff_delays_requests_by_over_a_microsecond() {
         let mut prac = DefenseConfig::prac(64);
-        prac.prac.as_mut().unwrap().nbo = 64;
+        prac.prac_mut().unwrap().nbo = 64;
         let mut mc = make(prac);
         // Alternate two rows in one bank: every access is a conflict, the
         // activation counters climb to NBO and trigger a back-off.
@@ -306,7 +306,7 @@ mod tests {
             nrh as u32,
             &lh_dram::DramTiming::ddr5_4800(),
         );
-        cfg.prac.as_mut().unwrap().cooldown = Span::from_ns(100);
+        cfg.prac_mut().unwrap().cooldown = Span::from_ns(100);
         let mut mc = make(cfg);
         // Adversarial double-sided pattern around row 15.
         let mut reqs = Vec::new();
@@ -418,7 +418,7 @@ mod tests {
                 ..CtrlConfig::paper_default()
             };
             let mut prac = DefenseConfig::prac(64);
-            prac.prac.as_mut().unwrap().nbo = 64;
+            prac.prac_mut().unwrap().nbo = 64;
             let mut mc = MemoryController::new(cfg, dev, prac, 7).unwrap();
             // A *single-row* access stream: under open-page these are row
             // hits (no activations); under closed-page each one activates.
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn bank_level_prac_blocks_only_the_offending_bank() {
         let mut cfg = DefenseConfig::prac_bank(32);
-        cfg.prac.as_mut().unwrap().nbo = 32;
+        cfg.prac_mut().unwrap().nbo = 32;
         let mut mc = make(cfg);
         let other = BankId::new(0, 0, 1, 0);
         let mut reqs = Vec::new();

@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 
+use lh_defenses::trackers::BlockHammerConfig;
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{
     BankId, Command, DeviceConfig, DramAddr, DramDevice, DramTiming, Geometry, PracConfig,
@@ -299,13 +300,11 @@ fn twin_defense_of(sel: u8) -> DefenseConfig {
         4 => DefenseConfig::fr_rfm(16, t.t_rc),
         5 => DefenseConfig::para(0.3),
         6 => DefenseConfig::for_threshold(DefenseKind::FrRfm, 64, &t),
-        _ => {
-            let mut cfg = DefenseConfig::blockhammer(64, &t, 5);
-            let bh = cfg.blockhammer.as_mut().expect("blockhammer configured");
-            bh.blacklist_threshold = 3;
-            bh.delay = Span::from_us(2);
-            cfg
-        }
+        _ => DefenseConfig::BlockHammer(BlockHammerConfig {
+            blacklist_threshold: 3,
+            delay: Span::from_us(2),
+            ..BlockHammerConfig::for_threshold(64, t.t_rc, t.t_refw, 5)
+        }),
     }
 }
 
@@ -561,12 +560,10 @@ fn one_bank_hammer_issues_the_same_command_stream_on_both_paths() {
 #[test]
 fn blockhammer_throttled_rows_issue_the_same_command_stream_on_both_paths() {
     let t = DramTiming::ddr5_4800();
-    let mut defense = DefenseConfig::blockhammer(64, &t, 3);
-    defense
-        .blockhammer
-        .as_mut()
-        .expect("blockhammer configured")
-        .delay = Span::from_us(3);
+    let defense = DefenseConfig::BlockHammer(BlockHammerConfig {
+        delay: Span::from_us(3),
+        ..BlockHammerConfig::for_threshold(64, t.t_rc, t.t_refw, 3)
+    });
     let run = assert_paths_agree(
         || paper_controller(defense.clone()),
         6,

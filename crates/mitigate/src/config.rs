@@ -2,7 +2,7 @@
 
 use lh_dram::{DramTiming, Span};
 
-use lh_defenses::{scaled_nbo, DefenseConfig, DefenseKind};
+use lh_defenses::{fr_rfm_period, scaled_nbo, scaled_trfm};
 
 /// The countermeasure wrappers the mitigation layer composes over any
 /// [`lh_defenses::Defense`].
@@ -81,112 +81,61 @@ impl std::fmt::Display for MitigationKind {
     }
 }
 
-/// [`MaintenanceJitter`](MitigationKind::MaintenanceJitter) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JitterConfig {
-    /// Largest forward slip added to a deadline. Clamped at wrap time
-    /// to the defense's maintenance period so the jittered schedule
-    /// stays monotone.
-    pub max: Span,
-}
-
-/// [`DeferredBatch`](MitigationKind::DeferredBatch) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Release-instant quantum: every deadline is deferred to the next
-    /// multiple of this span.
-    pub quantum: Span,
-}
-
-/// [`ConstantRateShaper`](MitigationKind::ConstantRateShaper) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShaperConfig {
-    /// Fixed period of the dummy-maintenance stream (per rank).
-    pub period: Span,
-}
-
-/// [`IsolationQuota`](MitigationKind::IsolationQuota) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuotaConfig {
-    /// Activations one (bank, row) may issue per epoch before being
-    /// throttled to the epoch boundary.
-    pub budget: u32,
-    /// Budget-accounting epoch (epochs are aligned to time zero).
-    pub epoch: Span,
-}
-
-/// One mitigation layer: a kind plus its parameters, mirroring
-/// [`lh_defenses::DefenseConfig`]'s kind-plus-options shape. A *stack*
-/// is a `Vec<MitigationConfig>` applied innermost-first.
+/// One mitigation layer: one variant per [`MitigationKind`], carrying
+/// exactly that wrapper's parameters. A *stack* is a
+/// `Vec<MitigationConfig>` applied innermost-first.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MitigationConfig {
-    /// Which wrapper this layer is.
-    pub kind: MitigationKind,
-    /// Jitter parameters (`MaintenanceJitter` only).
-    pub jitter: Option<JitterConfig>,
-    /// Batching parameters (`DeferredBatch` only).
-    pub batch: Option<BatchConfig>,
-    /// Shaping parameters (`ConstantRateShaper` only).
-    pub shaper: Option<ShaperConfig>,
-    /// Quota parameters (`IsolationQuota` only).
-    pub quota: Option<QuotaConfig>,
+pub enum MitigationConfig {
+    /// Pure delegation.
+    PassThrough,
+    /// Deadline jitter.
+    Jitter {
+        /// Largest forward slip added to a deadline. Clamped at wrap
+        /// time to the defense's maintenance period so the jittered
+        /// schedule stays monotone.
+        max: Span,
+    },
+    /// Deadline quantization.
+    Batch {
+        /// Release-instant quantum: every deadline is deferred to the
+        /// next multiple of this span.
+        quantum: Span,
+    },
+    /// A fixed-rate dummy-maintenance stream.
+    Shaper {
+        /// Fixed period of the dummy-maintenance stream (per rank).
+        period: Span,
+    },
+    /// A per-(bank, row) activation budget per epoch.
+    Quota {
+        /// Activations one (bank, row) may issue per epoch before being
+        /// throttled to the epoch boundary.
+        budget: u32,
+        /// Budget-accounting epoch (epochs are aligned to time zero).
+        epoch: Span,
+    },
 }
 
 impl MitigationConfig {
-    fn base(kind: MitigationKind) -> MitigationConfig {
-        MitigationConfig {
-            kind,
-            jitter: None,
-            batch: None,
-            shaper: None,
-            quota: None,
-        }
-    }
-
-    /// The no-op wrapper.
-    pub fn pass_through() -> MitigationConfig {
-        MitigationConfig::base(MitigationKind::PassThrough)
-    }
-
-    /// Deadline jitter of up to `max`.
-    pub fn jitter(max: Span) -> MitigationConfig {
-        MitigationConfig {
-            jitter: Some(JitterConfig { max }),
-            ..MitigationConfig::base(MitigationKind::MaintenanceJitter)
-        }
-    }
-
-    /// Deadline quantization to multiples of `quantum`.
-    pub fn batch(quantum: Span) -> MitigationConfig {
-        MitigationConfig {
-            batch: Some(BatchConfig { quantum }),
-            ..MitigationConfig::base(MitigationKind::DeferredBatch)
-        }
-    }
-
-    /// A fixed-rate dummy-maintenance stream with the given period.
-    pub fn shaper(period: Span) -> MitigationConfig {
-        MitigationConfig {
-            shaper: Some(ShaperConfig { period }),
-            ..MitigationConfig::base(MitigationKind::ConstantRateShaper)
-        }
-    }
-
-    /// A per-(bank, row) activation budget per epoch.
-    pub fn quota(budget: u32, epoch: Span) -> MitigationConfig {
-        MitigationConfig {
-            quota: Some(QuotaConfig { budget, epoch }),
-            ..MitigationConfig::base(MitigationKind::IsolationQuota)
+    /// Which wrapper this layer is.
+    pub fn kind(&self) -> MitigationKind {
+        match self {
+            MitigationConfig::PassThrough => MitigationKind::PassThrough,
+            MitigationConfig::Jitter { .. } => MitigationKind::MaintenanceJitter,
+            MitigationConfig::Batch { .. } => MitigationKind::DeferredBatch,
+            MitigationConfig::Shaper { .. } => MitigationKind::ConstantRateShaper,
+            MitigationConfig::Quota { .. } => MitigationKind::IsolationQuota,
         }
     }
 
     /// Display name of this layer.
     pub fn label(&self) -> &'static str {
-        self.kind.label()
+        self.kind().label()
     }
 
     /// Provisions `kind` for RowHammer threshold `nrh`, mirroring
-    /// [`DefenseConfig::for_threshold`]:
+    /// [`lh_defenses::DefenseConfig::for_threshold`] and keyed to the
+    /// FR-RFM period it would provision there:
     ///
     /// * jitter — up to half the FR-RFM period at `nrh` (enough to
     ///   decorrelate deadlines without starving the schedule);
@@ -196,25 +145,18 @@ impl MitigationConfig {
     /// * quota — half the scaled back-off threshold per 25 µs epoch,
     ///   so a single row cannot reach trigger pressure in one epoch.
     pub fn for_threshold(kind: MitigationKind, nrh: u32, timing: &DramTiming) -> MitigationConfig {
-        let period = fr_rfm_period(nrh, timing);
+        let period = fr_rfm_period(scaled_trfm(nrh), timing.t_rc);
         match kind {
-            MitigationKind::PassThrough => MitigationConfig::pass_through(),
-            MitigationKind::MaintenanceJitter => MitigationConfig::jitter(period / 2),
-            MitigationKind::DeferredBatch => MitigationConfig::batch(period),
-            MitigationKind::ConstantRateShaper => MitigationConfig::shaper(period),
-            MitigationKind::IsolationQuota => {
-                MitigationConfig::quota((scaled_nbo(nrh) / 2).max(1), Span::from_us(25))
-            }
+            MitigationKind::PassThrough => MitigationConfig::PassThrough,
+            MitigationKind::MaintenanceJitter => MitigationConfig::Jitter { max: period / 2 },
+            MitigationKind::DeferredBatch => MitigationConfig::Batch { quantum: period },
+            MitigationKind::ConstantRateShaper => MitigationConfig::Shaper { period },
+            MitigationKind::IsolationQuota => MitigationConfig::Quota {
+                budget: (scaled_nbo(nrh) / 2).max(1),
+                epoch: Span::from_us(25),
+            },
         }
     }
-}
-
-/// The FR-RFM maintenance period the threshold-scaling rules would
-/// provision at `nrh` — the reference rate for every timing-shaped
-/// mitigation.
-pub fn fr_rfm_period(nrh: u32, timing: &DramTiming) -> Span {
-    let cfg = DefenseConfig::for_threshold(DefenseKind::FrRfm, nrh, timing);
-    cfg.fr_rfm.expect("FR-RFM kind implies config").period
 }
 
 #[cfg(test)]
@@ -238,29 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn for_threshold_fills_the_matching_option() {
-        let t = DramTiming::ddr5_4800();
-        for kind in MitigationKind::all() {
-            let cfg = MitigationConfig::for_threshold(kind, 128, &t);
-            assert_eq!(cfg.kind, kind);
-            assert_eq!(
-                cfg.jitter.is_some(),
-                kind == MitigationKind::MaintenanceJitter
-            );
-            assert_eq!(cfg.batch.is_some(), kind == MitigationKind::DeferredBatch);
-            assert_eq!(
-                cfg.shaper.is_some(),
-                kind == MitigationKind::ConstantRateShaper
-            );
-            assert_eq!(cfg.quota.is_some(), kind == MitigationKind::IsolationQuota);
-        }
-    }
-
-    #[test]
     fn tighter_thresholds_provision_denser_shaping() {
         let t = DramTiming::ddr5_4800();
-        let tight = MitigationConfig::for_threshold(MitigationKind::ConstantRateShaper, 64, &t);
-        let loose = MitigationConfig::for_threshold(MitigationKind::ConstantRateShaper, 4096, &t);
-        assert!(tight.shaper.unwrap().period <= loose.shaper.unwrap().period);
+        let period = |nrh| match MitigationConfig::for_threshold(
+            MitigationKind::ConstantRateShaper,
+            nrh,
+            &t,
+        ) {
+            MitigationConfig::Shaper { period } => period,
+            other => panic!("{other:?} is not a shaper"),
+        };
+        assert!(period(64) <= period(4096));
     }
 }

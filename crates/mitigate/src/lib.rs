@@ -8,10 +8,9 @@
 //! implements `Defense` by delegation and reshapes only what the memory
 //! controller — and therefore the attacker — can see:
 //!
-//! * [`MaintenanceJitter`] — seeded randomization of scheduled
-//!   maintenance deadlines (decorrelate *when*);
-//! * [`DeferredBatch`] — coalesce maintenance into batches released at
-//!   quantized instants (quantize *when*);
+//! * [`Retime`] — re-time scheduled maintenance deadlines, either by
+//!   a seeded slip (`MaintenanceJitter`: decorrelate *when*) or by
+//!   rounding up to a quantum (`DeferredBatch`: quantize *when*);
 //! * [`ConstantRateShaper`] — inject dummy maintenance so the
 //!   observable rate is pattern-independent (fix *how much*);
 //! * [`IsolationQuota`] — per-(bank, row) activation budgets per epoch
@@ -31,7 +30,7 @@
 //!
 //! ```
 //! use lh_defenses::{build_defense, DefenseConfig, DefenseKind};
-//! use lh_dram::{DramTiming, Geometry, Span, Time};
+//! use lh_dram::{DramTiming, Geometry};
 //! use lh_mitigate::{apply_mitigations, MitigationConfig, MitigationKind};
 //!
 //! let timing = DramTiming::ddr5_4800();
@@ -48,14 +47,14 @@
 //!     42,
 //!     build_defense(&defense, &geometry, 42),
 //! );
-//! // The wrapper reports the inner defense's kind and only ever slips
-//! // deadlines forward.
-//! assert_eq!(engine.kind(), DefenseKind::FrRfm);
+//! // The wrapper only ever slips deadlines forward, and still keeps
+//! // them at least its reported period apart.
 //! let first = engine.next_maintenance(0).unwrap().due;
 //! let taken = engine.take_maintenance(0, first).unwrap();
 //! assert_eq!(taken.due, first);
-//! assert!(engine.next_maintenance(0).unwrap().due > first);
-//! # let _ = Time::ZERO + Span::ZERO;
+//! let period = engine.maintenance_period().unwrap();
+//! assert!(engine.next_maintenance(0).unwrap().due >= first + period);
+//! assert_eq!(engine.stats().maintenance_on_time, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -64,11 +63,8 @@
 mod config;
 mod wrappers;
 
-pub use config::{
-    fr_rfm_period, BatchConfig, JitterConfig, MitigationConfig, MitigationKind, QuotaConfig,
-    ShaperConfig,
-};
+pub use config::{MitigationConfig, MitigationKind};
 pub use wrappers::{
     apply_mitigations, build_mitigated_defense, build_mitigation, ConstantRateShaper,
-    DeferredBatch, IsolationQuota, MaintenanceJitter, PassThrough,
+    IsolationQuota, PassThrough, Retime,
 };

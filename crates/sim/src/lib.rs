@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn prac_backoff_visible_from_process() {
         let mut cfg = SimConfig::paper_default(DefenseConfig::prac(64));
-        cfg.defense.prac.as_mut().unwrap().nbo = 64;
+        cfg.defense.prac_mut().unwrap().nbo = 64;
         let mut sys = System::new(cfg).unwrap();
         let a = addr(&sys, bank0(), 10, 0);
         let b = addr(&sys, bank0(), 20, 0);

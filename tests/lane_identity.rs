@@ -68,12 +68,20 @@ fn defense_pool(kind_idx: usize, nrh_idx: usize) -> DefenseConfig {
 fn mitigation_pool(idx: usize) -> Vec<MitigationConfig> {
     match idx % 5 {
         0 => vec![],
-        1 => vec![MitigationConfig::pass_through()],
-        2 => vec![MitigationConfig::jitter(Span::from_ns(200))],
-        3 => vec![MitigationConfig::batch(Span::from_us(1))],
+        1 => vec![MitigationConfig::PassThrough],
+        2 => vec![MitigationConfig::Jitter {
+            max: Span::from_ns(200),
+        }],
+        3 => vec![MitigationConfig::Batch {
+            quantum: Span::from_us(1),
+        }],
         _ => vec![
-            MitigationConfig::jitter(Span::from_ns(100)),
-            MitigationConfig::batch(Span::from_ns(500)),
+            MitigationConfig::Jitter {
+                max: Span::from_ns(100),
+            },
+            MitigationConfig::Batch {
+                quantum: Span::from_ns(500),
+            },
         ],
     }
 }
@@ -208,7 +216,7 @@ proptest! {
         let batched = run_batch(&specs, &trace, end, horizon);
         for (i, (spec, got)) in specs.iter().zip(&batched).enumerate() {
             let solo = run_solo(spec, &trace, end, horizon);
-            assert_lane_eq(got, &solo, &format!("lane {i} ({:?})", spec.defense.kind));
+            assert_lane_eq(got, &solo, &format!("lane {i} ({:?})", spec.defense.kind()));
         }
     }
 }
@@ -238,7 +246,9 @@ fn degenerate_single_lane_batch_matches_solo() {
 fn twin_lanes_tie_break_deterministically() {
     let twin = LaneSpec {
         defense: DefenseConfig::for_threshold(DefenseKind::FrRfm, 256, &DramTiming::ddr5_4800()),
-        mitigations: vec![MitigationConfig::batch(Span::from_us(1))],
+        mitigations: vec![MitigationConfig::Batch {
+            quantum: Span::from_us(1),
+        }],
     };
     let specs = vec![twin.clone(), twin.clone()];
     let trace = shared_trace();

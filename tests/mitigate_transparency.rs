@@ -55,7 +55,7 @@ fn pass_through_and_empty_stack_are_invisible() {
     // device-side one cover every delegation path a wrapper has.
     for kind in [DefenseKind::FrRfm, DefenseKind::Prfm, DefenseKind::Prac] {
         let (bare_metrics, bare_stats) = run_mix(kind, Vec::new());
-        let (pass_metrics, pass_stats) = run_mix(kind, vec![MitigationConfig::pass_through()]);
+        let (pass_metrics, pass_stats) = run_mix(kind, vec![MitigationConfig::PassThrough]);
         assert_eq!(
             bare_metrics,
             pass_metrics,
@@ -72,10 +72,7 @@ fn pass_through_and_empty_stack_are_invisible() {
         // composition cannot introduce drift.
         let (stacked_metrics, stacked_stats) = run_mix(
             kind,
-            vec![
-                MitigationConfig::pass_through(),
-                MitigationConfig::pass_through(),
-            ],
+            vec![MitigationConfig::PassThrough, MitigationConfig::PassThrough],
         );
         assert_eq!(
             bare_metrics,
@@ -137,7 +134,7 @@ fn link_envelope_is_identical_for_empty_and_pass_through_stacks() {
 
     let mut bare = LinkConfig::against(DefenseKind::Prfm, 128, 11);
     let mut passed = bare.clone();
-    passed.mitigations = vec![MitigationConfig::pass_through()];
+    passed.mitigations = vec![MitigationConfig::PassThrough];
 
     let bits: Vec<u8> = (0..32).map(|i| (i ^ (i >> 2)) & 1).collect();
     let mut outcomes = Vec::new();
