@@ -73,9 +73,8 @@ pub struct CovertOptions {
     /// §10.1 cadence-based refresh filter for the receiver.
     pub refresh_filter: Option<lh_attacks::RefreshFilterConfig>,
     /// Seed of the co-runners' access streams. It does not reach
-    /// `sim.seed` (the ROADMAP's paper-fidelity ledger item records the
-    /// defect): a transmission without co-runners is the same for every
-    /// value.
+    /// `sim.seed` (a defect the ROADMAP's paper-fidelity ledger records):
+    /// a transmission without co-runners is the same for every value.
     pub seed: u64,
 }
 

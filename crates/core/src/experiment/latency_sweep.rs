@@ -40,8 +40,7 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         // ~10 ns resolution because our synthetic loop has queueing
         // variance, and it costs the paper's shape: recorded reading
         // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
-        // survives to ≈ 10 ns (open in the ROADMAP's paper-fidelity
-        // ledger).
+        // survives to ≈ 10 ns (open in the ROADMAP's fidelity ledger).
         let t = &opts.sim.device.timing;
         let conflict_contended =
             opts.think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);

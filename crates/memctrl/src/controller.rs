@@ -520,10 +520,9 @@ impl MemoryController {
                     // nothing.
                     let t = self.device.timing();
                     let settle = self.cfg.frrfm_guard * 2;
-                    let clear_of_rfm = match self.defense.next_maintenance(r as u32).map(|m| m.due)
-                    {
-                        Some(d) => {
-                            d > now + t.t_rfc * 2 + t.t_rfm + t.t_rp
+                    let clear_of_rfm = match self.defense.next_maintenance(r as u32) {
+                        Some(m) => {
+                            m.due > now + t.t_rfc * 2 + t.t_rfm + t.t_rp
                                 && now >= self.rfm_end[r] + settle
                         }
                         None => true,
@@ -721,18 +720,17 @@ impl MemoryController {
             // FR-RFM's security property). Dense schedules where a REF
             // can never fit between two RFMs forgo the rule — refresh
             // must still happen, and the stacking is deterministic.
-            if let (Some(deadline), Some(period)) = (
-                self.defense.next_maintenance(rank).map(|m| m.due),
-                self.maint_period,
-            ) {
+            if let (Some(m), Some(period)) =
+                (self.defense.next_maintenance(rank), self.maint_period)
+            {
                 let fits_between_rfms = t.t_rfm + t.t_rfc + t.t_cmd * 2 <= period;
-                if fits_between_rfms && now + t.t_rfc + t.t_cmd > deadline {
+                if fits_between_rfms && now + t.t_rfc + t.t_cmd > m.due {
                     // Wait out the maintenance window; once its RFM
                     // issues the deadline advances and this re-evaluates
                     // (event-driven), so only a future deadline is a
                     // timed wake.
-                    if deadline > now {
-                        wake = wake.min(deadline);
+                    if m.due > now {
+                        wake = wake.min(m.due);
                     }
                     continue;
                 }

@@ -350,32 +350,23 @@ fn serve_part(stream: &mut TcpStream, state: &ServerState, id: &str, part: Part)
 /// before each read the socket's read timeout is cut to the time left,
 /// so a peer that trickles bytes cannot hold the thread past the
 /// timeout the socket was accepted with.
-struct WholeRequest<'a> {
-    stream: &'a TcpStream,
-    deadline: Option<Instant>,
-}
+struct WholeRequest<'a>(&'a TcpStream, Instant);
 
 impl Read for WholeRequest<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(deadline) = self.deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(io::ErrorKind::TimedOut.into());
-            }
-            self.stream.set_read_timeout(Some(left))?;
+        let left = self.1.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
         }
-        let mut stream = self.stream;
+        self.0.set_read_timeout(Some(left))?;
+        let mut stream = self.0;
         stream.read(buf)
     }
 }
 
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
-    let deadline = stream.read_timeout()?.map(|t| Instant::now() + t);
-    let whole = WholeRequest {
-        stream: &stream,
-        deadline,
-    };
-    let request = match read_request(whole) {
+    let timeout = stream.read_timeout()?.unwrap_or(SOCKET_TIMEOUT);
+    let request = match read_request(WholeRequest(&stream, Instant::now() + timeout)) {
         Ok(request) => request,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             return error_response(&mut stream, 400, &e.to_string());
