@@ -6,6 +6,12 @@
 //! write-allocate, LRU. A `clflush` invalidates the line in every level
 //! and emits a writeback if it was dirty — exactly what the attack loops
 //! rely on to force every access to DRAM.
+//!
+//! A sweep holds many hierarchies at once (four per fig13 lane) and a
+//! run touches few of their sets, so a set costs memory only once it
+//! holds a line: five bytes of index and occupancy per set, plus one
+//! `ways`-wide block from the level's slab on the set's first fill.
+//! The crate README's "Cache model" section gives the numbers.
 
 use lh_dram::{Span, LINE_BYTES};
 
@@ -92,37 +98,94 @@ pub struct CacheAccess {
     pub writeback: Option<u64>,
 }
 
-/// One cache level: per-set recency-ordered (front = MRU) tag lists.
+/// One cache level: per-set recency-ordered (front = MRU) line lists.
+///
+/// A set costs five bytes until it holds a line: a `u32` block index
+/// (0 = no block yet) and a `u8` occupancy. Its first fill takes a
+/// `ways`-wide block from the level's slab, which the set keeps for the
+/// rest of the run, even after a `clflush` empties it. A block holds
+/// `line << 1 | dirty` entries, MRU first; the first `occupancy` are
+/// valid.
 #[derive(Debug, Clone)]
 struct Level {
     config: CacheLevelConfig,
-    /// `sets[i]` holds `(tag, dirty)` in recency order.
-    sets: Vec<Vec<(u64, bool)>>,
+    ways: usize,
+    /// `block[set]`: 1-based index of the set's block in `slab`.
+    block: Vec<u32>,
+    /// `len[set]`: valid lines in the set's block.
+    len: Vec<u8>,
+    /// `ways`-wide blocks, allocated in first-fill order.
+    slab: Vec<u64>,
     hits: u64,
     misses: u64,
 }
 
 impl Level {
-    fn new(config: CacheLevelConfig) -> Level {
+    fn new(config: CacheLevelConfig, name: &str) -> Level {
+        assert!(
+            config.ways > 0,
+            "{name}: a cache level needs at least one way"
+        );
+        assert!(
+            config.ways <= u8::MAX as u32,
+            "{name}: {} ways exceed the model's limit of {}",
+            config.ways,
+            u8::MAX
+        );
+        let sets = config.sets();
         Level {
             config,
-            sets: vec![Vec::new(); config.sets()],
+            ways: config.ways as usize,
+            block: vec![0; sets],
+            len: vec![0; sets],
+            slab: Vec::new(),
             hits: 0,
             misses: 0,
         }
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line % self.sets.len() as u64) as usize
+        (line % self.block.len() as u64) as usize
+    }
+
+    /// The valid entries of `set` (empty if it never held a line).
+    fn entries(&self, set: usize) -> &[u64] {
+        match self.block[set] as usize {
+            0 => &[],
+            b => {
+                let base = (b - 1) * self.ways;
+                &self.slab[base..base + self.len[set] as usize]
+            }
+        }
+    }
+
+    /// `set`'s whole block, allocating it on the set's first fill.
+    fn block_mut(&mut self, set: usize) -> &mut [u64] {
+        if self.block[set] == 0 {
+            let blocks = self.slab.len() / self.ways;
+            self.block[set] = u32::try_from(blocks + 1).expect("more than u32::MAX cache sets");
+            self.slab.resize(self.slab.len() + self.ways, 0);
+        }
+        let base = (self.block[set] as usize - 1) * self.ways;
+        &mut self.slab[base..base + self.ways]
+    }
+
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        self.entries(set).iter().position(|&e| e >> 1 == line)
+    }
+
+    /// Moves the entry at `pos` to the MRU slot and ORs in `dirty`.
+    fn promote(&mut self, set: usize, pos: usize, dirty: bool) {
+        let block = self.block_mut(set);
+        block[..=pos].rotate_right(1);
+        block[0] |= dirty as u64;
     }
 
     /// Looks up `line`; on hit, refreshes LRU and ORs `mark_dirty`.
     fn access(&mut self, line: u64, mark_dirty: bool) -> bool {
         let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&(t, _)| t == line) {
-            let (tag, dirty) = ways.remove(pos);
-            ways.insert(0, (tag, dirty || mark_dirty));
+        if let Some(pos) = self.find(set, line) {
+            self.promote(set, pos, mark_dirty);
             self.hits += 1;
             true
         } else {
@@ -133,38 +196,41 @@ impl Level {
 
     /// Checks presence without touching LRU or stats.
     fn probe(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        self.sets[set].iter().any(|&(t, _)| t == line)
+        self.find(self.set_of(line), line).is_some()
     }
 
     /// Inserts `line`; returns an evicted dirty line if any.
     fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
-        let ways_cap = self.config.ways as usize;
         let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&(t, _)| t == line) {
-            let (tag, was_dirty) = ways.remove(pos);
-            ways.insert(0, (tag, was_dirty || dirty));
+        if let Some(pos) = self.find(set, line) {
+            self.promote(set, pos, dirty);
             return None;
         }
-        ways.insert(0, (line, dirty));
-        if ways.len() > ways_cap {
-            let (victim, victim_dirty) = ways.pop().expect("overfull set");
-            return victim_dirty.then_some(victim);
+        let len = self.len[set] as usize;
+        let block = self.block_mut(set);
+        let victim = block[block.len() - 1];
+        let kept = block.len().min(len + 1);
+        block[..kept].rotate_right(1);
+        block[0] = line << 1 | dirty as u64;
+        if len == self.ways {
+            return (victim & 1 == 1).then_some(victim >> 1);
         }
+        self.len[set] += 1;
         None
     }
 
     /// Removes `line`; returns whether it was present and dirty.
     fn invalidate(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&(t, _)| t == line) {
-            let (_, dirty) = ways.remove(pos);
-            dirty
-        } else {
-            false
-        }
+        let Some(pos) = self.find(set, line) else {
+            return false;
+        };
+        let len = self.len[set] as usize;
+        let block = self.block_mut(set);
+        let dirty = block[pos] & 1 == 1;
+        block[pos..len].rotate_left(1);
+        self.len[set] -= 1;
+        dirty
     }
 }
 
@@ -206,15 +272,22 @@ pub struct CacheHierarchy {
     l1: Level,
     l2: Option<Level>,
     llc: Level,
+    flushes: u64,
 }
 
 impl CacheHierarchy {
     /// Builds the hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// If a level has 0 ways or more than 255 (a set's occupancy is a
+    /// `u8`).
     pub fn new(config: CacheConfig) -> CacheHierarchy {
         CacheHierarchy {
-            l1: Level::new(config.l1),
-            l2: config.l2.map(Level::new),
-            llc: Level::new(config.llc),
+            l1: Level::new(config.l1, "L1"),
+            l2: config.l2.map(|l2| Level::new(l2, "L2")),
+            llc: Level::new(config.llc, "LLC"),
+            flushes: 0,
         }
     }
 
@@ -306,6 +379,7 @@ impl CacheHierarchy {
     /// `clflush`: invalidates the line everywhere; returns `true` if a
     /// dirty copy existed (the caller must issue a memory writeback).
     pub fn flush(&mut self, addr: u64) -> bool {
+        self.flushes += 1;
         let line = Self::line_of(addr);
         let mut dirty = self.l1.invalidate(line);
         if let Some(l2) = &mut self.l2 {
@@ -323,7 +397,7 @@ impl CacheHierarchy {
             l2_misses: self.l2.as_ref().map_or(0, |l| l.misses),
             llc_hits: self.llc.hits,
             llc_misses: self.llc.misses,
-            flushes: 0,
+            flushes: self.flushes,
         }
     }
 }
@@ -431,6 +505,47 @@ mod tests {
         c.access(0, false);
         c.fill(8 * 64, false);
         assert!(c.access(0, false).hit_latency == Some(Span::from_ns(1)));
+    }
+
+    #[test]
+    fn stats_count_one_flush_per_call() {
+        let mut c = CacheHierarchy::new(small());
+        c.fill(0x40, true);
+        c.flush(0x40);
+        c.flush(0x40); // absent: still a clflush executed
+        c.flush(0x80);
+        assert_eq!(c.stats().flushes, 3);
+    }
+
+    #[test]
+    fn flushed_set_reuses_its_block() {
+        let mut c = CacheHierarchy::new(small());
+        for _ in 0..10 {
+            c.fill(0x40, false);
+            c.flush(0x40);
+        }
+        assert_eq!(c.l1.slab.len(), 2, "one 2-way L1 block, reused");
+        assert_eq!(c.llc.slab.len(), 4, "one 4-way LLC block, reused");
+    }
+
+    #[test]
+    #[should_panic(expected = "LLC: a cache level needs at least one way")]
+    fn zero_ways_is_rejected() {
+        let mut cfg = small();
+        cfg.llc.ways = 0;
+        CacheHierarchy::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1: 256 ways exceed the model's limit of 255")]
+    fn more_than_255_ways_is_rejected() {
+        let mut cfg = small();
+        cfg.l1 = CacheLevelConfig {
+            capacity: 256 * 64,
+            ways: 256,
+            hit_latency: Span::from_ns(1),
+        };
+        CacheHierarchy::new(cfg);
     }
 
     #[test]
