@@ -144,44 +144,57 @@ impl Level {
         }
     }
 
+    #[inline]
     fn set_of(&self, line: u64) -> usize {
         (line % self.block.len() as u64) as usize
     }
 
-    /// The valid entries of `set` (empty if it never held a line).
+    /// The valid entries of `set`. A set that holds a line has a block.
+    #[inline]
     fn entries(&self, set: usize) -> &[u64] {
-        match self.block[set] as usize {
-            0 => &[],
-            b => {
-                let base = (b - 1) * self.ways;
-                &self.slab[base..base + self.len[set] as usize]
-            }
+        let len = self.len[set] as usize;
+        if len == 0 {
+            return &[];
         }
+        let base = (self.block[set] as usize - 1) * self.ways;
+        &self.slab[base..base + len]
     }
 
     /// `set`'s whole block, allocating it on the set's first fill.
+    #[inline]
     fn block_mut(&mut self, set: usize) -> &mut [u64] {
         if self.block[set] == 0 {
-            let blocks = self.slab.len() / self.ways;
-            self.block[set] = u32::try_from(blocks + 1).expect("more than u32::MAX cache sets");
-            self.slab.resize(self.slab.len() + self.ways, 0);
+            self.alloc_block(set);
         }
         let base = (self.block[set] as usize - 1) * self.ways;
         &mut self.slab[base..base + self.ways]
     }
 
+    #[cold]
+    fn alloc_block(&mut self, set: usize) {
+        let blocks = self.slab.len() / self.ways;
+        self.block[set] = u32::try_from(blocks + 1).expect("more than u32::MAX cache sets");
+        self.slab.resize(self.slab.len() + self.ways, 0);
+    }
+
+    #[inline]
     fn find(&self, set: usize, line: u64) -> Option<usize> {
         self.entries(set).iter().position(|&e| e >> 1 == line)
     }
 
     /// Moves the entry at `pos` to the MRU slot and ORs in `dirty`.
+    #[inline]
     fn promote(&mut self, set: usize, pos: usize, dirty: bool) {
         let block = self.block_mut(set);
-        block[..=pos].rotate_right(1);
-        block[0] |= dirty as u64;
+        let entry = block[pos] | dirty as u64;
+        if pos > 0 {
+            block.copy_within(..pos, 1);
+        }
+        block[0] = entry;
     }
 
     /// Looks up `line`; on hit, refreshes LRU and ORs `mark_dirty`.
+    #[inline]
     fn access(&mut self, line: u64, mark_dirty: bool) -> bool {
         let set = self.set_of(line);
         if let Some(pos) = self.find(set, line) {
@@ -195,11 +208,13 @@ impl Level {
     }
 
     /// Checks presence without touching LRU or stats.
+    #[inline]
     fn probe(&self, line: u64) -> bool {
         self.find(self.set_of(line), line).is_some()
     }
 
     /// Inserts `line`; returns an evicted dirty line if any.
+    #[inline]
     fn fill(&mut self, line: u64, dirty: bool) -> Option<u64> {
         let set = self.set_of(line);
         if let Some(pos) = self.find(set, line) {
@@ -209,8 +224,10 @@ impl Level {
         let len = self.len[set] as usize;
         let block = self.block_mut(set);
         let victim = block[block.len() - 1];
-        let kept = block.len().min(len + 1);
-        block[..kept].rotate_right(1);
+        let kept = len.min(block.len() - 1);
+        if kept > 0 {
+            block.copy_within(..kept, 1);
+        }
         block[0] = line << 1 | dirty as u64;
         if len == self.ways {
             return (victim & 1 == 1).then_some(victim >> 1);
@@ -220,6 +237,7 @@ impl Level {
     }
 
     /// Removes `line`; returns whether it was present and dirty.
+    #[inline]
     fn invalidate(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
         let Some(pos) = self.find(set, line) else {
@@ -228,7 +246,9 @@ impl Level {
         let len = self.len[set] as usize;
         let block = self.block_mut(set);
         let dirty = block[pos] & 1 == 1;
-        block[pos..len].rotate_left(1);
+        if pos + 1 < len {
+            block.copy_within(pos + 1..len, pos);
+        }
         self.len[set] -= 1;
         dirty
     }

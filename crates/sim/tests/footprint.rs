@@ -39,6 +39,11 @@ fn shrink(bytes: usize) {
     let _ = LIVE.try_with(|live| live.set(live.get() - bytes as isize));
 }
 
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so `Counting` upholds exactly the `GlobalAlloc` contract
+// `Malloc` does. The bookkeeping only touches `const`-initialised
+// thread-local `Cell`s, which neither allocate nor register destructors,
+// and `try_with` skips it during thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grow(layout.size());
