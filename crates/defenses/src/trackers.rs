@@ -100,7 +100,12 @@ impl GrapheneConfig {
 #[derive(Debug, Clone)]
 pub struct GrapheneBank {
     cfg: GrapheneConfig,
-    /// `(row, estimated count)` slots in insertion order.
+    /// `(row, estimated count)` slots in insertion order. Grows as rows
+    /// arrive rather than reserving `entries` slots up front: at
+    /// N_RH = 256 that reservation is 44 KB per bank, 2.8 MB per 64-bank
+    /// system, of which a covert-channel run fills a few slots, and on a
+    /// pool thread it raised the process's peak memory by up to 2.3 MB
+    /// depending on which thread's heap it landed in.
     table: Vec<(u32, u32)>,
     /// Row → its slot in `table` (rows are unique in the table).
     slot_of: RowMap<usize>,
@@ -118,7 +123,7 @@ impl GrapheneBank {
     /// Creates an empty tracker.
     pub fn new(cfg: GrapheneConfig) -> GrapheneBank {
         GrapheneBank {
-            table: Vec::with_capacity(cfg.entries),
+            table: Vec::new(),
             slot_of: RowMap::default(),
             by_count: BTreeSet::new(),
             cfg,
