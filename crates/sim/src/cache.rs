@@ -149,25 +149,25 @@ impl Level {
         (line % self.block.len() as u64) as usize
     }
 
-    /// The valid entries of `set`. A set that holds a line has a block.
+    /// Offset of `set`'s block in `slab` and its valid lines; the offset
+    /// is meaningless while the set has no block (and no lines).
     #[inline]
-    fn entries(&self, set: usize) -> &[u64] {
+    fn locate(&self, set: usize) -> (usize, usize) {
         let len = self.len[set] as usize;
-        if len == 0 {
-            return &[];
-        }
-        let base = (self.block[set] as usize - 1) * self.ways;
-        &self.slab[base..base + len]
+        let block = self.block[set] as usize;
+        (block.wrapping_sub(1).wrapping_mul(self.ways), len)
     }
 
-    /// `set`'s whole block, allocating it on the set's first fill.
+    /// Where `line` sits in `set`'s block, if present.
     #[inline]
-    fn block_mut(&mut self, set: usize) -> &mut [u64] {
-        if self.block[set] == 0 {
-            self.alloc_block(set);
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let (base, len) = self.locate(set);
+        if len == 0 {
+            return None;
         }
-        let base = (self.block[set] as usize - 1) * self.ways;
-        &mut self.slab[base..base + self.ways]
+        self.slab[base..base + len]
+            .iter()
+            .position(|&e| e >> 1 == line)
     }
 
     /// Gives `set` the slab's next block. Out of line and cold so the
@@ -181,15 +181,11 @@ impl Level {
         self.slab.resize(self.slab.len() + self.ways, 0);
     }
 
-    #[inline]
-    fn find(&self, set: usize, line: u64) -> Option<usize> {
-        self.entries(set).iter().position(|&e| e >> 1 == line)
-    }
-
     /// Moves the entry at `pos` to the MRU slot and ORs in `dirty`.
     #[inline]
     fn promote(&mut self, set: usize, pos: usize, dirty: bool) {
-        let block = self.block_mut(set);
+        let (base, _) = self.locate(set);
+        let block = &mut self.slab[base..base + pos + 1];
         let entry = block[pos] | dirty as u64;
         if pos > 0 {
             block.copy_within(..pos, 1);
@@ -225,8 +221,11 @@ impl Level {
             self.promote(set, pos, dirty);
             return None;
         }
-        let len = self.len[set] as usize;
-        let block = self.block_mut(set);
+        if self.block[set] == 0 {
+            self.alloc_block(set);
+        }
+        let (base, len) = self.locate(set);
+        let block = &mut self.slab[base..base + self.ways];
         let victim = block[block.len() - 1];
         let kept = len.min(block.len() - 1);
         if kept > 0 {
@@ -247,11 +246,11 @@ impl Level {
         let Some(pos) = self.find(set, line) else {
             return false;
         };
-        let len = self.len[set] as usize;
-        let block = self.block_mut(set);
+        let (base, len) = self.locate(set);
+        let block = &mut self.slab[base..base + len];
         let dirty = block[pos] & 1 == 1;
         if pos + 1 < len {
-            block.copy_within(pos + 1..len, pos);
+            block.copy_within(pos + 1.., pos);
         }
         self.len[set] -= 1;
         dirty
