@@ -11,6 +11,15 @@
 //!
 //! Completed requests are drained with [`MemoryController::take_completed`].
 //!
+//! The scheduler itself lives in `controller/batch.rs`: sections 1–5
+//! (ABO, refresh, scheduled maintenance, reactive RFMs, PARA) and a
+//! demand stage that folds a per-bank candidate table instead of walking
+//! the queues. This file holds the controller's state, the mode updates
+//! between steps, command issue, and the per-entry FR-FCFS scan
+//! (`scan_queue`) that is the table's oracle: every table verdict is
+//! shadowed by it under `debug_assertions`, and it decides in release
+//! builds too while BlockHammer throttles gate individual rows.
+//!
 //! ## Modeled behaviour (Table 1 + §5 of the paper)
 //!
 //! * 64-entry read and write queues, FR-FCFS with a **column cap of 16**;
@@ -251,6 +260,10 @@ pub struct MemoryController {
     /// queue `schedule_demand` is scanning. Only meaningful inside
     /// one call; kept here so the scan allocates nothing.
     demand_marks: Vec<u8>,
+    /// The scheduler's incrementally maintained state, built with the
+    /// controller and in sync with it ever since. `service` moves it
+    /// out for the call and back, so it is `None` only inside one.
+    scratch: Option<Box<CtrlScratch>>,
 }
 
 /// `demand_marks` flag: a queued request hits the bank's open row.
@@ -259,8 +272,8 @@ const BANK_HAS_HIT: u8 = 1;
 /// row.
 const BANK_HAS_CONFLICT: u8 = 2;
 
-/// What `next_step` decided.
-#[derive(Debug)]
+/// What one scheduler step decided.
+#[derive(Debug, PartialEq)]
 enum Step {
     /// Issue this command now; `done_req` is the index of a request served
     /// by a column command.
@@ -320,7 +333,7 @@ impl MemoryController {
             build_defense(&defense, &g, seed ^ 0x5eed),
         );
         let maint_period = engine.maintenance_period();
-        Ok(MemoryController {
+        let mut mc = MemoryController {
             cfg,
             device,
             defense: engine,
@@ -344,7 +357,10 @@ impl MemoryController {
             maint_jitter: Vec::new(),
             flight: EventBuffer::new(),
             demand_marks: vec![0; g.banks_per_channel() as usize],
-        })
+            scratch: None,
+        };
+        mc.scratch = Some(Box::new(CtrlScratch::for_controller(&mc)));
+        Ok(mc)
     }
 
     /// The DRAM device behind this controller.
@@ -393,24 +409,35 @@ impl MemoryController {
     ///
     /// Returns the request back if the corresponding queue is full; the
     /// caller must retry after progress (back-pressure).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req.arrival` is earlier than the arrival of the
+    /// request at the tail of its queue. FR-FCFS's "oldest first" is
+    /// queue order, so arrivals must be stamped in order (the simulator
+    /// stamps the enqueue instant, retries included).
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest> {
-        let full = match req.kind {
-            AccessKind::Read => self.read_q.len() >= self.cfg.read_queue_cap,
-            AccessKind::Write => self.write_q.len() >= self.cfg.write_queue_cap,
+        let (q, cap) = match req.kind {
+            AccessKind::Read => (&mut self.read_q, self.cfg.read_queue_cap),
+            AccessKind::Write => (&mut self.write_q, self.cfg.write_queue_cap),
         };
-        if full {
+        if q.len() >= cap {
             self.stats.rejections += 1;
             return Err(req);
         }
+        if let Some(tail) = q.back() {
+            assert!(
+                req.arrival >= tail.arrival,
+                "request {} arrives at {}, before its queue's tail at {}",
+                req.id,
+                req.arrival,
+                tail.arrival
+            );
+        }
+        q.push_back(req);
         match req.kind {
-            AccessKind::Read => {
-                self.read_q.push_back(req);
-                self.stats.reads_enqueued += 1;
-            }
-            AccessKind::Write => {
-                self.write_q.push_back(req);
-                self.stats.writes_enqueued += 1;
-            }
+            AccessKind::Read => self.stats.reads_enqueued += 1,
+            AccessKind::Write => self.stats.writes_enqueued += 1,
         }
         Ok(())
     }
@@ -449,36 +476,16 @@ impl MemoryController {
     /// Issues every command legal at `now`; returns the next instant at
     /// which `service` should run again (always strictly after `now`).
     ///
-    /// This is the reference scheduler: a full per-entry scan on every
-    /// call. The simulator (`lh-sim`) services every controller through
-    /// the decision-identical [`MemoryController::service_batched`];
-    /// `service` stays for direct users of this crate and as the side
-    /// tests and the benchmark's layer driver compare that path against.
-    ///
     /// The returned wake is the exact next decision point — the earliest
     /// future instant at which a command becomes issuable, a maintenance
     /// deadline approaches, or a deferred decision re-evaluates. The
     /// scheduler never polls: a computed wake at or before `now` would
     /// mean some deferral failed to register its flip time, and asserts.
     pub fn service(&mut self, now: Time) -> Time {
-        self.stats.service_calls += 1;
-        loop {
-            self.update_modes(now);
-            match self.next_step(now) {
-                Step::Issue(cmd, served) => {
-                    self.issue(cmd, now, served);
-                }
-                Step::Again => {}
-                Step::Wait(t) => {
-                    assert!(
-                        t > now,
-                        "scheduler wake {t} not strictly after now {now}: \
-                         a deferral failed to register its flip time"
-                    );
-                    return t;
-                }
-            }
-        }
+        let mut scratch = self.scratch.take().expect("scheduler state present");
+        let wake = self.service_batched(now, &mut scratch);
+        self.scratch = Some(scratch);
+        wake
     }
 
     fn update_modes(&mut self, now: Time) {
@@ -599,15 +606,6 @@ impl MemoryController {
         false
     }
 
-    /// Whether any bank of `rank` holds an open row.
-    fn rank_has_open_row(&self, rank: u32) -> bool {
-        self.device
-            .geometry()
-            .banks_in_channel(0)
-            .filter(|b| b.rank == rank)
-            .any(|b| self.device.open_row(b).is_some())
-    }
-
     /// The scheduler's one primitive: issue `cmd` now if it is legal
     /// now, otherwise fold its exact future legal instant into `wake`.
     fn issue_or_wake(&self, cmd: Command, now: Time, wake: &mut Time) -> Option<Step> {
@@ -617,252 +615,6 @@ impl MemoryController {
         }
         *wake = (*wake).min(at);
         None
-    }
-
-    fn next_step(&mut self, now: Time) -> Step {
-        let t = *self.device.timing();
-        let mut wake = Time::MAX;
-
-        // --- 1. ABO back-off protocol -----------------------------------
-        if let Some(abo) = self.abo {
-            match abo.phase {
-                AboPhase::Window => {
-                    wake = wake.min(abo.recover_at);
-                    // Normal traffic continues below.
-                }
-                AboPhase::Recover => {
-                    let scope = self
-                        .device
-                        .prac_config()
-                        .map(|p| p.scope)
-                        .unwrap_or(AlertScope::Channel);
-                    let rank = abo.alert.bank.rank;
-                    let close_cmd = match scope {
-                        AlertScope::Channel => self
-                            .rank_has_open_row(rank)
-                            .then_some(Command::PrechargeAll { channel: 0, rank }),
-                        AlertScope::Bank => {
-                            self.device.open_row(abo.alert.bank).is_some().then_some(
-                                Command::Precharge {
-                                    bank: abo.alert.bank,
-                                },
-                            )
-                        }
-                    };
-                    if let Some(cmd) = close_cmd {
-                        if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                            return step;
-                        }
-                    } else if abo.rfms_left > 0 {
-                        let rfm_scope = match scope {
-                            AlertScope::Channel => RfmScope::AllBank,
-                            AlertScope::Bank => RfmScope::SingleBank {
-                                bank_group: abo.alert.bank.bank_group,
-                                bank: abo.alert.bank.bank,
-                            },
-                        };
-                        let cmd = Command::Rfm {
-                            channel: 0,
-                            rank,
-                            scope: rfm_scope,
-                        };
-                        if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                            return step;
-                        }
-                    } else {
-                        // All recovery RFMs issued; recovery ends when the
-                        // last RFM's window closes.
-                        self.device.recovery_complete(abo.last_rfm_end);
-                        self.abo = None;
-                        self.stats.backoffs += 1;
-                        return Step::Again;
-                    }
-                    if scope == AlertScope::Channel {
-                        // Channel-scope recovery stalls everything else.
-                        return Step::Wait(wake);
-                    }
-                }
-            }
-        }
-
-        // --- 2. Committed refreshes -------------------------------------
-        for rank in 0..self.ref_due.len() as u32 {
-            let pending = self.ref_pending[rank as usize];
-            let due = self.ref_due[rank as usize];
-            if due > now {
-                // Next commit decision point.
-                wake = wake.min(due);
-            }
-            if pending == 0 {
-                if now >= due && self.abo.is_none() {
-                    // A REF is owed but uncommitted: the FR-RFM spacing
-                    // rules in `update_modes` found no clear slot yet.
-                    // The commit predicate can only flip at the post-RFM
-                    // settle expiry, at the bounded-deferral timeout, or
-                    // when the RFM deadline advances (event-driven: an
-                    // issued RFM re-runs `update_modes`). An in-flight
-                    // ABO defers commitment too, but its completion also
-                    // re-evaluates immediately.
-                    let settle_end = self.rfm_end[rank as usize] + self.cfg.frrfm_guard * 2;
-                    if settle_end > now {
-                        wake = wake.min(settle_end);
-                    }
-                    let timeout = due + t.t_refi / 2;
-                    if timeout > now {
-                        wake = wake.min(timeout);
-                    }
-                }
-                continue;
-            }
-            // Safety net mirroring the commit-time rule: a committed REF
-            // still never *starts* so late that it would be blocking the
-            // rank at the fixed-rate RFM deadline (zero RFM jitter is
-            // FR-RFM's security property). Dense schedules where a REF
-            // can never fit between two RFMs forgo the rule — refresh
-            // must still happen, and the stacking is deterministic.
-            if let (Some(m), Some(period)) =
-                (self.defense.next_maintenance(rank), self.maint_period)
-            {
-                let fits_between_rfms = t.t_rfm + t.t_rfc + t.t_cmd * 2 <= period;
-                if fits_between_rfms && now + t.t_rfc + t.t_cmd > m.due {
-                    // Wait out the maintenance window; once its RFM
-                    // issues the deadline advances and this re-evaluates
-                    // (event-driven), so only a future deadline is a
-                    // timed wake.
-                    if m.due > now {
-                        wake = wake.min(m.due);
-                    }
-                    continue;
-                }
-            }
-            let cmd = if self.rank_has_open_row(rank) {
-                Command::PrechargeAll { channel: 0, rank }
-            } else {
-                Command::Refresh { channel: 0, rank }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 3. Scheduled maintenance (FR-RFM fixed-rate RFMs) ----------
-        // Deadline-driven defenses publish their next operation through
-        // `Defense::next_maintenance`; the controller quiesces the rank,
-        // closes its banks shortly before the deadline and issues the
-        // operation exactly on time — without knowing which defense
-        // scheduled it.
-        for rank in 0..self.ref_due.len() as u32 {
-            if let Some(m) = self.defense.next_maintenance(rank) {
-                let deadline = m.due;
-                // Close banks shortly before the deadline.
-                let close_at = deadline - t.t_rp - t.t_cmd;
-                if now < close_at {
-                    wake = wake.min(close_at);
-                    continue;
-                }
-                if self.rank_has_open_row(rank) {
-                    let cmd = Command::PrechargeAll { channel: 0, rank };
-                    if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                        return step;
-                    }
-                } else if now < deadline {
-                    // Quiesced early: the RFM waits for its exact slot.
-                    wake = wake.min(deadline);
-                } else {
-                    let cmd = Command::Rfm {
-                        channel: 0,
-                        rank,
-                        scope: m.scope,
-                    };
-                    if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                        return step;
-                    }
-                }
-            }
-        }
-
-        // --- 4. Reactive RFMs (PRFM) -------------------------------------
-        if let Some(&(rank, scope)) = self.rfm_queue.front() {
-            let banks = self.device.rfm_banks(rank, scope);
-            let open: Vec<BankId> = banks
-                .iter()
-                .map(|&f| self.device.geometry().bank_from_flat(0, f))
-                .filter(|&b| self.device.open_row(b).is_some())
-                .collect();
-            let cmd = if let Some(&bank) = open.first() {
-                Command::Precharge { bank }
-            } else {
-                Command::Rfm {
-                    channel: 0,
-                    rank,
-                    scope,
-                }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 5. PARA victim refreshes ------------------------------------
-        if let Some(job) = self.para_queue.front().copied() {
-            let open = self.device.open_row(job.bank);
-            let cmd = match (job.activated, open) {
-                (false, Some(_)) => Command::Precharge { bank: job.bank },
-                (false, None) => Command::Activate {
-                    bank: job.bank,
-                    row: job.victim,
-                },
-                (true, Some(_)) => Command::Precharge { bank: job.bank },
-                (true, None) => {
-                    // Victim refreshed and closed: job done.
-                    self.para_queue.pop_front();
-                    return Step::Again;
-                }
-            };
-            if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                return step;
-            }
-        }
-
-        // --- 5b. Strictly closed-page policy ----------------------------
-        // §9's DRAMA defense: a row is precharged immediately after every
-        // access (auto-precharge semantics), so the row-buffer state never
-        // carries information. A row that was activated but has not served
-        // a column command yet stays open — closing it earlier would
-        // starve its own request.
-        if self.cfg.row_policy == RowPolicy::Closed && !self.abo_channel_stall() {
-            let g = *self.device.geometry();
-            for bank in g.banks_in_channel(0) {
-                let Some(open_row) = self.device.open_row(bank) else {
-                    continue;
-                };
-                let flat = g.flat_bank(bank);
-                let (srow, served) = self.streak[flat];
-                if srow != open_row || served == 0 {
-                    continue;
-                }
-                let cmd = Command::Precharge { bank };
-                if let Some(step) = self.issue_or_wake(cmd, now, &mut wake) {
-                    return step;
-                }
-            }
-        }
-
-        // --- 6. Demand requests (FR-FCFS with column cap) ----------------
-        if !self.abo_channel_stall() {
-            let sel = if self.draining || (self.read_q.is_empty() && !self.write_q.is_empty()) {
-                QueueSel::Write
-            } else {
-                QueueSel::Read
-            };
-            let (step_wake, step) = self.schedule_demand(sel, now);
-            if let Some(s) = step {
-                return s;
-            }
-            wake = wake.min(step_wake);
-        }
-
-        Step::Wait(wake)
     }
 
     /// FR-FCFS selection over one queue. Returns (wake, chosen step).

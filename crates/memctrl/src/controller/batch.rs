@@ -1,16 +1,13 @@
-//! Batched service path: the same scheduler decisions as
-//! [`MemoryController::service`], computed from incrementally maintained
-//! state instead of a per-entry queue walk.
+//! The controller's scheduler: sections 1–5 of the service step (ABO
+//! back-off, committed refreshes, scheduled maintenance, reactive RFMs,
+//! PARA) and an FR-FCFS demand stage, computed from incrementally
+//! maintained state instead of a per-entry queue walk.
 //!
-//! The per-wake cost of `service` dominates simulation wall-clock, so
-//! every `lh-sim` `System` — lanes, link cells and the figure
-//! experiments alike — services its controller through
-//! [`MemoryController::service_batched`]: a decision-identical variant
-//! of the service loop that keeps its bookkeeping in a caller-owned
+//! [`MemoryController::service`] runs it against the controller's own
 //! [`CtrlScratch`]:
 //!
-//! * per-rank open-row counts, so `rank_has_open_row` is one array read
-//!   instead of a bank scan;
+//! * per-rank open-row counts, so "does this rank hold an open row" is
+//!   one array read instead of a bank scan;
 //! * a **per-bank candidate table** per demand queue ([`BankTable`]): a
 //!   per-bank FIFO of the queued entries, an active-bank bitset, and per
 //!   bank one cached *representative* — the only entry of that bank that
@@ -34,28 +31,28 @@
 //!
 //! Within one demand queue every entry has the same kind, ACT legality
 //! is row-independent, RD/WR legality column-independent, and arrivals
-//! are non-decreasing in queue order. So all of a bank's candidates
-//! share one command class and one earliest-issue instant, and the
-//! scheduler's comparators (issueable-now: row hits first, then age;
-//! otherwise earliest instant; first in queue order on ties) reduce
-//! within a bank to "oldest first". Which entries are candidates is the
-//! column-cap rule: with a row open, the oldest hit unless the streak is
-//! capped and a conflict waits, else `PRE` on behalf of the oldest
-//! conflict; with the bank closed, `ACT` for the oldest entry. Across
-//! banks the fold takes the minimal `(instant, not-a-hit, queue
-//! order)`, which is the per-entry scan's winner when the instant is
-//! `now` and its wake otherwise.
+//! are non-decreasing in queue order ([`MemoryController::enqueue`]
+//! asserts it). So all of a bank's candidates share one command class
+//! and one earliest-issue instant, and the scheduler's comparators
+//! (issueable-now: row hits first, then age; otherwise earliest instant;
+//! first in queue order on ties) reduce within a bank to "oldest first".
+//! Which entries are candidates is the column-cap rule: with a row open,
+//! the oldest hit unless the streak is capped and a conflict waits, else
+//! `PRE` on behalf of the oldest conflict; with the bank closed, `ACT`
+//! for the oldest entry. Across banks the fold takes the minimal
+//! `(instant, not-a-hit, queue order)`, which is the per-entry scan's
+//! winner when the instant is `now` and its wake otherwise.
 //!
-//! The per-entry path in `controller.rs` is the reference:
-//! `schedule_demand` is the `debug_assertions` oracle of every table
-//! scan (and the allocation-free release fallback while BlockHammer
-//! throttles gate individual rows), and `next_step` shadows every
-//! carried-over verdict. The two paths must produce byte-identical
-//! command streams.
+//! ## What checks it
 //!
-//! **Caller contract**: requests must be enqueued with non-decreasing
-//! `arrival` stamps (true for `lh-sim`, which stamps `arrival` with the
-//! enqueue instant, including retries).
+//! The per-entry `schedule_demand` in `controller.rs` is the
+//! `debug_assertions` oracle of every table scan (and the
+//! allocation-free release fallback while BlockHammer throttles gate
+//! individual rows). Every carried verdict — FastPath wait, FastPath
+//! winner, reduced demand scan — is shadowed in debug builds by a fresh
+//! full scan on the same scratch, with the carried verdicts saved before
+//! and restored after, so a checked build takes the same decisions as a
+//! release one.
 
 use std::collections::VecDeque;
 
@@ -98,7 +95,7 @@ struct Rep {
 }
 
 /// Per-bank candidate table of one demand queue.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BankTable {
     /// Queue entries folded in so far. Queues only grow at the back
     /// between scans (enqueues and retries `push_back`), so catching up
@@ -136,16 +133,17 @@ fn has_bit(mask: &[u64], flat: usize) -> bool {
     mask[flat / 64] >> (flat % 64) & 1 != 0
 }
 
-/// Caller-owned scratch state for [`MemoryController::service_batched`].
+/// The scheduler's state: the candidate tables, the open-row counts and
+/// the carried verdicts.
 ///
-/// Holds the candidate tables, the open-row counts and the carried
-/// verdicts. One scratch belongs to exactly one controller: it is
-/// synchronized to the controller's state at construction and kept in
-/// sync by observing every issued command. Feeding it to a different
-/// controller, or mixing `service` and `service_batched` calls on the
-/// same controller without re-synchronizing, desynchronizes it (debug
-/// builds assert).
-#[derive(Debug, Clone)]
+/// Every controller owns one, built with it and kept in sync by
+/// observing every issued command. The type is public only so that
+/// [`MemoryController::service_batched`] can be named from outside; a
+/// scratch fed to a different controller, or one that missed commands
+/// its controller issued through `service`, is out of sync (debug builds
+/// assert).
+#[doc(hidden)]
+#[derive(Debug)]
 pub struct CtrlScratch {
     /// Bumped at every scan entry; stamps invalidate the per-wake
     /// `rank_quiesced` memo (it is `now`-dependent).
@@ -178,52 +176,70 @@ pub struct CtrlScratch {
     /// and the scan's blocked test.
     rfm_key: Option<(u32, RfmScope)>,
     rfm_mask: Vec<u64>,
-    /// FastPath: a Wait-returning scan proves its verdict stays exact —
-    /// same branch decisions, same folded wakes — until the earliest
-    /// instant any time-triggered condition could flip ([`fp_bound`]),
-    /// as long as no command issues ([`fp_stamp`]) and no request
-    /// arrives ([`fp_rq`] / [`fp_wq`]). Within that window a re-service
-    /// at `now < fp_wake` answers from cache without scanning, and a
-    /// service at exactly `fp_wake` can issue the precomputed demand
-    /// winner ([`fp_winner`]) without re-discovering it.
-    fp_valid: bool,
-    fp_wake: Time,
-    fp_bound: Time,
-    fp_stamp: u64,
-    fp_rq: u32,
-    fp_wq: u32,
-    fp_winner: Option<(QueueSel, Command)>,
+    /// The carried Wait verdict (the FastPath).
+    fp: FastPath,
+    /// The carried verdict of sections 1–5.
+    sec: Section,
+    /// Set while a debug shadow scans. Its table verdicts skip the
+    /// per-entry oracle, which checked every scan a carried verdict
+    /// came from.
+    #[cfg(debug_assertions)]
+    shadow: bool,
+}
+
+/// FastPath: a Wait-returning scan proves its verdict stays exact —
+/// same branch decisions, same folded wakes — until the earliest instant
+/// any time-triggered condition could flip (`bound`), as long as no
+/// command issues (`stamp`) and no request arrives (`rq` / `wq`). Within
+/// that window a re-service at `now < wake` answers from cache without
+/// scanning, and a service at exactly `wake` can issue the precomputed
+/// demand winner (`winner`) without re-discovering it.
+#[derive(Debug, Clone, Copy, Default)]
+struct FastPath {
+    valid: bool,
+    wake: Time,
+    bound: Time,
+    stamp: u64,
+    rq: u32,
+    wq: u32,
+    winner: Option<(QueueSel, Command)>,
     /// Per-scan accumulator: min over the flip instants of every
     /// `now`-dependent branch condition the scan evaluated (refresh
     /// commit triggers, FR-RFM stacking guards, quiesce verdicts).
-    fp_bound_acc: Time,
+    bound_acc: Time,
     /// Per-scan demand-winner precompute: the table scan's minimal
     /// candidate when it lies in the future — exactly the candidate the
     /// scheduler picks once `now` reaches its instant.
-    fp_cand: Option<(Time, Command)>,
-    /// Section verdict: sections 1–5 of `next_step_b` never read the
-    /// demand queues, so a full scan's section outcome — the branch
-    /// decisions taken and the wakes folded before the demand stage —
-    /// remains exact across request arrivals and servings. A later
-    /// service inside the window re-runs only the demand stage against
-    /// the carried section wake ([`MemoryController::next_step_demand_b`]).
-    /// Validity: `sec_bound` (same flip-instant bound as the FastPath),
-    /// `now < sec_wake` (sections take no action strictly before their
-    /// own wake), the precondition flags re-checked directly, and the
-    /// issue stamps: with `sec_pure` (no legality instants folded into
-    /// the section wake) the verdict even survives column-command
-    /// issues, which touch no row state, no refresh/maintenance state,
-    /// and can never alert (alerts arise only in `close_row`).
-    sec_valid: bool,
-    sec_wake: Time,
-    sec_pure: bool,
-    sec_stamp: u64,
-    sec_col: u64,
-    sec_bound: Time,
+    cand: Option<(Time, Command)>,
+}
+
+/// Section verdict: sections 1–5 of `next_step_b` never read the demand
+/// queues, so a full scan's section outcome — the branch decisions taken
+/// and the wakes folded before the demand stage — remains exact across
+/// request arrivals and servings. A later service inside the window
+/// re-runs only the demand stage against the carried section wake
+/// ([`MemoryController::next_step_demand_b`]). Validity: `bound` (same
+/// flip-instant bound as the FastPath), `now < wake` (sections take no
+/// action strictly before their own wake), the precondition flags
+/// re-checked directly, and the issue stamps: with `pure` (no legality
+/// instants folded into the section wake) the verdict even survives
+/// column-command issues, which touch no row state, no
+/// refresh/maintenance state, and can never alert (alerts arise only in
+/// `close_row`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Section {
+    valid: bool,
+    wake: Time,
+    pure: bool,
+    stamp: u64,
+    /// `col_issued` at `stamp`.
+    col: u64,
+    bound: Time,
 }
 
 impl CtrlScratch {
     /// Builds a scratch synchronized to `mc`'s current device state.
+    #[doc(hidden)]
     pub fn for_controller(mc: &MemoryController) -> CtrlScratch {
         let g = *mc.device.geometry();
         let banks = g.banks_per_channel() as usize;
@@ -241,21 +257,10 @@ impl CtrlScratch {
             blocked: vec![0; banks.div_ceil(64)],
             rfm_key: None,
             rfm_mask: vec![0; banks.div_ceil(64)],
-            fp_valid: false,
-            fp_wake: Time::ZERO,
-            fp_bound: Time::ZERO,
-            fp_stamp: 0,
-            fp_rq: 0,
-            fp_wq: 0,
-            fp_winner: None,
-            fp_bound_acc: Time::MAX,
-            fp_cand: None,
-            sec_valid: false,
-            sec_wake: Time::ZERO,
-            sec_pure: false,
-            sec_stamp: 0,
-            sec_col: 0,
-            sec_bound: Time::ZERO,
+            fp: FastPath::default(),
+            sec: Section::default(),
+            #[cfg(debug_assertions)]
+            shadow: false,
         };
         s.sync_queue(QueueSel::Read, &mc.read_q, &g);
         s.sync_queue(QueueSel::Write, &mc.write_q, &g);
@@ -394,11 +399,11 @@ impl CtrlScratch {
 
     /// Whether the FastPath verdict still binds `mc` at `now`.
     fn fp_live(&self, mc: &MemoryController, now: Time) -> bool {
-        self.fp_valid
-            && now < self.fp_bound
-            && self.fp_stamp == self.issued
-            && mc.read_q.len() as u32 == self.fp_rq
-            && mc.write_q.len() as u32 == self.fp_wq
+        self.fp.valid
+            && now < self.fp.bound
+            && self.fp.stamp == self.issued
+            && mc.read_q.len() as u32 == self.fp.rq
+            && mc.write_q.len() as u32 == self.fp.wq
     }
 
     /// Whether the carried section verdict still binds `mc` at `now`,
@@ -409,7 +414,7 @@ impl CtrlScratch {
     /// commands, covered by the stamp test: unchanged stamp, or — for a
     /// pure verdict — only column issues since the verdict was recorded.
     fn sec_live(&self, mc: &MemoryController, now: Time) -> bool {
-        if !self.sec_valid || now >= self.sec_bound || now >= self.sec_wake {
+        if !self.sec.valid || now >= self.sec.bound || now >= self.sec.wake {
             return false;
         }
         if mc.abo.is_some()
@@ -419,8 +424,8 @@ impl CtrlScratch {
         {
             return false;
         }
-        let issued = self.issued - self.sec_stamp;
-        issued == 0 || (self.sec_pure && issued == self.col_issued - self.sec_col)
+        let issued = self.issued - self.sec.stamp;
+        issued == 0 || (self.sec.pure && issued == self.col_issued - self.sec.col)
     }
 
     /// Memoized `rank_quiesced` for the current wake. Inlines
@@ -438,7 +443,7 @@ impl CtrlScratch {
                     if now + mc.cfg.frrfm_guard >= d {
                         v = true;
                     } else {
-                        self.fp_bound_acc = self.fp_bound_acc.min(d - mc.cfg.frrfm_guard);
+                        self.fp.bound_acc = self.fp.bound_acc.min(d - mc.cfg.frrfm_guard);
                     }
                 }
             }
@@ -453,23 +458,23 @@ impl CtrlScratch {
     /// when it strictly precedes every section wake and every flip: on a
     /// tie the sections act first at the shared instant.
     fn arm(&mut self, mc: &MemoryController, sel: Option<QueueSel>, wake: Time) {
-        self.fp_valid = true;
-        self.fp_wake = wake;
-        self.fp_bound = self.fp_bound_acc;
-        self.fp_stamp = self.issued;
-        self.fp_rq = mc.read_q.len() as u32;
-        self.fp_wq = mc.write_q.len() as u32;
-        self.fp_winner = match (sel, self.fp_cand) {
+        self.fp.valid = true;
+        self.fp.wake = wake;
+        self.fp.bound = self.fp.bound_acc;
+        self.fp.stamp = self.issued;
+        self.fp.rq = mc.read_q.len() as u32;
+        self.fp.wq = mc.write_q.len() as u32;
+        self.fp.winner = match (sel, self.fp.cand) {
             (Some(sel), Some((at, cmd)))
-                if at == wake && at < self.sec_wake && at < self.fp_bound =>
+                if at == wake && at < self.sec.wake && at < self.fp.bound =>
             {
                 Some((sel, cmd))
             }
             _ => None,
         };
-        self.sec_stamp = self.issued;
-        self.sec_col = self.col_issued;
-        self.sec_bound = self.fp_bound;
+        self.sec.stamp = self.issued;
+        self.sec.col = self.col_issued;
+        self.sec.bound = self.fp.bound;
     }
 
     /// The representative of active bank `flat` in queue `k`, recomputed
@@ -526,47 +531,36 @@ impl CtrlScratch {
 /// demand wake and the issued `(command, served queue index)`, if any.
 type DemandVerdict = (Time, Option<(Command, Option<usize>)>);
 
-/// Step equality for the debug shadow checks (`Step` intentionally does
-/// not implement `PartialEq`; the scheduler never compares steps).
-#[cfg(debug_assertions)]
-fn step_eq(a: &Step, b: &Step) -> bool {
-    match (a, b) {
-        (Step::Issue(ca, sa), Step::Issue(cb, sb)) => ca == cb && sa == sb,
-        (Step::Again, Step::Again) => true,
-        (Step::Wait(wa), Step::Wait(wb)) => wa == wb,
-        _ => false,
-    }
-}
-
 impl MemoryController {
-    /// [`MemoryController::service`], computed against `scratch`'s cached
-    /// state: identical decisions and identical issued command stream, a
-    /// fraction of the per-wake cost. `scratch` must have been built by
-    /// [`CtrlScratch::for_controller`] on this controller (or kept in
-    /// sync ever since); requests must arrive with non-decreasing
-    /// `arrival` stamps (the `lh-sim` contract).
+    /// [`MemoryController::service`] against a caller-held `scratch`
+    /// instead of the controller's own. `scratch` must have been built
+    /// by [`CtrlScratch::for_controller`] on this controller and have
+    /// seen every command it issued since, so this does not mix with
+    /// `service` on one controller. Public only for the benchmark's
+    /// layer driver, which names it.
+    #[doc(hidden)]
     pub fn service_batched(&mut self, now: Time, scratch: &mut CtrlScratch) -> Time {
         debug_assert!(scratch.in_sync(&self.device), "open-row counts drifted");
         self.stats.service_calls += 1;
         if scratch.fp_live(self, now) {
-            if now < scratch.fp_wake {
+            if now < scratch.fp.wake {
                 // A spurious kick inside the proven-quiet window: the
                 // full scan would re-derive exactly the cached wake.
                 #[cfg(debug_assertions)]
                 {
                     self.update_modes(now);
-                    match self.next_step(now) {
-                        Step::Wait(w) if w == scratch.fp_wake => {}
+                    match self.full_scan(now, scratch) {
+                        Step::Wait(w) if w == scratch.fp.wake => {}
                         other => panic!(
                             "FastPath wait {} diverged from scan {other:?}",
-                            scratch.fp_wake
+                            scratch.fp.wake
                         ),
                     }
                 }
-                return scratch.fp_wake;
+                return scratch.fp.wake;
             }
-            if now == scratch.fp_wake {
-                if let Some((sel, cmd)) = scratch.fp_winner {
+            if now == scratch.fp.wake {
+                if let Some((sel, cmd)) = scratch.fp.winner {
                     // The wake landed on the precomputed demand winner:
                     // issue it without re-discovering it, then fall into
                     // the normal loop for the post-issue scan.
@@ -574,7 +568,7 @@ impl MemoryController {
                     #[cfg(debug_assertions)]
                     {
                         self.update_modes(now);
-                        match self.next_step(now) {
+                        match self.full_scan(now, scratch) {
                             Step::Issue(c, s) if c == cmd && s == served => {}
                             other => panic!("FastPath winner {cmd:?} diverged from scan {other:?}"),
                         }
@@ -615,6 +609,24 @@ impl MemoryController {
     ) {
         s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
         self.issue(cmd, now, served);
+        debug_assert!(
+            s.in_sync(&self.device),
+            "open-row counts drifted at {cmd:?}"
+        );
+    }
+
+    /// Debug shadow of a carried verdict: a fresh full scan at `now` on
+    /// the same scratch. The carried verdicts are saved before and
+    /// restored after, so a checked build takes the decisions a release
+    /// build takes.
+    #[cfg(debug_assertions)]
+    fn full_scan(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
+        let carried = (s.fp, s.sec);
+        s.shadow = true;
+        let step = self.next_step_b(now, s);
+        s.shadow = false;
+        (s.fp, s.sec) = carried;
+        step
     }
 
     /// The queue position a column command serves: the oldest queued
@@ -648,19 +660,18 @@ impl MemoryController {
         }
     }
 
-    /// `next_step` against the scratch. Structural copy of
-    /// `controller.rs`'s `next_step`; every behavioral divergence is a
-    /// bug the identity tests exist to catch.
+    /// One full scheduler step: sections 1–5 in priority order, then the
+    /// demand stage. Arms the carried verdicts on a Wait.
     fn next_step_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
         s.epoch += 1;
-        s.fp_valid = false;
-        s.fp_bound_acc = Time::MAX;
-        s.fp_cand = None;
+        s.fp.valid = false;
+        s.fp.bound_acc = Time::MAX;
+        s.fp.cand = None;
         // FastPath preconditions: with these quiet, `update_modes` is a
         // provable no-op until the first accumulated flip instant, and
         // the only actors are the refresh schedule, FR-RFM maintenance,
         // and the demand queues — whose deferrals all fold absolute
-        // instants into `wake` / `fp_bound_acc` below.
+        // instants into `wake` / `fp.bound_acc` below.
         let mut fp_ok = self.abo.is_none()
             && self.throttled.is_empty()
             && self.rfm_queue.is_empty()
@@ -757,14 +768,14 @@ impl MemoryController {
                     }
                 } else {
                     // `update_modes` commits or postpones at `due`.
-                    s.fp_bound_acc = s.fp_bound_acc.min(due);
+                    s.fp.bound_acc = s.fp.bound_acc.min(due);
                 }
                 continue;
             }
             let next_deadline = self.defense.next_maintenance(rank).map(|m| m.due);
             if let Some(d) = next_deadline {
                 // The peeked deadline advances when `now` crosses it.
-                s.fp_bound_acc = s.fp_bound_acc.min(d);
+                s.fp.bound_acc = s.fp.bound_acc.min(d);
             }
             if let (Some(deadline), Some(period)) = (next_deadline, self.maint_period) {
                 let fits_between_rfms = t.t_rfm + t.t_rfc + t.t_cmd * 2 <= period;
@@ -777,7 +788,7 @@ impl MemoryController {
                     }
                     // The stacking guard first flips strictly after
                     // `deadline − (tRFC + tCMD)`.
-                    s.fp_bound_acc = s.fp_bound_acc.min(deadline - t.t_rfc - t.t_cmd);
+                    s.fp.bound_acc = s.fp.bound_acc.min(deadline - t.t_rfc - t.t_cmd);
                 }
             }
             let cmd = if s.rank_open[rank as usize] > 0 {
@@ -828,6 +839,14 @@ impl MemoryController {
             let states = self.device.bank_states();
             let first_open = (0..states.len())
                 .find(|&f| has_bit(&s.rfm_mask, f) && states[f].open_row().is_some());
+            debug_assert_eq!(
+                first_open,
+                self.device
+                    .rfm_banks(rank, scope)
+                    .into_iter()
+                    .find(|&f| states[f].open_row().is_some()),
+                "the RFM bank mask's first open bank is not rfm_banks' first"
+            );
             let cmd = match first_open {
                 Some(f) => Command::Precharge { bank: s.banks[f] },
                 None => Command::Rfm {
@@ -896,11 +915,11 @@ impl MemoryController {
 
         if fp_ok {
             // This Wait verdict — every branch decision and folded wake —
-            // stays exact until `fp_bound_acc`, the next issue, or the
+            // stays exact until `fp.bound_acc`, the next issue, or the
             // next arrival.
-            s.sec_valid = true;
-            s.sec_wake = sec_wake;
-            s.sec_pure = sec_pure;
+            s.sec.valid = true;
+            s.sec.wake = sec_wake;
+            s.sec.pure = sec_pure;
             s.arm(self, demand_sel, wake);
         }
         Step::Wait(wake)
@@ -910,16 +929,16 @@ impl MemoryController {
     /// [`MemoryController::next_step_b`] against the carried section
     /// verdict, skipping sections 1–5 entirely. Sound exactly when
     /// [`CtrlScratch::sec_live`] holds: the sections read no demand
-    /// queue, every branch they took is pinned by `sec_bound` /
-    /// `sec_wake` / the stamp rule, and every wake they folded is either
+    /// queue, every branch they took is pinned by `sec.bound` /
+    /// `sec.wake` / the stamp rule, and every wake they folded is either
     /// an absolute schedule instant (pure) or additionally protected by
-    /// an unchanged issue stamp. In debug builds the reference full scan
-    /// shadows every reduced verdict.
+    /// an unchanged issue stamp. In debug builds a fresh full scan shadows
+    /// every reduced verdict.
     fn next_step_demand_b(&mut self, now: Time, s: &mut CtrlScratch) -> Step {
         s.epoch += 1;
-        s.fp_valid = false;
-        s.fp_bound_acc = s.sec_bound;
-        s.fp_cand = None;
+        s.fp.valid = false;
+        s.fp.bound_acc = s.sec.bound;
+        s.fp.cand = None;
         // `abo_channel_stall` is false: `sec_live` checked `abo.is_none()`.
         let sel = self.demand_sel();
         let (step_wake, step) = self.schedule_demand_b(sel, now, s);
@@ -927,15 +946,15 @@ impl MemoryController {
             // Re-arm: the section half of the verdict carries over
             // verbatim (the proof composes transitively), the demand
             // half is freshly computed.
-            let wake = s.sec_wake.min(step_wake);
+            let wake = s.sec.wake.min(step_wake);
             s.arm(self, Some(sel), wake);
             Step::Wait(wake)
         });
         #[cfg(debug_assertions)]
         {
-            let full = self.next_step(now);
+            let full = self.full_scan(now, s);
             assert!(
-                step_eq(&step, &full),
+                step == full,
                 "reduced scan {step:?} diverged from full scan {full:?}"
             );
         }
@@ -943,18 +962,20 @@ impl MemoryController {
     }
 
     /// Test hook: the demand stage's verdict at `now` — wake, command,
-    /// served queue position — as `service_batched` would compute it and
-    /// as the per-entry reference scan does, for equality checks that
-    /// hold in release builds too.
+    /// served queue position — as `service` would compute it from the
+    /// candidate table and as the per-entry oracle scan does, for
+    /// equality checks that hold in release builds too.
     #[doc(hidden)]
-    pub fn demand_verdicts(&mut self, now: Time, scratch: &mut CtrlScratch) -> [DemandVerdict; 2] {
+    pub fn demand_verdicts(&mut self, now: Time) -> [DemandVerdict; 2] {
+        let mut scratch = self.scratch.take().expect("scheduler state present");
         let sel = self.demand_sel();
         scratch.epoch += 1;
-        [
-            self.schedule_demand_b(sel, now, scratch),
+        let verdicts = [
+            self.schedule_demand_b(sel, now, &mut scratch),
             self.schedule_demand(sel, now),
-        ]
-        .map(|(wake, step)| match step {
+        ];
+        self.scratch = Some(scratch);
+        verdicts.map(|(wake, step)| match step {
             Some(Step::Issue(cmd, served)) => (wake, Some((cmd, served.map(|(_, idx)| idx)))),
             _ => (wake, None),
         })
@@ -975,15 +996,10 @@ impl MemoryController {
         }
         let verdict = self.scan_table(sel, now, s);
         #[cfg(debug_assertions)]
-        {
+        if !s.shadow {
             let want = self.schedule_demand(sel, now);
-            let same = match (&verdict.1, &want.1) {
-                (Some(a), Some(b)) => step_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            };
             assert!(
-                same && verdict.0 == want.0,
+                verdict == want,
                 "table verdict {verdict:?} diverged from per-entry scan {want:?}"
             );
         }
@@ -1071,7 +1087,7 @@ impl MemoryController {
                 (Time::MAX, Some(Step::Issue(cmd, served)))
             }
             Some((at, _, _, cmd)) => {
-                s.fp_cand = Some((at, cmd));
+                s.fp.cand = Some((at, cmd));
                 (at, None)
             }
             None => (Time::MAX, None),

@@ -373,6 +373,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "before its queue's tail")]
+    fn enqueue_rejects_an_arrival_older_than_its_queue_tail() {
+        let mut mc = make(DefenseConfig::none());
+        mc.enqueue(req(1, bank0(), 5, 0, Time::from_ns(10)))
+            .unwrap();
+        // A write queue of its own does not constrain the read queue.
+        let write = MemRequest {
+            kind: AccessKind::Write,
+            ..req(2, bank0(), 6, 0, Time::ZERO)
+        };
+        mc.enqueue(write).unwrap();
+        let _ = mc.enqueue(req(3, bank0(), 7, 0, Time::from_ns(9)));
+    }
+
+    #[test]
     fn closed_page_policy_precharges_idle_rows() {
         let mut dev = DeviceConfig::paper_default();
         dev.geometry = Geometry::tiny();

@@ -6,10 +6,11 @@
 //! commands), *monotone* in `now`, and *agrees with actual issue
 //! legality* at the returned instant.
 //!
-//! The last section pins `service_batched` to `service`: the per-bank
-//! candidate table's demand verdict must equal the per-entry reference
-//! scan's at every wake, and both paths must issue the same command
-//! stream at the same wakes — asserted by the tests themselves, so the
+//! The last section pins the scheduler itself: the per-bank candidate
+//! table's demand verdict must equal the per-entry oracle scan's before
+//! and after every service call, and three closed-loop runs must
+//! reproduce a recorded digest of their wakes, command stream,
+//! completions and statistics — asserted by the tests themselves, so the
 //! checks hold under `cargo test --release` too, not only through the
 //! controller's `debug_assertions` shadows.
 //!
@@ -23,9 +24,7 @@ use lh_dram::{
     BankId, Command, DeviceConfig, DramAddr, DramDevice, DramTiming, Geometry, PracConfig,
     RfmScope, Span, Time,
 };
-use lh_memctrl::{
-    AccessKind, Completion, CtrlConfig, CtrlScratch, CtrlStats, MemRequest, MemoryController,
-};
+use lh_memctrl::{AccessKind, Completion, CtrlConfig, CtrlStats, MemRequest, MemoryController};
 use lh_obs::flight::{self, EventBuffer, FlightEvent};
 
 /// Builds a controller over the tiny geometry with the given defense.
@@ -283,7 +282,7 @@ proptest! {
     }
 }
 
-// --- service ≡ service_batched ---------------------------------------------
+// --- the candidate table against its oracle ---------------------------------
 
 /// Defenses that exercise every skip rule of the demand stage on the
 /// tiny geometry: channel- and bank-scope ABO stalls, PRFM-blocked
@@ -309,10 +308,10 @@ fn twin_defense_of(sel: u8) -> DefenseConfig {
 }
 
 /// Asserts the candidate table's demand verdict equals the per-entry
-/// reference scan's at `now`: same wake, same command, same served
-/// queue position.
-fn assert_table_matches_oracle(mc: &mut MemoryController, scratch: &mut CtrlScratch, now: Time) {
-    let [table, oracle] = mc.demand_verdicts(now, scratch);
+/// oracle scan's at `now`: same wake, same command, same served queue
+/// position.
+fn assert_table_matches_oracle(mc: &mut MemoryController, now: Time) {
+    let [table, oracle] = mc.demand_verdicts(now);
     assert_eq!(
         table, oracle,
         "table verdict diverged from per-entry scan at {now}"
@@ -322,15 +321,14 @@ fn assert_table_matches_oracle(mc: &mut MemoryController, scratch: &mut CtrlScra
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Twin controllers over one random request stream, one on `service`
-    /// and one on `service_batched`: equal wakes and completions at
-    /// every step, equal final statistics, and the table verdict equal
-    /// to the per-entry oracle before and after every service call.
-    /// Few rows and a small column cap make hits, conflicts and capped
-    /// streaks common; the defenses supply blocked banks, quiesced
-    /// ranks and throttled rows.
+    /// One random request stream: the table verdict equals the
+    /// per-entry oracle before and after every service call, every wake
+    /// is strictly in the future, and every accepted request completes
+    /// exactly once. Few rows and a small column cap make hits,
+    /// conflicts and capped streaks common; the defenses supply blocked
+    /// banks, quiesced ranks and throttled rows.
     #[test]
-    fn batched_service_matches_the_reference_step_by_step(
+    fn table_matches_the_oracle_step_by_step(
         specs in proptest::collection::vec(
             (0u32..2, 0u32..2, 0u32..5, 0u32..16, any::<bool>(), 0u64..30_000),
             1..160,
@@ -342,11 +340,8 @@ proptest! {
         cfg.col_cap = col_cap;
         let mut dev = DeviceConfig::paper_default();
         dev.geometry = Geometry::tiny();
-        let build = || {
-            MemoryController::new(cfg, dev.clone(), twin_defense_of(defense_sel), 7).unwrap()
-        };
-        let (mut legacy, mut batched) = (build(), build());
-        let mut scratch = CtrlScratch::for_controller(&batched);
+        let mut mc =
+            MemoryController::new(cfg, dev, twin_defense_of(defense_sel), 7).unwrap();
 
         let mut arrivals: Vec<u64> = specs.iter().map(|s| s.5).collect();
         arrivals.sort_unstable();
@@ -364,31 +359,30 @@ proptest! {
             .peekable();
 
         let mut now = Time::ZERO;
-        let mut outstanding = 0usize;
-        while (pending.peek().is_some() || outstanding > 0) && now < Time::from_us(4_000) {
+        let mut accepted = Vec::new();
+        let mut done = Vec::new();
+        while (pending.peek().is_some() || done.len() < accepted.len())
+            && now < Time::from_us(4_000)
+        {
             while let Some(r) = pending.next_if(|r| r.arrival <= now) {
-                let accepted = legacy.enqueue(r).is_ok();
-                prop_assert_eq!(batched.enqueue(r).is_ok(), accepted);
-                outstanding += usize::from(accepted);
+                if mc.enqueue(r).is_ok() {
+                    accepted.push(r.id);
+                }
             }
-            assert_table_matches_oracle(&mut batched, &mut scratch, now);
-            let wake = legacy.service(now);
-            prop_assert_eq!(batched.service_batched(now, &mut scratch), wake);
-            assert_table_matches_oracle(&mut batched, &mut scratch, now);
-            let done = legacy.take_completed();
-            prop_assert_eq!(&batched.take_completed(), &done);
-            outstanding -= done.len();
+            assert_table_matches_oracle(&mut mc, now);
+            let wake = mc.service(now);
+            prop_assert!(wake > now, "service wake {wake} not after {now}");
+            assert_table_matches_oracle(&mut mc, now);
+            done.extend(mc.take_completed().iter().map(|c| c.id));
             now = wake.min(pending.peek().map_or(Time::MAX, |r| r.arrival));
         }
-        prop_assert_eq!(outstanding, 0, "requests stuck at {}", now);
-        prop_assert_eq!(legacy.stats(), batched.stats());
-        prop_assert_eq!(legacy.device().stats(), batched.device().stats());
-        prop_assert_eq!(legacy.defense_stats(), batched.defense_stats());
+        done.sort_unstable();
+        prop_assert_eq!(done, accepted, "requests stuck or completed twice at {}", now);
     }
 }
 
 /// Everything observable about one closed-loop run.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 struct Driven {
     completions: Vec<Completion>,
     /// The wake returned by every service call, in order.
@@ -399,19 +393,16 @@ struct Driven {
 }
 
 /// Drives `mc` closed-loop — `depth` requests in flight, request `id`
-/// drawn from `request(id)`, `total` completions — on either service
-/// path, recording the command stream through the flight recorder. The
-/// batched path also checks the table verdict against the per-entry
-/// oracle around every service call.
+/// drawn from `request(id)`, `total` completions — recording the
+/// command stream through the flight recorder and checking the table
+/// verdict against the per-entry oracle around every service call.
 fn drive_closed_loop(
     mut mc: MemoryController,
     depth: usize,
     total: usize,
     request: impl Fn(u64) -> (DramAddr, AccessKind),
-    batched: bool,
 ) -> Driven {
     let (out, _log) = flight::capture(|| {
-        let mut scratch = CtrlScratch::for_controller(&mc);
         let mut sink = EventBuffer::new();
         let mut out = Driven {
             completions: Vec::new(),
@@ -446,14 +437,10 @@ fn drive_closed_loop(
                     }
                 }
             }
-            now = if batched {
-                assert_table_matches_oracle(&mut mc, &mut scratch, now);
-                let wake = mc.service_batched(now, &mut scratch);
-                assert_table_matches_oracle(&mut mc, &mut scratch, now);
-                wake
-            } else {
-                mc.service(now)
-            };
+            assert_table_matches_oracle(&mut mc, now);
+            let wake = mc.service(now);
+            assert_table_matches_oracle(&mut mc, now);
+            now = wake;
             out.wakes.push(now);
             let done = mc.take_completed();
             in_flight -= done.len();
@@ -464,29 +451,37 @@ fn drive_closed_loop(
         out.stats = *mc.stats();
         out
     });
+    assert!(
+        !out.commands.is_empty(),
+        "flight recording captured nothing"
+    );
     out
 }
 
-/// Both service paths over one closed-loop stream must agree on every
-/// completion, every wake and every issued command.
-fn assert_paths_agree(
-    build: impl Fn() -> MemoryController,
-    depth: usize,
-    total: usize,
-    request: impl Fn(u64) -> (DramAddr, AccessKind),
-) -> Driven {
-    let legacy = drive_closed_loop(build(), depth, total, &request, false);
-    let batched = drive_closed_loop(build(), depth, total, &request, true);
-    assert_eq!(legacy.stats, batched.stats, "controller statistics");
-    assert_eq!(legacy.wakes.len(), batched.wakes.len(), "wake count");
-    assert_eq!(legacy.wakes, batched.wakes, "wake instants");
-    assert_eq!(legacy.commands, batched.commands, "command stream");
-    assert_eq!(legacy.completions, batched.completions, "completions");
-    assert!(
-        !batched.commands.is_empty(),
-        "flight recording captured nothing"
+/// FNV-1a over the `Debug` rendering of a closed-loop run's wakes,
+/// command stream, completions and statistics.
+fn digest(run: &Driven) -> u64 {
+    let text = format!(
+        "{:?}",
+        (&run.wakes, &run.commands, &run.completions, &run.stats)
     );
-    batched
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Asserts a closed-loop run reproduces its recorded digest. The
+/// digests were recorded from the per-entry scheduler the candidate
+/// table replaced, so they pin the table to that scheduler's command
+/// stream. A deliberate scheduling change re-records them and says why.
+fn assert_digest(run: &Driven, wakes: usize, want: u64) {
+    assert_eq!(run.wakes.len(), wakes, "wake count");
+    assert_eq!(
+        digest(run),
+        want,
+        "closed-loop digest {:#018x}",
+        digest(run)
+    );
 }
 
 /// A cheap integer mixer for the deterministic request streams.
@@ -511,10 +506,10 @@ fn paper_controller(defense: DefenseConfig) -> MemoryController {
 /// Deep: both 64-entry queues held at capacity over every bank of the
 /// paper geometry — the scan at its longest, write drains included.
 #[test]
-fn deep_queues_issue_the_same_command_stream_on_both_paths() {
+fn deep_queues_issue_the_recorded_command_stream() {
     let g = Geometry::paper_default();
-    let run = assert_paths_agree(
-        || paper_controller(DefenseConfig::prac(128)),
+    let run = drive_closed_loop(
+        paper_controller(DefenseConfig::prac(128)),
         128,
         6_000,
         |id| {
@@ -533,57 +528,50 @@ fn deep_queues_issue_the_same_command_stream_on_both_paths() {
     );
     assert!(run.stats.rejections > 0, "queues never filled");
     assert!(run.stats.writes_served > 0 && run.stats.reads_served > 0);
+    assert_digest(&run, 7_622, 0xf0a8_698c_42f5_057c);
 }
 
 /// Hammer: one bank, three rows, shallow queue — every access a row
 /// conflict, PRAC back-offs included.
 #[test]
-fn one_bank_hammer_issues_the_same_command_stream_on_both_paths() {
-    let run = assert_paths_agree(
-        || paper_controller(DefenseConfig::prac(128)),
-        4,
-        3_000,
-        |id| {
-            let row = 2_000 + 2 * (id % 3) as u32;
-            (
-                DramAddr::new(BankId::new(0, 0, 0, 0), row, 0),
-                AccessKind::Read,
-            )
-        },
-    );
+fn one_bank_hammer_issues_the_recorded_command_stream() {
+    let run = drive_closed_loop(paper_controller(DefenseConfig::prac(128)), 4, 3_000, |id| {
+        let row = 2_000 + 2 * (id % 3) as u32;
+        (
+            DramAddr::new(BankId::new(0, 0, 0, 0), row, 0),
+            AccessKind::Read,
+        )
+    });
     assert!(run.stats.backoffs > 0, "the hammer never tripped PRAC");
+    assert_digest(&run, 4_558, 0x0dbd_5745_c99c_e650);
 }
 
 /// Throttled: a BlockHammer-blacklisted aggressor pair keeps rows
 /// throttled while bystander traffic flows — the shape that routes the
-/// batched path's demand stage to the per-entry scan.
+/// demand stage to the per-entry scan.
 #[test]
-fn blockhammer_throttled_rows_issue_the_same_command_stream_on_both_paths() {
+fn blockhammer_throttled_rows_issue_the_recorded_command_stream() {
     let t = DramTiming::ddr5_4800();
     let defense = DefenseConfig::BlockHammer(BlockHammerConfig {
         delay: Span::from_us(3),
         ..BlockHammerConfig::for_threshold(64, t.t_rc, t.t_refw, 3)
     });
-    let run = assert_paths_agree(
-        || paper_controller(defense.clone()),
-        6,
-        1_500,
-        |id| {
-            let kind = if id % 5 == 4 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            if id % 3 == 2 {
-                // Bystander: some other bank, few rows.
-                let v = mix64(id);
-                let bank = BankId::new(0, (v % 2) as u32, (v >> 8) as u32 % 8, 1);
-                (DramAddr::new(bank, 500 + (v >> 16) as u32 % 4, 0), kind)
-            } else {
-                let row = 2_000 + 2 * (id % 2) as u32;
-                (DramAddr::new(BankId::new(0, 0, 0, 0), row, 0), kind)
-            }
-        },
-    );
+    let run = drive_closed_loop(paper_controller(defense), 6, 1_500, |id| {
+        let kind = if id % 5 == 4 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        if id % 3 == 2 {
+            // Bystander: some other bank, few rows.
+            let v = mix64(id);
+            let bank = BankId::new(0, (v % 2) as u32, (v >> 8) as u32 % 8, 1);
+            (DramAddr::new(bank, 500 + (v >> 16) as u32 % 4, 0), kind)
+        } else {
+            let row = 2_000 + 2 * (id % 2) as u32;
+            (DramAddr::new(BankId::new(0, 0, 0, 0), row, 0), kind)
+        }
+    });
     assert!(run.stats.throttles > 0, "BlockHammer never throttled");
+    assert_digest(&run, 4_549, 0x9268_e68b_2340_f987);
 }

@@ -11,8 +11,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use lh_defenses::DefenseConfig;
 use lh_dram::{DeviceConfig, DramError, Span, Time};
 use lh_memctrl::{
-    AccessKind, AddressMapping, CtrlConfig, CtrlScratch, MappingScheme, MemRequest,
-    MemoryController,
+    AccessKind, AddressMapping, CtrlConfig, MappingScheme, MemRequest, MemoryController,
 };
 use lh_mitigate::MitigationConfig;
 
@@ -353,11 +352,6 @@ pub struct System {
     /// Reused buffer for draining controller completions (allocation-free
     /// steady state).
     completion_buf: Vec<lh_memctrl::Completion>,
-    /// The controller's scheduling state for
-    /// [`MemoryController::service_batched`], the only service path a
-    /// system takes; in sync with `mc` from construction on, since every
-    /// command issues through `kick_ctrl`.
-    scratch: CtrlScratch,
     ctrl_scheduled: Time,
     cache_cfg: CacheConfig,
     prefetch_cfg: Option<BopConfig>,
@@ -413,7 +407,6 @@ impl System {
             &config.mitigations,
             config.seed,
         )?;
-        let scratch = CtrlScratch::for_controller(&mc);
         let mut sys = System {
             mapping,
             mc,
@@ -427,7 +420,6 @@ impl System {
             inflight: HashMap::default(),
             stalled: VecDeque::new(),
             completion_buf: Vec::new(),
-            scratch,
             ctrl_scheduled: Time::ZERO,
             cache_cfg: config.caches,
             prefetch_cfg: config.prefetch,
@@ -790,7 +782,7 @@ impl System {
     /// requests, and schedules the next controller wake-up.
     fn kick_ctrl(&mut self) {
         loop {
-            let next = self.mc.service_batched(self.now, &mut self.scratch);
+            let next = self.mc.service(self.now);
             let mut done = std::mem::take(&mut self.completion_buf);
             self.mc.drain_completed_into(&mut done);
             for c in done.drain(..) {

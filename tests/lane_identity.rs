@@ -6,10 +6,11 @@
 //!
 //! The batch engine is an *engine*, not an approximation, so equality
 //! here is exact structural equality, never tolerance-based. Both sides
-//! take the controller's one service path (`service_batched`); that path
-//! against the per-entry reference scan is pinned step by step in
-//! `crates/memctrl/tests/properties.rs` and, in this dev-profile suite,
-//! by the `debug_assertions` oracle shadowing every verdict.
+//! take the controller's one scheduler (`MemoryController::service`);
+//! its candidate table against the per-entry oracle scan is pinned step
+//! by step in `crates/memctrl/tests/properties.rs` and, in this
+//! dev-profile suite, by the `debug_assertions` shadows of every
+//! verdict.
 
 use std::sync::Arc;
 
