@@ -15,6 +15,14 @@
 //! | PR 8 – PR 11 (per-entry FR-FCFS scans, per-rank legality memo) | 534 ms | 313 ms | ≈ 1.7× |
 //! | PR 13 (per-bank candidate table, `controller/batch.rs`) | 526 ms | 228 ms | ≈ 2.3× |
 //! | PR 14 (every `System` on the batched controller service) | 311 ms | 207 ms | ≈ 1.5× |
+//! | lanes on every core (two workers: the caller and one helper) | 222 ms | 144 ms | ≈ 1.5× |
+//!
+//! The last row is the median of five alternating runs per side, kept
+//! in `BENCH_33.json`. The single-thread engine just before it, timed
+//! in the same runs, read 201 ms sequential against 215 ms for the
+//! batch (≈ 0.95×): on that container one thread of lanes had stopped
+//! beating eight solo systems, and the second core wins the ratio
+//! back. The sequential side does not use the lane engine.
 //!
 //! Up to PR 13 the sequential side took the per-entry reference
 //! `service` path, so most of the ratio was the controller service, not

@@ -138,7 +138,11 @@ impl Level {
             ways: config.ways as usize,
             block: vec![0; sets],
             len: vec![0; sets],
-            slab: Vec::new(),
+            // One block up front, so the slab's first allocation is made
+            // by the thread that builds the level; its growth (`realloc`)
+            // then stays in that thread's malloc arena whichever lane
+            // worker fills the sets.
+            slab: Vec::with_capacity(config.ways as usize),
             hits: 0,
             misses: 0,
         }

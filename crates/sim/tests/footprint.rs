@@ -82,7 +82,8 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn paper_default_hierarchy_allocates_at_most_24_kib() {
     let (cache, bytes) = peak_of(|| CacheHierarchy::new(CacheConfig::paper_default()));
-    // 4 096 LLC sets + 64 L1 sets at five bytes each: 20 800 B.
+    // 4 096 LLC sets + 64 L1 sets at five bytes each (20 800 B) plus
+    // the slabs' first 64 B L1 and 128 B LLC blocks: 20 992 B.
     assert!(
         bytes <= 24 * 1024,
         "CacheHierarchy::new allocated {bytes} B"

@@ -323,3 +323,53 @@ fn throttled_lane_matches_solo() {
     let solo = run_solo(&spec, &trace, end, horizon);
     assert_lane_eq(&batched[0], &solo, "throttled lane");
 }
+
+/// A batch run inside a flight-capture scope records every lane: the
+/// scope is thread-local, so the engine keeps such a batch on the
+/// calling thread. Each lane's segment holds one `cmd` event per
+/// command its counters report.
+#[test]
+fn recording_batch_logs_every_lane() {
+    let specs: Vec<LaneSpec> = [
+        (DefenseKind::Prac, 256),
+        (DefenseKind::Prfm, 128),
+        (DefenseKind::FrRfm, 512),
+        (DefenseKind::PracBank, 1024),
+    ]
+    .iter()
+    .map(|&(kind, nrh)| LaneSpec {
+        defense: DefenseConfig::for_threshold(kind, nrh, &DramTiming::ddr5_4800()),
+        mitigations: vec![],
+    })
+    .collect();
+    let trace = shared_trace();
+    let end = Time::ZERO + Span::from_us(SPAN_US);
+    let horizon = end + Span::from_us(5);
+    let (batch, log) = lh_obs::flight::capture_capped(1 << 20, || {
+        let mut batch = LaneBatch::new();
+        for spec in &specs {
+            let lane = batch
+                .push_lane(builder(spec), horizon)
+                .expect("valid configuration");
+            add_processes(batch.lane_mut(lane), &trace, end);
+            // Segment ids follow lane order.
+            assert_eq!(batch.lane_mut(lane).flight_seg(), lane as u64);
+        }
+        batch.run();
+        batch
+    });
+    assert!(log.dropped().is_empty(), "the ring dropped events");
+    for lane in 0..batch.len() {
+        let logged = log
+            .entries()
+            .filter(|&(seg, event)| seg == lane as u64 && event.kind() == "cmd")
+            .count() as u64;
+        let metrics = batch.metrics(lane);
+        let issued: u64 = ["act", "pre", "rd", "wr", "ref", "rfm"]
+            .iter()
+            .map(|cmd| metrics.get(&format!("sim.cmd.{cmd}")))
+            .sum();
+        assert!(issued > 0, "lane {lane} issued no commands");
+        assert_eq!(logged, issued, "lane {lane}: commands missing from the log");
+    }
+}
