@@ -1,5 +1,5 @@
 //! Lane-batch bench: an 8-lane fig13-shaped batch (one decoded trace,
-//! one wake heap) against the same eight cells run the pre-lane way —
+//! `lh_sim::run_lanes`) against the same eight cells run the pre-lane way —
 //! eight sequential single-lane systems, each re-decoding its own
 //! trace. A plain `main` on `std::time::Instant` (`cargo bench -p
 //! lh-bench --bench lane_batch`): it first asserts the two sides
@@ -16,13 +16,17 @@
 //! | PR 13 (per-bank candidate table, `controller/batch.rs`) | 526 ms | 228 ms | ≈ 2.3× |
 //! | PR 14 (every `System` on the batched controller service) | 311 ms | 207 ms | ≈ 1.5× |
 //! | lanes on every core (two workers: the caller and one helper) | 222 ms | 144 ms | ≈ 1.5× |
+//! | whole-lane runs (`run_lanes`: one system per worker, two workers) | 225 ms | 128 ms | ≈ 1.8× |
 //!
-//! The last row is the median of five alternating runs per side, kept
-//! in `BENCH_33.json`. The single-thread engine just before it, timed
-//! in the same runs, read 201 ms sequential against 215 ms for the
-//! batch (≈ 0.95×): on that container one thread of lanes had stopped
-//! beating eight solo systems, and the second core wins the ratio
-//! back. The sequential side does not use the lane engine.
+//! The last two rows are medians of five alternating runs per side,
+//! kept in `BENCH_33.json` and `BENCH_34.json`. The single-thread
+//! engine before them, timed in the first set of runs, read 201 ms
+//! sequential against 215 ms for the batch (≈ 0.95×): on that
+//! container one thread of lanes had stopped beating eight solo
+//! systems, and the second core wins the ratio back. In the runs of the
+//! last row the sliced two-worker engine read 202 ms against 125 ms:
+//! the batch side is flat, and the sequential side, which does not use
+//! the lane engine, moved with the host.
 //!
 //! Up to PR 13 the sequential side took the per-entry reference
 //! `service` path, so most of the ratio was the controller service, not
@@ -46,7 +50,7 @@ use std::time::{Duration, Instant};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
 use lh_memctrl::AddressMapping;
-use lh_sim::{LaneBatch, SimConfig, SystemBuilder};
+use lh_sim::{run_lanes, SimConfig, SystemBuilder};
 use lh_workloads::{four_core_mixes, AppProfile, SharedTrace, SyntheticApp, TraceReplay};
 
 const SIM_SEED: u64 = 3;
@@ -115,42 +119,31 @@ fn run_lane_batch(mix: &[AppProfile]) -> u64 {
     let seeds: Vec<u64> = (0..mix.len()).map(|i| SIM_SEED ^ (i as u64 * 31)).collect();
     let trace = SharedTrace::decode(mix.to_vec(), mapping, &seeds);
     let end = Time::ZERO + Span::from_us(SPAN_US);
-    let horizon = end + Span::from_us(5);
-    let mut batch = LaneBatch::new();
-    let mut lane_pids = Vec::new();
-    for (d, n) in cells() {
-        let builder = SystemBuilder::new(defense_cfg(d, n))
+    let cells = cells();
+    let per_lane = run_lanes(cells.len(), |i| {
+        let (d, n) = cells[i];
+        let mut sys = SystemBuilder::new(defense_cfg(d, n))
             .seed(SIM_SEED)
-            .disturb_tracking(false);
-        let lane = batch
-            .push_lane(builder, horizon)
+            .disturb_tracking(false)
+            .build()
             .expect("valid configuration");
         let pids: Vec<_> = (0..trace.cores())
             .map(|core| {
                 let replay = TraceReplay::new(Arc::clone(&trace), core, end);
                 let mlp = replay.mlp();
-                batch
-                    .lane_mut(lane)
-                    .add_process(Box::new(replay), mlp, Time::ZERO)
+                sys.add_process(Box::new(replay), mlp, Time::ZERO)
             })
             .collect();
-        lane_pids.push((lane, pids));
-    }
-    batch.run();
-    lane_pids
-        .iter()
-        .map(|(lane, pids)| {
-            pids.iter()
-                .map(|&pid| {
-                    batch
-                        .lane(*lane)
-                        .process_as::<TraceReplay>(pid)
-                        .expect("replay present")
-                        .instructions()
-                })
-                .sum::<u64>()
-        })
-        .sum()
+        sys.run_until(end + Span::from_us(5));
+        pids.iter()
+            .map(|&pid| {
+                sys.process_as::<TraceReplay>(pid)
+                    .expect("replay present")
+                    .instructions()
+            })
+            .sum::<u64>()
+    });
+    per_lane.iter().sum()
 }
 
 /// Wall-clock samples per side; each side reports its minimum.

@@ -8,7 +8,7 @@ use lh_analysis::{mean, normalized_ws, weighted_speedup, AppPerf};
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{Span, Time};
 use lh_memctrl::AddressMapping;
-use lh_sim::{LaneBatch, ProcId, SimConfig, SystemBuilder};
+use lh_sim::{ProcId, SimConfig, SystemBuilder};
 use lh_workloads::{four_core_mixes, SharedTrace, TraceReplay};
 
 use crate::Scale;
@@ -70,66 +70,45 @@ pub fn decode_mix_trace(
     }
 }
 
-/// A lane builder for one performance simulation. Performance runs do
-/// not need disturb ground truth; skipping it speeds the sweep up
-/// considerably.
-fn perf_lane(defense: DefenseConfig, seed: u64) -> SystemBuilder {
-    SystemBuilder::new(defense)
-        .seed(seed)
-        .disturb_tracking(false)
-}
-
-/// Adds replays of `cores` (trace core indices) to lane `lane`, each
-/// halting at `end`; returns their pids.
-fn add_replays(
-    batch: &mut LaneBatch,
-    lane: usize,
+/// Runs one performance lane per `(defense, cores)` entry on `trace`,
+/// the trace cores `cores` replaying under `defense` for the scale's
+/// span, and returns each lane's per-app performance in entry order.
+/// Performance runs do not need disturb ground truth; skipping it
+/// speeds the sweep up considerably.
+fn run_perf_lanes(
     trace: &Arc<SharedTrace>,
-    cores: &[usize],
-    end: Time,
-) -> Vec<ProcId> {
-    cores
-        .iter()
-        .map(|&core| {
-            let replay = TraceReplay::new(Arc::clone(trace), core, end);
-            let mlp = replay.mlp();
-            batch
-                .lane_mut(lane)
-                .add_process(Box::new(replay), mlp, Time::ZERO)
-        })
-        .collect()
-}
-
-/// Runs the batch, re-emits each lane's captured counters into the
-/// ambient obs scope (so a unit's counters are identical to having run
-/// its lanes solo), and collects per-lane per-app performance.
-fn run_and_collect(
-    batch: &mut LaneBatch,
-    lane_pids: &[Vec<ProcId>],
-    span: Span,
+    sim_seed: u64,
+    scale: Scale,
+    lanes: &[(DefenseConfig, Vec<usize>)],
 ) -> Vec<Vec<AppPerf>> {
-    batch.run();
-    for i in 0..batch.len() {
-        lh_obs::emit(batch.metrics(i));
-    }
-    lane_pids
-        .iter()
-        .enumerate()
-        .map(|(lane, pids)| {
-            pids.iter()
-                .map(|&pid| {
-                    let replay = batch
-                        .lane(lane)
-                        .process_as::<TraceReplay>(pid)
-                        .expect("replay present");
-                    AppPerf {
-                        instructions: replay.instructions(),
-                        seconds: span.as_secs(),
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    let span = Span::from_us(scale.perf_span_us());
+    let end = Time::ZERO + span;
+    lh_sim::run_lanes(lanes.len(), |i| {
+        let (defense, cores) = &lanes[i];
+        let mut sys = SystemBuilder::new(defense.clone())
+            .seed(sim_seed)
+            .disturb_tracking(false)
+            .build()
+            .expect("valid configuration");
+        let pids: Vec<ProcId> = cores
+            .iter()
+            .map(|&core| {
+                let replay = TraceReplay::new(Arc::clone(trace), core, end);
+                let mlp = replay.mlp();
+                sys.add_process(Box::new(replay), mlp, Time::ZERO)
+            })
+            .collect();
+        sys.run_until(end + Span::from_us(5));
+        pids.iter()
+            .map(|&pid| AppPerf {
+                instructions: sys
+                    .process_as::<TraceReplay>(pid)
+                    .expect("replay present")
+                    .instructions(),
+                seconds: span.as_secs(),
+            })
+            .collect()
+    })
 }
 
 /// One mix's defense-independent intermediates, shared by every
@@ -144,36 +123,25 @@ pub struct MixBaseline {
 }
 
 /// Runs one mix's baseline simulations on a shared decoded `trace`:
-/// each app alone (no defense, no co-runners) plus the mix under no
-/// defense — five lanes of one [`LaneBatch`], advanced in a single pass.
+/// the mix under no defense plus each app alone (no defense, no
+/// co-runners) — five lanes, the shared mix, the longest, first.
 pub fn run_perf_baseline_on(trace: &Arc<SharedTrace>, sim_seed: u64, scale: Scale) -> MixBaseline {
-    let span = Span::from_us(scale.perf_span_us());
-    let end = Time::ZERO + span;
-    let horizon = end + Span::from_us(5);
-    let mut batch = LaneBatch::new();
-    let mut lane_pids = Vec::new();
-    for core in 0..trace.cores() {
-        let lane = batch
-            .push_lane(perf_lane(DefenseConfig::none(), sim_seed), horizon)
-            .expect("valid configuration");
-        lane_pids.push(add_replays(&mut batch, lane, trace, &[core], end));
-    }
     let all: Vec<usize> = (0..trace.cores()).collect();
-    let lane = batch
-        .push_lane(perf_lane(DefenseConfig::none(), sim_seed), horizon)
-        .expect("valid configuration");
-    lane_pids.push(add_replays(&mut batch, lane, trace, &all, end));
-    let mut perf = run_and_collect(&mut batch, &lane_pids, span);
-    let shared = perf.pop().expect("mix lane present");
+    let lanes: Vec<(DefenseConfig, Vec<usize>)> = std::iter::once(all)
+        .chain((0..trace.cores()).map(|core| vec![core]))
+        .map(|cores| (DefenseConfig::none(), cores))
+        .collect();
+    let mut perf = run_perf_lanes(trace, sim_seed, scale, &lanes);
+    let shared = perf.remove(0);
     let alone: Vec<AppPerf> = perf.into_iter().map(|solo| solo[0]).collect();
     let base_ws = weighted_speedup(&shared, &alone);
     MixBaseline { alone, base_ws }
 }
 
 /// Runs a batch of `(defense, nrh)` cells of one mix on a shared
-/// decoded `trace` — one lane per cell, one pass — against a
-/// precomputed [`MixBaseline`]. `sim_seed` must equal the baseline's:
-/// the alone and defended runs of a mix share one simulation seed.
+/// decoded `trace` — one lane per cell — against a precomputed
+/// [`MixBaseline`]. `sim_seed` must equal the baseline's: the alone and
+/// defended runs of a mix share one simulation seed.
 pub fn run_perf_cells_on(
     trace: &Arc<SharedTrace>,
     sim_seed: u64,
@@ -181,21 +149,16 @@ pub fn run_perf_cells_on(
     baseline: &MixBaseline,
     scale: Scale,
 ) -> Vec<PerfPoint> {
-    let span = Span::from_us(scale.perf_span_us());
-    let end = Time::ZERO + span;
-    let horizon = end + Span::from_us(5);
     let timing = lh_dram::DramTiming::ddr5_4800();
     let all: Vec<usize> = (0..trace.cores()).collect();
-    let mut batch = LaneBatch::new();
-    let mut lane_pids = Vec::new();
-    for &(defense, nrh) in cells {
-        let cfg = DefenseConfig::for_threshold(defense, nrh, &timing);
-        let lane = batch
-            .push_lane(perf_lane(cfg, sim_seed), horizon)
-            .expect("valid configuration");
-        lane_pids.push(add_replays(&mut batch, lane, trace, &all, end));
-    }
-    let perf = run_and_collect(&mut batch, &lane_pids, span);
+    let lanes: Vec<(DefenseConfig, Vec<usize>)> = cells
+        .iter()
+        .map(|&(defense, nrh)| {
+            let cfg = DefenseConfig::for_threshold(defense, nrh, &timing);
+            (cfg, all.clone())
+        })
+        .collect();
+    let perf = run_perf_lanes(trace, sim_seed, scale, &lanes);
     cells
         .iter()
         .zip(perf)

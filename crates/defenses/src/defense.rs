@@ -126,10 +126,7 @@ pub struct DefenseStats {
 /// * `on_activate` is invoked for **every** ACT the controller issues,
 ///   in simulation-time order; the returned slice is only valid until
 ///   the next call.
-///
-/// Defenses are `Send` because the controller owning one may be
-/// advanced on any worker thread of the simulator's lane engine.
-pub trait Defense: fmt::Debug + Send {
+pub trait Defense: fmt::Debug {
     /// Notifies the defense of an `ACT` to `(bank, row)` at `now`;
     /// returns the preventive actions the controller must schedule
     /// (possibly none). The slice is valid until the next call.
@@ -386,10 +383,7 @@ impl Defense for ParaDefense {
 }
 
 /// A per-bank aggressor tracker (the §12 approximate trigger classes).
-///
-/// Trackers are `Send` because [`TrackerDefense`] holds them and every
-/// [`Defense`] is `Send`.
-pub trait AggressorTracker: fmt::Debug + Send {
+pub trait AggressorTracker: fmt::Debug {
     /// Records an activation of `row` at `now`; returns an aggressor row
     /// whose neighbors must be refreshed when the estimate crosses the
     /// threshold.

@@ -7,10 +7,10 @@
 //! and emits a writeback if it was dirty — exactly what the attack loops
 //! rely on to force every access to DRAM.
 //!
-//! A sweep holds many hierarchies at once (four per fig13 lane) and a
-//! run touches few of their sets, so a set costs memory only once it
-//! holds a line: five bytes of index and occupancy per set, plus one
-//! `ways`-wide block from the level's slab on the set's first fill.
+//! A four-core system holds four hierarchies and a run touches few of
+//! their sets, so a set costs memory only once it holds a line: five
+//! bytes of index and occupancy per set, plus one `ways`-wide block
+//! from the level's slab on the set's first fill.
 //! The crate README's "Cache model" section gives the numbers.
 
 use lh_dram::{Span, LINE_BYTES};
@@ -138,11 +138,7 @@ impl Level {
             ways: config.ways as usize,
             block: vec![0; sets],
             len: vec![0; sets],
-            // One block up front, so the slab's first allocation is made
-            // by the thread that builds the level; its growth (`realloc`)
-            // then stays in that thread's malloc arena whichever lane
-            // worker fills the sets.
-            slab: Vec::with_capacity(config.ways as usize),
+            slab: Vec::new(),
             hits: 0,
             misses: 0,
         }

@@ -1,388 +1,179 @@
-//! The lane-batched simulator engine: N parameter lanes advanced in one
-//! pass over a shared wake heap.
+//! The lane engine: the cells of a parameter sweep run as whole solo
+//! runs, spread over every core.
 //!
-//! A *lane* is one complete [`System`] — its own controller, defense
-//! (plus mitigation stack and [`lh_defenses::DefenseStats`]), caches and
-//! processes — representing one cell of a parameter sweep (one
-//! (defense, `N_RH`, mitigation) point). Lanes never interact: the
-//! engine exists purely so N cells that replay the same trace advance
-//! together, paying trace generation once and touching the same trace
-//! region while it is cache-warm, instead of N full sequential passes.
+//! A *lane* is one sweep cell (one (defense, `N_RH`, mitigation) point)
+//! as a closure: it builds its [`crate::System`], runs it to the lane's
+//! horizon, extracts its result and drops the system. [`run_lanes`]
+//! hands the lane indices out from one atomic counter to
+//! `min(available_parallelism, lanes)` workers — the calling thread plus
+//! scoped helpers — so at most one `System` per worker is ever alive,
+//! and a lane's system never leaves the thread that built it. Lanes
+//! share no mutable state, so what a lane computes is a pure function
+//! of its index: which worker ran it, and when, cannot change it.
 //!
-//! ## Wake-heap contract
+//! ## Why whole lanes
 //!
-//! The batch keeps one min-heap keyed `(wake_time, lane_index)`, where
-//! `wake_time` is the lane's next queued event ([`System::next_event_at`]).
-//! [`LaneBatch::run`] drains it with `min(available_parallelism,
-//! unfinished lanes)` workers: the calling thread plus scoped helpers.
-//! A worker pops the minimum under the heap lock, advances that lane
-//! through every event inside one scheduling slice — from its wake
-//! instant to `wake + SLICE` ([`System::advance_to`]) — outside the
-//! lock, then re-inserts it at its next event. The lock is taken twice
-//! per slice, i.e. once per thousands of events. The slice sets
-//! scheduling *granularity* only: lanes share no mutable state, so each
-//! lane's event sequence is a pure function of its own configuration
-//! and neither the slice width nor which worker advanced which slice
-//! can perturb any lane's results — the slice exists so a lane runs
-//! cache-hot for thousands of events instead of being evicted after
-//! each one. Ties at equal wake times resolve to the lowest lane index;
-//! with several workers that order decides only which lane is claimed
-//! first, never what a lane computes. A lane whose next event falls
-//! past its horizon is advanced to the horizon exactly — byte-identical
-//! to a solo `run_until(horizon)` — and finalized on the worker that
-//! advanced it.
+//! The engine before this one built every lane's system up front and
+//! advanced them in 20 µs slices over a shared wake heap, for locality.
+//! It bought none: on one thread that batch ran at ≈ 0.95× the speed of
+//! the same cells run one after another, and holding all of a batch's
+//! systems at once set the benchmark's peak memory (25 four-core
+//! systems in a `perf_sweep` batch). Traced on two vCPUs, `perf_sweep`'s
+//! 25-lane batches (the `sim.lane_batch` span) read 297–445 ms run
+//! whole against 303–569 ms sliced, over four runs per side.
 //!
-//! The calling thread is one of the workers rather than an idle waiter,
-//! and `run` joins its helpers before it returns. Every thread that
-//! allocates gets its own glibc malloc arena, whose free space no other
-//! thread reuses, so each extra thread adds resident slack; a helper
-//! that has not fully exited when the next batch spawns its own makes
-//! glibc open yet another arena.
+//! ## Order and results
 //!
-//! A lane panic stops the batch: no worker claims another lane, and
-//! [`LaneBatch::run`] re-raises the first panic's own payload on the
-//! calling thread, so a caller's `catch_unwind` sees the lane's message.
+//! Lanes are claimed in index order, so a caller puts its longest lane
+//! first: claimed last, it would leave the other workers idle while it
+//! ran. The caller gets the results in lane order whatever the order
+//! the lanes finished in.
+//!
+//! Each lane runs under its own [`lh_obs::record`] scope on its worker,
+//! so its counters are exact however the lanes were spread. The caller
+//! re-emits them into its own scope in lane order, so a unit's counters
+//! are the same as if it had run its lanes one after another.
 //!
 //! ## Flight recording
 //!
-//! The [`lh_obs::flight`] capture scope is thread-local and the
-//! controller records only while [`lh_obs::flight::active`] holds on
-//! the thread advancing it. A batch run inside a capture scope
-//! therefore uses one worker — the same loop, with the calling thread
-//! as its only worker — so every lane's events land in the caller's
-//! log.
+//! The [`lh_obs::flight`] capture scope is thread-local and a system
+//! records only while [`lh_obs::flight::active`] holds on its thread.
+//! A batch run inside a capture scope therefore runs on one worker, the
+//! caller, in lane order: the log holds exactly what running the lanes
+//! one after another records, segment ids and ring evictions included.
 //!
-//! ## Per-lane observability
+//! ## Panics and memory
 //!
-//! At finalization each lane's counters are captured under a private
-//! `lh_obs` scope ([`lh_obs::record`] around [`System::flush_obs`]) on
-//! the finalizing worker, so `sim.service_wakes` / `sim.cmd.*` stay
-//! per-cell exact whichever thread ran the lane. The caller
-//! re-attributes a lane's [`Metrics`] wherever it wants — typically via
-//! [`lh_obs::emit`] inside the harness's per-unit scope. The eventual
-//! drop-flush emits only zero deltas and never double-counts.
+//! A lane panic stops the batch: no worker claims another lane, and
+//! [`run_lanes`] re-raises the first panic's own payload on the calling
+//! thread, so a caller's `catch_unwind` sees the lane's message.
+//!
+//! Every thread that allocates gets its own glibc malloc arena, whose
+//! free space no other thread reuses. The calling thread is one of the
+//! workers rather than an idle waiter, and helpers are joined before
+//! `run_lanes` returns, so a helper has released its arena before the
+//! next batch spawns one.
 
-use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use lh_dram::{DramError, Span, Time};
-use lh_obs::Metrics;
-
-use crate::system::{System, SystemBuilder};
-
-/// Scheduling slice: how far past its popped wake instant a lane is
-/// advanced before returning to the heap. Pure locality knob — lane
-/// results are independent of its value (see the module docs); 20 µs is
-/// tens of thousands of DRAM events — comfortably past the point where
-/// the lane's working set is warm — while still interleaving cross-lane
-/// progress a few times per sweep cell.
-const SLICE: Span = Span::from_us(20);
-
-/// One sweep cell inside a [`LaneBatch`].
-#[derive(Debug)]
-struct Lane {
-    sys: System,
-    /// Simulation horizon: the lane ends with `now == until` exactly.
-    until: Time,
-    /// Whether the lane has been advanced to its horizon and flushed.
-    done: bool,
-    /// Counters captured at finalization (empty until then).
-    metrics: Metrics,
-}
-
-impl Lane {
-    /// The lane's next wake, or `None` once its next event falls past
-    /// the horizon — after advancing it to the horizon and capturing
-    /// its counters.
-    fn next_wake(&mut self) -> Option<Time> {
-        match self.sys.next_event_at() {
-            Some(at) if at <= self.until => Some(at),
-            _ => {
-                self.sys.advance_to(self.until);
-                let ((), metrics) = lh_obs::record(|| self.sys.flush_obs());
-                self.metrics = metrics;
-                self.done = true;
-                None
-            }
-        }
-    }
-}
-
-/// A batch of independent simulation lanes advanced over one shared
-/// wake heap. See the module docs for the contract.
+/// Runs lanes `0..lanes` — `lane(i)` for each `i` — on every core (one
+/// worker inside a flight-capture scope) and returns their results in
+/// lane order. See the module docs for the contract.
+///
+/// # Panics
+///
+/// Re-raises, with its own payload, the first panic of any lane.
 ///
 /// # Examples
 ///
 /// ```
 /// use lh_defenses::DefenseConfig;
 /// use lh_dram::Time;
-/// use lh_sim::{LaneBatch, SystemBuilder};
+/// use lh_sim::{run_lanes, SystemBuilder};
 ///
-/// let mut batch = LaneBatch::new();
-/// let until = Time::from_us(30);
-/// for nrh in [1024, 64] {
-///     let builder = SystemBuilder::new(DefenseConfig::prac(nrh)).seed(7);
-///     batch.push_lane(builder, until).unwrap();
-/// }
-/// batch.run();
-/// assert!(batch.metrics(0).get("sim.service_wakes") > 0);
+/// let nrhs = [1024, 64];
+/// let wakes = run_lanes(nrhs.len(), |i| {
+///     let mut sys = SystemBuilder::new(DefenseConfig::prac(nrhs[i]))
+///         .seed(7)
+///         .build()
+///         .unwrap();
+///     sys.run_until(Time::from_us(30));
+///     sys.controller().stats().service_calls
+/// });
+/// assert_eq!(wakes.len(), 2);
+/// assert!(wakes[0] > 0);
 /// ```
-#[derive(Debug, Default)]
-pub struct LaneBatch {
-    lanes: Vec<Lane>,
-}
-
-impl LaneBatch {
-    /// An empty batch.
-    pub fn new() -> LaneBatch {
-        LaneBatch::default()
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the batch has no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Builds `builder` into a new lane that will run until `until`;
-    /// returns its index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device/controller construction errors.
-    pub fn push_lane(&mut self, builder: SystemBuilder, until: Time) -> Result<usize, DramError> {
-        let sys = builder.build()?;
-        self.lanes.push(Lane {
-            sys,
-            until,
-            done: false,
-            metrics: Metrics::new(),
-        });
-        Ok(self.lanes.len() - 1)
-    }
-
-    /// The lane's system (process results, controller stats, traces).
-    pub fn lane(&self, i: usize) -> &System {
-        &self.lanes[i].sys
-    }
-
-    /// Mutable access to a lane's system — to add processes before
-    /// [`LaneBatch::run`].
-    pub fn lane_mut(&mut self, i: usize) -> &mut System {
-        &mut self.lanes[i].sys
-    }
-
-    /// The lane's counters, captured when the lane finished (empty
-    /// before [`LaneBatch::run`]).
-    pub fn metrics(&self, i: usize) -> &Metrics {
-        &self.lanes[i].metrics
-    }
-
-    /// Advances every unfinished lane to its horizon over the shared
-    /// wake heap, on as many workers as the host has cores (one inside
-    /// a flight-capture scope; see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises, with its own payload, the first panic of any lane.
-    pub fn run(&mut self) {
-        let _span = lh_obs::Span::enter("sim.lane_batch", "sim");
-        let mut heap = BinaryHeap::new();
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.done {
-                continue;
-            }
-            if let Some(at) = lane.next_wake() {
-                heap.push(Reverse((at, i)));
-            }
+pub fn run_lanes<R: Send>(lanes: usize, lane: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let _span = lh_obs::Span::enter("sim.lane_batch", "sim");
+    let workers = if lh_obs::flight::active() {
+        1
+    } else {
+        thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(lanes)
+    };
+    // The claim counter publishes nothing: results and the first panic
+    // travel under their own locks, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let slots = Mutex::new((0..lanes).map(|_| None).collect::<Vec<_>>());
+    let first_panic = Mutex::new(None);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= lanes {
+            return;
         }
-        let workers = if lh_obs::flight::active() {
-            1
-        } else {
-            thread::available_parallelism()
-                .map_or(1, NonZeroUsize::get)
-                .min(heap.len())
-        };
-        let shared = Workers {
-            queue: Mutex::new(Queue {
-                heap,
-                lanes: self.lanes.iter_mut().map(Some).collect(),
-                claimed: 0,
-                panic: None,
-            }),
-            changed: Condvar::new(),
-        };
-        thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers)
-                .map(|_| scope.spawn(|| shared.work()))
-                .collect();
-            shared.work();
-            // Joining waits until each helper has exited and released
-            // its malloc arena for the next batch's helpers to reuse;
-            // the end of the scope alone does not, and arenas pile up.
-            for helper in helpers {
-                if let Err(payload) = helper.join() {
-                    panic::resume_unwind(payload);
-                }
-            }
-        });
-        let first_panic = lock(&shared.queue).panic.take();
-        if let Some(payload) = first_panic {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
-// Workers carry lanes across threads: a field that is not `Send` fails
-// to compile here, beside the types, not at a distant `thread::scope`.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<System>();
-    assert_send::<LaneBatch>();
-};
-
-/// The wake heap and its bookkeeping, under one lock.
-struct Queue<'a> {
-    heap: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Lane `i`, or `None` while a worker holds it (or it finished): a
-    /// lane is in the heap at most once, so one worker at a time owns it.
-    lanes: Vec<Option<&'a mut Lane>>,
-    /// Lanes a worker has claimed and not yet returned or finalized.
-    claimed: usize,
-    /// The first lane panic's payload; once set, no worker claims.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
-/// What the workers of one [`LaneBatch::run`] share.
-struct Workers<'a> {
-    queue: Mutex<Queue<'a>>,
-    /// Signalled when a lane returns to the heap, the last lane
-    /// finishes, or a lane panics.
-    changed: Condvar,
-}
-
-impl<'a> Workers<'a> {
-    /// One worker: claims the earliest lane, advances it one slice,
-    /// returns it, until the heap is drained or a lane panicked.
-    fn work(&self) {
-        while let Some((wake, i, lane)) = self.claim() {
-            let next = panic::catch_unwind(AssertUnwindSafe(|| {
-                let target = (wake + SLICE).min(lane.until);
-                lane.sys.advance_to(target);
-                lane.next_wake()
-            }));
-            self.release(i, lane, next);
-        }
-    }
-
-    /// Takes the earliest lane out of the queue, waiting while every
-    /// unfinished lane is claimed elsewhere; `None` once all lanes are
-    /// done or one panicked.
-    fn claim(&self) -> Option<(Time, usize, &'a mut Lane)> {
-        let mut queue = lock(&self.queue);
-        loop {
-            if queue.panic.is_some() {
-                return None;
-            }
-            if let Some(Reverse((wake, i))) = queue.heap.pop() {
-                queue.claimed += 1;
-                let lane = queue.lanes[i].take().expect("a lane is queued once");
-                return Some((wake, i, lane));
-            }
-            if queue.claimed == 0 {
-                return None;
-            }
-            queue = self
-                .changed
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Returns lane `i` after a slice: back onto the heap at its next
-    /// wake, finished, or — on a panic — stopping every worker.
-    fn release(&self, i: usize, lane: &'a mut Lane, next: thread::Result<Option<Time>>) {
-        let mut queue = lock(&self.queue);
-        queue.claimed -= 1;
-        match next {
-            Ok(Some(at)) => {
-                queue.lanes[i] = Some(lane);
-                queue.heap.push(Reverse((at, i)));
-                self.changed.notify_one();
-            }
-            Ok(None) => {
-                if queue.claimed == 0 && queue.heap.is_empty() {
-                    self.changed.notify_all();
-                }
-            }
+        match panic::catch_unwind(AssertUnwindSafe(|| lh_obs::record(|| lane(i)))) {
+            Ok(done) => lock(&slots)[i] = Some(done),
             Err(payload) => {
-                queue.panic.get_or_insert(payload);
-                self.changed.notify_all();
+                // Exhaust the counter: no worker claims another lane.
+                next.store(lanes, Ordering::Relaxed);
+                lock(&first_panic).get_or_insert(payload);
             }
         }
+    };
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        work();
+        // Joining waits until each helper has exited and released its
+        // malloc arena for the next batch's helpers to reuse; the end of
+        // the scope alone does not, and arenas pile up.
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    });
+    if let Some(payload) = lock(&first_panic).take() {
+        panic::resume_unwind(payload);
     }
+    let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
+    slots
+        .into_iter()
+        .map(|slot| {
+            let (result, metrics) = slot.expect("every lane ran");
+            lh_obs::emit(&metrics);
+            result
+        })
+        .collect()
 }
 
-/// Locks the queue. No worker panics while holding it (lane panics are
-/// caught outside it), so it is never poisoned.
-fn lock<T>(queue: &Mutex<T>) -> MutexGuard<'_, T> {
-    queue.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a batch's shared state. No worker panics while holding a lock
+/// (lane panics are caught outside them), so none is ever poisoned.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Process, ProcessStep};
-    use lh_defenses::DefenseConfig;
-
-    /// Sleeps in 1 µs steps; panics with its lane's name once simulated
-    /// time reaches `at`.
-    struct PanicAt {
-        lane: usize,
-        at: Time,
-    }
-
-    impl Process for PanicAt {
-        fn step(&mut self, now: Time) -> ProcessStep {
-            if now >= self.at {
-                panic!("lane {} reached its panic instant", self.lane);
-            }
-            ProcessStep::SleepUntil(now + Span::from_us(1))
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
+    use std::time::Duration;
 
     #[test]
     fn a_lane_panic_reaches_the_caller_with_its_own_payload() {
-        let mut batch = LaneBatch::new();
-        for lane in 0..4 {
-            let builder = SystemBuilder::new(DefenseConfig::none()).seed(1);
-            let i = batch.push_lane(builder, Time::from_us(100)).unwrap();
-            let at = if lane == 2 {
-                Time::from_us(50)
-            } else {
-                Time::MAX
-            };
-            let process = Box::new(PanicAt { lane, at });
-            batch.lane_mut(i).add_process(process, 1, Time::ZERO);
-        }
-        let payload = panic::catch_unwind(AssertUnwindSafe(|| batch.run()))
-            .expect_err("lane 2 panics inside the run");
+        let started = AtomicUsize::new(0);
+        let lanes = 1000;
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_lanes(lanes, |i| {
+                started.fetch_add(1, Ordering::Relaxed);
+                if i == 2 {
+                    panic!("lane {i} panicked");
+                }
+                thread::sleep(Duration::from_millis(1));
+            })
+        }))
+        .expect_err("lane 2 panics");
         assert_eq!(
             payload.downcast_ref::<String>().map(String::as_str),
-            Some("lane 2 reached its panic instant")
+            Some("lane 2 panicked")
+        );
+        let started = started.load(Ordering::Relaxed);
+        assert!(
+            started < lanes,
+            "workers kept claiming lanes after the panic ({started} started)"
         );
     }
 }

@@ -43,7 +43,7 @@ mod system;
 mod trace;
 
 pub use cache::{CacheAccess, CacheConfig, CacheHierarchy, CacheLevelConfig, CacheStats};
-pub use lane::LaneBatch;
+pub use lane::run_lanes;
 pub use looper::LoopProcess;
 pub use prefetch::{BestOffsetPrefetcher, BopConfig};
 pub use process::{IdleProcess, MemAccess, Process, ProcessStep};

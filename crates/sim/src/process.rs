@@ -100,10 +100,7 @@ pub enum ProcessStep {
 /// * when a sleep expires, and
 /// * for non-blocking accesses, as soon as the access has issued (or a
 ///   memory-level-parallelism slot frees up).
-///
-/// Processes are `Send` because a [`crate::LaneBatch`] may advance a
-/// lane's `System`, processes included, on any of its worker threads.
-pub trait Process: Send {
+pub trait Process {
     /// Advances the process; `now` is the current simulated time.
     fn step(&mut self, now: Time) -> ProcessStep;
 

@@ -358,9 +358,8 @@ pub struct System {
     obs_flushed: ObsFlushed,
     /// Queue-wait samples accumulated since the last obs flush. Samples
     /// collect here — not straight into the thread-local metric scope —
-    /// because the lane engine advances systems outside any scope and
-    /// captures metrics only around `flush_obs`; accumulating in the
-    /// system keeps lanes=N byte-identical to lanes=1.
+    /// so they reach whichever scope is installed at `flush_obs`, like
+    /// the counter deltas.
     queue_wait: lh_obs::Hist,
     /// Maintenance-slack samples accumulated since the last obs flush
     /// (same scoping rationale as `queue_wait`).
@@ -566,8 +565,7 @@ impl System {
         // Flight events ride the same flush cadence as the metric
         // deltas: drain the controller (and its defense stack) into this
         // system's segment. Within a segment events keep controller
-        // buffering order after a stable time sort, so lane-batched and
-        // sequential engines produce byte-identical logs.
+        // buffering order after a stable time sort.
         if lh_obs::flight::active() {
             let seg = self.flight_seg();
             let mut batch = lh_obs::flight::EventBuffer::new();
@@ -591,26 +589,11 @@ impl System {
             .get_or_insert_with(lh_obs::flight::new_segment)
     }
 
-    /// The instant of the earliest queued event, if any. This is the
-    /// lane engine's wake-heap key: after `advance_to(t)` every event at
-    /// or before `t` has been handled, so the returned instant is
-    /// strictly after `t`.
-    pub fn next_event_at(&self) -> Option<Time> {
-        self.events.peek().map(|&Reverse(ev)| ev.at)
-    }
-
-    /// Runs until `t_end` (events after it stay queued).
+    /// Runs until `t_end` (events after it stay queued). Chunked runs
+    /// are equivalent to one call: events are handled in the same
+    /// (time, seq) order either way, and `now` ends at `t_end` exactly.
     pub fn run_until(&mut self, t_end: Time) {
         let _span = lh_obs::Span::enter("sim.run_until", "sim");
-        self.advance_to(t_end);
-    }
-
-    /// [`System::run_until`] without the wall-clock span: the lane
-    /// engine calls this once per heap wake, where per-call span entry
-    /// would dominate. Chunked advancing is equivalent to one call —
-    /// events are handled in the same (time, seq) order either way, and
-    /// `now` ends at `t_end` exactly.
-    pub fn advance_to(&mut self, t_end: Time) {
         while let Some(&Reverse(ev)) = self.events.peek() {
             if ev.at > t_end {
                 break;

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
-use lh_sim::{CacheConfig, CacheHierarchy, LaneBatch, SimConfig, SystemBuilder};
+use lh_sim::{run_lanes, CacheConfig, CacheHierarchy, SimConfig, SystemBuilder};
 use lh_workloads::{four_core_mixes, SharedTrace, TraceReplay};
 
 /// Counts the current thread's live heap bytes and their high-water
@@ -82,8 +82,7 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn paper_default_hierarchy_allocates_at_most_24_kib() {
     let (cache, bytes) = peak_of(|| CacheHierarchy::new(CacheConfig::paper_default()));
-    // 4 096 LLC sets + 64 L1 sets at five bytes each (20 800 B) plus
-    // the slabs' first 64 B L1 and 128 B LLC blocks: 20 992 B.
+    // 4 096 LLC sets + 64 L1 sets at five bytes each: 20 800 B.
     assert!(
         bytes <= 24 * 1024,
         "CacheHierarchy::new allocated {bytes} B"
@@ -91,42 +90,92 @@ fn paper_default_hierarchy_allocates_at_most_24_kib() {
     drop(cache);
 }
 
-/// Peak heap of one 4-core fig13 lane: measured at 1 144 722 B, plus a
-/// 20 % margin. The Vec-per-set layout read 1 764 306 B.
+/// Peak heap of one 4-core fig13 lane over a fresh shared trace:
+/// measured at 1 143 042 B, plus a 20 % margin. About 0.8 MB of it is
+/// the trace's memoized steps, which the first lane to replay them
+/// generates; the system itself peaks near 0.33 MB. The Vec-per-set
+/// layout read 1 764 306 B.
 const LANE_BUDGET: usize = 1_375_000;
 
-#[test]
-fn four_core_fig13_lane_stays_in_budget() {
-    // Mix 0 of the quick study, PRAC at N_RH = 256, over the quick
-    // horizon (150 µs of replay plus the 5 µs drain fig13 allows).
-    let seed = 1;
+/// The shared trace of mix 0 of the quick study at seed 1.
+fn quick_mix_trace(seed: u64) -> Arc<SharedTrace> {
     let profiles = four_core_mixes(2, seed)[0].to_vec();
     let cfg = SimConfig::paper_default(DefenseConfig::none());
     let mapping = lh_memctrl::AddressMapping::new(cfg.mapping, cfg.device.geometry);
     let seeds: Vec<u64> = (0..4).map(|i| seed ^ (i * 31)).collect();
-    let trace = SharedTrace::decode_uncounted(profiles, mapping, &seeds);
+    SharedTrace::decode_uncounted(profiles, mapping, &seeds)
+}
+
+/// One fig13 lane over the quick horizon (150 µs of replay plus the
+/// 5 µs drain fig13 allows): the four cores of `trace` under `defense`
+/// at `nrh`. Returns the instructions each core retired.
+fn fig13_lane(trace: &Arc<SharedTrace>, seed: u64, defense: DefenseKind, nrh: u32) -> Vec<u64> {
     let end = Time::ZERO + Span::from_us(150);
-    let ((), bytes) = peak_of(|| {
-        let defense =
-            DefenseConfig::for_threshold(DefenseKind::Prac, 256, &DramTiming::ddr5_4800());
-        let builder = SystemBuilder::new(defense)
-            .seed(seed)
-            .disturb_tracking(false);
-        let mut batch = LaneBatch::new();
-        let lane = batch
-            .push_lane(builder, end + Span::from_us(5))
-            .expect("valid configuration");
-        for core in 0..4 {
-            let replay = TraceReplay::new(Arc::clone(&trace), core, end);
+    let defense = DefenseConfig::for_threshold(defense, nrh, &DramTiming::ddr5_4800());
+    let mut sys = SystemBuilder::new(defense)
+        .seed(seed)
+        .disturb_tracking(false)
+        .build()
+        .expect("valid configuration");
+    let pids: Vec<_> = (0..4)
+        .map(|core| {
+            let replay = TraceReplay::new(Arc::clone(trace), core, end);
             let mlp = replay.mlp();
-            batch
-                .lane_mut(lane)
-                .add_process(Box::new(replay), mlp, Time::ZERO);
-        }
-        batch.run();
-    });
+            sys.add_process(Box::new(replay), mlp, Time::ZERO)
+        })
+        .collect();
+    sys.run_until(end + Span::from_us(5));
+    pids.iter()
+        .map(|&pid| {
+            sys.process_as::<TraceReplay>(pid)
+                .expect("replay present")
+                .instructions()
+        })
+        .collect()
+}
+
+#[test]
+fn four_core_fig13_lane_stays_in_budget() {
+    // Mix 0 of the quick study, PRAC at N_RH = 256.
+    let trace = quick_mix_trace(1);
+    let (_, bytes) = peak_of(|| run_lanes(1, |_| fig13_lane(&trace, 1, DefenseKind::Prac, 256)));
     assert!(
         bytes <= LANE_BUDGET,
         "a 4-core fig13 lane peaked at {bytes} B"
+    );
+}
+
+/// A batch holds one system per worker: the calling thread's heap
+/// during a 25-lane fig13 batch (fig13's five defenses over its five
+/// thresholds) peaks at one lane's budget plus the results, not at the
+/// 25 systems an engine that builds every lane up front would hold
+/// (6 679 018 B when every lane was built on the caller).
+#[test]
+fn fig13_batch_holds_one_system_per_worker() {
+    let defenses = [
+        DefenseKind::Prac,
+        DefenseKind::Prfm,
+        DefenseKind::PracRiac,
+        DefenseKind::FrRfm,
+        DefenseKind::PracBank,
+    ];
+    let cells: Vec<(DefenseKind, u32)> = defenses
+        .iter()
+        .flat_map(|&d| [1024, 512, 256, 128, 64].map(|nrh| (d, nrh)))
+        .collect();
+    let trace = quick_mix_trace(1);
+    let (results, bytes) = peak_of(|| {
+        run_lanes(cells.len(), |i| {
+            let (defense, nrh) = cells[i];
+            fig13_lane(&trace, 1, defense, nrh)
+        })
+    });
+    // The result vectors, the slot table and the caller's share of the
+    // lanes' `Metrics` maps, which it re-emits: well under 64 KiB.
+    let results_budget = 64 * 1024;
+    assert_eq!(results.len(), cells.len());
+    assert!(
+        bytes <= LANE_BUDGET + results_budget,
+        "the calling thread peaked at {bytes} B during a 25-lane batch"
     );
 }

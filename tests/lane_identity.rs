@@ -1,8 +1,9 @@
-//! Lane-batch identity: `LaneBatch` with K lanes over one shared trace
+//! Lane-batch identity: `run_lanes` with K lanes over one shared trace
 //! must reproduce, byte for byte, what each lane computes when run
-//! alone as a plain `System` — the command mix, the per-process and
-//! cache statistics, the defense counters, a probe's latency trace, and
-//! the per-lane obs counters.
+//! alone on the calling thread — the command mix, the per-process and
+//! cache statistics, the defense counters, a probe's latency trace, the
+//! per-lane obs counters and, under a flight-capture scope, the event
+//! log — and must hand the results back in lane order.
 //!
 //! The batch engine is an *engine*, not an approximation, so equality
 //! here is exact structural equality, never tolerance-based. Both sides
@@ -12,7 +13,9 @@
 //! dev-profile suite, by the `debug_assertions` shadows of every
 //! verdict.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -22,7 +25,7 @@ use lh_dram::{DramTiming, Span, Time};
 use lh_memctrl::CtrlStats;
 use lh_mitigate::MitigationConfig;
 use lh_obs::Metrics;
-use lh_sim::{CacheStats, LaneBatch, LatencyTrace, ProcId, ProcStats, System, SystemBuilder};
+use lh_sim::{run_lanes, CacheStats, LatencyTrace, ProcId, ProcStats, System, SystemBuilder};
 use lh_workloads::{AppProfile, Intensity, SharedTrace, TraceReplay};
 
 const SIM_SEED: u64 = 11;
@@ -151,8 +154,8 @@ fn collect(sys: &System, pids: &[ProcId], probe: ProcId, metrics: Metrics) -> La
     }
 }
 
-/// The reference: the lane alone in a plain `System`, with its obs
-/// counters captured at an identical finalization flush.
+/// One lane: the cell in its own `System`, run to the horizon, with its
+/// obs counters captured at a final flush.
 fn run_solo(spec: &LaneSpec, trace: &Arc<SharedTrace>, end: Time, horizon: Time) -> LaneResult {
     let mut sys = builder(spec).build().expect("valid configuration");
     let (pids, probe) = add_processes(&mut sys, trace, end);
@@ -161,29 +164,14 @@ fn run_solo(spec: &LaneSpec, trace: &Arc<SharedTrace>, end: Time, horizon: Time)
     collect(&sys, &pids, probe, metrics)
 }
 
-/// All `specs` as one lane batch over the shared wake heap.
+/// All `specs` as one lane batch.
 fn run_batch(
     specs: &[LaneSpec],
     trace: &Arc<SharedTrace>,
     end: Time,
     horizon: Time,
 ) -> Vec<LaneResult> {
-    let mut batch = LaneBatch::new();
-    let mut lane_pids = Vec::new();
-    for spec in specs {
-        let lane = batch
-            .push_lane(builder(spec), horizon)
-            .expect("valid configuration");
-        let (pids, probe) = add_processes(batch.lane_mut(lane), trace, end);
-        lane_pids.push((lane, pids, probe));
-    }
-    batch.run();
-    lane_pids
-        .into_iter()
-        .map(|(lane, pids, probe)| {
-            collect(batch.lane(lane), &pids, probe, batch.metrics(lane).clone())
-        })
-        .collect()
+    run_lanes(specs.len(), |i| run_solo(&specs[i], trace, end, horizon))
 }
 
 fn assert_lane_eq(got: &LaneResult, want: &LaneResult, what: &str) {
@@ -239,9 +227,8 @@ fn degenerate_single_lane_batch_matches_solo() {
     assert_lane_eq(&batched[0], &solo, "degenerate single-lane batch");
 }
 
-/// Twin lanes exercise the heap's tie-break (identical configurations
-/// produce equal wake times at every step, so every pop is a tie
-/// resolved by lane index): both lanes must match the solo run exactly,
+/// Twin lanes (identical configurations, so identical event sequences
+/// on two workers at once): both lanes must match the solo run exactly,
 /// and a second batch run must reproduce the first bit for bit.
 #[test]
 fn twin_lanes_tie_break_deterministically() {
@@ -324,13 +311,8 @@ fn throttled_lane_matches_solo() {
     assert_lane_eq(&batched[0], &solo, "throttled lane");
 }
 
-/// A batch run inside a flight-capture scope records every lane: the
-/// scope is thread-local, so the engine keeps such a batch on the
-/// calling thread. Each lane's segment holds one `cmd` event per
-/// command its counters report.
-#[test]
-fn recording_batch_logs_every_lane() {
-    let specs: Vec<LaneSpec> = [
+fn recording_specs() -> Vec<LaneSpec> {
+    [
         (DefenseKind::Prac, 256),
         (DefenseKind::Prfm, 128),
         (DefenseKind::FrRfm, 512),
@@ -341,35 +323,99 @@ fn recording_batch_logs_every_lane() {
         defense: DefenseConfig::for_threshold(kind, nrh, &DramTiming::ddr5_4800()),
         mitigations: vec![],
     })
-    .collect();
+    .collect()
+}
+
+/// A batch run inside a flight-capture scope records every lane: the
+/// scope is thread-local, so the engine keeps such a batch on the
+/// calling thread. Lane `i`'s system owns segment `i`, and its segment
+/// holds one `cmd` event per command its counters report.
+#[test]
+fn recording_batch_logs_every_lane() {
+    let specs = recording_specs();
     let trace = shared_trace();
     let end = Time::ZERO + Span::from_us(SPAN_US);
     let horizon = end + Span::from_us(5);
-    let (batch, log) = lh_obs::flight::capture_capped(1 << 20, || {
-        let mut batch = LaneBatch::new();
-        for spec in &specs {
-            let lane = batch
-                .push_lane(builder(spec), horizon)
-                .expect("valid configuration");
-            add_processes(batch.lane_mut(lane), &trace, end);
-            // Segment ids follow lane order.
-            assert_eq!(batch.lane_mut(lane).flight_seg(), lane as u64);
-        }
-        batch.run();
-        batch
-    });
+    let (results, log) =
+        lh_obs::flight::capture_capped(1 << 20, || run_batch(&specs, &trace, end, horizon));
     assert!(log.dropped().is_empty(), "the ring dropped events");
-    for lane in 0..batch.len() {
+    for (lane, result) in results.iter().enumerate() {
         let logged = log
             .entries()
             .filter(|&(seg, event)| seg == lane as u64 && event.kind() == "cmd")
             .count() as u64;
-        let metrics = batch.metrics(lane);
         let issued: u64 = ["act", "pre", "rd", "wr", "ref", "rfm"]
             .iter()
-            .map(|cmd| metrics.get(&format!("sim.cmd.{cmd}")))
+            .map(|cmd| result.metrics.get(&format!("sim.cmd.{cmd}")))
             .sum();
         assert!(issued > 0, "lane {lane} issued no commands");
         assert_eq!(logged, issued, "lane {lane}: commands missing from the log");
     }
+}
+
+/// Under a capture scope whose ring overflows, a batch keeps what
+/// running its lane closures one after another keeps: the same results,
+/// the same counters re-emitted into the caller's scope, and an event
+/// log that renders to the same bytes, evictions included.
+#[test]
+fn capped_recording_batch_equals_sequential_lanes() {
+    let specs = recording_specs();
+    let trace = shared_trace();
+    let end = Time::ZERO + Span::from_us(SPAN_US);
+    let horizon = end + Span::from_us(5);
+    // The lane leaves its counters to the drop flush, so they reach the
+    // caller only through the engine's re-emission.
+    let lane = |i: usize| {
+        let mut sys = builder(&specs[i]).build().expect("valid configuration");
+        let (pids, _) = add_processes(&mut sys, &trace, end);
+        sys.run_until(horizon);
+        pids.iter()
+            .map(|&p| sys.proc_stats(p))
+            .collect::<Vec<ProcStats>>()
+    };
+    let cap = 2_000;
+    let ((batched, batch_metrics), batch_log) =
+        lh_obs::flight::capture_capped(cap, || lh_obs::record(|| run_lanes(specs.len(), lane)));
+    let ((sequential, seq_metrics), seq_log) = lh_obs::flight::capture_capped(cap, || {
+        lh_obs::record(|| (0..specs.len()).map(lane).collect::<Vec<_>>())
+    });
+    assert!(
+        !batch_log.dropped().is_empty(),
+        "the ring never overflowed — the cap tests nothing"
+    );
+    assert_eq!(batched, sequential, "lane results diverged");
+    assert!(
+        batch_metrics.get("sim.cmd.act") > 0,
+        "no counters re-emitted"
+    );
+    assert_eq!(batch_metrics, seq_metrics, "re-emitted counters diverged");
+    assert_eq!(
+        batch_log.render("batch", 0),
+        seq_log.render("batch", 0),
+        "event logs diverged"
+    );
+}
+
+/// Results come back in lane order, not the order lanes finish in. With
+/// two or more cores, lane 0 waits until the last lane has finished on
+/// another worker, so it finishes last of all.
+#[test]
+fn results_come_back_in_lane_order() {
+    let lanes = 6;
+    let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    let last_done = AtomicBool::new(false);
+    let order = run_lanes(lanes, |i| {
+        if i == 0 && parallel {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !last_done.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "no other worker ran a lane");
+                std::thread::yield_now();
+            }
+        }
+        if i == lanes - 1 {
+            last_done.store(true, Ordering::Release);
+        }
+        i
+    });
+    assert_eq!(order, (0..lanes).collect::<Vec<_>>());
 }
