@@ -17,13 +17,17 @@
 //! (`leakyhammer::experiment::taxonomy`) can measure the *realized*
 //! channel capacity against every class instead of arguing qualitatively:
 //!
-//! | Tracker | Literature analog | Structure |
-//! |---|---|---|
-//! | [`GrapheneBank`] | Graphene (MICRO'20) | Misra-Gries / space-saving summary |
-//! | [`HydraBank`] | Hydra (ISCA'22) | group counters + per-row spill cache |
-//! | [`CometBank`] | CoMeT (HPCA'24) | count-min sketch |
-//! | [`MintBank`] | MINT/PrIDE (MICRO/ISCA'24) | reservoir-sampled in-REF refresh |
-//! | [`BlockHammerBank`] | BlockHammer (HPCA'21) | epoch-rotated count-min rate filter |
+//! | Tracker | Literature analog | Structure | State per bank |
+//! |---|---|---|---|
+//! | [`GrapheneBank`] | Graphene (MICRO'20) | Misra-Gries / space-saving summary | per tracked row, up to `entries` |
+//! | [`HydraBank`] | Hydra (ISCA'22) | group counters + per-row spill cache | per group up to the highest touched, per engaged row |
+//! | [`CometBank`] | CoMeT (HPCA'24) | count-min sketch | per touched cell, per mitigated row |
+//! | [`MintBank`] | MINT/PrIDE (MICRO/ISCA'24) | reservoir-sampled in-REF refresh | constant |
+//! | [`BlockHammerBank`] | BlockHammer (HPCA'21) | epoch-rotated count-min rate filter | per touched cell, two epochs |
+//!
+//! CoMeT and BlockHammer share one sparse [`CountMin`] sketch: its `width`
+//! is logical, and memory follows the cells activations touch, not
+//! `width × depth`.
 //!
 //! All trackers are deterministic given their seed, like everything else
 //! in this workspace.
@@ -374,7 +378,9 @@ impl HydraBank {
 /// Configuration of a CoMeT-style count-min-sketch tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CometConfig {
-    /// Counters per hash row.
+    /// Counters per hash row. The width is logical: it sets which cell a
+    /// row hashes to, and the sketch stores only the cells activations
+    /// have touched (see [`CountMin`]).
     pub width: usize,
     /// Number of hash rows.
     pub depth: usize,
@@ -440,10 +446,10 @@ impl CometConfig {
 #[derive(Debug, Clone)]
 pub struct CometBank {
     cfg: CometConfig,
-    cells: Vec<u32>,
+    sketch: CountMin,
     /// Raw sketch value at each row's last mitigation (bounded by the
     /// number of mitigations per epoch).
-    offsets: std::collections::HashMap<u32, u32>,
+    offsets: RowMap<u32>,
     epoch_end: Time,
     triggers: u64,
 }
@@ -452,8 +458,8 @@ impl CometBank {
     /// Creates an empty sketch.
     pub fn new(cfg: CometConfig) -> CometBank {
         CometBank {
-            cells: vec![0; cfg.width * cfg.depth],
-            offsets: std::collections::HashMap::new(),
+            sketch: CountMin::new(cfg.width, cfg.depth, cfg.seed),
+            offsets: RowMap::default(),
             epoch_end: Time::ZERO + cfg.epoch,
             cfg,
             triggers: 0,
@@ -470,52 +476,30 @@ impl CometBank {
         self.triggers
     }
 
-    fn cell_index(&self, level: usize, row: u32) -> usize {
-        // SplitMix64-style mix of (seed, level, row): cheap, deterministic
-        // and well-distributed — cryptographic strength is irrelevant here.
-        let mut x = self
-            .cfg
-            .seed
-            .wrapping_add((level as u64) << 32)
-            .wrapping_add(row as u64)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        level * self.cfg.width + (x as usize % self.cfg.width)
-    }
-
-    /// The raw count-min value for `row`, ignoring mitigation offsets.
-    fn raw(&self, row: u32) -> u32 {
-        (0..self.cfg.depth)
-            .map(|l| self.cells[self.cell_index(l, row)])
-            .min()
-            .unwrap_or(0)
+    /// `raw` minus `row`'s offset: the count since its last mitigation.
+    fn since_mitigation(&self, row: u32, raw: u32) -> u32 {
+        raw.saturating_sub(self.offsets.get(&row).copied().unwrap_or(0))
     }
 
     /// The sketch's estimate for `row` since its last mitigation (an
     /// overestimate of the true count).
     pub fn estimate(&self, row: u32) -> u32 {
-        self.raw(row)
-            .saturating_sub(self.offsets.get(&row).copied().unwrap_or(0))
+        self.since_mitigation(row, self.sketch.min(row))
     }
 
     /// Records an activation of `row` at `now`; returns the row to
     /// mitigate when its estimate crosses the threshold.
     pub fn on_activate(&mut self, row: u32, now: Time) -> Option<u32> {
         if now >= self.epoch_end {
-            self.cells.fill(0);
+            self.sketch.clear();
             self.offsets.clear();
             while self.epoch_end <= now {
                 self.epoch_end += self.cfg.epoch;
             }
         }
-        for l in 0..self.cfg.depth {
-            let i = self.cell_index(l, row);
-            self.cells[i] = self.cells[i].saturating_add(1);
-        }
-        if self.estimate(row) >= self.cfg.threshold {
-            self.offsets.insert(row, self.raw(row));
+        let raw = self.sketch.add(row);
+        if self.since_mitigation(row, raw) >= self.cfg.threshold {
+            self.offsets.insert(row, raw);
             self.triggers += 1;
             Some(row)
         } else {
@@ -609,7 +593,9 @@ impl MintBank {
 /// Configuration of a BlockHammer-style throttling filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockHammerConfig {
-    /// Counters per hash row of each epoch sketch.
+    /// Counters per hash row of each epoch sketch. The width is logical:
+    /// it sets which cell a row hashes to, and each sketch stores only the
+    /// cells activations have touched (see [`CountMin`]).
     pub width: usize,
     /// Hash rows per epoch sketch.
     pub depth: usize,
@@ -686,8 +672,8 @@ impl BlockHammerConfig {
 #[derive(Debug, Clone)]
 pub struct BlockHammerBank {
     cfg: BlockHammerConfig,
-    /// Two epoch sketches, `cells[epoch][depth × width]`.
-    cells: [Vec<u32>; 2],
+    /// The two epoch sketches; `sketches[active]` counts.
+    sketches: [CountMin; 2],
     active: usize,
     epoch_end: Time,
     throttles: u64,
@@ -696,9 +682,9 @@ pub struct BlockHammerBank {
 impl BlockHammerBank {
     /// Creates an empty filter.
     pub fn new(cfg: BlockHammerConfig) -> BlockHammerBank {
-        let size = cfg.width * cfg.depth;
+        let sketch = CountMin::new(cfg.width, cfg.depth, cfg.seed);
         BlockHammerBank {
-            cells: [vec![0; size], vec![0; size]],
+            sketches: [sketch.clone(), sketch],
             active: 0,
             epoch_end: Time::ZERO + cfg.window,
             cfg,
@@ -716,36 +702,17 @@ impl BlockHammerBank {
         self.throttles
     }
 
-    fn cell_index(&self, level: usize, row: u32) -> usize {
-        let mut x = self
-            .cfg
-            .seed
-            .wrapping_add((level as u64) << 32)
-            .wrapping_add(row as u64)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        level * self.cfg.width + (x as usize % self.cfg.width)
-    }
-
     fn rotate(&mut self, now: Time) {
         while now >= self.epoch_end {
             self.active ^= 1;
-            self.cells[self.active].fill(0);
+            self.sketches[self.active].clear();
             self.epoch_end += self.cfg.window;
         }
     }
 
     /// The filter's rate estimate for `row` (active + previous epoch).
     pub fn estimate(&self, row: u32) -> u32 {
-        let per_epoch = |e: &Vec<u32>| {
-            (0..self.cfg.depth)
-                .map(|l| e[self.cell_index(l, row)])
-                .min()
-                .unwrap_or(0)
-        };
-        per_epoch(&self.cells[self.active]) + per_epoch(&self.cells[self.active ^ 1])
+        self.sketches[self.active].min(row) + self.sketches[self.active ^ 1].min(row)
     }
 
     /// Records an activation of `row` at `now`; returns the time until
@@ -753,16 +720,113 @@ impl BlockHammerBank {
     /// blacklisted.
     pub fn on_activate(&mut self, row: u32, now: Time) -> Option<Time> {
         self.rotate(now);
-        for l in 0..self.cfg.depth {
-            let i = self.cell_index(l, row);
-            self.cells[self.active][i] = self.cells[self.active][i].saturating_add(1);
-        }
-        if self.estimate(row) >= self.cfg.blacklist_threshold {
+        let active = self.sketches[self.active].add(row);
+        if active + self.sketches[self.active ^ 1].min(row) >= self.cfg.blacklist_threshold {
             self.throttles += 1;
             Some(now + self.cfg.delay)
         } else {
             None
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The count-min sketch CoMeT and BlockHammer share
+// ---------------------------------------------------------------------------
+
+/// A count-min sketch of `depth` hash rows of `width` saturating counters,
+/// stored sparsely: only the cells an activation has touched hold an
+/// entry, and an absent cell reads 0.
+///
+/// `width` and `depth` are the logical sketch size — they fix which cells
+/// a row hashes to — so the sketch reads and writes exactly the cells a
+/// dense `width × depth` array would, and nothing observable depends on
+/// the map's iteration order because nothing iterates it. What it saves
+/// is the array: at N_RH = 128 a dense BlockHammer epoch sketch is 4 MiB
+/// per bank, of which a covert transmission touches a few dozen cells.
+///
+/// # Examples
+///
+/// ```
+/// use lh_defenses::trackers::CountMin;
+///
+/// let mut s = CountMin::new(1 << 20, 4, 9);
+/// assert_eq!(s.add(5), 1);
+/// assert_eq!(s.add(5), 2);
+/// assert_eq!(s.min(5), 2);
+/// s.clear();
+/// assert_eq!(s.min(5), 0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct CountMin {
+    width: usize,
+    depth: usize,
+    seed: u64,
+    /// Flat cell index (`level × width + column`) → count.
+    cells: RowMap<u32>,
+}
+
+impl CountMin {
+    /// Creates an empty sketch.
+    ///
+    /// # Panics
+    ///
+    /// If a flat cell index would not fit in a `u32`.
+    pub fn new(width: usize, depth: usize, seed: u64) -> CountMin {
+        assert!(
+            u32::try_from((width * depth).saturating_sub(1)).is_ok(),
+            "a {width} × {depth} sketch overflows u32 cell indices"
+        );
+        CountMin {
+            width,
+            depth,
+            seed,
+            cells: RowMap::default(),
+        }
+    }
+
+    /// The flat index of `row`'s cell in hash row `level`.
+    fn cell(&self, level: usize, row: u32) -> u32 {
+        // SplitMix64-style mix of (seed, level, row): cheap, deterministic
+        // and well-distributed — cryptographic strength is irrelevant here.
+        let mut x = self
+            .seed
+            .wrapping_add((level as u64) << 32)
+            .wrapping_add(row as u64)
+            .wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^= x >> 31;
+        (level * self.width + (x as usize % self.width)) as u32
+    }
+
+    /// Increments `row`'s cells (saturating) and returns its new estimate.
+    pub fn add(&mut self, row: u32) -> u32 {
+        let mut min = u32::MAX;
+        for level in 0..self.depth {
+            let cell = self.cells.entry(self.cell(level, row)).or_insert(0);
+            *cell = cell.saturating_add(1);
+            min = min.min(*cell);
+        }
+        if self.depth == 0 {
+            0
+        } else {
+            min
+        }
+    }
+
+    /// `row`'s estimate: the minimum over its cells, never below its true
+    /// count since the last [`CountMin::clear`].
+    pub fn min(&self, row: u32) -> u32 {
+        (0..self.depth)
+            .map(|level| self.cells.get(&self.cell(level, row)).copied().unwrap_or(0))
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Zeroes every cell.
+    pub fn clear(&mut self) {
+        self.cells.clear();
     }
 }
 

@@ -6,6 +6,11 @@
 //! prediction LeakyHammer exploits) is the flip side: estimates may
 //! exceed truth. These tests drive the structures with arbitrary access
 //! streams and check both directions.
+//!
+//! Two trackers are also checked step for step against a reference that
+//! keeps the obvious, slower or larger layout: the indexed Graphene
+//! against a table scan, and the sparse count-min sketches of CoMeT and
+//! BlockHammer against the dense `width × depth` arrays they replaced.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -14,7 +19,7 @@ use lh_defenses::trackers::{
     BlockHammerBank, BlockHammerConfig, CometBank, CometConfig, GrapheneBank, GrapheneConfig,
     HydraBank, HydraConfig, MintBank, MintConfig,
 };
-use lh_dram::{Span, Time};
+use lh_dram::{DramTiming, Span, Time};
 
 fn epoch() -> Span {
     Span::from_ms(32)
@@ -74,6 +79,174 @@ impl ScanGraphene {
             None
         }
     }
+}
+
+/// The index of `row`'s cell in hash row `level` of a dense
+/// `depth × width` array: the sketches' SplitMix64 cell hash.
+fn dense_cell(seed: u64, width: usize, level: usize, row: u32) -> usize {
+    let mut x = seed
+        .wrapping_add((level as u64) << 32)
+        .wrapping_add(row as u64)
+        .wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    level * width + (x as usize % width)
+}
+
+/// A count-min sketch as one zeroed `width × depth` array: the layout
+/// CoMeT and BlockHammer stored before their sketches went sparse.
+struct DenseSketch {
+    width: usize,
+    depth: usize,
+    seed: u64,
+    cells: Vec<u32>,
+}
+
+impl DenseSketch {
+    fn new(width: usize, depth: usize, seed: u64) -> DenseSketch {
+        DenseSketch {
+            width,
+            depth,
+            seed,
+            cells: vec![0; width * depth],
+        }
+    }
+
+    fn add(&mut self, row: u32) {
+        for l in 0..self.depth {
+            let i = dense_cell(self.seed, self.width, l, row);
+            self.cells[i] = self.cells[i].saturating_add(1);
+        }
+    }
+
+    fn raw(&self, row: u32) -> u32 {
+        (0..self.depth)
+            .map(|l| self.cells[dense_cell(self.seed, self.width, l, row)])
+            .min()
+            .unwrap_or(0)
+    }
+}
+
+/// CoMeT over a dense sketch: the reference [`CometBank`] must match.
+struct DenseComet {
+    cfg: CometConfig,
+    sketch: DenseSketch,
+    offsets: HashMap<u32, u32>,
+    epoch_end: Time,
+}
+
+impl DenseComet {
+    fn new(cfg: CometConfig) -> DenseComet {
+        DenseComet {
+            sketch: DenseSketch::new(cfg.width, cfg.depth, cfg.seed),
+            offsets: HashMap::new(),
+            epoch_end: Time::ZERO + cfg.epoch,
+            cfg,
+        }
+    }
+
+    fn estimate(&self, row: u32) -> u32 {
+        self.sketch
+            .raw(row)
+            .saturating_sub(self.offsets.get(&row).copied().unwrap_or(0))
+    }
+
+    fn on_activate(&mut self, row: u32, now: Time) -> Option<u32> {
+        if now >= self.epoch_end {
+            self.sketch.cells.fill(0);
+            self.offsets.clear();
+            while self.epoch_end <= now {
+                self.epoch_end += self.cfg.epoch;
+            }
+        }
+        self.sketch.add(row);
+        if self.estimate(row) >= self.cfg.threshold {
+            self.offsets.insert(row, self.sketch.raw(row));
+            Some(row)
+        } else {
+            None
+        }
+    }
+}
+
+/// BlockHammer over two dense epoch sketches: the reference
+/// [`BlockHammerBank`] must match.
+struct DenseBlockHammer {
+    cfg: BlockHammerConfig,
+    sketches: [DenseSketch; 2],
+    active: usize,
+    epoch_end: Time,
+}
+
+impl DenseBlockHammer {
+    fn new(cfg: BlockHammerConfig) -> DenseBlockHammer {
+        let sketch = || DenseSketch::new(cfg.width, cfg.depth, cfg.seed);
+        DenseBlockHammer {
+            sketches: [sketch(), sketch()],
+            active: 0,
+            epoch_end: Time::ZERO + cfg.window,
+            cfg,
+        }
+    }
+
+    fn estimate(&self, row: u32) -> u32 {
+        self.sketches[0].raw(row) + self.sketches[1].raw(row)
+    }
+
+    fn on_activate(&mut self, row: u32, now: Time) -> Option<Time> {
+        while now >= self.epoch_end {
+            self.active ^= 1;
+            self.sketches[self.active].cells.fill(0);
+            self.epoch_end += self.cfg.window;
+        }
+        self.sketches[self.active].add(row);
+        if self.estimate(row) >= self.cfg.blacklist_threshold {
+            Some(now + self.cfg.delay)
+        } else {
+            None
+        }
+    }
+}
+
+/// The sketch epoch (CoMeT) and window (BlockHammer) of the oracle
+/// tests: short enough that a few hundred activations cross several.
+const SKETCH_EPOCH_NS: u64 = 20_000;
+
+/// Activation times and rows for the sketch oracle tests, from
+/// `(pick, shape, gap_ns)` draws. Most rows come from 40 background rows
+/// or a double-sided pair around row 100, so thresholds are reached. A
+/// third and two thirds of the way through, the clock jumps one whole
+/// epoch, so every stream crosses at least two epoch boundaries; at
+/// `long_gap_at` it jumps two and a half, so one boundary crossing
+/// skips an epoch that saw no activation at all.
+fn sketch_stream(draws: &[(u32, u8, u64)], long_gap_at: usize) -> Vec<(u32, Time)> {
+    let epoch = Span::from_ns(SKETCH_EPOCH_NS);
+    let n = draws.len();
+    let mut now = Time::ZERO;
+    draws
+        .iter()
+        .enumerate()
+        .map(|(i, &(pick, shape, gap_ns))| {
+            now += Span::from_ns(gap_ns);
+            if i == n / 3 || i == 2 * n / 3 {
+                now += epoch;
+            }
+            if i == long_gap_at % n {
+                now += Span::from_ns(SKETCH_EPOCH_NS * 5 / 2);
+            }
+            let row = match shape {
+                0..=3 => 99 + 2 * (i as u32 % 2),
+                _ => pick,
+            };
+            (row, now)
+        })
+        .collect()
+}
+
+/// Rows whose estimates the oracle tests compare after every step.
+fn probed_rows() -> impl Iterator<Item = u32> {
+    (0..40).chain([99, 101])
 }
 
 proptest! {
@@ -241,6 +414,81 @@ proptest! {
             prop_assert!(*cnt <= threshold, "row {r} reached {cnt} unfired");
             if fired == Some(r) {
                 *cnt = 0;
+            }
+        }
+    }
+
+    /// The sparse CoMeT sketch returns the dense sketch's trigger and
+    /// estimates after every activation, across epoch resets (one of
+    /// them after a gap longer than two epochs), at a width where every
+    /// row collides and at the N_RH = 128 width.
+    #[test]
+    fn comet_matches_the_dense_sketch(
+        draws in proptest::collection::vec((0u32..40, 0u8..8, 0u64..400), 30..400),
+        long_gap_at in any::<usize>(),
+        wide in any::<bool>(),
+        tiny_width in 1usize..8,
+        threshold in 2u32..24,
+        seed in any::<u64>(),
+    ) {
+        let t = DramTiming::ddr5_4800();
+        let nrh128 = CometConfig::for_threshold(128, t.t_rc, t.t_refw, seed);
+        let cfg = CometConfig {
+            // A tiny width where rows collide, or the N_RH = 128 width.
+            width: if wide { nrh128.width } else { tiny_width },
+            depth: nrh128.depth,
+            threshold,
+            epoch: Span::from_ns(SKETCH_EPOCH_NS),
+            seed,
+        };
+        let mut sparse = CometBank::new(cfg);
+        let mut dense = DenseComet::new(cfg);
+        for (i, (row, now)) in sketch_stream(&draws, long_gap_at).into_iter().enumerate() {
+            prop_assert_eq!(
+                sparse.on_activate(row, now),
+                dense.on_activate(row, now),
+                "activation {} of row {}", i, row
+            );
+            for r in probed_rows() {
+                prop_assert_eq!(sparse.estimate(r), dense.estimate(r), "estimate of row {}", r);
+            }
+        }
+    }
+
+    /// The sparse BlockHammer epoch sketches return the dense pair's
+    /// throttle and estimates after every activation, across rotations
+    /// (one of them after a gap longer than two windows, which must
+    /// clear both), at a colliding width and at the N_RH = 128 width.
+    #[test]
+    fn blockhammer_matches_the_dense_sketches(
+        draws in proptest::collection::vec((0u32..40, 0u8..8, 0u64..400), 30..400),
+        long_gap_at in any::<usize>(),
+        wide in any::<bool>(),
+        tiny_width in 1usize..8,
+        threshold in 2u32..24,
+        seed in any::<u64>(),
+    ) {
+        let t = DramTiming::ddr5_4800();
+        let nrh128 = BlockHammerConfig::for_threshold(128, t.t_rc, t.t_refw, seed);
+        let cfg = BlockHammerConfig {
+            // A tiny width where rows collide, or the N_RH = 128 width.
+            width: if wide { nrh128.width } else { tiny_width },
+            depth: nrh128.depth,
+            blacklist_threshold: threshold,
+            window: Span::from_ns(SKETCH_EPOCH_NS),
+            delay: Span::from_us(2),
+            seed,
+        };
+        let mut sparse = BlockHammerBank::new(cfg);
+        let mut dense = DenseBlockHammer::new(cfg);
+        for (i, (row, now)) in sketch_stream(&draws, long_gap_at).into_iter().enumerate() {
+            prop_assert_eq!(
+                sparse.on_activate(row, now),
+                dense.on_activate(row, now),
+                "activation {} of row {}", i, row
+            );
+            for r in probed_rows() {
+                prop_assert_eq!(sparse.estimate(r), dense.estimate(r), "estimate of row {}", r);
             }
         }
     }

@@ -1,17 +1,21 @@
-//! Memory footprint of the cache model, counted by a global allocator
-//! that tracks the live heap bytes of each thread.
+//! Memory footprint of the cache model and the sketch trackers, counted
+//! by a global allocator that tracks the live heap bytes of each thread.
 //!
 //! A set costs five bytes until its first fill (see `cache.rs`); the
 //! Vec-per-set layout it replaced spent a 24-byte `Vec` header on every
 //! set at construction (≈ 100 KiB per Table 1 hierarchy) and grew every
 //! full set to 32 slots. Either regression turns these tests red.
+//!
+//! A CoMeT or BlockHammer sketch stores only the cells activations have
+//! touched; the dense arrays it replaced cost 128 MiB (CoMeT) and
+//! 512 MiB (BlockHammer) per 64-bank system at N_RH = 128.
 
 use std::alloc::{GlobalAlloc, Layout, System as Malloc};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use lh_defenses::{DefenseConfig, DefenseKind};
-use lh_dram::{DramTiming, Span, Time};
+use lh_defenses::{build_defense, DefenseConfig, DefenseKind};
+use lh_dram::{DramTiming, Geometry, Span, Time};
 use lh_sim::{run_lanes, CacheConfig, CacheHierarchy, SimConfig, SystemBuilder};
 use lh_workloads::{four_core_mixes, SharedTrace, TraceReplay};
 
@@ -178,4 +182,64 @@ fn fig13_batch_holds_one_system_per_worker() {
         bytes <= LANE_BUDGET + results_budget,
         "the calling thread peaked at {bytes} B during a 25-lane batch"
     );
+}
+
+/// What a sketch-tracker defense may add to a system's peak heap over
+/// [`DefenseConfig::none`].
+const SKETCH_BUDGET: usize = 64 * 1024;
+
+/// The two count-min-sketch defenses at N_RH = 128.
+fn sketch_defenses() -> [DefenseConfig; 2] {
+    let timing = DramTiming::ddr5_4800();
+    [DefenseKind::Comet, DefenseKind::BlockHammer]
+        .map(|kind| DefenseConfig::for_threshold(kind, 128, &timing))
+}
+
+#[test]
+fn sketch_defense_systems_build_within_64_kib_of_none() {
+    let build = |defense: &DefenseConfig| {
+        let (sys, bytes) = peak_of(|| {
+            SystemBuilder::new(defense.clone())
+                .seed(1)
+                .build()
+                .expect("valid configuration")
+        });
+        drop(sys);
+        bytes
+    };
+    let none = build(&DefenseConfig::none());
+    for defense in sketch_defenses() {
+        let bytes = build(&defense);
+        assert!(
+            bytes <= none + SKETCH_BUDGET,
+            "{:?} system peaked at {bytes} B, none at {none} B",
+            defense.kind()
+        );
+    }
+}
+
+/// A few hundred activations through the defense the controller builds
+/// — double-sided pairs in eight banks, across CoMeT's epoch and three
+/// of BlockHammer's windows — touch a few hundred cells, not the sketch.
+#[test]
+fn sketch_defenses_grow_with_the_cells_activations_touch() {
+    let geometry = Geometry::paper_default();
+    let banks: Vec<_> = geometry.banks_in_channel(0).step_by(8).collect();
+    for config in sketch_defenses() {
+        let (stats, bytes) = peak_of(|| {
+            let mut defense = build_defense(&config, &geometry, 1);
+            for i in 0..400u32 {
+                let bank = banks[i as usize % banks.len()];
+                let row = 1000 + 2 * (i / 8 % 2) + 16 * (i % 3);
+                let now = Time::ZERO + Span::from_us(150 * u64::from(i));
+                defense.on_activate(bank, row, now);
+            }
+            defense.stats()
+        });
+        assert!(
+            bytes <= SKETCH_BUDGET,
+            "{:?} peaked at {bytes} B over 400 activations ({stats:?})",
+            config.kind()
+        );
+    }
 }
