@@ -80,8 +80,8 @@ pub fn envelope(job: &dyn Job, run: &ExperimentRun, ctx: &JobContext) -> Json {
 
 /// The one definition of the envelope's fields and their order, over
 /// the run's borrowed `merged` and `metrics` trees: [`envelope`],
-/// [`render`] and [`stream_finished`] all go through it, and the last
-/// two write it without cloning the trees.
+/// [`render`] and [`stream_finished_parts`] all go through it, and the
+/// last two write it without cloning the trees.
 fn envelope_ref<'a>(job: &dyn Job, run: &'a ExperimentRun, ctx: &JobContext) -> JsonRef<'a> {
     JsonRef::Object(vec![
         ("experiment", JsonRef::Owned(job.id().into())),
@@ -140,11 +140,28 @@ pub fn stream_unit(event: &UnitEvent) -> String {
         + "\n"
 }
 
+/// What closes a `finished` line after its envelope.
+pub const FINISHED_TAIL: &str = "}\n";
+
 /// One NDJSON line carrying the finished experiment's envelope plus run
 /// statistics: emit after `finish` when streaming.
 pub fn stream_finished(job: &dyn Job, run: &ExperimentRun, ctx: &JobContext) -> String {
+    let (head, envelope) = stream_finished_parts(job, run, ctx);
+    head + &envelope + FINISHED_TAIL
+}
+
+/// The [`stream_finished`] line as the parts it concatenates, before
+/// [`FINISHED_TAIL`]: the run's own head, through `"envelope":`, and the
+/// compact envelope, which every run of one `(experiment, scale, seed)`
+/// renders to the same bytes — so a holder of many lines can keep one
+/// copy of it.
+pub fn stream_finished_parts(
+    job: &dyn Job,
+    run: &ExperimentRun,
+    ctx: &JobContext,
+) -> (String, String) {
     let stats = &run.stats;
-    JsonRef::Object(vec![
+    let mut head = JsonRef::Object(vec![
         ("event", JsonRef::Owned("finished".into())),
         ("ts_ms", JsonRef::Owned(wall_clock_ms().into())),
         ("experiment", JsonRef::Owned(job.id().into())),
@@ -155,10 +172,11 @@ pub fn stream_finished(job: &dyn Job, run: &ExperimentRun, ctx: &JobContext) -> 
             JsonRef::Owned(stats.units_executed.into()),
         ),
         ("wall_ms", JsonRef::Owned((stats.wall_ms as u64).into())),
-        ("envelope", envelope_ref(job, run, ctx)),
     ])
-    .to_compact()
-        + "\n"
+    .to_compact();
+    head.pop(); // the closing brace: the envelope field comes last
+    head.push_str(",\"envelope\":");
+    (head, envelope_ref(job, run, ctx).to_compact())
 }
 
 /// One NDJSON line carrying a fleet-telemetry snapshot (`event:
@@ -234,6 +252,7 @@ fn scalar_cell(v: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunStats;
 
     #[test]
     fn format_parses() {
@@ -285,6 +304,62 @@ mod tests {
             parsed["ts_ms"].as_u64().is_some_and(|ts| ts > 0),
             "stream lines carry a wall-clock stamp: {parsed:?}"
         );
+    }
+
+    struct Fixed;
+
+    impl Job for Fixed {
+        fn id(&self) -> &'static str {
+            "fixed"
+        }
+        fn description(&self) -> &'static str {
+            "a \"quoted\" sink test job"
+        }
+        fn units(&self, _ctx: &JobContext) -> Vec<String> {
+            vec!["only".into()]
+        }
+        fn run_unit(&self, _unit: usize, _seed: u64, _deps: &[Json], _ctx: &JobContext) -> Json {
+            unreachable!("the run is built, not executed")
+        }
+        fn finish(&self, mut units: Vec<Json>, _ctx: &JobContext) -> Json {
+            units.pop().unwrap()
+        }
+        fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
+            merged.to_compact()
+        }
+    }
+
+    /// Head, compact envelope and tail make one NDJSON line whose
+    /// `envelope` is the tree `--format json` prints.
+    #[test]
+    fn finished_parts_make_one_line_carrying_the_envelope() {
+        let ctx = JobContext::new(crate::ScaleLevel::Quick, 7);
+        let run = ExperimentRun {
+            id: "fixed",
+            merged: Json::object()
+                .with("capacity", 39.5)
+                .with("rows", Json::Array(vec![Json::object().with("n", 1u64)])),
+            metrics: Json::object().with("totals", Json::object().with("sim.cmds", 9u64)),
+            events: None,
+            stats: RunStats {
+                units_total: 3,
+                units_cached: 1,
+                units_executed: 2,
+                merged_cached: false,
+                wall_ms: 12,
+            },
+        };
+        let (head, envelope) = stream_finished_parts(&Fixed, &run, &ctx);
+        assert!(head.ends_with(",\"envelope\":"), "{head}");
+        let line = head + &envelope + FINISHED_TAIL;
+        assert_eq!(line.matches('\n').count(), 1, "one line: {line}");
+        let parsed = crate::json::parse(line.trim_end()).unwrap();
+        assert_eq!(parsed["event"].as_str(), Some("finished"));
+        assert_eq!(parsed["executed_units"].as_u64(), Some(2));
+        assert_eq!(parsed["wall_ms"].as_u64(), Some(12));
+        let pretty = render(&Fixed, &run, &ctx, OutputFormat::Json);
+        assert_eq!(parsed["envelope"], crate::json::parse(&pretty).unwrap());
+        assert_eq!(envelope, parsed["envelope"].to_compact());
     }
 
     #[test]

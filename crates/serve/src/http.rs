@@ -180,11 +180,24 @@ impl<W: Write> ChunkedWriter<W> {
     /// Write faults on the underlying stream (a follower hanging up is
     /// the normal way a stream ends).
     pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.is_empty() {
+        self.chunk_parts(&[data])
+    }
+
+    /// Writes the concatenation of `parts` as one chunk, without joining
+    /// them first, and flushes it to the peer.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChunkedWriter::chunk`].
+    pub fn chunk_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len == 0 {
             return Ok(()); // an empty chunk would terminate the body
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
+        write!(self.stream, "{len:x}\r\n")?;
+        for part in parts {
+            self.stream.write_all(part)?;
+        }
         self.stream.write_all(b"\r\n")?;
         self.stream.flush()
     }
@@ -252,5 +265,31 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked"), "{text}");
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"), "{text}");
         assert!(text.ends_with("0\r\n\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_chunk_of_parts_is_the_chunk_of_their_concatenation() {
+        let framed = |write: &dyn Fn(&mut ChunkedWriter<&mut Vec<u8>>)| {
+            let mut out = Vec::new();
+            let mut w = ChunkedWriter::start(&mut out, "application/x-ndjson").unwrap();
+            write(&mut w);
+            w.finish().unwrap();
+            out
+        };
+        let parts: [&[u8]; 4] = [
+            b"{\"event\":\"finished\",\"envelope\":",
+            b"",
+            b"{\"a\":1}",
+            b"}\n",
+        ];
+        assert_eq!(
+            framed(&|w| w.chunk_parts(&parts).unwrap()),
+            framed(&|w| w.chunk(&parts.concat()).unwrap()),
+        );
+        assert_eq!(
+            framed(&|w| w.chunk_parts(&[b"", b""]).unwrap()),
+            framed(&|_| {}),
+            "empty parts write nothing"
+        );
     }
 }

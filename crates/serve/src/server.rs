@@ -266,10 +266,14 @@ fn executor(
         *live.lock().expect("live slot poisoned") = Some(Arc::clone(&entry));
         let outcome = coordinator.run(job, &ctx);
         *live.lock().expect("live slot poisoned") = None;
-        let outcome = outcome.map(|run| Finished {
-            line: sink::stream_finished(job, &run, &ctx).into(),
-            envelope: sink::render(job, &run, &ctx, OutputFormat::Json).into(),
-            events: run.events.map(Arc::from),
+        let outcome = outcome.map(|run| {
+            let (head, compact) = sink::stream_finished_parts(job, &run, &ctx);
+            Finished {
+                head,
+                compact,
+                envelope: sink::render(job, &run, &ctx, OutputFormat::Json),
+                events: run.events,
+            }
         });
         store.finish(&entry, outcome);
     }
@@ -554,7 +558,7 @@ fn stream_run(stream: TcpStream, state: &ServerState, entry: &RunEntry) -> io::R
         let (fresh, finished) = entry.lines_after(sent, FLEET_PERIOD);
         sent += fresh.len();
         for line in &fresh {
-            writer.chunk(line.as_bytes())?;
+            writer.chunk_parts(&line.parts())?;
         }
         if finished {
             return writer.finish();

@@ -3,16 +3,30 @@
 //!
 //! A run's *payload* is what a finished run leaves behind — its NDJSON
 //! stream lines, its envelope and, for a recording run, its flight-event
-//! log — each held once as `Arc<str>`, so a handler answering from it
-//! takes a refcount under the entry lock and writes to its socket
-//! outside every lock. The store counts those bytes exactly as runs
-//! finish and keeps the sum at or under [`PAYLOAD_BUDGET_BYTES`] by
-//! *evicting* the oldest-finished run first: its slot in the table
-//! swaps the [`RunEntry`] for a small [`EvictedRun`] record. Nothing is
-//! torn out of an entry — a stream follower (or the submitter) that
-//! already holds the `Arc<RunEntry>` keeps reading it, and the payload
-//! is freed when the last such holder lets go. Queued and running runs
-//! carry no accounted bytes and are never evicted.
+//! log — each held as `Arc<str>`, so a handler answering from it takes
+//! a refcount under the entry lock and writes to its socket outside
+//! every lock.
+//!
+//! Runs are deterministic, so resubmitting a run returns the bytes it
+//! returned before. The store keeps one copy of each distinct finished
+//! *document* — the pretty envelope, the compact envelope that ends the
+//! `finished` line ([`Line::Finished`]), the events log — per record
+//! identity `(experiment, scale, seed, events)`: a finishing run whose
+//! document is byte-equal to one a retained run of the same identity
+//! holds takes a refcount on that one, and drops its own. Equality is a
+//! byte compare, never assumed; unequal bytes are a document of their
+//! own.
+//!
+//! The store counts the bytes it holds exactly: every retained run's own
+//! lines, plus each distinct document once — charged when its first
+//! holder finishes, refunded when its last holder is evicted or
+//! forgotten. It keeps the sum at or under [`PAYLOAD_BUDGET_BYTES`] by
+//! *evicting* the oldest-finished run first: its slot in the table swaps
+//! the [`RunEntry`] for a small [`EvictedRun`] record. Nothing is torn
+//! out of an entry — a stream follower (or the submitter) that already
+//! holds the `Arc<RunEntry>` keeps reading it, and the payload is freed
+//! when the last such holder lets go. Queued and running runs carry no
+//! accounted bytes and are never evicted.
 //!
 //! The table itself is a window of the [`IDENTITY_WINDOW`] most recent
 //! submissions with contiguous ids from a monotonic counter, so lookup
@@ -23,15 +37,18 @@
 //! Lock order: store, then entry. Nothing takes the store lock while
 //! holding an entry's.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lh_harness::json::Json;
+use lh_harness::sink::FINISHED_TAIL;
 use lh_harness::{JobContext, ScaleLevel};
 
 /// Bytes of finished-run payload the store retains at most: about
-/// thirty chansweep-sized quick runs, or a thousand fig2-sized ones.
+/// thirty distinct chansweep-sized quick runs, or a thousand distinct
+/// fig2-sized ones. A repeat of a retained run costs only its own
+/// stream lines — about 2 KB for fig2.
 pub const PAYLOAD_BUDGET_BYTES: usize = 8 << 20;
 
 /// Submissions the table remembers (identity and final status, ≈ 150
@@ -87,7 +104,7 @@ impl RunRecord {
     }
 }
 
-/// The two finished documents of a run.
+/// The two finished documents a run serves over HTTP.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Part {
     /// The envelope: the exact bytes `--format json` prints.
@@ -96,15 +113,51 @@ pub(crate) enum Part {
     Events,
 }
 
-/// What a successful run hands the store.
+/// What a successful run hands the store: the parts of its `finished`
+/// line ([`lh_harness::sink::stream_finished_parts`]) and its documents.
 #[derive(Debug)]
 pub(crate) struct Finished {
-    /// The `finished` stream line.
-    pub line: Arc<str>,
+    /// The `finished` line's head, through `"envelope":`.
+    pub head: String,
+    /// The compact envelope the `finished` line carries.
+    pub compact: String,
     /// The pretty-printed envelope plus trailing newline.
-    pub envelope: Arc<str>,
+    pub envelope: String,
     /// The flight-event log of a recording run.
-    pub events: Option<Arc<str>>,
+    pub events: Option<String>,
+}
+
+/// One NDJSON stream line as the store holds it.
+#[derive(Debug, Clone)]
+pub(crate) enum Line {
+    /// A `started` or `unit` line, whole.
+    Whole(Arc<str>),
+    /// The `finished` line: the run's own head, the compact envelope it
+    /// may share with identical runs, then [`FINISHED_TAIL`].
+    Finished { head: Arc<str>, envelope: Arc<str> },
+}
+
+impl Line {
+    /// The line's bytes, in order.
+    pub fn parts(&self) -> [&[u8]; 3] {
+        match self {
+            Line::Whole(line) => [line.as_bytes(), b"", b""],
+            Line::Finished { head, envelope } => [
+                head.as_bytes(),
+                envelope.as_bytes(),
+                FINISHED_TAIL.as_bytes(),
+            ],
+        }
+    }
+
+    /// The bytes the line's run is charged for: all but a shared
+    /// envelope.
+    fn own_bytes(&self) -> usize {
+        match self {
+            Line::Whole(line) => line.len(),
+            Line::Finished { head, .. } => head.len() + FINISHED_TAIL.len(),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -112,7 +165,7 @@ struct RunInner {
     phase: RunPhase,
     /// NDJSON event lines (`started`/`unit`/`finished`) in emission
     /// order; stream followers tail this.
-    lines: Vec<Arc<str>>,
+    lines: Vec<Line>,
     envelope: Option<Arc<str>>,
     events: Option<Arc<str>>,
 }
@@ -123,11 +176,6 @@ impl RunInner {
             RunPhase::Failed(error) => Some(error),
             _ => None,
         }
-    }
-
-    fn payload_bytes(&self) -> usize {
-        let docs = self.envelope.iter().chain(&self.events);
-        self.lines.iter().chain(docs).map(|s| s.len()).sum()
     }
 }
 
@@ -147,7 +195,7 @@ impl RunEntry {
 
     /// Appends one stream line and wakes the followers.
     pub fn push_line(&self, line: String) {
-        let line = Arc::from(line); // copied before the lock is taken
+        let line = Line::Whole(line.into()); // copied before the lock is taken
         self.lock().lines.push(line);
         self.cond.notify_all();
     }
@@ -176,7 +224,7 @@ impl RunEntry {
     /// The lines after the first `sent`, by refcount, and whether the
     /// run has finished (no more will come). Blocks while there is
     /// nothing new on an unfinished run, for at most `patience`.
-    pub fn lines_after(&self, sent: usize, patience: Duration) -> (Vec<Arc<str>>, bool) {
+    pub fn lines_after(&self, sent: usize, patience: Duration) -> (Vec<Line>, bool) {
         let (inner, _) = self
             .cond
             .wait_timeout_while(self.lock(), patience, |inner| {
@@ -255,12 +303,53 @@ impl Run {
 pub struct StoreStats {
     /// Finished runs whose payload is in memory.
     pub runs_retained: u64,
-    /// Bytes of those payloads (stream lines + envelope + events log).
+    /// Bytes of those payloads as held: each run's own stream lines,
+    /// plus each distinct envelope, compact envelope and events log once.
     pub payload_bytes: u64,
     /// Finished runs whose payload was dropped, ever.
     pub runs_evicted: u64,
     /// Documents of evicted runs re-served from the disk cache, ever.
     pub envelopes_recovered: u64,
+}
+
+/// Which finished document of a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Doc {
+    Envelope,
+    Compact,
+    Events,
+}
+
+/// What a shared document is filed under: the identity of the runs that
+/// hold it (their record less its id) and which document it is.
+type DocKey = (String, ScaleLevel, u64, bool, Doc);
+
+fn doc_key(record: &RunRecord, doc: Doc) -> DocKey {
+    let RunRecord {
+        experiment,
+        scale,
+        seed,
+        events,
+        ..
+    } = record;
+    (experiment.clone(), *scale, *seed, *events, doc)
+}
+
+/// A distinct document retained runs hold, and how many of them do.
+#[derive(Debug)]
+struct HeldDoc {
+    bytes: Arc<str>,
+    holders: usize,
+}
+
+/// What a retained finished run is charged for: its own stream lines,
+/// and a share of each document it holds.
+#[derive(Debug)]
+struct Account {
+    record: Arc<RunRecord>,
+    /// Bytes of the run's own lines.
+    own: usize,
+    docs: Vec<(Doc, Arc<str>)>,
 }
 
 #[derive(Debug)]
@@ -270,10 +359,12 @@ struct StoreInner {
     /// The most recent submissions; `window[i]` has id
     /// `next_id - window.len() + i`.
     window: VecDeque<Run>,
-    /// `(id, payload bytes)` of the retained finished runs, in the
-    /// order they finished.
-    finished: VecDeque<(u64, usize)>,
-    /// Sum of the bytes in `finished`.
+    /// The accounts of the retained finished runs, in the order they
+    /// finished.
+    finished: VecDeque<Account>,
+    /// Every distinct document a retained run holds.
+    docs: HashMap<DocKey, Vec<HeldDoc>>,
+    /// The accounts' own bytes plus each document in `docs` once.
     payload_bytes: usize,
     evicted: u64,
     recovered: u64,
@@ -286,12 +377,53 @@ impl StoreInner {
         self.window.get_mut(index)
     }
 
+    /// `bytes` as `record`'s run holds it: the byte-equal document a
+    /// retained run of the same identity holds, one holder more; or
+    /// `bytes` itself, charged in full to its first holder.
+    fn hold(&mut self, record: &RunRecord, doc: Doc, bytes: String) -> Arc<str> {
+        let held = self.docs.entry(doc_key(record, doc)).or_default();
+        if let Some(shared) = held.iter_mut().find(|held| *held.bytes == *bytes) {
+            shared.holders += 1;
+            return Arc::clone(&shared.bytes);
+        }
+        self.payload_bytes += bytes.len();
+        let bytes = Arc::<str>::from(bytes);
+        held.push(HeldDoc {
+            bytes: Arc::clone(&bytes),
+            holders: 1,
+        });
+        bytes
+    }
+
+    /// Refunds a run that leaves the store: its own bytes, and each
+    /// document it was the last holder of.
+    fn release(&mut self, account: Account) {
+        self.payload_bytes -= account.own;
+        for (doc, bytes) in account.docs {
+            let key = doc_key(&account.record, doc);
+            let held = self.docs.get_mut(&key).expect("a held document is filed");
+            let at = held
+                .iter()
+                .position(|held| Arc::ptr_eq(&held.bytes, &bytes))
+                .expect("a held document is filed");
+            held[at].holders -= 1;
+            if held[at].holders == 0 {
+                self.payload_bytes -= bytes.len();
+                held.swap_remove(at);
+                if held.is_empty() {
+                    self.docs.remove(&key);
+                }
+            }
+        }
+    }
+
     /// Swaps the oldest-finished retained run's entry for its record.
     fn evict_oldest(&mut self) {
-        let Some((id, bytes)) = self.finished.pop_front() else {
+        let Some(account) = self.finished.pop_front() else {
             return;
         };
-        self.payload_bytes -= bytes;
+        let id = account.record.id;
+        self.release(account);
         self.evicted += 1;
         let slot = self.slot(id).expect("retained runs are in the window");
         let Run::Held(entry) = &*slot else {
@@ -321,6 +453,7 @@ impl RunStore {
                 next_id: 1,
                 window: VecDeque::new(),
                 finished: VecDeque::new(),
+                docs: HashMap::new(),
                 payload_bytes: 0,
                 evicted: 0,
                 recovered: 0,
@@ -350,9 +483,9 @@ impl RunStore {
                 }
                 // Forgotten while still retained: its bytes go with it.
                 let id = oldest.record.id;
-                if let Some(at) = store.finished.iter().position(|&(held, _)| held == id) {
-                    let (_, bytes) = store.finished.remove(at).expect("position is in range");
-                    store.payload_bytes -= bytes;
+                if let Some(at) = store.finished.iter().position(|held| held.record.id == id) {
+                    let account = store.finished.remove(at).expect("position is in range");
+                    store.release(account);
                 }
             }
             store.window.pop_front();
@@ -388,28 +521,45 @@ impl RunStore {
         self.lock().window.iter().cloned().collect()
     }
 
-    /// Ends `entry`'s run: installs the payload (or the failure), wakes
-    /// the followers, accounts the payload's bytes and evicts
-    /// oldest-finished runs until the budget holds — this one included
-    /// if it alone is over budget; whoever holds `entry` still reads it.
+    /// Ends `entry`'s run: installs the payload (or the failure) —
+    /// sharing each document a retained run of the same identity holds
+    /// byte for byte — wakes the followers, accounts the bytes held and
+    /// evicts oldest-finished runs until the budget holds — this one
+    /// included if it alone is over budget; whoever holds `entry` still
+    /// reads it.
     pub fn finish(&self, entry: &RunEntry, outcome: Result<Finished, String>) {
         let mut store = self.lock();
+        let record = &entry.record;
+        let mut docs = Vec::new();
         let mut inner = entry.lock();
         match outcome {
             Ok(finished) => {
-                inner.lines.push(finished.line);
-                inner.envelope = Some(finished.envelope);
-                inner.events = finished.events;
+                let mut hold = |doc, bytes| {
+                    let held = store.hold(record, doc, bytes);
+                    docs.push((doc, Arc::clone(&held)));
+                    held
+                };
+                let compact = hold(Doc::Compact, finished.compact);
+                inner.lines.push(Line::Finished {
+                    head: finished.head.into(),
+                    envelope: compact,
+                });
+                inner.envelope = Some(hold(Doc::Envelope, finished.envelope));
+                inner.events = finished.events.map(|log| hold(Doc::Events, log));
                 inner.phase = RunPhase::Done;
             }
             Err(error) => inner.phase = RunPhase::Failed(error),
         }
-        let bytes = inner.payload_bytes();
+        let own = inner.lines.iter().map(Line::own_bytes).sum();
         drop(inner);
         entry.cond.notify_all();
 
-        store.finished.push_back((entry.record.id, bytes));
-        store.payload_bytes += bytes;
+        store.payload_bytes += own;
+        store.finished.push_back(Account {
+            record: Arc::clone(record),
+            own,
+            docs,
+        });
         while store.payload_bytes > PAYLOAD_BUDGET_BYTES {
             store.evict_oldest();
         }
@@ -434,8 +584,28 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const STARTED: &str = "{\"event\":\"started\"}\n";
+
+    /// A payload with a `finished` line of `head` bytes plus the tail,
+    /// and documents of the given lengths, each `fill` repeated.
+    fn documents(
+        head: usize,
+        compact: usize,
+        envelope: usize,
+        events: Option<usize>,
+        fill: char,
+    ) -> Finished {
+        let doc = |len| fill.to_string().repeat(len);
+        Finished {
+            head: "h".repeat(head),
+            compact: doc(compact),
+            envelope: doc(envelope),
+            events: events.map(doc),
+        }
+    }
 
     /// A payload of exactly `bytes` bytes beyond the `started` line,
     /// split over the finished line, the envelope and (if `events`) the
@@ -443,16 +613,27 @@ mod tests {
     fn payload(bytes: usize, events: bool) -> Finished {
         let log = if events { bytes / 4 } else { 0 };
         let line = (bytes - log) / 3;
-        Finished {
-            line: "l".repeat(line).into(),
-            envelope: "e".repeat(bytes - log - line).into(),
-            events: events.then(|| "v".repeat(log).into()),
-        }
+        let head = line / 2;
+        let compact = line - head - FINISHED_TAIL.len();
+        documents(
+            head,
+            compact,
+            bytes - log - line,
+            events.then_some(log),
+            'x',
+        )
     }
 
+    /// Submits a run of its own identity: runs of distinct identities
+    /// share nothing.
     fn submit(store: &RunStore, events: bool) -> Arc<RunEntry> {
+        static SEED: AtomicU64 = AtomicU64::new(1 << 32);
+        submit_as(store, SEED.fetch_add(1, Ordering::Relaxed), events)
+    }
+
+    fn submit_as(store: &RunStore, seed: u64, events: bool) -> Arc<RunEntry> {
         let entry = store
-            .submit("fig2", ScaleLevel::Quick, 1, events)
+            .submit("fig2", ScaleLevel::Quick, seed, events)
             .expect("the window has room");
         entry.set_running();
         entry.push_line(STARTED.to_owned());
@@ -463,30 +644,70 @@ mod tests {
         matches!(store.get(id), Some(Run::Held(_)))
     }
 
-    /// Several budgets' worth of runs, sizes and event logs mixed: after
-    /// every finish the accounted bytes are the test's own sum over the
-    /// runs still held, and never over budget.
+    fn line_len(line: &Line) -> usize {
+        line.parts().iter().map(|part| part.len()).sum()
+    }
+
+    /// The compact envelope a finished run's last line carries.
+    fn compact(entry: &RunEntry) -> Arc<str> {
+        let (lines, _) = entry.lines_after(0, Duration::ZERO);
+        match lines.last() {
+            Some(Line::Finished { envelope, .. }) => Arc::clone(envelope),
+            other => panic!("the last line is not a finished line: {other:?}"),
+        }
+    }
+
+    /// Several budgets' worth of runs over a few identities, sizes,
+    /// event logs and same-identity runs with other bytes: after every
+    /// finish the accounted bytes are the test's own sum — each retained
+    /// run's own lines, plus each distinct document once — and never
+    /// over budget.
     #[test]
-    fn accounted_bytes_are_the_retained_payload_lengths_and_stay_in_budget() {
+    fn accounted_bytes_are_own_lines_plus_each_distinct_document_once() {
         let store = RunStore::new();
-        let mut sizes = Vec::new(); // by id - 1: bytes the test handed in
-        for i in 0..40usize {
-            let events = i % 3 == 0;
-            let bytes = PAYLOAD_BUDGET_BYTES / (3 + i % 5);
-            let entry = submit(&store, events);
-            store.finish(&entry, Ok(payload(bytes, events)));
-            sizes.push(STARTED.len() + bytes);
+        // By id - 1: the run's own bytes, and its documents as
+        // (identity, document, fill) -> length.
+        type Documents = Vec<((u64, bool, Doc, char), usize)>;
+        let mut runs: Vec<(usize, Documents)> = Vec::new();
+        let mut handed_in = 0;
+        for i in 0..60usize {
+            let (seed, events) = (i as u64 % 4, i % 3 == 0);
+            let fill = if i % 7 == 0 { 'b' } else { 'a' };
+            // Same identity and fill, same bytes.
+            let size = PAYLOAD_BUDGET_BYTES / (12 + 2 * seed as usize + usize::from(fill == 'b'));
+            let head = 100 + 13 * i;
+            let log = events.then_some(size / 2);
+            let entry = submit_as(&store, seed, events);
+            store.finish(&entry, Ok(documents(head, size / 3, size, log, fill)));
+
+            let mut docs = vec![
+                ((seed, events, Doc::Compact, fill), size / 3),
+                ((seed, events, Doc::Envelope, fill), size),
+            ];
+            docs.extend(log.map(|len| ((seed, events, Doc::Events, fill), len)));
+            handed_in += docs.iter().map(|(_, len)| len).sum::<usize>();
+            runs.push((STARTED.len() + head + FINISHED_TAIL.len(), docs));
 
             let stats = store.stats();
-            let retained: Vec<u64> = (1..=sizes.len() as u64)
-                .filter(|&id| held(&store, id))
+            let retained: Vec<usize> = (0..runs.len())
+                .filter(|&at| held(&store, at as u64 + 1))
                 .collect();
-            let expected: usize = retained.iter().map(|&id| sizes[id as usize - 1]).sum();
+            let mut distinct = HashSet::new();
+            let mut expected = 0;
+            for &at in &retained {
+                let (own, docs) = &runs[at];
+                expected += own;
+                for &(doc, len) in docs {
+                    if distinct.insert(doc) {
+                        expected += len;
+                    }
+                }
+            }
             assert_eq!(stats.payload_bytes, expected as u64, "after run {}", i + 1);
             assert_eq!(stats.runs_retained, retained.len() as u64);
             assert_eq!(
                 stats.runs_evicted,
-                (sizes.len() - retained.len()) as u64,
+                (runs.len() - retained.len()) as u64,
                 "every run is either retained or evicted"
             );
             assert!(stats.payload_bytes <= PAYLOAD_BUDGET_BYTES as u64);
@@ -495,11 +716,114 @@ mod tests {
                 "the newest run fits, so it stays"
             );
         }
-        let total: usize = sizes.iter().sum();
+        assert!(store.stats().runs_evicted > 0, "the budget turned over");
         assert!(
-            total > 4 * PAYLOAD_BUDGET_BYTES,
+            handed_in > 4 * PAYLOAD_BUDGET_BYTES,
             "several budgets' worth went through"
         );
+    }
+
+    /// Runs of one identity and equal bytes hold one copy of each
+    /// document; other bytes, or another identity, hold their own.
+    #[test]
+    fn identical_runs_share_their_documents_and_other_runs_do_not() {
+        let store = RunStore::new();
+        let finish = |seed, fill| {
+            let entry = submit_as(&store, seed, true);
+            store.finish(&entry, Ok(documents(40, 300, 900, Some(5000), fill)));
+            entry
+        };
+        let a = finish(5, 'a');
+        let b = finish(5, 'a');
+        let other_bytes = finish(5, 'b');
+        let other_seed = finish(6, 'a');
+
+        let envelope = |entry: &RunEntry| entry.part(Part::Envelope).expect("done");
+        let events = |entry: &RunEntry| entry.part(Part::Events).expect("recorded");
+        assert!(Arc::ptr_eq(&envelope(&a), &envelope(&b)));
+        assert!(Arc::ptr_eq(&events(&a), &events(&b)));
+        assert!(Arc::ptr_eq(&compact(&a), &compact(&b)));
+        for other in [&other_bytes, &other_seed] {
+            assert!(!Arc::ptr_eq(&envelope(&a), &envelope(other)));
+            assert!(!Arc::ptr_eq(&events(&a), &events(other)));
+            assert!(!Arc::ptr_eq(&compact(&a), &compact(other)));
+        }
+        assert_eq!(
+            *envelope(&a),
+            *envelope(&other_seed),
+            "equal bytes, another identity"
+        );
+
+        let (lines, _) = b.lines_after(0, Duration::ZERO);
+        let line: Vec<u8> = lines[1].parts().concat();
+        let expected = format!("{}{}{FINISHED_TAIL}", "h".repeat(40), "a".repeat(300));
+        assert_eq!(line, expected.as_bytes());
+
+        let own = STARTED.len() + 40 + FINISHED_TAIL.len();
+        let docs = 300 + 900 + 5000;
+        assert_eq!(store.stats().payload_bytes, (4 * own + 3 * docs) as u64);
+    }
+
+    /// A shared document stays charged while any holder is retained,
+    /// and is refunded with its last.
+    #[test]
+    fn a_shared_document_is_refunded_when_its_last_holder_is_evicted() {
+        let store = RunStore::new();
+        let own = STARTED.len() + 40 + FINISHED_TAIL.len();
+        let docs = 300 + 900 + 5000;
+        for _ in 0..2 {
+            let entry = submit_as(&store, 9, true);
+            store.finish(&entry, Ok(documents(40, 300, 900, Some(5000), 'a')));
+        }
+        assert_eq!(store.stats().payload_bytes, (2 * own + docs) as u64);
+
+        // Just over budget with both: the first holder goes.
+        let first = PAYLOAD_BUDGET_BYTES - (2 * own + docs) + 1;
+        let entry = submit(&store, false);
+        store.finish(&entry, Ok(payload(first - STARTED.len(), false)));
+        assert!(!held(&store, 1) && held(&store, 2));
+        assert_eq!(
+            store.stats().payload_bytes,
+            (own + docs + first) as u64,
+            "run 2 still holds the documents"
+        );
+
+        // Over again: the second holder goes, and the documents with it.
+        let second = own;
+        let entry = submit(&store, false);
+        store.finish(&entry, Ok(payload(second - STARTED.len(), false)));
+        assert!(!held(&store, 2));
+        assert_eq!(store.stats().payload_bytes, (first + second) as u64);
+        assert_eq!(store.stats().runs_evicted, 2);
+    }
+
+    /// Forgetting a retained run through the identity window releases
+    /// its holds as eviction does.
+    #[test]
+    fn forgetting_a_run_releases_its_hold_on_shared_documents() {
+        let store = RunStore::new();
+        let own = STARTED.len() + 40 + FINISHED_TAIL.len();
+        let docs = 300 + 900;
+        for _ in 0..2 {
+            let entry = submit_as(&store, 3, false);
+            store.finish(&entry, Ok(documents(40, 300, 900, None, 'a')));
+        }
+        while store.window().len() < IDENTITY_WINDOW {
+            submit(&store, false); // left running: no bytes
+        }
+        assert_eq!(store.stats().payload_bytes, (2 * own + docs) as u64);
+
+        let _ = store
+            .submit("fig2", ScaleLevel::Quick, 1, false)
+            .expect("run 1 is done");
+        assert!(store.get(1).is_none());
+        assert_eq!(store.stats().payload_bytes, (own + docs) as u64);
+        assert!(
+            store.submit("fig2", ScaleLevel::Quick, 1, false).is_some(),
+            "run 2 is done"
+        );
+        assert_eq!(store.stats().payload_bytes, 0);
+        assert_eq!(store.stats().runs_evicted, 0, "forgetting is not eviction");
     }
 
     /// Eviction follows finish order, not submission order, and never
@@ -576,7 +900,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let envelope = follower.part(Part::Envelope).expect("done");
         let events = follower.part(Part::Events).expect("recorded");
-        let served = lines.iter().map(|l| l.len()).sum::<usize>() + envelope.len() + events.len();
+        let served = lines.iter().map(line_len).sum::<usize>() + envelope.len() + events.len();
         assert_eq!(served, STARTED.len() + PAYLOAD_BUDGET_BYTES + 1);
     }
 

@@ -350,18 +350,24 @@ fn retained(base: &str, id: u64) -> bool {
 }
 
 /// A fig2 run with its flight log: ≈ 280 KB of payload for a few
-/// milliseconds of simulation, so thirty of them turn the budget over
-/// even on a cache-less service.
+/// milliseconds of simulation. Runs of one seed share that payload in
+/// the store, so thirty of them, each with a seed of its own, turn the
+/// budget over even on a cache-less service.
 const RECORDING_FIG2: &str =
     r#"{"experiment": "fig2", "scale": "quick", "seed": 1, "events": true}"#;
 
-/// Submits recording fig2 runs until runs 1 and 2 have been evicted,
-/// checking the payload gauge against the budget after every one.
-/// Returns the last run's id.
+fn recording_fig2(seed: u64) -> String {
+    format!(r#"{{"experiment": "fig2", "scale": "quick", "seed": {seed}, "events": true}}"#)
+}
+
+/// Submits recording fig2 runs of fresh seeds until runs 1 and 2 have
+/// been evicted, checking the payload gauge against the budget after
+/// every one, then one more of seed 1. Returns that run's id.
 fn submit_until_evicted(base: &str) -> u64 {
-    let mut last = 0;
+    let mut seed = 1;
     while retained(base, 1) || retained(base, 2) {
-        last = run_to_done(base, RECORDING_FIG2);
+        seed += 1;
+        let last = run_to_done(base, &recording_fig2(seed));
         let held = metric(base, "lh_serve_run_payload_bytes");
         assert!(
             held <= PAYLOAD_BUDGET_BYTES as u64,
@@ -369,8 +375,86 @@ fn submit_until_evicted(base: &str) -> u64 {
         );
         assert!(last < 300, "300 of these are 10 budgets: eviction is off");
     }
+    let last = run_to_done(base, RECORDING_FIG2);
     assert!(retained(base, last), "the newest run is in memory");
     last
+}
+
+/// The line with the values of its wall-clock fields (`ts_ms`,
+/// `wall_ms`) cut out.
+fn without_clocks(line: &str) -> String {
+    let mut out = line.to_owned();
+    for key in ["\"ts_ms\":", "\"wall_ms\":"] {
+        let at = out.find(key).expect("the line is stamped") + key.len();
+        let digits = out[at..].bytes().take_while(u8::is_ascii_digit).count();
+        out.replace_range(at..at + digits, "");
+    }
+    out
+}
+
+/// The last line of a finished run's stream: its `finished` line.
+fn finished_line(base: &str, id: u64) -> String {
+    let (status, reader) =
+        client::get_stream(&format!("{base}/runs/{id}/stream")).expect("attach stream");
+    assert_eq!(status, 200);
+    let last = reader
+        .lines()
+        .map(|line| line.expect("stream line"))
+        .filter(|line| !line.is_empty())
+        .last()
+        .expect("a line");
+    assert!(last.starts_with("{\"event\":\"finished\""), "{last}");
+    last
+}
+
+/// The same quick run submitted twice on a warm cache: both serve the
+/// CLI's envelope, both stream the same `finished` line but for its
+/// clocks, and the store holds the second's documents by reference —
+/// it costs less than one envelope.
+#[test]
+fn a_repeated_run_serves_the_same_bytes_and_shares_its_documents() {
+    let cache = DiskCache::new(
+        std::env::temp_dir().join(format!("lh-serve-http-share-{}", std::process::id())),
+    );
+    cache.clear().expect("scratch cache");
+    // The reference bytes, through the CLI path, which also warms the cache.
+    let registry = leakyhammer::registry();
+    let job = registry.get("fig4").expect("fig4 registered");
+    let ctx = JobContext::new(ScaleLevel::Quick, 4);
+    let run = Runner::new(RunnerOptions {
+        cache: Some(cache.clone()),
+        ..RunnerOptions::default()
+    })
+    .run(job, &ctx)
+    .expect("reference run");
+    let reference = sink::render(job, &run, &ctx, OutputFormat::Json);
+
+    let base = start_server_over(Some(cache.clone()));
+    const FIG4: &str = r#"{"experiment": "fig4", "scale": "quick", "seed": 4}"#;
+    let first = run_to_done(&base, FIG4);
+    let before = metric(&base, "lh_serve_run_payload_bytes");
+    let second = run_to_done(&base, FIG4);
+    let grown = metric(&base, "lh_serve_run_payload_bytes") - before;
+
+    for id in [first, second] {
+        assert_eq!(
+            fetch(&format!("{base}/runs/{id}/envelope")),
+            (200, reference.clone())
+        );
+    }
+    let (line, again) = (finished_line(&base, first), finished_line(&base, second));
+    assert_eq!(without_clocks(&line), without_clocks(&again));
+    assert_eq!(
+        parse(&line).expect("the line is JSON")["envelope"],
+        parse(&reference).expect("the envelope is JSON"),
+        "the finished line carries the envelope"
+    );
+    assert!(
+        grown > 0 && grown < reference.len() as u64,
+        "the second run added {grown} bytes; its envelope alone is {}",
+        reference.len()
+    );
+    let _ = std::fs::remove_dir_all(cache.dir());
 }
 
 #[test]
