@@ -25,6 +25,7 @@ use lh_dram::{
     RfmScope, Span, Time,
 };
 use lh_memctrl::{AccessKind, Completion, CtrlConfig, CtrlStats, MemRequest, MemoryController};
+use lh_mitigate::MitigationConfig;
 use lh_obs::flight::{self, EventBuffer, FlightEvent};
 
 /// Builds a controller over the tiny geometry with the given defense.
@@ -546,6 +547,25 @@ fn one_bank_hammer_issues_the_recorded_command_stream() {
     assert_digest(&run, 4_558, 0x0dbd_5745_c99c_e650);
 }
 
+/// An aggressor pair on one bank (rows 2000 and 2002) with every third
+/// request a bystander on some other bank, 20 % writes.
+fn aggressor_pair_with_bystanders(id: u64) -> (DramAddr, AccessKind) {
+    let kind = if id % 5 == 4 {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    };
+    if id % 3 == 2 {
+        // Bystander: some other bank, few rows.
+        let v = mix64(id);
+        let bank = BankId::new(0, (v % 2) as u32, (v >> 8) as u32 % 8, 1);
+        (DramAddr::new(bank, 500 + (v >> 16) as u32 % 4, 0), kind)
+    } else {
+        let row = 2_000 + 2 * (id % 2) as u32;
+        (DramAddr::new(BankId::new(0, 0, 0, 0), row, 0), kind)
+    }
+}
+
 /// Throttled: a BlockHammer-blacklisted aggressor pair keeps rows
 /// throttled while bystander traffic flows — the shape that routes the
 /// demand stage to the per-entry scan.
@@ -556,22 +576,33 @@ fn blockhammer_throttled_rows_issue_the_recorded_command_stream() {
         delay: Span::from_us(3),
         ..BlockHammerConfig::for_threshold(64, t.t_rc, t.t_refw, 3)
     });
-    let run = drive_closed_loop(paper_controller(defense), 6, 1_500, |id| {
-        let kind = if id % 5 == 4 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        if id % 3 == 2 {
-            // Bystander: some other bank, few rows.
-            let v = mix64(id);
-            let bank = BankId::new(0, (v % 2) as u32, (v >> 8) as u32 % 8, 1);
-            (DramAddr::new(bank, 500 + (v >> 16) as u32 % 4, 0), kind)
-        } else {
-            let row = 2_000 + 2 * (id % 2) as u32;
-            (DramAddr::new(BankId::new(0, 0, 0, 0), row, 0), kind)
-        }
-    });
+    let run = drive_closed_loop(
+        paper_controller(defense),
+        6,
+        1_500,
+        aggressor_pair_with_bystanders,
+    );
     assert!(run.stats.throttles > 0, "BlockHammer never throttled");
     assert_digest(&run, 4_549, 0x9268_e68b_2340_f987);
+}
+
+/// Quota: the same traffic under PRAC wrapped in an isolation quota,
+/// whose over-budget rows are throttled to the next epoch boundary —
+/// the second source of row throttles, a mitigation wrapper's.
+#[test]
+fn quota_throttled_rows_issue_the_recorded_command_stream() {
+    let mc = MemoryController::with_mitigations(
+        CtrlConfig::paper_default(),
+        DeviceConfig::paper_default(),
+        DefenseConfig::prac(128),
+        &[MitigationConfig::Quota {
+            budget: 4,
+            epoch: Span::from_us(2),
+        }],
+        9,
+    )
+    .unwrap();
+    let run = drive_closed_loop(mc, 6, 1_500, aggressor_pair_with_bystanders);
+    assert!(run.stats.throttles > 0, "the quota never throttled");
+    assert_digest(&run, 3_959, 0xfb45_d1ec_a091_ede6);
 }
