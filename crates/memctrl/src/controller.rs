@@ -14,11 +14,12 @@
 //! The scheduler itself lives in `controller/batch.rs`: sections 1–5
 //! (ABO, refresh, scheduled maintenance, reactive RFMs, PARA) and a
 //! demand stage that folds a per-bank candidate table instead of walking
-//! the queues. This file holds the controller's state, the mode updates
+//! the queues, for every defense and mitigation wrapper, row throttles
+//! included. This file holds the controller's state, the mode updates
 //! between steps, command issue, and the per-entry FR-FCFS scan
-//! (`scan_queue`) that is the table's oracle: every table verdict is
-//! shadowed by it under `debug_assertions`, and it decides in release
-//! builds too while BlockHammer throttles gate individual rows.
+//! (`scan_queue`) that is the table's oracle: it shadows every table
+//! verdict under `debug_assertions` and answers the `demand_verdicts`
+//! test hook, and no release path reaches it.
 //!
 //! ## Modeled behaviour (Table 1 + §5 of the paper)
 //!
@@ -149,7 +150,8 @@ pub struct CtrlStats {
     pub rfms: u64,
     /// PARA victim-refresh activations performed.
     pub para_victim_acts: u64,
-    /// BlockHammer throttle registrations applied to the scheduler.
+    /// Row throttles (BlockHammer, the isolation quota) applied to the
+    /// scheduler.
     pub throttles: u64,
     /// Worst observed deviation of an FR-RFM command from its deadline.
     pub fr_rfm_jitter_max: Span,
@@ -237,8 +239,8 @@ pub struct MemoryController {
     rfm_queue: VecDeque<(u32, RfmScope)>,
     /// PARA and approximate-tracker victim refreshes awaiting issue.
     para_queue: VecDeque<ParaJob>,
-    /// BlockHammer throttles: `(flat bank, row)` must not be activated
-    /// before the stored instant.
+    /// Row throttles (BlockHammer, the isolation quota): `(flat bank,
+    /// row)` must not be activated before the stored instant.
     throttled: HashMap<(usize, u32), Time>,
     abo: Option<AboState>,
     draining: bool,
@@ -256,20 +258,17 @@ pub struct MemoryController {
     /// ([`MemoryController::drain_flight`]). Empty unless flight
     /// recording is active.
     flight: EventBuffer,
-    /// Per flat bank: `BANK_HAS_HIT` / `BANK_HAS_CONFLICT` flags of the
-    /// queue `schedule_demand` is scanning. Only meaningful inside
-    /// one call; kept here so the scan allocates nothing.
-    demand_marks: Vec<u8>,
     /// The scheduler's incrementally maintained state, built with the
     /// controller and in sync with it ever since. `service` moves it
     /// out for the call and back, so it is `None` only inside one.
     scratch: Option<Box<CtrlScratch>>,
 }
 
-/// `demand_marks` flag: a queued request hits the bank's open row.
-const BANK_HAS_HIT: u8 = 1;
-/// `demand_marks` flag: a queued request conflicts with the bank's open
+/// `scan_queue` per-bank flag: a queued request hits the bank's open
 /// row.
+const BANK_HAS_HIT: u8 = 1;
+/// `scan_queue` per-bank flag: a queued request conflicts with the
+/// bank's open row.
 const BANK_HAS_CONFLICT: u8 = 2;
 
 /// What one scheduler step decided.
@@ -356,7 +355,6 @@ impl MemoryController {
             stats: CtrlStats::default(),
             maint_jitter: Vec::new(),
             flight: EventBuffer::new(),
-            demand_marks: vec![0; g.banks_per_channel() as usize],
             scratch: None,
         };
         mc.scratch = Some(Box::new(CtrlScratch::for_controller(&mc)));
@@ -489,7 +487,7 @@ impl MemoryController {
     }
 
     fn update_modes(&mut self, now: Time) {
-        // Expired BlockHammer throttles no longer constrain scheduling.
+        // Expired row throttles no longer constrain scheduling.
         if !self.throttled.is_empty() {
             self.throttled.retain(|_, until| *until > now);
         }
@@ -617,17 +615,10 @@ impl MemoryController {
         None
     }
 
-    /// FR-FCFS selection over one queue. Returns (wake, chosen step).
-    fn schedule_demand(&mut self, sel: QueueSel, now: Time) -> (Time, Option<Step>) {
-        let mut marks = std::mem::take(&mut self.demand_marks);
-        let verdict = self.scan_queue(sel, now, &mut marks);
-        self.demand_marks = marks;
-        verdict
-    }
-
-    /// The per-entry scan behind `schedule_demand`; `marks` is its
-    /// per-bank flag scratch (overwritten).
-    fn scan_queue(&self, sel: QueueSel, now: Time, marks: &mut [u8]) -> (Time, Option<Step>) {
+    /// FR-FCFS selection over one queue, entry by entry: the oracle of
+    /// the candidate table. Returns (wake, chosen step); beside an issue
+    /// the wake is the earliest throttle expiry it passed over.
+    fn scan_queue(&self, sel: QueueSel, now: Time) -> (Time, Option<Step>) {
         let q = match sel {
             QueueSel::Read => &self.read_q,
             QueueSel::Write => &self.write_q,
@@ -637,7 +628,7 @@ impl MemoryController {
         let mut wake = Time::MAX;
 
         // Per-bank pending hit/conflict summary for cap & precharge guards.
-        marks.fill(0);
+        let mut marks = vec![0u8; g.banks_per_channel() as usize];
         for req in q.iter() {
             let flat = g.flat_bank(req.addr.bank);
             match self.device.open_row(req.addr.bank) {
@@ -655,8 +646,8 @@ impl MemoryController {
             if blocked.contains(&flat) || self.rank_quiesced(bank.rank, now) {
                 continue;
             }
-            // BlockHammer: a throttled row cannot be (re)activated yet —
-            // the observable delay of this defense class. Row hits to a
+            // A throttled row cannot be (re)activated yet — the
+            // observable delay of this defense class. Row hits to a
             // still-open throttled row are allowed (the throttle gates
             // ACT, not column commands).
             if let Some(&until) = self.throttled.get(&(flat, req.addr.row)) {
@@ -742,8 +733,16 @@ impl MemoryController {
         }
     }
 
-    /// Issues `cmd` at `now`, updating all controller state.
-    fn issue(&mut self, cmd: Command, now: Time, served: Option<(QueueSel, usize)>) {
+    /// Issues `cmd` at `now`, updating all controller state and the
+    /// scheduler's `s`.
+    fn issue(
+        &mut self,
+        cmd: Command,
+        now: Time,
+        served: Option<(QueueSel, usize)>,
+        s: &mut CtrlScratch,
+    ) {
+        s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
         let outcome = self
             .device
             .issue(&cmd, now)
@@ -842,6 +841,7 @@ impl MemoryController {
                         DefenseAction::ThrottleRow { bank, row, until } => {
                             let flat = self.device.geometry().flat_bank(bank);
                             self.throttled.insert((flat, row), until);
+                            s.note_throttle(flat);
                             self.stats.throttles += 1;
                         }
                         DefenseAction::RefreshNeighbors { bank, row } => {
@@ -1004,5 +1004,9 @@ impl MemoryController {
                 last_rfm_end: alert.asserted_at,
             });
         }
+        debug_assert!(
+            s.in_sync(&self.device),
+            "open-row counts drifted at {cmd:?}"
+        );
     }
 }

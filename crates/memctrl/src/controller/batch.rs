@@ -13,9 +13,11 @@
 //!   bank one cached *representative* — the only entry of that bank that
 //!   can win FR-FCFS. The demand stage is a fold over active,
 //!   non-blocked, non-quiesced banks, never a walk over queue entries;
-//! * a representative is recomputed only when its bank's epoch moves:
-//!   on an arrival for the bank or a command that changes its open row
-//!   or streak (ACT/PRE/RD/WR on it, PREab on its rank);
+//! * a representative is recomputed only when its bank's epoch moves —
+//!   on an arrival for the bank, a command that changes its open row or
+//!   streak (ACT/PRE/RD/WR on it, PREab on its rank), or a row throttle
+//!   on it — or when `now` reaches its *gate*, the earliest expiry of a
+//!   throttle it passed over;
 //! * no legality memo at all: a candidate's earliest-issue instant is
 //!   folded per scan from the device's own bank and rank timing state
 //!   (`DramDevice::bank_states` / `rank_states`, a handful of `max`es)
@@ -36,23 +38,27 @@
 //! and one earliest-issue instant, and the scheduler's comparators
 //! (issueable-now: row hits first, then age; otherwise earliest instant;
 //! first in queue order on ties) reduce within a bank to "oldest first".
-//! Which entries are candidates is the column-cap rule: with a row open,
-//! the oldest hit unless the streak is capped and a conflict waits, else
-//! `PRE` on behalf of the oldest conflict; with the bank closed, `ACT`
-//! for the oldest entry. Across banks the fold takes the minimal
+//! Which entries are candidates is the column-cap rule and the ACT
+//! gate. An entry is *gated* while its row is throttled (BlockHammer,
+//! the isolation quota) and is not the open row: it cannot stand for an
+//! `ACT` or a `PRE`, but its throttle's expiry folds into the wake. With
+//! a row open: the oldest hit unless the streak is capped and a
+//! conflict waits (gated conflicts count), else `PRE` on behalf of the
+//! oldest ungated conflict. With the bank closed: `ACT` for the oldest
+//! ungated entry. A bank whose every eligible entry is gated has no
+//! candidate. Across banks the fold takes the minimal
 //! `(instant, not-a-hit, queue order)`, which is the per-entry scan's
 //! winner when the instant is `now` and its wake otherwise.
 //!
 //! ## What checks it
 //!
-//! The per-entry `schedule_demand` in `controller.rs` is the
-//! `debug_assertions` oracle of every table scan (and the
-//! allocation-free release fallback while BlockHammer throttles gate
-//! individual rows). Every carried verdict — FastPath wait, FastPath
-//! winner, reduced demand scan — is shadowed in debug builds by a fresh
-//! full scan on the same scratch, with the carried verdicts saved before
-//! and restored after, so a checked build takes the same decisions as a
-//! release one.
+//! The per-entry `scan_queue` in `controller.rs` is the
+//! `debug_assertions` oracle of every table scan, for every defense and
+//! wrapper; no release path calls it. Every carried verdict — FastPath
+//! wait, FastPath winner, reduced demand scan — is shadowed in debug
+//! builds by a fresh full scan on the same scratch, with the carried
+//! verdicts saved before and restored after, so a checked build takes
+//! the same decisions as a release one.
 
 use std::collections::VecDeque;
 
@@ -87,6 +93,16 @@ struct Ent {
 struct Rep {
     /// The bank's [`CtrlScratch::bank_epoch`] at computation.
     stamp: u64,
+    /// Earliest `until` among the bank's gated entries (`Time::MAX` if
+    /// none): the representative is stale once `now` reaches it.
+    gate: Time,
+    /// The bank's candidate, `None` while every eligible entry is gated.
+    cand: Option<Cand>,
+}
+
+/// The one command that can win FR-FCFS for a bank.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
     class: Class,
     cmd: Command,
     /// `seq` of the entry the command stands for: the cross-bank
@@ -155,8 +171,9 @@ pub struct CtrlScratch {
     /// only-column-issues test ([`CtrlScratch::sec_live`]).
     col_issued: u64,
     /// Per flat bank: bumped by everything its representatives depend
-    /// on — an arrival queued for it, and every command that moves its
-    /// open row or streak (ACT/PRE/RD/WR on it, PREab on its rank).
+    /// on but time — an arrival queued for it, every command that moves
+    /// its open row or streak (ACT/PRE/RD/WR on it, PREab on its rank),
+    /// and every row throttle on it.
     bank_epoch: Vec<u64>,
     /// Per flat bank: its coordinates.
     banks: Vec<BankId>,
@@ -205,7 +222,8 @@ struct FastPath {
     winner: Option<(QueueSel, Command)>,
     /// Per-scan accumulator: min over the flip instants of every
     /// `now`-dependent branch condition the scan evaluated (refresh
-    /// commit triggers, FR-RFM stacking guards, quiesce verdicts).
+    /// commit triggers, FR-RFM stacking guards, quiesce verdicts,
+    /// throttle gates).
     bound_acc: Time,
     /// Per-scan demand-winner precompute: the table scan's minimal
     /// candidate when it lies in the future — exactly the candidate the
@@ -278,7 +296,7 @@ impl CtrlScratch {
     }
 
     /// Whether the open-row counts match the device's actual row state.
-    fn in_sync(&self, device: &DramDevice) -> bool {
+    pub(super) fn in_sync(&self, device: &DramDevice) -> bool {
         self.rank_open == CtrlScratch::count_open(device)
     }
 
@@ -287,7 +305,12 @@ impl CtrlScratch {
     /// oldest hit of its bank — the candidate table of the `served`
     /// queue. Only ACT/PRE/PREab move row state; REF/RFM blocking
     /// windows and column commands do not (`DramDevice::issue`).
-    fn note_issue(&mut self, cmd: &Command, served: Option<QueueSel>, device: &DramDevice) {
+    pub(super) fn note_issue(
+        &mut self,
+        cmd: &Command,
+        served: Option<QueueSel>,
+        device: &DramDevice,
+    ) {
         let g = device.geometry();
         let states = device.bank_states();
         self.issued += 1;
@@ -332,6 +355,12 @@ impl CtrlScratch {
             }
             Command::Refresh { .. } | Command::Rfm { .. } => {}
         }
+    }
+
+    /// Marks the representatives of bank `flat` stale: one of its rows
+    /// was just throttled.
+    pub(super) fn note_throttle(&mut self, flat: usize) {
+        self.bank_epoch[flat] += 1;
     }
 
     /// Queue index for the per-queue tables.
@@ -407,21 +436,17 @@ impl CtrlScratch {
     }
 
     /// Whether the carried section verdict still binds `mc` at `now`,
-    /// allowing the demand-only reduced scan. The preconditions that
-    /// could arise without an issue (a BlockHammer throttle is inserted
-    /// on activation, but re-checking is cheap and future-proof) are
-    /// tested directly; everything else moves only through issued
-    /// commands, covered by the stamp test: unchanged stamp, or — for a
-    /// pure verdict — only column issues since the verdict was recorded.
+    /// allowing the demand-only reduced scan. The sections' queue
+    /// preconditions are re-checked directly (cheap and future-proof);
+    /// everything else moves only through issued commands, covered by
+    /// the stamp test: unchanged stamp, or — for a pure verdict — only
+    /// column issues since the verdict was recorded. Row throttles are
+    /// the demand stage's own business: the sections never read them.
     fn sec_live(&self, mc: &MemoryController, now: Time) -> bool {
         if !self.sec.valid || now >= self.sec.bound || now >= self.sec.wake {
             return false;
         }
-        if mc.abo.is_some()
-            || !mc.rfm_queue.is_empty()
-            || !mc.para_queue.is_empty()
-            || !mc.throttled.is_empty()
-        {
+        if mc.abo.is_some() || !mc.rfm_queue.is_empty() || !mc.para_queue.is_empty() {
             return false;
         }
         let issued = self.issued - self.sec.stamp;
@@ -478,49 +503,69 @@ impl CtrlScratch {
     }
 
     /// The representative of active bank `flat` in queue `k`, recomputed
-    /// if the bank's entries, open row or streak moved since it was
-    /// cached (all behind [`CtrlScratch::bank_epoch`]).
-    fn rep(&mut self, mc: &MemoryController, k: usize, flat: usize) -> Rep {
+    /// if the bank's entries, open row, streak or throttles moved since
+    /// it was cached (all behind [`CtrlScratch::bank_epoch`]) or a
+    /// throttle it passed over expired (`gate`).
+    fn rep(&mut self, mc: &MemoryController, k: usize, flat: usize, now: Time) -> Rep {
         match self.tables[k].reps[flat] {
-            Some(cached) if cached.stamp == self.bank_epoch[flat] => return cached,
+            Some(cached) if cached.stamp == self.bank_epoch[flat] && now < cached.gate => {
+                return cached
+            }
             _ => {}
         }
         let bank = self.banks[flat];
         let fifo = &self.tables[k].fifo[flat];
-        let (class, cmd, seq) = match mc.device.bank_states()[flat].open_row() {
-            None => {
-                let oldest = fifo[0];
-                let row = oldest.row;
-                (Class::Act, Command::Activate { bank, row }, oldest.seq)
+        let open = mc.device.bank_states()[flat].open_row();
+        // One pass: the oldest hit, whether a conflict waits, and the ACT
+        // gate. An entry whose row is throttled and is not the open row
+        // (the throttle gates ACT, not column commands) stands for no ACT
+        // or PRE until the throttle expires; `free` is the oldest entry
+        // that can.
+        let (mut hit, mut waits, mut free, mut gate) = (None, false, None, Time::MAX);
+        for e in fifo {
+            if Some(e.row) == open {
+                hit = hit.or(Some(e));
+                continue;
             }
-            Some(open) => {
-                let hit = fifo.iter().find(|e| e.row == open);
-                let conflict = fifo.iter().find(|e| e.row != open);
-                let (srow, scount) = mc.streak[flat];
-                let capped = srow == open && scount >= mc.cfg.col_cap;
-                match (hit, conflict) {
-                    // Column cap: once `col_cap` consecutive hits were
-                    // served while a conflicting request waits, stop
-                    // preferring hits.
-                    (Some(h), c) if c.is_none() || !capped => {
-                        let col = h.col;
-                        let cmd = if k == 0 {
-                            Command::Read { bank, col }
-                        } else {
-                            Command::Write { bank, col }
-                        };
-                        (Class::Col, cmd, h.seq)
-                    }
-                    (_, Some(c)) => (Class::Pre, Command::Precharge { bank }, c.seq),
-                    (_, None) => unreachable!("active bank without queued entries"),
-                }
+            waits = true;
+            match mc.throttled.get(&(flat, e.row)) {
+                Some(&until) if until > now => gate = gate.min(until),
+                _ => free = free.or(Some(e)),
             }
+        }
+        let (srow, scount) = mc.streak[flat];
+        let capped = Some(srow) == open && scount >= mc.cfg.col_cap;
+        let cand = match (open, hit) {
+            // Column cap: once `col_cap` consecutive hits were served
+            // while a conflicting request waits, stop preferring hits.
+            (Some(_), Some(h)) if !waits || !capped => {
+                let col = h.col;
+                let cmd = if k == 0 {
+                    Command::Read { bank, col }
+                } else {
+                    Command::Write { bank, col }
+                };
+                Some(Cand {
+                    class: Class::Col,
+                    cmd,
+                    seq: h.seq,
+                })
+            }
+            (Some(_), _) => free.map(|c| Cand {
+                class: Class::Pre,
+                cmd: Command::Precharge { bank },
+                seq: c.seq,
+            }),
+            (None, _) => free.map(|e| Cand {
+                class: Class::Act,
+                cmd: Command::Activate { bank, row: e.row },
+                seq: e.seq,
+            }),
         };
         let rep = Rep {
             stamp: self.bank_epoch[flat],
-            class,
-            cmd,
-            seq,
+            gate,
+            cand,
         };
         self.tables[k].reps[flat] = Some(rep);
         rep
@@ -573,7 +618,7 @@ impl MemoryController {
                             other => panic!("FastPath winner {cmd:?} diverged from scan {other:?}"),
                         }
                     }
-                    self.issue_b(cmd, now, served, scratch);
+                    self.issue(cmd, now, served, scratch);
                 }
             }
         }
@@ -585,7 +630,7 @@ impl MemoryController {
                 self.next_step_b(now, scratch)
             };
             match step {
-                Step::Issue(cmd, served) => self.issue_b(cmd, now, served, scratch),
+                Step::Issue(cmd, served) => self.issue(cmd, now, served, scratch),
                 Step::Again => {}
                 Step::Wait(t) => {
                     assert!(
@@ -597,22 +642,6 @@ impl MemoryController {
                 }
             }
         }
-    }
-
-    /// [`MemoryController::issue`], observed by the scratch.
-    fn issue_b(
-        &mut self,
-        cmd: Command,
-        now: Time,
-        served: Option<(QueueSel, usize)>,
-        s: &mut CtrlScratch,
-    ) {
-        s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
-        self.issue(cmd, now, served);
-        debug_assert!(
-            s.in_sync(&self.device),
-            "open-row counts drifted at {cmd:?}"
-        );
     }
 
     /// Debug shadow of a carried verdict: a fresh full scan at `now` on
@@ -673,7 +702,6 @@ impl MemoryController {
         // and the demand queues — whose deferrals all fold absolute
         // instants into `wake` / `fp.bound_acc` below.
         let mut fp_ok = self.abo.is_none()
-            && self.throttled.is_empty()
             && self.rfm_queue.is_empty()
             && self.para_queue.is_empty()
             && self.cfg.row_policy != RowPolicy::Closed;
@@ -962,9 +990,11 @@ impl MemoryController {
     }
 
     /// Test hook: the demand stage's verdict at `now` — wake, command,
-    /// served queue position — as `service` would compute it from the
+    /// served queue position — as `service` computes it from the
     /// candidate table and as the per-entry oracle scan does, for
-    /// equality checks that hold in release builds too.
+    /// equality checks that hold in release builds too. The wake of a
+    /// verdict that issues is meaningless and reads `Time::MAX` on both
+    /// sides.
     #[doc(hidden)]
     pub fn demand_verdicts(&mut self, now: Time) -> [DemandVerdict; 2] {
         let mut scratch = self.scratch.take().expect("scheduler state present");
@@ -972,18 +1002,18 @@ impl MemoryController {
         scratch.epoch += 1;
         let verdicts = [
             self.schedule_demand_b(sel, now, &mut scratch),
-            self.schedule_demand(sel, now),
+            self.scan_queue(sel, now),
         ];
         self.scratch = Some(scratch);
         verdicts.map(|(wake, step)| match step {
-            Some(Step::Issue(cmd, served)) => (wake, Some((cmd, served.map(|(_, idx)| idx)))),
+            Some(Step::Issue(cmd, served)) => (Time::MAX, Some((cmd, served.map(|(_, idx)| idx)))),
             _ => (wake, None),
         })
     }
 
-    /// `schedule_demand` from the candidate table. While BlockHammer
-    /// throttles gate individual rows the per-entry reference scan
-    /// decides instead; in debug builds it shadows every table verdict.
+    /// The demand stage from the candidate table, for every defense and
+    /// wrapper. In debug builds the per-entry `scan_queue` shadows every
+    /// verdict (the wake beside an issue aside, which nothing reads).
     fn schedule_demand_b(
         &mut self,
         sel: QueueSel,
@@ -991,13 +1021,13 @@ impl MemoryController {
         s: &mut CtrlScratch,
     ) -> (Time, Option<Step>) {
         s.sync_queue(sel, self.queue(sel), self.device.geometry());
-        if !self.throttled.is_empty() {
-            return self.schedule_demand(sel, now);
-        }
         let verdict = self.scan_table(sel, now, s);
         #[cfg(debug_assertions)]
         if !s.shadow {
-            let want = self.schedule_demand(sel, now);
+            let want = match self.scan_queue(sel, now) {
+                (_, issue @ Some(_)) => (Time::MAX, issue),
+                wait => wait,
+            };
             assert!(
                 verdict == want,
                 "table verdict {verdict:?} diverged from per-entry scan {want:?}"
@@ -1008,7 +1038,8 @@ impl MemoryController {
 
     /// FR-FCFS selection as a fold over the active banks' cached
     /// representatives (see the module header for why that is exact).
-    /// Returns (wake, chosen step) like `schedule_demand`.
+    /// Returns (wake, chosen step) like `scan_queue`; the wake folds
+    /// every scanned bank's gate.
     fn scan_table(&self, sel: QueueSel, now: Time, s: &mut CtrlScratch) -> (Time, Option<Step>) {
         let k = CtrlScratch::qi(sel);
         s.sync_blocked(self);
@@ -1039,6 +1070,7 @@ impl MemoryController {
         // Minimal (instant, not-a-hit, queue order): the issueable-now
         // winner when the instant is `now`, the demand wake otherwise.
         let mut best: Option<(Time, bool, u64, Command)> = None;
+        let mut gate = Time::MAX;
         for w in 0..s.blocked.len() {
             let mut word = s.tables[k].active[w] & !s.blocked[w];
             while word != 0 {
@@ -1048,9 +1080,13 @@ impl MemoryController {
                 if s.quiesced(self, bank.rank, now) {
                     continue;
                 }
-                let rep = s.rep(self, k, flat);
+                let rep = s.rep(self, k, flat, now);
+                gate = gate.min(rep.gate);
+                let Some(cand) = rep.cand else {
+                    continue;
+                };
                 let (b, rank) = (&states[flat], &ranks[bank.rank as usize]);
-                let at = match rep.class {
+                let at = match cand.class {
                     Class::Col => {
                         let ready = if sel == QueueSel::Read {
                             b.earliest_rd()
@@ -1072,15 +1108,17 @@ impl MemoryController {
                 };
                 debug_assert_eq!(
                     at,
-                    self.device.earliest_legal(&rep.cmd, now),
+                    self.device.earliest_legal(&cand.cmd, now),
                     "folded legality diverged from the device"
                 );
-                let key = (at, rep.class != Class::Col, rep.seq);
+                let key = (at, cand.class != Class::Col, cand.seq);
                 if best.is_none_or(|(a, miss, seq, _)| key < (a, miss, seq)) {
-                    best = Some((key.0, key.1, key.2, rep.cmd));
+                    best = Some((key.0, key.1, key.2, cand.cmd));
                 }
             }
         }
+        // A gate is a flip instant of this verdict as well as a wake.
+        s.fp.bound_acc = s.fp.bound_acc.min(gate);
         match best {
             Some((at, _, _, cmd)) if at <= now => {
                 let served = self.served_by(sel, &cmd);
@@ -1088,9 +1126,9 @@ impl MemoryController {
             }
             Some((at, _, _, cmd)) => {
                 s.fp.cand = Some((at, cmd));
-                (at, None)
+                (at.min(gate), None)
             }
-            None => (Time::MAX, None),
+            None => (gate, None),
         }
     }
 }

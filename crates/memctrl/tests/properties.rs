@@ -8,7 +8,7 @@
 //!
 //! The last section pins the scheduler itself: the per-bank candidate
 //! table's demand verdict must equal the per-entry oracle scan's before
-//! and after every service call, and three closed-loop runs must
+//! and after every service call, and four closed-loop runs must
 //! reproduce a recorded digest of their wakes, command stream,
 //! completions and statistics — asserted by the tests themselves, so the
 //! checks hold under `cargo test --release` too, not only through the
@@ -285,14 +285,15 @@ proptest! {
 
 // --- the candidate table against its oracle ---------------------------------
 
-/// Defenses that exercise every skip rule of the demand stage on the
-/// tiny geometry: channel- and bank-scope ABO stalls, PRFM-blocked
-/// banks, FR-RFM- and refresh-quiesced ranks, PARA-owned banks and
-/// BlockHammer-throttled rows (with a short delay, so throttles come
-/// and go within a run).
-fn twin_defense_of(sel: u8) -> DefenseConfig {
+/// Defenses (and mitigation stacks) that exercise every skip rule of
+/// the demand stage on the tiny geometry: channel- and bank-scope ABO
+/// stalls, PRFM-blocked banks, FR-RFM- and refresh-quiesced ranks,
+/// PARA-owned banks, and rows throttled by BlockHammer or by the
+/// isolation quota (with a short delay or epoch, so throttles come and
+/// go within a run).
+fn twin_defense_of(sel: u8) -> (DefenseConfig, Vec<MitigationConfig>) {
     let t = DramTiming::ddr5_4800();
-    match sel % 8 {
+    let defense = match sel % 9 {
         0 => DefenseConfig::none(),
         1 => DefenseConfig::prac(8),
         2 => DefenseConfig::prac_bank(8),
@@ -300,17 +301,25 @@ fn twin_defense_of(sel: u8) -> DefenseConfig {
         4 => DefenseConfig::fr_rfm(16, t.t_rc),
         5 => DefenseConfig::para(0.3),
         6 => DefenseConfig::for_threshold(DefenseKind::FrRfm, 64, &t),
-        _ => DefenseConfig::BlockHammer(BlockHammerConfig {
+        7 => DefenseConfig::BlockHammer(BlockHammerConfig {
             blacklist_threshold: 3,
             delay: Span::from_us(2),
             ..BlockHammerConfig::for_threshold(64, t.t_rc, t.t_refw, 5)
         }),
-    }
+        _ => {
+            let quota = MitigationConfig::Quota {
+                budget: 2,
+                epoch: Span::from_us(1),
+            };
+            return (DefenseConfig::none(), vec![quota]);
+        }
+    };
+    (defense, Vec::new())
 }
 
 /// Asserts the candidate table's demand verdict equals the per-entry
-/// oracle scan's at `now`: same wake, same command, same served queue
-/// position.
+/// oracle scan's at `now`: same command and served queue position, and
+/// the same wake when nothing issues.
 fn assert_table_matches_oracle(mc: &mut MemoryController, now: Time) {
     let [table, oracle] = mc.demand_verdicts(now);
     assert_eq!(
@@ -334,15 +343,16 @@ proptest! {
             (0u32..2, 0u32..2, 0u32..5, 0u32..16, any::<bool>(), 0u64..30_000),
             1..160,
         ),
-        defense_sel in 0u8..8,
+        defense_sel in 0u8..9,
         col_cap in 1u32..4,
     ) {
         let mut cfg = CtrlConfig::paper_default();
         cfg.col_cap = col_cap;
         let mut dev = DeviceConfig::paper_default();
         dev.geometry = Geometry::tiny();
+        let (defense, mitigations) = twin_defense_of(defense_sel);
         let mut mc =
-            MemoryController::new(cfg, dev, twin_defense_of(defense_sel), 7).unwrap();
+            MemoryController::with_mitigations(cfg, dev, defense, &mitigations, 7).unwrap();
 
         let mut arrivals: Vec<u64> = specs.iter().map(|s| s.5).collect();
         arrivals.sort_unstable();
@@ -567,8 +577,8 @@ fn aggressor_pair_with_bystanders(id: u64) -> (DramAddr, AccessKind) {
 }
 
 /// Throttled: a BlockHammer-blacklisted aggressor pair keeps rows
-/// throttled while bystander traffic flows — the shape that routes the
-/// demand stage to the per-entry scan.
+/// throttled while bystander traffic flows — the shape that gates the
+/// candidate table's ACTs and makes its representatives expire.
 #[test]
 fn blockhammer_throttled_rows_issue_the_recorded_command_stream() {
     let t = DramTiming::ddr5_4800();
