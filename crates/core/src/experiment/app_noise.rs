@@ -28,7 +28,7 @@ pub fn app_noise_point(
 ) -> AppNoisePoint {
     let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
         opts.co_runners = vec![AppProfile::category(intensity)];
-        opts.seed = seed ^ (i << 4);
+        opts.sim.seed = seed ^ (i << 4);
     });
     AppNoisePoint {
         intensity,

@@ -33,7 +33,7 @@ impl CachePoint {
 
 fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
     run_patterns(kind, bits, |i, opts| {
-        opts.seed = seed ^ (i << 6);
+        opts.sim.seed = seed ^ (i << 6);
         if large {
             opts.sim.caches = CacheConfig::large_hierarchy();
             opts.sim.prefetch = Some(BopConfig::paper_default());

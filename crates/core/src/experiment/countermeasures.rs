@@ -58,7 +58,7 @@ pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) 
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
         opts.sim.defense = arm.defense.clone();
         opts.sim.mitigations = arm.mitigations.clone();
-        opts.seed = seed ^ (i << 3);
+        opts.sim.seed = seed ^ (i << 3);
     });
     (merged.error_probability(), merged.capacity_kbps())
 }
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn wrapper_arms_do_not_widen_the_channel() {
-        // The wrapped arms ride the same run_covert path; the shaper's
+        // The wrapped arms ride the same wire as the bare ones; the shaper's
         // constant RFM stream must cost the PRAC channel capacity, and
         // no wrapper may make the channel *faster* than bare PRAC.
         let arms = mitigation_arms();

@@ -1,27 +1,26 @@
 //! The covert-channel experiment runner (case studies 1 and 2).
 //!
-//! [`run_covert`] wires a sender/receiver pair — plus optional noise
-//! generator and SPEC-like co-runners — into a full system and measures
-//! the channel: decoded bits, error probability and capacity (Eq. 1).
+//! [`run_covert`] is an adapter over [`lh_link::transmit_windows`], the
+//! one sender/receiver wire: it turns [`CovertOptions`] into the wire's
+//! [`LinkConfig`] (no preamble, no receiver lead — the paper's sender
+//! and receiver share the wall clock), thresholds the receiver's
+//! observations at `Trecv` and scores them: decoded bits, error
+//! probability and capacity (Eq. 1).
 //!
 //! The attack parameters (window, detection band, `Trecv`,
-//! stop-on-detect) are not stated here: they come from
-//! [`LinkTuning::for_defense`], the one §12 attacker table, looked up
+//! stop-on-detect) are not stated here: [`CovertOptions::new`] takes
+//! them from [`LinkTuning::for_defense`], the one §12 attacker table,
 //! for the channel's defense kind. Experiments that study a *different*
-//! attacker (fig11, fig12, §9, §12) override `window`,
-//! `detection_band` or `trecv` on [`CovertOptions`].
+//! attacker (fig11, fig12, §9, §12) edit [`CovertOptions::tuning`].
 
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_attacks::{
-    ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
-    SenderConfig,
-};
 use lh_defenses::{DefenseConfig, DefenseStats};
-use lh_dram::{Span, Time};
-use lh_link::LinkTuning;
-use lh_memctrl::AddressMapping;
-use lh_sim::{SimConfig, SystemBuilder};
-use lh_workloads::{AppProfile, SyntheticApp};
+use lh_dram::Span;
+use lh_link::{
+    transmit_windows, Calibration, LinkConfig, LinkTuning, Modulator, OnOffKeying, PreambleSync,
+};
+use lh_sim::SimConfig;
+use lh_workloads::AppProfile;
 
 /// Which LeakyHammer covert channel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,31 +49,20 @@ pub struct CovertOptions {
     /// The bits to transmit.
     pub bits: Vec<u8>,
     /// Full system configuration (override for countermeasure and
-    /// sensitivity studies).
+    /// sensitivity studies). `sim.seed` is the one seed of the
+    /// transmission: defense draws and co-runner streams.
     pub sim: SimConfig,
-    /// Transmission window (defaults to the attacker's window against
-    /// the channel's defense).
-    pub window: Span,
+    /// The attacker's window, detection band, `Trecv`, think times and
+    /// §10.1 refresh filter. [`CovertOptions::new`] looks it up for the
+    /// channel's defense at the default timing; a caller that edits the
+    /// timing (fig12) or the defense (§12) sets the fields it studies.
+    pub tuning: LinkTuning,
     /// Noise-generator intensity (1–100 %), if any (§6.3 noise study).
     pub noise_intensity: Option<f64>,
     /// SPEC-like co-runners on extra cores (Figs. 5 / 8).
     pub co_runners: Vec<AppProfile>,
-    /// Receiver detection band override.
-    pub detection_band: Option<(Span, Span)>,
-    /// `Trecv` override.
-    pub trecv: Option<u32>,
-    /// Loop overhead of the attack processes.
-    pub think: Span,
-    /// Receiver loop-overhead override. Under a strictly closed row
-    /// policy the receiver throttles itself (every probe is an activation
-    /// that increments its own row's counter; an unthrottled receiver
-    /// triggers spurious back-offs in 0-windows).
-    pub receiver_think: Option<Span>,
-    /// §10.1 cadence-based refresh filter for the receiver.
-    pub refresh_filter: Option<lh_attacks::RefreshFilterConfig>,
-    /// Seed of the co-runners' access streams. It does not reach
-    /// `sim.seed` (a defect the ROADMAP's paper-fidelity ledger records):
-    /// a transmission without co-runners is the same for every value.
+    /// Read by nothing: the transmission's seed is `sim.seed`. The
+    /// field stays because the `benchmark/` package assigns it.
     pub seed: u64,
 }
 
@@ -82,28 +70,20 @@ impl CovertOptions {
     /// Paper-default options for `kind` transmitting `bits`.
     pub fn new(kind: ChannelKind, bits: Vec<u8>) -> CovertOptions {
         let sim = SimConfig::paper_default(kind.defense());
-        let think = Span::from_ns(30);
         CovertOptions {
             kind,
             bits,
-            window: attacker_tuning(kind, &sim, think).window,
+            tuning: LinkTuning::for_defense(
+                kind.defense().kind(),
+                &sim.device.timing,
+                Span::from_ns(30),
+            ),
             sim,
             noise_intensity: None,
             co_runners: Vec::new(),
-            detection_band: None,
-            trecv: None,
-            think,
-            receiver_think: None,
-            refresh_filter: None,
             seed: 1,
         }
     }
-}
-
-/// The §12 attacker's parameters against `kind`'s defense at the given
-/// timing and think time.
-fn attacker_tuning(kind: ChannelKind, sim: &SimConfig, think: Span) -> LinkTuning {
-    LinkTuning::for_defense(kind.defense().kind(), &sim.device.timing, think)
 }
 
 /// Result of one covert transmission.
@@ -125,90 +105,36 @@ pub struct CovertOutcome {
     pub defense_stats: DefenseStats,
 }
 
-/// Runs one covert transmission.
+/// Runs one covert transmission: [`CovertOptions::bits`] on-off keyed
+/// over the wire, one receiver window per bit.
 ///
 /// # Panics
 ///
 /// Panics if the system cannot be constructed (invalid configuration).
 pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
-    let mut sys = SystemBuilder::from_config(opts.sim.clone())
-        .build()
-        .expect("valid system configuration");
-    let cls = LatencyClassifier::from_timing(&opts.sim.device.timing, opts.think);
-    // Looked up here, not in `CovertOptions::new`: callers edit the
-    // timing (fig12) and replace `sim` (§12) after construction.
-    let tuning = attacker_tuning(opts.kind, &opts.sim, opts.think);
-    let (detect, detect_max) = opts
-        .detection_band
-        .unwrap_or((tuning.detect, tuning.detect_max));
-    let trecv = opts.trecv.unwrap_or(tuning.trecv);
-    let layout = ChannelLayout::default_bank(sys.mapping());
-    let start = Time::ZERO;
-    let end = start + opts.window * (opts.bits.len() as u64 + 1);
-
-    let tx = CovertSender::new(SenderConfig::binary(
-        layout.sender_rows,
-        opts.window,
-        start,
-        opts.think,
-        cls.backoff_threshold(),
-        tuning.sleep_after_detect,
-        opts.bits.clone(),
-    ));
-    let rx = CovertReceiver::new(ReceiverConfig {
-        row_addr: layout.receiver_row,
-        window: opts.window,
-        start,
-        n_windows: opts.bits.len(),
-        think: opts.receiver_think.unwrap_or(opts.think),
-        detect,
-        detect_max,
-        sleep_after_detect: tuning.sleep_after_detect,
-        refresh_filter: opts.refresh_filter,
+    let cfg = LinkConfig {
+        sim: opts.sim.clone(),
+        tuning: opts.tuning,
+        // No preamble: the receiver trusts the shared clock.
+        sync: PreambleSync::default(),
+        noise_intensity: opts.noise_intensity,
+        rx_lead_windows: 0,
+        co_runners: opts.co_runners.clone(),
+    };
+    let trecv = opts.tuning.trecv;
+    let intensity = OnOffKeying.intensity_table(opts.tuning.think);
+    let (wire, ()) = transmit_windows(&cfg, intensity, &opts.bits, opts.bits.len(), |obs, log| {
+        log.record(0, obs, trecv)
     });
-    sys.add_process(Box::new(tx), 1, start);
-    let rx_id = sys.add_process(Box::new(rx), 1, start);
-
-    if let Some(intensity) = opts.noise_intensity {
-        let noise = NoiseProcess::from_intensity(layout.noise_rows.to_vec(), intensity, end);
-        sys.add_process(Box::new(noise), 1, start);
-    }
-    let mapping: AddressMapping = *sys.mapping();
-    for (i, profile) in opts.co_runners.iter().enumerate() {
-        let app = SyntheticApp::new(profile.clone(), mapping, opts.seed ^ (i as u64 + 7), end);
-        let mlp = app.mlp();
-        sys.add_process(Box::new(app), mlp, start);
-    }
-
-    sys.run_until(end);
-
-    // Reserve the flight segment before borrowing the receiver: the
-    // symbol-window events below must land on this system's timeline.
-    let flight_seg = lh_obs::flight::active().then(|| sys.flight_seg());
-    let rx_proc = sys
-        .process_as::<CovertReceiver>(rx_id)
-        .expect("receiver present");
-    let decoded = rx_proc.decode_binary(trecv);
-    if let Some(seg) = flight_seg {
-        lh_link::emit_link_events(
-            seg,
-            opts.window,
-            0,
-            &opts.bits,
-            rx_proc.observations(),
-            trecv,
-        );
-    }
-    let per_window_events = rx_proc.observations().iter().map(|o| o.events).collect();
-    let seconds = (opts.window * opts.bits.len() as u64).as_secs();
-    let result = ChannelResult::from_bits(&opts.bits, &decoded, seconds);
+    let decoded = OnOffKeying.demodulate(&wire.observations, &Calibration::nominal(trecv));
+    let seconds = (opts.tuning.window * opts.bits.len() as u64).as_secs();
     CovertOutcome {
-        result,
+        result: ChannelResult::from_bits(&opts.bits, &decoded, seconds),
         decoded,
-        per_window_events,
-        backoffs: sys.controller().stats().backoffs,
-        rfms: sys.controller().stats().rfms,
-        defense_stats: sys.controller().defense_stats(),
+        per_window_events: wire.observations.iter().map(|o| o.events).collect(),
+        backoffs: wire.backoffs,
+        rfms: wire.rfms,
+        defense_stats: wire.defense_stats,
     }
 }
 
@@ -217,10 +143,9 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
 /// `kind` and merges the results — the Fig. 4 methodology: a single
 /// short pattern under-samples events whose inter-arrival time spans
 /// several windows. `configure(i, opts)` edits pattern `i`'s
-/// paper-default options; every kernel sets its own `opts.seed` mix
-/// there, so this is the one loop the per-pattern seeds pass through —
-/// and the place the `.seed(opts.seed)` of the ROADMAP's paper-fidelity
-/// ledger item goes once the seed is to reach `SimConfig::seed`.
+/// paper-default options; every kernel mixes its own per-pattern
+/// `opts.sim.seed` there, so this is the one loop the per-pattern seeds
+/// pass through.
 pub fn run_patterns(
     kind: ChannelKind,
     bits_per_pattern: usize,
@@ -274,7 +199,7 @@ mod tests {
         let run_at = |intensity: f64| {
             run_patterns(ChannelKind::Prac, 16, |i, opts| {
                 opts.noise_intensity = Some(intensity);
-                opts.seed = 2 ^ (i << 12) ^ (intensity as u64);
+                opts.sim.seed = 2 ^ (i << 12) ^ (intensity as u64);
             })
             .error_probability()
         };

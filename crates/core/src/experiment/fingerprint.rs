@@ -38,8 +38,6 @@ pub struct CollectOptions {
     pub caches: CacheConfig,
     /// Optional prefetcher (§10.3).
     pub prefetch: Option<BopConfig>,
-    /// Whether a SPEC-like co-runner adds noise (§8 noise study).
-    pub background_noise: bool,
     /// Seed.
     pub seed: u64,
 }
@@ -54,7 +52,6 @@ impl CollectOptions {
             load_span: Span::from_us(scale.load_span_us()),
             caches: CacheConfig::paper_default(),
             prefetch: None,
-            background_noise: false,
             seed,
         }
     }
@@ -90,17 +87,6 @@ pub fn collect_one(site: usize, trace_seed: u64, opts: &CollectOptions) -> Finge
     );
     sys.add_process(Box::new(browser), 1, Time::ZERO);
     let probe_id = sys.add_process(Box::new(probe), 1, Time::ZERO);
-    if opts.background_noise {
-        let mapping = *sys.mapping();
-        let app = lh_workloads::SyntheticApp::new(
-            lh_workloads::AppProfile::category(lh_workloads::Intensity::Medium),
-            mapping,
-            trace_seed ^ 0xBB,
-            Time::ZERO + opts.load_span,
-        );
-        let mlp = app.mlp();
-        sys.add_process(Box::new(app), mlp, Time::ZERO);
-    }
     sys.run_until(Time::ZERO + opts.load_span + Span::from_us(10));
     let trace = sys
         .process_as::<FingerprintProbe>(probe_id)

@@ -27,7 +27,7 @@ pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
-        opts.seed = seed ^ (i << 9) ^ lat;
+        opts.sim.seed = seed ^ (i << 9) ^ lat;
         // Single-RFM back-off with tRFM = the swept action latency.
         opts.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
         if let Some(prac) = opts.sim.defense.prac_mut() {
@@ -42,10 +42,9 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
         // survives to ≈ 10 ns (open in the ROADMAP's fidelity ledger).
         let t = &opts.sim.device.timing;
-        let conflict_contended =
-            opts.think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
-        let refresh_floor = opts.think + t.t_rfc * 2 - Span::from_ns(20);
-        opts.detection_band = Some((conflict_contended, refresh_floor));
+        let think = opts.tuning.think;
+        opts.tuning.detect = think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
+        opts.tuning.detect_max = think + t.t_rfc * 2 - Span::from_ns(20);
     });
     LatencyPoint {
         action_latency_ns: lat,

@@ -11,7 +11,8 @@
 //!
 //! The attack parameters per defense (window, detection band, `Trecv`,
 //! stop-on-detect) are [`lh_link::LinkTuning::for_defense`]'s;
-//! [`covert::run_covert`] looks its defaults up there.
+//! [`covert::CovertOptions::new`] takes its defaults from there, and
+//! [`covert::run_covert`] transmits over [`lh_link::transmit_windows`].
 //!
 //! | Module | Reproduces |
 //! |---|---|

@@ -13,10 +13,9 @@
 
 use lh_analysis::{bits_of_str, bits_to_symbols, channel_capacity};
 use lh_defenses::{DefenseConfig, DefenseKind};
-use lh_dram::{DramTiming, Span};
 use lh_link::{
-    calibrate, transmit_message, transmit_payload, LinkConfig, LinkTuning, Modulator,
-    MultiLevelAmplitude, OnOffKeying, Plain, PreambleSync,
+    calibrate, transmit_message, transmit_payload, LinkConfig, Modulator, MultiLevelAmplitude,
+    OnOffKeying, Plain,
 };
 
 /// Outcome of a multibit transmission (one row of the §6.3 comparison).
@@ -36,16 +35,9 @@ pub struct MultibitOutcome {
 /// channel (`NBO` = 128), Barker-7 synchronization, a 2-window
 /// receiver lead for the synchronizer to recover.
 fn link_config(seed: u64) -> LinkConfig {
-    let timing = DramTiming::ddr5_4800();
-    LinkConfig {
-        defense: DefenseConfig::prac(128),
-        mitigations: Vec::new(),
-        tuning: LinkTuning::for_defense(DefenseKind::Prac, &timing, Span::from_ns(30)),
-        sync: PreambleSync::barker7(4),
-        noise_intensity: None,
-        rx_lead_windows: 2,
-        seed,
-    }
+    let mut cfg = LinkConfig::against(DefenseKind::Prac, 256, seed);
+    cfg.sim.defense = DefenseConfig::prac(128);
+    cfg
 }
 
 /// The §6.3 message: `message_bytes` of the repeating payload text.

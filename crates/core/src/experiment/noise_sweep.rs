@@ -34,7 +34,7 @@ pub fn overlap_1rfm_point(
 ) -> NoisePoint {
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
         opts.noise_intensity = Some(intensity);
-        opts.seed = seed ^ (i << 12) ^ (intensity as u64);
+        opts.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = false;
         if let Some(prac) = opts.sim.defense.prac_mut() {
             prac.rfms_per_backoff = 1;
@@ -42,11 +42,13 @@ pub fn overlap_1rfm_point(
         // Double window; detect anything above a conflict. Without
         // the cadence filter, periodic refreshes are miscounted as
         // events — the overlap problem the filter solves.
-        opts.window = opts.window * 2;
-        let cls = LatencyClassifier::from_timing(&opts.sim.device.timing, opts.think);
-        opts.detection_band = Some((cls.conflict_max + Span::from_ns(120), Span::MAX));
-        opts.refresh_filter =
-            filtered.then(|| lh_attacks::RefreshFilterConfig::from_timing(&opts.sim.device.timing));
+        let timing = &opts.sim.device.timing;
+        let cls = LatencyClassifier::from_timing(timing, opts.tuning.think);
+        opts.tuning.window = opts.tuning.window * 2;
+        opts.tuning.detect = cls.conflict_max + Span::from_ns(120);
+        opts.tuning.detect_max = Span::MAX;
+        opts.tuning.refresh_filter =
+            filtered.then(|| lh_attacks::RefreshFilterConfig::from_timing(timing));
     });
     NoisePoint {
         intensity,
@@ -70,13 +72,15 @@ pub fn sweep_point(
 ) -> NoisePoint {
     let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
         opts.noise_intensity = Some(intensity);
-        opts.seed = seed ^ (i << 12) ^ (intensity as u64);
+        opts.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
         opts.sim.ctrl.refresh_postpone = postpone_refresh;
         if let Some(prac) = opts.sim.defense.prac_mut() {
             prac.rfms_per_backoff = rfms_per_backoff;
         }
         if rfms_per_backoff < 4 || !postpone_refresh {
-            opts.detection_band = Some(short_backoff_band(postpone_refresh, opts.think, &opts.sim));
+            opts.tuning.detect =
+                short_backoff_floor(postpone_refresh, opts.tuning.think, &opts.sim);
+            opts.tuning.detect_max = Span::MAX;
         }
     });
     NoisePoint {
@@ -86,16 +90,16 @@ pub fn sweep_point(
     }
 }
 
-/// Detection band for shortened back-offs (§10.1): the threshold sits just
-/// above the highest non-back-off event, which without refresh postponing
-/// is a single REF (and with 1 RFM per back-off the two overlap — the
-/// §10.1 observation that degrades the channel).
-fn short_backoff_band(postpone: bool, think: Span, sim: &lh_sim::SimConfig) -> (Span, Span) {
+/// Detection floor for shortened back-offs (§10.1): the threshold sits
+/// just above the highest non-back-off event, which without refresh
+/// postponing is a single REF (and with 1 RFM per back-off the two
+/// overlap — the §10.1 observation that degrades the channel). The band
+/// is open above.
+fn short_backoff_floor(postpone: bool, think: Span, sim: &lh_sim::SimConfig) -> Span {
     let t = &sim.device.timing;
     let cls = LatencyClassifier::from_timing(t, think);
     let refresh_span = if postpone { t.t_rfc * 2 } else { t.t_rfc };
-    let floor = cls.conflict_max + refresh_span + Span::from_ns(120);
-    (floor, Span::MAX)
+    cls.conflict_max + refresh_span + Span::from_ns(120)
 }
 
 #[cfg(test)]

@@ -83,9 +83,9 @@ fn drama_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
 fn leakyhammer_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
     let mut opts = CovertOptions::new(ChannelKind::Prac, bits.to_vec());
     opts.sim.ctrl.row_policy = policy;
-    opts.seed = seed;
+    opts.sim.seed = seed;
     if policy == RowPolicy::Closed {
-        opts.receiver_think = Some(Span::from_ns(420));
+        opts.tuning.receiver_think = Some(Span::from_ns(420));
     }
     run_covert(&opts).result.capacity_kbps()
 }

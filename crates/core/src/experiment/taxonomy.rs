@@ -105,12 +105,11 @@ fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
     };
     let mut opts = CovertOptions::new(base_kind, bits);
     let timing = opts.sim.device.timing;
-    opts.sim = SimConfig::paper_default(DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing));
-    opts.seed = seed;
-    let tuning = LinkTuning::for_defense(kind, &timing, opts.think);
-    opts.window = tuning.window;
-    opts.detection_band = Some((tuning.detect, tuning.detect_max));
-    opts.trecv = Some(tuning.trecv);
+    opts.sim = SimConfig {
+        seed,
+        ..SimConfig::paper_default(DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing))
+    };
+    opts.tuning = LinkTuning::for_defense(kind, &timing, opts.tuning.think);
     opts
 }
 
@@ -212,7 +211,7 @@ mod tests {
         for kind in DefenseKind::taxonomy_set() {
             let opts = options_for(kind, vec![1, 0], 1);
             assert_eq!(opts.sim.defense.kind(), kind);
-            assert!(opts.window >= lh_dram::Span::from_us(20));
+            assert!(opts.tuning.window >= lh_dram::Span::from_us(20));
         }
     }
 }

@@ -81,7 +81,7 @@ fn axis_label(d: usize, m: usize) -> String {
 /// The link configuration of axis entry (`d`, `m`).
 fn link_config(d: usize, m: usize, seed: u64) -> LinkConfig {
     let mut cfg = LinkConfig::against(DEFENSES[d], MIT_NRH, seed);
-    cfg.mitigations = stack(m);
+    cfg.sim.mitigations = stack(m);
     cfg
 }
 

@@ -18,7 +18,8 @@
 //! [`LinkTuning::for_defense`] is the single §12 attacker table — the
 //! window, detection band, `Trecv` and stop-on-detect an adaptive
 //! attacker picks per defense class; `leakyhammer`'s figure experiments
-//! read their defaults from it too.
+//! read their defaults from it too, and run over the same wire,
+//! [`pipeline::transmit_windows`].
 //! [`pipeline::calibrate`] learns the receiver's decision parameters
 //! against a concrete defense, and [`pipeline::transmit_message`] runs
 //! the full round trip inside the simulator, reporting BER, capacity,
@@ -51,7 +52,7 @@ pub mod sync;
 pub use codec::{crc8, flip_bits, Codec, CrcFramed, Decoded, Hamming74, Plain, Repetition};
 pub use modem::{Calibration, Modulator, MultiLevelAmplitude, OnOffKeying, PulsePosition};
 pub use pipeline::{
-    calibrate, emit_link_events, transmit_message, transmit_payload, transmit_windows, LinkConfig,
-    LinkOutcome, LinkTuning, PayloadOutcome, WireOutcome,
+    calibrate, transmit_message, transmit_payload, transmit_windows, LinkConfig, LinkOutcome,
+    LinkTuning, PayloadOutcome, SymbolLog, WireOutcome,
 };
 pub use sync::{Alignment, PreambleSync};

@@ -9,12 +9,12 @@
 use lh_analysis::ChannelResult;
 use lh_attacks::{
     ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, NoiseProcess, ReceiverConfig,
-    SenderConfig, WindowObservation,
+    RefreshFilterConfig, SenderConfig, WindowObservation,
 };
 use lh_defenses::{DefenseConfig, DefenseKind, DefenseStats};
 use lh_dram::{DramTiming, Span, Time};
-use lh_mitigate::MitigationConfig;
 use lh_sim::{SimConfig, SystemBuilder};
+use lh_workloads::{AppProfile, SyntheticApp};
 
 use crate::codec::Codec;
 use crate::modem::{Calibration, Modulator};
@@ -39,14 +39,21 @@ pub struct LinkTuning {
     pub sleep_after_detect: bool,
     /// Attack-loop think time.
     pub think: Span,
+    /// Receiver loop-overhead override (`None`: `think`). Under a
+    /// strictly closed row policy every probe is an activation of the
+    /// receiver's own row, so the receiver throttles itself or triggers
+    /// back-offs in 0-windows.
+    pub receiver_think: Option<Span>,
+    /// §10.1 cadence-based refresh filter for the receiver.
+    pub refresh_filter: Option<RefreshFilterConfig>,
 }
 
 impl LinkTuning {
     /// The tuning an adaptive attacker uses against `kind`, mirroring
     /// the §12 per-class analysis. This is the one per-defense attacker
-    /// table: the link pipeline and `leakyhammer`'s `run_covert` both
-    /// look their window, detection band, `Trecv` and stop-on-detect
-    /// up here.
+    /// table: every transmission over [`transmit_windows`] starts from
+    /// its window, detection band, `Trecv` and stop-on-detect, and
+    /// `leakyhammer`'s `run_covert` rides that wire too.
     ///
     /// * PRAC family — the multi-RFM back-off band, stop-on-detect;
     /// * PRFM — the RFM band with the paper's `Trecv` = 3;
@@ -66,6 +73,8 @@ impl LinkTuning {
                 trecv: 1,
                 sleep_after_detect: true,
                 think,
+                receiver_think: None,
+                refresh_filter: None,
             },
             DefenseKind::Prfm => LinkTuning {
                 window: Span::from_us(20),
@@ -74,6 +83,8 @@ impl LinkTuning {
                 trecv: 3,
                 sleep_after_detect: false,
                 think,
+                receiver_think: None,
+                refresh_filter: None,
             },
             DefenseKind::Graphene | DefenseKind::Hydra | DefenseKind::Comet | DefenseKind::Para => {
                 LinkTuning {
@@ -83,6 +94,8 @@ impl LinkTuning {
                     trecv: 1,
                     sleep_after_detect: false,
                     think,
+                    receiver_think: None,
+                    refresh_filter: None,
                 }
             }
             DefenseKind::None | DefenseKind::FrRfm | DefenseKind::Mint => LinkTuning {
@@ -92,6 +105,8 @@ impl LinkTuning {
                 trecv: 3,
                 sleep_after_detect: false,
                 think,
+                receiver_think: None,
+                refresh_filter: None,
             },
             DefenseKind::BlockHammer => LinkTuning {
                 window: Span::from_us(250),
@@ -100,6 +115,8 @@ impl LinkTuning {
                 trecv: 1,
                 sleep_after_detect: false,
                 think,
+                receiver_think: None,
+                refresh_filter: None,
             },
         }
     }
@@ -108,13 +125,12 @@ impl LinkTuning {
 /// A fully specified link over one defense.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
-    /// The defense under attack.
-    pub defense: DefenseConfig,
-    /// Countermeasure wrappers deployed over the defense (innermost
-    /// first; empty for the bare defense). The attacker calibrates and
-    /// transmits against the *mitigated* system — an adaptive-adversary
-    /// model.
-    pub mitigations: Vec<MitigationConfig>,
+    /// The simulated system: the defense under attack, the
+    /// countermeasure wrappers deployed over it (the attacker
+    /// calibrates and transmits against the *mitigated* system — an
+    /// adaptive-adversary model) and `seed`, the one seed of a
+    /// transmission (defense draws and co-runner streams).
+    pub sim: SimConfig,
     /// Per-defense attack parameters.
     pub tuning: LinkTuning,
     /// Synchronizer (preamble + search space).
@@ -124,8 +140,9 @@ pub struct LinkConfig {
     /// Windows the receiver starts observing *before* the sender
     /// transmits — the misalignment the synchronizer must recover.
     pub rx_lead_windows: usize,
-    /// Simulation seed.
-    pub seed: u64,
+    /// SPEC-like co-runners on extra cores (Figs. 5 / 8); co-runner `i`
+    /// draws its access stream from `sim.seed ^ (i + 7)`.
+    pub co_runners: Vec<AppProfile>,
 }
 
 impl LinkConfig {
@@ -135,13 +152,15 @@ impl LinkConfig {
     pub fn against(kind: DefenseKind, nrh: u32, seed: u64) -> LinkConfig {
         let timing = DramTiming::ddr5_4800();
         LinkConfig {
-            defense: DefenseConfig::for_threshold(kind, nrh, &timing),
-            mitigations: Vec::new(),
+            sim: SimConfig {
+                seed,
+                ..SimConfig::paper_default(DefenseConfig::for_threshold(kind, nrh, &timing))
+            },
             tuning: LinkTuning::for_defense(kind, &timing, Span::from_ns(30)),
             sync: PreambleSync::barker7(4),
             noise_intensity: None,
             rx_lead_windows: 2,
-            seed,
+            co_runners: Vec::new(),
         }
     }
 }
@@ -186,48 +205,102 @@ pub struct WireOutcome {
     pub rfms: u64,
     /// Defense counters.
     pub defense_stats: DefenseStats,
-    /// Flight-recorder segment of the underlying system, when event
-    /// recording was active — lets callers annotate the command stream
-    /// (e.g. with symbol windows) under the same segment.
-    pub flight_seg: Option<u64>,
+}
+
+/// The flight-log view of one transmission's symbol schedule, handed to
+/// the reader of [`transmit_windows`] while the wire's system is still
+/// alive: the window events land before the system's final flush.
+#[derive(Debug)]
+pub struct SymbolLog<'a> {
+    /// The system's flight segment (`None` when not recording).
+    seg: Option<u64>,
+    window: Span,
+    /// Windows before the sender's first symbol.
+    lead: usize,
+    symbols: &'a [u8],
+}
+
+impl SymbolLog<'_> {
+    /// Records one [`lh_obs::FlightEvent::Link`] per read symbol: the
+    /// sender's schedule from symbol `first` on (what was meant) against
+    /// the receiver's `observations` of those symbols (what the
+    /// maintenance channel delivered), classified "on" at `trecv`
+    /// events. Each event spans its symbol's window on the sender's
+    /// clock, so it sorts alongside the system's command and
+    /// maintenance events. This is the only place a symbol window
+    /// becomes a flight event.
+    pub fn record(&self, first: usize, observations: &[WindowObservation], trecv: u32) {
+        let Some(seg) = self.seg else { return };
+        let link_events = self.symbols[first..]
+            .iter()
+            .zip(observations)
+            .enumerate()
+            .map(|(i, (&symbol, o))| {
+                let t0 = self.window * (self.lead + first + i) as u64;
+                let verdict = match (symbol != 0, o.events >= trecv) {
+                    (true, true) => "hit",
+                    (true, false) => "miss",
+                    (false, true) => "false-positive",
+                    (false, false) => "idle",
+                };
+                lh_obs::FlightEvent::Link {
+                    t_ns: t0.as_ps() / 1_000,
+                    t_end_ns: (t0 + self.window).as_ps() / 1_000,
+                    window: i as u64,
+                    symbol: u64::from(symbol),
+                    events: u64::from(o.events),
+                    verdict,
+                }
+            })
+            .collect();
+        lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
+    }
 }
 
 /// Runs the sender/receiver pair over a raw per-window symbol schedule
-/// and returns the receiver's observations plus controller counters.
+/// and returns the receiver's observations plus controller counters,
+/// together with what `read` made of the observations.
 ///
-/// This is the wire beneath [`transmit_message`]: symbol-domain
-/// callers (e.g. the §6.3 ternary experiment, whose alphabet has no
-/// whole number of bits) drive it directly and demodulate window by
-/// window with [`crate::modem::MultiLevelAmplitude::symbol_of`].
+/// This is the one wire: [`calibrate`], [`transmit_payload`] (and
+/// through it [`transmit_message`]) and `leakyhammer`'s `run_covert`
+/// all build their sender/receiver system here. The receiver observes
+/// `rx_windows` windows from time 0, the sender starts
+/// `rx_lead_windows` windows later, and the run ends one window after
+/// the receiver's last. When `sleep_after_detect` holds, the sender
+/// stops at the back-off threshold of the system's own timing. A noise
+/// process runs when `noise_intensity` is above zero.
+///
+/// `read` sees the observations while the system is still alive and
+/// records, through its [`SymbolLog`], the symbol windows the
+/// transmission reports.
 ///
 /// # Panics
 ///
-/// Panics if the defense configuration cannot be built into a system,
-/// or a symbol has no entry in `intensity`.
-pub fn transmit_windows(
+/// Panics if the system configuration cannot be built, or a symbol has
+/// no entry in `intensity`.
+pub fn transmit_windows<R>(
     cfg: &LinkConfig,
     intensity: Vec<Option<Span>>,
-    symbols: Vec<u8>,
+    symbols: &[u8],
     rx_windows: usize,
-) -> WireOutcome {
-    let window = cfg.tuning.window;
-    let mut sim = SimConfig::paper_default(cfg.defense.clone());
-    sim.mitigations = cfg.mitigations.clone();
-    let mut sys = SystemBuilder::from_config(sim)
-        .seed(cfg.seed)
+    read: impl FnOnce(&[WindowObservation], &SymbolLog) -> R,
+) -> (WireOutcome, R) {
+    let tuning = &cfg.tuning;
+    let window = tuning.window;
+    let mut sys = SystemBuilder::from_config(cfg.sim.clone())
         .build()
         .expect("valid link system configuration");
     let layout = ChannelLayout::default_bank(sys.mapping());
-    let tx_start = Time::ZERO + window * cfg.rx_lead_windows as u64;
-    let end = tx_start + window * (symbols.len() as u64 + 2);
+    let end = Time::ZERO + window * (rx_windows as u64 + 1);
+    let cls = LatencyClassifier::from_timing(&cfg.sim.device.timing, tuning.think);
     let tx = CovertSender::new(SenderConfig {
         rows: layout.sender_rows,
         window,
-        start: tx_start,
-        think: cfg.tuning.think,
-        detect: cfg.tuning.detect,
-        stop_after_detect: cfg.tuning.sleep_after_detect,
-        symbols,
+        start: Time::ZERO + window * cfg.rx_lead_windows as u64,
+        think: tuning.think,
+        detect: cls.backoff_threshold(),
+        stop_after_detect: tuning.sleep_after_detect,
+        symbols: symbols.to_vec(),
         intensity,
     });
     let rx = CovertReceiver::new(ReceiverConfig {
@@ -235,37 +308,46 @@ pub fn transmit_windows(
         window,
         start: Time::ZERO,
         n_windows: rx_windows,
-        think: cfg.tuning.think,
-        detect: cfg.tuning.detect,
-        detect_max: cfg.tuning.detect_max,
-        sleep_after_detect: cfg.tuning.sleep_after_detect,
-        refresh_filter: None,
+        think: tuning.receiver_think.unwrap_or(tuning.think),
+        detect: tuning.detect,
+        detect_max: tuning.detect_max,
+        sleep_after_detect: tuning.sleep_after_detect,
+        refresh_filter: tuning.refresh_filter,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
-    if let Some(intensity) = cfg.noise_intensity {
-        if intensity > 0.0 {
-            let noise = NoiseProcess::from_intensity(layout.noise_rows.to_vec(), intensity, end);
-            sys.add_process(Box::new(noise), 1, Time::ZERO);
-        }
+    if let Some(intensity) = cfg.noise_intensity.filter(|&i| i > 0.0) {
+        let noise = NoiseProcess::from_intensity(layout.noise_rows.to_vec(), intensity, end);
+        sys.add_process(Box::new(noise), 1, Time::ZERO);
+    }
+    let mapping = *sys.mapping();
+    for (i, profile) in cfg.co_runners.iter().enumerate() {
+        let app = SyntheticApp::new(profile.clone(), mapping, cfg.sim.seed ^ (i as u64 + 7), end);
+        let mlp = app.mlp();
+        sys.add_process(Box::new(app), mlp, Time::ZERO);
     }
     sys.run_until(end);
+
+    let log = SymbolLog {
+        seg: lh_obs::flight::active().then(|| sys.flight_seg()),
+        window,
+        lead: cfg.rx_lead_windows,
+        symbols,
+    };
     let observations = sys
         .process_as::<CovertReceiver>(rx_id)
         .expect("receiver present")
         .observations()
         .to_vec();
+    let reading = read(&observations, &log);
     let stats = sys.controller().stats();
-    let backoffs = stats.backoffs;
-    let rfms = stats.rfms;
-    let flight_seg = lh_obs::flight::active().then(|| sys.flight_seg());
-    WireOutcome {
+    let wire = WireOutcome {
         observations,
-        backoffs,
-        rfms,
+        backoffs: stats.backoffs,
+        rfms: stats.rfms,
         defense_stats: sys.controller().defense_stats(),
-        flight_seg,
-    }
+    };
+    (wire, reading)
 }
 
 /// Calibrates the receiver's decision parameters against the link's
@@ -288,14 +370,11 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
     let n = symbols.len();
     let mut caldef = cfg.clone();
     caldef.rx_lead_windows = 0;
-    caldef.seed = cfg.seed ^ 0xCA11;
-    let obs = transmit_windows(
-        &caldef,
-        modulator.intensity_table(cfg.tuning.think),
-        symbols.clone(),
-        n,
-    )
-    .observations;
+    caldef.sim.seed = cfg.sim.seed ^ 0xCA11;
+    let intensity = modulator.intensity_table(cfg.tuning.think);
+    let obs = transmit_windows(&caldef, intensity, &symbols, n, |_, _| ())
+        .0
+        .observations;
     let mean = |want_on: bool| {
         let events: Vec<f64> = symbols
             .iter()
@@ -329,14 +408,11 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
         let n = symbols.len();
         let mut calmla = cfg.clone();
         calmla.rx_lead_windows = 0;
-        calmla.seed = cfg.seed ^ 0xB145;
-        let obs = transmit_windows(
-            &calmla,
-            modulator.intensity_table(cfg.tuning.think),
-            symbols.clone(),
-            n,
-        )
-        .observations;
+        calmla.sim.seed = cfg.sim.seed ^ 0xB145;
+        let intensity = modulator.intensity_table(cfg.tuning.think);
+        let obs = transmit_windows(&calmla, intensity, &symbols, n, |_, _| ())
+            .0
+            .observations;
         let mut means = Vec::new();
         for s in 1..levels {
             let counts: Vec<f64> = symbols
@@ -362,48 +438,6 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
         on_events,
         off_events,
     }
-}
-
-/// Annotates flight segment `seg` with one [`lh_obs::FlightEvent::Link`]
-/// per symbol window: the sender's schedule (what was meant) against
-/// the receiver's observation (what the maintenance channel delivered),
-/// classified "on" at `trecv` events. Window `i` starts
-/// `first_window + i` windows into the segment's timeline, so the
-/// events sort alongside its command and maintenance events.
-///
-/// This is the only place a symbol window becomes a flight event:
-/// [`transmit_payload`] and `leakyhammer`'s `run_covert` both call it.
-pub fn emit_link_events(
-    seg: u64,
-    window: Span,
-    first_window: usize,
-    symbols: &[u8],
-    observations: &[WindowObservation],
-    trecv: u32,
-) {
-    let link_events = symbols
-        .iter()
-        .zip(observations)
-        .enumerate()
-        .map(|(i, (&symbol, o))| {
-            let t0 = window * (first_window + i) as u64;
-            let verdict = match (symbol != 0, o.events >= trecv) {
-                (true, true) => "hit",
-                (true, false) => "miss",
-                (false, true) => "false-positive",
-                (false, false) => "idle",
-            };
-            lh_obs::FlightEvent::Link {
-                t_ns: t0.as_ps() / 1_000,
-                t_end_ns: (t0 + window).as_ps() / 1_000,
-                window: i as u64,
-                symbol: u64::from(symbol),
-                events: u64::from(o.events),
-                verdict,
-            }
-        })
-        .collect();
-    lh_obs::flight::emit_batch(seg, link_events, std::collections::BTreeMap::new());
 }
 
 /// A synchronized symbol-domain transmission: the preamble+payload
@@ -451,26 +485,16 @@ pub fn transmit_payload(
     symbols.extend(payload_symbols);
     let windows = symbols.len();
     let rx_windows = cfg.rx_lead_windows + windows + 1;
-    let wire = transmit_windows(
-        cfg,
-        modulator.intensity_table(cfg.tuning.think),
-        symbols,
-        rx_windows,
-    );
-    let alignment = cfg.sync.align(&wire.observations, cal);
-    let observations =
-        cfg.sync
-            .extract_payload(&wire.observations, &alignment, payload_symbols.len());
-    if let Some(seg) = wire.flight_seg {
-        emit_link_events(
-            seg,
-            cfg.tuning.window,
-            cfg.rx_lead_windows + cfg.sync.pattern.len(),
-            payload_symbols,
-            &observations,
-            cal.trecv,
-        );
-    }
+    let intensity = modulator.intensity_table(cfg.tuning.think);
+    let (wire, (alignment, observations)) =
+        transmit_windows(cfg, intensity, &symbols, rx_windows, |obs, log| {
+            let alignment = cfg.sync.align(obs, cal);
+            let payload = cfg
+                .sync
+                .extract_payload(obs, &alignment, payload_symbols.len());
+            log.record(cfg.sync.pattern.len(), &payload, cal.trecv);
+            (alignment, payload)
+        });
     PayloadOutcome {
         observations,
         alignment,

@@ -35,7 +35,10 @@ impl Alignment {
 }
 
 /// Preamble-correlating synchronizer with a drift-candidate grid.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The `Default` synchronizer is none at all: no preamble and nothing
+/// to search — a receiver that shares the sender's clock.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PreambleSync {
     /// On/off preamble pattern the sender transmits first (1 = the
     /// modulator's highest-intensity symbol, 0 = idle).

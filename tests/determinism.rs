@@ -5,6 +5,7 @@ use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 use lh_analysis::MessagePattern;
 use lh_defenses::DefenseConfig;
 use lh_dram::{BankId, DramAddr, Span, Time};
+use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
 use lh_sim::{LoopProcess, SimConfig, System};
 
 #[test]
@@ -12,12 +13,40 @@ fn covert_outcomes_are_reproducible() {
     let run = |seed: u64| {
         let mut opts = CovertOptions::new(ChannelKind::Prac, MessagePattern::Checkered0.bits(24));
         opts.noise_intensity = Some(60.0);
-        opts.seed = seed;
         opts.sim.seed = seed;
         let out = run_covert(&opts);
         (out.decoded, out.per_window_events, out.backoffs)
     };
     assert_eq!(run(7), run(7), "same seed, same transmission");
+}
+
+#[test]
+fn randomised_defenses_follow_the_master_seed() {
+    // RIAC's counter draws (mitigation) and PARA's and MINT's triggers
+    // (taxonomy) run on each transmission's `sim.seed`, which every
+    // covert kernel mixes from its unit seed: one master seed gives one
+    // result, another master seed another.
+    let registry = leakyhammer::registry();
+    let runner = Runner::new(RunnerOptions {
+        jobs: 2,
+        ..Default::default()
+    });
+    for id in ["mitigation", "taxonomy"] {
+        let job = registry.get(id).expect("registered");
+        let result = |seed: u64| {
+            runner
+                .run(job, &JobContext::new(ScaleLevel::Quick, seed))
+                .expect("run")
+                .merged
+        };
+        let one = result(1);
+        assert_eq!(one, result(1), "{id}: same master seed, same result");
+        assert_ne!(
+            one,
+            result(2),
+            "{id}: the master seed must reach the defense draws"
+        );
+    }
 }
 
 #[test]

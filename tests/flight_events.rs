@@ -7,9 +7,10 @@
 //! envelope.
 //!
 //! fig2 emits no `link` events, so the same test also pins the
-//! symbol-window events of both emitters — `run_covert` (through fig3
-//! and directly) and `lh_link::transmit_payload` — down to the verdict
-//! of every window.
+//! symbol-window events of both transmissions that report them over
+//! the one wire, `lh_link::transmit_windows` — `run_covert` (through
+//! fig3 and directly) and `lh_link::transmit_payload` — down to the
+//! verdict of every window.
 //!
 //! Recording is a property of the run (`JobContext::flight`), not of
 //! the process, so these tests run concurrently with each other and
@@ -77,7 +78,7 @@ fn assert_link_windows(
     }
 }
 
-/// Symbol-window events through both emitters, all four verdicts each.
+/// Symbol-window events through both transmissions, all four verdicts each.
 #[test]
 fn link_events_carry_the_verdict_of_every_window() {
     let micro = bits_of_str("MICRO");
@@ -98,7 +99,7 @@ fn link_events_carry_the_verdict_of_every_window() {
     let first_ns = 25_000 * (cfg.rx_lead_windows + cfg.sync.pattern.len()) as u64;
     for (trecv, on) in [(u32::MAX, false), (0, true)] {
         let mut opts = CovertOptions::new(ChannelKind::Prac, micro.clone());
-        opts.trecv = Some(trecv);
+        opts.tuning.trecv = trecv;
         let (_, log) = lh_obs::flight::capture(|| run_covert(&opts));
         let what = format!("run_covert trecv={trecv}");
         assert_link_windows(&what, &log.render("u", 0), 0, &micro, |_| on);

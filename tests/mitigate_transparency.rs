@@ -134,7 +134,7 @@ fn link_envelope_is_identical_for_empty_and_pass_through_stacks() {
 
     let mut bare = LinkConfig::against(DefenseKind::Prfm, 128, 11);
     let mut passed = bare.clone();
-    passed.mitigations = vec![MitigationConfig::PassThrough];
+    passed.sim.mitigations = vec![MitigationConfig::PassThrough];
 
     let bits: Vec<u8> = (0..32).map(|i| (i ^ (i >> 2)) & 1).collect();
     let mut outcomes = Vec::new();

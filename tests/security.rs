@@ -130,7 +130,7 @@ fn security_holds_while_the_covert_channel_runs() {
     // (`scaled_nbo` reserves ABO-window slack below NRH/2; a bare
     // NBO=NRH/2 config lets the alert-window activations overshoot by
     // a couple of counts, which is why `for_threshold` under-provisions
-    // NBO). (run_covert discards the system, so re-run with direct
+    // NBO). (The covert wire discards its system, so re-run with direct
     // observation.)
     let cfg =
         DefenseConfig::for_threshold(DefenseKind::Prac, 256, &lh_dram::DramTiming::ddr5_4800());
