@@ -27,8 +27,8 @@ pub fn app_noise_point(
     seed: u64,
 ) -> AppNoisePoint {
     let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
-        opts.co_runners = vec![AppProfile::category(intensity)];
-        opts.sim.seed = seed ^ (i << 4);
+        opts.link.co_runners = vec![AppProfile::category(intensity)];
+        opts.link.sim.seed = seed ^ (i << 4);
     });
     AppNoisePoint {
         intensity,

@@ -33,10 +33,10 @@ impl CachePoint {
 
 fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
     run_patterns(kind, bits, |i, opts| {
-        opts.sim.seed = seed ^ (i << 6);
+        opts.link.sim.seed = seed ^ (i << 6);
         if large {
-            opts.sim.caches = CacheConfig::large_hierarchy();
-            opts.sim.prefetch = Some(BopConfig::paper_default());
+            opts.link.sim.caches = CacheConfig::large_hierarchy();
+            opts.link.sim.prefetch = Some(BopConfig::paper_default());
         }
     })
     .capacity_kbps()

@@ -9,10 +9,23 @@
 //! [`SimConfig::mitigations`](lh_sim::SimConfig) plumbing the
 //! `mitsweep` Pareto matrix uses — the figure path and the sweep share
 //! one mitigation implementation.
+//!
+//! Every arm is attacked with the lightest Figs. 5 / 8 co-runner
+//! (`Intensity::Low`) beside the sender and receiver. RIAC randomises
+//! the phase of *every* row's counter, so what it costs the channel is
+//! the other traffic's activations turning into back-offs at times no
+//! one can predict. A quiet channel has no such traffic. And the
+//! attacker loses nothing to its own rows' random start: the sender
+//! hammers until it sees the back-off, and a random start only brings
+//! the back-off earlier. Quiet, RIAC cuts 7–15 % (0 % at some seeds);
+//! beside the co-runner, 74–88 % from quick to paper scale, where the
+//! paper reports ≈86 %. The paper's exact §11.4 traffic is not stated
+//! in this repository; the co-runner is this study's assumption.
 
 use lh_defenses::DefenseConfig;
 use lh_dram::DramTiming;
 use lh_mitigate::{MitigationConfig, MitigationKind};
+use lh_workloads::{AppProfile, Intensity};
 
 use crate::experiment::covert::{run_patterns, ChannelKind};
 
@@ -53,12 +66,14 @@ impl MitigationArm {
 
 /// Error probability and capacity of the PRAC-style attack against one
 /// arm (the baseline-relative reduction is [`reduction_pct`] over the
-/// per-arm capacities).
+/// per-arm capacities), with the lightest Figs. 5 / 8 co-runner
+/// beside the sender and receiver (see the module docs).
 pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) -> (f64, f64) {
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
-        opts.sim.defense = arm.defense.clone();
-        opts.sim.mitigations = arm.mitigations.clone();
-        opts.sim.seed = seed ^ (i << 3);
+        opts.link.sim.defense = arm.defense.clone();
+        opts.link.sim.mitigations = arm.mitigations.clone();
+        opts.link.sim.seed = seed ^ (i << 3);
+        opts.link.co_runners = vec![AppProfile::category(Intensity::Low)];
     });
     (merged.error_probability(), merged.capacity_kbps())
 }

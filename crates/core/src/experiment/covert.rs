@@ -1,17 +1,17 @@
 //! The covert-channel experiment runner (case studies 1 and 2).
 //!
 //! [`run_covert`] is an adapter over [`lh_link::transmit_windows`], the
-//! one sender/receiver wire: it turns [`CovertOptions`] into the wire's
-//! [`LinkConfig`] (no preamble, no receiver lead — the paper's sender
-//! and receiver share the wall clock), thresholds the receiver's
-//! observations at `Trecv` and scores them: decoded bits, error
-//! probability and capacity (Eq. 1).
+//! one sender/receiver wire: it hands the wire [`CovertOptions::link`]
+//! (no preamble, no receiver lead — the paper's sender and receiver
+//! share the wall clock), thresholds the receiver's observations at
+//! `Trecv` and scores them: decoded bits, error probability and
+//! capacity (Eq. 1).
 //!
 //! The attack parameters (window, detection band, `Trecv`,
 //! stop-on-detect) are not stated here: [`CovertOptions::new`] takes
 //! them from [`LinkTuning::for_defense`], the one §12 attacker table,
 //! for the channel's defense kind. Experiments that study a *different*
-//! attacker (fig11, fig12, §9, §12) edit [`CovertOptions::tuning`].
+//! attacker (fig11, fig12, §9, §12) edit `link.tuning`.
 
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_defenses::{DefenseConfig, DefenseStats};
@@ -20,7 +20,6 @@ use lh_link::{
     transmit_windows, Calibration, LinkConfig, LinkTuning, Modulator, OnOffKeying, PreambleSync,
 };
 use lh_sim::SimConfig;
-use lh_workloads::AppProfile;
 
 /// Which LeakyHammer covert channel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,39 +47,40 @@ pub struct CovertOptions {
     pub kind: ChannelKind,
     /// The bits to transmit.
     pub bits: Vec<u8>,
-    /// Full system configuration (override for countermeasure and
-    /// sensitivity studies). `sim.seed` is the one seed of the
-    /// transmission: defense draws and co-runner streams.
-    pub sim: SimConfig,
-    /// The attacker's window, detection band, `Trecv`, think times and
-    /// §10.1 refresh filter. [`CovertOptions::new`] looks it up for the
-    /// channel's defense at the default timing; a caller that edits the
-    /// timing (fig12) or the defense (§12) sets the fields it studies.
-    pub tuning: LinkTuning,
-    /// Noise-generator intensity (1–100 %), if any (§6.3 noise study).
-    pub noise_intensity: Option<f64>,
-    /// SPEC-like co-runners on extra cores (Figs. 5 / 8).
-    pub co_runners: Vec<AppProfile>,
-    /// Read by nothing: the transmission's seed is `sim.seed`. The
+    /// The wire the bits travel: the simulated system (`link.sim`, whose
+    /// `seed` is the one seed of the transmission), the attacker's
+    /// window, detection band, `Trecv` and think times (`link.tuning`),
+    /// the §6.3 noise generator and the Figs. 5 / 8 co-runners.
+    /// [`CovertOptions::new`] looks the tuning up for the channel's
+    /// defense *at the default timing*: a caller that edits
+    /// `link.sim.device.timing` (fig12) sets the detection band too.
+    pub link: LinkConfig,
+    /// Read by nothing: the transmission's seed is `link.sim.seed`. The
     /// field stays because the `benchmark/` package assigns it.
     pub seed: u64,
 }
 
 impl CovertOptions {
-    /// Paper-default options for `kind` transmitting `bits`.
+    /// Paper-default options for `kind` transmitting `bits`: no
+    /// preamble (the receiver trusts the shared clock), no receiver
+    /// lead, no noise, no co-runners.
     pub fn new(kind: ChannelKind, bits: Vec<u8>) -> CovertOptions {
         let sim = SimConfig::paper_default(kind.defense());
         CovertOptions {
             kind,
             bits,
-            tuning: LinkTuning::for_defense(
-                kind.defense().kind(),
-                &sim.device.timing,
-                Span::from_ns(30),
-            ),
-            sim,
-            noise_intensity: None,
-            co_runners: Vec::new(),
+            link: LinkConfig {
+                tuning: LinkTuning::for_defense(
+                    kind.defense().kind(),
+                    &sim.device.timing,
+                    Span::from_ns(30),
+                ),
+                sim,
+                sync: PreambleSync::default(),
+                noise_intensity: None,
+                rx_lead_windows: 0,
+                co_runners: Vec::new(),
+            },
             seed: 1,
         }
     }
@@ -112,22 +112,18 @@ pub struct CovertOutcome {
 ///
 /// Panics if the system cannot be constructed (invalid configuration).
 pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
-    let cfg = LinkConfig {
-        sim: opts.sim.clone(),
-        tuning: opts.tuning,
-        // No preamble: the receiver trusts the shared clock.
-        sync: PreambleSync::default(),
-        noise_intensity: opts.noise_intensity,
-        rx_lead_windows: 0,
-        co_runners: opts.co_runners.clone(),
-    };
-    let trecv = opts.tuning.trecv;
-    let intensity = OnOffKeying.intensity_table(opts.tuning.think);
-    let (wire, ()) = transmit_windows(&cfg, intensity, &opts.bits, opts.bits.len(), |obs, log| {
-        log.record(0, obs, trecv)
-    });
+    let tuning = &opts.link.tuning;
+    let trecv = tuning.trecv;
+    let intensity = OnOffKeying.intensity_table(tuning.think);
+    let (wire, ()) = transmit_windows(
+        &opts.link,
+        intensity,
+        &opts.bits,
+        opts.bits.len(),
+        |obs, log| log.record(0, obs, trecv),
+    );
     let decoded = OnOffKeying.demodulate(&wire.observations, &Calibration::nominal(trecv));
-    let seconds = (opts.tuning.window * opts.bits.len() as u64).as_secs();
+    let seconds = (tuning.window * opts.bits.len() as u64).as_secs();
     CovertOutcome {
         result: ChannelResult::from_bits(&opts.bits, &decoded, seconds),
         decoded,
@@ -144,8 +140,8 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
 /// short pattern under-samples events whose inter-arrival time spans
 /// several windows. `configure(i, opts)` edits pattern `i`'s
 /// paper-default options; every kernel mixes its own per-pattern
-/// `opts.sim.seed` there, so this is the one loop the per-pattern seeds
-/// pass through.
+/// `opts.link.sim.seed` there, so this is the one loop the per-pattern
+/// seeds pass through.
 pub fn run_patterns(
     kind: ChannelKind,
     bits_per_pattern: usize,
@@ -198,8 +194,8 @@ mod tests {
     fn noise_degrades_the_prac_channel_monotonically_at_extremes() {
         let run_at = |intensity: f64| {
             run_patterns(ChannelKind::Prac, 16, |i, opts| {
-                opts.noise_intensity = Some(intensity);
-                opts.sim.seed = 2 ^ (i << 12) ^ (intensity as u64);
+                opts.link.noise_intensity = Some(intensity);
+                opts.link.sim.seed = 2 ^ (i << 12) ^ (intensity as u64);
             })
             .error_probability()
         };

@@ -27,10 +27,10 @@ pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
-        opts.sim.seed = seed ^ (i << 9) ^ lat;
+        opts.link.sim.seed = seed ^ (i << 9) ^ lat;
         // Single-RFM back-off with tRFM = the swept action latency.
-        opts.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
-        if let Some(prac) = opts.sim.defense.prac_mut() {
+        opts.link.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
+        if let Some(prac) = opts.link.sim.defense.prac_mut() {
             prac.rfms_per_backoff = 1;
         }
         // Detection: anything above the contended-conflict ceiling
@@ -41,10 +41,11 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Late
         // variance, and it costs the paper's shape: recorded reading
         // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
         // survives to ≈ 10 ns (open in the ROADMAP's fidelity ledger).
-        let t = &opts.sim.device.timing;
-        let think = opts.tuning.think;
-        opts.tuning.detect = think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
-        opts.tuning.detect_max = think + t.t_rfc * 2 - Span::from_ns(20);
+        let t = &opts.link.sim.device.timing;
+        let think = opts.link.tuning.think;
+        opts.link.tuning.detect =
+            think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
+        opts.link.tuning.detect_max = think + t.t_rfc * 2 - Span::from_ns(20);
     });
     LatencyPoint {
         action_latency_ns: lat,

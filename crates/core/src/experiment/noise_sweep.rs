@@ -33,21 +33,21 @@ pub fn overlap_1rfm_point(
     seed: u64,
 ) -> NoisePoint {
     let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
-        opts.noise_intensity = Some(intensity);
-        opts.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
-        opts.sim.ctrl.refresh_postpone = false;
-        if let Some(prac) = opts.sim.defense.prac_mut() {
+        opts.link.noise_intensity = Some(intensity);
+        opts.link.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
+        opts.link.sim.ctrl.refresh_postpone = false;
+        if let Some(prac) = opts.link.sim.defense.prac_mut() {
             prac.rfms_per_backoff = 1;
         }
         // Double window; detect anything above a conflict. Without
         // the cadence filter, periodic refreshes are miscounted as
         // events — the overlap problem the filter solves.
-        let timing = &opts.sim.device.timing;
-        let cls = LatencyClassifier::from_timing(timing, opts.tuning.think);
-        opts.tuning.window = opts.tuning.window * 2;
-        opts.tuning.detect = cls.conflict_max + Span::from_ns(120);
-        opts.tuning.detect_max = Span::MAX;
-        opts.tuning.refresh_filter =
+        let timing = &opts.link.sim.device.timing;
+        let cls = LatencyClassifier::from_timing(timing, opts.link.tuning.think);
+        opts.link.tuning.window = opts.link.tuning.window * 2;
+        opts.link.tuning.detect = cls.conflict_max + Span::from_ns(120);
+        opts.link.tuning.detect_max = Span::MAX;
+        opts.link.tuning.refresh_filter =
             filtered.then(|| lh_attacks::RefreshFilterConfig::from_timing(timing));
     });
     NoisePoint {
@@ -71,16 +71,16 @@ pub fn sweep_point(
     seed: u64,
 ) -> NoisePoint {
     let merged = run_patterns(kind, bits_per_pattern, |i, opts| {
-        opts.noise_intensity = Some(intensity);
-        opts.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
-        opts.sim.ctrl.refresh_postpone = postpone_refresh;
-        if let Some(prac) = opts.sim.defense.prac_mut() {
+        opts.link.noise_intensity = Some(intensity);
+        opts.link.sim.seed = seed ^ (i << 12) ^ (intensity as u64);
+        opts.link.sim.ctrl.refresh_postpone = postpone_refresh;
+        if let Some(prac) = opts.link.sim.defense.prac_mut() {
             prac.rfms_per_backoff = rfms_per_backoff;
         }
         if rfms_per_backoff < 4 || !postpone_refresh {
-            opts.tuning.detect =
-                short_backoff_floor(postpone_refresh, opts.tuning.think, &opts.sim);
-            opts.tuning.detect_max = Span::MAX;
+            opts.link.tuning.detect =
+                short_backoff_floor(postpone_refresh, opts.link.tuning.think, &opts.link.sim);
+            opts.link.tuning.detect_max = Span::MAX;
         }
     });
     NoisePoint {

@@ -82,10 +82,10 @@ fn drama_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
 /// remains trivially visible at a 0.5 µs probe period.
 fn leakyhammer_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
     let mut opts = CovertOptions::new(ChannelKind::Prac, bits.to_vec());
-    opts.sim.ctrl.row_policy = policy;
-    opts.sim.seed = seed;
+    opts.link.sim.ctrl.row_policy = policy;
+    opts.link.sim.seed = seed;
     if policy == RowPolicy::Closed {
-        opts.tuning.receiver_think = Some(Span::from_ns(420));
+        opts.link.tuning.receiver_think = Some(Span::from_ns(420));
     }
     run_covert(&opts).result.capacity_kbps()
 }

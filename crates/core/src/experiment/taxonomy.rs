@@ -104,12 +104,12 @@ fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
         ChannelKind::Rfm
     };
     let mut opts = CovertOptions::new(base_kind, bits);
-    let timing = opts.sim.device.timing;
-    opts.sim = SimConfig {
+    let timing = opts.link.sim.device.timing;
+    opts.link.sim = SimConfig {
         seed,
         ..SimConfig::paper_default(DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing))
     };
-    opts.tuning = LinkTuning::for_defense(kind, &timing, opts.tuning.think);
+    opts.link.tuning = LinkTuning::for_defense(kind, &timing, opts.link.tuning.think);
     opts
 }
 
@@ -129,7 +129,7 @@ fn measure(
             pattern.bits(bits_per_pattern),
             seed ^ ((i as u64) << 9),
         );
-        opts.noise_intensity = noise;
+        opts.link.noise_intensity = noise;
         results.push(run_covert(&opts).result);
     }
     ChannelResult::merge(results.iter())
@@ -210,8 +210,8 @@ mod tests {
     fn options_cover_every_taxonomy_kind() {
         for kind in DefenseKind::taxonomy_set() {
             let opts = options_for(kind, vec![1, 0], 1);
-            assert_eq!(opts.sim.defense.kind(), kind);
-            assert!(opts.tuning.window >= lh_dram::Span::from_us(20));
+            assert_eq!(opts.link.sim.defense.kind(), kind);
+            assert!(opts.link.tuning.window >= lh_dram::Span::from_us(20));
         }
     }
 }

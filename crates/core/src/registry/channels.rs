@@ -113,7 +113,7 @@ impl Job for CovertJob {
 
     fn run_unit(&self, _unit: usize, seed: u64, _deps: &[Json], _ctx: &JobContext) -> Json {
         let mut opts = CovertOptions::new(self.kind, bits_of_str("MICRO"));
-        opts.sim.seed = seed;
+        opts.link.sim.seed = seed;
         let out = run_covert(&opts);
         let mut s = report::covert_report(self.label, &out);
         s.push_str(&format!(

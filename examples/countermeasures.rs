@@ -1,9 +1,10 @@
 //! The LeakyHammer countermeasures (§11).
 //!
-//! Runs the PRAC-style covert attack against plain PRAC, FR-RFM and
-//! PRAC-RIAC, plus PRAC wrapped in the lh-mitigate shaper and quota
-//! countermeasures, prints the §11.4 capacity-reduction table, and
-//! shows the §12 qualitative taxonomy of defense classes.
+//! Runs the PRAC-style covert attack, beside a light SPEC-like
+//! co-runner, against plain PRAC, FR-RFM and PRAC-RIAC, plus PRAC
+//! wrapped in the lh-mitigate shaper and quota countermeasures, prints
+//! the §11.4 capacity-reduction table, and shows the §12 qualitative
+//! taxonomy of defense classes.
 //!
 //! The table is the `mitigation` job's, run through the harness like
 //! `lh-experiments mitigation --scale quick --no-cache -q` and equal to
@@ -28,9 +29,10 @@ fn main() {
     print!("{}", job.render_text(&run.merged, &ctx));
     println!(
         "\nFR-RFM decouples preventive actions from access patterns (fixed-rate\n\
-         RFMs) and eliminates the channel; RIAC randomizes counter phases and\n\
-         only degrades it. The +shaper/+quota arms are lh-mitigate wrappers\n\
-         over plain PRAC -- the same stack the mitsweep Pareto matrix sweeps.\n"
+         RFMs) and eliminates the channel; RIAC randomizes counter phases, so\n\
+         the co-runner's activations fire back-offs no one can predict, and\n\
+         degrades it. The +shaper/+quota arms are lh-mitigate wrappers over\n\
+         plain PRAC -- the same stack the mitsweep Pareto matrix sweeps.\n"
     );
     println!("defense taxonomy (sec. 12):");
     print!("{}", report::taxonomy_report());

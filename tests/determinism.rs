@@ -12,8 +12,8 @@ use lh_sim::{LoopProcess, SimConfig, System};
 fn covert_outcomes_are_reproducible() {
     let run = |seed: u64| {
         let mut opts = CovertOptions::new(ChannelKind::Prac, MessagePattern::Checkered0.bits(24));
-        opts.noise_intensity = Some(60.0);
-        opts.sim.seed = seed;
+        opts.link.noise_intensity = Some(60.0);
+        opts.link.sim.seed = seed;
         let out = run_covert(&opts);
         (out.decoded, out.per_window_events, out.backoffs)
     };

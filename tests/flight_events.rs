@@ -99,7 +99,7 @@ fn link_events_carry_the_verdict_of_every_window() {
     let first_ns = 25_000 * (cfg.rx_lead_windows + cfg.sync.pattern.len()) as u64;
     for (trecv, on) in [(u32::MAX, false), (0, true)] {
         let mut opts = CovertOptions::new(ChannelKind::Prac, micro.clone());
-        opts.tuning.trecv = trecv;
+        opts.link.tuning.trecv = trecv;
         let (_, log) = lh_obs::flight::capture(|| run_covert(&opts));
         let what = format!("run_covert trecv={trecv}");
         assert_link_windows(&what, &log.render("u", 0), 0, &micro, |_| on);

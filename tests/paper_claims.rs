@@ -73,7 +73,7 @@ fn claim_rfm_period_matches_trfm() {
 #[test]
 fn claim_channel_is_defense_induced() {
     let mut opts = CovertOptions::new(ChannelKind::Prac, bits_of_str("HI"));
-    opts.sim.defense = DefenseConfig::none();
+    opts.link.sim.defense = DefenseConfig::none();
     let out = run_covert(&opts);
     assert!(
         out.decoded.iter().all(|&b| b == 0),
