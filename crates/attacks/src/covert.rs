@@ -16,13 +16,15 @@
 //!   intensity so the back-off arrives after a symbol-specific number of
 //!   receiver accesses.
 //!
-//! The sender and receiver are [`Process`]es; decoding happens outside
-//! the simulated processes from the receiver's per-window observations.
-//! [`CovertReceiver::decode_binary`] is the receiver's raw thresholded
-//! view; everything richer — multibit amplitude demodulation,
-//! pulse-position decoding, preamble synchronization, channel codecs —
-//! lives in the `lh-link` link layer, which consumes the
-//! [`WindowObservation`] stream this module produces.
+//! The sender and receiver are [`Process`]es. The sender's pace is its
+//! per-symbol intensity table and nothing else ([`SenderConfig::binary`]
+//! builds the two-entry table: idle, or hammer at one think time).
+//! Decoding happens outside the simulated processes from the receiver's
+//! per-window observations. [`CovertReceiver::decode_binary`] is the
+//! receiver's raw thresholded view; everything richer — multibit
+//! amplitude demodulation, pulse-position decoding, preamble
+//! synchronization, channel codecs — lives in the `lh-link` link layer,
+//! which consumes the [`WindowObservation`] stream this module produces.
 
 use core::any::Any;
 
@@ -253,8 +255,6 @@ pub struct SenderConfig {
     pub window: Span,
     /// Transmission start (must match the receiver).
     pub start: Time,
-    /// Base loop overhead per iteration at full intensity.
-    pub think: Span,
     /// Latency at which the sender itself recognizes a back-off and
     /// (if `stop_after_detect`) sleeps until the window ends.
     pub detect: Span,
@@ -264,8 +264,9 @@ pub struct SenderConfig {
     /// The symbol sequence to transmit (for binary channels these are the
     /// message bits).
     pub symbols: Vec<u8>,
-    /// Per-symbol think time; `None` encodes an idle window (symbol 0).
-    /// `intensity[s]` is used for symbol `s`.
+    /// Per-symbol loop overhead per iteration, the sender's only pace;
+    /// `None` encodes an idle window (symbol 0). `intensity[s]` is used
+    /// for symbol `s`.
     pub intensity: Vec<Option<Span>>,
 }
 
@@ -284,7 +285,6 @@ impl SenderConfig {
             rows,
             window,
             start,
-            think,
             detect,
             stop_after_detect,
             symbols: bits,
@@ -581,7 +581,6 @@ mod tests {
             rows: [0, 64],
             window: Span::from_us(25),
             start: Time::ZERO,
-            think: Span::from_ns(30),
             detect: Span::from_ns(1_000),
             stop_after_detect: true,
             symbols: vec![3],

@@ -5,6 +5,7 @@
 //! (5.8 % for PRAC, 2.1 % for RFM) — the attacks bypass the caches with
 //! `clflush`, so only second-order effects remain.
 
+use lh_analysis::MessagePattern;
 use lh_sim::{BopConfig, CacheConfig};
 
 use crate::experiment::covert::{run_patterns, ChannelKind};
@@ -32,13 +33,18 @@ impl CachePoint {
 }
 
 fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
-    run_patterns(kind, bits, |i, opts| {
-        opts.link.sim.seed = seed ^ (i << 6);
-        if large {
-            opts.link.sim.caches = CacheConfig::large_hierarchy();
-            opts.link.sim.prefetch = Some(BopConfig::paper_default());
-        }
-    })
+    run_patterns(
+        &kind.defense(),
+        &MessagePattern::paper_set(),
+        bits,
+        |i, opts| {
+            opts.link.sim.seed = seed ^ (i << 6);
+            if large {
+                opts.link.sim.caches = CacheConfig::large_hierarchy();
+                opts.link.sim.prefetch = Some(BopConfig::paper_default());
+            }
+        },
+    )
     .capacity_kbps()
 }
 

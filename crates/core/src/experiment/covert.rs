@@ -8,16 +8,16 @@
 //! capacity (Eq. 1).
 //!
 //! The attack parameters (window, detection band, `Trecv`,
-//! stop-on-detect) are not stated here: [`CovertOptions::new`] takes
-//! them from [`LinkTuning::for_defense`], the one §12 attacker table,
-//! for the channel's defense kind. Experiments that study a *different*
-//! attacker (fig11, fig12, §9, §12) edit `link.tuning`.
+//! stop-on-detect) are not stated here: [`CovertOptions::against`]
+//! takes them from [`LinkTuning::for_defense`], the one §12 attacker
+//! table, for the defense under attack. Experiments that study a
+//! *different* attacker (fig11, fig12, §9) edit `link.tuning`.
 
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_defenses::{DefenseConfig, DefenseStats};
-use lh_dram::Span;
 use lh_link::{
     transmit_windows, Calibration, LinkConfig, LinkTuning, Modulator, OnOffKeying, PreambleSync,
+    ATTACK_THINK,
 };
 use lh_sim::SimConfig;
 
@@ -43,16 +43,14 @@ impl ChannelKind {
 /// Options for one covert transmission.
 #[derive(Debug, Clone)]
 pub struct CovertOptions {
-    /// Which channel.
-    pub kind: ChannelKind,
     /// The bits to transmit.
     pub bits: Vec<u8>,
     /// The wire the bits travel: the simulated system (`link.sim`, whose
     /// `seed` is the one seed of the transmission), the attacker's
     /// window, detection band, `Trecv` and think times (`link.tuning`),
     /// the §6.3 noise generator and the Figs. 5 / 8 co-runners.
-    /// [`CovertOptions::new`] looks the tuning up for the channel's
-    /// defense *at the default timing*: a caller that edits
+    /// [`CovertOptions::against`] looks the tuning up for the defense
+    /// *at the default timing*: a caller that edits
     /// `link.sim.device.timing` (fig12) sets the detection band too.
     pub link: LinkConfig,
     /// Read by nothing: the transmission's seed is `link.sim.seed`. The
@@ -61,20 +59,22 @@ pub struct CovertOptions {
 }
 
 impl CovertOptions {
-    /// Paper-default options for `kind` transmitting `bits`: no
-    /// preamble (the receiver trusts the shared clock), no receiver
-    /// lead, no noise, no co-runners.
+    /// Paper-default options for `kind` transmitting `bits`: the
+    /// transmission [`CovertOptions::against`] the channel's defense.
     pub fn new(kind: ChannelKind, bits: Vec<u8>) -> CovertOptions {
-        let sim = SimConfig::paper_default(kind.defense());
+        CovertOptions::against(kind.defense(), bits)
+    }
+
+    /// Options for transmitting `bits` against `defense` on the
+    /// paper's Table 1 system, with the §12 attacker's tuning for it:
+    /// no preamble (the receiver trusts the shared clock), no receiver
+    /// lead, no noise, no co-runners.
+    pub fn against(defense: DefenseConfig, bits: Vec<u8>) -> CovertOptions {
+        let sim = SimConfig::paper_default(defense);
         CovertOptions {
-            kind,
             bits,
             link: LinkConfig {
-                tuning: LinkTuning::for_defense(
-                    kind.defense().kind(),
-                    &sim.device.timing,
-                    Span::from_ns(30),
-                ),
+                tuning: LinkTuning::for_defense(sim.defense.kind(), &sim.device.timing),
                 sim,
                 sync: PreambleSync::default(),
                 noise_intensity: None,
@@ -114,7 +114,7 @@ pub struct CovertOutcome {
 pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
     let tuning = &opts.link.tuning;
     let trecv = tuning.trecv;
-    let intensity = OnOffKeying.intensity_table(tuning.think);
+    let intensity = OnOffKeying.intensity_table(ATTACK_THINK);
     let (wire, ()) = transmit_windows(
         &opts.link,
         intensity,
@@ -134,24 +134,26 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
     }
 }
 
-/// Transmits the four paper message patterns
-/// ([`MessagePattern::paper_set`], `bits_per_pattern` bits each) over
-/// `kind` and merges the results — the Fig. 4 methodology: a single
-/// short pattern under-samples events whose inter-arrival time spans
-/// several windows. `configure(i, opts)` edits pattern `i`'s
-/// paper-default options; every kernel mixes its own per-pattern
+/// Transmits each of `patterns` (`bits_per_pattern` bits each)
+/// [`CovertOptions::against`] `defense` and merges the results — the
+/// Fig. 4 methodology: a single short pattern under-samples events
+/// whose inter-arrival time spans several windows. The sweeps send the
+/// four paper patterns ([`MessagePattern::paper_set`]); the §12
+/// taxonomy sends the two checkered ones. `configure(i, opts)` edits
+/// pattern `i`'s options; every kernel mixes its own per-pattern
 /// `opts.link.sim.seed` there, so this is the one loop the per-pattern
 /// seeds pass through.
 pub fn run_patterns(
-    kind: ChannelKind,
+    defense: &DefenseConfig,
+    patterns: &[MessagePattern],
     bits_per_pattern: usize,
     mut configure: impl FnMut(u64, &mut CovertOptions),
 ) -> ChannelResult {
-    let results: Vec<ChannelResult> = MessagePattern::paper_set()
+    let results: Vec<ChannelResult> = patterns
         .iter()
         .zip(0..)
         .map(|(pattern, i)| {
-            let mut opts = CovertOptions::new(kind, pattern.bits(bits_per_pattern));
+            let mut opts = CovertOptions::against(defense.clone(), pattern.bits(bits_per_pattern));
             configure(i, &mut opts);
             run_covert(&opts).result
         })
@@ -193,10 +195,15 @@ mod tests {
     #[test]
     fn noise_degrades_the_prac_channel_monotonically_at_extremes() {
         let run_at = |intensity: f64| {
-            run_patterns(ChannelKind::Prac, 16, |i, opts| {
-                opts.link.noise_intensity = Some(intensity);
-                opts.link.sim.seed = 2 ^ (i << 12) ^ (intensity as u64);
-            })
+            run_patterns(
+                &ChannelKind::Prac.defense(),
+                &MessagePattern::paper_set(),
+                16,
+                |i, opts| {
+                    opts.link.noise_intensity = Some(intensity);
+                    opts.link.sim.seed = 2 ^ (i << 12) ^ (intensity as u64);
+                },
+            )
             .error_probability()
         };
         let e_quiet = run_at(1.0);
@@ -213,7 +220,12 @@ mod tests {
 
     #[test]
     fn pattern_merge_aggregates_bits() {
-        let merged = run_patterns(ChannelKind::Prac, 12, |_, _| {});
+        let merged = run_patterns(
+            &ChannelKind::Prac.defense(),
+            &MessagePattern::paper_set(),
+            12,
+            |_, _| {},
+        );
         assert_eq!(merged.bits, 48);
         assert!(merged.error_probability() < 0.2);
     }

@@ -8,7 +8,7 @@ use lh_attacks::{ChannelLayout, Fingerprint, FingerprintProbe, LatencyClassifier
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::{DramTiming, Span, Time};
 use lh_ml::{cross_validate, model_zoo, CvScores, Dataset};
-use lh_sim::{BopConfig, CacheConfig, SimConfig, SystemBuilder};
+use lh_sim::{SimConfig, SystemBuilder};
 use lh_workloads::{BrowserProcess, WebsiteProfile};
 
 use crate::Scale;
@@ -34,10 +34,6 @@ pub struct CollectOptions {
     pub traces_per_site: usize,
     /// Load duration per trace.
     pub load_span: Span,
-    /// Cache hierarchy (Table 1 default or §10.3 large).
-    pub caches: CacheConfig,
-    /// Optional prefetcher (§10.3).
-    pub prefetch: Option<BopConfig>,
     /// Seed.
     pub seed: u64,
 }
@@ -50,8 +46,6 @@ impl CollectOptions {
             sites,
             traces_per_site,
             load_span: Span::from_us(scale.load_span_us()),
-            caches: CacheConfig::paper_default(),
-            prefetch: None,
             seed,
         }
     }
@@ -66,8 +60,6 @@ pub fn collect_one(site: usize, trace_seed: u64, opts: &CollectOptions) -> Finge
     let sim = SimConfig::paper_default(defense);
     let cls = LatencyClassifier::from_timing(&sim.device.timing, think);
     let mut sys = SystemBuilder::from_config(sim)
-        .caches(opts.caches)
-        .prefetcher(opts.prefetch)
         .seed(trace_seed)
         .build()
         .expect("valid configuration");

@@ -5,53 +5,44 @@
 //! finds the timing channel survives down to ~10 ns — far below the
 //! 96–192 ns a refresh-based preventive action physically needs.
 
+use lh_analysis::{ChannelResult, MessagePattern};
 use lh_dram::Span;
+use lh_link::ATTACK_THINK;
 
 use crate::experiment::covert::{run_patterns, ChannelKind};
-
-/// One sweep point of Fig. 12.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyPoint {
-    /// The preventive-action (back-off) latency in ns.
-    pub action_latency_ns: u64,
-    /// Error probability.
-    pub error_probability: f64,
-    /// Capacity in Kbps.
-    pub capacity_kbps: f64,
-}
 
 /// Minimum refresh-based preventive action latencies the paper marks
 /// (blast radius 1 and 2): 96 ns and 192 ns.
 pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
-pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> LatencyPoint {
-    let merged = run_patterns(ChannelKind::Prac, bits_per_pattern, |i, opts| {
-        opts.link.sim.seed = seed ^ (i << 9) ^ lat;
-        // Single-RFM back-off with tRFM = the swept action latency.
-        opts.link.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
-        if let Some(prac) = opts.link.sim.defense.prac_mut() {
-            prac.rfms_per_backoff = 1;
-        }
-        // Detection: anything above the contended-conflict ceiling
-        // (the receiver may wait behind one sender request) and below
-        // the doubled periodic-refresh latency counts as the
-        // preventive action. The ceiling is wider than the paper's
-        // ~10 ns resolution because our synthetic loop has queueing
-        // variance, and it costs the paper's shape: recorded reading
-        // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
-        // survives to ≈ 10 ns (open in the ROADMAP's fidelity ledger).
-        let t = &opts.link.sim.device.timing;
-        let think = opts.link.tuning.think;
-        opts.link.tuning.detect =
-            think + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
-        opts.link.tuning.detect_max = think + t.t_rfc * 2 - Span::from_ns(20);
-    });
-    LatencyPoint {
-        action_latency_ns: lat,
-        error_probability: merged.error_probability(),
-        capacity_kbps: merged.capacity_kbps(),
-    }
+pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> ChannelResult {
+    let prac = ChannelKind::Prac.defense();
+    run_patterns(
+        &prac,
+        &MessagePattern::paper_set(),
+        bits_per_pattern,
+        |i, opts| {
+            opts.link.sim.seed = seed ^ (i << 9) ^ lat;
+            // Single-RFM back-off with tRFM = the swept action latency.
+            opts.link.sim.device.timing.t_rfm = Span::from_ns(lat.max(1));
+            if let Some(prac) = opts.link.sim.defense.prac_mut() {
+                prac.rfms_per_backoff = 1;
+            }
+            // Detection: anything above the contended-conflict ceiling
+            // (the receiver may wait behind one sender request) and below
+            // the doubled periodic-refresh latency counts as the
+            // preventive action. The ceiling is wider than the paper's
+            // ~10 ns resolution because our synthetic loop has queueing
+            // variance, and it costs the paper's shape: recorded reading
+            // e = 0.5 at ≤ 75 ns at every scale, where the paper's channel
+            // survives to ≈ 10 ns (open in the ROADMAP's fidelity ledger).
+            let t = &opts.link.sim.device.timing;
+            opts.link.tuning.detect =
+                ATTACK_THINK + (t.read_latency() + t.t_rp + t.t_rcd) * 2 + Span::from_ns(40);
+            opts.link.tuning.detect_max = ATTACK_THINK + t.t_rfc * 2 - Span::from_ns(20);
+        },
+    )
 }
 
 /// The default sweep grid of Fig. 12 (0–250 ns).
@@ -68,15 +59,15 @@ mod tests {
         let tiny = latency_sweep_point(5, 10, 4);
         let long = latency_sweep_point(150, 10, 4);
         assert!(
-            long.capacity_kbps > 15.0,
+            long.capacity_kbps() > 15.0,
             "150 ns action must sustain the channel, got {} Kbps",
-            long.capacity_kbps
+            long.capacity_kbps()
         );
         assert!(
-            tiny.capacity_kbps < long.capacity_kbps / 2.0,
+            tiny.capacity_kbps() < long.capacity_kbps() / 2.0,
             "5 ns action must collapse capacity: tiny {} vs long {}",
-            tiny.capacity_kbps,
-            long.capacity_kbps
+            tiny.capacity_kbps(),
+            long.capacity_kbps()
         );
     }
 
@@ -86,9 +77,9 @@ mod tests {
         // blast radius 1) still yields an exploitable channel.
         let p = latency_sweep_point(MIN_REFRESH_ACTION_NS[0], 10, 5);
         assert!(
-            p.error_probability < 0.2,
+            p.error_probability() < 0.2,
             "96 ns action must be detectable, e={}",
-            p.error_probability
+            p.error_probability()
         );
     }
 

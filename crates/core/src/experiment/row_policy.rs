@@ -39,10 +39,10 @@ fn drama_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
     let rx_think = Span::from_ns(150);
     let tx_think = Span::from_ns(700);
     let window = Span::from_us(4);
-    let sim = SimConfig::paper_default(DefenseConfig::none());
+    let mut sim = SimConfig::paper_default(DefenseConfig::none());
+    sim.ctrl.row_policy = policy;
     let cls = LatencyClassifier::from_timing(&sim.device.timing, rx_think);
     let mut sys = SystemBuilder::from_config(sim)
-        .row_policy(policy)
         .seed(seed)
         .build()
         .expect("valid configuration");

@@ -40,10 +40,9 @@
 use lh_analysis::{ChannelResult, MessagePattern};
 use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::{DefenseConfig, DefenseKind};
-use lh_link::LinkTuning;
-use lh_sim::SimConfig;
+use lh_dram::DramTiming;
 
-use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
+use crate::experiment::covert::run_patterns;
 use crate::Scale;
 
 /// The RowHammer threshold every taxonomy defense is provisioned for.
@@ -63,14 +62,10 @@ pub struct TaxonomyPoint {
     pub predicted: Option<ChannelRisk>,
     /// Measured capacity with only the attack pair running (Kbps).
     pub quiet_kbps: f64,
-    /// Measured error probability, quiet.
-    pub quiet_error: f64,
     /// Measured capacity with the §6.3 noise microbenchmark at 40 %
     /// intensity co-running (Kbps) — approximate trackers share state
     /// with the noise and degrade more than exact trackers.
     pub noisy_kbps: f64,
-    /// Measured error probability, noisy.
-    pub noisy_error: f64,
 }
 
 impl TaxonomyPoint {
@@ -92,47 +87,33 @@ impl TaxonomyPoint {
     }
 }
 
-/// The transmission against `kind`: the paper's sender/receiver pair
-/// on a system defended by `kind` at [`TAXONOMY_NRH`], with the
-/// adaptive attacker's window, detection band and `Trecv` for that
-/// class (the no-defense control row probes through the same band as
-/// the classes with nothing defense-triggered to see).
-fn options_for(kind: DefenseKind, bits: Vec<u8>, seed: u64) -> CovertOptions {
-    let base_kind = if kind == DefenseKind::Prac {
-        ChannelKind::Prac
-    } else {
-        ChannelKind::Rfm
-    };
-    let mut opts = CovertOptions::new(base_kind, bits);
-    let timing = opts.link.sim.device.timing;
-    opts.link.sim = SimConfig {
-        seed,
-        ..SimConfig::paper_default(DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &timing))
-    };
-    opts.link.tuning = LinkTuning::for_defense(kind, &timing, opts.link.tuning.think);
-    opts
+/// `kind` provisioned for [`TAXONOMY_NRH`].
+fn taxonomy_defense(kind: DefenseKind) -> DefenseConfig {
+    DefenseConfig::for_threshold(kind, TAXONOMY_NRH, &DramTiming::ddr5_4800())
 }
 
+/// The two checkered patterns sent against `kind`: the paper's
+/// sender/receiver pair on a system defended by
+/// [`taxonomy_defense`], with the adaptive attacker's window, detection
+/// band and `Trecv` for that class (the no-defense control row probes
+/// through the same band as the classes with nothing defense-triggered
+/// to see).
 fn measure(
     kind: DefenseKind,
     bits_per_pattern: usize,
     noise: Option<f64>,
     seed: u64,
 ) -> ChannelResult {
-    let mut results = Vec::new();
-    for (i, pattern) in [MessagePattern::Checkered0, MessagePattern::Checkered1]
-        .iter()
-        .enumerate()
-    {
-        let mut opts = options_for(
-            kind,
-            pattern.bits(bits_per_pattern),
-            seed ^ ((i as u64) << 9),
-        );
-        opts.link.noise_intensity = noise;
-        results.push(run_covert(&opts).result);
-    }
-    ChannelResult::merge(results.iter())
+    let checkered = [MessagePattern::Checkered0, MessagePattern::Checkered1];
+    run_patterns(
+        &taxonomy_defense(kind),
+        &checkered,
+        bits_per_pattern,
+        |i, opts| {
+            opts.link.sim.seed = seed ^ (i << 9);
+            opts.link.noise_intensity = noise;
+        },
+    )
 }
 
 /// The defense classes the measured taxonomy covers, control row first.
@@ -152,9 +133,7 @@ pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> 
         kind,
         predicted: profile_of(kind).map(|p| p.channel_risk()),
         quiet_kbps: quiet.capacity_kbps(),
-        quiet_error: quiet.error_probability(),
         noisy_kbps: noisy.capacity_kbps(),
-        noisy_error: noisy.error_probability(),
     }
 }
 
@@ -171,6 +150,7 @@ pub fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::covert::CovertOptions;
 
     #[test]
     fn none_risk_defenses_have_no_channel() {
@@ -209,7 +189,7 @@ mod tests {
     #[test]
     fn options_cover_every_taxonomy_kind() {
         for kind in DefenseKind::taxonomy_set() {
-            let opts = options_for(kind, vec![1, 0], 1);
+            let opts = CovertOptions::against(taxonomy_defense(kind), vec![1, 0]);
             assert_eq!(opts.link.sim.defense.kind(), kind);
             assert!(opts.link.tuning.window >= lh_dram::Span::from_us(20));
         }

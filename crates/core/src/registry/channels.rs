@@ -9,7 +9,7 @@ use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 use crate::experiment::{
     cache_sensitivity, counter_leak, countermeasures, latency_trace, multibit, row_policy, taxonomy,
 };
-use crate::registry::{num, scale_of, sim_fingerprint, text};
+use crate::registry::{num, off_wire_fingerprint, point_json, scale_of, sim_fingerprint, text};
 use crate::report;
 
 use lh_analysis::message::bits_of_str;
@@ -56,7 +56,7 @@ impl Job for LatencyTraceJob {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        off_wire_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
@@ -178,7 +178,7 @@ impl Job for Table3Job {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        off_wire_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
@@ -231,7 +231,7 @@ impl Job for MultibitJob {
     }
 
     fn fingerprint(&self) -> String {
-        crate::registry::link_fingerprint()
+        sim_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
@@ -283,7 +283,7 @@ impl Job for CounterLeakJob {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        off_wire_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
@@ -368,11 +368,8 @@ impl Job for MitigationJob {
     fn run_unit(&self, unit: usize, seed: u64, _deps: &[Json], ctx: &JobContext) -> Json {
         let arm = countermeasures::mitigation_arms().swap_remove(unit);
         let bits = scale_of(ctx).message_bits() / 4;
-        let (e, cap) = countermeasures::attack_capacity(&arm, bits, seed);
-        Json::object()
-            .with("defense", arm.label)
-            .with("error_probability", e)
-            .with("capacity_kbps", cap)
+        let p = countermeasures::attack_capacity(&arm, bits, seed);
+        point_json("defense", arm.label, &p)
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {

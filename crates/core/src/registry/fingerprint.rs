@@ -10,7 +10,7 @@ use lh_harness::{Job, JobContext, Json};
 use crate::experiment::fingerprint::{
     collect_one, run_model_comparison, run_table2, standardized, CollectOptions, FEATURE_WINDOWS,
 };
-use crate::registry::{ml_fingerprint, num, scale_of, sim_fingerprint, text};
+use crate::registry::{ml_fingerprint, num, off_wire_fingerprint, scale_of, text};
 use crate::report;
 
 use lh_ml::Dataset;
@@ -74,7 +74,7 @@ impl Job for TraceGalleryJob {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        off_wire_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {

@@ -22,7 +22,7 @@
 
 use lh_harness::{Job, JobContext, Json};
 
-use crate::registry::{link_fingerprint, num, scale_of, text};
+use crate::registry::{num, scale_of, sim_fingerprint, text};
 use crate::report;
 use crate::Scale;
 
@@ -310,7 +310,7 @@ impl Job for ChannelSweepJob {
     }
 
     fn fingerprint(&self) -> String {
-        link_fingerprint()
+        sim_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {

@@ -27,9 +27,10 @@ mod sweeps;
 
 use std::sync::OnceLock;
 
+use lh_analysis::ChannelResult;
 use lh_harness::{JobContext, Json, Registry, ScaleLevel};
 
-use crate::Scale;
+use crate::{report, Scale};
 
 /// The build-time per-crate source-hash manifest (see `build.rs`).
 mod manifest {
@@ -51,17 +52,17 @@ pub(crate) fn code_fingerprint(crates: &[&str]) -> String {
     h.digest()
 }
 
-/// The crates every simulation-backed experiment's results flow
-/// through — all of CODE_MANIFEST except `lh-ml` and `lh-link`. The
-/// vendored `rand` stand-in is part of the stack: its RNG drives every
-/// sampled value. `lh-obs` is too: the deterministic metrics it
+/// The crates a simulation that never reaches the `lh-link` wire
+/// flows through — all of CODE_MANIFEST except `lh-ml` and `lh-link`.
+/// The vendored `rand` stand-in is part of the stack: its RNG drives
+/// every sampled value. `lh-obs` is too: the deterministic metrics it
 /// collects ride every cached unit entry, so an edit there must
 /// invalidate them. And `lh-mitigate` is: controller construction
 /// routes every defense engine through its `apply_mitigations` (an
 /// empty stack today, but an edit there still sits on the path).
 /// (A test below asserts these lists cover the whole manifest, so a
 /// crate added to `build.rs` cannot silently miss the cache keys.)
-const SIM_CRATES: &[&str] = &[
+const OFF_WIRE_CRATES: &[&str] = &[
     "leakyhammer",
     "lh-analysis",
     "lh-attacks",
@@ -76,33 +77,37 @@ const SIM_CRATES: &[&str] = &[
     "rand",
 ];
 
-/// Fingerprint for jobs whose results flow through the simulator stack
-/// but not the ML crate (every experiment except fig10/table2).
+/// The default fingerprint of a simulation-backed job: the
+/// [`OFF_WIRE_CRATES`] plus `lh-link`, the wire every covert
+/// transmission rides. A job is on this key unless it opts into a
+/// narrower one, so a new or edited job that starts transmitting
+/// cannot replay results an `lh-link` edit has made stale.
 pub(crate) fn sim_fingerprint() -> String {
     static FP: OnceLock<String> = OnceLock::new();
-    FP.get_or_init(|| code_fingerprint(SIM_CRATES)).clone()
+    FP.get_or_init(|| off_wire_crates_plus("lh-link")).clone()
 }
 
-/// Fingerprint for jobs that additionally train classifiers
-/// (fig10/table2): editing `lh-ml` invalidates these and only these.
+/// The narrower key of the jobs that never reach the `lh-link` wire
+/// (fig2, fig9, fig13, table3, counterleak): editing `lh-link` leaves
+/// their cached results valid.
+pub(crate) fn off_wire_fingerprint() -> String {
+    static FP: OnceLock<String> = OnceLock::new();
+    FP.get_or_init(|| code_fingerprint(OFF_WIRE_CRATES)).clone()
+}
+
+/// Fingerprint for the jobs that train classifiers on traces that
+/// never reach the wire (fig10/table2): editing `lh-ml` invalidates
+/// these and only these.
 pub(crate) fn ml_fingerprint() -> String {
     static FP: OnceLock<String> = OnceLock::new();
-    FP.get_or_init(|| sim_crates_plus("lh-ml")).clone()
+    FP.get_or_init(|| off_wire_crates_plus("lh-ml")).clone()
 }
 
-/// Fingerprint for jobs whose results flow through the `lh-link` link
-/// layer (the channel sweep and the refactored §6.3 multibit rows):
-/// editing `lh-link` invalidates these and only these.
-pub(crate) fn link_fingerprint() -> String {
-    static FP: OnceLock<String> = OnceLock::new();
-    FP.get_or_init(|| sim_crates_plus("lh-link")).clone()
-}
-
-/// The fingerprint of [`SIM_CRATES`] plus one more crate, in name order.
-/// The manifest is fixed at build time, so the three fingerprints above
-/// are computed once per process.
-fn sim_crates_plus(extra: &str) -> String {
-    let mut crates: Vec<&str> = SIM_CRATES.to_vec();
+/// The fingerprint of [`OFF_WIRE_CRATES`] plus one more crate, in name
+/// order. The manifest is fixed at build time, so the three
+/// fingerprints above are computed once per process.
+fn off_wire_crates_plus(extra: &str) -> String {
+    let mut crates: Vec<&str> = OFF_WIRE_CRATES.to_vec();
     crates.push(extra);
     crates.sort_unstable();
     code_fingerprint(&crates)
@@ -143,6 +148,31 @@ pub fn registry() -> Registry {
     r.register(Box::new(link::ChannelSweepJob));
     r.register(Box::new(mitigate::MitigationSweepJob));
     r
+}
+
+/// A sweep point's JSON: the job's x-key first, then the merged
+/// channel's error probability and capacity.
+pub(crate) fn point_json(x_key: &str, x: impl Into<Json>, channel: &ChannelResult) -> Json {
+    Json::object()
+        .with(x_key, x)
+        .with("error_probability", channel.error_probability())
+        .with("capacity_kbps", channel.capacity_kbps())
+}
+
+/// The table of [`point_json`] points: the x column (header `x_header`,
+/// cell `x(point)`), then error probability and capacity.
+pub(crate) fn point_table(x_header: &str, points: &[Json], x: impl Fn(&Json) -> String) -> String {
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                x(p),
+                format!("{:.3}", num(p, "error_probability")),
+                format!("{:.1}", num(p, "capacity_kbps")),
+            ]
+        })
+        .collect();
+    report::table(&[x_header, "error prob", "capacity Kbps"], &rows)
 }
 
 /// Reads a numeric field, tolerating ints and missing values (NaN).
@@ -225,12 +255,12 @@ mod tests {
     #[test]
     fn fingerprint_lists_cover_the_whole_manifest() {
         // Every crate build.rs hashes must reach some job's cache key:
-        // a manifest entry missing from SIM_CRATES + lh-ml + lh-link
-        // would mean edits to that crate silently replay stale cached
-        // results.
+        // a manifest entry missing from OFF_WIRE_CRATES + lh-ml +
+        // lh-link would mean edits to that crate silently replay stale
+        // cached results.
         for (name, _) in manifest::CODE_MANIFEST {
             assert!(
-                SIM_CRATES.contains(name) || *name == "lh-ml" || *name == "lh-link",
+                OFF_WIRE_CRATES.contains(name) || *name == "lh-ml" || *name == "lh-link",
                 "crate '{name}' is hashed by build.rs but absent from the fingerprint lists"
             );
         }
@@ -238,38 +268,48 @@ mod tests {
         // (code_fingerprint panics otherwise — exercise it here).
         let _ = sim_fingerprint();
         let _ = ml_fingerprint();
-        let _ = link_fingerprint();
+        let _ = off_wire_fingerprint();
     }
 
     #[test]
-    fn editing_lh_link_invalidates_only_the_channel_jobs() {
+    fn editing_lh_link_invalidates_every_job_that_transmits() {
         // Cache keys digest `Job::fingerprint`, and an `lh-link` edit
         // changes exactly one manifest digest — so the set of jobs it
         // can invalidate is precisely the set whose fingerprint folds
-        // that digest in. Pin the partition: only the link-layer jobs
-        // carry `link_fingerprint`, everything else carries a
-        // fingerprint `lh-link` cannot reach.
-        let link_jobs: Vec<&str> = registry()
+        // that digest in. Every covert transmission rides
+        // `lh_link::transmit_windows`, so that set must hold every job
+        // that transmits; `sim_fingerprint` is the default that does.
+        // Pin the partition: only the jobs that never reach the wire
+        // carry a key `lh-link` cannot reach.
+        let off_wire: Vec<&str> = registry()
             .jobs()
-            .filter(|j| j.fingerprint() == link_fingerprint())
+            .filter(|j| [off_wire_fingerprint(), ml_fingerprint()].contains(&j.fingerprint()))
             .map(|j| j.id())
             .collect();
         assert_eq!(
-            link_jobs,
-            vec!["multibit", "chansweep", "mitsweep"],
-            "exactly the link-layer channel jobs use link_fingerprint"
+            off_wire,
+            vec![
+                "fig2",
+                "fig9",
+                "fig10",
+                "fig13",
+                "table2",
+                "table3",
+                "counterleak"
+            ],
+            "exactly the jobs that never transmit leave lh-link out of their key"
         );
         for job in registry().jobs() {
             let fp = job.fingerprint();
             assert!(
-                [sim_fingerprint(), ml_fingerprint(), link_fingerprint()].contains(&fp),
+                [sim_fingerprint(), ml_fingerprint(), off_wire_fingerprint()].contains(&fp),
                 "{} has an unrecognized fingerprint — its invalidation surface is unknown",
                 job.id()
             );
         }
         // The three fingerprints are pairwise distinct, so the
         // partitions cannot alias.
-        assert_ne!(link_fingerprint(), sim_fingerprint());
-        assert_ne!(link_fingerprint(), ml_fingerprint());
+        assert_ne!(sim_fingerprint(), off_wire_fingerprint());
+        assert_ne!(off_wire_fingerprint(), ml_fingerprint());
     }
 }

@@ -19,7 +19,7 @@ use crate::experiment::perf::{
 };
 use crate::Scale;
 
-use crate::registry::{num, scale_of, sim_fingerprint, text};
+use crate::registry::{num, off_wire_fingerprint, scale_of, text};
 use crate::report;
 use lh_workloads::SharedTrace;
 
@@ -197,7 +197,7 @@ impl Job for PerfJob {
     }
 
     fn fingerprint(&self) -> String {
-        sim_fingerprint()
+        off_wire_fingerprint()
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {

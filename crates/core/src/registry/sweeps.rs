@@ -9,30 +9,12 @@ use crate::experiment::app_noise;
 use crate::experiment::covert::ChannelKind;
 use crate::experiment::latency_sweep;
 use crate::experiment::noise_sweep;
-use crate::registry::{num, scale_of, sim_fingerprint, text};
-use crate::report;
+use crate::registry::{num, point_json, point_table, scale_of, sim_fingerprint, text};
 
 use lh_workloads::Intensity;
 
-fn noise_point_json(p: &noise_sweep::NoisePoint) -> Json {
-    Json::object()
-        .with("intensity", p.intensity)
-        .with("error_probability", p.error_probability)
-        .with("capacity_kbps", p.capacity_kbps)
-}
-
 fn noise_table(points: &[Json]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", num(p, "intensity")),
-                format!("{:.3}", num(p, "error_probability")),
-                format!("{:.1}", num(p, "capacity_kbps")),
-            ]
-        })
-        .collect();
-    report::table(&["noise %", "error prob", "capacity Kbps"], &rows)
+    point_table("noise %", points, |p| format!("{:.0}", num(p, "intensity")))
 }
 
 /// Figs. 4 and 7: covert-channel capacity vs noise intensity.
@@ -86,7 +68,7 @@ impl Job for NoiseSweepJob {
             scale.message_bits() / 4,
             seed,
         );
-        noise_point_json(&p)
+        point_json("intensity", intensity, &p)
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
@@ -144,16 +126,14 @@ impl Job for AppNoiseJob {
     }
 
     fn run_unit(&self, unit: usize, seed: u64, _deps: &[Json], ctx: &JobContext) -> Json {
+        let intensity = Self::LEVELS[unit];
         let p = app_noise::app_noise_point(
             self.kind,
-            Self::LEVELS[unit],
+            intensity,
             scale_of(ctx).message_bits() / 4,
             seed,
         );
-        Json::object()
-            .with("intensity", p.intensity.label())
-            .with("error_probability", p.error_probability)
-            .with("capacity_kbps", p.capacity_kbps)
+        point_json("intensity", intensity.label(), &p)
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
@@ -165,18 +145,9 @@ impl Job for AppNoiseJob {
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
-        let rows: Vec<Vec<String>> = merged["points"]
-            .as_array()
-            .iter()
-            .map(|p| {
-                vec![
-                    text(p, "intensity"),
-                    format!("{:.3}", num(p, "error_probability")),
-                    format!("{:.1}", num(p, "capacity_kbps")),
-                ]
-            })
-            .collect();
-        report::table(&["intensity", "error prob", "capacity Kbps"], &rows)
+        point_table("intensity", merged["points"].as_array(), |p| {
+            text(p, "intensity")
+        })
     }
 }
 
@@ -235,7 +206,7 @@ impl Job for RfmCountJob {
             ),
             _ => noise_sweep::overlap_1rfm_point(true, intensity, scale.message_bits() / 8, seed),
         };
-        noise_point_json(&p).with("panel", panel)
+        point_json("intensity", intensity, &p).with("panel", panel)
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
@@ -285,10 +256,7 @@ impl Job for LatencySweepJob {
     fn run_unit(&self, unit: usize, seed: u64, _deps: &[Json], ctx: &JobContext) -> Json {
         let lat = latency_sweep::paper_grid()[unit];
         let p = latency_sweep::latency_sweep_point(lat, scale_of(ctx).message_bits() / 8, seed);
-        Json::object()
-            .with("action_latency_ns", p.action_latency_ns)
-            .with("error_probability", p.error_probability)
-            .with("capacity_kbps", p.capacity_kbps)
+        point_json("action_latency_ns", lat, &p)
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {
@@ -300,18 +268,9 @@ impl Job for LatencySweepJob {
     }
 
     fn render_text(&self, merged: &Json, _ctx: &JobContext) -> String {
-        let rows: Vec<Vec<String>> = merged["points"]
-            .as_array()
-            .iter()
-            .map(|p| {
-                vec![
-                    p["action_latency_ns"].as_u64().unwrap_or(0).to_string(),
-                    format!("{:.3}", num(p, "error_probability")),
-                    format!("{:.1}", num(p, "capacity_kbps")),
-                ]
-            })
-            .collect();
-        report::table(&["action ns", "error prob", "capacity Kbps"], &rows)
+        point_table("action ns", merged["points"].as_array(), |p| {
+            p["action_latency_ns"].as_u64().unwrap_or(0).to_string()
+        })
     }
 }
 

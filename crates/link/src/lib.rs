@@ -53,6 +53,6 @@ pub use codec::{crc8, flip_bits, Codec, CrcFramed, Decoded, Hamming74, Plain, Re
 pub use modem::{Calibration, Modulator, MultiLevelAmplitude, OnOffKeying, PulsePosition};
 pub use pipeline::{
     calibrate, transmit_message, transmit_payload, transmit_windows, LinkConfig, LinkOutcome,
-    LinkTuning, PayloadOutcome, SymbolLog, WireOutcome,
+    LinkTuning, PayloadOutcome, SymbolLog, WireOutcome, ATTACK_THINK,
 };
 pub use sync::{Alignment, PreambleSync};

@@ -20,6 +20,11 @@ use crate::codec::Codec;
 use crate::modem::{Calibration, Modulator};
 use crate::sync::{Alignment, PreambleSync};
 
+/// The attack loop's think time (loop overhead per access) against
+/// every defense: the sender's full-intensity pace, and the receiver's
+/// unless [`LinkTuning::receiver_think`] overrides it.
+pub const ATTACK_THINK: Span = Span::from_ns(30);
+
 /// Receiver/sender attack parameters an adaptive attacker picks per
 /// defense: which latency band the preventive action lands in, how long
 /// a window must be, and whether both sides should stop touching the
@@ -37,9 +42,7 @@ pub struct LinkTuning {
     /// Stop accessing for the rest of the window after an event
     /// (PRAC-family behaviour; counting channels keep probing).
     pub sleep_after_detect: bool,
-    /// Attack-loop think time.
-    pub think: Span,
-    /// Receiver loop-overhead override (`None`: `think`). Under a
+    /// Receiver loop-overhead override (`None`: [`ATTACK_THINK`]). Under a
     /// strictly closed row policy every probe is an activation of the
     /// receiver's own row, so the receiver throttles itself or triggers
     /// back-offs in 0-windows.
@@ -63,8 +66,8 @@ impl LinkTuning {
     ///   RFM band (there is nothing defense-triggered to see);
     /// * BlockHammer — the throttle *delay*, orders of magnitude above
     ///   any DRAM latency, with a correspondingly longer window.
-    pub fn for_defense(kind: DefenseKind, timing: &DramTiming, think: Span) -> LinkTuning {
-        let cls = LatencyClassifier::from_timing(timing, think);
+    pub fn for_defense(kind: DefenseKind, timing: &DramTiming) -> LinkTuning {
+        let cls = LatencyClassifier::from_timing(timing, ATTACK_THINK);
         match kind {
             DefenseKind::Prac | DefenseKind::PracRiac | DefenseKind::PracBank => LinkTuning {
                 window: Span::from_us(25),
@@ -72,7 +75,6 @@ impl LinkTuning {
                 detect_max: Span::MAX,
                 trecv: 1,
                 sleep_after_detect: true,
-                think,
                 receiver_think: None,
                 refresh_filter: None,
             },
@@ -82,7 +84,6 @@ impl LinkTuning {
                 detect_max: cls.rfm_max,
                 trecv: 3,
                 sleep_after_detect: false,
-                think,
                 receiver_think: None,
                 refresh_filter: None,
             },
@@ -93,7 +94,6 @@ impl LinkTuning {
                     detect_max: cls.rfm_max,
                     trecv: 1,
                     sleep_after_detect: false,
-                    think,
                     receiver_think: None,
                     refresh_filter: None,
                 }
@@ -104,7 +104,6 @@ impl LinkTuning {
                 detect_max: cls.rfm_max,
                 trecv: 3,
                 sleep_after_detect: false,
-                think,
                 receiver_think: None,
                 refresh_filter: None,
             },
@@ -114,7 +113,6 @@ impl LinkTuning {
                 detect_max: Span::MAX,
                 trecv: 1,
                 sleep_after_detect: false,
-                think,
                 receiver_think: None,
                 refresh_filter: None,
             },
@@ -156,7 +154,7 @@ impl LinkConfig {
                 seed,
                 ..SimConfig::paper_default(DefenseConfig::for_threshold(kind, nrh, &timing))
             },
-            tuning: LinkTuning::for_defense(kind, &timing, Span::from_ns(30)),
+            tuning: LinkTuning::for_defense(kind, &timing),
             sync: PreambleSync::barker7(4),
             noise_intensity: None,
             rx_lead_windows: 2,
@@ -292,12 +290,11 @@ pub fn transmit_windows<R>(
         .expect("valid link system configuration");
     let layout = ChannelLayout::default_bank(sys.mapping());
     let end = Time::ZERO + window * (rx_windows as u64 + 1);
-    let cls = LatencyClassifier::from_timing(&cfg.sim.device.timing, tuning.think);
+    let cls = LatencyClassifier::from_timing(&cfg.sim.device.timing, ATTACK_THINK);
     let tx = CovertSender::new(SenderConfig {
         rows: layout.sender_rows,
         window,
         start: Time::ZERO + window * cfg.rx_lead_windows as u64,
-        think: tuning.think,
         detect: cls.backoff_threshold(),
         stop_after_detect: tuning.sleep_after_detect,
         symbols: symbols.to_vec(),
@@ -308,7 +305,7 @@ pub fn transmit_windows<R>(
         window,
         start: Time::ZERO,
         n_windows: rx_windows,
-        think: tuning.receiver_think.unwrap_or(tuning.think),
+        think: tuning.receiver_think.unwrap_or(ATTACK_THINK),
         detect: tuning.detect,
         detect_max: tuning.detect_max,
         sleep_after_detect: tuning.sleep_after_detect,
@@ -371,7 +368,7 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
     let mut caldef = cfg.clone();
     caldef.rx_lead_windows = 0;
     caldef.sim.seed = cfg.sim.seed ^ 0xCA11;
-    let intensity = modulator.intensity_table(cfg.tuning.think);
+    let intensity = modulator.intensity_table(ATTACK_THINK);
     let obs = transmit_windows(&caldef, intensity, &symbols, n, |_, _| ())
         .0
         .observations;
@@ -409,7 +406,7 @@ pub fn calibrate(cfg: &LinkConfig, modulator: &dyn Modulator, reps: usize) -> Ca
         let mut calmla = cfg.clone();
         calmla.rx_lead_windows = 0;
         calmla.sim.seed = cfg.sim.seed ^ 0xB145;
-        let intensity = modulator.intensity_table(cfg.tuning.think);
+        let intensity = modulator.intensity_table(ATTACK_THINK);
         let obs = transmit_windows(&calmla, intensity, &symbols, n, |_, _| ())
             .0
             .observations;
@@ -485,7 +482,7 @@ pub fn transmit_payload(
     symbols.extend(payload_symbols);
     let windows = symbols.len();
     let rx_windows = cfg.rx_lead_windows + windows + 1;
-    let intensity = modulator.intensity_table(cfg.tuning.think);
+    let intensity = modulator.intensity_table(ATTACK_THINK);
     let (wire, (alignment, observations)) =
         transmit_windows(cfg, intensity, &symbols, rx_windows, |obs, log| {
             let alignment = cfg.sync.align(obs, cal);
@@ -649,7 +646,7 @@ mod tests {
     fn tuning_covers_every_defense_kind() {
         let timing = DramTiming::ddr5_4800();
         for kind in DefenseKind::all() {
-            let t = LinkTuning::for_defense(kind, &timing, Span::from_ns(30));
+            let t = LinkTuning::for_defense(kind, &timing);
             assert!(t.window >= Span::from_us(20));
             assert!(t.detect < t.detect_max);
             assert!(t.trecv >= 1);

@@ -151,9 +151,12 @@ impl SimConfig {
     }
 }
 
-/// Fluent constructor for [`System`] — the uniform way experiments,
-/// attacks and tests build systems (instead of poking controller
-/// internals after construction).
+/// Fluent constructor for [`System`]. Everything a [`SimConfig`] holds
+/// is set on the config itself (start from
+/// [`SimConfig::paper_default`], edit its fields, then
+/// [`SystemBuilder::from_config`]); the builder only adds the seed
+/// shorthand and the disturb-tracking switch, which is not part of the
+/// config.
 ///
 /// # Examples
 ///
@@ -191,55 +194,6 @@ impl SystemBuilder {
     /// Sets the master seed (defense randomness, RIAC draws).
     pub fn seed(mut self, seed: u64) -> SystemBuilder {
         self.config.seed = seed;
-        self
-    }
-
-    /// Replaces the defense.
-    pub fn defense(mut self, defense: DefenseConfig) -> SystemBuilder {
-        self.config.defense = defense;
-        self
-    }
-
-    /// Replaces the mitigation stack wrapped over the defense
-    /// (innermost layer first; empty for the bare defense).
-    pub fn mitigations(mut self, mitigations: Vec<MitigationConfig>) -> SystemBuilder {
-        self.config.mitigations = mitigations;
-        self
-    }
-
-    /// Replaces the DRAM device configuration.
-    pub fn device(mut self, device: DeviceConfig) -> SystemBuilder {
-        self.config.device = device;
-        self
-    }
-
-    /// Replaces the memory-controller configuration.
-    pub fn ctrl(mut self, ctrl: CtrlConfig) -> SystemBuilder {
-        self.config.ctrl = ctrl;
-        self
-    }
-
-    /// Sets the row-buffer management policy (§9 countermeasure studies).
-    pub fn row_policy(mut self, policy: lh_memctrl::RowPolicy) -> SystemBuilder {
-        self.config.ctrl.row_policy = policy;
-        self
-    }
-
-    /// Sets the physical-address mapping scheme.
-    pub fn mapping(mut self, mapping: MappingScheme) -> SystemBuilder {
-        self.config.mapping = mapping;
-        self
-    }
-
-    /// Replaces the per-core cache hierarchy.
-    pub fn caches(mut self, caches: CacheConfig) -> SystemBuilder {
-        self.config.caches = caches;
-        self
-    }
-
-    /// Enables (or disables with `None`) the Best-Offset prefetcher.
-    pub fn prefetcher(mut self, prefetch: Option<BopConfig>) -> SystemBuilder {
-        self.config.prefetch = prefetch;
         self
     }
 

@@ -25,7 +25,9 @@ use lh_dram::{DramTiming, Span, Time};
 use lh_memctrl::CtrlStats;
 use lh_mitigate::MitigationConfig;
 use lh_obs::Metrics;
-use lh_sim::{run_lanes, CacheStats, LatencyTrace, ProcId, ProcStats, System, SystemBuilder};
+use lh_sim::{
+    run_lanes, CacheStats, LatencyTrace, ProcId, ProcStats, SimConfig, System, SystemBuilder,
+};
 use lh_workloads::{AppProfile, Intensity, SharedTrace, TraceReplay};
 
 const SIM_SEED: u64 = 11;
@@ -91,10 +93,12 @@ fn mitigation_pool(idx: usize) -> Vec<MitigationConfig> {
 }
 
 fn builder(spec: &LaneSpec) -> SystemBuilder {
-    SystemBuilder::new(spec.defense.clone())
-        .mitigations(spec.mitigations.clone())
-        .seed(SIM_SEED)
-        .disturb_tracking(false)
+    SystemBuilder::from_config(SimConfig {
+        mitigations: spec.mitigations.clone(),
+        ..SimConfig::paper_default(spec.defense.clone())
+    })
+    .seed(SIM_SEED)
+    .disturb_tracking(false)
 }
 
 fn shared_trace() -> Arc<SharedTrace> {
@@ -108,7 +112,7 @@ fn trace_of(profiles: Vec<AppProfile>) -> Arc<SharedTrace> {
     let seeds: Vec<u64> = (0..profiles.len())
         .map(|i| SIM_SEED ^ (i as u64 * 31))
         .collect();
-    let sim = lh_sim::SimConfig::paper_default(DefenseConfig::none());
+    let sim = SimConfig::paper_default(DefenseConfig::none());
     let mapping = lh_memctrl::AddressMapping::new(sim.mapping, sim.device.geometry);
     SharedTrace::decode_uncounted(profiles, mapping, &seeds)
 }

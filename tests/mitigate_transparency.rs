@@ -18,7 +18,7 @@ use lh_defenses::{DefenseConfig, DefenseKind, DefenseStats};
 use lh_dram::{DramTiming, Span, Time};
 use lh_memctrl::AddressMapping;
 use lh_mitigate::MitigationConfig;
-use lh_sim::SystemBuilder;
+use lh_sim::{SimConfig, SystemBuilder};
 use lh_workloads::{four_core_mixes, SyntheticApp};
 
 /// Runs the four-core mix under `kind` with the given mitigation stack
@@ -29,8 +29,11 @@ fn run_mix(kind: DefenseKind, stack: Vec<MitigationConfig>) -> (lh_obs::Metrics,
     let ((), metrics) = lh_obs::record(|| {
         let timing = DramTiming::ddr5_4800();
         let defense = DefenseConfig::for_threshold(kind, 64, &timing);
-        let mut sys = SystemBuilder::new(defense)
-            .mitigations(stack)
+        let config = SimConfig {
+            mitigations: stack,
+            ..SimConfig::paper_default(defense)
+        };
+        let mut sys = SystemBuilder::from_config(config)
             .seed(7)
             .disturb_tracking(false)
             .build()
