@@ -2,7 +2,7 @@
 
 use lh_dram::{CounterInit, PracConfig, Span};
 
-use crate::trackers::{BlockHammerConfig, CometConfig, GrapheneConfig, HydraConfig, MintConfig};
+use crate::trackers::{BlockHammerConfig, CometConfig, GrapheneConfig, HydraConfig};
 
 /// The RowHammer defenses studied by the paper.
 ///
@@ -184,8 +184,10 @@ pub enum DefenseConfig {
     Hydra(HydraConfig),
     /// CoMeT sketch (§12 taxonomy).
     Comet(CometConfig),
-    /// MINT in-REF mitigation (§12 taxonomy).
-    Mint(MintConfig),
+    /// MINT in-REF mitigation (§12 taxonomy). Its reservoir draws come
+    /// from the system seed [`crate::build_defense`] is given, like
+    /// PARA's.
+    Mint,
     /// BlockHammer throttling (§12 taxonomy).
     BlockHammer(BlockHammerConfig),
 }
@@ -261,8 +263,8 @@ impl DefenseConfig {
     /// `nrh` (its preventive capacity is one aggressor per `tREFI`); kept
     /// at face value here because the taxonomy experiment studies its
     /// *timing channel*, not its protection envelope.
-    pub fn mint(seed: u64) -> DefenseConfig {
-        DefenseConfig::Mint(MintConfig { seed })
+    pub fn mint() -> DefenseConfig {
+        DefenseConfig::Mint
     }
 
     /// BlockHammer-style throttling provisioned for `nrh` (§12 taxonomy).
@@ -302,7 +304,7 @@ impl DefenseConfig {
             DefenseKind::Graphene => DefenseConfig::graphene(nrh, timing),
             DefenseKind::Hydra => DefenseConfig::hydra(nrh, timing),
             DefenseKind::Comet => DefenseConfig::comet(nrh, timing, 0xc0fe),
-            DefenseKind::Mint => DefenseConfig::mint(0x317),
+            DefenseKind::Mint => DefenseConfig::mint(),
             DefenseKind::BlockHammer => DefenseConfig::blockhammer(nrh, timing, 0xb10c),
         }
     }
@@ -320,7 +322,7 @@ impl DefenseConfig {
             DefenseConfig::Graphene(_) => DefenseKind::Graphene,
             DefenseConfig::Hydra(_) => DefenseKind::Hydra,
             DefenseConfig::Comet(_) => DefenseKind::Comet,
-            DefenseConfig::Mint(_) => DefenseKind::Mint,
+            DefenseConfig::Mint => DefenseKind::Mint,
             DefenseConfig::BlockHammer(_) => DefenseKind::BlockHammer,
         }
     }

@@ -211,7 +211,7 @@ pub fn build_defense(config: &DefenseConfig, geometry: &Geometry, seed: u64) -> 
             cfg.seed = c.seed ^ ((bank as u64) << 48);
             CometBank::new(cfg)
         })),
-        DefenseConfig::Mint(m) => Box::new(MintDefense::new(m.seed, geometry)),
+        DefenseConfig::Mint => Box::new(MintDefense::new(seed, geometry)),
         DefenseConfig::BlockHammer(bh) => Box::new(BlockHammerDefense::new(bh, geometry)),
     }
 }
@@ -773,7 +773,7 @@ mod tests {
 
     #[test]
     fn mint_samples_one_aggressor_per_bank_per_ref() {
-        let mut eng = build(&DefenseConfig::mint(11), 0);
+        let mut eng = build(&DefenseConfig::mint(), 11);
         // ACTs never produce inline actions (overlapped latency).
         for _ in 0..100 {
             assert!(eng.on_activate(bank(0, 0), 5, Time::ZERO).is_empty());
@@ -791,9 +791,34 @@ mod tests {
     }
 
     #[test]
+    fn mint_follows_the_system_seed() {
+        // One MINT configuration under two system seeds: the reservoir
+        // draws must differ, as PARA's do. A randomised defense judged
+        // under one fixed draw has not been tested as a random defense.
+        let cfg = DefenseConfig::for_threshold(DefenseKind::Mint, 256, &DramTiming::ddr5_4800());
+        let samples = |seed| {
+            let mut eng = build(&cfg, seed);
+            (0..16)
+                .map(|_| {
+                    for row in 0..64 {
+                        eng.on_activate(bank(0, 0), row, Time::ZERO);
+                    }
+                    eng.on_periodic_refresh(0)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(samples(1), samples(1), "one seed, one draw sequence");
+        assert_ne!(
+            samples(1),
+            samples(2),
+            "MINT must sample from the system seed, not a constant"
+        );
+    }
+
+    #[test]
     fn mint_refresh_only_covers_the_refreshed_rank() {
         let g = Geometry::tiny();
-        let mut eng = build(&DefenseConfig::mint(11), 0);
+        let mut eng = build(&DefenseConfig::mint(), 11);
         if g.ranks_per_channel() < 2 {
             // tiny geometry has one rank; sampling on rank 0 must still
             // return nothing for an out-of-range rank.
