@@ -16,9 +16,8 @@ pub fn app_noise_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> ChannelResult {
-    let defense = kind.defense();
     run_patterns(
-        &defense,
+        &kind.defense(),
         &MessagePattern::paper_set(),
         bits_per_pattern,
         |i, opts| {

@@ -71,9 +71,8 @@ impl MitigationArm {
 /// (see the module docs). The attacker keeps its PRAC tuning whatever
 /// the arm's defense.
 pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) -> ChannelResult {
-    let prac = ChannelKind::Prac.defense();
     run_patterns(
-        &prac,
+        &ChannelKind::Prac.defense(),
         &MessagePattern::paper_set(),
         bits_per_pattern,
         |i, opts| {

@@ -17,9 +17,8 @@ pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
 
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
 pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> ChannelResult {
-    let prac = ChannelKind::Prac.defense();
     run_patterns(
-        &prac,
+        &ChannelKind::Prac.defense(),
         &MessagePattern::paper_set(),
         bits_per_pattern,
         |i, opts| {

@@ -23,9 +23,8 @@ pub fn overlap_1rfm_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> ChannelResult {
-    let prac = ChannelKind::Prac.defense();
     run_patterns(
-        &prac,
+        &ChannelKind::Prac.defense(),
         &MessagePattern::paper_set(),
         bits_per_pattern,
         |i, opts| {
@@ -62,9 +61,8 @@ pub fn sweep_point(
     bits_per_pattern: usize,
     seed: u64,
 ) -> ChannelResult {
-    let defense = kind.defense();
     run_patterns(
-        &defense,
+        &kind.defense(),
         &MessagePattern::paper_set(),
         bits_per_pattern,
         |i, opts| {
