@@ -566,16 +566,6 @@ fn report_mode(files: &[String], format: OutputFormat) -> ! {
     std::process::exit(0);
 }
 
-/// One CSV field, quoted when it holds a delimiter — unit labels carry
-/// spaces and `=` freely and may grow commas.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_owned()
-    }
-}
-
 /// `report --format csv`: one row per experiment unit. Columns are the
 /// sorted union of counter names across all units, then per histogram
 /// its sample count and p50/p90/p99 quantiles — a flat table for
@@ -584,6 +574,7 @@ fn csv_field(s: &str) -> String {
 /// entered a subsystem is different from one that measured 0).
 fn report_csv(experiments: &[(String, lh_harness::Json)]) -> String {
     use lh_harness::metrics::{hist_from_json, HISTOGRAMS_KEY};
+    use lh_harness::sink::csv_field;
     use std::collections::BTreeSet;
 
     let mut counters: BTreeSet<&str> = BTreeSet::new();

@@ -13,8 +13,6 @@ use crate::experiment::covert::{run_patterns, ChannelKind};
 /// Capacity of one channel under the two hierarchies.
 #[derive(Debug, Clone, Copy)]
 pub struct CachePoint {
-    /// Which channel.
-    pub kind: ChannelKind,
     /// Capacity with the Table 1 hierarchy (Kbps).
     pub baseline_kbps: f64,
     /// Capacity with the large hierarchy + prefetcher (Kbps).
@@ -51,7 +49,6 @@ fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
 /// One channel's §10.3 measurement (both hierarchies).
 pub fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CachePoint {
     CachePoint {
-        kind,
         baseline_kbps: capacity(kind, false, bits_per_pattern, seed),
         large_kbps: capacity(kind, true, bits_per_pattern, seed),
     }
@@ -67,12 +64,11 @@ mod tests {
             let p = cache_point(kind, 12, 8);
             assert!(
                 p.large_kbps > 0.6 * p.baseline_kbps,
-                "{:?}: large-hierarchy capacity {} vs baseline {}",
-                p.kind,
+                "{kind:?}: large-hierarchy capacity {} vs baseline {}",
                 p.large_kbps,
                 p.baseline_kbps
             );
-            assert!(p.baseline_kbps > 15.0, "{:?} baseline too low", p.kind);
+            assert!(p.baseline_kbps > 15.0, "{kind:?} baseline too low");
         }
     }
 }

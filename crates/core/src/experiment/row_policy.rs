@@ -19,8 +19,6 @@ use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 /// Channel capacities under one row policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RowPolicyPoint {
-    /// The row policy.
-    pub policy: RowPolicy,
     /// DRAMA row-buffer channel capacity (Kbps).
     pub drama_kbps: f64,
     /// LeakyHammer PRAC channel capacity (Kbps).
@@ -94,7 +92,6 @@ fn leakyhammer_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
 pub fn row_policy_point(policy: RowPolicy, bits_per_channel: usize, seed: u64) -> RowPolicyPoint {
     let bits = lh_analysis::MessagePattern::Checkered0.bits(bits_per_channel);
     RowPolicyPoint {
-        policy,
         drama_kbps: drama_capacity(policy, &bits, seed),
         leakyhammer_kbps: leakyhammer_capacity(policy, &bits, seed),
     }

@@ -38,7 +38,7 @@
 //! dimension; the report keeps the disagreement visible on purpose.
 
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_defenses::taxonomy::{profile_of, ChannelRisk};
+use lh_defenses::taxonomy::ChannelRisk;
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::DramTiming;
 
@@ -55,11 +55,6 @@ pub const TAXONOMY_NRH: u32 = 256;
 /// One taxonomy measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct TaxonomyPoint {
-    /// The defense attacked.
-    pub kind: DefenseKind,
-    /// The §12 prediction for this defense (`None` for the no-defense
-    /// control row, which measures the residual contention channel).
-    pub predicted: Option<ChannelRisk>,
     /// Measured capacity with only the attack pair running (Kbps).
     pub quiet_kbps: f64,
     /// Measured capacity with the §6.3 noise microbenchmark at 40 %
@@ -69,16 +64,18 @@ pub struct TaxonomyPoint {
 }
 
 impl TaxonomyPoint {
-    /// Whether the measurement agrees with the §12 prediction: a
-    /// `None`-risk defense must measure under 1 Kbps, a `Full`-risk
-    /// defense at least 10 Kbps, a `Degraded`-risk defense a
-    /// usable-but-noisy channel (≥ 0.1 Kbps). Only the *quiet*
-    /// condition counts: under heavy noise the generic detection band
-    /// also picks up bank-contention latencies, a channel that exists
-    /// without any defense (the control row) and is out of scope
-    /// (footnote 9 of the paper).
-    pub fn agrees(&self) -> bool {
-        match self.predicted {
+    /// Whether the measurement agrees with `predicted`, the §12
+    /// prediction for the defense attacked (`None` for the no-defense
+    /// control row, which measures the residual contention channel and
+    /// always agrees): a `None`-risk defense must measure under 1 Kbps,
+    /// a `Full`-risk defense at least 10 Kbps, a `Degraded`-risk
+    /// defense a usable-but-noisy channel (≥ 0.1 Kbps). Only the
+    /// *quiet* condition counts: under heavy noise the generic
+    /// detection band also picks up bank-contention latencies, a
+    /// channel that exists without any defense (the control row) and is
+    /// out of scope (footnote 9 of the paper).
+    pub fn agrees(&self, predicted: Option<ChannelRisk>) -> bool {
+        match predicted {
             None => true,
             Some(ChannelRisk::None) => self.quiet_kbps < 1.0,
             Some(ChannelRisk::Degraded) => self.quiet_kbps >= 0.1,
@@ -130,8 +127,6 @@ pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> 
     let quiet = measure(kind, bits_per_pattern, None, seed);
     let noisy = measure(kind, bits_per_pattern, Some(40.0), seed ^ 0xff);
     TaxonomyPoint {
-        kind,
-        predicted: profile_of(kind).map(|p| p.channel_risk()),
         quiet_kbps: quiet.capacity_kbps(),
         noisy_kbps: noisy.capacity_kbps(),
     }

@@ -312,7 +312,7 @@ impl Job for CacheSensitivityJob {
         let bits = scale_of(ctx).message_bits() / 4;
         let p = cache_sensitivity::cache_point(kind, bits, seed);
         Json::object()
-            .with("channel", format!("{:?}", p.kind))
+            .with("channel", format!("{kind:?}"))
             .with("baseline_kbps", p.baseline_kbps)
             .with("large_kbps", p.large_kbps)
             .with("change_pct", p.change_pct())
@@ -430,7 +430,7 @@ impl Job for RowPolicyJob {
         let bits = scale_of(ctx).message_bits() / 8;
         let p = row_policy::row_policy_point(policy, bits, seed);
         Json::object()
-            .with("policy", format!("{:?}", p.policy))
+            .with("policy", format!("{policy:?}"))
             .with("drama_kbps", p.drama_kbps)
             .with("leakyhammer_kbps", p.leakyhammer_kbps)
     }
@@ -482,14 +482,15 @@ impl Job for TaxonomyJob {
         let kind = taxonomy::taxonomy_kinds()[unit];
         let bits = taxonomy::taxonomy_bits(kind, scale_of(ctx));
         let p = taxonomy::taxonomy_point(kind, bits, seed);
-        let profile = lh_defenses::taxonomy::profile_of(p.kind);
+        let profile = lh_defenses::taxonomy::profile_of(kind);
+        let predicted = profile.map(|pr| pr.channel_risk());
         Json::object()
             .with(
                 "defense",
-                if p.kind == lh_defenses::DefenseKind::None {
+                if kind == lh_defenses::DefenseKind::None {
                     "(control)".to_owned()
                 } else {
-                    p.kind.label().to_owned()
+                    kind.label().to_owned()
                 },
             )
             .with(
@@ -502,11 +503,11 @@ impl Job for TaxonomyJob {
             )
             .with(
                 "predicted",
-                p.predicted.map_or("-".to_owned(), |r| format!("{r:?}")),
+                predicted.map_or("-".to_owned(), |r| format!("{r:?}")),
             )
             .with("quiet_kbps", p.quiet_kbps)
             .with("noisy_kbps", p.noisy_kbps)
-            .with("agrees", p.agrees())
+            .with("agrees", p.agrees(predicted))
     }
 
     fn finish(&self, units: Vec<Json>, _ctx: &JobContext) -> Json {

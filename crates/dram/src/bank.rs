@@ -110,22 +110,6 @@ impl Bank {
         self.blocked_until = self.blocked_until.max(until);
         self.next_act = self.next_act.max(until);
     }
-
-    /// A conservative "all quiet" bound: the latest of every next-command
-    /// constraint. Used by schedulers to find the next decision point.
-    pub fn quiescent_at(&self) -> Time {
-        self.next_act
-            .max(self.next_pre)
-            .max(self.next_rd)
-            .max(self.next_wr)
-            .max(self.blocked_until)
-    }
-
-    /// Shifts the precharge constraint to account for an extra delay
-    /// (used in tests and custom policies).
-    pub fn delay_pre(&mut self, extra: Span) {
-        self.next_pre += extra;
-    }
 }
 
 #[cfg(test)]

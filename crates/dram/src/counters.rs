@@ -85,11 +85,6 @@ impl RowCounters {
         }
     }
 
-    /// The configured initialization policy.
-    pub fn init_policy(&self) -> CounterInit {
-        self.init
-    }
-
     /// Current counter value of `(bank, row)` (lazily initialized).
     pub fn value(&self, bank: usize, row: u32) -> u32 {
         self.banks[bank]
@@ -154,11 +149,6 @@ impl RowCounters {
             }
         }
         top
-    }
-
-    /// Number of rows with materialized counters in `bank`.
-    pub fn touched_rows(&self, bank: usize) -> usize {
-        self.banks[bank].len()
     }
 
     /// The maximum counter value across the whole channel (0 if untouched).

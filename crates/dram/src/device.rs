@@ -44,7 +44,10 @@ pub struct DeviceConfig {
     /// Timing parameters.
     pub timing: DramTiming,
     /// PRAC configuration, or `None` when the device does not implement
-    /// per-row activation counting.
+    /// per-row activation counting. Only a bare [`DramDevice`] reads
+    /// the value set here: `MemoryController::with_mitigations`, which
+    /// builds the device of every simulated system, overwrites it with
+    /// the defense's own PRAC configuration.
     pub prac: Option<PracConfig>,
     /// Blast radius for disturb bookkeeping and preventive refreshes.
     pub blast_radius: u32,
@@ -54,7 +57,9 @@ pub struct DeviceConfig {
     /// beyond `tRAS` disturbs its neighbors like one extra activation.
     /// `None` disables RowPress modeling.
     pub press_unit: Option<Span>,
-    /// Seed for RIAC counter randomization.
+    /// Seed for RIAC counter randomization. Only a bare [`DramDevice`]
+    /// reads the value set here: `MemoryController::with_mitigations`
+    /// overwrites it with the system seed.
     pub seed: u64,
 }
 

@@ -131,11 +131,6 @@ impl Geometry {
         self.banks_per_channel() as u64 * self.rows_per_bank as u64 * self.row_bytes()
     }
 
-    /// Total capacity in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.channels as u64 * self.channel_bytes()
-    }
-
     /// Flat index of a bank within its channel, in
     /// rank-major / bank-group / bank order.
     ///

@@ -138,14 +138,6 @@ pub trait Job: Send + Sync {
     /// Renders the merged result as the human-readable report.
     fn render_text(&self, merged: &Json, ctx: &JobContext) -> String;
 
-    /// Renders the merged result as CSV, if the job has a natural
-    /// tabular form. `None` falls back to the generic flattener in
-    /// [`crate::sink`].
-    fn render_csv(&self, merged: &Json, ctx: &JobContext) -> Option<String> {
-        let _ = (merged, ctx);
-        None
-    }
-
     /// Result-schema version; bump when changing this job's unit
     /// decomposition or result layout to invalidate its cache entries.
     /// Invalidation is surgical: only this job's entries are affected,

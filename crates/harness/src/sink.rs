@@ -49,12 +49,12 @@ pub fn render(
             )
         }
         OutputFormat::Json => envelope_ref(job, run, ctx).to_pretty() + "\n",
-        OutputFormat::Csv => {
-            let body = job
-                .render_csv(&run.merged, ctx)
-                .unwrap_or_else(|| csv_from_json(&run.merged));
-            format!("# {} ({})\n{body}", job.id(), ctx.scale.as_str())
-        }
+        OutputFormat::Csv => format!(
+            "# {} ({})\n{}",
+            job.id(),
+            ctx.scale.as_str(),
+            csv_from_json(&run.merged)
+        ),
     }
 }
 
@@ -195,9 +195,9 @@ pub fn stream_fleet(snapshot: Json) -> String {
         + "\n"
 }
 
-/// Generic CSV fallback: uses the first array-of-objects field of the
-/// merged result as rows (header = union of keys in first-seen order);
-/// if none exists, emits the scalar fields as a single row.
+/// The CSV form of a merged result: uses its first array-of-objects
+/// field as rows (header = union of keys in first-seen order); if none
+/// exists, emits the scalar fields as a single row.
 pub fn csv_from_json(merged: &Json) -> String {
     let rows: &[Json] = merged
         .as_object()
@@ -221,7 +221,8 @@ pub fn csv_from_json(merged: &Json) -> String {
             }
         }
     }
-    let mut out = header.join(",");
+    let names: Vec<String> = header.iter().map(|k| csv_field(k)).collect();
+    let mut out = names.join(",");
     out.push('\n');
     for record in &records {
         let cells: Vec<String> = header.iter().map(|k| scalar_cell(record.get(k))).collect();
@@ -237,15 +238,19 @@ fn scalar(v: &Json) -> bool {
 
 fn scalar_cell(v: &Json) -> String {
     match v {
-        Json::Str(s) => {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        }
+        Json::Str(s) => csv_field(s),
         Json::Null => String::new(),
         other => other.to_compact(),
+    }
+}
+
+/// One CSV field, quoted (with `"` doubled) when it holds a comma, a
+/// quote or a newline.
+pub fn csv_field(s: &str) -> String {
+    if s.contains(',') || s.contains('"') || s.contains('\n') {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_owned()
     }
 }
 
@@ -279,6 +284,12 @@ mod tests {
     fn csv_falls_back_to_scalars_and_escapes() {
         let merged = Json::object().with("label", "a,b").with("n", 3i64);
         assert_eq!(csv_from_json(&merged), "label,n\n\"a,b\",3\n");
+    }
+
+    #[test]
+    fn csv_header_quotes_a_key_that_holds_a_comma() {
+        let merged = Json::object().with("x,y", 1i64).with("say \"hi\"", 2i64);
+        assert_eq!(csv_from_json(&merged), "\"x,y\",\"say \"\"hi\"\"\"\n1,2\n");
     }
 
     #[test]

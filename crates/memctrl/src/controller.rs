@@ -391,16 +391,6 @@ impl MemoryController {
         self.read_q.len()
     }
 
-    /// Outstanding write-queue occupancy.
-    pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
-    }
-
-    /// Whether any request is queued.
-    pub fn is_idle(&self) -> bool {
-        self.read_q.is_empty() && self.write_q.is_empty()
-    }
-
     /// Accepts a request.
     ///
     /// # Errors

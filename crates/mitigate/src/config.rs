@@ -13,8 +13,8 @@ use lh_defenses::{fr_rfm_period, scaled_nbo, scaled_trfm};
 /// pressure at all* (quota).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MitigationKind {
-    /// No mitigation: pure delegation. The control arm of every sweep —
-    /// a pass-through stack must be byte-identical to the bare defense.
+    /// No mitigation: pure delegation. A pass-through stack must be
+    /// byte-identical to the bare defense (the empty stack).
     PassThrough,
     /// Seeded randomization of scheduled-maintenance timing: each
     /// deadline slips forward by a deterministic pseudo-random offset,
@@ -34,9 +34,9 @@ pub enum MitigationKind {
 }
 
 impl MitigationKind {
-    /// Every registered mitigation — the axis the `mitsweep` job runs
-    /// over (the unmitigated control arm is an *empty* stack, not a
-    /// kind).
+    /// Every registered mitigation. The `mitsweep` job runs every kind
+    /// but `PassThrough`: its control arm is the *empty* stack, which
+    /// a pass-through stack reproduces byte for byte.
     pub fn all() -> [MitigationKind; 5] {
         [
             MitigationKind::PassThrough,

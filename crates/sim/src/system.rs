@@ -431,11 +431,6 @@ impl System {
         self.procs[pid].proc.as_any().downcast_ref::<T>()
     }
 
-    /// Whether the process has halted.
-    pub fn is_halted(&self, pid: ProcId) -> bool {
-        self.procs[pid].halted
-    }
-
     /// Whether every process has halted.
     pub fn all_halted(&self) -> bool {
         self.procs.iter().all(|p| p.halted)
