@@ -1,18 +1,27 @@
 //! §9 "effectiveness of existing mitigations": a strictly closed-row
 //! policy kills the DRAMA row-buffer channel but *not* LeakyHammer.
 //!
-//! DRAMA's signal is the row-buffer state (hit vs conflict); a closed-row
-//! policy makes every access a row miss and removes the signal.
-//! LeakyHammer's signal is the *preventive action*: under a closed-row
-//! policy every access is an activation, so the defense's counters climb
-//! even faster and the channel survives.
+//! DRAMA (Pessl et al., USENIX Security'16) transmits by modulating
+//! *row-buffer state*: sender and receiver colocate in one bank, the
+//! receiver times repeated accesses to its own row, and while the
+//! sender is active (accessing another row of the bank) those accesses
+//! turn from row hits into row-buffer conflicts. A closed-row policy
+//! makes every access a row miss and removes the signal. LeakyHammer's
+//! signal is the *preventive action*: under a closed-row policy every
+//! access is an activation, so the defense's counters climb even faster
+//! and the channel survives.
+//!
+//! Both channels ride the one wire, [`lh_link::transmit_windows`]:
+//! DRAMA is that wire with a conflict-band receiver, a sparse sender
+//! and a fraction decoder.
 
 use lh_analysis::ChannelResult;
-use lh_attacks::{ChannelLayout, DramaConfig, DramaReceiver, DramaSender, LatencyClassifier};
+use lh_attacks::{LatencyClassifier, WindowObservation};
 use lh_defenses::DefenseConfig;
-use lh_dram::{Span, Time};
+use lh_dram::Span;
+use lh_link::{transmit_windows, LinkConfig, LinkTuning, PreambleSync};
 use lh_memctrl::RowPolicy;
-use lh_sim::{SimConfig, SystemBuilder};
+use lh_sim::SimConfig;
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 
@@ -25,50 +34,61 @@ pub struct RowPolicyPoint {
     pub leakyhammer_kbps: f64,
 }
 
+/// The DRAMA receiver's loop overhead per probe.
+const DRAMA_THINK: Span = Span::from_ns(150);
+
+/// The share of a window's probes that must land in the conflict band
+/// for the window to decode 1.
+const DRAMA_FRACTION: f64 = 0.15;
+
+/// DRAMA's decision rule: a window decodes 1 when at least
+/// [`DRAMA_FRACTION`] of its probes were conflicts; a window with no
+/// probes decodes 0.
+fn drama_decode(observations: &[WindowObservation]) -> Vec<u8> {
+    observations
+        .iter()
+        .map(|o| {
+            (o.accesses > 0 && f64::from(o.events) / f64::from(o.accesses) >= DRAMA_FRACTION) as u8
+        })
+        .collect()
+}
+
 /// Runs the DRAMA baseline under `policy` and returns its capacity.
 ///
-/// The sender touches its row *sparsely* (one access every 700 ns): each
-/// touch flips the bank's row-buffer state, which is DRAMA's signal, while
-/// keeping bank-bandwidth contention negligible. (An unthrottled sender
-/// would morph DRAMA into a memory-*contention* channel that no row
-/// policy can close — a different attack class the paper scopes out in
-/// footnote 9.)
+/// DRAMA needs no defense, a short window (a single conflict suffices)
+/// and a receiver that counts every probe slower than a row hit. The
+/// sender touches its rows *sparsely* (one access every 700 ns): each
+/// touch flips the bank's row-buffer state, which is DRAMA's signal,
+/// while keeping bank-bandwidth contention negligible. (An unthrottled
+/// sender would morph DRAMA into a memory-*contention* channel that no
+/// row policy can close — a different attack class the paper scopes out
+/// in footnote 9.)
 fn drama_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
-    let rx_think = Span::from_ns(150);
-    let tx_think = Span::from_ns(700);
-    let window = Span::from_us(4);
     let mut sim = SimConfig::paper_default(DefenseConfig::none());
     sim.ctrl.row_policy = policy;
-    let cls = LatencyClassifier::from_timing(&sim.device.timing, rx_think);
-    let mut sys = SystemBuilder::from_config(sim)
-        .seed(seed)
-        .build()
-        .expect("valid configuration");
-    let layout = ChannelLayout::default_bank(sys.mapping());
-    let tx = DramaSender::new(
-        layout.sender_rows[0],
-        window,
-        Time::ZERO,
-        tx_think,
-        bits.to_vec(),
-    );
-    let rx = DramaReceiver::new(DramaConfig {
-        row_addr: layout.receiver_row,
-        window,
-        start: Time::ZERO,
-        n_windows: bits.len(),
-        think: rx_think,
-        conflict_threshold: cls.hit_max,
-    });
-    sys.add_process(Box::new(tx), 1, Time::ZERO);
-    let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
-    sys.run_until(Time::ZERO + window * (bits.len() as u64 + 1));
-    let decoded = sys
-        .process_as::<DramaReceiver>(rx_id)
-        .expect("receiver present")
-        .decode(0.15);
-    let seconds = (window * bits.len() as u64).as_secs();
-    ChannelResult::from_bits(bits, &decoded, seconds).capacity_kbps()
+    sim.seed = seed;
+    let cls = LatencyClassifier::from_timing(&sim.device.timing, DRAMA_THINK);
+    let link = LinkConfig {
+        tuning: LinkTuning {
+            window: Span::from_us(4),
+            detect: cls.hit_max,
+            detect_max: Span::MAX,
+            // Unused: windows decode by the fraction rule.
+            trecv: 1,
+            sleep_after_detect: false,
+            receiver_think: Some(DRAMA_THINK),
+            refresh_filter: None,
+        },
+        sim,
+        sync: PreambleSync::default(),
+        noise_intensity: None,
+        rx_lead_windows: 0,
+        co_runners: Vec::new(),
+    };
+    let intensity = vec![None, Some(Span::from_ns(700))];
+    let (wire, ()) = transmit_windows(&link, intensity, bits, bits.len(), |_, _| ());
+    let seconds = (link.tuning.window * bits.len() as u64).as_secs();
+    ChannelResult::from_bits(bits, &drama_decode(&wire.observations), seconds).capacity_kbps()
 }
 
 /// Runs the LeakyHammer PRAC channel under `policy`.
@@ -100,6 +120,30 @@ pub fn row_policy_point(policy: RowPolicy, bits_per_channel: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn window(events: u32, accesses: u32) -> WindowObservation {
+        WindowObservation {
+            events,
+            accesses_before_event: 0,
+            accesses,
+        }
+    }
+
+    #[test]
+    fn decode_counts_conflicts_per_window() {
+        let observations = [
+            // Three conflict-latency probes.
+            window(3, 3),
+            // Hits only.
+            window(0, 3),
+            // No probe completed: nothing to decode.
+            window(0, 0),
+            // The fraction's edge: 3 of 20 is 15 %, 2 of 20 is not.
+            window(3, 20),
+            window(2, 20),
+        ];
+        assert_eq!(drama_decode(&observations), vec![1, 0, 0, 1, 0]);
+    }
 
     #[test]
     fn closed_page_kills_drama_but_not_leakyhammer() {

@@ -10,8 +10,7 @@
 //! Run with: `cargo run --release --example bank_partitioning`
 
 use lh_attacks::{
-    ChannelLayout, CovertReceiver, CovertSender, DramaConfig, DramaReceiver, LatencyClassifier,
-    ReceiverConfig, SenderConfig,
+    ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, ReceiverConfig, SenderConfig,
 };
 use lh_defenses::DefenseConfig;
 use lh_dram::{Span, Time};
@@ -76,21 +75,28 @@ fn cross_bank_drama(bits: &[u8]) -> Vec<u8> {
         false,
         bits.to_vec(),
     ));
-    let rx = DramaReceiver::new(DramaConfig {
+    // DRAMA's receiver: every probe slower than a row hit is a conflict.
+    let rx = CovertReceiver::new(ReceiverConfig {
         row_addr: layout.other_bank_row,
         window,
         start: Time::ZERO,
         n_windows: bits.len(),
         think: THINK,
-        conflict_threshold: cls.hit_max,
+        detect: cls.hit_max,
+        detect_max: Span::MAX,
+        sleep_after_detect: false,
+        refresh_filter: None,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
     sys.run_until(Time::ZERO + window * (bits.len() as u64 + 1));
-    // 5 % of the ~2,500 probes per window.
-    sys.process_as::<DramaReceiver>(rx_id)
+    // A window decodes 1 when at least 5 % of its ~2,500 probes conflict.
+    sys.process_as::<CovertReceiver>(rx_id)
         .expect("receiver present")
-        .decode(0.05)
+        .observations()
+        .iter()
+        .map(|o| (o.accesses > 0 && f64::from(o.events) >= 0.05 * f64::from(o.accesses)) as u8)
+        .collect()
 }
 
 fn render(label: &str, sent: &[u8], got: &[u8]) {

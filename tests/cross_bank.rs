@@ -9,8 +9,7 @@
 //! attack.
 
 use lh_attacks::{
-    ChannelLayout, CovertReceiver, CovertSender, DramaConfig, DramaReceiver, LatencyClassifier,
-    ReceiverConfig, SenderConfig,
+    ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, ReceiverConfig, SenderConfig,
 };
 use lh_defenses::DefenseConfig;
 use lh_dram::{Span, Time};
@@ -94,21 +93,27 @@ fn cross_bank_drama(bits: &[u8]) -> Vec<u32> {
         false,
         bits.to_vec(),
     ));
-    let rx = DramaReceiver::new(DramaConfig {
+    // DRAMA's receiver: every probe slower than a row hit is a conflict.
+    let rx = CovertReceiver::new(ReceiverConfig {
         row_addr: layout.other_bank_row,
         window,
         start: Time::ZERO,
         n_windows: bits.len(),
         think: THINK,
-        conflict_threshold: cls.hit_max,
+        detect: cls.hit_max,
+        detect_max: Span::MAX,
+        sleep_after_detect: false,
+        refresh_filter: None,
     });
     sys.add_process(Box::new(tx), 1, Time::ZERO);
     let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
     sys.run_until(Time::ZERO + window * (bits.len() as u64 + 1));
-    sys.process_as::<DramaReceiver>(rx_id)
+    sys.process_as::<CovertReceiver>(rx_id)
         .unwrap()
-        .conflicts()
-        .to_vec()
+        .observations()
+        .iter()
+        .map(|o| o.events)
+        .collect()
 }
 
 #[test]
