@@ -8,14 +8,25 @@
 //! warm from the cache on reruns. `finish` reassembles the per-mix
 //! cell grids and hands them to `merge_perf_mixes`, the one typed
 //! aggregation (the `benchmark/` lane workload calls it too).
+//!
+//! A baseline unit's result also carries the mix's undefended shared
+//! run: its certificate (the highest activation count any row reached),
+//! its per-app instructions and its counters. A PRAC or PRAC-Bank cell
+//! whose `N_BO` exceeds the certificate provably never backs off, so
+//! its unit re-emits those counters and scores those instructions
+//! instead of simulating; PRAC-RIAC cells, cells at or below the
+//! certificate and cells under a flight capture simulate. The
+//! soundness argument is in `experiment::perf`'s module docs. Because
+//! the run rides `deps[0]`, a cell replays the same way under `--jobs`,
+//! `--workers` and a cached baseline.
 
 use lh_harness::{Job, JobContext, Json};
 
 use std::sync::Arc;
 
 use crate::experiment::perf::{
-    decode_mix_trace, merge_perf_mixes, run_perf_baseline_on, run_perf_cells_on, MixBaseline,
-    PerfPoint, NRH_SWEEP,
+    app_perf, decode_mix_trace, merge_perf_mixes, run_perf_baseline, run_perf_cells_replaying,
+    LaneRun, MixBaseline, PerfPoint, UndefendedRun, NRH_SWEEP,
 };
 use crate::Scale;
 
@@ -23,9 +34,8 @@ use crate::registry::{num, off_wire_fingerprint, scale_of, text};
 use crate::report;
 use lh_workloads::SharedTrace;
 
-use lh_analysis::AppPerf;
 use lh_defenses::DefenseKind;
-use lh_dram::Span;
+use lh_harness::{metrics_from_json, metrics_to_json};
 
 /// Fig. 13: weighted speedup of defenses over NRH.
 pub(crate) struct PerfJob;
@@ -100,12 +110,14 @@ impl Job for PerfJob {
         match Self::decode(unit, scale.mixes()) {
             Ok(mix) => {
                 let trace = mix_trace(ctx, mix, seed, scale);
-                let b = run_perf_baseline_on(&trace, seed, scale);
+                let (b, undefended) = run_perf_baseline(&trace, seed, scale);
                 // `sim_seed` rides along so cell units reuse the exact
                 // simulation seed of their mix's baseline (alone and
                 // defended runs of a mix share one seed); `seconds` is
                 // recomputed from the scale, so only instruction counts
-                // travel.
+                // travel. The `shared_*` fields are the undefended
+                // shared run, for the cells that replay it.
+                let shared = undefended.lane;
                 Json::object()
                     .with("mix", mix)
                     .with("sim_seed", seed)
@@ -114,31 +126,49 @@ impl Job for PerfJob {
                         "alone_instructions",
                         Json::Array(b.alone.iter().map(|a| a.instructions.into()).collect()),
                     )
+                    .with("shared_max_act", shared.max_act)
+                    .with(
+                        "shared_instructions",
+                        Json::Array(shared.instructions.iter().map(|&i| i.into()).collect()),
+                    )
+                    .with("shared_metrics", metrics_to_json(&shared.metrics))
             }
             Err((mix, d, n)) => {
                 let base = &deps[0];
-                let seconds = Span::from_us(scale.perf_span_us()).as_secs();
-                let baseline = MixBaseline {
-                    alone: base["alone_instructions"]
+                let instructions = |key: &str| -> Vec<u64> {
+                    base[key]
                         .as_array()
                         .iter()
-                        .map(|i| AppPerf {
-                            instructions: i.as_u64().expect("baseline instruction count"),
-                            seconds,
-                        })
-                        .collect(),
+                        .map(|i| i.as_u64().expect("baseline instruction count"))
+                        .collect()
+                };
+                let baseline = MixBaseline {
+                    alone: app_perf(&instructions("alone_instructions"), scale),
                     base_ws: base["base_ws"].as_f64().expect("baseline weighted speedup"),
                 };
                 let sim_seed = base["sim_seed"].as_u64().expect("baseline sim seed");
+                let undefended = UndefendedRun {
+                    sim_seed,
+                    scale,
+                    lane: LaneRun {
+                        instructions: instructions("shared_instructions"),
+                        max_act: base["shared_max_act"]
+                            .as_u64()
+                            .and_then(|m| u32::try_from(m).ok())
+                            .expect("baseline certificate"),
+                        metrics: metrics_from_json(&base["shared_metrics"]),
+                    },
+                };
                 let defense = DefenseKind::figure13_set()[d];
                 let _ = seed; // cells inherit the baseline's sim seed
                 let trace = mix_trace(ctx, mix, sim_seed, scale);
-                let p = run_perf_cells_on(
+                let p = run_perf_cells_replaying(
                     &trace,
                     sim_seed,
                     &[(defense, NRH_SWEEP[n])],
                     &baseline,
                     scale,
+                    Some(&undefended),
                 )
                 .pop()
                 .expect("one cell in, one point out");
@@ -192,8 +222,9 @@ impl Job for PerfJob {
 
     fn version(&self) -> u32 {
         // v2: per-(mix, defense, NRH) cell units with per-mix baseline
-        // dependencies (was: one unit per mix).
-        2
+        // dependencies (was: one unit per mix). v3: baseline units carry
+        // the undefended shared run that PRAC and PRAC-Bank cells replay.
+        3
     }
 
     fn fingerprint(&self) -> String {

@@ -12,8 +12,8 @@ pub enum Scale {
     Quick,
     /// Minutes-scale runs with the paper's qualitative shape.
     Default,
-    /// The paper's full sample sizes: the 22 experiments measured ≈ 7 min
-    /// on 2 vCPUs (`--jobs 2`; fig13 4 m 56 s, the other 21 ≈ 2 min).
+    /// The paper's full sample sizes: on 2 vCPUs at `--jobs 2`, fig13
+    /// takes ≈ 5 min and the other 21 experiments ≈ 3 min.
     Paper,
 }
 

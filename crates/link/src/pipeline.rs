@@ -285,7 +285,9 @@ pub fn transmit_windows<R>(
 ) -> (WireOutcome, R) {
     let tuning = &cfg.tuning;
     let window = tuning.window;
+    // Nothing on the wire reads the read-disturb ground truth.
     let mut sys = SystemBuilder::from_config(cfg.sim.clone())
+        .disturb_tracking(false)
         .build()
         .expect("valid link system configuration");
     let layout = ChannelLayout::default_bank(sys.mapping());

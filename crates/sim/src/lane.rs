@@ -20,7 +20,10 @@
 //! systems at once set the benchmark's peak memory (25 four-core
 //! systems in a `perf_sweep` batch). Traced on two vCPUs, `perf_sweep`'s
 //! 25-lane batches (the `sim.lane_batch` span) read 297–445 ms run
-//! whole against 303–569 ms sliced, over four runs per side.
+//! whole against 303–569 ms sliced, over four runs per side. Since
+//! Fig. 13's PRAC and PRAC-Bank cells replay the undefended run when
+//! its certificate admits them (`leakyhammer::experiment::perf`), those
+//! batches simulate 15 lanes.
 //!
 //! ## Order and results
 //!

@@ -16,6 +16,11 @@
 //! decode per shared trace. [`SharedTrace::decode_uncounted`] builds
 //! the identical trace without touching the counter — for fallback
 //! paths whose attribution would otherwise depend on scheduling.
+//!
+//! A caller can also [`keep`](SharedTrace::keep) one value it derived
+//! from running the trace with the trace itself, for a later caller
+//! that holds the same `Arc` (a sweep's undefended run, read back by
+//! the sweep's cells).
 
 use std::sync::{Arc, Mutex};
 
@@ -47,6 +52,7 @@ struct CoreGen {
 pub struct SharedTrace {
     profiles: Vec<AppProfile>,
     cores: Vec<Mutex<CoreGen>>,
+    kept: Mutex<Option<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl std::fmt::Debug for SharedTrace {
@@ -100,7 +106,24 @@ impl SharedTrace {
                 })
             })
             .collect();
-        Arc::new(SharedTrace { profiles, cores })
+        Arc::new(SharedTrace {
+            profiles,
+            cores,
+            kept: Mutex::new(None),
+        })
+    }
+
+    /// Keeps `value` with this trace, in place of whatever was kept
+    /// before.
+    pub fn keep<T: Any + Send + Sync>(&self, value: T) {
+        *self.kept.lock().expect("kept value poisoned") = Some(Arc::new(value));
+    }
+
+    /// The value last [kept](SharedTrace::keep) with this trace, if it
+    /// is a `T`.
+    pub fn kept<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        let kept = self.kept.lock().expect("kept value poisoned").clone()?;
+        kept.downcast().ok()
     }
 
     /// Number of cores (= profiles) in the trace.
