@@ -14,14 +14,14 @@ use crate::capacity::ChannelResult;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerPoint {
     /// Interference coordinate (e.g. noise intensity in percent).
-    pub x: f64,
+    pub(crate) x: f64,
     /// The measured transmission at this interference level.
-    pub result: ChannelResult,
+    pub(crate) result: ChannelResult,
 }
 
 impl BerPoint {
     /// Bit-error rate at this point.
-    pub fn ber(&self) -> f64 {
+    pub(crate) fn ber(&self) -> f64 {
         self.result.error_probability()
     }
 }
@@ -33,7 +33,7 @@ pub struct BerCurve {
     /// Series label (`"PRAC/ook+rep3"`, …).
     pub label: String,
     /// Points in ascending `x` order.
-    pub points: Vec<BerPoint>,
+    pub(crate) points: Vec<BerPoint>,
 }
 
 impl BerCurve {
@@ -121,23 +121,6 @@ impl CapacityCurve {
             .unwrap_or(self.points.len());
         self.points.insert(at, CapacityPoint { nrh, capacity_kbps });
     }
-
-    /// Peak capacity across the curve; 0 when empty.
-    pub fn peak_kbps(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.capacity_kbps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Whether capacity never *increases* as provisioning tightens
-    /// (descending `nrh`), within `tol` Kbps — the qualitative shape
-    /// the §11 countermeasures predict.
-    pub fn monotone_in_nrh(&self, tol: f64) -> bool {
-        self.points
-            .windows(2)
-            .all(|w| w[1].capacity_kbps >= w[0].capacity_kbps - tol)
-    }
 }
 
 #[cfg(test)]
@@ -178,17 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_curve_sorts_and_checks_monotonicity() {
+    fn capacity_curve_sorts_by_nrh() {
         let mut c = CapacityCurve::new("PRAC");
         c.push(1024, 39.0);
         c.push(64, 12.0);
         c.push(256, 30.0);
         let nrhs: Vec<u32> = c.points.iter().map(|p| p.nrh).collect();
         assert_eq!(nrhs, vec![64, 256, 1024]);
-        assert!((c.peak_kbps() - 39.0).abs() < 1e-12);
-        assert!(c.monotone_in_nrh(0.0));
-        c.push(512, 10.0); // capacity dips below the 256 point
-        assert!(!c.monotone_in_nrh(0.0));
-        assert!(c.monotone_in_nrh(25.0), "tolerance absorbs the dip");
     }
 }

@@ -5,25 +5,13 @@
 //! onto [100 %, 1 %].
 
 /// The sweep endpoints of Eq. 2, in microseconds.
-pub const MIN_SLEEP_US: f64 = 0.2;
+const MIN_SLEEP_US: f64 = 0.2;
 /// See [`MIN_SLEEP_US`].
-pub const MAX_SLEEP_US: f64 = 2.0;
+const MAX_SLEEP_US: f64 = 2.0;
 
-/// Noise intensity (percent, 1–100) for a sleep duration in µs (Eq. 2).
-///
-/// # Panics
-///
-/// Panics if `sleep_us` is outside `[MIN_SLEEP_US, MAX_SLEEP_US]`.
-pub fn intensity_of_sleep(sleep_us: f64) -> f64 {
-    assert!(
-        (MIN_SLEEP_US..=MAX_SLEEP_US).contains(&sleep_us),
-        "sleep {sleep_us} µs outside the swept range"
-    );
-    (1.0 - (sleep_us - MIN_SLEEP_US) / (MAX_SLEEP_US - MIN_SLEEP_US)) * 99.0 + 1.0
-}
-
-/// Inverse of [`intensity_of_sleep`]: sleep duration (µs) for an intensity
-/// in percent.
+/// Sleep duration (µs) for a noise intensity in percent: Eq. 2,
+/// `intensity = (1 - (sleep - MIN) / (MAX - MIN)) * 99 + 1`, solved for
+/// the sleep.
 ///
 /// # Panics
 ///
@@ -50,21 +38,14 @@ mod tests {
 
     #[test]
     fn endpoints_match_eq2() {
-        assert!((intensity_of_sleep(2.0) - 1.0).abs() < 1e-12);
-        assert!((intensity_of_sleep(0.2) - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn roundtrip() {
-        for i in [1.0, 10.0, 42.0, 88.0, 100.0] {
-            let s = sleep_of_intensity(i);
-            assert!((intensity_of_sleep(s) - i).abs() < 1e-9, "{i}");
-        }
+        assert!((sleep_of_intensity(1.0) - 2.0).abs() < 1e-12);
+        assert!((sleep_of_intensity(100.0) - 0.2).abs() < 1e-12);
+        assert!((sleep_of_intensity(50.5) - 1.1).abs() < 1e-12);
     }
 
     #[test]
     fn intensity_decreases_with_sleep() {
-        assert!(intensity_of_sleep(0.5) > intensity_of_sleep(1.5));
+        assert!(sleep_of_intensity(10.0) > sleep_of_intensity(90.0));
     }
 
     #[test]
@@ -73,11 +54,5 @@ mod tests {
         assert_eq!(s.len(), 11);
         assert_eq!(s[0], 1.0);
         assert_eq!(*s.last().unwrap(), 100.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_sleep_panics() {
-        let _ = intensity_of_sleep(3.0);
     }
 }

@@ -27,7 +27,7 @@ pub struct ParetoPoint {
 impl ParetoPoint {
     /// Whether `self` dominates `other`: at least as secure and at
     /// most as costly, and strictly better on one axis.
-    pub fn dominates(&self, other: &ParetoPoint) -> bool {
+    pub(crate) fn dominates(&self, other: &ParetoPoint) -> bool {
         self.collapse_pct >= other.collapse_pct
             && self.cost_ops_per_ms <= other.cost_ops_per_ms
             && (self.collapse_pct > other.collapse_pct

@@ -11,7 +11,7 @@ pub struct AppPerf {
 
 impl AppPerf {
     /// Instructions per second (the frequency-independent IPC proxy).
-    pub fn ips(&self) -> f64 {
+    pub(crate) fn ips(&self) -> f64 {
         if self.seconds > 0.0 {
             self.instructions as f64 / self.seconds
         } else {

@@ -18,25 +18,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Geometric mean (requires positive values; 0 otherwise).
-pub fn geo_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// `p`-th percentile (0–100) by nearest-rank on a copy of the data.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in percentile input"));
-    let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
-    v[rank.min(v.len() - 1)]
-}
-
 /// A fixed-width histogram over `[lo, hi)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -82,20 +63,9 @@ impl Histogram {
         &self.counts
     }
 
-    /// Samples below/above the range.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.below, self.above)
-    }
-
     /// Total samples added.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// Center value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
     }
 }
 
@@ -108,18 +78,7 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
         assert!((std_dev(&xs) - 1.118033988749895).abs() < 1e-12);
-        assert!((geo_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geo_mean(&[1.0, -1.0]), 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        let med = percentile(&xs, 50.0);
-        assert!((49.0..=51.0).contains(&med));
     }
 
     #[test]
@@ -129,8 +88,6 @@ mod tests {
             h.add(x);
         }
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.outliers(), (1, 2));
         assert_eq!(h.total(), 7);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
     }
 }

@@ -48,7 +48,7 @@ pub struct LatencyClassifier {
     pub rfm_max: Span,
     /// Upper bound of the periodic-refresh band; anything above is a
     /// back-off.
-    pub refresh_max: Span,
+    pub(crate) refresh_max: Span,
 }
 
 impl LatencyClassifier {

@@ -33,7 +33,7 @@ pub struct CounterLeakAttacker {
 pub struct CounterLeakResult {
     /// The attacker's own activations of the shared row before the
     /// back-off fired.
-    pub own_activations: u32,
+    pub(crate) own_activations: u32,
     /// How long the measurement took.
     pub elapsed: Span,
 }
@@ -48,12 +48,6 @@ impl CounterLeakResult {
     /// the counter actually crossed `NBO`.
     pub fn estimate_victim(&self, nbo: u32) -> u32 {
         (nbo + 1).saturating_sub(self.own_activations).min(nbo)
-    }
-
-    /// Leakage throughput in bits/second for a threshold of `nbo`
-    /// (each measurement leaks `log2(nbo)` bits).
-    pub fn throughput_bps(&self, nbo: u32) -> f64 {
-        (nbo as f64).log2() / self.elapsed.as_secs()
     }
 }
 
@@ -200,7 +194,6 @@ mod tests {
         let r = a.result().unwrap();
         assert_eq!(r.own_activations, 5, "half the accesses hit the shared row");
         assert_eq!(r.estimate_victim(128), 124, "tABO_ACT-calibrated estimate");
-        assert!(r.throughput_bps(128) > 0.0);
     }
 
     #[test]
@@ -221,16 +214,5 @@ mod tests {
             t += Span::from_ns(100);
         }
         assert_eq!(shared, 3);
-    }
-
-    #[test]
-    fn throughput_matches_paper_ballpark() {
-        // 7 bits in 13.6 µs ≈ 515 Kbps.
-        let r = CounterLeakResult {
-            own_activations: 60,
-            elapsed: Span::from_ns(13_600),
-        };
-        let bps = r.throughput_bps(128);
-        assert!((400_000.0..600_000.0).contains(&bps), "throughput {bps}");
     }
 }

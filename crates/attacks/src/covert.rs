@@ -54,9 +54,9 @@ pub struct WindowObservation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshFilterConfig {
     /// The periodic-refresh interval (`tREFI`, per rank).
-    pub period: Span,
+    pub(crate) period: Span,
     /// Cadence-match tolerance.
-    pub tolerance: Span,
+    pub(crate) tolerance: Span,
 }
 
 impl RefreshFilterConfig {
@@ -145,8 +145,6 @@ pub struct CovertReceiver {
     detected_window: Option<usize>,
     /// Refresh-grid predictor for the §10.1 filter.
     ref_phase: RefreshPhase,
-    /// Candidates the filter discarded as periodic refreshes.
-    filtered_events: u32,
 }
 
 impl CovertReceiver {
@@ -158,13 +156,7 @@ impl CovertReceiver {
             last: None,
             detected_window: None,
             ref_phase: RefreshPhase::default(),
-            filtered_events: 0,
         }
-    }
-
-    /// Candidates discarded as periodic refreshes by the §10.1 filter.
-    pub fn filtered_events(&self) -> u32 {
-        self.filtered_events
     }
 
     /// The per-window observations (valid after the run).
@@ -204,7 +196,6 @@ impl Process for CovertReceiver {
             if in_band {
                 if let Some(filter) = self.cfg.refresh_filter {
                     if self.ref_phase.is_refresh(now, &filter) {
-                        self.filtered_events += 1;
                         in_band = false;
                     }
                 }
@@ -570,8 +561,11 @@ mod tests {
         access_until(&mut rx, &mut t, Time::from_us(8));
         access_until(&mut rx, &mut t, Time::from_us(12));
         access_until(&mut rx, &mut t, Time::from_us(14));
-        assert_eq!(rx.filtered_events(), 3, "grid events filtered");
-        assert_eq!(rx.observations()[0].events, 1, "off-grid event counted");
+        assert_eq!(
+            rx.observations()[0].events,
+            1,
+            "grid events filtered, off-grid event counted"
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub struct Fingerprint {
     /// Back-off timestamps relative to the start of the observation.
     pub events: Vec<Time>,
     /// Total observation span.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 impl Fingerprint {

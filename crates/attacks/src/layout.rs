@@ -15,7 +15,7 @@ use lh_memctrl::AddressMapping;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelLayout {
     /// The bank everything is placed in.
-    pub bank: BankId,
+    pub(crate) bank: BankId,
     /// The sender's two alternating rows (`RowS1`, `RowS2`).
     pub sender_rows: [u64; 2],
     /// The receiver's private row (`RowR`).
@@ -30,7 +30,7 @@ pub struct ChannelLayout {
 
 impl ChannelLayout {
     /// Builds the layout in `bank` using the controller's mapping.
-    pub fn in_bank(mapping: &AddressMapping, bank: BankId) -> ChannelLayout {
+    pub(crate) fn in_bank(mapping: &AddressMapping, bank: BankId) -> ChannelLayout {
         let addr = |row: u32| mapping.encode(DramAddr::new(bank, row, 0));
         let other_bank = BankId::new(
             bank.channel,

@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod classify;
 mod counter_leak;
@@ -75,7 +76,7 @@ pub use noisegen::NoiseProcess;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lh_analysis::message::bits_of_str;
+    use lh_analysis::bits_of_str;
     use lh_defenses::DefenseConfig;
     use lh_dram::{DramTiming, Span, Time};
     use lh_sim::{SimConfig, SystemBuilder};

@@ -3,7 +3,7 @@
 //! Issues row activations (alternating two rows of the target bank) with a
 //! configurable sleep between consecutive activations; the sleep duration
 //! maps to the paper's noise-intensity scale via
-//! [`lh_analysis::noise::intensity_of_sleep`] (Eq. 2).
+//! [`lh_analysis::sleep_of_intensity`] (Eq. 2).
 
 use core::any::Any;
 
@@ -47,7 +47,7 @@ impl NoiseProcess {
 
     /// Builds the generator from a paper noise intensity (1–100 %).
     pub fn from_intensity(rows: Vec<u64>, intensity: f64, until: Time) -> NoiseProcess {
-        let sleep_us = lh_analysis::noise::sleep_of_intensity(intensity);
+        let sleep_us = lh_analysis::sleep_of_intensity(intensity);
         NoiseProcess::new(rows, Span::from_ns_f64(sleep_us * 1_000.0), until)
     }
 

@@ -54,6 +54,9 @@
 //!   --help                        this message
 //! ```
 
+#[path = "../flight_view.rs"]
+mod flight_view;
+
 use lh_coord::{Coordinator, CoordinatorOptions, ProcessSpawner};
 use lh_harness::{
     DiskCache, ExperimentRun, Job, JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel,
@@ -123,7 +126,7 @@ struct Args {
     trace_out: Option<String>,
     events_out: Option<String>,
     events_cap: Option<usize>,
-    query: lh_bench::flight_view::EventQuery,
+    query: flight_view::EventQuery,
     ev_summary: bool,
     ev_align: bool,
     ev_chrome: Option<String>,
@@ -149,7 +152,7 @@ impl Default for Args {
             trace_out: None,
             events_out: None,
             events_cap: None,
-            query: lh_bench::flight_view::EventQuery::default(),
+            query: flight_view::EventQuery::default(),
             ev_summary: false,
             ev_align: false,
             ev_chrome: None,
@@ -527,9 +530,9 @@ fn report_mode(files: &[String], format: OutputFormat) -> ! {
         // Envelope `totals` are counters-only by design; the merged
         // histograms sit in a sibling block. Fold those in too so the
         // report's grand totals carry the full distribution.
-        for (name, hist) in metrics[lh_harness::metrics::HISTOGRAMS_KEY].as_object() {
+        for (name, hist) in metrics[lh_harness::HISTOGRAMS_KEY].as_object() {
             let mut hists = lh_obs::Metrics::new();
-            hists.set_hist(name, lh_harness::metrics::hist_from_json(hist));
+            hists.set_hist(name, lh_harness::hist_from_json(hist));
             grand.merge(&hists);
         }
         by_id.set(id, metrics.clone());
@@ -573,8 +576,8 @@ fn report_mode(files: &[String], format: OutputFormat) -> ! {
 /// unit never touched stay empty (absent is not zero: a unit that never
 /// entered a subsystem is different from one that measured 0).
 fn report_csv(experiments: &[(String, lh_harness::Json)]) -> String {
-    use lh_harness::metrics::{hist_from_json, HISTOGRAMS_KEY};
     use lh_harness::sink::csv_field;
+    use lh_harness::{hist_from_json, HISTOGRAMS_KEY};
     use std::collections::BTreeSet;
 
     let mut counters: BTreeSet<&str> = BTreeSet::new();
@@ -638,9 +641,9 @@ fn report_csv(experiments: &[(String, lh_harness::Json)]) -> String {
 }
 
 /// `lh-experiments events`: filter/summarize/export a flight-event log
-/// produced by `--events-out` (see `lh_bench::flight_view`).
+/// produced by `--events-out` (see `flight_view.rs`).
 fn events_mode(args: &Args) -> ! {
-    use lh_bench::flight_view as fv;
+    use flight_view as fv;
 
     let mut lines: Vec<fv::LogLine> = Vec::new();
     for file in &args.files {

@@ -29,7 +29,7 @@ pub struct LogLine {
     /// The line exactly as read (no trailing newline).
     pub raw: String,
     /// The parsed object (`kind` discriminates).
-    pub json: Json,
+    pub(crate) json: Json,
 }
 
 /// Filter predicate over event lines. `None` fields match everything.
@@ -119,19 +119,6 @@ pub fn select(lines: Vec<LogLine>, query: &EventQuery) -> Vec<LogLine> {
         .into_iter()
         .filter(|line| is_header(&line.json) || query.matches(&line.json))
         .collect()
-}
-
-/// The filter view: the selected subset as NDJSON bytes (original
-/// lines, so filtering is loss-free and re-filterable).
-pub fn filter(lines: &[LogLine], query: &EventQuery) -> String {
-    let mut out = String::new();
-    for line in lines {
-        if is_header(&line.json) || query.matches(&line.json) {
-            out.push_str(&line.raw);
-            out.push('\n');
-        }
-    }
-    out
 }
 
 /// Per-unit accumulation shared by the summary and alignment views.
@@ -446,13 +433,22 @@ mod tests {
         parse_log(LOG, "<test>").unwrap()
     }
 
+    /// The filter view as `lh-experiments events` prints it: the
+    /// selected lines' original bytes.
+    fn filter(lines: Vec<LogLine>, query: &EventQuery) -> String {
+        select(lines, query)
+            .iter()
+            .map(|l| format!("{}\n", l.raw))
+            .collect()
+    }
+
     #[test]
     fn filter_keeps_headers_and_matching_events() {
         let query = EventQuery {
             kind: Some("link".to_owned()),
             ..EventQuery::default()
         };
-        let out = filter(&log(), &query);
+        let out = filter(log(), &query);
         assert_eq!(out.lines().count(), 4, "2 headers + 2 links: {out}");
         assert!(!out.contains("\"kind\":\"cmd\""));
 
@@ -460,14 +456,14 @@ mod tests {
             bank: Some(3),
             ..EventQuery::default()
         };
-        assert!(filter(&log(), &query).contains("\"cmd\":\"act\""));
+        assert!(filter(log(), &query).contains("\"cmd\":\"act\""));
 
         let query = EventQuery {
             from: Some(8),
             to: Some(9),
             ..EventQuery::default()
         };
-        let out = filter(&log(), &query);
+        let out = filter(log(), &query);
         assert!(out.contains("\"kind\":\"maint\"") && !out.contains("\"kind\":\"mitigation\""));
     }
 

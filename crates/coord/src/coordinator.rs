@@ -36,11 +36,11 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use lh_harness::cache::DiskCache;
-use lh_harness::job::{Job, JobContext, Registry};
-use lh_harness::ledger::{Ledger, Opened, UnitOutput};
 use lh_harness::pool::DagSchedule;
 use lh_harness::runner::ExperimentRun;
 use lh_harness::UnitObserver;
+use lh_harness::{Job, JobContext, Registry};
+use lh_harness::{Ledger, Opened, UnitOutput};
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 use crate::telemetry::FleetTelemetry;

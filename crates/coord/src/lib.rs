@@ -7,12 +7,12 @@
 //! [`Coordinator`] schedules the DAG across N worker processes, and a
 //! worker mode ([`worker_loop`], surfaced as `lh-experiments
 //! --worker`) executes assigned units, speaking a tiny NDJSON line
-//! protocol ([`protocol`]) over a pluggable [`transport`].
+//! protocol ([`protocol`]) over a pluggable `transport`.
 //!
 //! This crate owns *scheduling* — which worker runs which missed unit,
 //! and what happens when one dies — and nothing else. What a run
 //! replays, captures, stores, reports and returns is owned by
-//! [`lh_harness::ledger`]: [`Coordinator::run`] opens a ledger, feeds
+//! `lh_harness::ledger`: [`Coordinator::run`] opens a ledger, feeds
 //! it every `done` payload and closes it; `worker::run_assignment`
 //! executes through the ledger's `execute_unit`. A new rail (an
 //! observability channel, a cache-entry field) is wired there, never
@@ -36,8 +36,8 @@
 //!   [`viewer::watch`] (surfaced as `lh-experiments watch`) renders
 //!   that stream for humans.
 //!
-//! Transports are small trait objects ([`transport::Sender`] /
-//! [`transport::Receiver`]); the stock ones cover child-process pipes
+//! Transports are small trait objects (`transport::Sender` /
+//! `transport::Receiver`); the stock ones cover child-process pipes
 //! and wire-faithful in-memory channels, and anything
 //! `Write`/`BufRead` (a `TcpStream`, say) slots in without touching
 //! scheduling.
@@ -86,20 +86,21 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod coordinator;
+mod coordinator;
 pub mod protocol;
-pub mod telemetry;
-pub mod transport;
-pub mod viewer;
-pub mod worker;
+mod telemetry;
+mod transport;
+mod viewer;
+mod worker;
 
 pub use coordinator::{
     CoordStats, Coordinator, CoordinatorOptions, ProcessSpawner, SpawnWorker, ThreadSpawner,
 };
 pub use protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 pub use telemetry::{FleetSnapshot, FleetTelemetry, WorkerTelemetry};
-pub use transport::{stdio_link, Link};
+pub use transport::{memory_pair, stdio_link, Link};
 pub use viewer::{watch, WatchSummary};
 pub use worker::{worker_loop, WorkerOptions};
 

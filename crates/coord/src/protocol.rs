@@ -169,7 +169,7 @@ impl ToWorker {
 
 impl FromWorker {
     /// The handshake for this process.
-    pub fn ready() -> FromWorker {
+    pub(crate) fn ready() -> FromWorker {
         FromWorker::Ready {
             protocol: PROTOCOL_VERSION,
             pid: u64::from(std::process::id()),

@@ -20,17 +20,17 @@ use std::time::Instant;
 use lh_harness::json::Json;
 
 /// `coord.*` lifetime counter names mirrored into the global registry.
-pub mod counters {
+pub(crate) mod counters {
     /// Workers launched, including replacements.
-    pub const WORKERS_SPAWNED: &str = "coord.workers_spawned";
+    pub(crate) const WORKERS_SPAWNED: &str = "coord.workers_spawned";
     /// Workers that died or misbehaved and were discarded.
-    pub const WORKERS_LOST: &str = "coord.workers_lost";
+    pub(crate) const WORKERS_LOST: &str = "coord.workers_lost";
     /// In-flight units returned to the queue by worker deaths.
-    pub const UNITS_REQUEUED: &str = "coord.units_requeued";
+    pub(crate) const UNITS_REQUEUED: &str = "coord.units_requeued";
     /// Respawn-budget draws (replacements beyond the initial fleet).
-    pub const RESPAWNS_USED: &str = "coord.respawns_used";
+    pub(crate) const RESPAWNS_USED: &str = "coord.respawns_used";
     /// Heartbeat messages received from workers.
-    pub const HEARTBEATS: &str = "coord.heartbeats";
+    pub(crate) const HEARTBEATS: &str = "coord.heartbeats";
 }
 
 /// One worker's live state, as of a [`FleetTelemetry::snapshot`].

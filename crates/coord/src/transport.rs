@@ -23,7 +23,7 @@ use lh_harness::json::Json;
 use crate::protocol::parse_line;
 
 /// The sending half of a link: moves one message per call.
-pub trait Sender: Send {
+pub(crate) trait Sender: Send {
     /// Sends one message. An error means the peer is unreachable (dead
     /// process, closed pipe/channel) — the caller treats it as death.
     fn send(&mut self, msg: &Json) -> io::Result<()>;
@@ -34,7 +34,7 @@ pub trait Sender: Send {
 /// `Ok(None)` means the peer closed the connection cleanly (EOF);
 /// errors mean a torn line or I/O fault — for a coordinator both are
 /// handled as worker death.
-pub trait Receiver: Send {
+pub(crate) trait Receiver: Send {
     /// Receives the next message, `None` at end of stream.
     fn recv(&mut self) -> io::Result<Option<Json>>;
 }
@@ -42,12 +42,12 @@ pub trait Receiver: Send {
 /// One side of a coordinator↔worker connection.
 pub struct Link {
     /// Outgoing messages.
-    pub tx: Box<dyn Sender>,
+    pub(crate) tx: Box<dyn Sender>,
     /// Incoming messages.
-    pub rx: Box<dyn Receiver>,
+    pub(crate) rx: Box<dyn Receiver>,
     /// The OS child behind this link, if any, so the owner can reap or
     /// kill it. In-process transports leave it `None`.
-    pub child: Option<std::process::Child>,
+    pub(crate) child: Option<std::process::Child>,
 }
 
 impl std::fmt::Debug for Link {
@@ -62,7 +62,7 @@ impl std::fmt::Debug for Link {
 /// message, flushed immediately so a blocked peer never waits on a
 /// buffer.
 #[derive(Debug)]
-pub struct LineSender<W: Write + Send>(pub W);
+pub(crate) struct LineSender<W: Write + Send>(pub W);
 
 impl<W: Write + Send> Sender for LineSender<W> {
     fn send(&mut self, msg: &Json) -> io::Result<()> {
@@ -76,7 +76,7 @@ impl<W: Write + Send> Sender for LineSender<W> {
 /// NDJSON reader over any buffered byte source. Blank lines are
 /// skipped; a torn or non-JSON line is an `InvalidData` error.
 #[derive(Debug)]
-pub struct LineReceiver<R: BufRead + Send>(pub R);
+pub(crate) struct LineReceiver<R: BufRead + Send>(pub R);
 
 impl<R: BufRead + Send> Receiver for LineReceiver<R> {
     fn recv(&mut self) -> io::Result<Option<Json>> {

@@ -19,27 +19,27 @@ use lh_harness::json::{parse, Json};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WatchSummary {
     /// `finished` events seen.
-    pub experiments: usize,
+    pub(crate) experiments: usize,
     /// Units across all finished experiments.
-    pub units: usize,
+    pub(crate) units: usize,
     /// Cache-replayed units across all finished experiments.
-    pub cached: usize,
+    pub(crate) cached: usize,
     /// Executed units across all finished experiments.
-    pub executed: usize,
+    pub(crate) executed: usize,
     /// Summed per-experiment wall milliseconds.
-    pub wall_ms: u64,
+    pub(crate) wall_ms: u64,
     /// Summed `sim.service_wakes` across unit events' metrics blocks.
-    pub sim_wakes: u64,
+    pub(crate) sim_wakes: u64,
     /// Summed `sim.cmd.*` counters across unit events' metrics blocks.
-    pub sim_cmds: u64,
+    pub(crate) sim_cmds: u64,
     /// `fleet` telemetry events seen.
-    pub fleet_events: usize,
+    pub(crate) fleet_events: usize,
     /// Wall-clock span between the first and last `ts_ms`-stamped
     /// lines; 0 when the stream carries no timestamps (pre-v3 feeds).
-    pub span_ms: u64,
+    pub(crate) span_ms: u64,
     /// Lines that were not valid stream events, including unit lines
     /// whose `metrics` field is present but not an object.
-    pub malformed: usize,
+    pub(crate) malformed: usize,
 }
 
 /// Per-experiment progress while its units stream in.

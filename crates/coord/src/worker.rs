@@ -14,8 +14,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use lh_harness::cache::DiskCache;
-use lh_harness::job::{JobContext, Registry};
-use lh_harness::ledger::{execute_unit, UnitOutput};
+use lh_harness::{execute_unit, UnitOutput};
+use lh_harness::{JobContext, Registry};
 
 use crate::protocol::{FromWorker, ToWorker};
 use crate::transport::{Link, Sender};

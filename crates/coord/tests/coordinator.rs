@@ -8,7 +8,7 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use lh_coord::transport::memory_pair;
+use lh_coord::memory_pair;
 use lh_coord::{Coordinator, CoordinatorOptions, Link, SpawnWorker, ThreadSpawner, WorkerOptions};
 use lh_harness::runner::{merged_fingerprint, unit_key};
 use lh_harness::{

@@ -3,10 +3,14 @@
 //! 128-bit digest per workspace crate whose code can influence an
 //! experiment's results. Editing a crate changes only its digest, so
 //! the on-disk result cache invalidates surgically — jobs whose results
-//! never flow through the edited crate keep their entries.
+//! never flow through the edited crate keep their entries. A digest
+//! covers each file's tokens, not its bytes (`build/tokens.rs`), so an
+//! edit to comments or layout alone invalidates nothing.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+include!("build/tokens.rs");
 
 /// The crates whose code can affect experiment results, with their
 /// source roots relative to this crate's manifest dir. The harness
@@ -98,7 +102,8 @@ fn crate_digest(manifest_dir: &Path, rel_src: &str) -> String {
             .to_string_lossy()
             .replace('\\', "/");
         h.field(&rel);
-        h.update(&std::fs::read(&file).unwrap_or_default());
+        let src = std::fs::read_to_string(&file).unwrap_or_default();
+        h.update(normalize_source(&src).as_bytes());
     }
     h.digest()
 }
@@ -107,7 +112,7 @@ fn main() {
     let manifest_dir = PathBuf::from(std::env::var("CARGO_MANIFEST_DIR").expect("set by cargo"));
     let mut out = String::from(
         "/// Build-time source digests: (crate name, 128-bit content hash).\n\
-         pub static CODE_MANIFEST: &[(&str, &str)] = &[\n",
+         pub(super) static CODE_MANIFEST: &[(&str, &str)] = &[\n",
     );
     for (name, rel_src) in CRATES {
         println!(

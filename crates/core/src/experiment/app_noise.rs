@@ -10,7 +10,7 @@ use lh_workloads::{AppProfile, Intensity};
 use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// One interference level of the Fig. 5 / Fig. 8 study.
-pub fn app_noise_point(
+pub(crate) fn app_noise_point(
     kind: ChannelKind,
     intensity: Intensity,
     bits_per_pattern: usize,

@@ -12,16 +12,16 @@ use crate::experiment::covert::{run_patterns, ChannelKind};
 
 /// Capacity of one channel under the two hierarchies.
 #[derive(Debug, Clone, Copy)]
-pub struct CachePoint {
+pub(crate) struct CachePoint {
     /// Capacity with the Table 1 hierarchy (Kbps).
-    pub baseline_kbps: f64,
+    pub(crate) baseline_kbps: f64,
     /// Capacity with the large hierarchy + prefetcher (Kbps).
-    pub large_kbps: f64,
+    pub(crate) large_kbps: f64,
 }
 
 impl CachePoint {
     /// Relative capacity change (negative = reduction), in percent.
-    pub fn change_pct(&self) -> f64 {
+    pub(crate) fn change_pct(&self) -> f64 {
         if self.baseline_kbps == 0.0 {
             0.0
         } else {
@@ -47,7 +47,7 @@ fn capacity(kind: ChannelKind, large: bool, bits: usize, seed: u64) -> f64 {
 }
 
 /// One channel's §10.3 measurement (both hierarchies).
-pub fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CachePoint {
+pub(crate) fn cache_point(kind: ChannelKind, bits_per_pattern: usize, seed: u64) -> CachePoint {
     CachePoint {
         baseline_kbps: capacity(kind, false, bits_per_pattern, seed),
         large_kbps: capacity(kind, true, bits_per_pattern, seed),

@@ -1,12 +1,12 @@
 //! Table 3 (information leaked by LeakyHammer vs DRAMA per colocation
 //! granularity) and the §12 defense-taxonomy table, as data.
 
-use lh_defenses::taxonomy::{profile_of, ChannelRisk};
 use lh_defenses::DefenseKind;
+use lh_defenses::{profile_of, ChannelRisk};
 
 /// Colocation granularity between attacker and victim data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Colocation {
+pub(crate) enum Colocation {
     /// Same channel / bank group only.
     ChannelOrBankGroup,
     /// Same DRAM bank.
@@ -17,7 +17,7 @@ pub enum Colocation {
 
 /// What an attack leaks at a given colocation granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Leak {
+pub(crate) enum Leak {
     /// Nothing observable.
     Nothing,
     /// That the victim triggered a preventive action (i.e. exhibited a
@@ -33,7 +33,7 @@ pub enum Leak {
 
 /// The attacks compared in Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackName {
+pub(crate) enum AttackName {
     /// LeakyHammer over PRAC back-offs.
     LeakyHammerPrac,
     /// LeakyHammer over RFM commands.
@@ -44,7 +44,7 @@ pub enum AttackName {
 
 impl AttackName {
     /// Display label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             AttackName::LeakyHammerPrac => "LeakyHammer-PRAC",
             AttackName::LeakyHammerRfm => "LeakyHammer-RFM",
@@ -54,7 +54,7 @@ impl AttackName {
 }
 
 /// The Table 3 capability matrix.
-pub fn capability_matrix() -> Vec<(AttackName, [(Colocation, Leak); 3])> {
+pub(crate) fn capability_matrix() -> Vec<(AttackName, [(Colocation, Leak); 3])> {
     use AttackName::*;
     use Colocation::*;
     use Leak::*;
@@ -87,7 +87,7 @@ pub fn capability_matrix() -> Vec<(AttackName, [(Colocation, Leak); 3])> {
 }
 
 /// What one attack leaks at one granularity.
-pub fn leak_of(attack: AttackName, colocation: Colocation) -> Leak {
+pub(crate) fn leak_of(attack: AttackName, colocation: Colocation) -> Leak {
     capability_matrix()
         .into_iter()
         .find(|(a, _)| *a == attack)
@@ -102,15 +102,15 @@ pub fn leak_of(attack: AttackName, colocation: Colocation) -> Leak {
 
 /// One row of the §12 qualitative defense analysis.
 #[derive(Debug, Clone)]
-pub struct TaxonomyRow {
+pub(crate) struct TaxonomyRow {
     /// The defense.
-    pub defense: DefenseKind,
+    pub(crate) defense: DefenseKind,
     /// Its timing-channel risk per the §12 classification.
-    pub risk: Option<ChannelRisk>,
+    pub(crate) risk: Option<ChannelRisk>,
 }
 
 /// The §12 taxonomy table over every modeled defense.
-pub fn taxonomy_table() -> Vec<TaxonomyRow> {
+pub(crate) fn taxonomy_table() -> Vec<TaxonomyRow> {
     [
         DefenseKind::Prac,
         DefenseKind::Prfm,

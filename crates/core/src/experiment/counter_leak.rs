@@ -25,15 +25,15 @@ pub struct LeakTrial {
 #[derive(Debug, Clone)]
 pub struct CounterLeakOutcome {
     /// The back-off threshold used.
-    pub nbo: u32,
+    pub(crate) nbo: u32,
     /// All trials.
     pub trials: Vec<LeakTrial>,
     /// Mean absolute estimation error (activations).
-    pub mean_abs_error: f64,
+    pub(crate) mean_abs_error: f64,
     /// Mean measurement time in µs.
-    pub mean_elapsed_us: f64,
+    pub(crate) mean_elapsed_us: f64,
     /// Leakage throughput in Kbps (log2(NBO) bits per measurement).
-    pub throughput_kbps: f64,
+    pub(crate) throughput_kbps: f64,
 }
 
 /// Runs `trials` counter-leak measurements with secrets spread over

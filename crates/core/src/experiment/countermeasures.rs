@@ -33,18 +33,18 @@ use crate::experiment::covert::{run_patterns, ChannelKind};
 /// One arm of the §11.4 study: a deployed defense plus the
 /// countermeasure wrappers stacked over it (empty = the bare defense).
 #[derive(Debug, Clone)]
-pub struct MitigationArm {
+pub(crate) struct MitigationArm {
     /// Report label (`"PRAC"`, `"PRAC+shaper"`, …).
-    pub label: String,
+    pub(crate) label: String,
     /// The underlying defense engine.
-    pub defense: DefenseConfig,
+    pub(crate) defense: DefenseConfig,
     /// Wrapper stack deployed over it, innermost first.
-    pub mitigations: Vec<MitigationConfig>,
+    pub(crate) mitigations: Vec<MitigationConfig>,
 }
 
 impl MitigationArm {
     /// A bare-defense arm, labeled with the defense's paper name.
-    pub fn bare(defense: DefenseConfig) -> MitigationArm {
+    pub(crate) fn bare(defense: DefenseConfig) -> MitigationArm {
         MitigationArm {
             label: defense.kind().label().to_owned(),
             defense,
@@ -54,7 +54,7 @@ impl MitigationArm {
 
     /// A wrapped arm: `defense` with a single wrapper provisioned for
     /// its `N_RH`, labeled `"{defense}+{wrapper}"`.
-    pub fn wrapped(defense: DefenseConfig, kind: MitigationKind, nrh: u32) -> MitigationArm {
+    pub(crate) fn wrapped(defense: DefenseConfig, kind: MitigationKind, nrh: u32) -> MitigationArm {
         let t = DramTiming::ddr5_4800();
         let cfg = MitigationConfig::for_threshold(kind, nrh, &t);
         MitigationArm {
@@ -70,7 +70,11 @@ impl MitigationArm {
 /// the lightest Figs. 5 / 8 co-runner beside the sender and receiver
 /// (see the module docs). The attacker keeps its PRAC tuning whatever
 /// the arm's defense.
-pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) -> ChannelResult {
+pub(crate) fn attack_capacity(
+    arm: &MitigationArm,
+    bits_per_pattern: usize,
+    seed: u64,
+) -> ChannelResult {
     run_patterns(
         &ChannelKind::Prac.defense(),
         &MessagePattern::paper_set(),
@@ -89,7 +93,7 @@ pub fn attack_capacity(arm: &MitigationArm, bits_per_pattern: usize, seed: u64) 
 /// strongest wrapper arms over the PRAC baseline — the constant-rate
 /// shaper and the isolation quota, the two mitigations the `mitsweep`
 /// Pareto frontier keeps.
-pub fn mitigation_arms() -> Vec<MitigationArm> {
+pub(crate) fn mitigation_arms() -> Vec<MitigationArm> {
     let t = DramTiming::ddr5_4800();
     vec![
         MitigationArm::bare(DefenseConfig::prac(128)),
@@ -112,7 +116,7 @@ pub fn mitigation_arms() -> Vec<MitigationArm> {
 /// against the plain-PRAC `baseline_kbps`: never negative (a wrapper
 /// that widens the channel reads 0 %), and 0 % when the baseline itself
 /// carries nothing.
-pub fn reduction_pct(baseline_kbps: f64, capacity_kbps: f64) -> f64 {
+pub(crate) fn reduction_pct(baseline_kbps: f64, capacity_kbps: f64) -> f64 {
     if baseline_kbps > 0.0 {
         ((baseline_kbps - capacity_kbps) / baseline_kbps * 100.0).max(0.0)
     } else {

@@ -8,7 +8,7 @@
 //! capacity (Eq. 1).
 //!
 //! The attack parameters (window, detection band, `Trecv`,
-//! stop-on-detect) are not stated here: [`CovertOptions::against`]
+//! stop-on-detect) are not stated here: `CovertOptions::against`
 //! takes them from [`LinkTuning::for_defense`], the one §12 attacker
 //! table, for the defense under attack. Experiments that study a
 //! *different* attacker (fig11, fig12, §9) edit `link.tuning`.
@@ -32,7 +32,7 @@ pub enum ChannelKind {
 
 impl ChannelKind {
     /// The paper's defense configuration for this channel.
-    pub fn defense(&self) -> DefenseConfig {
+    pub(crate) fn defense(&self) -> DefenseConfig {
         match self {
             ChannelKind::Prac => DefenseConfig::prac(128),
             ChannelKind::Rfm => DefenseConfig::prfm(40),
@@ -49,7 +49,7 @@ pub struct CovertOptions {
     /// `seed` is the one seed of the transmission), the attacker's
     /// window, detection band, `Trecv` and think times (`link.tuning`),
     /// the §6.3 noise generator and the Figs. 5 / 8 co-runners.
-    /// [`CovertOptions::against`] looks the tuning up for the defense
+    /// `CovertOptions::against` looks the tuning up for the defense
     /// *at the default timing*: a caller that edits
     /// `link.sim.device.timing` (fig12) sets the detection band too.
     pub link: LinkConfig,
@@ -60,7 +60,7 @@ pub struct CovertOptions {
 
 impl CovertOptions {
     /// Paper-default options for `kind` transmitting `bits`: the
-    /// transmission [`CovertOptions::against`] the channel's defense.
+    /// transmission `CovertOptions::against` the channel's defense.
     pub fn new(kind: ChannelKind, bits: Vec<u8>) -> CovertOptions {
         CovertOptions::against(kind.defense(), bits)
     }
@@ -69,7 +69,7 @@ impl CovertOptions {
     /// paper's Table 1 system, with the §12 attacker's tuning for it:
     /// no preamble (the receiver trusts the shared clock), no receiver
     /// lead, no noise, no co-runners.
-    pub fn against(defense: DefenseConfig, bits: Vec<u8>) -> CovertOptions {
+    pub(crate) fn against(defense: DefenseConfig, bits: Vec<u8>) -> CovertOptions {
         let sim = SimConfig::paper_default(defense);
         CovertOptions {
             bits,
@@ -98,11 +98,11 @@ pub struct CovertOutcome {
     /// Back-off recoveries the controller performed.
     pub backoffs: u64,
     /// RFM commands issued.
-    pub rfms: u64,
+    pub(crate) rfms: u64,
     /// Defense counters, including the scheduling-pressure split of
     /// scheduled maintenance (taken exactly at the deadline vs deferred
     /// past it because the rank could not quiesce in time).
-    pub defense_stats: DefenseStats,
+    pub(crate) defense_stats: DefenseStats,
 }
 
 /// Runs one covert transmission: [`CovertOptions::bits`] on-off keyed
@@ -143,7 +143,7 @@ pub fn run_covert(opts: &CovertOptions) -> CovertOutcome {
 /// pattern `i`'s options; every kernel mixes its own per-pattern
 /// `opts.link.sim.seed` there, so this is the one loop the per-pattern
 /// seeds pass through.
-pub fn run_patterns(
+pub(crate) fn run_patterns(
     defense: &DefenseConfig,
     patterns: &[MessagePattern],
     bits_per_pattern: usize,
@@ -164,7 +164,7 @@ pub fn run_patterns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lh_analysis::message::bits_of_str;
+    use lh_analysis::bits_of_str;
 
     #[test]
     fn prac_channel_fig3_micro() {

@@ -14,7 +14,7 @@ use lh_workloads::{BrowserProcess, WebsiteProfile};
 use crate::Scale;
 
 /// Feature-vector window count (execution windows of Fig. 9).
-pub const FEATURE_WINDOWS: usize = 12;
+pub(crate) const FEATURE_WINDOWS: usize = 12;
 
 /// One collected trace.
 #[derive(Debug, Clone)]
@@ -33,9 +33,9 @@ pub struct CollectOptions {
     /// Traces per site.
     pub traces_per_site: usize,
     /// Load duration per trace.
-    pub load_span: Span,
+    pub(crate) load_span: Span,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl CollectOptions {
@@ -106,7 +106,7 @@ pub fn collect_dataset(opts: &CollectOptions) -> Vec<CollectedTrace> {
 /// every feature standardized — the one form the classifiers train on,
 /// whether the traces arrive typed ([`to_dataset`]) or as the registry
 /// jobs' unit JSON.
-pub fn standardized(features: Vec<Vec<f64>>, labels: Vec<usize>) -> Dataset {
+pub(crate) fn standardized(features: Vec<Vec<f64>>, labels: Vec<usize>) -> Dataset {
     let mut d = Dataset::new(features, labels);
     d.standardize();
     d

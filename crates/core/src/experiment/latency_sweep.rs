@@ -11,12 +11,8 @@ use lh_link::ATTACK_THINK;
 
 use crate::experiment::covert::{run_patterns, ChannelKind};
 
-/// Minimum refresh-based preventive action latencies the paper marks
-/// (blast radius 1 and 2): 96 ns and 192 ns.
-pub const MIN_REFRESH_ACTION_NS: [u64; 2] = [96, 192];
-
 /// One Fig. 12 sweep point: the channel at a back-off latency of `lat` ns.
-pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> ChannelResult {
+pub(crate) fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> ChannelResult {
     run_patterns(
         &ChannelKind::Prac.defense(),
         &MessagePattern::paper_set(),
@@ -45,7 +41,7 @@ pub fn latency_sweep_point(lat: u64, bits_per_pattern: usize, seed: u64) -> Chan
 }
 
 /// The default sweep grid of Fig. 12 (0–250 ns).
-pub fn paper_grid() -> Vec<u64> {
+pub(crate) fn paper_grid() -> Vec<u64> {
     vec![5, 10, 25, 50, 75, 100, 150, 200, 250]
 }
 
@@ -74,7 +70,7 @@ mod tests {
     fn even_minimum_refresh_latency_leaks() {
         // Fig. 12's headline: the minimum refresh-based action (96 ns,
         // blast radius 1) still yields an exploitable channel.
-        let p = latency_sweep_point(MIN_REFRESH_ACTION_NS[0], 10, 5);
+        let p = latency_sweep_point(96, 10, 5);
         assert!(
             p.error_probability() < 0.2,
             "96 ns action must be detectable, e={}",

@@ -17,7 +17,7 @@ pub struct LatencyTraceOutcome {
     /// The classifier bands used.
     pub classifier: LatencyClassifier,
     /// Mean latency (ns) per class, where observed.
-    pub mean_ns: Vec<(LatencyClass, f64, usize)>,
+    pub(crate) mean_ns: Vec<(LatencyClass, f64, usize)>,
     /// Requests per observed back-off (§6.2 reports ≈255 at `NBO`=128).
     pub requests_per_backoff: Option<f64>,
     /// Requests per observed RFM (§7.2 reports ≈41.8 at `TRFM`=40).

@@ -20,15 +20,15 @@ use lh_link::{
 
 /// Outcome of a multibit transmission (one row of the §6.3 comparison).
 #[derive(Debug, Clone, Copy)]
-pub struct MultibitOutcome {
+pub(crate) struct MultibitOutcome {
     /// Symbol alphabet size (2, 3 or 4).
-    pub base: u8,
+    pub(crate) base: u8,
     /// Raw bit rate in Kbps, preamble overhead included.
-    pub raw_kbps: f64,
+    pub(crate) raw_kbps: f64,
     /// Symbol error probability.
-    pub error_probability: f64,
+    pub(crate) error_probability: f64,
     /// Channel capacity in Kbps (Eq. 1 applied to the raw bit rate).
-    pub capacity_kbps: f64,
+    pub(crate) capacity_kbps: f64,
 }
 
 /// The link configuration every §6.3 row runs: the paper's PRAC
@@ -52,7 +52,7 @@ fn message_bits(message_bytes: usize) -> Vec<u8> {
 
 /// Runs the §6.3 multibit experiment for `base` transmitting
 /// `message_bytes` bytes (the paper uses 32-byte messages).
-pub fn run_multibit(base: u8, message_bytes: usize, seed: u64) -> MultibitOutcome {
+pub(crate) fn run_multibit(base: u8, message_bytes: usize, seed: u64) -> MultibitOutcome {
     let cfg = link_config(seed);
     let bits = message_bits(message_bytes);
     match base {

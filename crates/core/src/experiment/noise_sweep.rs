@@ -17,7 +17,7 @@ use crate::experiment::covert::{run_patterns, ChannelKind};
 ///
 /// The paper reports the filtered attack recovers 21.53 Kbps at the
 /// lowest noise intensity.
-pub fn overlap_1rfm_point(
+pub(crate) fn overlap_1rfm_point(
     filtered: bool,
     intensity: f64,
     bits_per_pattern: usize,
@@ -53,7 +53,7 @@ pub fn overlap_1rfm_point(
 /// default 4 RFMs per back-off and refresh postponing on; the Fig. 11
 /// panels with `rfms_per_backoff` ∈ {1, 2} on the PRAC channel and
 /// postponing off (as §10.1 assumes).
-pub fn sweep_point(
+pub(crate) fn sweep_point(
     kind: ChannelKind,
     rfms_per_backoff: u32,
     postpone_refresh: bool,

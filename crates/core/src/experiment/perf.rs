@@ -33,7 +33,7 @@
 //! [`run_perf_cells_on`] on the same `Arc` finds it. The `fig13` job
 //! carries it in its baseline unit's result, so a cell unit replays
 //! from its dependency in whichever process or cache run it lands.
-//! Every replayed cell adds one to [`CELLS_REPLAYED`] on
+//! Every replayed cell adds one to `CELLS_REPLAYED` on
 //! [`lh_obs::Registry::global`], the process-lifetime channel: no unit's
 //! counters or envelope see it.
 
@@ -54,7 +54,7 @@ pub const NRH_SWEEP: [u32; 5] = [1024, 512, 256, 128, 64];
 
 /// Process-lifetime count of cells that took the undefended run's
 /// result instead of simulating (see the module docs).
-pub const CELLS_REPLAYED: &str = "fig13.cells_replayed";
+pub(crate) const CELLS_REPLAYED: &str = "fig13.cells_replayed";
 
 /// One (defense, NRH) cell of Fig. 13.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +74,7 @@ pub struct PerfStudy {
     /// All measured cells.
     pub points: Vec<PerfPoint>,
     /// Number of four-core mixes averaged.
-    pub mixes: usize,
+    pub(crate) mixes: usize,
 }
 
 /// Decodes the shared access trace of one four-core mix: profile `i`

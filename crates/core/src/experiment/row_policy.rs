@@ -27,11 +27,11 @@ use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 
 /// Channel capacities under one row policy.
 #[derive(Debug, Clone, Copy)]
-pub struct RowPolicyPoint {
+pub(crate) struct RowPolicyPoint {
     /// DRAMA row-buffer channel capacity (Kbps).
-    pub drama_kbps: f64,
+    pub(crate) drama_kbps: f64,
     /// LeakyHammer PRAC channel capacity (Kbps).
-    pub leakyhammer_kbps: f64,
+    pub(crate) leakyhammer_kbps: f64,
 }
 
 /// The DRAMA receiver's loop overhead per probe.
@@ -109,7 +109,11 @@ fn leakyhammer_capacity(policy: RowPolicy, bits: &[u8], seed: u64) -> f64 {
 }
 
 /// The §9 comparison under one row policy: both channels.
-pub fn row_policy_point(policy: RowPolicy, bits_per_channel: usize, seed: u64) -> RowPolicyPoint {
+pub(crate) fn row_policy_point(
+    policy: RowPolicy,
+    bits_per_channel: usize,
+    seed: u64,
+) -> RowPolicyPoint {
     let bits = lh_analysis::MessagePattern::Checkered0.bits(bits_per_channel);
     RowPolicyPoint {
         drama_kbps: drama_capacity(policy, &bits, seed),

@@ -8,9 +8,9 @@
 //! predictions *experimentally*: the same binary sender/receiver protocol
 //! runs against one defense of each class — with the attack parameters an
 //! adaptive attacker would pick per defense
-//! ([`LinkTuning::for_defense`], the one §12 attacker table) — and the
+//! ([`lh_link::LinkTuning::for_defense`], the one §12 attacker table) — and the
 //! measured capacity is compared against
-//! [`lh_defenses::taxonomy::profile_of`]'s prediction.
+//! [`lh_defenses::profile_of`]'s prediction.
 //!
 //! | Defense | Class (trigger, visibility) | Prediction |
 //! |---|---|---|
@@ -38,7 +38,7 @@
 //! dimension; the report keeps the disagreement visible on purpose.
 
 use lh_analysis::{ChannelResult, MessagePattern};
-use lh_defenses::taxonomy::ChannelRisk;
+use lh_defenses::ChannelRisk;
 use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_dram::DramTiming;
 
@@ -54,13 +54,13 @@ pub const TAXONOMY_NRH: u32 = 256;
 
 /// One taxonomy measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct TaxonomyPoint {
+pub(crate) struct TaxonomyPoint {
     /// Measured capacity with only the attack pair running (Kbps).
-    pub quiet_kbps: f64,
+    pub(crate) quiet_kbps: f64,
     /// Measured capacity with the §6.3 noise microbenchmark at 40 %
     /// intensity co-running (Kbps) — approximate trackers share state
     /// with the noise and degrade more than exact trackers.
-    pub noisy_kbps: f64,
+    pub(crate) noisy_kbps: f64,
 }
 
 impl TaxonomyPoint {
@@ -74,7 +74,7 @@ impl TaxonomyPoint {
     /// detection band also picks up bank-contention latencies, a
     /// channel that exists without any defense (the control row) and is
     /// out of scope (footnote 9 of the paper).
-    pub fn agrees(&self, predicted: Option<ChannelRisk>) -> bool {
+    pub(crate) fn agrees(&self, predicted: Option<ChannelRisk>) -> bool {
         match predicted {
             None => true,
             Some(ChannelRisk::None) => self.quiet_kbps < 1.0,
@@ -114,7 +114,7 @@ fn measure(
 }
 
 /// The defense classes the measured taxonomy covers, control row first.
-pub fn taxonomy_kinds() -> Vec<DefenseKind> {
+pub(crate) fn taxonomy_kinds() -> Vec<DefenseKind> {
     let mut kinds = vec![DefenseKind::None];
     kinds.extend(DefenseKind::taxonomy_set());
     kinds
@@ -123,7 +123,11 @@ pub fn taxonomy_kinds() -> Vec<DefenseKind> {
 /// Measures one defense class, quiet and under 40 % noise.
 /// `bits_per_pattern` should come from [`taxonomy_bits`] (BlockHammer
 /// runs a quarter of the bits because of its 10× window).
-pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> TaxonomyPoint {
+pub(crate) fn taxonomy_point(
+    kind: DefenseKind,
+    bits_per_pattern: usize,
+    seed: u64,
+) -> TaxonomyPoint {
     let quiet = measure(kind, bits_per_pattern, None, seed);
     let noisy = measure(kind, bits_per_pattern, Some(40.0), seed ^ 0xff);
     TaxonomyPoint {
@@ -133,7 +137,7 @@ pub fn taxonomy_point(kind: DefenseKind, bits_per_pattern: usize, seed: u64) -> 
 }
 
 /// The per-kind message budget at `scale`.
-pub fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
+pub(crate) fn taxonomy_bits(kind: DefenseKind, scale: Scale) -> usize {
     let b = scale.message_bits() / 4;
     if kind == DefenseKind::BlockHammer {
         (b / 4).max(8)

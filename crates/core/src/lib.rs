@@ -14,7 +14,7 @@
 //!   defense class, one fingerprint trace, one mix's cells) from the
 //!   seed it is handed, and returns a typed outcome. No grids, no
 //!   loops over points, no tables.
-//! * [`mod@registry`] holds one [`lh_harness::Job`] per figure/table:
+//! * `registry` holds one [`lh_harness::Job`] per figure/table:
 //!   the **grid** (which units exist at a scale), the **seed**
 //!   derivation (one per unit, from the harness), the **merge**
 //!   (`finish`) and the **table** (`render_text`). Everything that
@@ -29,18 +29,18 @@
 //!
 //! The kernels cover the covert channels over PRAC back-offs and PRFM
 //! RFM commands ([`experiment::covert`]) with noise and
-//! application-interference points ([`experiment::noise_sweep`],
-//! [`experiment::app_noise`]); the website-fingerprinting side channel
+//! application-interference points (`experiment::noise_sweep`,
+//! `experiment::app_noise`); the website-fingerprinting side channel
 //! with eight from-scratch ML classifiers ([`experiment::fingerprint`]);
 //! and the three countermeasures — FR-RFM, RIAC, Bank-Level PRAC —
-//! with capacity ([`experiment::countermeasures`]) and performance
+//! with capacity (`experiment::countermeasures`) and performance
 //! ([`experiment::perf`]) evaluations.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-//! use lh_analysis::message::bits_of_str;
+//! use lh_analysis::bits_of_str;
 //!
 //! // Transmit "MICRO" over the PRAC back-off channel (Fig. 3).
 //! let opts = CovertOptions::new(ChannelKind::Prac, bits_of_str("MI"));
@@ -50,9 +50,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod experiment;
-pub mod registry;
+mod registry;
 pub mod report;
 mod scale;
 

@@ -12,7 +12,7 @@ use crate::experiment::{
 use crate::registry::{num, off_wire_fingerprint, point_json, scale_of, sim_fingerprint, text};
 use crate::report;
 
-use lh_analysis::message::bits_of_str;
+use lh_analysis::bits_of_str;
 use lh_memctrl::RowPolicy;
 
 /// Fig. 2 (+ §7.2): latency classes under PRAC and PRFM.
@@ -482,7 +482,7 @@ impl Job for TaxonomyJob {
         let kind = taxonomy::taxonomy_kinds()[unit];
         let bits = taxonomy::taxonomy_bits(kind, scale_of(ctx));
         let p = taxonomy::taxonomy_point(kind, bits, seed);
-        let profile = lh_defenses::taxonomy::profile_of(kind);
+        let profile = lh_defenses::profile_of(kind);
         let predicted = profile.map(|pr| pr.channel_risk());
         Json::object()
             .with(

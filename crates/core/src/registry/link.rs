@@ -31,7 +31,7 @@ use crate::registry::{num, scale_of, sim_fingerprint, text};
 use crate::report;
 use crate::Scale;
 
-use lh_analysis::message::bits_of_str;
+use lh_analysis::bits_of_str;
 use lh_analysis::{BerCurve, CapacityCurve, ChannelResult};
 use lh_defenses::DefenseKind;
 use lh_link::{

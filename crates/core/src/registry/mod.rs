@@ -114,7 +114,7 @@ fn off_wire_crates_plus(extra: &str) -> String {
 }
 
 /// Converts the harness's scale mirror into the simulator's [`Scale`].
-pub fn scale_of(ctx: &JobContext) -> Scale {
+pub(crate) fn scale_of(ctx: &JobContext) -> Scale {
     match ctx.scale {
         ScaleLevel::Quick => Scale::Quick,
         ScaleLevel::Default => Scale::Default,
@@ -183,6 +183,74 @@ pub(crate) fn num(j: &Json, key: &str) -> f64 {
 /// Reads a string field (empty when missing).
 pub(crate) fn text(j: &Json, key: &str) -> String {
     j[key].as_str().unwrap_or_default().to_owned()
+}
+
+/// The normaliser `build.rs` hashes each source file through, pinned
+/// on pairs of sources: what must and must not move a digest.
+#[cfg(test)]
+mod source_tokens {
+    include!("../../build/tokens.rs");
+
+    const BASE: &str = r##"
+/// Doc comment.
+fn f<'a>(x: &'a str) -> char {
+    let s = "a // not a comment";
+    let r = r#"raw "quoted" /* kept */"#;
+    let c = '"'; // trailing
+    /* outer /* nested */ still a comment */
+    if x.len() > 1 { c } else { '\'' }
+}
+"##;
+
+    #[test]
+    fn comment_and_layout_edits_keep_the_text() {
+        let base = normalize_source(BASE);
+        for (what, edit) in [
+            (
+                "doc comment",
+                BASE.replace("/// Doc comment.", "/// Reworded.\n//! More."),
+            ),
+            (
+                "line comment",
+                BASE.replace("// trailing", "// other words"),
+            ),
+            (
+                "nested block comment",
+                BASE.replace("/* nested */", "/* a */ /* b */"),
+            ),
+            (
+                "reindent",
+                BASE.replace("    let", "\tlet").replace('\n', "\n\n"),
+            ),
+            (
+                "spacing",
+                BASE.replace("x.len() > 1", "x.len()>1")
+                    .replace("{ c }", "{c}"),
+            ),
+        ] {
+            assert_eq!(normalize_source(&edit), base, "{what}");
+        }
+    }
+
+    #[test]
+    fn literal_and_token_edits_change_the_text() {
+        let base = normalize_source(BASE);
+        for (what, edit) in [
+            ("string literal", BASE.replace("a // not", "b // not")),
+            (
+                "`//` inside a string",
+                BASE.replace("// not a comment", "/ / not a comment"),
+            ),
+            ("raw string", BASE.replace("/* kept */", "/* kept! */")),
+            ("char literal", BASE.replace(r#"'"'"#, "'#'")),
+            ("escaped char literal", BASE.replace(r"'\''", r"'\n'")),
+            ("identifier", BASE.replace("let s", "let t")),
+            ("lifetime", BASE.replace("&'a str", "&'static str")),
+            ("token split", BASE.replace("len()", "le n()")),
+        ] {
+            assert_ne!(normalize_source(&edit), base, "{what}");
+        }
+    }
 }
 
 #[cfg(test)]

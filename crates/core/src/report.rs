@@ -1,5 +1,5 @@
 //! Plain-text report formatting: the aligned [`table`] every
-//! [`mod@crate::registry`] job renders its merged JSON through, plus the
+//! `registry` job renders its merged JSON through, plus the
 //! five renderers that format one *typed* outcome — the text a
 //! single-unit job stores in its result, and what the examples print
 //! for one kernel call. Multi-unit tables live beside their `Job`

@@ -20,7 +20,7 @@ pub enum Scale {
 impl Scale {
     /// Message length in bits for covert-channel experiments
     /// (the paper transmits 100-byte messages → 800 bits).
-    pub fn message_bits(&self) -> usize {
+    pub(crate) fn message_bits(&self) -> usize {
         match self {
             Scale::Quick => 48,
             Scale::Default => 200,
@@ -29,16 +29,16 @@ impl Scale {
     }
 
     /// Noise-intensity sample points for the sweep figures.
-    pub fn noise_points(&self) -> Vec<f64> {
+    pub(crate) fn noise_points(&self) -> Vec<f64> {
         match self {
             Scale::Quick => vec![1.0, 50.0, 100.0],
-            _ => lh_analysis::noise::paper_sweep(),
+            _ => lh_analysis::paper_sweep(),
         }
     }
 
     /// (websites, traces per website) for the fingerprinting study
     /// (paper: 40 × 50).
-    pub fn fingerprint_shape(&self) -> (usize, usize) {
+    pub(crate) fn fingerprint_shape(&self) -> (usize, usize) {
         match self {
             Scale::Quick => (4, 6),
             Scale::Default => (10, 12),
@@ -49,7 +49,7 @@ impl Scale {
     /// Website load duration in microseconds (the paper keeps each site
     /// open for 20 s; the synthetic profiles compress the same phase
     /// structure into a shorter span).
-    pub fn load_span_us(&self) -> u64 {
+    pub(crate) fn load_span_us(&self) -> u64 {
         match self {
             Scale::Quick => 150,
             Scale::Default => 400,
@@ -67,7 +67,7 @@ impl Scale {
     }
 
     /// Per-core measurement span in microseconds for Fig. 13.
-    pub fn perf_span_us(&self) -> u64 {
+    pub(crate) fn perf_span_us(&self) -> u64 {
         match self {
             Scale::Quick => 150,
             Scale::Default => 400,
@@ -76,7 +76,7 @@ impl Scale {
     }
 
     /// Payload bits per link-layer channel-sweep transmission.
-    pub fn link_payload_bits(&self) -> usize {
+    pub(crate) fn link_payload_bits(&self) -> usize {
         match self {
             Scale::Quick => 16,
             Scale::Default => 64,
@@ -86,7 +86,7 @@ impl Scale {
 
     /// Noise-intensity grid for the link-layer channel sweep (0 = the
     /// quiet baseline cell).
-    pub fn link_noise_points(&self) -> Vec<f64> {
+    pub(crate) fn link_noise_points(&self) -> Vec<f64> {
         match self {
             Scale::Quick => vec![0.0, 50.0],
             Scale::Default => vec![0.0, 25.0, 50.0, 100.0],
@@ -96,7 +96,7 @@ impl Scale {
 
     /// Calibration repetitions per symbol level for the link sweep's
     /// per-defense baseline units.
-    pub fn link_calibration_reps(&self) -> usize {
+    pub(crate) fn link_calibration_reps(&self) -> usize {
         match self {
             Scale::Quick => 4,
             Scale::Default => 6,
@@ -105,7 +105,7 @@ impl Scale {
     }
 
     /// Counter-leak trials (§9.1).
-    pub fn leak_trials(&self) -> usize {
+    pub(crate) fn leak_trials(&self) -> usize {
         match self {
             Scale::Quick => 4,
             Scale::Default => 16,

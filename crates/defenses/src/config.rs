@@ -1,6 +1,6 @@
 //! Defense configurations and RowHammer-threshold scaling.
 
-use lh_dram::{CounterInit, PracConfig, Span};
+use lh_dram::{PracConfig, Span};
 
 use crate::trackers::{BlockHammerConfig, CometConfig, GrapheneConfig, HydraConfig};
 
@@ -245,12 +245,12 @@ impl DefenseConfig {
     }
 
     /// Hydra-style tracker provisioned for `nrh` (§12 taxonomy).
-    pub fn hydra(nrh: u32, timing: &lh_dram::DramTiming) -> DefenseConfig {
+    pub(crate) fn hydra(nrh: u32, timing: &lh_dram::DramTiming) -> DefenseConfig {
         DefenseConfig::Hydra(HydraConfig::for_threshold(nrh, timing.t_refw))
     }
 
     /// CoMeT-style sketch provisioned for `nrh` (§12 taxonomy).
-    pub fn comet(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
+    pub(crate) fn comet(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
         DefenseConfig::Comet(CometConfig::for_threshold(
             nrh,
             timing.t_rc,
@@ -263,12 +263,12 @@ impl DefenseConfig {
     /// `nrh` (its preventive capacity is one aggressor per `tREFI`); kept
     /// at face value here because the taxonomy experiment studies its
     /// *timing channel*, not its protection envelope.
-    pub fn mint() -> DefenseConfig {
+    pub(crate) fn mint() -> DefenseConfig {
         DefenseConfig::Mint
     }
 
     /// BlockHammer-style throttling provisioned for `nrh` (§12 taxonomy).
-    pub fn blockhammer(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
+    pub(crate) fn blockhammer(nrh: u32, timing: &lh_dram::DramTiming, seed: u64) -> DefenseConfig {
         DefenseConfig::BlockHammer(BlockHammerConfig::for_threshold(
             nrh,
             timing.t_rc,
@@ -348,15 +348,6 @@ impl DefenseConfig {
             _ => None,
         }
     }
-
-    /// Whether this defense keeps per-row counters randomly initialized
-    /// (the RIAC countermeasure).
-    pub fn is_randomized(&self) -> bool {
-        matches!(
-            self.device_prac().map(|p| p.counter_init),
-            Some(CounterInit::Uniform { .. })
-        )
-    }
 }
 
 impl Default for DefenseConfig {
@@ -396,7 +387,7 @@ pub fn fr_rfm_period(trfm: u32, t_rc: Span) -> Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lh_dram::{AlertScope, DramTiming};
+    use lh_dram::{AlertScope, CounterInit, DramTiming};
 
     #[test]
     fn scaling_rules_match_documentation() {
@@ -432,9 +423,10 @@ mod tests {
     fn riac_randomizes_counters() {
         let t = DramTiming::ddr5_4800();
         let cfg = DefenseConfig::for_threshold(DefenseKind::PracRiac, 256, &t);
-        assert!(cfg.is_randomized());
+        let init = |cfg: &DefenseConfig| cfg.device_prac().unwrap().counter_init;
+        assert!(matches!(init(&cfg), CounterInit::Uniform { .. }));
         let plain = DefenseConfig::for_threshold(DefenseKind::Prac, 256, &t);
-        assert!(!plain.is_randomized());
+        assert!(!matches!(init(&plain), CounterInit::Uniform { .. }));
     }
 
     #[test]

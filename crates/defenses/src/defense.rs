@@ -188,7 +188,7 @@ pub trait Defense: fmt::Debug {
 /// Every defense kind of [`DefenseConfig`] maps to one concrete type;
 /// the PRAC family (plain, RIAC, bank-level) is entirely device-side
 /// and needs no controller-side trigger state, so it maps to
-/// [`DeviceSideDefense`].
+/// `DeviceSideDefense`.
 pub fn build_defense(config: &DefenseConfig, geometry: &Geometry, seed: u64) -> Box<dyn Defense> {
     match *config {
         DefenseConfig::None
@@ -221,7 +221,7 @@ pub fn build_defense(config: &DefenseConfig, geometry: &Geometry, seed: u64) -> 
 /// runs the recovery protocol, so there is no controller-side trigger
 /// state at all.
 #[derive(Debug, Clone, Copy)]
-pub struct DeviceSideDefense;
+pub(crate) struct DeviceSideDefense;
 
 impl Defense for DeviceSideDefense {
     fn on_activate(&mut self, _bank: BankId, _row: u32, _now: Time) -> &[DefenseAction] {
@@ -347,7 +347,7 @@ impl Defense for FrRfmDefense {
 /// PARA: refresh a neighbor with fixed probability on every activation
 /// (Kim et al., ISCA'14).
 #[derive(Debug)]
-pub struct ParaDefense {
+pub(crate) struct ParaDefense {
     probability: f64,
     rng: StdRng,
     actions: Vec<DefenseAction>,
@@ -356,7 +356,7 @@ pub struct ParaDefense {
 
 impl ParaDefense {
     /// Creates the coin-flip trigger with the engine's seed convention.
-    pub fn new(probability: f64, seed: u64) -> ParaDefense {
+    pub(crate) fn new(probability: f64, seed: u64) -> ParaDefense {
         ParaDefense {
             probability,
             rng: StdRng::seed_from_u64(seed),
@@ -383,7 +383,7 @@ impl Defense for ParaDefense {
 }
 
 /// A per-bank aggressor tracker (the §12 approximate trigger classes).
-pub trait AggressorTracker: fmt::Debug {
+pub(crate) trait AggressorTracker: fmt::Debug {
     /// Records an activation of `row` at `now`; returns an aggressor row
     /// whose neighbors must be refreshed when the estimate crosses the
     /// threshold.
@@ -412,24 +412,17 @@ impl AggressorTracker for CometBank {
 /// requests a neighbor refresh when its estimate crosses the threshold
 /// (§12).
 #[derive(Debug, Clone)]
-pub struct TrackerDefense<T: AggressorTracker> {
+pub(crate) struct TrackerDefense<T: AggressorTracker> {
     geometry: Geometry,
     banks: Vec<T>,
     actions: Vec<DefenseAction>,
     stats: DefenseStats,
 }
 
-/// Graphene behind the [`Defense`] contract.
-pub type GrapheneDefense = TrackerDefense<GrapheneBank>;
-/// Hydra behind the [`Defense`] contract.
-pub type HydraDefense = TrackerDefense<HydraBank>;
-/// CoMeT behind the [`Defense`] contract.
-pub type CometDefense = TrackerDefense<CometBank>;
-
 impl<T: AggressorTracker> TrackerDefense<T> {
     /// Creates one tracker per bank via `make` (passed the flat bank
     /// index so sketch hash families can differ per bank).
-    pub fn new(geometry: &Geometry, make: impl FnMut(usize) -> T) -> TrackerDefense<T> {
+    pub(crate) fn new(geometry: &Geometry, make: impl FnMut(usize) -> T) -> TrackerDefense<T> {
         let banks = (0..geometry.banks_per_channel() as usize)
             .map(make)
             .collect();
@@ -439,11 +432,6 @@ impl<T: AggressorTracker> TrackerDefense<T> {
             actions: Vec::new(),
             stats: DefenseStats::default(),
         }
-    }
-
-    /// The tracker of `bank` (tests, instrumentation).
-    pub fn bank(&self, bank: BankId) -> &T {
-        &self.banks[self.geometry.flat_bank(bank)]
     }
 }
 
@@ -469,7 +457,7 @@ impl<T: AggressorTracker> Defense for TrackerDefense<T> {
 /// MINT: a per-bank reservoir sampler whose chosen aggressor is
 /// refreshed inside the next periodic REF (§12, overlapped latency).
 #[derive(Debug, Clone)]
-pub struct MintDefense {
+pub(crate) struct MintDefense {
     geometry: Geometry,
     banks: Vec<MintBank>,
     stats: DefenseStats,
@@ -478,7 +466,7 @@ pub struct MintDefense {
 impl MintDefense {
     /// Creates one reservoir per bank with the engine's per-bank seed
     /// convention.
-    pub fn new(seed: u64, geometry: &Geometry) -> MintDefense {
+    pub(crate) fn new(seed: u64, geometry: &Geometry) -> MintDefense {
         let banks = (0..geometry.banks_per_channel() as usize)
             .map(|b| {
                 MintBank::new(MintConfig {
@@ -524,7 +512,7 @@ impl Defense for MintDefense {
 /// BlockHammer: a per-bank rate filter that *throttles* blacklisted rows
 /// instead of refreshing victims (§12).
 #[derive(Debug, Clone)]
-pub struct BlockHammerDefense {
+pub(crate) struct BlockHammerDefense {
     geometry: Geometry,
     banks: Vec<BlockHammerBank>,
     actions: Vec<DefenseAction>,
@@ -534,7 +522,10 @@ pub struct BlockHammerDefense {
 impl BlockHammerDefense {
     /// Creates one rate filter per bank with the engine's per-bank seed
     /// convention.
-    pub fn new(cfg: crate::trackers::BlockHammerConfig, geometry: &Geometry) -> BlockHammerDefense {
+    pub(crate) fn new(
+        cfg: crate::trackers::BlockHammerConfig,
+        geometry: &Geometry,
+    ) -> BlockHammerDefense {
         let banks = (0..geometry.banks_per_channel() as usize)
             .map(|b| {
                 let mut c = cfg;
@@ -548,11 +539,6 @@ impl BlockHammerDefense {
             actions: Vec::new(),
             stats: DefenseStats::default(),
         }
-    }
-
-    /// The rate filter of `bank` (tests, instrumentation).
-    pub fn bank(&self, bank: BankId) -> &BlockHammerBank {
-        &self.banks[self.geometry.flat_bank(bank)]
     }
 }
 

@@ -323,7 +323,8 @@ impl HydraBank {
     }
 
     /// The group counter for `row`'s group.
-    pub fn group_count(&self, row: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn group_count(&self, row: u32) -> u32 {
         let g = (row / self.cfg.group_size) as usize;
         self.groups.get(g).copied().unwrap_or(0)
     }

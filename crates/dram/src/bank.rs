@@ -33,16 +33,6 @@ impl Bank {
         self.open_row
     }
 
-    /// Whether the bank is precharged (no open row).
-    pub fn is_closed(&self) -> bool {
-        self.open_row.is_none()
-    }
-
-    /// Until when the bank is blocked by a refresh or RFM operation.
-    pub fn blocked_until(&self) -> Time {
-        self.blocked_until
-    }
-
     /// Earliest time an `ACT` may be issued (bank-local constraints only).
     pub fn earliest_act(&self) -> Time {
         self.next_act.max(self.blocked_until)
@@ -64,7 +54,7 @@ impl Bank {
     }
 
     /// Applies an `ACT` issued at `now` opening `row`.
-    pub fn apply_act(&mut self, now: Time, row: u32, t: &DramTiming) {
+    pub(crate) fn apply_act(&mut self, now: Time, row: u32, t: &DramTiming) {
         debug_assert!(self.open_row.is_none(), "ACT to open bank");
         debug_assert!(now >= self.earliest_act(), "ACT timing violation");
         self.open_row = Some(row);
@@ -76,7 +66,7 @@ impl Bank {
     }
 
     /// Applies a `RD` issued at `now`; returns the end of the data burst.
-    pub fn apply_rd(&mut self, now: Time, t: &DramTiming) -> Time {
+    pub(crate) fn apply_rd(&mut self, now: Time, t: &DramTiming) -> Time {
         debug_assert!(self.open_row.is_some(), "RD to closed bank");
         self.next_pre = self.next_pre.max(now + t.t_rtp);
         self.next_rd = self.next_rd.max(now + t.t_ccd_l);
@@ -85,7 +75,7 @@ impl Bank {
     }
 
     /// Applies a `WR` issued at `now`; returns the end of the data burst.
-    pub fn apply_wr(&mut self, now: Time, t: &DramTiming) -> Time {
+    pub(crate) fn apply_wr(&mut self, now: Time, t: &DramTiming) -> Time {
         debug_assert!(self.open_row.is_some(), "WR to closed bank");
         let data_end = now + t.write_latency();
         self.next_pre = self.next_pre.max(data_end + t.t_wr);
@@ -96,7 +86,7 @@ impl Bank {
 
     /// Applies a `PRE` issued at `now`; returns the closed row and how
     /// long it was open (the RowPress dwell time).
-    pub fn apply_pre(&mut self, now: Time, t: &DramTiming) -> Option<(u32, Span)> {
+    pub(crate) fn apply_pre(&mut self, now: Time, t: &DramTiming) -> Option<(u32, Span)> {
         let row = self.open_row.take();
         self.next_act = self.next_act.max(now + t.t_rp);
         row.map(|r| (r, now.saturating_since(self.opened_at)))
@@ -105,7 +95,7 @@ impl Bank {
     /// Blocks the bank (REF/RFM) until `until`.
     ///
     /// The bank must already be precharged.
-    pub fn block_until(&mut self, until: Time) {
+    pub(crate) fn block_until(&mut self, until: Time) {
         debug_assert!(self.open_row.is_none(), "blocking a bank with an open row");
         self.blocked_until = self.blocked_until.max(until);
         self.next_act = self.next_act.max(until);
@@ -164,7 +154,7 @@ mod tests {
         let (row, dwell) = b.apply_pre(pre_at, &t).unwrap();
         assert_eq!(row, 7);
         assert_eq!(dwell, t.t_ras, "row was open exactly tRAS");
-        assert!(b.is_closed());
+        assert_eq!(b.open_row(), None);
         assert_eq!(b.earliest_act(), pre_at + t.t_rp);
     }
 
@@ -193,6 +183,6 @@ mod tests {
         let t = timing();
         let mut b = Bank::new();
         assert_eq!(b.apply_pre(Time::from_ns(1), &t), None);
-        assert!(b.is_closed());
+        assert_eq!(b.open_row(), None);
     }
 }

@@ -138,19 +138,6 @@ impl Command {
     pub fn is_column(&self) -> bool {
         matches!(self, Command::Read { .. } | Command::Write { .. })
     }
-
-    /// Short mnemonic, e.g. `"ACT"`.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Command::Activate { .. } => "ACT",
-            Command::Precharge { .. } => "PRE",
-            Command::PrechargeAll { .. } => "PREA",
-            Command::Read { .. } => "RD",
-            Command::Write { .. } => "WR",
-            Command::Refresh { .. } => "REF",
-            Command::Rfm { .. } => "RFM",
-        }
-    }
 }
 
 impl fmt::Display for Command {
@@ -231,7 +218,6 @@ mod tests {
             rank: 0,
             scope: RfmScope::SameBank { bank: 2 },
         };
-        assert_eq!(rfm.mnemonic(), "RFM");
         assert!(rfm.to_string().contains("sb2"));
         assert!(Command::Activate {
             bank: bank(),

@@ -113,7 +113,7 @@ impl RowCounters {
     }
 
     /// The row with the highest counter in `bank`, if any row was touched.
-    pub fn top_row(&self, bank: usize) -> Option<(u32, u32)> {
+    pub(crate) fn top_row(&self, bank: usize) -> Option<(u32, u32)> {
         self.banks[bank]
             .iter()
             .max_by_key(|&(row, count)| (*count, Reverse(*row)))

@@ -113,7 +113,6 @@ pub struct DramDevice {
     counters: RowCounters,
     disturb: DisturbTracker,
     prac: Option<PracState>,
-    pending_alert: Option<Alert>,
     /// Per-rank periodic-refresh sweep position.
     sweep_pos: Vec<u32>,
     /// Rows refreshed per REF command per bank.
@@ -151,7 +150,6 @@ impl DramDevice {
             counters,
             disturb,
             prac,
-            pending_alert: None,
             sweep_pos: vec![0; g.ranks_per_channel() as usize],
             rows_per_ref,
             stats: DeviceStats::default(),
@@ -198,11 +196,6 @@ impl DramDevice {
         self.disturb.set_enabled(enabled);
     }
 
-    /// The alert that is currently asserted and awaiting recovery, if any.
-    pub fn pending_alert(&self) -> Option<Alert> {
-        self.pending_alert
-    }
-
     /// The PRAC configuration, if PRAC is enabled.
     pub fn prac_config(&self) -> Option<&PracConfig> {
         self.prac.as_ref().map(|p| p.config())
@@ -214,7 +207,6 @@ impl DramDevice {
         if let Some(prac) = &mut self.prac {
             prac.recovery_complete(now);
         }
-        self.pending_alert = None;
     }
 
     fn flat(&self, bank: BankId) -> usize {
@@ -566,8 +558,7 @@ impl DramDevice {
                 self.stats.rfm_blocked += t.t_rfm;
             }
         }
-        if let Some(alert) = outcome.alert {
-            self.pending_alert = Some(alert);
+        if outcome.alert.is_some() {
             self.stats.alerts += 1;
         }
         Ok(outcome)
@@ -801,7 +792,6 @@ mod tests {
         }
         assert!(alert.is_some());
         assert_eq!(dev.stats().alerts, 1);
-        assert_eq!(dev.pending_alert(), alert);
     }
 
     #[test]

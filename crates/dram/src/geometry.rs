@@ -38,7 +38,7 @@ impl Geometry {
     /// # Errors
     ///
     /// Returns [`DramError::InvalidGeometry`] if any dimension is zero.
-    pub fn new(
+    pub(crate) fn new(
         channels: u32,
         ranks_per_channel: u32,
         bank_groups_per_rank: u32,
@@ -160,7 +160,7 @@ impl Geometry {
     }
 
     /// Whether `bank` is a valid coordinate in this geometry.
-    pub fn contains_bank(&self, bank: BankId) -> bool {
+    pub(crate) fn contains_bank(&self, bank: BankId) -> bool {
         bank.channel < self.channels
             && bank.rank < self.ranks_per_channel
             && bank.bank_group < self.bank_groups_per_rank

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod bank;
 mod command;
@@ -70,7 +71,7 @@ pub use device::{DeviceConfig, DramDevice, IssueOutcome};
 pub use disturb::DisturbTracker;
 pub use error::DramError;
 pub use geometry::{BankId, DramAddr, Geometry, LINE_BYTES};
-pub use prac::{Alert, AlertScope, PracConfig, PracState};
+pub use prac::{Alert, AlertScope, PracConfig};
 pub use rank::RankState;
 pub use rowmap::{RowHasher, RowMap};
 pub use stats::DeviceStats;

@@ -100,7 +100,7 @@ pub struct Alert {
 
 /// Runtime state of the PRAC mechanism.
 #[derive(Debug, Clone)]
-pub struct PracState {
+pub(crate) struct PracState {
     config: PracConfig,
     cooldown_until: Time,
     alert_in_flight: bool,
@@ -108,7 +108,7 @@ pub struct PracState {
 
 impl PracState {
     /// Creates PRAC state from a configuration.
-    pub fn new(config: PracConfig) -> PracState {
+    pub(crate) fn new(config: PracConfig) -> PracState {
         PracState {
             config,
             cooldown_until: Time::ZERO,
@@ -117,25 +117,14 @@ impl PracState {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &PracConfig {
+    pub(crate) fn config(&self) -> &PracConfig {
         &self.config
-    }
-
-    /// Whether an alert has been asserted and its recovery has not yet
-    /// completed.
-    pub fn alert_in_flight(&self) -> bool {
-        self.alert_in_flight
-    }
-
-    /// Until when ABO assertion is suppressed by the cool-down window.
-    pub fn cooldown_until(&self) -> Time {
-        self.cooldown_until
     }
 
     /// Called when a row is closed with activation count `count` at `now`
     /// (with `abo_delay` the PRE→controller signal latency). Returns the
     /// alert if the device asserts ABO.
-    pub fn on_row_closed(
+    pub(crate) fn on_row_closed(
         &mut self,
         bank: BankId,
         count: u32,
@@ -155,7 +144,7 @@ impl PracState {
 
     /// Called by the controller once the back-off recovery (all RFMs) has
     /// completed; starts the cool-down window.
-    pub fn recovery_complete(&mut self, now: Time) {
+    pub(crate) fn recovery_complete(&mut self, now: Time) {
         self.alert_in_flight = false;
         self.cooldown_until = now + self.config.cooldown;
     }
@@ -176,7 +165,6 @@ mod tests {
         assert!(s.on_row_closed(bank(), 127, Time::from_ns(10), d).is_none());
         let alert = s.on_row_closed(bank(), 128, Time::from_ns(20), d).unwrap();
         assert_eq!(alert.asserted_at, Time::from_ns(25));
-        assert!(s.alert_in_flight());
     }
 
     #[test]

@@ -26,7 +26,8 @@ impl RankState {
     }
 
     /// Until when the whole rank is blocked.
-    pub fn blocked_until(&self) -> Time {
+    #[cfg(test)]
+    pub(crate) fn blocked_until(&self) -> Time {
         self.blocked_until
     }
 
@@ -54,14 +55,14 @@ impl RankState {
     }
 
     /// Records an `ACT` issued at `now` to `bank_group`.
-    pub fn apply_act(&mut self, now: Time, bank_group: u32) {
+    pub(crate) fn apply_act(&mut self, now: Time, bank_group: u32) {
         self.recent_acts[(self.acts % 4) as usize] = now;
         self.acts += 1;
         self.last_act = Some((now, bank_group));
     }
 
     /// Blocks the entire rank until `until` (REF or all-bank RFM).
-    pub fn block_until(&mut self, until: Time) {
+    pub(crate) fn block_until(&mut self, until: Time) {
         self.blocked_until = self.blocked_until.max(until);
     }
 }

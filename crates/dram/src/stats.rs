@@ -18,18 +18,18 @@ pub struct DeviceStats {
     /// RFM commands issued (all scopes, including back-off recovery).
     pub rfms: u64,
     /// ABO alerts asserted (PRAC back-offs).
-    pub alerts: u64,
+    pub(crate) alerts: u64,
     /// Aggressor rows whose victims were preventively refreshed.
-    pub preventive_refreshes: u64,
+    pub(crate) preventive_refreshes: u64,
     /// Preventive refreshes performed inside periodic-REF windows
     /// ("borrowed time"/MINT designs) — a subset of
     /// [`DeviceStats::preventive_refreshes`] that costs no extra DRAM
     /// time.
-    pub hidden_refreshes: u64,
+    pub(crate) hidden_refreshes: u64,
     /// Total time banks spent blocked by REF commands.
-    pub ref_blocked: Span,
+    pub(crate) ref_blocked: Span,
     /// Total time banks spent blocked by RFM commands.
-    pub rfm_blocked: Span,
+    pub(crate) rfm_blocked: Span,
 }
 
 impl DeviceStats {

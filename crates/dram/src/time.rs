@@ -103,7 +103,7 @@ impl Time {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: Time) -> Time {
+    pub(crate) fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
     }
 

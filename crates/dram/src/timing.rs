@@ -24,7 +24,7 @@ use crate::time::Span;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTiming {
     /// Clock period.
-    pub t_ck: Span,
+    pub(crate) t_ck: Span,
     /// ACT-to-RD/WR delay (row to column command).
     pub t_rcd: Span,
     /// PRE-to-ACT delay (row precharge).
@@ -44,19 +44,19 @@ pub struct DramTiming {
     /// Column-to-column delay, different bank group.
     pub t_ccd_s: Span,
     /// ACT-to-ACT delay, same bank group.
-    pub t_rrd_l: Span,
+    pub(crate) t_rrd_l: Span,
     /// ACT-to-ACT delay, different bank group.
-    pub t_rrd_s: Span,
+    pub(crate) t_rrd_s: Span,
     /// Four-activate window (rolling limit on ACTs per rank).
-    pub t_faw: Span,
+    pub(crate) t_faw: Span,
     /// Read-to-precharge delay.
-    pub t_rtp: Span,
+    pub(crate) t_rtp: Span,
     /// Write recovery time (end of write burst to PRE).
-    pub t_wr: Span,
+    pub(crate) t_wr: Span,
     /// Write-to-read turnaround, same bank group.
-    pub t_wtr_l: Span,
+    pub(crate) t_wtr_l: Span,
     /// Write-to-read turnaround, different bank group.
-    pub t_wtr_s: Span,
+    pub(crate) t_wtr_s: Span,
     /// All-bank refresh cycle time.
     pub t_rfc: Span,
     /// Average periodic-refresh interval.
@@ -67,7 +67,7 @@ pub struct DramTiming {
     pub t_rfm: Span,
     /// Delay from `PRE` to the ABO (alert back-off) signal reaching the
     /// memory controller.
-    pub t_abo_delay: Span,
+    pub(crate) t_abo_delay: Span,
     /// Window of normal traffic the controller may serve after observing
     /// the ABO signal, before the recovery RFMs must start.
     pub t_abo_act: Span,
@@ -171,7 +171,7 @@ impl DramTiming {
     }
 
     /// Latency from issuing `WR` to the last data beat (tCWL + tBURST).
-    pub fn write_latency(&self) -> Span {
+    pub(crate) fn write_latency(&self) -> Span {
         self.t_cwl + self.t_burst
     }
 

@@ -28,7 +28,7 @@ impl Hasher {
     }
 
     /// Absorbs bytes.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+    pub(crate) fn update(&mut self, bytes: &[u8]) -> &mut Self {
         for &b in bytes {
             self.lo ^= u64::from(b);
             self.lo = self.lo.wrapping_mul(0x0000_0100_0000_01B3);

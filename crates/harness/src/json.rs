@@ -26,7 +26,6 @@
 //! trees: output, round trip and parse errors (offsets included) must
 //! all agree.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value.
@@ -82,7 +81,7 @@ impl Json {
 
     /// Field lookup; returns [`Json::Null`] for missing keys or
     /// non-objects.
-    pub fn get(&self, key: &str) -> &Json {
+    pub(crate) fn get(&self, key: &str) -> &Json {
         const NULL: Json = Json::Null;
         match self {
             Json::Object(fields) => fields
@@ -98,14 +97,6 @@ impl Json {
         match self {
             Json::Int(i) => Some(*i as f64),
             Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The value as i64; `None` for non-integers and out-of-range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => i64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -175,7 +166,7 @@ impl Json {
 /// like the [`Json::Object`] that [`JsonRef::into_json`] builds, without
 /// cloning what it borrows.
 #[derive(Debug)]
-pub enum JsonRef<'a> {
+pub(crate) enum JsonRef<'a> {
     /// A value that lives elsewhere.
     Borrowed(&'a Json),
     /// A value built on the spot.
@@ -186,17 +177,17 @@ pub enum JsonRef<'a> {
 
 impl JsonRef<'_> {
     /// Serializes compactly, like [`Json::to_compact`].
-    pub fn to_compact(&self) -> String {
+    pub(crate) fn to_compact(&self) -> String {
         self.rendered(false)
     }
 
     /// Serializes with two-space indentation, like [`Json::to_pretty`].
-    pub fn to_pretty(&self) -> String {
+    pub(crate) fn to_pretty(&self) -> String {
         self.rendered(true)
     }
 
     /// The owned value this view describes (clones what it borrows).
-    pub fn into_json(self) -> Json {
+    pub(crate) fn into_json(self) -> Json {
         match self {
             JsonRef::Borrowed(v) => v.clone(),
             JsonRef::Owned(v) => v,
@@ -724,23 +715,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Deterministically sorts object keys (for fingerprinting tests).
-pub fn sort_keys(value: &Json) -> Json {
-    match value {
-        Json::Object(fields) => {
-            let sorted: BTreeMap<&String, &Json> = fields.iter().map(|(k, v)| (k, v)).collect();
-            Json::Object(
-                sorted
-                    .into_iter()
-                    .map(|(k, v)| (k.clone(), sort_keys(v)))
-                    .collect(),
-            )
-        }
-        Json::Array(items) => Json::Array(items.iter().map(sort_keys).collect()),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,7 +747,7 @@ mod tests {
     #[test]
     fn indexing_is_total() {
         let doc = Json::object().with("points", Json::Array(vec![Json::Int(4)]));
-        assert_eq!(doc["points"][0].as_i64(), Some(4));
+        assert_eq!(doc["points"][0], Json::Int(4));
         assert_eq!(doc["missing"]["also missing"][7], Json::Null);
     }
 

@@ -131,7 +131,7 @@ pub struct RunStats {
     /// case no units were even enumerated for execution).
     pub merged_cached: bool,
     /// Wall-clock milliseconds for the whole experiment.
-    pub wall_ms: u128,
+    pub(crate) wall_ms: u128,
 }
 
 /// One experiment's merged result plus run statistics.
@@ -143,7 +143,7 @@ pub struct ExperimentRun {
     pub merged: Json,
     /// The deterministic metrics block
     /// (`{"units": {label: counters}, "totals": counters}`, see
-    /// [`metrics_block`]): per-unit counters in unit order plus their
+    /// `metrics_block`): per-unit counters in unit order plus their
     /// counter-wise sum. Byte-stable across `--jobs`, cache states and
     /// worker counts, unlike [`RunStats`].
     pub metrics: Json,
@@ -392,7 +392,7 @@ impl<'a> Ledger<'a> {
     }
 
     /// Executes `unit` on the calling thread and records it.
-    pub fn execute(&self, unit: usize) {
+    pub(crate) fn execute(&self, unit: usize) {
         let output = execute_unit(
             self.job,
             self.ctx,

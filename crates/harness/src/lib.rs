@@ -12,7 +12,7 @@
 //!   dependencies complete, and receives their outputs;
 //! * **deterministically** — the RNG seed of every unit is derived with
 //!   SplitMix64 from `(experiment id, unit index, master seed)`
-//!   ([`seed`]), and unit results are merged in unit order, so the
+//!   (`seed`), and unit results are merged in unit order, so the
 //!   output of `--jobs 8` is bit-identical to `--jobs 1`;
 //! * **incrementally** — unit and merged results are stored in a
 //!   content-addressed on-disk cache keyed by a hash of `(experiment
@@ -22,10 +22,10 @@
 //! * **observably** — structured output sinks render any result as
 //!   text, JSON or CSV, stream per-unit NDJSON events as they complete
 //!   ([`sink`], [`runner::UnitObserver`]), with live progress on stderr
-//!   ([`progress`]); every unit runs under an [`lh_obs::record`] metric
+//!   (`progress`); every unit runs under an [`lh_obs::record`] metric
 //!   scope, so deterministic counters the simulator emits attribute to
 //!   exactly one unit, ride its cache entry, and land in the envelope's
-//!   `metrics` block ([`metrics`]).
+//!   `metrics` block (`metrics`).
 //!
 //! The crate is std-only (its one dependency, `lh-obs`, is too) and
 //! knows nothing about the simulator: jobs communicate through the
@@ -34,7 +34,7 @@
 //! ## Who owns what
 //!
 //! Every byte a run returns or stores is decided by the run
-//! [`ledger`]: cache keys, the merged-entry and per-unit replay rules,
+//! `ledger`: cache keys, the merged-entry and per-unit replay rules,
 //! what a unit execution captures ([`execute_unit`]), what each
 //! completion reports, and the unit-order assembly of the metrics
 //! block, the event log and the merged result. A *scheduling loop* only
@@ -81,18 +81,19 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod hash;
-pub mod job;
+mod job;
 pub mod json;
-pub mod ledger;
-pub mod memo;
-pub mod metrics;
+mod ledger;
+mod memo;
+mod metrics;
 pub mod pool;
-pub mod progress;
+mod progress;
 pub mod runner;
-pub mod seed;
+mod seed;
 pub mod sink;
 
 pub use cache::{CacheKey, DiskCache};
@@ -100,10 +101,7 @@ pub use job::{Job, JobContext, Registry, ScaleLevel};
 pub use json::Json;
 pub use ledger::{execute_unit, replay_merged, Ledger, Opened, UnitOutput};
 pub use memo::Memo;
-pub use metrics::{
-    metrics_block, metrics_from_json, metrics_to_json, unwrap_entry, unwrap_entry_events,
-    wrap_entry, wrap_entry_events,
-};
+pub use metrics::{hist_from_json, metrics_from_json, metrics_to_json, wrap_entry, HISTOGRAMS_KEY};
 pub use pool::DagSchedule;
 pub use runner::{
     merged_fingerprint, unit_key, ExperimentRun, RunStats, Runner, RunnerOptions, UnitEvent,

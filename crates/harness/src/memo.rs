@@ -55,7 +55,7 @@ impl Memo {
     }
 
     /// Number of memoized entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().expect("memo poisoned").len()
     }
 

@@ -9,7 +9,7 @@
 //! placement — which is what lets them
 //!
 //! * ride the disk cache next to the unit result ([`wrap_entry`] /
-//!   [`unwrap_entry`]), so a warm replay reports the same metrics as
+//!   [`unwrap_entry_events`]), so a warm replay reports the same metrics as
 //!   the cold run that produced the entry;
 //! * multiplex through the `--stream` NDJSON feed and the `lh-coord`
 //!   assign/result protocol without breaking byte-identity across
@@ -34,7 +34,7 @@ pub const HISTOGRAMS_KEY: &str = "histograms";
 /// `{"count": N, "sum": S, "buckets": [[exponent, count], ...]}` with
 /// buckets in ascending exponent order (the iteration order of
 /// [`Hist`]).
-pub fn hist_to_json(hist: &Hist) -> Json {
+pub(crate) fn hist_to_json(hist: &Hist) -> Json {
     let buckets = hist
         .buckets()
         .map(|(exp, n)| Json::Array(vec![Json::from(u64::from(exp)), Json::from(n)]))
@@ -45,7 +45,7 @@ pub fn hist_to_json(hist: &Hist) -> Json {
         .with("buckets", Json::Array(buckets))
 }
 
-/// Parses a histogram back out of its [`hist_to_json`] form. Malformed
+/// Parses a histogram back out of its `hist_to_json` form. Malformed
 /// bucket entries are skipped; `count`/`sum` are taken as written so
 /// the round trip is exact even for saturated sums.
 pub fn hist_from_json(json: &Json) -> Hist {
@@ -66,7 +66,7 @@ pub fn hist_from_json(json: &Json) -> Hist {
 /// sorted-name order (the iteration order of [`Metrics`]), plus — when
 /// any histogram recorded samples — a trailing reserved
 /// [`HISTOGRAMS_KEY`] object mapping histogram names to their
-/// [`hist_to_json`] form, so the serialization is canonical regardless
+/// `hist_to_json` form, so the serialization is canonical regardless
 /// of recording order.
 pub fn metrics_to_json(metrics: &Metrics) -> Json {
     let mut obj = Json::object();
@@ -119,7 +119,7 @@ pub fn wrap_entry(metrics: Json, result: Json) -> Json {
 /// `events` field. `None` produces the exact two-field [`wrap_entry`]
 /// bytes, so entries written with recording off are indistinguishable
 /// from pre-flight-recorder entries.
-pub fn wrap_entry_events(metrics: Json, result: Json, events: Option<String>) -> Json {
+pub(crate) fn wrap_entry_events(metrics: Json, result: Json, events: Option<String>) -> Json {
     let entry = wrap_entry(metrics, result);
     match events {
         Some(blob) => entry.with("events", blob),
@@ -127,23 +127,13 @@ pub fn wrap_entry_events(metrics: Json, result: Json, events: Option<String>) ->
     }
 }
 
-/// Splits a cache entry or wire payload written by [`wrap_entry`] into
-/// `(metrics, result)`.
+/// Splits a cache entry or wire payload written by [`wrap_entry`] or
+/// [`wrap_entry_events`] into `(metrics, result, events)`.
 ///
 /// Tolerates an unwrapped value (returned as the result with empty
 /// metrics) so schema evolution cannot turn stale-but-keyed-valid
-/// entries into hard failures. An `events` blob
-/// ([`wrap_entry_events`]) is discarded; callers that replay event
-/// logs use [`unwrap_entry_events`].
-pub fn unwrap_entry(entry: Json) -> (Json, Json) {
-    let (metrics, result, _) = unwrap_entry_events(entry);
-    (metrics, result)
-}
-
-/// Splits an entry written by [`wrap_entry`] or [`wrap_entry_events`]
-/// into `(metrics, result, events)`, with the same unwrapped-value
-/// tolerance as [`unwrap_entry`].
-pub fn unwrap_entry_events(entry: Json) -> (Json, Json, Option<String>) {
+/// entries into hard failures.
+pub(crate) fn unwrap_entry_events(entry: Json) -> (Json, Json, Option<String>) {
     if let Json::Object(ref fields) = entry {
         let wrapped = matches!(fields.len(), 2 | 3)
             && fields[0].0 == "metrics"
@@ -177,7 +167,7 @@ pub fn unwrap_entry_events(entry: Json) -> (Json, Json, Option<String>) {
 /// alone. `histograms` holds the bucket-wise merge of every unit's
 /// histograms (an empty object for jobs that sample none), kept
 /// outside `totals` so old counter-only consumers parse unchanged.
-pub fn metrics_block(units: &[String], per_unit: &[Json]) -> Json {
+pub(crate) fn metrics_block(units: &[String], per_unit: &[Json]) -> Json {
     assert_eq!(units.len(), per_unit.len(), "one metrics object per unit");
     let mut totals = Metrics::new();
     let mut by_unit = Json::object();
@@ -269,20 +259,21 @@ mod tests {
     fn wrap_then_unwrap_is_identity() {
         let metrics = metrics_to_json(&sample());
         let result = Json::object().with("capacity", 39.5);
-        let (m, r) = unwrap_entry(wrap_entry(metrics.clone(), result.clone()));
+        let (m, r, e) = unwrap_entry_events(wrap_entry(metrics.clone(), result.clone()));
         assert_eq!(m, metrics);
         assert_eq!(r, result);
+        assert_eq!(e, None);
     }
 
     #[test]
     fn unwrapped_values_pass_through_with_empty_metrics() {
         let bare = Json::object().with("capacity", 39.5);
-        let (m, r) = unwrap_entry(bare.clone());
+        let (m, r, _) = unwrap_entry_events(bare.clone());
         assert_eq!(m, Json::object());
         assert_eq!(r, bare);
         // A two-field object with the wrong keys is also not a wrapper.
         let near_miss = Json::object().with("metrics", 1).with("value", 2);
-        let (m, r) = unwrap_entry(near_miss.clone());
+        let (m, r, _) = unwrap_entry_events(near_miss.clone());
         assert_eq!(m, Json::object());
         assert_eq!(r, near_miss);
     }

@@ -8,7 +8,7 @@
 //! any real simulation unit.
 //!
 //! The pool only orders execution; it carries no results. The run
-//! [`ledger`](crate::ledger) keeps every unit's output in its unit's
+//! `ledger` keeps every unit's output in its unit's
 //! slot and hands a dependent its inputs, so claim order never
 //! influences results — a unit's inputs are its index, its dependency
 //! outputs (fixed by the DAG) and whatever the caller derives from the
@@ -78,7 +78,7 @@ fn dependents_of(deps: &[Vec<usize>]) -> Vec<Vec<usize>> {
 /// An incremental topological scheduler over a validated unit DAG.
 ///
 /// The scheduling core shared by the in-process thread pool
-/// ([`run_dag`]) and the multi-process coordinator (`lh-coord`): track
+/// (`run_dag`) and the multi-process coordinator (`lh-coord`): track
 /// which units are *ready* (all dependencies completed), hand them out
 /// lowest-index-first, and relax dependents as completions arrive.
 /// [`DagSchedule::requeue`] puts a claimed-but-unfinished unit back in
@@ -148,7 +148,7 @@ impl DagSchedule {
     }
 
     /// Total units in the schedule.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.indegree.len()
     }
 
@@ -181,7 +181,7 @@ struct SchedState {
 ///
 /// Panics in `work` are propagated: the pool stops claiming new units,
 /// finishes outstanding claims, then re-panics on the caller thread.
-pub fn run_dag<F>(jobs: usize, deps: &[Vec<usize>], work: F) -> Result<(), String>
+pub(crate) fn run_dag<F>(jobs: usize, deps: &[Vec<usize>], work: F) -> Result<(), String>
 where
     F: Fn(usize) + Sync,
 {
@@ -246,7 +246,7 @@ where
 }
 
 /// A reasonable default worker count for this machine.
-pub fn default_jobs() -> usize {
+pub(crate) fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

@@ -15,7 +15,7 @@ pub(crate) fn note(line: std::fmt::Arguments<'_>) {
 
 /// How one unit was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitOutcome {
+pub(crate) enum UnitOutcome {
     /// Served from the result cache.
     Cached,
     /// Executed now, taking the given number of milliseconds.
@@ -24,7 +24,7 @@ pub enum UnitOutcome {
 
 /// Counts completed units of one experiment and emits progress lines.
 #[derive(Debug)]
-pub struct Progress {
+pub(crate) struct Progress {
     experiment: &'static str,
     total: usize,
     done: AtomicUsize,
@@ -35,7 +35,7 @@ pub struct Progress {
 impl Progress {
     /// A reporter for `total` units of `experiment`; silent when
     /// `enabled` is false.
-    pub fn new(experiment: &'static str, total: usize, enabled: bool) -> Progress {
+    pub(crate) fn new(experiment: &'static str, total: usize, enabled: bool) -> Progress {
         Progress {
             experiment,
             total,
@@ -46,7 +46,7 @@ impl Progress {
     }
 
     /// Records one completed unit.
-    pub fn unit_done(&self, label: &str, outcome: UnitOutcome) {
+    pub(crate) fn unit_done(&self, label: &str, outcome: UnitOutcome) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if !self.enabled {
             return;
@@ -65,7 +65,7 @@ impl Progress {
     }
 
     /// Emits the experiment's closing line.
-    pub fn finished(&self, cached_units: usize, executed_units: usize) {
+    pub(crate) fn finished(&self, cached_units: usize, executed_units: usize) {
         if !self.enabled {
             return;
         }

@@ -1,7 +1,7 @@
 //! The in-process scheduling loop: a [`Runner`] pushes the missed units
 //! of a run through the topological thread pool ([`crate::pool`]). What
 //! the run replays, stores, reports and returns is the
-//! [`ledger`](crate::ledger)'s business; the types it speaks are
+//! `ledger`'s business; the types it speaks are
 //! re-exported here.
 
 use crate::cache::DiskCache;

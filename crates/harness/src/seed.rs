@@ -7,7 +7,7 @@
 //! well-separated stream.
 
 /// One SplitMix64 step.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -17,7 +17,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// FNV-1a hash of a string (used to fold the experiment id into the
 /// seed state).
-pub fn fnv1a(text: &str) -> u64 {
+pub(crate) fn fnv1a(text: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in text.bytes() {
         h ^= u64::from(b);

@@ -70,7 +70,7 @@ pub fn render(
 /// The `metrics` block is the one piece of execution telemetry that
 /// *is* included, because it is deterministic by contract: per-unit
 /// counters in unit order plus their totals
-/// ([`metrics_block`](crate::metrics::metrics_block)), identical
+/// (`metrics_block`), identical
 /// whether units ran cold, replayed from cache, or executed on remote
 /// workers. Wall-clock span timings never appear here — they export
 /// separately as Chrome `trace_event` JSON.
@@ -100,7 +100,7 @@ fn envelope_ref<'a>(job: &dyn Job, run: &'a ExperimentRun, ctx: &JobContext) -> 
 /// transient progress feed, never cached and never part of an envelope,
 /// so stamping them lets `watch` and the serve dashboard compute live
 /// rates without touching the byte-identity contract.
-pub fn wall_clock_ms() -> u64 {
+pub(crate) fn wall_clock_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -198,7 +198,7 @@ pub fn stream_fleet(snapshot: Json) -> String {
 /// The CSV form of a merged result: uses its first array-of-objects
 /// field as rows (header = union of keys in first-seen order); if none
 /// exists, emits the scalar fields as a single row.
-pub fn csv_from_json(merged: &Json) -> String {
+pub(crate) fn csv_from_json(merged: &Json) -> String {
     let rows: &[Json] = merged
         .as_object()
         .iter()

@@ -76,7 +76,7 @@ impl Codec for Plain {
 #[derive(Debug, Clone, Copy)]
 pub struct Repetition {
     /// Repetitions per bit (odd values give an unambiguous majority).
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl Repetition {
@@ -207,7 +207,7 @@ pub fn crc8(bits: &[u8]) -> u8 {
 pub struct CrcFramed {
     /// Payload bits per frame (the final frame may be shorter; its CRC
     /// covers whatever it carries).
-    pub frame_bits: usize,
+    pub(crate) frame_bits: usize,
 }
 
 impl CrcFramed {

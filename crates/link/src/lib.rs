@@ -10,8 +10,8 @@
 //!   [`OnOffKeying`] (the paper's binary channel), [`PulsePosition`]
 //!   and [`MultiLevelAmplitude`] (the §6.3 multibit extension,
 //!   generalized);
-//! * [`PreambleSync`] — preamble detection and window-clock drift
-//!   correction, removing the paper's shared-wall-clock assumption;
+//! * [`PreambleSync`] — preamble detection, removing the paper's
+//!   shared-wall-clock assumption;
 //! * [`Codec`] — bit-level redundancy: [`Plain`], [`Repetition`],
 //!   [`Hamming74`] and [`CrcFramed`] packets.
 //!
@@ -43,11 +43,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod codec;
-pub mod modem;
-pub mod pipeline;
-pub mod sync;
+mod codec;
+mod modem;
+mod pipeline;
+mod sync;
 
 pub use codec::{crc8, flip_bits, Codec, CrcFramed, Decoded, Hamming74, Plain, Repetition};
 pub use modem::{Calibration, Modulator, MultiLevelAmplitude, OnOffKeying, PulsePosition};

@@ -130,7 +130,7 @@ impl Modulator for OnOffKeying {
 #[derive(Debug, Clone, Copy)]
 pub struct PulsePosition {
     /// Windows per frame (power of two ≥ 2).
-    pub slots: usize,
+    pub(crate) slots: usize,
 }
 
 impl PulsePosition {
@@ -226,7 +226,7 @@ impl Modulator for PulsePosition {
 #[derive(Debug, Clone, Copy)]
 pub struct MultiLevelAmplitude {
     /// Symbol alphabet size including idle (≥ 2).
-    pub levels: u8,
+    pub(crate) levels: u8,
 }
 
 impl MultiLevelAmplitude {

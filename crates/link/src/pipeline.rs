@@ -447,14 +447,14 @@ pub struct PayloadOutcome {
     /// The aligned payload observations, one per payload window.
     pub observations: Vec<WindowObservation>,
     /// The alignment the synchronizer recovered.
-    pub alignment: Alignment,
+    pub(crate) alignment: Alignment,
     /// Total windows transmitted (preamble + payload).
     pub windows: usize,
     /// Wall-clock seconds those windows occupied — the denominator
     /// every rate is charged against, preamble overhead included.
     pub seconds: f64,
     /// The raw wire outcome (full observation stream + counters).
-    pub wire: WireOutcome,
+    pub(crate) wire: WireOutcome,
 }
 
 /// Transmits `payload_symbols` behind the synchronizer's preamble
@@ -551,7 +551,7 @@ mod tests {
     use super::*;
     use crate::codec::{CrcFramed, Hamming74, Plain, Repetition};
     use crate::modem::{MultiLevelAmplitude, OnOffKeying, PulsePosition};
-    use lh_analysis::message::bits_of_str;
+    use lh_analysis::bits_of_str;
 
     #[test]
     fn ook_plain_link_over_prac_recovers_the_message() {

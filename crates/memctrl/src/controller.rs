@@ -80,23 +80,23 @@ pub enum RowPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlConfig {
     /// Read queue capacity.
-    pub read_queue_cap: usize,
+    pub(crate) read_queue_cap: usize,
     /// Write queue capacity.
-    pub write_queue_cap: usize,
+    pub(crate) write_queue_cap: usize,
     /// FR-FCFS column cap: maximum consecutive row hits served while an
     /// older row-miss request waits on the same bank.
     pub col_cap: u32,
     /// Write-drain start watermark.
-    pub wq_drain_high: usize,
+    pub(crate) wq_drain_high: usize,
     /// Write-drain stop watermark.
-    pub wq_drain_low: usize,
+    pub(crate) wq_drain_low: usize,
     /// Allow postponing a periodic refresh by one `tREFI` when the rank is
     /// busy (then issue two back-to-back).
     pub refresh_postpone: bool,
     /// FR-RFM quiesce guard: new row/column commands to a rank stop this
     /// long before the fixed-rate RFM deadline so the RFM lands exactly on
     /// its period.
-    pub frrfm_guard: Span,
+    pub(crate) frrfm_guard: Span,
     /// Row-buffer management policy.
     pub row_policy: RowPolicy,
 }
@@ -127,9 +127,9 @@ impl Default for CtrlConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlStats {
     /// Read requests accepted.
-    pub reads_enqueued: u64,
+    pub(crate) reads_enqueued: u64,
     /// Write requests accepted.
-    pub writes_enqueued: u64,
+    pub(crate) writes_enqueued: u64,
     /// Read requests completed.
     pub reads_served: u64,
     /// Write requests completed.
@@ -143,18 +143,18 @@ pub struct CtrlStats {
     /// Periodic REF commands issued.
     pub refreshes: u64,
     /// Refreshes that were postponed by one interval.
-    pub refreshes_postponed: u64,
+    pub(crate) refreshes_postponed: u64,
     /// PRAC back-off recoveries completed.
     pub backoffs: u64,
     /// RFM commands issued for any reason.
     pub rfms: u64,
     /// PARA victim-refresh activations performed.
-    pub para_victim_acts: u64,
+    pub(crate) para_victim_acts: u64,
     /// Row throttles (BlockHammer, the isolation quota) applied to the
     /// scheduler.
     pub throttles: u64,
     /// Worst observed deviation of an FR-RFM command from its deadline.
-    pub fr_rfm_jitter_max: Span,
+    pub(crate) fr_rfm_jitter_max: Span,
     /// Times [`MemoryController::service`] was invoked (scheduler wakes).
     pub service_calls: u64,
 }
@@ -387,7 +387,8 @@ impl MemoryController {
     }
 
     /// Outstanding read-queue occupancy.
-    pub fn read_queue_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn read_queue_len(&self) -> usize {
         self.read_q.len()
     }
 

@@ -32,11 +32,11 @@ pub struct Completion {
     /// The request id.
     pub id: u64,
     /// The issuing agent.
-    pub source: u32,
+    pub(crate) source: u32,
     /// Read or write.
     pub kind: AccessKind,
     /// The request's DRAM location.
-    pub addr: DramAddr,
+    pub(crate) addr: DramAddr,
     /// Arrival time at the controller.
     pub arrival: Time,
     /// When the data burst finished (read data available / write retired).

@@ -8,7 +8,7 @@
 //! implements `Defense` by delegation and reshapes only what the memory
 //! controller — and therefore the attacker — can see:
 //!
-//! * [`Retime`] — re-time scheduled maintenance deadlines, either by
+//! * `Retime` — re-time scheduled maintenance deadlines, either by
 //!   a seeded slip (`MaintenanceJitter`: decorrelate *when*) or by
 //!   rounding up to a quantum (`DeferredBatch`: quantize *when*);
 //! * [`ConstantRateShaper`] — inject dummy maintenance so the
@@ -19,7 +19,7 @@
 //!   to the bare defense.
 //!
 //! Because wrappers are `Box<dyn Defense>` → `Box<dyn Defense>`, any
-//! stack composes with any defense: [`build_mitigation`] mirrors
+//! stack composes with any defense: `build_mitigation` mirrors
 //! [`lh_defenses::build_defense`] and [`apply_mitigations`] folds a
 //! whole stack (an empty stack returns the inner defense unchanged).
 //! The `mitsweep` harness job sweeps the full defense × mitigation ×
@@ -59,12 +59,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod wrappers;
 
 pub use config::{MitigationConfig, MitigationKind};
 pub use wrappers::{
-    apply_mitigations, build_mitigated_defense, build_mitigation, ConstantRateShaper,
-    IsolationQuota, PassThrough, Retime,
+    apply_mitigations, build_mitigated_defense, ConstantRateShaper, IsolationQuota, PassThrough,
 };

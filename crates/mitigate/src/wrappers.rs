@@ -50,7 +50,7 @@ pub struct PassThrough {
 
 impl PassThrough {
     /// Wraps `inner` without changing anything.
-    pub fn new(inner: Box<dyn Defense>) -> PassThrough {
+    pub(crate) fn new(inner: Box<dyn Defense>) -> PassThrough {
         PassThrough { inner }
     }
 }
@@ -111,7 +111,7 @@ enum Rule {
 /// clamped to the inner maintenance period, so the presented schedule
 /// stays monotone.
 #[derive(Debug)]
-pub struct Retime {
+pub(crate) struct Retime {
     inner: Box<dyn Defense>,
     rule: Rule,
     on_time: u64,
@@ -121,7 +121,7 @@ pub struct Retime {
 
 impl Retime {
     /// Wraps `inner`, slipping each deadline forward by up to `max`.
-    pub fn jitter(inner: Box<dyn Defense>, max: Span, seed: u64) -> Retime {
+    pub(crate) fn jitter(inner: Box<dyn Defense>, max: Span, seed: u64) -> Retime {
         // Clamp so consecutive presented deadlines cannot reorder.
         let max = inner
             .maintenance_period()
@@ -135,7 +135,7 @@ impl Retime {
     /// # Panics
     ///
     /// Panics if `quantum` is zero.
-    pub fn batch(inner: Box<dyn Defense>, quantum: Span) -> Retime {
+    pub(crate) fn batch(inner: Box<dyn Defense>, quantum: Span) -> Retime {
         assert!(!quantum.is_zero(), "batch quantum must be non-zero");
         Retime::new(inner, Rule::Batch { quantum })
     }
@@ -260,7 +260,6 @@ pub struct ConstantRateShaper {
     period: Span,
     due: Vec<Time>,
     emitted: u64,
-    absorbed: u64,
     on_time: u64,
     deferred: u64,
     actions: Vec<DefenseAction>,
@@ -273,24 +272,22 @@ impl ConstantRateShaper {
     /// # Panics
     ///
     /// Panics if `period` is zero.
-    pub fn new(inner: Box<dyn Defense>, period: Span, geometry: &Geometry) -> ConstantRateShaper {
+    pub(crate) fn new(
+        inner: Box<dyn Defense>,
+        period: Span,
+        geometry: &Geometry,
+    ) -> ConstantRateShaper {
         assert!(!period.is_zero(), "shaper period must be non-zero");
         ConstantRateShaper {
             inner,
             period,
             due: vec![Time::ZERO + period; geometry.ranks_per_channel() as usize],
             emitted: 0,
-            absorbed: 0,
             on_time: 0,
             deferred: 0,
             actions: Vec::new(),
             flight: EventBuffer::new(),
         }
-    }
-
-    /// Reactive RFMs absorbed into the shaped stream so far.
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
     }
 }
 
@@ -303,7 +300,6 @@ impl Defense for ConstantRateShaper {
                 self.actions.push(action);
                 continue;
             }
-            self.absorbed += 1;
             if record {
                 self.flight.push(FlightEvent::Mitigation {
                     t_ns: now.as_ps() / 1_000,
@@ -412,7 +408,7 @@ impl IsolationQuota {
     /// # Panics
     ///
     /// Panics if `epoch` is zero.
-    pub fn new(inner: Box<dyn Defense>, budget: u32, epoch: Span) -> IsolationQuota {
+    pub(crate) fn new(inner: Box<dyn Defense>, budget: u32, epoch: Span) -> IsolationQuota {
         assert!(!epoch.is_zero(), "quota epoch must be non-zero");
         IsolationQuota {
             inner,
@@ -492,7 +488,7 @@ impl Defense for IsolationQuota {
 /// Wraps `inner` in the configured mitigation — the factory mirroring
 /// [`build_defense`]. Adding a mitigation means implementing the
 /// wrapper and extending this match; the controller never changes.
-pub fn build_mitigation(
+pub(crate) fn build_mitigation(
     config: &MitigationConfig,
     geometry: &Geometry,
     seed: u64,
@@ -667,7 +663,6 @@ mod tests {
                 "reactive RFMs must be absorbed into the shaped stream"
             );
         }
-        assert_eq!(shaper.absorbed(), 2);
         // The observable stream is the wrapper's own fixed-rate
         // schedule, present even with zero traffic.
         let first = shaper.next_maintenance(0).unwrap();

@@ -38,17 +38,12 @@ impl Dataset {
     }
 
     /// Number of distinct classes (max label + 1).
-    pub fn n_classes(&self) -> usize {
+    pub(crate) fn n_classes(&self) -> usize {
         self.labels.iter().max().map_or(0, |&m| m + 1)
     }
 
-    /// Feature dimensionality.
-    pub fn n_features(&self) -> usize {
-        self.features.first().map_or(0, Vec::len)
-    }
-
     /// Selects the rows at `idx` into a new dataset.
-    pub fn subset(&self, idx: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, idx: &[usize]) -> Dataset {
         Dataset {
             features: idx.iter().map(|&i| self.features[i].clone()).collect(),
             labels: idx.iter().map(|&i| self.labels[i]).collect(),
@@ -99,7 +94,7 @@ impl Scaler {
     }
 
     /// Standardizes a row in place.
-    pub fn transform_row(&self, row: &mut [f64]) {
+    pub(crate) fn transform_row(&self, row: &mut [f64]) {
         for ((v, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
             *v = (*v - m) / s;
         }
@@ -136,16 +131,6 @@ pub fn stratified_kfold(labels: &[usize], k: usize, seed: u64) -> Vec<(Vec<usize
         .collect()
 }
 
-/// A shuffled train/test split with `test_frac` of the rows held out.
-pub fn train_test_split(n: usize, test_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(&mut StdRng::seed_from_u64(seed));
-    let n_test = ((n as f64) * test_frac).round() as usize;
-    let test = idx[..n_test].to_vec();
-    let train = idx[n_test..].to_vec();
-    (train, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +146,6 @@ mod tests {
         let d = toy();
         assert_eq!(d.len(), 30);
         assert_eq!(d.n_classes(), 3);
-        assert_eq!(d.n_features(), 2);
         let s = d.subset(&[0, 3, 6]);
         assert_eq!(s.labels, vec![0, 0, 0]);
     }
@@ -198,16 +182,6 @@ mod tests {
             seen.iter().all(|&s| s == 1),
             "each sample tested exactly once"
         );
-    }
-
-    #[test]
-    fn split_is_disjoint_and_complete() {
-        let (train, test) = train_test_split(100, 0.25, 7);
-        assert_eq!(test.len(), 25);
-        assert_eq!(train.len(), 75);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

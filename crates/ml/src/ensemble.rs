@@ -8,7 +8,7 @@ use crate::Classifier;
 
 /// Random forest: bagged CART trees with per-split feature subsampling.
 #[derive(Debug, Clone)]
-pub struct RandomForest {
+pub(crate) struct RandomForest {
     n_trees: usize,
     max_depth: usize,
     seed: u64,
@@ -18,7 +18,7 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Creates a forest of `n_trees` trees of depth `max_depth`.
-    pub fn new(n_trees: usize, max_depth: usize, seed: u64) -> RandomForest {
+    pub(crate) fn new(n_trees: usize, max_depth: usize, seed: u64) -> RandomForest {
         RandomForest {
             n_trees,
             max_depth,
@@ -73,7 +73,7 @@ impl Classifier for RandomForest {
 /// Gradient boosting: one-vs-rest logistic boosting with shallow
 /// regression trees fitting the residuals.
 #[derive(Debug, Clone)]
-pub struct GradientBoosting {
+pub(crate) struct GradientBoosting {
     rounds: usize,
     depth: usize,
     learning_rate: f64,
@@ -85,7 +85,12 @@ pub struct GradientBoosting {
 
 impl GradientBoosting {
     /// Creates a booster with `rounds` stages of depth-`depth` trees.
-    pub fn new(rounds: usize, depth: usize, learning_rate: f64, seed: u64) -> GradientBoosting {
+    pub(crate) fn new(
+        rounds: usize,
+        depth: usize,
+        learning_rate: f64,
+        seed: u64,
+    ) -> GradientBoosting {
         GradientBoosting {
             rounds,
             depth,
@@ -157,7 +162,7 @@ impl Classifier for GradientBoosting {
 
 /// AdaBoost (SAMME) over shallow decision trees.
 #[derive(Debug, Clone)]
-pub struct AdaBoost {
+pub(crate) struct AdaBoost {
     rounds: usize,
     base_depth: usize,
     stumps: Vec<(f64, DecisionTree)>,
@@ -167,7 +172,7 @@ pub struct AdaBoost {
 impl AdaBoost {
     /// Creates a booster with `rounds` base learners of depth
     /// `base_depth` (1 = classic stumps; 2 suits multiclass SAMME).
-    pub fn new(rounds: usize, base_depth: usize) -> AdaBoost {
+    pub(crate) fn new(rounds: usize, base_depth: usize) -> AdaBoost {
         AdaBoost {
             rounds,
             base_depth: base_depth.max(1),

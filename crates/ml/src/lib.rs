@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod dataset;
 mod ensemble;
@@ -33,11 +34,12 @@ mod linear;
 mod metrics;
 mod tree;
 
-pub use dataset::{stratified_kfold, train_test_split, Dataset, Scaler};
-pub use ensemble::{AdaBoost, GradientBoosting, RandomForest};
-pub use linear::{KNearest, LinearSvm, LogisticRegression, Perceptron};
+pub use dataset::{stratified_kfold, Dataset, Scaler};
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use tree::{DecisionTree, RegressionTree, TreeConfig};
+pub use tree::{DecisionTree, TreeConfig};
+
+use ensemble::{AdaBoost, GradientBoosting, RandomForest};
+use linear::{KNearest, LinearSvm, LogisticRegression, Perceptron};
 
 /// A trainable multiclass classifier.
 pub trait Classifier {
@@ -131,15 +133,15 @@ fn lh_std(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Deterministic Gaussian-blob test data (exposed for tests and benches).
-#[doc(hidden)]
-pub mod testdata {
+/// Deterministic Gaussian-blob test data for the unit tests.
+#[cfg(test)]
+mod testdata {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// `classes` Gaussian blobs of `per_class` points in `dims`
     /// dimensions; returns (features, labels).
-    pub fn blobs(
+    pub(crate) fn blobs(
         classes: usize,
         per_class: usize,
         dims: usize,

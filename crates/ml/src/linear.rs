@@ -10,7 +10,7 @@ use crate::Classifier;
 
 /// k-nearest neighbors (Euclidean distance, majority vote).
 #[derive(Debug, Clone)]
-pub struct KNearest {
+pub(crate) struct KNearest {
     k: usize,
     x: Vec<Vec<f64>>,
     y: Vec<usize>,
@@ -19,7 +19,7 @@ pub struct KNearest {
 
 impl KNearest {
     /// Creates a k-NN classifier.
-    pub fn new(k: usize) -> KNearest {
+    pub(crate) fn new(k: usize) -> KNearest {
         KNearest {
             k: k.max(1),
             x: Vec::new(),
@@ -68,7 +68,7 @@ impl Classifier for KNearest {
 
 /// One-vs-rest linear SVM trained with Pegasos-style hinge-loss SGD.
 #[derive(Debug, Clone)]
-pub struct LinearSvm {
+pub(crate) struct LinearSvm {
     epochs: usize,
     lambda: f64,
     seed: u64,
@@ -78,7 +78,7 @@ pub struct LinearSvm {
 
 impl LinearSvm {
     /// Creates an SVM with `epochs` passes and regularization `lambda`.
-    pub fn new(epochs: usize, lambda: f64, seed: u64) -> LinearSvm {
+    pub(crate) fn new(epochs: usize, lambda: f64, seed: u64) -> LinearSvm {
         LinearSvm {
             epochs,
             lambda,
@@ -136,7 +136,7 @@ impl Classifier for LinearSvm {
 
 /// Multinomial (softmax) logistic regression trained with SGD.
 #[derive(Debug, Clone)]
-pub struct LogisticRegression {
+pub(crate) struct LogisticRegression {
     epochs: usize,
     lr: f64,
     seed: u64,
@@ -146,7 +146,7 @@ pub struct LogisticRegression {
 
 impl LogisticRegression {
     /// Creates a model with `epochs` passes at learning rate `lr`.
-    pub fn new(epochs: usize, lr: f64, seed: u64) -> LogisticRegression {
+    pub(crate) fn new(epochs: usize, lr: f64, seed: u64) -> LogisticRegression {
         LogisticRegression {
             epochs,
             lr,
@@ -201,7 +201,7 @@ impl Classifier for LogisticRegression {
 
 /// The classic multiclass perceptron.
 #[derive(Debug, Clone)]
-pub struct Perceptron {
+pub(crate) struct Perceptron {
     epochs: usize,
     seed: u64,
     w: Vec<(Vec<f64>, f64)>,
@@ -209,7 +209,7 @@ pub struct Perceptron {
 
 impl Perceptron {
     /// Creates a perceptron with `epochs` passes.
-    pub fn new(epochs: usize, seed: u64) -> Perceptron {
+    pub(crate) fn new(epochs: usize, seed: u64) -> Perceptron {
         Perceptron {
             epochs,
             seed,

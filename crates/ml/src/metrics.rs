@@ -67,12 +67,12 @@ impl ConfusionMatrix {
     }
 
     /// Macro-averaged precision over classes that appear in the data.
-    pub fn macro_precision(&self) -> f64 {
+    pub(crate) fn macro_precision(&self) -> f64 {
         self.macro_over(|c| self.precision(c))
     }
 
     /// Macro-averaged recall.
-    pub fn macro_recall(&self) -> f64 {
+    pub(crate) fn macro_recall(&self) -> f64 {
         self.macro_over(|c| self.recall(c))
     }
 

@@ -68,7 +68,8 @@ impl DecisionTree {
     }
 
     /// A depth-1 stump (AdaBoost base learner).
-    pub fn stump() -> DecisionTree {
+    #[cfg(test)]
+    pub(crate) fn stump() -> DecisionTree {
         DecisionTree::new(TreeConfig {
             max_depth: 1,
             ..TreeConfig::default()
@@ -76,7 +77,13 @@ impl DecisionTree {
     }
 
     /// Fits with per-sample weights.
-    pub fn fit_weighted(&mut self, x: &[Vec<f64>], y: &[usize], w: &[f64], n_classes: usize) {
+    pub(crate) fn fit_weighted(
+        &mut self,
+        x: &[Vec<f64>],
+        y: &[usize],
+        w: &[f64],
+        n_classes: usize,
+    ) {
         assert_eq!(x.len(), y.len());
         assert_eq!(x.len(), w.len());
         self.n_classes = n_classes;
@@ -168,7 +175,8 @@ impl DecisionTree {
     }
 
     /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }
@@ -193,14 +201,14 @@ impl Classifier for DecisionTree {
 
 /// A regression tree (mean-squared-error splits) for gradient boosting.
 #[derive(Debug, Clone)]
-pub struct RegressionTree {
+pub(crate) struct RegressionTree {
     config: TreeConfig,
     nodes: Vec<Node>,
 }
 
 impl RegressionTree {
     /// Creates an untrained regression tree.
-    pub fn new(config: TreeConfig) -> RegressionTree {
+    pub(crate) fn new(config: TreeConfig) -> RegressionTree {
         RegressionTree {
             config,
             nodes: Vec::new(),
@@ -208,7 +216,7 @@ impl RegressionTree {
     }
 
     /// Fits targets `t`.
-    pub fn fit(&mut self, x: &[Vec<f64>], t: &[f64]) {
+    pub(crate) fn fit(&mut self, x: &[Vec<f64>], t: &[f64]) {
         assert_eq!(x.len(), t.len());
         self.nodes.clear();
         let idx: Vec<usize> = (0..x.len()).collect();
@@ -265,7 +273,7 @@ impl RegressionTree {
     }
 
     /// Predicts the target for one row.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         let mut i = 0;
         loop {
             match &self.nodes[i] {

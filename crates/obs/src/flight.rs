@@ -1,7 +1,7 @@
 //! The flight recorder: typed events on the *simulated* clock.
 //!
 //! This is the third observability channel, sitting between the
-//! deterministic aggregates of [`crate::metrics`] and the wall-clock
+//! deterministic aggregates of `crate::metrics` and the wall-clock
 //! spans of [`crate::trace`]: like metrics, every recorded event is a
 //! pure function of the computation (simulated-ns timestamps, command
 //! kinds, maintenance causes — never wall-clock or scheduling), so an

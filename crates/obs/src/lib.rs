@@ -3,7 +3,7 @@
 //! The observability spine of the LeakyHammer reproduction, split into
 //! three channels with deliberately different guarantees:
 //!
-//! * **Deterministic counters and histograms** ([`metrics`]) — named
+//! * **Deterministic counters and histograms** (`metrics`) — named
 //!   `u64` counters ([`Counter`]) and fixed-power-of-two-bucket
 //!   distributions ([`Histogram`]) whose increments and samples land in
 //!   a per-thread scope ([`record`]). The harness wraps every
@@ -50,16 +50,17 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod flight;
-pub mod metrics;
-pub mod registry;
+mod metrics;
+mod registry;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightLog};
 pub use metrics::{emit, record, scoped, Counter, Hist, Histogram, Metrics};
 pub use registry::Registry;
-pub use trace::{chrome_trace_json, export_chrome_trace, Span, TraceEvent};
+pub use trace::{export_chrome_trace, Span, TraceEvent};
 
 /// Escapes `s` for embedding in a JSON string literal, appending to
 /// `out` — the one escaper behind the flight log's and the Chrome

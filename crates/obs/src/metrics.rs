@@ -59,7 +59,7 @@ impl Hist {
     }
 
     /// The bucket exponent sample `v` lands in.
-    pub fn bucket_of(v: u64) -> u32 {
+    pub(crate) fn bucket_of(v: u64) -> u32 {
         if v == 0 {
             0
         } else {
@@ -112,7 +112,7 @@ impl Hist {
     }
 
     /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`Registry`] aggregates counter totals across every metric scope
 //! that reports to it — the harness runner and the coordinator push
-//! each completed unit's [`Metrics`](crate::Metrics) in, so a process
+//! each completed unit's [`Metrics`] in, so a process
 //! can always answer "what has the simulator done so far" without
 //! threading state through call sites. Thread-safe; all methods take
 //! `&self`.

@@ -1,7 +1,7 @@
 //! Wall-clock trace spans with a Chrome `trace_event` exporter.
 //!
 //! Spans measure real elapsed time, so they are deliberately kept out
-//! of the deterministic [`crate::metrics`] channel: timings never touch
+//! of the deterministic `crate::metrics` channel: timings never touch
 //! cacheable results or distributed-run envelopes. Instead they
 //! accumulate in a process-global buffer and export as the Chrome
 //! trace-event JSON format, loadable in `chrome://tracing` or Perfetto
@@ -104,7 +104,7 @@ impl Drop for Span {
 /// Renders spans as a Chrome trace-event JSON document
 /// (`{"traceEvents":[...]}` with `"ph":"X"` complete events), loadable
 /// in `chrome://tracing` and Perfetto.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
     use std::fmt::Write as _;
     let pid = std::process::id();
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");

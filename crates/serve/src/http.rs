@@ -25,13 +25,13 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target as sent, e.g. `/runs/3/stream`.
-    pub path: String,
+    pub(crate) path: String,
     /// Request body (empty unless `Content-Length` said otherwise).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -69,7 +69,7 @@ fn read_line(reader: &mut impl BufRead, limit: usize) -> io::Result<String> {
 ///
 /// Transport faults, plus `InvalidData` for anything malformed or over
 /// the size limits — the caller answers those with a `400`.
-pub fn read_request(stream: impl Read) -> io::Result<Request> {
+pub(crate) fn read_request(stream: impl Read) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let request_line = read_line(&mut reader, MAX_REQUEST_LINE)?;
     let mut parts = request_line.split_ascii_whitespace();
@@ -132,7 +132,7 @@ fn reason(status: u16) -> &'static str {
 ///
 /// Write faults on `stream` (the peer hanging up mid-response is
 /// normal connection churn; callers ignore it).
-pub fn respond(
+pub(crate) fn respond(
     mut stream: impl Write,
     status: u16,
     content_type: &str,
@@ -154,7 +154,7 @@ pub fn respond(
 /// followers see lines live; [`ChunkedWriter::finish`] writes the
 /// terminating zero-chunk.
 #[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
+pub(crate) struct ChunkedWriter<W: Write> {
     stream: W,
 }
 
@@ -164,7 +164,7 @@ impl<W: Write> ChunkedWriter<W> {
     /// # Errors
     ///
     /// Write faults on `stream`.
-    pub fn start(mut stream: W, content_type: &str) -> io::Result<ChunkedWriter<W>> {
+    pub(crate) fn start(mut stream: W, content_type: &str) -> io::Result<ChunkedWriter<W>> {
         write!(
             stream,
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
@@ -179,7 +179,7 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Write faults on the underlying stream (a follower hanging up is
     /// the normal way a stream ends).
-    pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
+    pub(crate) fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
         self.chunk_parts(&[data])
     }
 
@@ -189,7 +189,7 @@ impl<W: Write> ChunkedWriter<W> {
     /// # Errors
     ///
     /// As [`ChunkedWriter::chunk`].
-    pub fn chunk_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+    pub(crate) fn chunk_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
         let len: usize = parts.iter().map(|part| part.len()).sum();
         if len == 0 {
             return Ok(()); // an empty chunk would terminate the body
@@ -207,7 +207,7 @@ impl<W: Write> ChunkedWriter<W> {
     /// # Errors
     ///
     /// Write faults on the underlying stream.
-    pub fn finish(mut self) -> io::Result<()> {
+    pub(crate) fn finish(mut self) -> io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }

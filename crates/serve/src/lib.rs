@@ -31,16 +31,17 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod client;
-pub mod http;
-pub mod prom;
-pub mod server;
+mod http;
+mod prom;
+mod server;
 mod store;
 
 pub use server::{ServeOptions, Server};
 pub use store::{StoreStats, PAYLOAD_BUDGET_BYTES};
 
 // Re-exported so embedders need only this crate for a basic setup.
-pub use lh_coord::{ProcessSpawner, SpawnWorker, ThreadSpawner};
+pub use lh_coord::{ProcessSpawner, ThreadSpawner};
 pub use lh_harness::cache::DiskCache;

@@ -55,7 +55,7 @@ fn histogram(out: &mut String, name: &str, hist: &Hist) {
 /// Renders the whole `/metrics` page: registry counter totals, registry
 /// histograms, the absorbed-unit count, the run store's retention
 /// counts, and the fleet snapshot.
-pub fn render(
+pub(crate) fn render(
     totals: &Metrics,
     units_absorbed: u64,
     fleet: &FleetSnapshot,

@@ -11,7 +11,7 @@
 //! is what keeps the determinism contract trivially intact. HTTP
 //! handler threads never touch the coordinator; they share:
 //!
-//! * the run store ([`crate::store`]) — per submission its status, the
+//! * the run store (`store.rs`) — per submission its status, the
 //!   accumulated NDJSON event lines and the finished envelope bytes,
 //!   behind a mutex+condvar so stream followers tail live; finished
 //!   payloads are held under a fixed byte budget, and an evicted run's
@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 
 use lh_coord::{Coordinator, CoordinatorOptions, FleetTelemetry, SpawnWorker};
 use lh_harness::cache::DiskCache;
-use lh_harness::job::Registry;
 use lh_harness::json::{parse, Json};
 use lh_harness::sink;
+use lh_harness::Registry;
 use lh_harness::{OutputFormat, ScaleLevel, UnitEvent, UnitObserver};
 
 use crate::http::{read_request, respond, ChunkedWriter, Request};

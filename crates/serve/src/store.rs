@@ -85,18 +85,18 @@ impl RunPhase {
 #[derive(Debug)]
 pub(crate) struct RunRecord {
     pub id: u64,
-    pub experiment: String,
-    pub scale: ScaleLevel,
-    pub seed: u64,
+    pub(crate) experiment: String,
+    pub(crate) scale: ScaleLevel,
+    pub(crate) seed: u64,
     /// Whether the submission asked for flight-event recording.
-    pub events: bool,
+    pub(crate) events: bool,
 }
 
 impl RunRecord {
     /// The context the run executes, and is re-served, under: a
     /// recording submission records into rings of the default capacity.
     /// Runs share nothing else, so any number may execute at once.
-    pub fn context(&self) -> JobContext {
+    pub(crate) fn context(&self) -> JobContext {
         JobContext {
             flight: self.events.then_some(lh_obs::flight::DEFAULT_CAP),
             ..JobContext::new(self.scale, self.seed)
@@ -118,13 +118,13 @@ pub(crate) enum Part {
 #[derive(Debug)]
 pub(crate) struct Finished {
     /// The `finished` line's head, through `"envelope":`.
-    pub head: String,
+    pub(crate) head: String,
     /// The compact envelope the `finished` line carries.
-    pub compact: String,
+    pub(crate) compact: String,
     /// The pretty-printed envelope plus trailing newline.
-    pub envelope: String,
+    pub(crate) envelope: String,
     /// The flight-event log of a recording run.
-    pub events: Option<String>,
+    pub(crate) events: Option<String>,
 }
 
 /// One NDJSON stream line as the store holds it.
@@ -139,7 +139,7 @@ pub(crate) enum Line {
 
 impl Line {
     /// The line's bytes, in order.
-    pub fn parts(&self) -> [&[u8]; 3] {
+    pub(crate) fn parts(&self) -> [&[u8]; 3] {
         match self {
             Line::Whole(line) => [line.as_bytes(), b"", b""],
             Line::Finished { head, envelope } => [
@@ -194,21 +194,21 @@ impl RunEntry {
     }
 
     /// Appends one stream line and wakes the followers.
-    pub fn push_line(&self, line: String) {
+    pub(crate) fn push_line(&self, line: String) {
         let line = Line::Whole(line.into()); // copied before the lock is taken
         self.lock().lines.push(line);
         self.cond.notify_all();
     }
 
     /// Marks the run as picked up by the executor.
-    pub fn set_running(&self) {
+    pub(crate) fn set_running(&self) {
         self.lock().phase = RunPhase::Running;
         self.cond.notify_all();
     }
 
     /// The finished `part`, by refcount; or the status and message to
     /// answer with while there is none (`409` unfinished, `500` failed).
-    pub fn part(&self, part: Part) -> Result<Arc<str>, (u16, String)> {
+    pub(crate) fn part(&self, part: Part) -> Result<Arc<str>, (u16, String)> {
         let inner = self.lock();
         let held = match part {
             Part::Envelope => &inner.envelope,
@@ -224,7 +224,7 @@ impl RunEntry {
     /// The lines after the first `sent`, by refcount, and whether the
     /// run has finished (no more will come). Blocks while there is
     /// nothing new on an unfinished run, for at most `patience`.
-    pub fn lines_after(&self, sent: usize, patience: Duration) -> (Vec<Line>, bool) {
+    pub(crate) fn lines_after(&self, sent: usize, patience: Duration) -> (Vec<Line>, bool) {
         let (inner, _) = self
             .cond
             .wait_timeout_while(self.lock(), patience, |inner| {
@@ -242,7 +242,7 @@ pub(crate) struct EvictedRun {
     /// Stream lines the run emitted.
     lines: usize,
     /// The failure, if the run failed.
-    pub error: Option<String>,
+    pub(crate) error: Option<String>,
 }
 
 /// One slot of the window: what a lookup by id returns.
@@ -256,7 +256,7 @@ pub(crate) enum Run {
 }
 
 impl Run {
-    pub fn record(&self) -> &RunRecord {
+    pub(crate) fn record(&self) -> &RunRecord {
         match self {
             Run::Held(entry) => &entry.record,
             Run::Evicted(evicted) => &evicted.record,
@@ -265,7 +265,7 @@ impl Run {
 
     /// The run's status document. `retained` tells a client whether
     /// `/stream` (and, without a disk cache, `/envelope`) will answer.
-    pub fn status_json(&self) -> Json {
+    pub(crate) fn status_json(&self) -> Json {
         let (status, lines, error) = match self {
             Run::Held(entry) => {
                 let inner = entry.lock();
@@ -302,14 +302,14 @@ impl Run {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Finished runs whose payload is in memory.
-    pub runs_retained: u64,
+    pub(crate) runs_retained: u64,
     /// Bytes of those payloads as held: each run's own stream lines,
     /// plus each distinct envelope, compact envelope and events log once.
-    pub payload_bytes: u64,
+    pub(crate) payload_bytes: u64,
     /// Finished runs whose payload was dropped, ever.
-    pub runs_evicted: u64,
+    pub(crate) runs_evicted: u64,
     /// Documents of evicted runs re-served from the disk cache, ever.
-    pub envelopes_recovered: u64,
+    pub(crate) envelopes_recovered: u64,
 }
 
 /// Which finished document of a run.
@@ -447,7 +447,7 @@ pub(crate) struct RunStore {
 }
 
 impl RunStore {
-    pub fn new() -> RunStore {
+    pub(crate) fn new() -> RunStore {
         RunStore {
             inner: Mutex::new(StoreInner {
                 next_id: 1,
@@ -468,7 +468,7 @@ impl RunStore {
     /// Admits a submission as a queued run. `None` when the window is
     /// full and its oldest run has not finished: nothing can be
     /// forgotten to make room.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         experiment: &str,
         scale: ScaleLevel,
@@ -512,12 +512,12 @@ impl RunStore {
     }
 
     /// The run with this id, if the window still remembers it.
-    pub fn get(&self, id: u64) -> Option<Run> {
+    pub(crate) fn get(&self, id: u64) -> Option<Run> {
         self.lock().slot(id).cloned()
     }
 
     /// Every run the window remembers, oldest first.
-    pub fn window(&self) -> Vec<Run> {
+    pub(crate) fn window(&self) -> Vec<Run> {
         self.lock().window.iter().cloned().collect()
     }
 
@@ -527,7 +527,7 @@ impl RunStore {
     /// evicts oldest-finished runs until the budget holds — this one
     /// included if it alone is over budget; whoever holds `entry` still
     /// reads it.
-    pub fn finish(&self, entry: &RunEntry, outcome: Result<Finished, String>) {
+    pub(crate) fn finish(&self, entry: &RunEntry, outcome: Result<Finished, String>) {
         let mut store = self.lock();
         let record = &entry.record;
         let mut docs = Vec::new();
@@ -566,11 +566,11 @@ impl RunStore {
     }
 
     /// Counts one document of an evicted run re-served from disk.
-    pub fn note_recovered(&self) {
+    pub(crate) fn note_recovered(&self) {
         self.lock().recovered += 1;
     }
 
-    pub fn stats(&self) -> StoreStats {
+    pub(crate) fn stats(&self) -> StoreStats {
         let store = self.lock();
         StoreStats {
             runs_retained: store.finished.len() as u64,

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod cache;
 mod lane;
@@ -46,7 +47,7 @@ pub use cache::{CacheAccess, CacheConfig, CacheHierarchy, CacheLevelConfig, Cach
 pub use lane::run_lanes;
 pub use looper::LoopProcess;
 pub use prefetch::{BestOffsetPrefetcher, BopConfig};
-pub use process::{IdleProcess, MemAccess, Process, ProcessStep};
+pub use process::{MemAccess, Process, ProcessStep};
 pub use system::{ProcId, ProcStats, SimConfig, System, SystemBuilder};
 pub use trace::{LatencySample, LatencyTrace};
 
@@ -146,7 +147,7 @@ mod tests {
         );
         assert!(sys.run_until_halted(Time::from_ms(2)));
         let trace = sys.process_as::<LoopProcess>(pid).unwrap().trace();
-        let spikes = trace.count_above(Span::from_ns(300));
+        let spikes = trace.above(Span::from_ns(300)).count();
         assert!(spikes >= 2, "expected refresh spikes, got {spikes}");
         // But they are rare.
         assert!(spikes < trace.len() / 4);
@@ -168,7 +169,7 @@ mod tests {
         let trace = sys.process_as::<LoopProcess>(pid).unwrap().trace();
         // ~400 conflicting accesses with NBO=64 → ~3 back-offs, visible
         // as ≥1200 ns iterations.
-        let backoffs = trace.count_above(Span::from_ns(1_200));
+        let backoffs = trace.above(Span::from_ns(1_200)).count();
         assert!(backoffs >= 2, "expected visible back-offs, got {backoffs}");
         assert!(sys.controller().stats().backoffs >= 2);
     }

@@ -52,7 +52,8 @@ impl LoopProcess {
 
     /// As [`LoopProcess::new`] but without the per-iteration `clflush`
     /// (accesses may hit in cache).
-    pub fn without_flush(addrs: Vec<u64>, iterations: usize, think: Span) -> LoopProcess {
+    #[cfg(test)]
+    pub(crate) fn without_flush(addrs: Vec<u64>, iterations: usize, think: Span) -> LoopProcess {
         LoopProcess {
             flush: false,
             ..LoopProcess::new(addrs, iterations, think)

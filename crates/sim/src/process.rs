@@ -46,7 +46,7 @@ impl MemAccess {
     }
 
     /// A plain blocking load.
-    pub fn load(addr: u64, think: Span) -> MemAccess {
+    pub(crate) fn load(addr: u64, think: Span) -> MemAccess {
         MemAccess {
             addr,
             write: false,
@@ -120,24 +120,6 @@ impl fmt::Debug for dyn Process {
     }
 }
 
-/// A process that does nothing (useful as a placeholder in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdleProcess;
-
-impl Process for IdleProcess {
-    fn step(&mut self, _now: Time) -> ProcessStep {
-        ProcessStep::Halt
-    }
-
-    fn label(&self) -> String {
-        "idle".to_owned()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +132,5 @@ mod tests {
         assert!(!b.flush && !b.blocking && !b.write);
         let c = MemAccess::store_async(0xc0, Span::ZERO);
         assert!(c.write && !c.blocking);
-    }
-
-    #[test]
-    fn idle_process_halts_immediately() {
-        let mut p = IdleProcess;
-        assert_eq!(p.step(Time::ZERO), ProcessStep::Halt);
-        assert_eq!(p.label(), "idle");
-        assert!(p.as_any().downcast_ref::<IdleProcess>().is_some());
     }
 }

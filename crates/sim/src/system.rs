@@ -30,37 +30,37 @@ mod counters {
     use lh_obs::{Counter, Histogram};
 
     /// `MemoryController::service` invocations (scheduler wakes).
-    pub const SERVICE_WAKES: Counter = Counter::new("sim.service_wakes");
+    pub(crate) const SERVICE_WAKES: Counter = Counter::new("sim.service_wakes");
     /// ACT commands issued.
-    pub const CMD_ACT: Counter = Counter::new("sim.cmd.act");
+    pub(crate) const CMD_ACT: Counter = Counter::new("sim.cmd.act");
     /// PRE/PREab commands issued.
-    pub const CMD_PRE: Counter = Counter::new("sim.cmd.pre");
+    pub(crate) const CMD_PRE: Counter = Counter::new("sim.cmd.pre");
     /// Column reads served.
-    pub const CMD_RD: Counter = Counter::new("sim.cmd.rd");
+    pub(crate) const CMD_RD: Counter = Counter::new("sim.cmd.rd");
     /// Column writes served.
-    pub const CMD_WR: Counter = Counter::new("sim.cmd.wr");
+    pub(crate) const CMD_WR: Counter = Counter::new("sim.cmd.wr");
     /// Periodic REF commands issued.
-    pub const CMD_REF: Counter = Counter::new("sim.cmd.ref");
+    pub(crate) const CMD_REF: Counter = Counter::new("sim.cmd.ref");
     /// RFM commands issued (any cause).
-    pub const CMD_RFM: Counter = Counter::new("sim.cmd.rfm");
+    pub(crate) const CMD_RFM: Counter = Counter::new("sim.cmd.rfm");
     /// Scheduled maintenance taken exactly at its deadline.
-    pub const MAINT_ON_TIME: Counter = Counter::new("sim.maintenance.on_time");
+    pub(crate) const MAINT_ON_TIME: Counter = Counter::new("sim.maintenance.on_time");
     /// Scheduled maintenance that slipped past its deadline.
-    pub const MAINT_DEFERRED: Counter = Counter::new("sim.maintenance.deferred");
+    pub(crate) const MAINT_DEFERRED: Counter = Counter::new("sim.maintenance.deferred");
     /// Cache-level probes that hit (L1 + L2 + LLC).
-    pub const CACHE_PROBE_HITS: Counter = Counter::new("sim.cache.probe_hits");
+    pub(crate) const CACHE_PROBE_HITS: Counter = Counter::new("sim.cache.probe_hits");
     /// Cache-level probes that missed (L1 + L2 + LLC).
-    pub const CACHE_PROBE_MISSES: Counter = Counter::new("sim.cache.probe_misses");
+    pub(crate) const CACHE_PROBE_MISSES: Counter = Counter::new("sim.cache.probe_misses");
     /// Systems that contributed counters (one per flushed [`super::System`]).
-    pub const SYSTEMS: Counter = Counter::new("sim.systems");
+    pub(crate) const SYSTEMS: Counter = Counter::new("sim.systems");
 
     /// Distribution of request queue waits — each completion's
     /// `finished - arrival`, in integer simulated nanoseconds.
-    pub const QUEUE_WAIT: Histogram = Histogram::new("sim.queue_wait");
+    pub(crate) const QUEUE_WAIT: Histogram = Histogram::new("sim.queue_wait");
     /// Distribution of scheduled-maintenance slack — how far past its
     /// deadline each maintenance take landed (zero = on time), in
     /// integer simulated nanoseconds.
-    pub const MAINT_SLACK: Histogram = Histogram::new("sim.maintenance.slack");
+    pub(crate) const MAINT_SLACK: Histogram = Histogram::new("sim.maintenance.slack");
 }
 
 /// Counter values already flushed into the metric scope, so repeated
@@ -223,13 +223,13 @@ impl SystemBuilder {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Demand loads that missed all caches (DRAM reads).
-    pub dram_reads: u64,
+    pub(crate) dram_reads: u64,
     /// Writebacks sent on this process's behalf.
-    pub dram_writes: u64,
+    pub(crate) dram_writes: u64,
     /// Cache hits (any level).
-    pub cache_hits: u64,
+    pub(crate) cache_hits: u64,
     /// Total steps executed.
-    pub steps: u64,
+    pub(crate) steps: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -432,7 +432,7 @@ impl System {
     }
 
     /// Whether every process has halted.
-    pub fn all_halted(&self) -> bool {
+    pub(crate) fn all_halted(&self) -> bool {
         self.procs.iter().all(|p| p.halted)
     }
 

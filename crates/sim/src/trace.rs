@@ -69,11 +69,6 @@ impl LatencyTrace {
         self.samples.iter().filter(move |s| s.latency >= threshold)
     }
 
-    /// Count of samples with latency at or above `threshold`.
-    pub fn count_above(&self, threshold: Span) -> usize {
-        self.above(threshold).count()
-    }
-
     /// Samples whose latency falls within `[lo, hi)`.
     pub fn within(&self, lo: Span, hi: Span) -> impl Iterator<Item = &LatencySample> {
         self.samples
@@ -86,16 +81,6 @@ impl LatencyTrace {
         self.samples
             .iter()
             .filter(move |s| s.at >= from && s.at < to)
-    }
-
-    /// Mean latency of samples at or above `threshold` (ns), or `None`.
-    pub fn mean_above_ns(&self, threshold: Span) -> Option<f64> {
-        let above: Vec<f64> = self.above(threshold).map(|s| s.latency.as_ns()).collect();
-        if above.is_empty() {
-            None
-        } else {
-            Some(above.iter().sum::<f64>() / above.len() as f64)
-        }
     }
 }
 
@@ -128,8 +113,8 @@ mod tests {
     #[test]
     fn thresholding() {
         let t = trace();
-        assert_eq!(t.count_above(Span::from_ns(1000)), 2);
-        assert_eq!(t.count_above(Span::from_ns(500)), 3);
+        assert_eq!(t.above(Span::from_ns(1000)).count(), 2);
+        assert_eq!(t.above(Span::from_ns(500)).count(), 3);
         assert_eq!(t.within(Span::from_ns(500), Span::from_ns(1000)).count(), 1);
     }
 
@@ -145,9 +130,6 @@ mod tests {
         let t = trace();
         assert_eq!(t.max(), Span::from_ns(1600));
         assert!((t.mean_ns() - 695.0).abs() < 1e-9);
-        let above = t.mean_above_ns(Span::from_ns(1000)).unwrap();
-        assert!((above - 1550.0).abs() < 1e-9);
-        assert_eq!(LatencyTrace::new().mean_above_ns(Span::from_ns(1)), None);
     }
 
     #[test]

@@ -74,24 +74,24 @@ fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Share of the total load time this phase occupies.
-    pub duration_share: f64,
+    pub(crate) duration_share: f64,
     /// Gap between consecutive memory accesses in this phase.
-    pub access_gap: Span,
+    pub(crate) access_gap: Span,
     /// Number of hot rows the phase cycles over (alternating rows forces
     /// row activations).
-    pub hot_rows: u32,
+    pub(crate) hot_rows: u32,
     /// Fraction of accesses that thrash the cache (modeled as flushing
     /// loads) versus cache-friendly ones.
-    pub thrash_frac: f64,
+    pub(crate) thrash_frac: f64,
 }
 
 /// A deterministic per-site load profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WebsiteProfile {
     /// Index into [`WEBSITES`].
-    pub site: usize,
+    pub(crate) site: usize,
     /// The load phases.
-    pub phases: Vec<Phase>,
+    pub(crate) phases: Vec<Phase>,
 }
 
 impl WebsiteProfile {
@@ -126,7 +126,7 @@ impl WebsiteProfile {
     }
 
     /// The site's name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         WEBSITES[self.site]
     }
 }

@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod browser;
 mod mixes;
@@ -30,6 +31,6 @@ mod spec;
 mod trace;
 
 pub use browser::{BrowserProcess, Phase, WebsiteProfile, WEBSITES};
-pub use mixes::{app_pool, four_core_mixes};
-pub use spec::{AppProfile, Intensity, SyntheticApp, INSTR_TIME};
+pub use mixes::four_core_mixes;
+pub use spec::{AppProfile, Intensity, SyntheticApp};
 pub use trace::{SharedTrace, TraceReplay};

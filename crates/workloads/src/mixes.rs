@@ -7,7 +7,7 @@ use crate::spec::AppProfile;
 
 /// The pool of synthetic applications the mixes draw from: a spread of
 /// RBMPKI values mirroring the SPEC2017+2006 range the paper uses.
-pub fn app_pool() -> Vec<AppProfile> {
+pub(crate) fn app_pool() -> Vec<AppProfile> {
     [
         ("pool-0.5", 0.5),
         ("pool-1", 1.0),

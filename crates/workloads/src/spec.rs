@@ -18,7 +18,7 @@ use lh_memctrl::AddressMapping;
 use lh_sim::{MemAccess, Process, ProcessStep};
 
 /// Instruction latency at 3 GHz, CPI 1.
-pub const INSTR_TIME: Span = Span::from_ps(333);
+pub(crate) const INSTR_TIME: Span = Span::from_ps(333);
 
 /// Memory-intensity category (§6.3 / Fig. 5 grouping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,15 +48,15 @@ pub struct AppProfile {
     /// Workload name (reports).
     pub name: String,
     /// Instructions between consecutive memory accesses.
-    pub instr_per_access: u64,
+    pub(crate) instr_per_access: u64,
     /// Consecutive cache lines read per row visit (row-buffer locality).
-    pub lines_per_row: u32,
+    pub(crate) lines_per_row: u32,
     /// Rows in the application's working set (per bank).
-    pub footprint_rows: u32,
+    pub(crate) footprint_rows: u32,
     /// Outstanding-miss parallelism.
     pub mlp: u32,
     /// Fraction of accesses that are stores.
-    pub write_frac: f64,
+    pub(crate) write_frac: f64,
 }
 
 impl AppProfile {
@@ -104,7 +104,6 @@ pub struct SyntheticApp {
     row_addr: Option<DramAddr>,
     lines_left: u32,
     instructions: u64,
-    halted_at: Option<Time>,
 }
 
 impl SyntheticApp {
@@ -124,7 +123,6 @@ impl SyntheticApp {
             row_addr: None,
             lines_left: 0,
             instructions: 0,
-            halted_at: None,
         }
     }
 
@@ -136,11 +134,6 @@ impl SyntheticApp {
     /// Instructions retired so far.
     pub fn instructions(&self) -> u64 {
         self.instructions
-    }
-
-    /// When the app halted, if it has.
-    pub fn halted_at(&self) -> Option<Time> {
-        self.halted_at
     }
 
     /// The app's memory-level parallelism (pass to
@@ -173,7 +166,6 @@ impl SyntheticApp {
 impl Process for SyntheticApp {
     fn step(&mut self, now: Time) -> ProcessStep {
         if now >= self.until {
-            self.halted_at = self.halted_at.or(Some(now));
             return ProcessStep::Halt;
         }
         self.instructions += self.profile.instr_per_access;

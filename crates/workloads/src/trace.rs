@@ -132,7 +132,7 @@ impl SharedTrace {
     }
 
     /// The profile replayed by `core`.
-    pub fn profile(&self, core: usize) -> &AppProfile {
+    pub(crate) fn profile(&self, core: usize) -> &AppProfile {
         &self.profiles[core]
     }
 
@@ -178,7 +178,6 @@ pub struct TraceReplay {
     until: Time,
     idx: usize,
     instructions: u64,
-    halted_at: Option<Time>,
     /// Locally buffered steps `[buf_start, buf_start + buf.len())` of
     /// the shared stream, refilled a block at a time so steady-state
     /// replay stays off the generator mutex.
@@ -199,7 +198,6 @@ impl TraceReplay {
             until,
             idx: 0,
             instructions: 0,
-            halted_at: None,
             buf: Vec::with_capacity(REPLAY_BLOCK),
             buf_start: 0,
         }
@@ -208,11 +206,6 @@ impl TraceReplay {
     /// Instructions retired so far.
     pub fn instructions(&self) -> u64 {
         self.instructions
-    }
-
-    /// When the replay halted, if it has.
-    pub fn halted_at(&self) -> Option<Time> {
-        self.halted_at
     }
 
     /// The replayed profile's memory-level parallelism (pass to
@@ -225,7 +218,6 @@ impl TraceReplay {
 impl Process for TraceReplay {
     fn step(&mut self, now: Time) -> ProcessStep {
         if now >= self.until {
-            self.halted_at = self.halted_at.or(Some(now));
             return ProcessStep::Halt;
         }
         let profile = self.trace.profile(self.core);

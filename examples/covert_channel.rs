@@ -8,7 +8,7 @@
 
 use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 use leakyhammer::report;
-use lh_analysis::message::{bits_of_str, str_of_bits};
+use lh_analysis::{bits_of_str, str_of_bits};
 
 fn show(kind: ChannelKind, label: &str) {
     let message = "MICRO";

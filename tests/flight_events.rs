@@ -17,7 +17,7 @@
 //! with plain runs.
 
 use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-use lh_analysis::message::bits_of_str;
+use lh_analysis::bits_of_str;
 use lh_coord::{Coordinator, CoordinatorOptions};
 use lh_defenses::DefenseKind;
 use lh_harness::json::{self, Json};

@@ -4,7 +4,7 @@
 
 use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 use leakyhammer::experiment::latency_trace::run_latency_trace;
-use lh_analysis::message::bits_of_str;
+use lh_analysis::bits_of_str;
 use lh_defenses::DefenseConfig;
 use lh_dram::Span;
 

@@ -122,7 +122,7 @@ fn security_holds_while_the_covert_channel_runs() {
     // The attack exploits the defense without breaking it: during a covert
     // transmission the defense still keeps disturbance below NRH.
     use leakyhammer::experiment::covert::{run_covert, ChannelKind, CovertOptions};
-    use lh_analysis::message::bits_of_str;
+    use lh_analysis::bits_of_str;
     let opts = CovertOptions::new(ChannelKind::Prac, bits_of_str("SAFE"));
     let out = run_covert(&opts);
     assert_eq!(out.decoded, opts.bits, "channel works");
