@@ -76,42 +76,36 @@ pub enum RowPolicy {
     Closed,
 }
 
+/// Read and write queue capacity (Table 1).
+const QUEUE_CAP: usize = 64;
+/// Write-drain start watermark.
+const WQ_DRAIN_HIGH: usize = 48;
+/// Write-drain stop watermark.
+const WQ_DRAIN_LOW: usize = 16;
+/// FR-RFM quiesce guard: new row/column commands to a rank stop this
+/// long before the fixed-rate RFM deadline so the RFM lands exactly on
+/// its period.
+const FRRFM_GUARD: Span = Span::from_ns(150);
+
 /// Memory-controller configuration (Table 1 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlConfig {
-    /// Read queue capacity.
-    pub(crate) read_queue_cap: usize,
-    /// Write queue capacity.
-    pub(crate) write_queue_cap: usize,
     /// FR-FCFS column cap: maximum consecutive row hits served while an
     /// older row-miss request waits on the same bank.
     pub col_cap: u32,
-    /// Write-drain start watermark.
-    pub(crate) wq_drain_high: usize,
-    /// Write-drain stop watermark.
-    pub(crate) wq_drain_low: usize,
     /// Allow postponing a periodic refresh by one `tREFI` when the rank is
     /// busy (then issue two back-to-back).
     pub refresh_postpone: bool,
-    /// FR-RFM quiesce guard: new row/column commands to a rank stop this
-    /// long before the fixed-rate RFM deadline so the RFM lands exactly on
-    /// its period.
-    pub(crate) frrfm_guard: Span,
     /// Row-buffer management policy.
     pub row_policy: RowPolicy,
 }
 
 impl CtrlConfig {
-    /// Paper defaults: 64-entry queues, column cap 16, postponing enabled.
+    /// Paper defaults: column cap 16, postponing enabled, open-page policy.
     pub fn paper_default() -> CtrlConfig {
         CtrlConfig {
-            read_queue_cap: 64,
-            write_queue_cap: 64,
             col_cap: 16,
-            wq_drain_high: 48,
-            wq_drain_low: 16,
             refresh_postpone: true,
-            frrfm_guard: Span::from_ns(150),
             row_policy: RowPolicy::Open,
         }
     }
@@ -407,8 +401,8 @@ impl MemoryController {
     /// stamps the enqueue instant, retries included).
     pub fn enqueue(&mut self, req: MemRequest) -> Result<(), MemRequest> {
         let (q, cap) = match req.kind {
-            AccessKind::Read => (&mut self.read_q, self.cfg.read_queue_cap),
-            AccessKind::Write => (&mut self.write_q, self.cfg.write_queue_cap),
+            AccessKind::Read => (&mut self.read_q, QUEUE_CAP),
+            AccessKind::Write => (&mut self.write_q, QUEUE_CAP),
         };
         if q.len() >= cap {
             self.stats.rejections += 1;
@@ -483,9 +477,9 @@ impl MemoryController {
             self.throttled.retain(|_, until| *until > now);
         }
         // Write-drain hysteresis.
-        if self.write_q.len() >= self.cfg.wq_drain_high {
+        if self.write_q.len() >= WQ_DRAIN_HIGH {
             self.draining = true;
-        } else if self.write_q.len() <= self.cfg.wq_drain_low {
+        } else if self.write_q.len() <= WQ_DRAIN_LOW {
             self.draining = false;
         }
         // Refresh postponing / commitment per rank. Commitment is deferred
@@ -515,7 +509,7 @@ impl MemoryController {
                     // and traffic-independent, so this deferral leaks
                     // nothing.
                     let t = self.device.timing();
-                    let settle = self.cfg.frrfm_guard * 2;
+                    let settle = FRRFM_GUARD * 2;
                     let clear_of_rfm = match self.defense.next_maintenance(r as u32) {
                         Some(m) => {
                             m.due > now + t.t_rfc * 2 + t.t_rfm + t.t_rp
@@ -588,7 +582,7 @@ impl MemoryController {
             return true;
         }
         if let Some(deadline) = self.defense.next_maintenance(rank).map(|m| m.due) {
-            if now + self.cfg.frrfm_guard >= deadline {
+            if now + FRRFM_GUARD >= deadline {
                 return true;
             }
         }

@@ -64,7 +64,7 @@ use std::collections::VecDeque;
 
 use lh_dram::{AlertScope, BankId, Command, DramDevice, Geometry, RfmScope, Time};
 
-use super::{AboPhase, MemoryController, QueueSel, RowPolicy, Step};
+use super::{AboPhase, MemoryController, QueueSel, RowPolicy, Step, FRRFM_GUARD};
 use crate::request::MemRequest;
 
 /// Command class of a bank's representative. ACT timing is
@@ -455,7 +455,7 @@ impl CtrlScratch {
 
     /// Memoized `rank_quiesced` for the current wake. Inlines
     /// `MemoryController::rank_quiesced` so a not-quiesced verdict can
-    /// record the instant it would flip (`deadline − frrfm_guard`) into
+    /// record the instant it would flip (`deadline − FRRFM_GUARD`) into
     /// the FastPath bound; a quiesced verdict is monotone under an
     /// unchanged issue stamp and needs no bound.
     fn quiesced(&mut self, mc: &MemoryController, rank: u32, now: Time) -> bool {
@@ -465,10 +465,10 @@ impl CtrlScratch {
             let mut v = mc.ref_pending[r] > 0;
             if !v {
                 if let Some(d) = mc.defense.next_maintenance(rank).map(|m| m.due) {
-                    if now + mc.cfg.frrfm_guard >= d {
+                    if now + FRRFM_GUARD >= d {
                         v = true;
                     } else {
-                        self.fp.bound_acc = self.fp.bound_acc.min(d - mc.cfg.frrfm_guard);
+                        self.fp.bound_acc = self.fp.bound_acc.min(d - FRRFM_GUARD);
                     }
                 }
             }
@@ -785,7 +785,7 @@ impl MemoryController {
                     // wall-clock every call, so no quiet window exists.
                     fp_ok = false;
                     if self.abo.is_none() {
-                        let settle_end = self.rfm_end[rank as usize] + self.cfg.frrfm_guard * 2;
+                        let settle_end = self.rfm_end[rank as usize] + FRRFM_GUARD * 2;
                         if settle_end > now {
                             wake = wake.min(settle_end);
                         }
