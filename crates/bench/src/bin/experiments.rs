@@ -398,7 +398,8 @@ const WORKER_HEARTBEAT: std::time::Duration = std::time::Duration::from_millis(5
 /// `LH_COORD_CHAOS=n` is set) exists so CI can prove requeue-on-death
 /// end to end with a deterministic kill. Workers heartbeat every
 /// [`WORKER_HEARTBEAT`] (protocol v3 liveness for the fleet telemetry).
-fn worker_mode(cache: Option<DiskCache>) -> ! {
+/// A worker opens no cache: the coordinator writes every entry.
+fn worker_mode() -> ! {
     let registry = leakyhammer::registry();
     let chaos = std::env::var("LH_COORD_CHAOS")
         .ok()
@@ -408,7 +409,7 @@ fn worker_mode(cache: Option<DiskCache>) -> ! {
         exit_after_assigns: chaos,
         heartbeat: Some(WORKER_HEARTBEAT),
     };
-    match lh_coord::worker_loop(&registry, lh_coord::stdio_link(), cache, options) {
+    match lh_coord::worker_loop(&registry, lh_coord::stdio_link(), None, options) {
         Ok(()) => std::process::exit(0),
         // The coordinator going away (its own exit closes our pipes) is
         // a normal way for a worker's life to end, not worth a scare.
@@ -767,7 +768,7 @@ fn main() {
     };
 
     if args.worker {
-        worker_mode(args.cache.then(|| DiskCache::new(&args.cache_dir)));
+        worker_mode();
     }
     if args.id == "watch" {
         watch_mode(args.url.as_deref());

@@ -12,7 +12,9 @@
 //! has a result, and the dependency results ship inside the `assign`
 //! message, so workers stay stateless. The shared [`DiskCache`] is the
 //! warm path: cached units never reach a worker at all, and a cached
-//! merged result skips the fleet entirely.
+//! merged result skips the fleet entirely. Workers hold no cache: the
+//! ledger writes each executed unit's entry as it records the `done`
+//! reply, here in the coordinator.
 //!
 //! ## Failure model
 //!
@@ -31,7 +33,7 @@
 //! land on workers.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -49,25 +51,22 @@ use crate::worker::{worker_loop, WorkerOptions};
 
 /// Launches workers for a [`Coordinator`].
 pub trait SpawnWorker: Send {
-    /// Launches worker `index`. When the coordinator caches results,
-    /// `cache_dir` names the worker's private cache directory (merged
-    /// back into the shared cache by the coordinator); `None` disables
-    /// worker-side caching.
+    /// Launches worker `index`. Workers hold no cache: the
+    /// coordinator's ledger writes every entry from the `done` replies.
     ///
     /// # Errors
     ///
     /// Whatever launching the worker can fail with (exec errors, thread
     /// spawn failures).
-    fn spawn(&mut self, index: usize, cache_dir: Option<&Path>) -> io::Result<Link>;
+    fn spawn(&mut self, index: usize) -> io::Result<Link>;
 }
 
 /// Spawns worker OS processes speaking the protocol over stdin/stdout.
 ///
-/// The command line is `<program> <args...> --worker` plus either
-/// `--cache-dir <dir>` or `--no-cache`, with `LH_COORD_WORKER=<index>`
-/// in the environment — the contract the `lh-experiments` binary's
-/// `--worker` mode implements. Worker stderr is inherited so panics and
-/// warnings stay visible.
+/// The command line is `<program> <args...> --worker`, with
+/// `LH_COORD_WORKER=<index>` in the environment — the contract the
+/// `lh-experiments` binary's `--worker` mode implements. Worker stderr
+/// is inherited so panics and warnings stay visible.
 #[derive(Debug, Clone)]
 pub struct ProcessSpawner {
     program: PathBuf,
@@ -85,18 +84,11 @@ impl ProcessSpawner {
 }
 
 impl SpawnWorker for ProcessSpawner {
-    fn spawn(&mut self, index: usize, cache_dir: Option<&Path>) -> io::Result<Link> {
+    fn spawn(&mut self, index: usize) -> io::Result<Link> {
         let mut cmd = std::process::Command::new(&self.program);
-        cmd.args(&self.args).arg("--worker");
-        match cache_dir {
-            Some(dir) => {
-                cmd.arg("--cache-dir").arg(dir);
-            }
-            None => {
-                cmd.arg("--no-cache");
-            }
-        }
-        cmd.env("LH_COORD_WORKER", index.to_string())
+        cmd.args(&self.args)
+            .arg("--worker")
+            .env("LH_COORD_WORKER", index.to_string())
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::inherit());
@@ -136,15 +128,14 @@ impl std::fmt::Debug for ThreadSpawner {
 }
 
 impl SpawnWorker for ThreadSpawner {
-    fn spawn(&mut self, index: usize, cache_dir: Option<&Path>) -> io::Result<Link> {
+    fn spawn(&mut self, index: usize) -> io::Result<Link> {
         let (coord_side, worker_side) = memory_pair();
-        let cache = cache_dir.map(DiskCache::new);
         let make = Arc::clone(&self.make_registry);
         std::thread::Builder::new()
             .name(format!("lh-coord-worker-{index}"))
             .spawn(move || {
                 let registry = make();
-                let _ = worker_loop(&registry, worker_side, cache, WorkerOptions::default());
+                let _ = worker_loop(&registry, worker_side, None, WorkerOptions::default());
             })?;
         Ok(coord_side)
     }
@@ -218,8 +209,6 @@ struct Slot {
     tx: Option<Box<dyn Sender>>,
     /// OS child, for reaping.
     child: Option<std::process::Child>,
-    /// The worker's private cache directory, if caching.
-    cache_dir: Option<PathBuf>,
     /// The unit index currently assigned, if any.
     busy: Option<usize>,
     /// Whether the worker is still usable.
@@ -295,21 +284,13 @@ impl Coordinator {
         self.slots.iter().filter(|s| s.alive).count()
     }
 
-    fn worker_cache_dir(&self, index: usize) -> Option<PathBuf> {
-        self.options
-            .cache
-            .as_ref()
-            .map(|c| c.dir().join(".workers").join(index.to_string()))
-    }
-
     /// Launches one worker and its reader thread. `respawn` marks a
     /// replacement drawn from the respawn budget (telemetry only).
     fn spawn_one(&mut self, respawn: bool) -> Result<(), String> {
         let index = self.slots.len();
-        let cache_dir = self.worker_cache_dir(index);
         let link = self
             .spawner
-            .spawn(index, cache_dir.as_deref())
+            .spawn(index)
             .map_err(|e| format!("spawning worker {index} failed: {e}"))?;
         let events = self.events_tx.clone();
         let mut rx: Box<dyn Receiver> = link.rx;
@@ -333,7 +314,6 @@ impl Coordinator {
         self.slots.push(Slot {
             tx: Some(link.tx),
             child: link.child,
-            cache_dir,
             busy: None,
             alive: true,
         });
@@ -551,24 +531,11 @@ impl Coordinator {
                 }
             }
         }
-
-        // Fold the workers' private caches into the shared one, so
-        // warm-path probes (this process or the next) replay them.
-        if let Some(shared) = &self.options.cache {
-            for slot in &self.slots {
-                if let Some(dir) = &slot.cache_dir {
-                    if let Err(e) = shared.absorb(dir) {
-                        note(format_args!("warning: merging worker cache failed: {e}"));
-                    }
-                }
-            }
-        }
         Ok(ledger.close())
     }
 
     /// Shuts the fleet down: polite `shutdown` messages, EOF on every
-    /// pipe, children reaped, worker caches merged and their
-    /// directories removed. Idempotent; also runs on drop.
+    /// pipe, children reaped. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         for slot in &mut self.slots {
             if let Some(tx) = &mut slot.tx {
@@ -579,14 +546,6 @@ impl Coordinator {
             if let Some(mut child) = slot.child.take() {
                 let _ = child.wait();
             }
-        }
-        if let Some(shared) = &self.options.cache {
-            for slot in &self.slots {
-                if let Some(dir) = &slot.cache_dir {
-                    let _ = shared.absorb(dir);
-                }
-            }
-            let _ = std::fs::remove_dir_all(shared.dir().join(".workers"));
         }
         self.retired = self.slots.len();
         self.telemetry.fleet_down();

@@ -26,8 +26,9 @@
 //!   so `--workers N` envelopes are byte-identical to `--jobs M` for
 //!   any N, M and any placement of units on workers;
 //! * **incrementality** — the shared [`DiskCache`] is the warm path
-//!   (cached units never reach a worker); workers write fresh results
-//!   into private cache directories the coordinator merges back;
+//!   (cached units never reach a worker); workers hold no cache, and
+//!   the coordinator's ledger writes each executed unit's entry from
+//!   its `done` reply, the bytes `--jobs` writes;
 //! * **fault tolerance** — a dead worker's in-flight unit is requeued
 //!   on the survivors, with a bounded respawn budget when the whole
 //!   fleet is lost;

@@ -104,12 +104,15 @@ impl Drop for HeartbeatPump {
 ///
 /// For every assignment: resolve the experiment in `registry`, execute
 /// the unit with its derived seed and the shipped dependency results,
-/// write the result into the worker's private `cache` (if any) under
-/// the exact key the in-process runner would use — so the coordinator
-/// can later merge worker caches into the shared one — and reply
-/// `done`. A panicking unit, or an assignment this registry cannot
-/// resolve, replies `failed` (deterministic failures must not be
-/// requeued); the loop itself keeps running.
+/// and reply `done` with its full output — the coordinator's ledger
+/// writes the unit's cache entry from that reply. A panicking unit, or
+/// an assignment this registry cannot resolve, replies `failed`
+/// (deterministic failures must not be requeued); the loop itself
+/// keeps running.
+///
+/// A worker holds no cache, so `_cache` is never read; the parameter
+/// stays only because the benchmark's worker mode (`benchmark/`)
+/// still passes one.
 ///
 /// # Errors
 ///
@@ -118,7 +121,7 @@ impl Drop for HeartbeatPump {
 pub fn worker_loop(
     registry: &Registry,
     link: Link,
-    cache: Option<DiskCache>,
+    _cache: Option<DiskCache>,
     options: WorkerOptions,
 ) -> std::io::Result<()> {
     let Link { tx, mut rx, child } = link;
@@ -176,7 +179,6 @@ pub fn worker_loop(
             seed,
             flight,
             &deps,
-            &cache,
             &memo,
         ) {
             Ok(output) => {
@@ -208,9 +210,8 @@ pub fn worker_loop(
 }
 
 /// Executes one assignment through the harness's one
-/// [`execute_unit`] — capture, derived seed, the unit entry in this
-/// worker's private `cache` under the exact key any executor would use
-/// — turning a panicking unit into an error for the `failed` reply.
+/// [`execute_unit`] — capture, derived seed — turning a panicking unit
+/// into an error for the `failed` reply.
 #[allow(clippy::too_many_arguments)]
 fn run_assignment(
     registry: &Registry,
@@ -220,7 +221,6 @@ fn run_assignment(
     seed: u64,
     flight: Option<usize>,
     deps: &[lh_harness::Json],
-    cache: &Option<DiskCache>,
     memo: &lh_harness::Memo,
 ) -> Result<UnitOutput, String> {
     let job = registry
@@ -241,7 +241,7 @@ fn run_assignment(
     })?;
 
     catch_unwind(AssertUnwindSafe(|| {
-        execute_unit(job, &ctx, unit, label, deps, cache.as_ref())
+        execute_unit(job, &ctx, unit, label, deps)
     }))
     .map_err(|payload| {
         let cause = payload

@@ -1,9 +1,10 @@
 //! Coordinator behavior end to end over in-process (but wire-faithful)
 //! workers: distributed runs reproduce the in-process runner byte for
 //! byte, worker death requeues in-flight units, fleet loss respawns,
-//! deterministic unit failures abort, and worker caches merge back
-//! into the shared cache the runner reads.
+//! deterministic unit failures abort, and the coordinator writes the
+//! cache entries the runner writes, byte for byte.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -101,9 +102,8 @@ struct FlakySpawner {
 }
 
 impl SpawnWorker for FlakySpawner {
-    fn spawn(&mut self, index: usize, cache_dir: Option<&Path>) -> io::Result<Link> {
+    fn spawn(&mut self, index: usize) -> io::Result<Link> {
         let (coord_side, worker_side) = memory_pair();
-        let cache = cache_dir.map(DiskCache::new);
         let options = WorkerOptions {
             exit_after_assigns: (index < self.flaky).then_some(1),
             ..WorkerOptions::default()
@@ -111,10 +111,31 @@ impl SpawnWorker for FlakySpawner {
         std::thread::Builder::new()
             .name(format!("flaky-worker-{index}"))
             .spawn(move || {
-                let _ = lh_coord::worker_loop(&registry(), worker_side, cache, options);
+                let _ = lh_coord::worker_loop(&registry(), worker_side, None, options);
             })?;
         Ok(coord_side)
     }
+}
+
+/// Every file and directory under `dir` (hidden ones included), by
+/// path relative to `dir`, with each file's bytes (`None` for a
+/// directory).
+fn tree(dir: &Path) -> BTreeMap<String, Option<Vec<u8>>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Option<Vec<u8>>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.strip_prefix(root).unwrap().display().to_string();
+            if path.is_dir() {
+                out.insert(name, None);
+                walk(root, &path, out);
+            } else {
+                out.insert(name, Some(std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
 }
 
 fn in_process_reference() -> Json {
@@ -285,7 +306,7 @@ fn unit_failures_do_not_spend_the_respawn_budget() {
 }
 
 #[test]
-fn worker_caches_merge_into_the_shared_cache_the_runner_reads() {
+fn the_coordinator_writes_the_entries_the_runner_writes() {
     let cache = temp_cache("interop");
     let job_owner = registry();
     let job = job_owner.get("layered").unwrap();
@@ -300,11 +321,43 @@ fn worker_caches_merge_into_the_shared_cache_the_runner_reads() {
     );
     let cold = coordinator.run(job, &ctx()).unwrap();
     assert_eq!(cold.stats.units_executed, 6);
-    coordinator.shutdown();
-    assert!(
-        !cache.dir().join(".workers").exists(),
-        "shutdown must clean up the per-worker cache directories"
+
+    // Before the fleet retires, the cache holds exactly what a cold
+    // runner writes: the same file names, the same bytes, and nothing
+    // of the workers' own.
+    let fleet_tree = tree(cache.dir());
+    let runner_cache = temp_cache("interop-runner");
+    let runner_run = Runner::new(RunnerOptions {
+        jobs: 2,
+        cache: Some(runner_cache.clone()),
+        ..Default::default()
+    })
+    .run(job, &ctx())
+    .unwrap();
+    assert_eq!(runner_run.stats.units_executed, 6);
+    let runner_tree = tree(runner_cache.dir());
+    runner_cache.clear().unwrap();
+    assert_eq!(
+        fleet_tree
+            .keys()
+            .filter(|p| !p.contains('/'))
+            .collect::<Vec<_>>(),
+        ["layered"],
+        "the cache root holds the job's directory and no worker's"
     );
+    assert_eq!(
+        fleet_tree.len(),
+        8,
+        "the job's directory, six unit entries and the merged entry: {:?}",
+        fleet_tree.keys()
+    );
+    assert!(
+        fleet_tree == runner_tree,
+        "the coordinator's entries must equal the runner's: {:?} vs {:?}",
+        fleet_tree.keys(),
+        runner_tree.keys()
+    );
+    coordinator.shutdown();
 
     // The merged entry replays in the runner...
     let warm = Runner::new(RunnerOptions {
@@ -317,8 +370,8 @@ fn worker_caches_merge_into_the_shared_cache_the_runner_reads() {
     assert!(warm.stats.merged_cached);
     assert_eq!(warm.merged, cold.merged);
 
-    // ...and after evicting it, the per-unit entries the *workers*
-    // wrote replay too: proof the worker-side keys match the runner's.
+    // ...and after evicting it, the per-unit entries the *coordinator*
+    // wrote replay too.
     let units = job.units(&ctx());
     let merged_key = unit_key(job, &merged_fingerprint(&units), &ctx());
     std::fs::remove_file(

@@ -9,9 +9,11 @@
 //! experiment, or editing one crate, invalidates only the entries whose
 //! results could actually change — never the whole cache.
 //! Writes are atomic (temp file + rename), so a cache shared between a
-//! parallel run's workers — or between concurrent invocations — can
-//! never expose a torn entry; the worst case is both sides computing
-//! and one rename winning.
+//! parallel run's pool threads — or between concurrent invocations —
+//! can never expose a torn entry; the worst case is both sides
+//! computing and one rename winning. Within a process the run ledger
+//! (`Ledger::record` and `Ledger::close`) is the only writer, for
+//! every executor.
 
 use std::fs;
 use std::io;
@@ -103,49 +105,6 @@ impl DiskCache {
             other => other,
         }
     }
-
-    /// Merges another cache directory into this one, moving every entry
-    /// (`<experiment>/<digest>.json`) across and replacing duplicates —
-    /// both sides of a duplicate digest hold the same content, so
-    /// either copy is correct. Hidden files (in-flight `.*.tmp.*`
-    /// writes) are skipped. A missing `from` directory merges zero
-    /// entries. Returns the number of entries absorbed.
-    ///
-    /// This is how a coordinator folds per-worker cache directories
-    /// back into the shared cache after a distributed run.
-    pub fn absorb(&self, from: &Path) -> io::Result<usize> {
-        let experiments = match fs::read_dir(from) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            other => other?,
-        };
-        let mut moved = 0;
-        for experiment in experiments {
-            let experiment = experiment?.path();
-            if !experiment.is_dir() {
-                continue;
-            }
-            let dest_dir = self
-                .dir
-                .join(experiment.file_name().expect("read_dir names"));
-            fs::create_dir_all(&dest_dir)?;
-            for entry in fs::read_dir(&experiment)? {
-                let entry = entry?.path();
-                let name = match entry.file_name().and_then(|n| n.to_str()) {
-                    Some(n) if !n.starts_with('.') && n.ends_with(".json") => n.to_owned(),
-                    _ => continue,
-                };
-                let dest = dest_dir.join(&name);
-                if fs::rename(&entry, &dest).is_err() {
-                    // Cross-device fallback: copy, then best-effort
-                    // cleanup of the source.
-                    fs::copy(&entry, &dest)?;
-                    let _ = fs::remove_file(&entry);
-                }
-                moved += 1;
-            }
-        }
-        Ok(moved)
-    }
 }
 
 #[cfg(test)]
@@ -207,36 +166,6 @@ mod tests {
         other.fingerprint = "crates:abc123".into();
         assert_ne!(digest, other.digest());
         assert_eq!(digest, base.digest(), "digest must be pure");
-    }
-
-    #[test]
-    fn absorb_moves_entries_and_replaces_duplicates() {
-        let main = temp_cache("absorb-main");
-        let worker = temp_cache("absorb-worker");
-        // One entry only the worker has, one both have, plus a stray
-        // temp file that must not travel.
-        worker.put(&key("point:1"), &Json::Int(1)).unwrap();
-        worker.put(&key("point:2"), &Json::Int(2)).unwrap();
-        main.put(&key("point:2"), &Json::Int(2)).unwrap();
-        std::fs::write(worker.dir().join("fig4").join(".orphan.tmp.1"), "junk").unwrap();
-
-        let moved = main.absorb(worker.dir()).unwrap();
-        assert_eq!(moved, 2);
-        assert_eq!(main.get(&key("point:1")), Some(Json::Int(1)));
-        assert_eq!(main.get(&key("point:2")), Some(Json::Int(2)));
-        assert!(
-            worker.get(&key("point:1")).is_none(),
-            "absorb moves, not copies"
-        );
-        assert!(!main.dir().join("fig4").join(".orphan.tmp.1").exists());
-
-        // Absorbing a missing directory is a no-op.
-        assert_eq!(
-            main.absorb(&worker.dir().join("does-not-exist")).unwrap(),
-            0
-        );
-        main.clear().unwrap();
-        worker.clear().unwrap();
     }
 
     #[test]

@@ -7,20 +7,24 @@
 //! if it is cached, validates the unit DAG, probes the cache per unit
 //! and prunes the dependency edges of hits. [`Ledger::record`] (and
 //! [`Ledger::replay`], its cache-hit twin) takes one unit's output:
-//! progress line, lifetime-registry absorb, observer event, the unit's
-//! slot — in any order, from any thread. [`Ledger::close`] assembles the unit-order metrics block and
-//! event log, runs [`Job::finish`], writes the merged entry and counts
-//! the [`RunStats`]. [`execute_unit`] is the one way a missed unit
-//! runs, wherever it runs.
+//! the unit entry (for an executed unit), progress line,
+//! lifetime-registry absorb, observer event, the unit's slot — in any
+//! order, from any thread. [`Ledger::close`] assembles the unit-order
+//! metrics block and event log, runs [`Job::finish`], writes the merged
+//! entry and counts the [`RunStats`]. [`execute_unit`] is the one way a
+//! missed unit runs, wherever it runs; it captures, and `record`
+//! stores.
 //!
 //! The scheduling loops — [`Runner::run`](crate::Runner::run) on the
 //! thread pool, `lh-coord`'s `Coordinator::run` over a worker fleet
 //! with `worker::run_assignment` at the far end — are the only
 //! callers. They decide *where* a missed unit executes; nothing they do
-//! can change what a run returns or stores. A new rail (another
-//! observability channel, another cache-entry field) is wired in
-//! [`execute_unit`], [`Ledger::record`] and [`Ledger::close`], and
-//! nowhere else.
+//! can change what a run returns or stores. `record` and `close` are
+//! the cache's only writers, whichever loop runs: a worker holds no
+//! cache, and its unit's entry is written by the ledger that receives
+//! its `done`. A new rail (another observability channel, another
+//! cache-entry field) is wired in [`execute_unit`], [`Ledger::record`]
+//! and [`Ledger::close`], and nowhere else.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -173,17 +177,15 @@ pub struct UnitOutput {
 /// Executes unit `index` (labelled `label`) of `job` on this thread:
 /// a `unit.run` span around a flight capture (when `ctx.flight` asks
 /// for one) around a metric scope around [`Job::run_unit`] with the
-/// unit's derived seed and `deps`, then — with a `cache` — the unit
-/// entry written under [`unit_key`]. Cache write failures are reported
-/// on stderr, not fatal; a panicking unit unwinds through here
-/// untouched.
+/// unit's derived seed and `deps`. It stores nothing: the output goes
+/// to [`Ledger::record`], which writes the unit entry.
+/// A panicking unit unwinds through here untouched.
 pub fn execute_unit(
     job: &dyn Job,
     ctx: &JobContext,
     index: usize,
     label: &str,
     deps: &[Json],
-    cache: Option<&DiskCache>,
 ) -> UnitOutput {
     let started = Instant::now();
     let _span = lh_obs::Span::enter("unit.run", "harness");
@@ -197,19 +199,9 @@ pub fn execute_unit(
         }
         None => (run(), None),
     };
-    let metrics = metrics_to_json(&recorded);
-    if let Some(c) = cache {
-        let entry = wrap_entry_events(metrics.clone(), result.clone(), log.clone());
-        if let Err(e) = c.put(&unit_key(job, label, ctx), &entry) {
-            note(format_args!(
-                "warning: cache write failed for {}/{label}: {e}",
-                job.id()
-            ));
-        }
-    }
     UnitOutput {
         result,
-        metrics,
+        metrics: metrics_to_json(&recorded),
         events: log,
         wall_ms: started.elapsed().as_millis(),
     }
@@ -399,14 +391,29 @@ impl<'a> Ledger<'a> {
             unit,
             &self.units[unit],
             &self.dep_results(unit),
-            self.cache.as_ref(),
         );
         self.record(unit, output);
     }
 
     /// Records the output of a unit that executed — here or on a
-    /// worker. Callable in any order, from any thread, once per unit.
+    /// worker — and, with a cache, writes its unit entry under
+    /// [`unit_key`] (a failed write is a warning). Callable in any
+    /// order, from any thread, once per unit.
     pub fn record(&self, unit: usize, output: UnitOutput) {
+        if let Some(c) = &self.cache {
+            let label = &self.units[unit];
+            let entry = wrap_entry_events(
+                output.metrics.clone(),
+                output.result.clone(),
+                output.events.clone(),
+            );
+            if let Err(e) = c.put(&unit_key(self.job, label, self.ctx), &entry) {
+                note(format_args!(
+                    "warning: cache write failed for {}/{label}: {e}",
+                    self.job.id()
+                ));
+            }
+        }
         self.settle(unit, output, false);
     }
 

@@ -36,8 +36,9 @@
 //! Every byte a run returns or stores is decided by the run
 //! `ledger`: cache keys, the merged-entry and per-unit replay rules,
 //! what a unit execution captures ([`execute_unit`]), what each
-//! completion reports, and the unit-order assembly of the metrics
-//! block, the event log and the merged result. A *scheduling loop* only
+//! completion reports and stores ([`Ledger::record`], the one writer of
+//! unit entries), and the unit-order assembly of the metrics block, the
+//! event log and the merged result. A *scheduling loop* only
 //! decides where a missed unit executes: [`Runner::run`] on this
 //! crate's thread pool ([`pool`]), `lh-coord`'s `Coordinator::run` on a
 //! fleet of workers whose `run_assignment` calls the same
