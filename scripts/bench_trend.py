@@ -7,11 +7,20 @@ repo's benchmark.
 The BENCH_*.json files (repo root and benchmark/baseline/, ordered by PR
 number) are printed as a series: per workload and end-to-end metric, the
 median over each file's untraced runs, with the change against the
-previous point. A file is either what `benchmark/run.sh --runs N --out
-FILE` wrote (`{"runs": [...]}`) or a parent/change pair of such sets
-(`{"parent": {...}, "change": {...}}`), which contributes two points.
-Always exits 0: timing is advisory — the byte-identity gates and
-`benchmark/compare.py` are what fail builds.
+previous point. A file holds its run set in one of three shapes:
+
+- what `benchmark/run.sh --runs N --out FILE` wrote (`{"runs": [...]}`):
+  one point;
+- a parent/change pair of such sets (`{"parent": {...}, "change": {...}}`):
+  two points;
+- per-metric paired values for one workload (`{"<workload>_pairs":
+  {"<metric>": {"parent": [...], "change": [...]}}}`): two points, for
+  the metrics the pairs carry.
+
+The timing is advisory: no median, however far it moves, fails the run;
+the byte-identity gates and `benchmark/compare.py` are what fail builds.
+But a BENCH file with none of these shapes exits 1 naming the file, so a
+file the series cannot read is never skipped silently.
 """
 
 import glob
@@ -22,8 +31,41 @@ import statistics
 import sys
 
 
-def bench_points(root):
-    """[(label, runs)] of every committed BENCH_*.json, by PR number."""
+def run_values(runs):
+    """{(workload, metric): [value]} over the untraced runs of one set."""
+    values = {}
+    for r in runs:
+        if r["trace"] != 0:
+            continue
+        for metric, m in r["result"]["metrics"].items():
+            values.setdefault((r["workload"], metric), []).append(m["value"])
+    return values
+
+
+def file_points(pr, doc, workloads):
+    """[(label, values)] of one BENCH file, or [] if it holds no run set."""
+    if "runs" in doc:
+        return [(f"BENCH_{pr}", run_values(doc["runs"]))]
+    if "parent" in doc and "change" in doc:
+        return [
+            (f"BENCH_{pr}.parent", run_values(doc["parent"]["runs"])),
+            (f"BENCH_{pr}", run_values(doc["change"]["runs"])),
+        ]
+    sides = {"parent": {}, "change": {}}
+    for w in workloads:
+        for metric, pair in doc.get(f"{w}_pairs", {}).items():
+            for side, values in sides.items():
+                values[(w, metric)] = pair[side]
+    if not sides["parent"]:
+        return []
+    return [(f"BENCH_{pr}.parent", sides["parent"]), (f"BENCH_{pr}", sides["change"])]
+
+
+def bench_series(root):
+    """Prints the series; returns the BENCH files that hold no run set."""
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    workloads = [w["name"] for w in spec["workloads"]]
     paths = glob.glob(os.path.join(root, "BENCH_*.json"))
     paths += glob.glob(os.path.join(root, "benchmark", "baseline", "BENCH_*.json"))
     numbered = []
@@ -31,50 +73,38 @@ def bench_points(root):
         m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
         if m:
             numbered.append((int(m.group(1)), path))
-    points = []
+    points, unreadable = [], []
     for pr, path in sorted(numbered):
         with open(path) as f:
-            doc = json.load(f)
-        if "runs" in doc:
-            points.append((f"BENCH_{pr}", doc["runs"]))
-        else:
-            points.append((f"BENCH_{pr}.parent", doc["parent"]["runs"]))
-            points.append((f"BENCH_{pr}", doc["change"]["runs"]))
-    return points
-
-
-def bench_series(root):
-    points = bench_points(root)
+            found = file_points(pr, json.load(f), workloads)
+        if not found:
+            unreadable.append(os.path.relpath(path, root))
+        points += found
     if not points:
         print("no BENCH_*.json committed yet")
-        return
-    with open(os.path.join(root, "BENCHMARK.json")) as f:
-        spec = json.load(f)
+        return unreadable
     print("BENCH_* series (median of untraced runs; delta against the previous point)")
-    for w in spec["workloads"]:
+    for w in workloads:
         for metric in spec["end_to_end"]:
             cells, last = [], None
-            for label, runs in points:
-                values = [
-                    r["result"]["metrics"][metric["name"]]["value"]
-                    for r in runs
-                    if r["workload"] == w["name"]
-                    and r["trace"] == 0
-                    and metric["name"] in r["result"]["metrics"]
-                ]
-                if not values:
+            for label, values in points:
+                v = values.get((w, metric["name"]))
+                if not v:
                     continue
-                med = statistics.median(values)
+                med = statistics.median(v)
                 delta = f" ({(med - last) / last * 100.0:+.1f}%)" if last else ""
-                cells.append(f"{label} {med:.4g}{delta} n={len(values)}")
+                cells.append(f"{label} {med:.4g}{delta} n={len(v)}")
                 last = med
             if cells:
-                print(f"{w['name']}/{metric['name']} [{metric['unit']}]: " + " -> ".join(cells))
+                print(f"{w}/{metric['name']} [{metric['unit']}]: " + " -> ".join(cells))
+    return unreadable
 
 
 def main():
-    bench_series(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-    return 0
+    unreadable = bench_series(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+    for path in unreadable:
+        print(f"error: {path} holds no run set (runs, parent/change or <workload>_pairs)", file=sys.stderr)
+    return 1 if unreadable else 0
 
 
 if __name__ == "__main__":
