@@ -20,11 +20,10 @@
 //! per-symbol intensity table and nothing else ([`SenderConfig::binary`]
 //! builds the two-entry table: idle, or hammer at one think time).
 //! Decoding happens outside the simulated processes from the receiver's
-//! per-window observations. [`CovertReceiver::decode_binary`] is the
-//! receiver's raw thresholded view; everything richer — multibit
-//! amplitude demodulation, pulse-position decoding, preamble
-//! synchronization, channel codecs — lives in the `lh-link` link layer,
-//! which consumes the [`WindowObservation`] stream this module produces.
+//! per-window observations: thresholding, multibit amplitude
+//! demodulation, pulse-position decoding, preamble synchronization and
+//! channel codecs live in the `lh-link` link layer, which consumes the
+//! [`WindowObservation`] stream this module produces.
 
 use core::any::Any;
 
@@ -162,12 +161,6 @@ impl CovertReceiver {
     /// The per-window observations (valid after the run).
     pub fn observations(&self) -> &[WindowObservation] {
         &self.obs
-    }
-
-    /// Binary decoding: bit = 1 iff at least `trecv` events were observed
-    /// in the window.
-    pub fn decode_binary(&self, trecv: u32) -> Vec<u8> {
-        self.obs.iter().map(|o| (o.events >= trecv) as u8).collect()
     }
 
     fn window_of(&self, t: Time) -> Option<usize> {
@@ -417,7 +410,7 @@ mod tests {
         let _ = rx.step(Time::from_us(10) + Span::from_ns(1_500));
         assert_eq!(rx.observations()[0].events, 1);
         assert_eq!(rx.observations()[0].accesses_before_event, 0);
-        assert_eq!(rx.decode_binary(1), vec![1, 0]);
+        assert_eq!(rx.observations()[1].events, 0);
     }
 
     #[test]
@@ -443,7 +436,6 @@ mod tests {
             assert!(matches!(step, ProcessStep::Access(_)));
         }
         assert_eq!(rx.observations()[0].events, 4);
-        assert_eq!(rx.decode_binary(3), vec![1]);
     }
 
     #[test]

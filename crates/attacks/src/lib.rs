@@ -48,7 +48,8 @@
 //! sys.add_process(Box::new(tx), 1, Time::ZERO);
 //! let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
 //! sys.run_until(Time::ZERO + window * 4);
-//! let decoded = sys.process_as::<CovertReceiver>(rx_id).unwrap().decode_binary(1);
+//! let rx = sys.process_as::<CovertReceiver>(rx_id).unwrap();
+//! let decoded: Vec<u8> = rx.observations().iter().map(|o| u8::from(o.events >= 1)).collect();
 //! assert_eq!(decoded, bits);
 //! ```
 
@@ -125,7 +126,10 @@ mod tests {
         sys.run_until(Time::ZERO + window * (bits.len() as u64 + 1));
         sys.process_as::<CovertReceiver>(rx_id)
             .unwrap()
-            .decode_binary(trecv)
+            .observations()
+            .iter()
+            .map(|o| u8::from(o.events >= trecv))
+            .collect()
     }
 
     #[test]

@@ -30,29 +30,8 @@
 //! --url http://host:port/runs/<id>/stream` attaches the dashboard to
 //! a serve run.
 //!
-//! ```text
-//! lh-experiments <id|all|list|watch|report|events|serve> [options]
-//!
-//! options:
-//!   --scale quick|default|paper   experiment scale (default: default)
-//!   --seed N                      master seed (default: 1)
-//!   --jobs N                      in-process worker threads (default: all cores)
-//!   --workers N                   distribute units across N worker child processes
-//!   --no-cache                    disable the on-disk result cache
-//!   --cache-dir PATH              cache location (default: .lh-cache)
-//!   --format text|json|csv        output format (default: text)
-//!   --stream                      stream NDJSON events to stdout as units finish
-//!   --trace-out FILE              export wall-clock spans as Chrome trace_event JSON
-//!   --events-out FILE             record simulated-time flight events to FILE (NDJSON)
-//!   --events-cap N                flight-recorder ring capacity per unit
-//!   --kind/--bank/--seg/--from/--to   events: filter predicates
-//!   --summary / --align / --chrome F  events: view selection
-//!   --addr HOST:PORT              serve: listen address (default: 127.0.0.1:7878)
-//!   --url URL                     watch: attach to a serve stream URL instead of stdin
-//!   --quiet                       suppress progress lines on stderr
-//!   --worker                      internal: serve units over stdio (lh-coord protocol)
-//!   --help                        this message
-//! ```
+//! The commands and options are `USAGE` below, printed by
+//! `lh-experiments --help`.
 
 #[path = "../flight_view.rs"]
 mod flight_view;

@@ -46,7 +46,7 @@ use lh_harness::{Ledger, Opened, UnitOutput};
 
 use crate::protocol::{FromWorker, ToWorker, PROTOCOL_VERSION};
 use crate::telemetry::FleetTelemetry;
-use crate::transport::{memory_pair, LineReceiver, LineSender, Link, Receiver, Sender};
+use crate::transport::{memory_pair, LineSender, Link};
 use crate::worker::{worker_loop, WorkerOptions};
 
 /// Launches workers for a [`Coordinator`].
@@ -95,19 +95,15 @@ impl SpawnWorker for ProcessSpawner {
         let mut child = cmd.spawn()?;
         let stdin = child.stdin.take().expect("stdin piped");
         let stdout = child.stdout.take().expect("stdout piped");
-        Ok(Link {
-            tx: Box::new(LineSender(stdin)),
-            rx: Box::new(LineReceiver(io::BufReader::new(stdout))),
-            child: Some(child),
-        })
+        Ok(Link::new(stdin, stdout, Some(child)))
     }
 }
 
-/// Spawns in-process worker threads running [`worker_loop`] over the
-/// wire-faithful in-memory transport — the same scheduling, protocol
-/// serialization and failure paths as process workers, minus the OS
-/// process. Used by tests and useful wherever spawning children is
-/// impossible.
+/// Spawns in-process worker threads running [`worker_loop`] over a
+/// pair of in-process pipes ([`memory_pair`]) — the same line
+/// transport, scheduling, protocol serialization and failure paths as
+/// process workers, minus the OS process. Used by tests and useful
+/// wherever spawning children is impossible.
 pub struct ThreadSpawner {
     make_registry: Arc<dyn Fn() -> Registry + Send + Sync>,
 }
@@ -129,7 +125,7 @@ impl std::fmt::Debug for ThreadSpawner {
 
 impl SpawnWorker for ThreadSpawner {
     fn spawn(&mut self, index: usize) -> io::Result<Link> {
-        let (coord_side, worker_side) = memory_pair();
+        let (coord_side, worker_side) = memory_pair()?;
         let make = Arc::clone(&self.make_registry);
         std::thread::Builder::new()
             .name(format!("lh-coord-worker-{index}"))
@@ -206,7 +202,7 @@ enum WorkerEvent {
 /// One worker's coordinator-side state.
 struct Slot {
     /// Sending half; dropped on shutdown to signal EOF.
-    tx: Option<Box<dyn Sender>>,
+    tx: Option<LineSender>,
     /// OS child, for reaping.
     child: Option<std::process::Child>,
     /// The unit index currently assigned, if any.
@@ -227,7 +223,6 @@ pub struct Coordinator {
     /// (Slots are never reused — reader threads tag events by index.)
     retired: usize,
     respawns_left: usize,
-    stats: CoordStats,
     telemetry: FleetTelemetry,
 }
 
@@ -236,7 +231,7 @@ impl std::fmt::Debug for Coordinator {
         f.debug_struct("Coordinator")
             .field("options", &self.options)
             .field("slots", &self.slots.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -263,14 +258,20 @@ impl Coordinator {
             events_rx,
             retired: 0,
             respawns_left,
-            stats: CoordStats::default(),
-            telemetry: FleetTelemetry::new(),
+            telemetry: FleetTelemetry::default(),
         }
     }
 
-    /// Fleet statistics so far.
+    /// Fleet statistics so far: the lifetime counters of
+    /// [`Coordinator::telemetry`].
     pub fn stats(&self) -> CoordStats {
-        self.stats
+        let fleet = self.telemetry.snapshot();
+        CoordStats {
+            workers_spawned: fleet.workers_spawned as usize,
+            workers_lost: fleet.workers_lost as usize,
+            units_requeued: fleet.units_requeued as usize,
+            respawns_used: fleet.respawns_used as usize,
+        }
     }
 
     /// A cloneable handle to the live fleet telemetry. Dashboards (the
@@ -293,7 +294,7 @@ impl Coordinator {
             .spawn(index)
             .map_err(|e| format!("spawning worker {index} failed: {e}"))?;
         let events = self.events_tx.clone();
-        let mut rx: Box<dyn Receiver> = link.rx;
+        let mut rx = link.rx;
         std::thread::Builder::new()
             .name(format!("lh-coord-reader-{index}"))
             .spawn(move || loop {
@@ -317,10 +318,6 @@ impl Coordinator {
             busy: None,
             alive: true,
         });
-        self.stats.workers_spawned += 1;
-        if respawn {
-            self.stats.respawns_used += 1;
-        }
         self.telemetry.worker_spawned(index, respawn);
         Ok(())
     }
@@ -362,11 +359,9 @@ impl Coordinator {
         }
         slot.alive = false;
         slot.tx = None;
-        self.stats.workers_lost += 1;
         self.telemetry.worker_lost(w);
         if let Some(unit) = slot.busy.take() {
             sched.requeue(unit);
-            self.stats.units_requeued += 1;
             self.telemetry.unit_requeued();
             note(format_args!(
                 "lh-coord: worker {w} died ({cause}); requeueing its in-flight unit {unit}"
@@ -453,7 +448,6 @@ impl Coordinator {
                         self.discard(w, &mut sched, &format!("send failed: {e}"));
                         // `discard` saw no busy unit; account the
                         // requeue of the one we just claimed.
-                        self.stats.units_requeued += 1;
                         self.telemetry.unit_requeued();
                     }
                 }

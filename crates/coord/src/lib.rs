@@ -37,15 +37,14 @@
 //!   [`viewer::watch`] (surfaced as `lh-experiments watch`) renders
 //!   that stream for humans.
 //!
-//! Transports are small trait objects (`transport::Sender` /
-//! `transport::Receiver`); the stock ones cover child-process pipes
-//! and wire-faithful in-memory channels, and anything
-//! `Write`/`BufRead` (a `TcpStream`, say) slots in without touching
-//! scheduling.
+//! There is one transport: NDJSON lines over any `Write`/`BufRead`.
+//! It runs over child-process pipes and, for in-process workers, over
+//! a pair of in-process pipes; a `TcpStream` would slot in without
+//! touching scheduling.
 //!
 //! ## Example
 //!
-//! In-process workers over the wire-faithful memory transport:
+//! In-process workers over a pair of in-process pipes:
 //!
 //! ```
 //! use lh_coord::{Coordinator, CoordinatorOptions, ThreadSpawner};

@@ -10,28 +10,15 @@
 //! serve HTTP handlers, stream followers) snapshot it concurrently
 //! while [`Coordinator::run`](crate::Coordinator::run) blocks.
 //!
-//! The same lifetime counters are mirrored into
-//! [`lh_obs::Registry::global`] under `coord.*` names so the
-//! Prometheus endpoint exposes them next to the simulator totals.
+//! This is the only place a worker spawn, loss, requeue, respawn or
+//! heartbeat is counted: [`Coordinator::stats`](crate::Coordinator::stats)
+//! reads its lifetime counters, and serve's `/metrics` page prints
+//! them as the `lh_fleet_*` family.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lh_harness::json::Json;
-
-/// `coord.*` lifetime counter names mirrored into the global registry.
-pub(crate) mod counters {
-    /// Workers launched, including replacements.
-    pub(crate) const WORKERS_SPAWNED: &str = "coord.workers_spawned";
-    /// Workers that died or misbehaved and were discarded.
-    pub(crate) const WORKERS_LOST: &str = "coord.workers_lost";
-    /// In-flight units returned to the queue by worker deaths.
-    pub(crate) const UNITS_REQUEUED: &str = "coord.units_requeued";
-    /// Respawn-budget draws (replacements beyond the initial fleet).
-    pub(crate) const RESPAWNS_USED: &str = "coord.respawns_used";
-    /// Heartbeat messages received from workers.
-    pub(crate) const HEARTBEATS: &str = "coord.heartbeats";
-}
 
 /// One worker's live state, as of a [`FleetTelemetry::snapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -130,11 +117,6 @@ pub struct FleetTelemetry {
 }
 
 impl FleetTelemetry {
-    /// A handle over a fresh, empty fleet.
-    pub fn new() -> FleetTelemetry {
-        FleetTelemetry::default()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, FleetInner> {
         self.inner.lock().expect("fleet telemetry poisoned")
     }
@@ -153,10 +135,6 @@ impl FleetTelemetry {
         inner.spawned += 1;
         if respawn {
             inner.respawns_used += 1;
-        }
-        lh_obs::Registry::global().add(counters::WORKERS_SPAWNED, 1);
-        if respawn {
-            lh_obs::Registry::global().add(counters::RESPAWNS_USED, 1);
         }
     }
 
@@ -195,7 +173,6 @@ impl FleetTelemetry {
             w.last_beat = Some(Instant::now());
             w.units_done = w.units_done.max(units_done);
         }
-        lh_obs::Registry::global().add(counters::HEARTBEATS, 1);
     }
 
     /// Records a worker death.
@@ -206,13 +183,11 @@ impl FleetTelemetry {
             w.in_flight = None;
         }
         inner.lost += 1;
-        lh_obs::Registry::global().add(counters::WORKERS_LOST, 1);
     }
 
     /// Records one in-flight unit returned to the queue by a death.
     pub(crate) fn unit_requeued(&self) {
         self.lock().requeued += 1;
-        lh_obs::Registry::global().add(counters::UNITS_REQUEUED, 1);
     }
 
     /// Marks every worker dead (fleet shutdown).
@@ -261,7 +236,7 @@ mod tests {
 
     #[test]
     fn lifecycle_shows_up_in_snapshots() {
-        let fleet = FleetTelemetry::new();
+        let fleet = FleetTelemetry::default();
         fleet.worker_spawned(0, false);
         fleet.worker_spawned(1, false);
         fleet.worker_ready(0, 42);
@@ -294,7 +269,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_dashboard_shaped() {
-        let fleet = FleetTelemetry::new();
+        let fleet = FleetTelemetry::default();
         fleet.worker_spawned(0, false);
         fleet.worker_assigned(0, "fig2/noise:1".into());
         let json = fleet.snapshot().to_json();

@@ -18,7 +18,7 @@ use lh_harness::{execute_unit, UnitOutput};
 use lh_harness::{JobContext, Registry};
 
 use crate::protocol::{FromWorker, ToWorker};
-use crate::transport::{Link, Sender};
+use crate::transport::{LineSender, Link};
 
 /// Behavior knobs for [`worker_loop`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,7 +47,7 @@ struct HeartbeatPump {
 
 impl HeartbeatPump {
     fn start(
-        tx: Arc<Mutex<Box<dyn Sender>>>,
+        tx: Arc<Mutex<LineSender>>,
         units_done: Arc<AtomicU64>,
         failed: Arc<AtomicBool>,
         period: Duration,
@@ -306,7 +306,7 @@ mod tests {
     /// Drives a worker thread over the memory transport and returns its
     /// replies to a scripted message sequence.
     fn drive(messages: Vec<Json>, options: WorkerOptions) -> Vec<FromWorker> {
-        let (mut coord, worker) = memory_pair();
+        let (mut coord, worker) = memory_pair().unwrap();
         let handle = std::thread::spawn(move || {
             let registry = test_registry();
             worker_loop(&registry, worker, None, options)
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn heartbeats_flow_between_replies_and_stop_on_shutdown() {
-        let (mut coord, worker) = memory_pair();
+        let (mut coord, worker) = memory_pair().unwrap();
         let options = WorkerOptions {
             heartbeat: Some(Duration::from_millis(2)),
             ..WorkerOptions::default()

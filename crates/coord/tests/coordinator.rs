@@ -103,7 +103,7 @@ struct FlakySpawner {
 
 impl SpawnWorker for FlakySpawner {
     fn spawn(&mut self, index: usize) -> io::Result<Link> {
-        let (coord_side, worker_side) = memory_pair();
+        let (coord_side, worker_side) = memory_pair()?;
         let options = WorkerOptions {
             exit_after_assigns: (index < self.flaky).then_some(1),
             ..WorkerOptions::default()
@@ -207,7 +207,8 @@ fn worker_death_requeues_the_in_flight_unit() {
     );
     assert_eq!(stats.workers_spawned, 2, "one survivor carried the run");
 
-    // The volatile fleet telemetry tells the same failure story.
+    // `stats` reads the fleet telemetry, whose snapshot also carries
+    // the respawn line.
     let snap = coordinator.telemetry().snapshot();
     assert_eq!(snap.workers_lost, 1, "{snap:?}");
     assert_eq!(snap.units_requeued, 1, "{snap:?}");

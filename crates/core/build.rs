@@ -12,6 +12,13 @@ use std::path::{Path, PathBuf};
 
 include!("build/tokens.rs");
 
+// The cache's own hasher, compiled into this script from its source.
+#[allow(dead_code)]
+#[path = "../harness/src/hash.rs"]
+mod hash;
+
+use hash::Hasher;
+
 /// The crates whose code can affect experiment results, with their
 /// source roots relative to this crate's manifest dir. The harness
 /// itself is included (seed derivation and merge order live there), as
@@ -34,41 +41,6 @@ const CRATES: &[(&str, &str)] = &[
     ("lh-workloads", "../workloads/src"),
     ("rand", "../compat/rand/src"),
 ];
-
-/// 128-bit FNV-1a variant matching `lh_harness::hash::Hasher` in
-/// spirit (the exact constants need not match — only stability within
-/// one manifest generation matters for cache addressing).
-struct Hasher {
-    lo: u64,
-    hi: u64,
-}
-
-impl Hasher {
-    fn new() -> Hasher {
-        Hasher {
-            lo: 0xcbf2_9ce4_8422_2325,
-            hi: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.lo ^= u64::from(b);
-            self.lo = self.lo.wrapping_mul(0x0000_0100_0000_01B3);
-            self.hi ^= u64::from(b).rotate_left(32);
-            self.hi = self.hi.wrapping_mul(0x0000_0100_0000_01B3) ^ self.lo.rotate_left(7);
-        }
-    }
-
-    fn field(&mut self, text: &str) {
-        self.update(&(text.len() as u64).to_le_bytes());
-        self.update(text.as_bytes());
-    }
-
-    fn digest(&self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-}
 
 /// All `.rs` files under `root`, sorted so the digest is independent of
 /// directory-walk order.

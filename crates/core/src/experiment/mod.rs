@@ -29,7 +29,7 @@
 //! | `cache_sensitivity` | §10.3 |
 //! | `countermeasures` | §11.4 capacity reduction |
 //! | [`perf`] | Fig. 13 |
-//! | `row_policy` | §9: closed-row policy kills DRAMA, not LeakyHammer |
+//! | [`row_policy`] | §9: closed-row policy kills DRAMA, not LeakyHammer; the §9 / §11.3 cross-bank pair |
 
 pub(crate) mod app_noise;
 pub(crate) mod cache_sensitivity;
@@ -43,5 +43,5 @@ pub mod latency_trace;
 pub(crate) mod multibit;
 pub(crate) mod noise_sweep;
 pub mod perf;
-pub(crate) mod row_policy;
+pub mod row_policy;
 pub mod taxonomy;

@@ -14,14 +14,23 @@
 //! Both channels ride the one wire, [`lh_link::transmit_windows`]:
 //! DRAMA is that wire with a conflict-band receiver, a sparse sender
 //! and a fraction decoder.
+//!
+//! The scope claims — LeakyHammer crosses bank groups where DRAMA does
+//! not, and Bank-Level PRAC (§11.3) shrinks LeakyHammer back to one
+//! bank — need the receiver in another bank group and a lead-in before
+//! the first window, which the wire does not offer:
+//! [`cross_bank_observations`] runs that pair off it.
 
 use lh_analysis::ChannelResult;
-use lh_attacks::{LatencyClassifier, WindowObservation};
+use lh_attacks::{
+    ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, ReceiverConfig,
+    RefreshFilterConfig, SenderConfig, WindowObservation,
+};
 use lh_defenses::DefenseConfig;
-use lh_dram::Span;
+use lh_dram::{Span, Time};
 use lh_link::{transmit_windows, LinkConfig, LinkTuning, PreambleSync};
 use lh_memctrl::RowPolicy;
-use lh_sim::SimConfig;
+use lh_sim::{SimConfig, System};
 
 use crate::experiment::covert::{run_covert, ChannelKind, CovertOptions};
 
@@ -119,6 +128,85 @@ pub(crate) fn row_policy_point(
         drama_kbps: drama_capacity(policy, &bits, seed),
         leakyhammer_kbps: leakyhammer_capacity(policy, &bits, seed),
     }
+}
+
+/// The channel a [`cross_bank_observations`] run carries.
+#[derive(Debug, Clone)]
+pub enum CrossBank {
+    /// LeakyHammer under `defense`: the sender hammers until the
+    /// receiver sees a back-off, and both sleep out the window. With
+    /// `filter` the receiver also runs the §10.1 cadence filter: rare
+    /// refresh+contention stacks brush the back-off band from below,
+    /// and they are the only in-band candidates when the defense's
+    /// back-off is invisible from the receiver's bank.
+    LeakyHammer {
+        /// The defense whose back-off carries the signal.
+        defense: DefenseConfig,
+        /// Whether the receiver runs the §10.1 cadence filter.
+        filter: bool,
+    },
+    /// DRAMA's row-buffer channel, undefended: the receiver counts every
+    /// probe slower than a row hit.
+    Drama,
+}
+
+/// Runs one cross-bank transmission of `bits` — the receiver probes a
+/// row in a *different bank group* than the sender's, the isolation a
+/// bank-partitioned system enforces — and returns the receiver's
+/// per-window observations. Decoding is the caller's.
+///
+/// Windows are 30 µs, wider than the same-bank channel's 25 µs: the
+/// receiver's probes do not conflict with the sender, so the sender's
+/// own alternating accesses must supply all ~255 activations (~25 µs
+/// alone). LeakyHammer transmits from 20 µs, which lets the
+/// controller's start-of-time refresh catch-up (a back-off-sized
+/// latency stack) complete before the first window, so plain magnitude
+/// detection suffices; the receiver sleeps until then. DRAMA transmits
+/// from time 0.
+pub fn cross_bank_observations(channel: CrossBank, bits: &[u8]) -> Vec<WindowObservation> {
+    const THINK: Span = Span::from_ns(30);
+    let window = Span::from_us(30);
+    let drama = matches!(channel, CrossBank::Drama);
+    let (defense, start, filter) = match channel {
+        CrossBank::LeakyHammer { defense, filter } => (defense, Time::from_us(20), filter),
+        CrossBank::Drama => (DefenseConfig::none(), Time::ZERO, false),
+    };
+    let sim = SimConfig::paper_default(defense);
+    let cls = LatencyClassifier::from_timing(&sim.device.timing, THINK);
+    let refresh_filter = filter.then(|| RefreshFilterConfig::from_timing(&sim.device.timing));
+    let mut sys = System::new(sim).expect("the paper configuration is valid");
+    let layout = ChannelLayout::default_bank(sys.mapping());
+    let tx = CovertSender::new(SenderConfig::binary(
+        layout.sender_rows,
+        window,
+        start,
+        THINK,
+        cls.backoff_threshold(),
+        !drama,
+        bits.to_vec(),
+    ));
+    let rx = CovertReceiver::new(ReceiverConfig {
+        row_addr: layout.other_bank_row,
+        window,
+        start,
+        n_windows: bits.len(),
+        think: THINK,
+        detect: if drama {
+            cls.hit_max
+        } else {
+            cls.backoff_threshold()
+        },
+        detect_max: Span::MAX,
+        sleep_after_detect: !drama,
+        refresh_filter,
+    });
+    sys.add_process(Box::new(tx), 1, Time::ZERO);
+    let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
+    sys.run_until(start + window * (bits.len() as u64 + 1));
+    sys.process_as::<CovertReceiver>(rx_id)
+        .expect("the receiver was added")
+        .observations()
+        .to_vec()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the page is process-lifetime accounting ([`lh_obs::Registry`]
 //! totals, coordinator fleet telemetry, [`StoreStats`]) and may differ
 //! between two servers that produced byte-identical envelopes. Names
-//! map `sim.*` / `coord.*` dotted counters to `lh_`-prefixed underscore
+//! map dotted registry counters to `lh_`-prefixed underscore
 //! families (`sim.cmd.act` → `lh_sim_cmd_act`); histograms render in
 //! the standard cumulative-`le` form with bucket bounds taken from the
 //! deterministic power-of-two layout ([`lh_obs::Hist::bucket_bound`]).

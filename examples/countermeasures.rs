@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example countermeasures`
 
 use leakyhammer::report;
-use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
+use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!("LeakyHammer countermeasures (sec. 11)\n");
@@ -26,9 +26,12 @@ fn main() {
         ..RunnerOptions::default()
     });
     let run = runner.run(job, &ctx).expect("mitigation run");
-    print!("{}", job.render_text(&run.merged, &ctx));
+    print!(
+        "{}",
+        lh_harness::sink::render(job, &run, &ctx, OutputFormat::Text)
+    );
     println!(
-        "\nFR-RFM decouples preventive actions from access patterns (fixed-rate\n\
+        "FR-RFM decouples preventive actions from access patterns (fixed-rate\n\
          RFMs) and eliminates the channel; RIAC randomizes counter phases, so\n\
          the co-runner's activations fire back-offs no one can predict, and\n\
          degrades it. The +shaper/+quota arms are lh-mitigate wrappers over\n\

@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example defense_taxonomy`
 
 use leakyhammer::experiment::taxonomy::TAXONOMY_NRH;
-use lh_harness::{JobContext, Runner, RunnerOptions, ScaleLevel};
+use lh_harness::{JobContext, OutputFormat, Runner, RunnerOptions, ScaleLevel};
 
 fn main() {
     println!(
@@ -32,9 +32,11 @@ fn main() {
         ..RunnerOptions::default()
     });
     let run = runner.run(job, &ctx).expect("taxonomy run");
-    print!("{}", job.render_text(&run.merged, &ctx));
+    print!(
+        "{}",
+        lh_harness::sink::render(job, &run, &ctx, OutputFormat::Text)
+    );
 
-    println!();
     for p in run.merged["points"].as_array() {
         if p["agrees"].as_bool() != Some(false) {
             continue;

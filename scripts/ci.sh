@@ -20,7 +20,7 @@ ci=$root/target/ci
 B=$root/target/release/lh-experiments
 url=http://127.0.0.1:7878
 
-steps=(build test release-tests fmt clippy rustdoc mutate hygiene
+steps=(build test release-tests examples fmt clippy rustdoc mutate hygiene
     harness-smoke warm distributed worker-kill watch serve bench-trend
     catalogue-default benchmark bench-timing trace events)
 
@@ -96,6 +96,27 @@ step_release-tests() {
     # when its certificate admits them; in release too, each
     # replay must equal a forced simulation.
     cargo test --release -q -p leakyhammer --lib replayed_cells_equal_a_forced_simulation
+}
+
+step_examples() {
+    need "$B" build
+    # `cargo test` builds the examples but runs none: run every one.
+    # The two that print a figure run its registry job through the
+    # CLI's own renderer, so the CLI's stdout must appear in theirs
+    # verbatim (README.md).
+    scratch examples
+    for src in "$root"/examples/*.rs; do
+        example=$(basename "$src" .rs)
+        cargo run -q --release --manifest-path "$root/Cargo.toml" --example "$example" > "$example.txt"
+    done
+    for pair in mitigation:countermeasures taxonomy:defense_taxonomy; do
+        exp=${pair%%:*} example=${pair#*:}
+        "$B" "$exp" --scale quick --no-cache --quiet > "$exp.txt"
+        if ! python3 -c 'import sys; a, b = (open(p).read() for p in sys.argv[1:]); sys.exit(a not in b)' "$exp.txt" "$example.txt"; then
+            echo "::error::the stdout of lh-experiments $exp --scale quick does not appear verbatim in the $example example's"
+            exit 1
+        fi
+    done
 }
 
 step_fmt() {

@@ -8,111 +8,29 @@
 //! back-off scope to one bank, reducing LeakyHammer to a same-bank
 //! attack.
 
-use lh_attacks::{
-    ChannelLayout, CovertReceiver, CovertSender, LatencyClassifier, ReceiverConfig, SenderConfig,
-};
+use leakyhammer::experiment::row_policy::{cross_bank_observations, CrossBank};
+use lh_attacks::WindowObservation;
 use lh_defenses::DefenseConfig;
-use lh_dram::{Span, Time};
-use lh_sim::{SimConfig, System};
-
-const THINK: Span = Span::from_ns(30);
-// Cross-bank windows are wider than the same-bank channel's 25 µs: the
-// receiver's probes do not conflict with the sender, so the sender's own
-// alternating accesses must supply all ~255 activations (~25 µs alone).
-const WINDOW_US: u64 = 30;
 
 /// Runs the PRAC covert channel with the receiver probing a row in a
-/// *different bank group* than the sender; returns the decoded bits.
+/// *different bank group* than the sender; returns the decoded bits (a
+/// window decodes 1 on any back-off-band event).
 ///
-/// With `filter` the receiver additionally runs the §10.1 cadence filter
-/// (with a calibration lead-in): rare refresh+contention stacks brush the
-/// back-off band from below, and they are the *only* in-band candidates
-/// when the defense's back-off is invisible from this bank.
+/// With `filter` the receiver additionally runs the §10.1 cadence
+/// filter.
 fn cross_bank_leakyhammer(defense: DefenseConfig, filter: bool, bits: &[u8]) -> Vec<u8> {
-    let window = Span::from_us(WINDOW_US);
-    // Transmission starts after a 20 µs lead-in during which the
-    // receiver calibrates the refresh grid for its cadence filter.
-    let start = Time::from_us(20);
-    let sim = SimConfig::paper_default(defense);
-    let cls = LatencyClassifier::from_timing(&sim.device.timing, THINK);
-    let mut sys = System::new(sim).unwrap();
-    let layout = ChannelLayout::default_bank(sys.mapping());
-    let tx = CovertSender::new(SenderConfig::binary(
-        layout.sender_rows,
-        window,
-        start,
-        THINK,
-        cls.backoff_threshold(),
-        true,
-        bits.to_vec(),
-    ));
-    // The 20 µs lead-in also lets the controller's start-of-time refresh
-    // catch-up (a back-off-sized latency stack) complete before the
-    // first window, so plain magnitude detection suffices.
-    let rx = CovertReceiver::new(ReceiverConfig {
-        row_addr: layout.other_bank_row,
-        window,
-        start,
-        n_windows: bits.len(),
-        think: THINK,
-        detect: cls.backoff_threshold(),
-        detect_max: Span::MAX,
-        sleep_after_detect: true,
-        refresh_filter: filter.then(|| {
-            lh_attacks::RefreshFilterConfig::from_timing(&lh_dram::DramTiming::ddr5_4800())
-        }),
-    });
-    sys.add_process(Box::new(tx), 1, Time::ZERO);
-    let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
-    sys.run_until(start + window * (bits.len() as u64 + 1));
-    sys.process_as::<CovertReceiver>(rx_id)
-        .unwrap()
-        .decode_binary(1)
-}
-
-/// Decodes DRAMA windows from conflict counts against a 5 % fraction of
-/// the window's ~2,500 probes.
-fn decode_drama_windows(conflicts: &[u32]) -> Vec<u8> {
-    conflicts.iter().map(|&c| (c > 125) as u8).collect()
-}
-
-/// Runs the DRAMA row-buffer channel with the receiver in a different
-/// bank group; returns per-window conflict counts.
-fn cross_bank_drama(bits: &[u8]) -> Vec<u32> {
-    let window = Span::from_us(WINDOW_US);
-    let sim = SimConfig::paper_default(DefenseConfig::none());
-    let cls = LatencyClassifier::from_timing(&sim.device.timing, THINK);
-    let mut sys = System::new(sim).unwrap();
-    let layout = ChannelLayout::default_bank(sys.mapping());
-    let tx = CovertSender::new(SenderConfig::binary(
-        layout.sender_rows,
-        window,
-        Time::ZERO,
-        THINK,
-        cls.backoff_threshold(),
-        false,
-        bits.to_vec(),
-    ));
-    // DRAMA's receiver: every probe slower than a row hit is a conflict.
-    let rx = CovertReceiver::new(ReceiverConfig {
-        row_addr: layout.other_bank_row,
-        window,
-        start: Time::ZERO,
-        n_windows: bits.len(),
-        think: THINK,
-        detect: cls.hit_max,
-        detect_max: Span::MAX,
-        sleep_after_detect: false,
-        refresh_filter: None,
-    });
-    sys.add_process(Box::new(tx), 1, Time::ZERO);
-    let rx_id = sys.add_process(Box::new(rx), 1, Time::ZERO);
-    sys.run_until(Time::ZERO + window * (bits.len() as u64 + 1));
-    sys.process_as::<CovertReceiver>(rx_id)
-        .unwrap()
-        .observations()
+    cross_bank_observations(CrossBank::LeakyHammer { defense, filter }, bits)
         .iter()
-        .map(|o| o.events)
+        .map(|o| u8::from(o.events >= 1))
+        .collect()
+}
+
+/// Decodes DRAMA windows from conflict counts against a fixed 125 (a
+/// window completes ~540 probes).
+fn decode_drama_windows(observations: &[WindowObservation]) -> Vec<u8> {
+    observations
+        .iter()
+        .map(|o| (o.events > 125) as u8)
         .collect()
 }
 
@@ -128,7 +46,7 @@ fn leakyhammer_crosses_banks_where_drama_cannot() {
     // through command/data-bus contention — the separate contention
     // channel the paper scopes out in footnote 9 — but far too few to
     // decode anything.)
-    let decoded = decode_drama_windows(&cross_bank_drama(&bits));
+    let decoded = decode_drama_windows(&cross_bank_observations(CrossBank::Drama, &bits));
     assert_eq!(
         decoded,
         vec![0u8; bits.len()],
@@ -141,9 +59,11 @@ fn bank_level_prac_reduces_the_scope_to_one_bank() {
     let bits = vec![1u8, 0, 1, 1, 0, 0, 1, 0];
     // §11.3: with per-bank back-off signalling, the cross-bank receiver
     // observes no back-offs — every window decodes to 0.
-    // The receiver's best effort includes the cadence filter: the only
-    // in-band candidates left are on the refresh grid, and they filter
-    // away — nothing defense-correlated remains.
+    // The receiver's best effort includes the cadence filter: the
+    // in-band candidates left are refresh+contention stacks, and from
+    // this 20 µs start they all filter away. (From 0 or 30 µs one
+    // survives the filter, and unfiltered they land only on windows
+    // whose bit is 1: the residue follows the sender.)
     let decoded = cross_bank_leakyhammer(DefenseConfig::prac_bank(128), true, &bits);
     assert_eq!(
         decoded,
