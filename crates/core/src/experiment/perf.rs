@@ -36,6 +36,29 @@
 //! Every replayed cell adds one to `CELLS_REPLAYED` on
 //! [`lh_obs::Registry::global`], the process-lifetime channel: no unit's
 //! counters or envelope see it.
+//!
+//! ## Twin cells
+//!
+//! Some cells of the grid build equal [`DefenseConfig`]s: FR-RFM at
+//! `N_RH` 128 and 64 both sit at [`lh_defenses::fr_rfm_period`]'s
+//! floor, and [`lh_defenses::scaled_nbo`] clamps the PRAC family's
+//! `N_BO` to 128 at both 1024 and 512. Of those, PRAC-RIAC@512 and
+//! FR-RFM@64 would simulate; the PRAC and PRAC-Bank pairs replay the
+//! undefended run anyway.
+//!
+//! Equal configs on one trace and seed give equal runs. A lane is a
+//! pure function of its config, the trace, the simulation seed and the
+//! scale: a system draws everything random (PRAC-RIAC's initial
+//! counters among it) from its seed, and the lane engine
+//! (`lh_sim::run_lanes`) builds each lane's system afresh and shares
+//! nothing between lanes but the read-only trace. So two equal configs
+//! send the same commands and retire the same instructions, and
+//! [`cell_lanes`] simulates each distinct config of a batch once: a
+//! later equal cell, its *twin*, takes the first one's lane
+//! ([`first_equal`]). The `fig13` job does the same across units: a
+//! twin unit depends on its first equal sibling, whose result carries
+//! the lane. Inside a flight capture every cell still simulates, so the
+//! log holds every cell's commands.
 
 use std::sync::Arc;
 
@@ -258,10 +281,24 @@ pub fn run_perf_baseline_on(trace: &Arc<SharedTrace>, sim_seed: u64, scale: Scal
     baseline
 }
 
+/// Per entry of `defenses`, the index of the first entry whose config
+/// equals it: itself unless it is a twin (see the module docs).
+pub(crate) fn first_equal(defenses: &[DefenseConfig]) -> Vec<usize> {
+    defenses
+        .iter()
+        .map(|d| {
+            defenses
+                .iter()
+                .position(|e| e == d)
+                .expect("an entry equals itself")
+        })
+        .collect()
+}
+
 /// One lane per entry of `defenses`, all cores of `trace` under it, in
 /// entry order: the undefended run's own lane for every defense it
-/// admits (unless a flight capture is on), a simulation for the rest.
-/// Nothing is emitted.
+/// admits, a twin's first equal entry's lane for a twin (neither inside
+/// a flight capture), a simulation for the rest. Nothing is emitted.
 pub(crate) fn cell_lanes(
     trace: &Arc<SharedTrace>,
     sim_seed: u64,
@@ -269,66 +306,65 @@ pub(crate) fn cell_lanes(
     defenses: &[DefenseConfig],
     undefended: Option<&UndefendedRun>,
 ) -> Vec<LaneRun> {
-    let undefended = undefended
-        .filter(|u| u.sim_seed == sim_seed && u.scale == scale && !lh_obs::flight::active());
+    let capture = lh_obs::flight::active();
+    let undefended = undefended.filter(|u| u.sim_seed == sim_seed && u.scale == scale && !capture);
     let replay = |defense: &DefenseConfig| undefended.filter(|u| u.admits(defense));
+    let first = if capture {
+        (0..defenses.len()).collect()
+    } else {
+        first_equal(defenses)
+    };
     let all: Vec<usize> = (0..trace.cores()).collect();
     let lanes: Vec<(DefenseConfig, Vec<usize>)> = defenses
         .iter()
-        .filter(|d| replay(d).is_none())
-        .map(|d| (d.clone(), all.clone()))
+        .enumerate()
+        .filter(|&(i, d)| first[i] == i && replay(d).is_none())
+        .map(|(_, d)| (d.clone(), all.clone()))
         .collect();
-    let replayed = defenses.len() - lanes.len();
+    let replayed = defenses.iter().filter(|d| replay(d).is_some()).count();
     if replayed > 0 {
         lh_obs::Registry::global().add(CELLS_REPLAYED, replayed as u64);
     }
     let mut simulated = run_perf_lanes(trace, sim_seed, scale, &lanes).into_iter();
-    defenses
-        .iter()
-        .map(|d| match replay(d) {
+    let mut out: Vec<LaneRun> = Vec::with_capacity(defenses.len());
+    for (i, d) in defenses.iter().enumerate() {
+        let lane = match replay(d) {
             Some(u) => u.lane.clone(),
-            None => simulated.next().expect("one simulated lane per cell"),
-        })
-        .collect()
+            None if first[i] < i => out[first[i]].clone(),
+            None => simulated
+                .next()
+                .expect("one simulated lane per distinct cell"),
+        };
+        out.push(lane);
+    }
+    out
 }
 
-/// [`run_perf_cells_on`] with the undefended run to replay given
-/// explicitly rather than found with `trace`.
-pub(crate) fn run_perf_cells_replaying(
-    trace: &Arc<SharedTrace>,
-    sim_seed: u64,
-    cells: &[(DefenseKind, u32)],
+/// Scores one cell's `lane` against its mix's `baseline`, emitting the
+/// lane's counters into the current scope.
+pub(crate) fn score_cell(
+    defense: DefenseKind,
+    nrh: u32,
+    lane: &LaneRun,
     baseline: &MixBaseline,
     scale: Scale,
-    undefended: Option<&UndefendedRun>,
-) -> Vec<PerfPoint> {
-    let timing = lh_dram::DramTiming::ddr5_4800();
-    let defenses: Vec<DefenseConfig> = cells
-        .iter()
-        .map(|&(defense, nrh)| DefenseConfig::for_threshold(defense, nrh, &timing))
-        .collect();
-    let lanes = cell_lanes(trace, sim_seed, scale, &defenses, undefended);
-    cells
-        .iter()
-        .zip(lanes)
-        .map(|(&(defense, nrh), lane)| {
-            lh_obs::emit(&lane.metrics);
-            let ws = weighted_speedup(&app_perf(&lane.instructions, scale), &baseline.alone);
-            PerfPoint {
-                defense,
-                nrh,
-                normalized_ws: normalized_ws(ws, baseline.base_ws),
-            }
-        })
-        .collect()
+) -> PerfPoint {
+    lh_obs::emit(&lane.metrics);
+    let ws = weighted_speedup(&app_perf(&lane.instructions, scale), &baseline.alone);
+    PerfPoint {
+        defense,
+        nrh,
+        normalized_ws: normalized_ws(ws, baseline.base_ws),
+    }
 }
 
 /// Runs a batch of `(defense, nrh)` cells of one mix on a shared
-/// decoded `trace` — one lane per cell — against a precomputed
-/// [`MixBaseline`]. `sim_seed` must equal the baseline's: the alone and
-/// defended runs of a mix share one simulation seed. A cell the
-/// undefended run kept with `trace` admits replays it instead of
-/// simulating (see the module docs).
+/// decoded `trace` — one lane per distinct cell config — against a
+/// precomputed [`MixBaseline`]. `sim_seed` must equal the baseline's:
+/// the alone and defended runs of a mix share one simulation seed. A
+/// cell the undefended run kept with `trace` admits replays it, and a
+/// twin takes its first equal cell's lane, instead of simulating (see
+/// the module docs).
 pub fn run_perf_cells_on(
     trace: &Arc<SharedTrace>,
     sim_seed: u64,
@@ -337,14 +373,17 @@ pub fn run_perf_cells_on(
     scale: Scale,
 ) -> Vec<PerfPoint> {
     let undefended = trace.kept::<UndefendedRun>();
-    run_perf_cells_replaying(
-        trace,
-        sim_seed,
-        cells,
-        baseline,
-        scale,
-        undefended.as_deref(),
-    )
+    let timing = lh_dram::DramTiming::ddr5_4800();
+    let defenses: Vec<DefenseConfig> = cells
+        .iter()
+        .map(|&(defense, nrh)| DefenseConfig::for_threshold(defense, nrh, &timing))
+        .collect();
+    let lanes = cell_lanes(trace, sim_seed, scale, &defenses, undefended.as_deref());
+    cells
+        .iter()
+        .zip(&lanes)
+        .map(|(&(defense, nrh), lane)| score_cell(defense, nrh, lane, baseline, scale))
+        .collect()
 }
 
 /// Runs one `(mix, defense, nrh)` cell against a precomputed
@@ -470,6 +509,28 @@ mod tests {
             );
             let forced = cell_lanes(&trace, sim_seed, scale, &defenses, None);
             assert_eq!(replayed, forced, "{scale:?} mix {mix}");
+
+            // Every grid cell that takes a sibling's lane: in a batch
+            // beside that sibling, its lane equals a forced simulation
+            // of its own config.
+            let all: Vec<DefenseConfig> = grid().into_iter().map(|(_, d)| d).collect();
+            let first = first_equal(&all);
+            let twins: Vec<usize> = (0..all.len()).filter(|&i| first[i] != i).collect();
+            assert!(!twins.is_empty(), "the grid has twins");
+            let batch: Vec<DefenseConfig> = twins
+                .iter()
+                .flat_map(|&i| [all[first[i]].clone(), all[i].clone()])
+                .collect();
+            let lanes = cell_lanes(&trace, sim_seed, scale, &batch, Some(&run));
+            for (k, &i) in twins.iter().enumerate() {
+                let own = cell_lanes(&trace, sim_seed, scale, &all[i..=i], None);
+                assert_eq!(
+                    lanes[2 * k + 1],
+                    own[0],
+                    "{scale:?} mix {mix}: twin {:?}",
+                    all[i]
+                );
+            }
         }
     }
 

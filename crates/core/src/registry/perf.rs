@@ -19,14 +19,24 @@
 //! soundness argument is in `experiment::perf`'s module docs. Because
 //! the run rides `deps[0]`, a cell replays the same way under `--jobs`,
 //! `--workers` and a cached baseline.
+//!
+//! A *twin* cell builds the same `DefenseConfig` as an earlier cell of
+//! its mix (FR-RFM at `N_RH` 64 as at 128; PRAC, PRAC-RIAC and
+//! PRAC-Bank at 512 as at 1024), and equal configs on one trace and
+//! seed give equal runs (`experiment::perf`'s module docs again). A
+//! twin unit depends on its first equal sibling as `deps[1]`, whose
+//! result carries its lane — per-app instructions, certificate and
+//! counters — and the twin scores that lane and re-emits its counters
+//! instead of simulating. Inside a flight capture the twin simulates,
+//! so the event log holds its commands.
 
 use lh_harness::{Job, JobContext, Json};
 
 use std::sync::Arc;
 
 use crate::experiment::perf::{
-    app_perf, decode_mix_trace, merge_perf_mixes, run_perf_baseline, run_perf_cells_replaying,
-    LaneRun, MixBaseline, PerfPoint, UndefendedRun, NRH_SWEEP,
+    app_perf, cell_lanes, decode_mix_trace, first_equal, merge_perf_mixes, run_perf_baseline,
+    score_cell, LaneRun, MixBaseline, PerfPoint, UndefendedRun, NRH_SWEEP,
 };
 use crate::Scale;
 
@@ -34,7 +44,7 @@ use crate::registry::{num, off_wire_fingerprint, scale_of, text};
 use crate::report;
 use lh_workloads::SharedTrace;
 
-use lh_defenses::DefenseKind;
+use lh_defenses::{DefenseConfig, DefenseKind};
 use lh_harness::{metrics_from_json, metrics_to_json};
 
 /// Fig. 13: weighted speedup of defenses over NRH.
@@ -43,6 +53,51 @@ pub(crate) struct PerfJob;
 /// Cells per mix: the full `figure13_set() × NRH_SWEEP` grid.
 fn cells_per_mix() -> usize {
     DefenseKind::figure13_set().len() * NRH_SWEEP.len()
+}
+
+/// One mix's cell configs, defense-major: cell `d × NRH_SWEEP.len() + n`
+/// is `figure13_set()[d]` at `NRH_SWEEP[n]`.
+fn grid() -> Vec<DefenseConfig> {
+    let timing = lh_dram::DramTiming::ddr5_4800();
+    DefenseKind::figure13_set()
+        .iter()
+        .flat_map(|&d| {
+            NRH_SWEEP
+                .iter()
+                .map(move |&n| DefenseConfig::for_threshold(d, n, &timing))
+        })
+        .collect()
+}
+
+/// A lane as a unit result carries it.
+fn lane_to_json(lane: &LaneRun) -> Json {
+    Json::object()
+        .with(
+            "instructions",
+            Json::Array(lane.instructions.iter().map(|&i| i.into()).collect()),
+        )
+        .with("max_act", lane.max_act)
+        .with("metrics", metrics_to_json(&lane.metrics))
+}
+
+/// The lane a unit result carries.
+fn lane_from_json(j: &Json) -> LaneRun {
+    LaneRun {
+        instructions: instructions(&j["instructions"]),
+        max_act: j["max_act"]
+            .as_u64()
+            .and_then(|m| u32::try_from(m).ok())
+            .expect("lane certificate"),
+        metrics: metrics_from_json(&j["metrics"]),
+    }
+}
+
+/// An array of instruction counts.
+fn instructions(j: &Json) -> Vec<u64> {
+    j.as_array()
+        .iter()
+        .map(|i| i.as_u64().expect("instruction count"))
+        .collect()
 }
 
 /// The memoized decoded trace of one mix — built at most once per
@@ -101,7 +156,15 @@ impl Job for PerfJob {
     fn deps(&self, unit: usize, ctx: &JobContext) -> Vec<usize> {
         match Self::decode(unit, scale_of(ctx).mixes()) {
             Ok(_baseline) => Vec::new(),
-            Err((mix, _, _)) => vec![mix],
+            Err((mix, d, n)) => {
+                let cell = d * NRH_SWEEP.len() + n;
+                let first = first_equal(&grid())[cell];
+                let mut deps = vec![mix];
+                if first < cell {
+                    deps.push(scale_of(ctx).mixes() + mix * cells_per_mix() + first);
+                }
+                deps
+            }
         }
     }
 
@@ -115,9 +178,8 @@ impl Job for PerfJob {
                 // simulation seed of their mix's baseline (alone and
                 // defended runs of a mix share one seed); `seconds` is
                 // recomputed from the scale, so only instruction counts
-                // travel. The `shared_*` fields are the undefended
-                // shared run, for the cells that replay it.
-                let shared = undefended.lane;
+                // travel. `shared` is the undefended shared run, for the
+                // cells that replay it.
                 Json::object()
                     .with("mix", mix)
                     .with("sim_seed", seed)
@@ -126,57 +188,56 @@ impl Job for PerfJob {
                         "alone_instructions",
                         Json::Array(b.alone.iter().map(|a| a.instructions.into()).collect()),
                     )
-                    .with("shared_max_act", shared.max_act)
-                    .with(
-                        "shared_instructions",
-                        Json::Array(shared.instructions.iter().map(|&i| i.into()).collect()),
-                    )
-                    .with("shared_metrics", metrics_to_json(&shared.metrics))
+                    .with("shared", lane_to_json(&undefended.lane))
             }
             Err((mix, d, n)) => {
                 let base = &deps[0];
-                let instructions = |key: &str| -> Vec<u64> {
-                    base[key]
-                        .as_array()
-                        .iter()
-                        .map(|i| i.as_u64().expect("baseline instruction count"))
-                        .collect()
-                };
                 let baseline = MixBaseline {
-                    alone: app_perf(&instructions("alone_instructions"), scale),
+                    alone: app_perf(&instructions(&base["alone_instructions"]), scale),
                     base_ws: base["base_ws"].as_f64().expect("baseline weighted speedup"),
                 };
+                let _ = seed; // cells inherit the baseline's sim seed
                 let sim_seed = base["sim_seed"].as_u64().expect("baseline sim seed");
-                let undefended = UndefendedRun {
-                    sim_seed,
-                    scale,
-                    lane: LaneRun {
-                        instructions: instructions("shared_instructions"),
-                        max_act: base["shared_max_act"]
-                            .as_u64()
-                            .and_then(|m| u32::try_from(m).ok())
-                            .expect("baseline certificate"),
-                        metrics: metrics_from_json(&base["shared_metrics"]),
-                    },
+                let cell = d * NRH_SWEEP.len() + n;
+                let grid = grid();
+                let lane = match deps.get(1) {
+                    Some(sibling) if !lh_obs::flight::active() => lane_from_json(&sibling["lane"]),
+                    _ => {
+                        let undefended = UndefendedRun {
+                            sim_seed,
+                            scale,
+                            lane: lane_from_json(&base["shared"]),
+                        };
+                        let trace = mix_trace(ctx, mix, sim_seed, scale);
+                        cell_lanes(
+                            &trace,
+                            sim_seed,
+                            scale,
+                            &grid[cell..=cell],
+                            Some(&undefended),
+                        )
+                        .pop()
+                        .expect("one cell in, one lane out")
+                    }
                 };
                 let defense = DefenseKind::figure13_set()[d];
-                let _ = seed; // cells inherit the baseline's sim seed
-                let trace = mix_trace(ctx, mix, sim_seed, scale);
-                let p = run_perf_cells_replaying(
-                    &trace,
-                    sim_seed,
-                    &[(defense, NRH_SWEEP[n])],
-                    &baseline,
-                    scale,
-                    Some(&undefended),
-                )
-                .pop()
-                .expect("one cell in, one point out");
-                Json::object()
+                let p = score_cell(defense, NRH_SWEEP[n], &lane, &baseline, scale);
+                let result = Json::object()
                     .with("mix", mix)
                     .with("defense", p.defense.label())
                     .with("nrh", p.nrh)
-                    .with("normalized_ws", p.normalized_ws)
+                    .with("normalized_ws", p.normalized_ws);
+                // A cell with a twin carries its lane for the twin.
+                let first = first_equal(&grid);
+                if first
+                    .iter()
+                    .enumerate()
+                    .any(|(i, &f)| f == cell && i != cell)
+                {
+                    result.with("lane", lane_to_json(&lane))
+                } else {
+                    result
+                }
             }
         }
     }
@@ -224,7 +285,9 @@ impl Job for PerfJob {
         // v2: per-(mix, defense, NRH) cell units with per-mix baseline
         // dependencies (was: one unit per mix). v3: baseline units carry
         // the undefended shared run that PRAC and PRAC-Bank cells replay.
-        3
+        // v4: that run travels as a `shared` lane object, and a cell
+        // with a twin carries its own lane for the twin to take.
+        4
     }
 
     fn fingerprint(&self) -> String {
@@ -266,5 +329,48 @@ impl Job for PerfJob {
             merged["mixes"].as_u64().unwrap_or(0)
         ));
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lh_harness::ScaleLevel;
+
+    /// A twin cell depends on its mix's baseline and on its first
+    /// config-equal sibling; every other cell on its baseline alone. The
+    /// twins are exactly FR-RFM@64 (→ @128) and the three PRAC-family
+    /// cells at 512 (→ @1024), so a change to `scaled_nbo` or
+    /// `fr_rfm_period` that makes or breaks a twin fails here.
+    #[test]
+    fn deps_link_exactly_the_config_equal_cells() {
+        for level in [ScaleLevel::Quick, ScaleLevel::Default, ScaleLevel::Paper] {
+            let ctx = JobContext::new(level, 1);
+            let units = PerfJob.units(&ctx);
+            let mixes = scale_of(&ctx).mixes();
+            let name = |u: usize| units[u].as_str();
+            let mut twins = Vec::new();
+            for unit in mixes..units.len() {
+                let deps = PerfJob.deps(unit, &ctx);
+                let mix = (unit - mixes) / cells_per_mix();
+                assert_eq!(deps[0], mix, "{} depends on its baseline", name(unit));
+                match deps[1..] {
+                    [] => {}
+                    [sibling] => twins.push(format!("{} -> {}", name(unit), name(sibling))),
+                    _ => panic!("{} has more than one sibling", name(unit)),
+                }
+            }
+            let want: Vec<String> = (0..mixes)
+                .flat_map(|m| {
+                    [
+                        format!("mix:{m}:PRAC:nrh:512 -> mix:{m}:PRAC:nrh:1024"),
+                        format!("mix:{m}:PRAC-RIAC:nrh:512 -> mix:{m}:PRAC-RIAC:nrh:1024"),
+                        format!("mix:{m}:FR-RFM:nrh:64 -> mix:{m}:FR-RFM:nrh:128"),
+                        format!("mix:{m}:PRAC-Bank:nrh:512 -> mix:{m}:PRAC-Bank:nrh:1024"),
+                    ]
+                })
+                .collect();
+            assert_eq!(twins, want, "{level:?}");
+        }
     }
 }

@@ -13,7 +13,7 @@ pub enum Scale {
     /// Minutes-scale runs with the paper's qualitative shape.
     Default,
     /// The paper's full sample sizes: on 2 vCPUs at `--jobs 2`, fig13
-    /// takes ≈ 5 min and the other 21 experiments ≈ 3 min.
+    /// takes ≈ 2 min and the other 21 experiments ≈ 2.5 min.
     Paper,
 }
 

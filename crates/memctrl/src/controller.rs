@@ -380,6 +380,13 @@ impl MemoryController {
         &self.stats
     }
 
+    /// Banks the demand stage of [`MemoryController::service`] has
+    /// folded so far: a work count for the process-lifetime registry,
+    /// not a statistic of the simulated system.
+    pub fn banks_folded(&self) -> u64 {
+        self.scratch.as_ref().map_or(0, |s| s.banks_folded)
+    }
+
     /// Outstanding read-queue occupancy.
     #[cfg(test)]
     pub(crate) fn read_queue_len(&self) -> usize {
@@ -727,7 +734,7 @@ impl MemoryController {
         served: Option<(QueueSel, usize)>,
         s: &mut CtrlScratch,
     ) {
-        s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
+        s.note_issue(&cmd, served, &self.device);
         let outcome = self
             .device
             .issue(&cmd, now)

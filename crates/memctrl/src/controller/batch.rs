@@ -18,12 +18,17 @@
 //!   streak (ACT/PRE/RD/WR on it, PREab on its rank), or a row throttle
 //!   on it — or when `now` reaches its *gate*, the earliest expiry of a
 //!   throttle it passed over;
-//! * no legality memo at all: a candidate's earliest-issue instant is
-//!   folded per scan from the device's own bank and rank timing state
-//!   (`DramDevice::bank_states` / `rank_states`, a handful of `max`es)
-//!   against channel-global floors hoisted once per scan (`cmd_free`,
-//!   column-to-column spacing, data-bus occupancy, `now`), so nothing
-//!   cached can go stale when a command moves device timing;
+//! * a representative also carries its *local instant*: every term of
+//!   its earliest-issue instant that the device's bank and rank timing
+//!   state sets (`DramDevice::bank_states` / `rank_states`). A scan
+//!   folds it with one `max` against channel-global floors hoisted once
+//!   per scan (`cmd_free`, column-to-column spacing, data-bus
+//!   occupancy, `now`). It is refolded with its representative, or
+//!   alone when its rank's epoch moved (see below);
+//! * a quiesced rank's banks leave the fold as one bitset mask, and a
+//!   column command finds the queue position it serves by a binary
+//!   search of the table's entry order (`BankTable::seqs`), not a walk
+//!   of the queue;
 //! * verdict carry-over: a Wait verdict stays exact until its recorded
 //!   bound, an issue, or an arrival (the FastPath), and the sections
 //!   that never read the demand queues keep their verdict across
@@ -50,6 +55,29 @@
 //! `(instant, not-a-hit, queue order)`, which is the per-entry scan's
 //! winner when the instant is `now` and its wake otherwise.
 //!
+//! ## Why a carried local instant is exact
+//!
+//! A local instant reads its bank's `next_*` and blocking instants and
+//! its rank's blocking instant; an `ACT`'s also reads the rank's tRRD
+//! and tFAW window. `DramDevice::issue` is the only writer of those,
+//! and every command it takes bumps an epoch guarding what it writes:
+//!
+//! * `ACT`, `PRE`, `RD` and `WR` write their own bank (its
+//!   [`CtrlScratch::bank_epoch`] moves, so its representatives are
+//!   recomputed), `PREab` every bank of its rank (all their epochs
+//!   move); `RD` and `WR` otherwise write only the channel floors;
+//! * `ACT` also writes its rank's activation window: the rank's ACT
+//!   epoch moves ([`CtrlScratch::rank_epochs`]' second half);
+//! * `REF` and `RFM` block banks of one rank and possibly the rank
+//!   itself: both of the rank's epochs move, which refolds every local
+//!   instant in the rank.
+//!
+//! Nothing else moves device timing (a PRAC recovery moves only PRAC
+//! state), so an instant whose bank and rank epochs match is the one a
+//! fresh fold would compute. Every bank a scan reaches is still folded,
+//! more cheaply, so the scheduler takes the same decisions at the same
+//! wakes.
+//!
 //! ## What checks it
 //!
 //! The per-entry `scan_queue` in `controller.rs` is the
@@ -58,7 +86,9 @@
 //! wait, FastPath winner, reduced demand scan — is shadowed in debug
 //! builds by a fresh full scan on the same scratch, with the carried
 //! verdicts saved before and restored after, so a checked build takes
-//! the same decisions as a release one.
+//! the same decisions as a release one. Every folded instant is
+//! asserted equal to `DramDevice::earliest_legal` of its command in
+//! debug builds, which checks each carried local instant.
 
 use std::collections::VecDeque;
 
@@ -88,53 +118,83 @@ struct Ent {
     col: u32,
 }
 
-/// A bank's cached FR-FCFS representative.
+/// A bank's cached FR-FCFS representative: the one command that can
+/// win FR-FCFS for the bank, with everything a scan folds of it.
 #[derive(Debug, Clone, Copy)]
 struct Rep {
-    /// The bank's [`CtrlScratch::bank_epoch`] at computation.
+    /// The bank's [`CtrlScratch::bank_epoch`] at computation (0: never
+    /// computed; epochs start at 1).
     stamp: u64,
     /// Earliest `until` among the bank's gated entries (`Time::MAX` if
     /// none): the representative is stale once `now` reaches it.
     gate: Time,
-    /// The bank's candidate, `None` while every eligible entry is gated.
-    cand: Option<Cand>,
+    /// Every term of the command's earliest-issue instant but the
+    /// channel floors: the bank's and its rank's timing state.
+    local: Time,
+    /// The rank epoch `local` was folded under, and its index in
+    /// [`CtrlScratch::rank_epochs`].
+    rstamp: u64,
+    ridx: usize,
+    /// The cross-bank tie-break: not-a-hit in bit 63 above the `seq` of
+    /// the entry the command stands for (queue order refines arrival
+    /// order); [`NO_CAND`] while every eligible entry is gated.
+    order: u64,
+    class: Class,
+    /// The bank's group, for the column-to-column floor.
+    bg: u32,
+    cmd: Command,
 }
 
-/// The one command that can win FR-FCFS for a bank.
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    class: Class,
-    cmd: Command,
-    /// `seq` of the entry the command stands for: the cross-bank
-    /// tie-break (queue order refines arrival order).
-    seq: u64,
+/// [`Rep::order`] of a bank without a candidate.
+const NO_CAND: u64 = u64::MAX;
+
+/// [`Rep::order`]'s not-a-hit bit.
+const MISS: u64 = 1 << 63;
+
+impl Rep {
+    const STALE: Rep = Rep {
+        stamp: 0,
+        gate: Time::ZERO,
+        local: Time::ZERO,
+        rstamp: 0,
+        ridx: 0,
+        order: NO_CAND,
+        class: Class::Pre,
+        bg: 0,
+        cmd: Command::PrechargeAll {
+            channel: 0,
+            rank: 0,
+        },
+    };
 }
 
 /// Per-bank candidate table of one demand queue.
 #[derive(Debug)]
 struct BankTable {
-    /// Queue entries folded in so far. Queues only grow at the back
-    /// between scans (enqueues and retries `push_back`), so catching up
-    /// is a walk of the new tail; the sole removal is a served request,
-    /// mirrored eagerly by [`CtrlScratch::note_issue`].
-    synced: usize,
+    /// The `seq` of every queue entry folded in so far, in queue order
+    /// (ascending), so a served entry's queue position is a binary
+    /// search. Queues only grow at the back between scans (enqueues and
+    /// retries `push_back`), so catching up is a walk of the new tail;
+    /// the sole removal is a served request, mirrored eagerly by
+    /// [`CtrlScratch::note_issue`].
+    seqs: VecDeque<u64>,
     next_seq: u64,
     /// Per flat bank: its queued entries, oldest first.
     fifo: Vec<Vec<Ent>>,
     /// Bitset of banks with a non-empty FIFO.
     active: Vec<u64>,
-    /// Per flat bank: its cached representative, if ever computed.
-    reps: Vec<Option<Rep>>,
+    /// Per flat bank: its cached representative.
+    reps: Vec<Rep>,
 }
 
 impl BankTable {
     fn new(banks: usize) -> BankTable {
         BankTable {
-            synced: 0,
+            seqs: VecDeque::new(),
             next_seq: 0,
             fifo: vec![Vec::new(); banks],
             active: vec![0; banks.div_ceil(64)],
-            reps: vec![None; banks],
+            reps: vec![Rep::STALE; banks],
         }
     }
 }
@@ -175,6 +235,16 @@ pub struct CtrlScratch {
     /// its open row or streak (ACT/PRE/RD/WR on it, PREab on its rank),
     /// and every row throttle on it.
     bank_epoch: Vec<u64>,
+    /// Per rank, twice: first bumped by every command that moves a term
+    /// of a PRE or column command's local instant outside its own bank —
+    /// the REF/RFM blocking windows of the rank and its banks —, then by
+    /// every command that moves a term of an ACT's: an ACT in the rank
+    /// (tRRD, tFAW) and the REF/RFM windows.
+    rank_epochs: Vec<u64>,
+    /// Per rank: the bank bitset of its banks.
+    rank_masks: Vec<Vec<u64>>,
+    /// Demand-stage bank folds so far (work count; never a unit metric).
+    pub(super) banks_folded: u64,
     /// Per flat bank: its coordinates.
     banks: Vec<BankId>,
     /// Per rank: number of banks holding an open row.
@@ -219,7 +289,7 @@ struct FastPath {
     stamp: u64,
     rq: u32,
     wq: u32,
-    winner: Option<(QueueSel, Command)>,
+    winner: Option<(QueueSel, Command, u64)>,
     /// Per-scan accumulator: min over the flip instants of every
     /// `now`-dependent branch condition the scan evaluated (refresh
     /// commit triggers, FR-RFM stacking guards, quiesce verdicts,
@@ -227,8 +297,8 @@ struct FastPath {
     bound_acc: Time,
     /// Per-scan demand-winner precompute: the table scan's minimal
     /// candidate when it lies in the future — exactly the candidate the
-    /// scheduler picks once `now` reaches its instant.
-    cand: Option<(Time, Command)>,
+    /// scheduler picks once `now` reaches its instant, with its `seq`.
+    cand: Option<(Time, Command, u64)>,
 }
 
 /// Section verdict: sections 1–5 of `next_step_b` never read the demand
@@ -267,6 +337,18 @@ impl CtrlScratch {
             issued: 0,
             col_issued: 0,
             bank_epoch: vec![1; banks],
+            rank_epochs: vec![1; 2 * ranks],
+            rank_masks: (0..ranks)
+                .map(|r| {
+                    let mut mask = vec![0; banks.div_ceil(64)];
+                    g.banks_in_channel(0)
+                        .enumerate()
+                        .filter(|(_, b)| b.rank as usize == r)
+                        .for_each(|(flat, _)| set_bit(&mut mask, flat));
+                    mask
+                })
+                .collect(),
+            banks_folded: 0,
             banks: g.banks_in_channel(0).collect(),
             rank_open: CtrlScratch::count_open(&mc.device),
             q_stamp: vec![0; ranks],
@@ -308,7 +390,7 @@ impl CtrlScratch {
     pub(super) fn note_issue(
         &mut self,
         cmd: &Command,
-        served: Option<QueueSel>,
+        served: Option<(QueueSel, usize)>,
         device: &DramDevice,
     ) {
         let g = device.geometry();
@@ -317,6 +399,7 @@ impl CtrlScratch {
         match *cmd {
             Command::Activate { bank, .. } => {
                 self.rank_open[bank.rank as usize] += 1;
+                self.rank_epochs[self.rank_open.len() + bank.rank as usize] += 1;
                 self.bank_epoch[g.flat_bank(bank)] += 1;
             }
             Command::Precharge { bank } => {
@@ -330,7 +413,7 @@ impl CtrlScratch {
                 let flat = g.flat_bank(bank);
                 self.col_issued += 1;
                 self.bank_epoch[flat] += 1;
-                let sel = served.expect("column command must serve a request");
+                let (sel, idx) = served.expect("column command must serve a request");
                 let open = states[flat].open_row();
                 let t = &mut self.tables[CtrlScratch::qi(sel)];
                 let fifo = &mut t.fifo[flat];
@@ -339,11 +422,12 @@ impl CtrlScratch {
                     .position(|e| Some(e.row) == open)
                     .expect("served request is its bank's oldest hit");
                 debug_assert_eq!(fifo[pos].col, col, "served entry drifted");
+                debug_assert_eq!(t.seqs[idx], fifo[pos].seq, "served position drifted");
                 fifo.remove(pos);
                 if fifo.is_empty() {
                     t.active[flat / 64] &= !(1 << (flat % 64));
                 }
-                t.synced -= 1;
+                t.seqs.remove(idx);
             }
             Command::PrechargeAll { rank, .. } => {
                 let per_rank = g.banks_per_rank() as usize;
@@ -353,7 +437,10 @@ impl CtrlScratch {
                 }
                 self.rank_open[rank as usize] = 0;
             }
-            Command::Refresh { .. } | Command::Rfm { .. } => {}
+            Command::Refresh { rank, .. } | Command::Rfm { rank, .. } => {
+                self.rank_epochs[rank as usize] += 1;
+                self.rank_epochs[self.rank_open.len() + rank as usize] += 1;
+            }
         }
     }
 
@@ -377,19 +464,32 @@ impl CtrlScratch {
     /// stale.
     fn sync_queue(&mut self, sel: QueueSel, q: &VecDeque<MemRequest>, g: &Geometry) {
         let t = &mut self.tables[CtrlScratch::qi(sel)];
-        debug_assert!(t.synced <= q.len(), "candidate table ahead of queue");
-        for req in q.range(t.synced..) {
+        debug_assert!(t.seqs.len() <= q.len(), "candidate table ahead of queue");
+        for req in q.range(t.seqs.len()..) {
             let flat = g.flat_bank(req.addr.bank);
             t.fifo[flat].push(Ent {
                 seq: t.next_seq,
                 row: req.addr.row,
                 col: req.addr.col,
             });
+            t.seqs.push_back(t.next_seq);
             t.next_seq += 1;
             set_bit(&mut t.active, flat);
             self.bank_epoch[flat] += 1;
         }
-        t.synced = q.len();
+    }
+
+    /// The queue position a column command of queue `sel` standing for
+    /// entry `seq` serves; `None` for a row command.
+    fn served(&self, sel: QueueSel, cmd: &Command, seq: u64) -> Option<(QueueSel, usize)> {
+        let (Command::Read { .. } | Command::Write { .. }) = cmd else {
+            return None;
+        };
+        let idx = self.tables[CtrlScratch::qi(sel)]
+            .seqs
+            .binary_search(&seq)
+            .expect("a column candidate stands for a queued request");
+        Some((sel, idx))
     }
 
     /// Refreshes the cached bank bitset for the RFM at the front of the
@@ -490,10 +590,10 @@ impl CtrlScratch {
         self.fp.rq = mc.read_q.len() as u32;
         self.fp.wq = mc.write_q.len() as u32;
         self.fp.winner = match (sel, self.fp.cand) {
-            (Some(sel), Some((at, cmd)))
+            (Some(sel), Some((at, cmd, seq)))
                 if at == wake && at < self.sec.wake && at < self.fp.bound =>
             {
-                Some((sel, cmd))
+                Some((sel, cmd, seq))
             }
             _ => None,
         };
@@ -502,17 +602,59 @@ impl CtrlScratch {
         self.sec.bound = self.fp.bound;
     }
 
-    /// The representative of active bank `flat` in queue `k`, recomputed
-    /// if the bank's entries, open row, streak or throttles moved since
-    /// it was cached (all behind [`CtrlScratch::bank_epoch`]) or a
-    /// throttle it passed over expired (`gate`).
-    fn rep(&mut self, mc: &MemoryController, k: usize, flat: usize, now: Time) -> Rep {
-        match self.tables[k].reps[flat] {
-            Some(cached) if cached.stamp == self.bank_epoch[flat] && now < cached.gate => {
-                return cached
-            }
-            _ => {}
+    /// The bank-and-rank-local earliest-issue instant of a `class`
+    /// command of queue `k` on bank `flat`: every term of
+    /// `DramDevice::earliest_legal` but the channel floors.
+    fn local(mc: &MemoryController, k: usize, class: Class, flat: usize, bank: BankId) -> Time {
+        let b = &mc.device.bank_states()[flat];
+        let rank = &mc.device.rank_states()[bank.rank as usize];
+        match class {
+            Class::Col if k == 0 => b.earliest_rd().max(rank.earliest_any()),
+            Class::Col => b.earliest_wr().max(rank.earliest_any()),
+            Class::Pre => b.earliest_pre().max(rank.earliest_any()),
+            Class::Act => b
+                .earliest_act()
+                .max(rank.earliest_act(bank.bank_group, mc.device.timing())),
         }
+    }
+
+    /// The representative of active bank `flat` in queue `k`. It is
+    /// recomputed if the bank's entries, open row, streak or throttles
+    /// moved since it was cached (all behind [`CtrlScratch::bank_epoch`])
+    /// or a throttle it passed over expired (`gate`); else only its
+    /// local instant is refolded, if its rank epoch moved.
+    fn rep(&mut self, mc: &MemoryController, k: usize, flat: usize, now: Time) -> &Rep {
+        let r = &self.tables[k].reps[flat];
+        let fresh = r.stamp == self.bank_epoch[flat] && now < r.gate;
+        if !fresh || r.rstamp != self.rank_epochs[r.ridx] {
+            self.refold(mc, k, flat, now, fresh);
+        }
+        &self.tables[k].reps[flat]
+    }
+
+    /// Recomputes bank `flat`'s representative in queue `k` — only its
+    /// local instant if the representative itself is `fresh`.
+    fn refold(&mut self, mc: &MemoryController, k: usize, flat: usize, now: Time, fresh: bool) {
+        let bank = self.banks[flat];
+        let ranks = self.rank_open.len();
+        if !fresh {
+            let rep = self.pick(mc, k, flat, now);
+            self.tables[k].reps[flat] = rep;
+        }
+        let rep = &mut self.tables[k].reps[flat];
+        rep.ridx = match rep.class {
+            Class::Act => ranks + bank.rank as usize,
+            Class::Pre | Class::Col => bank.rank as usize,
+        };
+        rep.rstamp = self.rank_epochs[rep.ridx];
+        if rep.order != NO_CAND {
+            rep.local = CtrlScratch::local(mc, k, rep.class, flat, bank);
+        }
+    }
+
+    /// Bank `flat`'s representative in queue `k`, its local instant
+    /// not yet folded.
+    fn pick(&self, mc: &MemoryController, k: usize, flat: usize, now: Time) -> Rep {
         let bank = self.banks[flat];
         let fifo = &self.tables[k].fifo[flat];
         let open = mc.device.bank_states()[flat].open_row();
@@ -535,7 +677,7 @@ impl CtrlScratch {
         }
         let (srow, scount) = mc.streak[flat];
         let capped = Some(srow) == open && scount >= mc.cfg.col_cap;
-        let cand = match (open, hit) {
+        let pick = match (open, hit) {
             // Column cap: once `col_cap` consecutive hits were served
             // while a conflicting request waits, stop preferring hits.
             (Some(_), Some(h)) if !waits || !capped => {
@@ -545,30 +687,30 @@ impl CtrlScratch {
                 } else {
                     Command::Write { bank, col }
                 };
-                Some(Cand {
-                    class: Class::Col,
-                    cmd,
-                    seq: h.seq,
-                })
+                Some((Class::Col, cmd, h.seq))
             }
-            (Some(_), _) => free.map(|c| Cand {
-                class: Class::Pre,
-                cmd: Command::Precharge { bank },
-                seq: c.seq,
-            }),
-            (None, _) => free.map(|e| Cand {
-                class: Class::Act,
-                cmd: Command::Activate { bank, row: e.row },
-                seq: e.seq,
+            (Some(_), _) => free.map(|c| (Class::Pre, Command::Precharge { bank }, c.seq)),
+            (None, _) => free.map(|e| {
+                let cmd = Command::Activate { bank, row: e.row };
+                (Class::Act, cmd, e.seq)
             }),
         };
-        let rep = Rep {
+        let (class, cmd, order) = match pick {
+            Some((class, cmd, seq)) => {
+                let miss = if class == Class::Col { 0 } else { MISS };
+                (class, cmd, miss | seq)
+            }
+            None => (Rep::STALE.class, Rep::STALE.cmd, NO_CAND),
+        };
+        Rep {
             stamp: self.bank_epoch[flat],
             gate,
-            cand,
-        };
-        self.tables[k].reps[flat] = Some(rep);
-        rep
+            order,
+            class,
+            bg: bank.bank_group,
+            cmd,
+            ..Rep::STALE
+        }
     }
 }
 
@@ -605,11 +747,11 @@ impl MemoryController {
                 return scratch.fp.wake;
             }
             if now == scratch.fp.wake {
-                if let Some((sel, cmd)) = scratch.fp.winner {
+                if let Some((sel, cmd, seq)) = scratch.fp.winner {
                     // The wake landed on the precomputed demand winner:
                     // issue it without re-discovering it, then fall into
                     // the normal loop for the post-issue scan.
-                    let served = self.served_by(sel, &cmd);
+                    let served = scratch.served(sel, &cmd, seq);
                     #[cfg(debug_assertions)]
                     {
                         self.update_modes(now);
@@ -656,21 +798,6 @@ impl MemoryController {
         s.shadow = false;
         (s.fp, s.sec) = carried;
         step
-    }
-
-    /// The queue position a column command serves: the oldest queued
-    /// request for the command's bank and open row.
-    fn served_by(&self, sel: QueueSel, cmd: &Command) -> Option<(QueueSel, usize)> {
-        let (Command::Read { bank, .. } | Command::Write { bank, .. }) = *cmd else {
-            return None;
-        };
-        let row = self.device.open_row(bank);
-        let idx = self
-            .queue(sel)
-            .iter()
-            .position(|r| r.addr.bank == bank && Some(r.addr.row) == row)
-            .expect("a column candidate stands for a queued request");
-        Some((sel, idx))
     }
 
     fn queue(&self, sel: QueueSel) -> &VecDeque<MemRequest> {
@@ -1054,81 +1181,69 @@ impl MemoryController {
         };
         let col_floor = row_floor.max(Time::ZERO + data_free.saturating_since(Time::ZERO + lat));
         // Column-to-column spacing: long within the last column
-        // command's bank group, short elsewhere.
-        let (last_bg, col_floor_same, col_floor_other) = match last_col {
+        // command's bank group, short elsewhere. `floors` is indexed by
+        // row command (0), column command elsewhere (1), column command
+        // in the last one's bank group (2).
+        let (last_bg, floors) = match last_col {
             Some((last, bg)) => (
-                Some(bg),
-                col_floor.max(last + t.t_ccd_l),
-                col_floor.max(last + t.t_ccd_s),
+                bg,
+                [
+                    row_floor,
+                    col_floor.max(last + t.t_ccd_s),
+                    col_floor.max(last + t.t_ccd_l),
+                ],
             ),
-            None => (None, col_floor, col_floor),
+            None => (u32::MAX, [row_floor, col_floor, col_floor]),
         };
-
-        let states = self.device.bank_states();
-        let ranks = self.device.rank_states();
 
         // Minimal (instant, not-a-hit, queue order): the issueable-now
         // winner when the instant is `now`, the demand wake otherwise.
-        let mut best: Option<(Time, bool, u64, Command)> = None;
+        let (mut best, mut best_flat) = ((Time::MAX, NO_CAND), None);
         let mut gate = Time::MAX;
         for w in 0..s.blocked.len() {
             let mut word = s.tables[k].active[w] & !s.blocked[w];
+            for rank in 0..s.rank_masks.len() {
+                let mask = s.rank_masks[rank][w];
+                if word & mask != 0 && s.quiesced(self, rank as u32, now) {
+                    word &= !mask;
+                }
+            }
             while word != 0 {
                 let flat = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let bank = s.banks[flat];
-                if s.quiesced(self, bank.rank, now) {
-                    continue;
-                }
+                s.banks_folded += 1;
                 let rep = s.rep(self, k, flat, now);
                 gate = gate.min(rep.gate);
-                let Some(cand) = rep.cand else {
+                if rep.order == NO_CAND {
                     continue;
-                };
-                let (b, rank) = (&states[flat], &ranks[bank.rank as usize]);
-                let at = match cand.class {
-                    Class::Col => {
-                        let ready = if sel == QueueSel::Read {
-                            b.earliest_rd()
-                        } else {
-                            b.earliest_wr()
-                        };
-                        let ccd_floor = if Some(bank.bank_group) == last_bg {
-                            col_floor_same
-                        } else {
-                            col_floor_other
-                        };
-                        ready.max(rank.earliest_any()).max(ccd_floor)
-                    }
-                    Class::Pre => b.earliest_pre().max(rank.earliest_any()).max(row_floor),
-                    Class::Act => b
-                        .earliest_act()
-                        .max(rank.earliest_act(bank.bank_group, t))
-                        .max(row_floor),
-                };
+                }
+                let col = usize::from(rep.class == Class::Col);
+                let floor = floors[col * (1 + usize::from(rep.bg == last_bg))];
+                let key = (rep.local.max(floor), rep.order);
                 debug_assert_eq!(
-                    at,
-                    self.device.earliest_legal(&cand.cmd, now),
+                    key.0,
+                    self.device.earliest_legal(&rep.cmd, now),
                     "folded legality diverged from the device"
                 );
-                let key = (at, cand.class != Class::Col, cand.seq);
-                if best.is_none_or(|(a, miss, seq, _)| key < (a, miss, seq)) {
-                    best = Some((key.0, key.1, key.2, cand.cmd));
+                if key < best {
+                    (best, best_flat) = (key, Some(flat));
                 }
             }
         }
         // A gate is a flip instant of this verdict as well as a wake.
         s.fp.bound_acc = s.fp.bound_acc.min(gate);
-        match best {
-            Some((at, _, _, cmd)) if at <= now => {
-                let served = self.served_by(sel, &cmd);
-                (Time::MAX, Some(Step::Issue(cmd, served)))
-            }
-            Some((at, _, _, cmd)) => {
-                s.fp.cand = Some((at, cmd));
-                (at.min(gate), None)
-            }
-            None => (gate, None),
+        let Some(flat) = best_flat else {
+            return (gate, None);
+        };
+        let at = best.0;
+        let rep = &s.tables[k].reps[flat];
+        let (cmd, seq) = (rep.cmd, rep.order & !MISS);
+        if at <= now {
+            let served = s.served(sel, &cmd, seq);
+            (Time::MAX, Some(Step::Issue(cmd, served)))
+        } else {
+            s.fp.cand = Some((at, cmd, seq));
+            (at.min(gate), None)
         }
     }
 }

@@ -22,8 +22,9 @@
 //! 25-lane batches (the `sim.lane_batch` span) read 297–445 ms run
 //! whole against 303–569 ms sliced, over four runs per side. Since
 //! Fig. 13's PRAC and PRAC-Bank cells replay the undefended run when
-//! its certificate admits them (`leakyhammer::experiment::perf`), those
-//! batches simulate 15 lanes.
+//! its certificate admits them and a cell whose config equals an
+//! earlier cell's takes that cell's lane (`leakyhammer::experiment::perf`),
+//! those batches simulate 13 lanes.
 //!
 //! ## Order and results
 //!

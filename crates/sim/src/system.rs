@@ -54,6 +54,13 @@ mod counters {
     /// Systems that contributed counters (one per flushed [`super::System`]).
     pub(crate) const SYSTEMS: Counter = Counter::new("sim.systems");
 
+    /// Process-lifetime work counts, added to `lh_obs::Registry::global`
+    /// once per dropped system and never to a unit's counters: the banks
+    /// the controller's demand stage folded, and the events the system
+    /// pushed.
+    pub(crate) const BANKS_FOLDED: &str = "memctrl.banks_folded";
+    pub(crate) const EVENTS_PUSHED: &str = "sim.events_pushed";
+
     /// Distribution of request queue waits — each completion's
     /// `finished - arrival`, in integer simulated nanoseconds.
     pub(crate) const QUEUE_WAIT: Histogram = Histogram::new("sim.queue_wait");
@@ -298,6 +305,12 @@ pub struct System {
     prefetchers: Vec<Option<BestOffsetPrefetcher>>,
     procs: Vec<ProcEntry>,
     events: BinaryHeap<Reverse<Ev>>,
+    /// Events pushed for the current instant, in push order. Every heap
+    /// event due at that instant was pushed before `now` reached it, so
+    /// with a smaller `seq`: taking the heap's events at `now` first,
+    /// then this lane's, keeps the exact (time, seq) order without a
+    /// heap push and pop per same-instant event.
+    due_now: VecDeque<Ev>,
     seq: u64,
     now: Time,
     next_req: u64,
@@ -332,6 +345,11 @@ impl Drop for System {
         // command/maintenance/cache tallies without experiment code
         // having to remember an explicit flush.
         self.flush_obs();
+        // Work counts go to the process-lifetime registry only, never
+        // to a unit's counters: `seq` counts every event pushed.
+        let registry = lh_obs::Registry::global();
+        registry.add(counters::BANKS_FOLDED, self.mc.banks_folded());
+        registry.add(counters::EVENTS_PUSHED, self.seq);
     }
 }
 
@@ -367,6 +385,7 @@ impl System {
             prefetchers: Vec::new(),
             procs: Vec::new(),
             events: BinaryHeap::new(),
+            due_now: VecDeque::new(),
             seq: 0,
             now: Time::ZERO,
             next_req: 0,
@@ -448,11 +467,33 @@ impl System {
 
     fn push(&mut self, at: Time, kind: EventKind) {
         self.seq += 1;
-        self.events.push(Reverse(Ev {
+        let ev = Ev {
             at,
             seq: self.seq,
             kind,
-        }));
+        };
+        if at == self.now {
+            self.due_now.push_back(ev);
+        } else {
+            self.events.push(Reverse(ev));
+        }
+    }
+
+    /// Takes the next event due at or before `t_end` in (time, seq)
+    /// order: heap events not after `now` first (they precede every
+    /// same-instant event, see `due_now`), then the same-instant lane,
+    /// then the heap's earliest.
+    fn next_event(&mut self, t_end: Time) -> Option<Ev> {
+        let heap_at = self.events.peek().map(|Reverse(ev)| ev.at);
+        if self.now <= t_end && heap_at.is_none_or(|at| at > self.now) {
+            if let Some(ev) = self.due_now.pop_front() {
+                return Some(ev);
+            }
+        }
+        match heap_at {
+            Some(at) if at <= t_end => self.events.pop().map(|Reverse(ev)| ev),
+            _ => None,
+        }
     }
 
     /// Flushes deterministic counters accumulated since the previous
@@ -543,11 +584,7 @@ impl System {
     /// (time, seq) order either way, and `now` ends at `t_end` exactly.
     pub fn run_until(&mut self, t_end: Time) {
         let _span = lh_obs::Span::enter("sim.run_until", "sim");
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.at > t_end {
-                break;
-            }
-            self.events.pop();
+        while let Some(ev) = self.next_event(t_end) {
             self.now = ev.at;
             self.handle(ev);
         }

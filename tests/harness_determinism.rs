@@ -45,7 +45,9 @@ fn fig13_dag_is_bit_identical_across_job_counts() {
     let job = registry.get("fig13").expect("fig13 registered");
 
     // The decomposition really is a DAG: per-mix baselines plus one
-    // unit per (mix, defense, NRH) cell depending on its baseline.
+    // unit per (mix, defense, NRH) cell depending on its baseline and,
+    // for a twin cell, on the earlier cell of its mix whose lane it
+    // takes.
     let units = job.units(&ctx());
     let baselines = units.iter().filter(|u| u.starts_with("baseline:")).count();
     assert!(baselines >= 2, "one baseline unit per mix");
@@ -59,8 +61,21 @@ fn fig13_dag_is_bit_identical_across_job_counts() {
         if unit.starts_with("baseline:") {
             assert!(deps.is_empty(), "{unit} must be a root");
         } else {
-            assert_eq!(deps.len(), 1, "{unit} depends on its mix baseline");
-            assert!(units[deps[0]].starts_with("baseline:"));
+            let mix = unit.split(':').nth(1).expect("cell unit names its mix");
+            assert_eq!(
+                units[deps[0]],
+                format!("baseline:mix:{mix}"),
+                "{unit} depends on its mix baseline"
+            );
+            match deps[1..] {
+                [] => {}
+                [sibling] => assert!(
+                    sibling < i && units[sibling].starts_with(&format!("mix:{mix}:")),
+                    "{unit}'s twin {} is an earlier cell of its mix",
+                    units[sibling]
+                ),
+                _ => panic!("{unit} depends on more than its baseline and one twin"),
+            }
         }
     }
 
