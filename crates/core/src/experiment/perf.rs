@@ -53,9 +53,9 @@
 //! (`lh_sim::run_lanes`) builds each lane's system afresh and shares
 //! nothing between lanes but the read-only trace. So two equal configs
 //! send the same commands and retire the same instructions, and
-//! [`cell_lanes`] simulates each distinct config of a batch once: a
+//! `cell_lanes` simulates each distinct config of a batch once: a
 //! later equal cell, its *twin*, takes the first one's lane
-//! ([`first_equal`]). The `fig13` job does the same across units: a
+//! (`first_equal`). The `fig13` job does the same across units: a
 //! twin unit depends on its first equal sibling, whose result carries
 //! the lane. Inside a flight capture every cell still simulates, so the
 //! log holds every cell's commands.
