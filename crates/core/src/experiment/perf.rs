@@ -55,10 +55,12 @@
 //! send the same commands and retire the same instructions, and
 //! `cell_lanes` simulates each distinct config of a batch once: a
 //! later equal cell, its *twin*, takes the first one's lane
-//! (`first_equal`). The `fig13` job does the same across units: a
-//! twin unit depends on its first equal sibling, whose result carries
-//! the lane. Inside a flight capture every cell still simulates, so the
-//! log holds every cell's commands.
+//! (`first_equal`). A twin the undefended run admits replays that run
+//! instead, like its sibling, and counts as replayed. The `fig13` job
+//! does the same across units: a twin unit depends on its first equal
+//! sibling, whose result carries the lane when the sibling simulated.
+//! Inside a flight capture every cell still simulates, so the log holds
+//! every cell's commands.
 
 use std::sync::Arc;
 

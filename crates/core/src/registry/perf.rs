@@ -24,11 +24,14 @@
 //! its mix (FR-RFM at `N_RH` 64 as at 128; PRAC, PRAC-RIAC and
 //! PRAC-Bank at 512 as at 1024), and equal configs on one trace and
 //! seed give equal runs (`experiment::perf`'s module docs again). A
-//! twin unit depends on its first equal sibling as `deps[1]`, whose
-//! result carries its lane — per-app instructions, certificate and
-//! counters — and the twin scores that lane and re-emits its counters
-//! instead of simulating. Inside a flight capture the twin simulates,
-//! so the event log holds its commands.
+//! twin unit depends on its first equal sibling as `deps[1]`. A
+//! sibling that simulated carries its lane — per-app instructions,
+//! certificate and counters — and the twin scores that lane and
+//! re-emits its counters instead of simulating. A sibling that replayed
+//! the undefended run carries no lane: its twin replays that run as
+//! well (equal configs are admitted alike), so it counts as a replayed
+//! cell too. Inside a flight capture the twin simulates, so the event
+//! log holds its commands.
 
 use lh_harness::{Job, JobContext, Json};
 
@@ -200,14 +203,19 @@ impl Job for PerfJob {
                 let sim_seed = base["sim_seed"].as_u64().expect("baseline sim seed");
                 let cell = d * NRH_SWEEP.len() + n;
                 let grid = grid();
+                let undefended = UndefendedRun {
+                    sim_seed,
+                    scale,
+                    lane: lane_from_json(&base["shared"]),
+                };
+                // A cell and its twin build one config, so they replay
+                // the undefended run together or not at all.
+                let replays = undefended.admits(&grid[cell]);
                 let lane = match deps.get(1) {
-                    Some(sibling) if !lh_obs::flight::active() => lane_from_json(&sibling["lane"]),
+                    Some(sibling) if !replays && !lh_obs::flight::active() => {
+                        lane_from_json(&sibling["lane"])
+                    }
                     _ => {
-                        let undefended = UndefendedRun {
-                            sim_seed,
-                            scale,
-                            lane: lane_from_json(&base["shared"]),
-                        };
                         let trace = mix_trace(ctx, mix, sim_seed, scale);
                         cell_lanes(
                             &trace,
@@ -227,12 +235,14 @@ impl Job for PerfJob {
                     .with("defense", p.defense.label())
                     .with("nrh", p.nrh)
                     .with("normalized_ws", p.normalized_ws);
-                // A cell with a twin carries its lane for the twin.
+                // A simulated cell with a twin carries its lane for the
+                // twin; a replayed one leaves the twin to replay too.
                 let first = first_equal(&grid);
-                if first
-                    .iter()
-                    .enumerate()
-                    .any(|(i, &f)| f == cell && i != cell)
+                if !replays
+                    && first
+                        .iter()
+                        .enumerate()
+                        .any(|(i, &f)| f == cell && i != cell)
                 {
                     result.with("lane", lane_to_json(&lane))
                 } else {
@@ -285,8 +295,9 @@ impl Job for PerfJob {
         // v2: per-(mix, defense, NRH) cell units with per-mix baseline
         // dependencies (was: one unit per mix). v3: baseline units carry
         // the undefended shared run that PRAC and PRAC-Bank cells replay.
-        // v4: that run travels as a `shared` lane object, and a cell
-        // with a twin carries its own lane for the twin to take.
+        // v4: that run travels as a `shared` lane object, and a
+        // simulated cell with a twin carries its own lane for the twin
+        // to take.
         4
     }
 

@@ -12,8 +12,8 @@ pub enum Scale {
     Quick,
     /// Minutes-scale runs with the paper's qualitative shape.
     Default,
-    /// The paper's full sample sizes: on 2 vCPUs at `--jobs 2`, fig13
-    /// takes ≈ 2 min and the other 21 experiments ≈ 2.5 min.
+    /// The paper's full sample sizes: on 2 vCPUs, a cold `all --jobs 2`
+    /// takes ≈ 5 min, fig13 ≈ 2.6 min of it.
     Paper,
 }
 

@@ -734,7 +734,7 @@ impl MemoryController {
         served: Option<(QueueSel, usize)>,
         s: &mut CtrlScratch,
     ) {
-        s.note_issue(&cmd, served, &self.device);
+        s.note_issue(&cmd, served.map(|(sel, _)| sel), &self.device);
         let outcome = self
             .device
             .issue(&cmd, now)

@@ -25,10 +25,7 @@
 //!   per scan (`cmd_free`, column-to-column spacing, data-bus
 //!   occupancy, `now`). It is refolded with its representative, or
 //!   alone when its rank's epoch moved (see below);
-//! * a quiesced rank's banks leave the fold as one bitset mask, and a
-//!   column command finds the queue position it serves by a binary
-//!   search of the table's entry order (`BankTable::seqs`), not a walk
-//!   of the queue;
+//! * a quiesced rank's banks leave the fold as one bitset mask;
 //! * verdict carry-over: a Wait verdict stays exact until its recorded
 //!   bound, an issue, or an arrival (the FastPath), and the sections
 //!   that never read the demand queues keep their verdict across
@@ -171,13 +168,11 @@ impl Rep {
 /// Per-bank candidate table of one demand queue.
 #[derive(Debug)]
 struct BankTable {
-    /// The `seq` of every queue entry folded in so far, in queue order
-    /// (ascending), so a served entry's queue position is a binary
-    /// search. Queues only grow at the back between scans (enqueues and
-    /// retries `push_back`), so catching up is a walk of the new tail;
-    /// the sole removal is a served request, mirrored eagerly by
-    /// [`CtrlScratch::note_issue`].
-    seqs: VecDeque<u64>,
+    /// Queue entries folded in so far. Queues only grow at the back
+    /// between scans (enqueues and retries `push_back`), so catching up
+    /// is a walk of the new tail; the sole removal is a served request,
+    /// mirrored eagerly by [`CtrlScratch::note_issue`].
+    synced: usize,
     next_seq: u64,
     /// Per flat bank: its queued entries, oldest first.
     fifo: Vec<Vec<Ent>>,
@@ -190,7 +185,7 @@ struct BankTable {
 impl BankTable {
     fn new(banks: usize) -> BankTable {
         BankTable {
-            seqs: VecDeque::new(),
+            synced: 0,
             next_seq: 0,
             fifo: vec![Vec::new(); banks],
             active: vec![0; banks.div_ceil(64)],
@@ -289,7 +284,7 @@ struct FastPath {
     stamp: u64,
     rq: u32,
     wq: u32,
-    winner: Option<(QueueSel, Command, u64)>,
+    winner: Option<(QueueSel, Command)>,
     /// Per-scan accumulator: min over the flip instants of every
     /// `now`-dependent branch condition the scan evaluated (refresh
     /// commit triggers, FR-RFM stacking guards, quiesce verdicts,
@@ -297,8 +292,8 @@ struct FastPath {
     bound_acc: Time,
     /// Per-scan demand-winner precompute: the table scan's minimal
     /// candidate when it lies in the future — exactly the candidate the
-    /// scheduler picks once `now` reaches its instant, with its `seq`.
-    cand: Option<(Time, Command, u64)>,
+    /// scheduler picks once `now` reaches its instant.
+    cand: Option<(Time, Command)>,
 }
 
 /// Section verdict: sections 1–5 of `next_step_b` never read the demand
@@ -390,7 +385,7 @@ impl CtrlScratch {
     pub(super) fn note_issue(
         &mut self,
         cmd: &Command,
-        served: Option<(QueueSel, usize)>,
+        served: Option<QueueSel>,
         device: &DramDevice,
     ) {
         let g = device.geometry();
@@ -413,7 +408,7 @@ impl CtrlScratch {
                 let flat = g.flat_bank(bank);
                 self.col_issued += 1;
                 self.bank_epoch[flat] += 1;
-                let (sel, idx) = served.expect("column command must serve a request");
+                let sel = served.expect("column command must serve a request");
                 let open = states[flat].open_row();
                 let t = &mut self.tables[CtrlScratch::qi(sel)];
                 let fifo = &mut t.fifo[flat];
@@ -422,12 +417,11 @@ impl CtrlScratch {
                     .position(|e| Some(e.row) == open)
                     .expect("served request is its bank's oldest hit");
                 debug_assert_eq!(fifo[pos].col, col, "served entry drifted");
-                debug_assert_eq!(t.seqs[idx], fifo[pos].seq, "served position drifted");
                 fifo.remove(pos);
                 if fifo.is_empty() {
                     t.active[flat / 64] &= !(1 << (flat % 64));
                 }
-                t.seqs.remove(idx);
+                t.synced -= 1;
             }
             Command::PrechargeAll { rank, .. } => {
                 let per_rank = g.banks_per_rank() as usize;
@@ -464,32 +458,19 @@ impl CtrlScratch {
     /// stale.
     fn sync_queue(&mut self, sel: QueueSel, q: &VecDeque<MemRequest>, g: &Geometry) {
         let t = &mut self.tables[CtrlScratch::qi(sel)];
-        debug_assert!(t.seqs.len() <= q.len(), "candidate table ahead of queue");
-        for req in q.range(t.seqs.len()..) {
+        debug_assert!(t.synced <= q.len(), "candidate table ahead of queue");
+        for req in q.range(t.synced..) {
             let flat = g.flat_bank(req.addr.bank);
             t.fifo[flat].push(Ent {
                 seq: t.next_seq,
                 row: req.addr.row,
                 col: req.addr.col,
             });
-            t.seqs.push_back(t.next_seq);
             t.next_seq += 1;
             set_bit(&mut t.active, flat);
             self.bank_epoch[flat] += 1;
         }
-    }
-
-    /// The queue position a column command of queue `sel` standing for
-    /// entry `seq` serves; `None` for a row command.
-    fn served(&self, sel: QueueSel, cmd: &Command, seq: u64) -> Option<(QueueSel, usize)> {
-        let (Command::Read { .. } | Command::Write { .. }) = cmd else {
-            return None;
-        };
-        let idx = self.tables[CtrlScratch::qi(sel)]
-            .seqs
-            .binary_search(&seq)
-            .expect("a column candidate stands for a queued request");
-        Some((sel, idx))
+        t.synced = q.len();
     }
 
     /// Refreshes the cached bank bitset for the RFM at the front of the
@@ -590,10 +571,10 @@ impl CtrlScratch {
         self.fp.rq = mc.read_q.len() as u32;
         self.fp.wq = mc.write_q.len() as u32;
         self.fp.winner = match (sel, self.fp.cand) {
-            (Some(sel), Some((at, cmd, seq)))
+            (Some(sel), Some((at, cmd)))
                 if at == wake && at < self.sec.wake && at < self.fp.bound =>
             {
-                Some((sel, cmd, seq))
+                Some((sel, cmd))
             }
             _ => None,
         };
@@ -747,11 +728,11 @@ impl MemoryController {
                 return scratch.fp.wake;
             }
             if now == scratch.fp.wake {
-                if let Some((sel, cmd, seq)) = scratch.fp.winner {
+                if let Some((sel, cmd)) = scratch.fp.winner {
                     // The wake landed on the precomputed demand winner:
                     // issue it without re-discovering it, then fall into
                     // the normal loop for the post-issue scan.
-                    let served = scratch.served(sel, &cmd, seq);
+                    let served = self.served_by(sel, &cmd);
                     #[cfg(debug_assertions)]
                     {
                         self.update_modes(now);
@@ -798,6 +779,21 @@ impl MemoryController {
         s.shadow = false;
         (s.fp, s.sec) = carried;
         step
+    }
+
+    /// The queue position a column command serves: the oldest queued
+    /// request for the command's bank and open row.
+    fn served_by(&self, sel: QueueSel, cmd: &Command) -> Option<(QueueSel, usize)> {
+        let (Command::Read { bank, .. } | Command::Write { bank, .. }) = *cmd else {
+            return None;
+        };
+        let row = self.device.open_row(bank);
+        let idx = self
+            .queue(sel)
+            .iter()
+            .position(|r| r.addr.bank == bank && Some(r.addr.row) == row)
+            .expect("a column candidate stands for a queued request");
+        Some((sel, idx))
     }
 
     fn queue(&self, sel: QueueSel) -> &VecDeque<MemRequest> {
@@ -1235,14 +1231,12 @@ impl MemoryController {
         let Some(flat) = best_flat else {
             return (gate, None);
         };
-        let at = best.0;
-        let rep = &s.tables[k].reps[flat];
-        let (cmd, seq) = (rep.cmd, rep.order & !MISS);
+        let (at, cmd) = (best.0, s.tables[k].reps[flat].cmd);
         if at <= now {
-            let served = s.served(sel, &cmd, seq);
+            let served = self.served_by(sel, &cmd);
             (Time::MAX, Some(Step::Issue(cmd, served)))
         } else {
-            s.fp.cand = Some((at, cmd, seq));
+            s.fp.cand = Some((at, cmd));
             (at.min(gate), None)
         }
     }
